@@ -9,10 +9,9 @@ from .core import (
     TrafficUnit,
     UnitKind,
     Verdict,
-    make_conn_key,
     make_listener_key,
 )
-from .match_action import ChainSpec, MatchTable, Ppm, compile_chain, publish_rules
+from .match_action import ChainSpec, MatchTable, Ppm, compile_chain
 from .slow_path import MeshConfig, MeshRuntime, load_config
 from .sim import Mode, Workload, builtin_cost_models, compare_modes, run_sim
 

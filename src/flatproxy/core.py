@@ -90,11 +90,6 @@ def make_listener_key(dip, dport: int, proto: Proto = Proto.TCP) -> FlowKey:
     return FlowKey(sip=0, sport=0, dip=ip4_to_int(dip), dport=dport, proto=proto)
 
 
-def make_conn_key(meta: "Metadata") -> FlowKey:
-    """Full 4-tuple+proto key of the unit's flow."""
-    return meta.flow
-
-
 @dataclass
 class HttpMessage:
     """Parsed HTTP/1.1 request fields; header wire order is preserved so a

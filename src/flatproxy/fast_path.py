@@ -21,7 +21,6 @@ from .core import (
     TrafficUnit,
     UnitKind,
     Verdict,
-    make_conn_key,
 )
 from .l7 import (
     QueueTable,
@@ -29,6 +28,7 @@ from .l7 import (
     filter_apply,
     http_deparse,
     http_parse,
+    parse_head,
     route,
     MalformedHttp,
 )
@@ -106,7 +106,7 @@ def make_toe(l4_table: MatchTable) -> Ppm:
 
     def matcher(unit, snaps):
         snap = snaps.get(l4_table.name)
-        entry = l4_table.lookup(make_conn_key(unit.meta), snap)
+        entry = l4_table.lookup(unit.meta.flow, snap)
         if entry == l4_table.default:
             return l4_table.default
         kind = entry[0]
@@ -148,9 +148,8 @@ def make_http_parser(pool: BufferPool, proto_table: MatchTable) -> Ppm:
 
 
 def make_filter(filter_table: MatchTable) -> Ppm:
-    def filter_proc(unit: TrafficUnit, ctx: ExecContext):
-        snap = filter_table.snapshot()
-        rules = snap.entries.get("rules", ())
+    def filter_proc(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
+        rules = snaps[filter_table.name].entries.get("rules", ())
         verdict = filter_apply(unit.meta, rules)
         if verdict is not Verdict.CONTINUE:
             unit.meta.set_verdict(verdict, "filter")
@@ -174,11 +173,15 @@ def make_router(
     queues: QueueTable,
     connector: Callable = default_connector,
 ) -> Ppm:
-    def route_proc(unit: TrafficUnit, ctx: ExecContext):
-        listeners = listener_table.snapshot().entries
-        routes = route_table.snapshot().entries
-        clusters = cluster_table.snapshot().entries
-        result = route(unit.meta, listeners, routes, queues, clusters, connector)
+    def route_proc(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
+        result = route(
+            unit.meta,
+            snaps[listener_table.name].entries,
+            snaps[route_table.name].entries,
+            queues,
+            snaps[cluster_table.name].entries,
+            connector,
+        )
         if result.lb_called:
             ctx.bump("load_balance_calls")
             ctx.bump(f"endpoint.{result.endpoint.id}")
@@ -196,7 +199,7 @@ def make_router(
 
 
 def make_http_deparser(pool: BufferPool, proto_table: MatchTable) -> Ppm:
-    def deparse_proc(unit: TrafficUnit, ctx: ExecContext):
+    def deparse_proc(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
         try:
             unit.payload = http_deparse(unit.meta, pool)
         except MalformedHttp:
@@ -214,6 +217,33 @@ def make_http_deparser(pool: BufferPool, proto_table: MatchTable) -> Ppm:
         matcher=matcher,
         actions={"deparse": ActionProgram("deparse", [proc(deparse_proc)])},
     )
+
+
+def standard_registry(
+    l2_table: MatchTable,
+    l3_table: MatchTable,
+    l4_table: MatchTable,
+    listener_table: MatchTable,
+    filter_table: MatchTable,
+    route_table: MatchTable,
+    cluster_table: MatchTable,
+    proto_table: MatchTable,
+    pool: BufferPool,
+    queues: QueueTable,
+    connector: Callable = default_connector,
+) -> dict:
+    """The standard PPMs by id, over the given tables."""
+    return {
+        "vswitch": make_l2_vswitch(l2_table),
+        "l3": make_l3(l3_table),
+        "toe": make_toe(l4_table),
+        "http_parser": make_http_parser(pool, proto_table),
+        "filter": make_filter(filter_table),
+        "router": make_router(
+            listener_table, route_table, cluster_table, queues, connector
+        ),
+        "http_deparser": make_http_deparser(pool, proto_table),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +283,7 @@ class ToeEngine:
         """Feed one SEGMENT; returns completed MESSAGE units (possibly
         none).  Unknown connection: seq 0 implicitly opens, anything else
         goes to the slow path."""
-        key = make_conn_key(seg.meta)
+        key = seg.meta.flow
         conn = self.connections.get(key)
         if conn is None:
             if seg.seq == 0:
@@ -317,38 +347,19 @@ class ToeEngine:
         head, sep, _rest = data.partition(b"\r\n\r\n")
         if not sep:
             return None
-        content_length = self._header_content_length(head)
-        if content_length is None:
+        end = len(head) + len(sep)
+        try:
+            _msg, content_length = parse_head(head)
+        except MalformedHttp:
             # malformed header block: deliver the prefix as-is and let the
             # parser PPM raise the slow-path verdict on it
-            end = len(head) + len(sep)
             conn.assembled = data[end:]
             return data[:end]
-        end = len(head) + len(sep) + content_length
+        end += content_length
         if len(data) < end:
             return None
         conn.assembled = data[end:]
         return data[:end]
-
-    @staticmethod
-    def _header_content_length(head: bytes) -> Optional[int]:
-        """Content-Length announced by a header block, 0 when absent;
-        None when the block itself is malformed."""
-        lines = head.split(b"\r\n")
-        parts = lines[0].split(b" ")
-        if len(parts) != 3 or not parts[0] or not parts[2].startswith(b"HTTP/"):
-            return None
-        content_length = 0
-        for line in lines[1:]:
-            name, colon, value = line.partition(b":")
-            if not colon or not name:
-                return None
-            if name.strip().lower() == b"content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    return None
-        return content_length
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +400,7 @@ class WorkerPool:
                 t.start()
 
     def _shard(self, unit: TrafficUnit) -> int:
-        return hash(make_conn_key(unit.meta)) % self.n_workers
+        return hash(unit.meta.flow) % self.n_workers
 
     def submit(self, msg: TrafficUnit):
         if msg.kind is not UnitKind.MESSAGE:
@@ -478,10 +489,8 @@ class FastPath:
         if unit.kind is not UnitKind.FRAME:
             raise ValueError("ingress takes FRAME units")
         self._bump("ingress")
-        snaps = {}
-        for ppm in (self.l2_ppm, self.l3_ppm):
-            for t in ppm.tables:
-                snaps.setdefault(t.name, t.snapshot())
+        snaps = {t.name: t.current
+                 for ppm in (self.l2_ppm, self.l3_ppm) for t in ppm.tables}
         for ppm in (self.l2_ppm, self.l3_ppm):
             ppm.apply(unit, self.ctx, snaps)
             if unit.meta.verdict is Verdict.DROP:
@@ -492,7 +501,7 @@ class FastPath:
                 self.slow_path_handoff(unit, unit.meta.verdict_reason)
                 return "slow_path"
 
-        entry = self.l4_table.lookup(make_conn_key(unit.meta))
+        entry = self.l4_table.lookup(unit.meta.flow)
         if entry == self.l4_table.default:
             self._bump("slow_path")
             unit.meta.set_verdict(Verdict.TO_SLOW_PATH, "new_connection")

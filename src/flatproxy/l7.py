@@ -24,7 +24,6 @@ from .core import (
     ProtoType,
     TrafficUnit,
     Verdict,
-    make_conn_key,
     make_listener_key,
 )
 
@@ -66,11 +65,18 @@ def http_parse(unit: TrafficUnit, pool: BufferPool) -> Metadata:
     return meta
 
 
-def parse_request_bytes(data: bytes):
-    """Returns (HttpMessage, body bytes); raises MalformedHttp."""
-    head, sep, rest = data.partition(_CRLF + _CRLF)
-    if not sep:
-        raise MalformedHttp("missing header terminator")
+def parse_content_length(value: bytes) -> int:
+    """The one Content-Length rule: a non-negative decimal integer.  A
+    negative or non-numeric value raises MalformedHttp."""
+    value = value.strip()
+    if not value.isdigit():
+        raise MalformedHttp("bad content-length")
+    return int(value)
+
+
+def parse_head(head: bytes):
+    """Parse a request header block without its terminator; returns
+    (HttpMessage, content length) or raises MalformedHttp."""
     lines = head.split(_CRLF)
     parts = lines[0].split(b" ")
     if len(parts) != 3 or not parts[0] or not parts[2].startswith(b"HTTP/"):
@@ -88,17 +94,22 @@ def parse_request_bytes(data: bytes):
         if lname == b"host":
             host = value.strip()
         elif lname == b"content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                raise MalformedHttp("bad content-length")
-    if len(rest) < content_length:
-        raise MalformedHttp("truncated body")
-    body = rest[:content_length]
+            content_length = parse_content_length(value)
     msg = HttpMessage(
         method=method, url_path=path, host=host, version=version, headers=headers
     )
-    return msg, body
+    return msg, content_length
+
+
+def parse_request_bytes(data: bytes):
+    """Returns (HttpMessage, body bytes); raises MalformedHttp."""
+    head, sep, rest = data.partition(_CRLF + _CRLF)
+    if not sep:
+        raise MalformedHttp("missing header terminator")
+    msg, content_length = parse_head(head)
+    if len(rest) < content_length:
+        raise MalformedHttp("truncated body")
+    return msg, rest[:content_length]
 
 
 def http_deparse(meta: Metadata, pool: BufferPool) -> bytes:
@@ -335,7 +346,7 @@ def route(
         meta.reset_transient()
         meta.set_verdict(Verdict.DROP, "no_route")
         return result
-    ckey = make_conn_key(meta)
+    ckey = meta.flow
     queue_id = queues.lookup(ckey)
     if queue_id is None:
         cluster = clusters.get(rule.cluster)

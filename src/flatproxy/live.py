@@ -25,7 +25,7 @@ from .core import (
     ip4_to_int,
     next_conn_id,
 )
-from .l7 import MalformedHttp, parse_request_bytes
+from .l7 import MalformedHttp, parse_content_length, parse_request_bytes
 from .slow_path import MeshConfig, MeshRuntime
 
 log = logging.getLogger("flatproxy.live")
@@ -48,7 +48,7 @@ def read_http_message(sock_file) -> bytes:
     for line in head.split(_CRLF):
         name, colon, value = line.partition(b":")
         if colon and name.strip().lower() == b"content-length":
-            content_length = int(value.strip())
+            content_length = parse_content_length(value)
     body = sock_file.read(content_length) if content_length else b""
     if len(body) != content_length:
         raise MalformedHttp("connection closed mid-body")
@@ -166,6 +166,7 @@ class LiveProxy:
     def _connect(self, endpoint, meta) -> int:
         addr = (int_to_ip4(endpoint.address.dip), endpoint.address.dport)
         sock = socket.create_connection(addr, timeout=10)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         lq = LiveQueue(sock)
         with self._lq_lock:
             self.live_queues[lq.id] = lq
@@ -210,6 +211,9 @@ class LiveProxy:
         fh = client.makefile("rb")
         upstream_qid = None
         try:
+            # each response is one small write; with Nagle on, a pipelined
+            # client waits for the ACK of the previous one
+            client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while not self._stop.is_set():
                 try:
                     data = read_http_message(fh)
@@ -232,7 +236,11 @@ class LiveProxy:
                     upstream_qid = unit.meta.queue
                     lq = self.live_queues[upstream_qid]
                     lq.tx_deliver(unit.payload)
-                    resp = lq.rx_collect()
+                    try:
+                        resp = lq.rx_collect()
+                    except MalformedHttp:
+                        client.sendall(_error_response(502, "bad upstream response"))
+                        return
                     # count before relaying so the counter is visible by the
                     # time the client has read the response
                     with self._count_lock:

@@ -3,9 +3,14 @@
 A processing module (PPM) is <parser, (match, action)*>.  PPMs wire only
 to modules in the same or an adjacent network layer, and compiled chains
 are immutable so many workers can traverse them concurrently.  Rule
-tables are epoch-published: a lookup snapshot taken at traversal start is
-used for the whole traversal, so no traversal ever sees a half-applied
-update.
+tables are epoch-published: a traversal takes one snapshot of every table
+at its start and hands it to every matcher and action, so no traversal
+ever sees a half-applied update.
+
+An action is a straight-line program of steps.  A step is a callable
+`step(ppm, unit, ctx, snaps)`; only emit("self") returns True, which
+re-feeds the PPM's own match stage.  A program stops after any step that
+leaves a terminal verdict.
 """
 
 from __future__ import annotations
@@ -102,44 +107,39 @@ class MatchTable:
         return new_epoch
 
 
-def publish_rules(table: MatchTable, add: dict = None, remove=(), writer=None) -> int:
-    return table.publish(add=add, remove=remove, writer=writer)
-
-
-class StepKind(Enum):
-    SET_FIELD = "set_field"
-    INC_COUNTER = "inc_counter"
-    SELECT_QUEUE = "select_queue"
-    SET_VERDICT = "set_verdict"
-    EMIT = "emit"  # target: "next" | "self" | "dsa"
-    PROC = "proc"  # escape hatch for L7 logic; callable(unit, ctx)
-
-
-@dataclass(frozen=True)
-class Step:
-    kind: StepKind
-    arg: object = None
-    value: object = None
-
-
-def set_field(name, value):
-    return Step(StepKind.SET_FIELD, name, value)
-
-
 def inc_counter(name):
-    return Step(StepKind.INC_COUNTER, name)
+    return lambda ppm, unit, ctx, snaps: ctx.bump(name)
 
 
 def set_verdict(verdict, reason=None):
-    return Step(StepKind.SET_VERDICT, verdict, reason)
+    return lambda ppm, unit, ctx, snaps: unit.meta.set_verdict(verdict, reason)
 
 
 def emit(target="next"):
-    return Step(StepKind.EMIT, target)
+    """Targets: "next" is implicit chain order, "self" re-feeds this PPM's
+    match stage, "dsa" runs the PPM's cost-bearing pass-through transform."""
+    if target == "next":
+        return lambda ppm, unit, ctx, snaps: None
+    if target == "self":
+        return lambda ppm, unit, ctx, snaps: True
+    if target != "dsa":
+        raise ValueError(f"unknown emit target {target!r}")
+
+    def dsa(ppm, unit, ctx, snaps):
+        if ppm.dsa_transform is not None:
+            unit.payload = ppm.dsa_transform(unit.payload)
+        ctx.bump("dsa_invocations")
+
+    return dsa
 
 
 def proc(fn):
-    return Step(StepKind.PROC, fn)
+    """Escape hatch for L7 logic: fn(unit, ctx, snaps)."""
+
+    def step(ppm, unit, ctx, snaps):
+        fn(unit, ctx, snaps)
+
+    return step
 
 
 @dataclass
@@ -154,7 +154,6 @@ class ActionProgram:
 @dataclass
 class ExecContext:
     counters: dict
-    dsa_cost_ns: int = 0
     _lock: "threading.Lock" = field(default_factory=lambda: threading.Lock())
 
     def bump(self, name, n=1):
@@ -199,56 +198,36 @@ class Ppm:
     def apply(self, unit: TrafficUnit, ctx: ExecContext, snaps: dict = None):
         """Run parser then bounded match/action rounds on one unit.
 
-        Returns the list of ActionRefs fired, in order.
+        `snaps` maps table name -> TableEpoch; a PPM applied on its own
+        snapshots its own tables.  Returns the list of ActionRefs fired,
+        in order.
         """
         if snaps is None:
-            snaps = {t.name: t.snapshot() for t in self.tables}
+            snaps = {t.name: t.current for t in self.tables}
         fired = []
         self.parser(unit, ctx)
-        if unit.meta.verdict != Verdict.CONTINUE:
+        if unit.meta.verdict is not Verdict.CONTINUE:
             return fired
-        revisits = 0
-        while True:
+        for _ in range(REVISIT_BUDGET):
             ref = self.matcher(unit, snaps)
             fired.append(ref)
             program = self.actions.get(ref)
             if program is None:
                 raise MatchActionError(f"ppm {self.id}: unknown action {ref!r}")
-            again = self._run_program(program, unit, ctx)
-            if unit.meta.verdict != Verdict.CONTINUE:
-                break
-            if not again:
-                break
-            revisits += 1
-            if revisits >= REVISIT_BUDGET:
-                unit.meta.set_verdict(Verdict.TO_SLOW_PATH, "revisit_budget")
-                ctx.bump("revisit_budget_exceeded")
-                break
+            again = self._run_program(program, unit, ctx, snaps)
+            if not again or unit.meta.verdict is not Verdict.CONTINUE:
+                return fired
+        unit.meta.set_verdict(Verdict.TO_SLOW_PATH, "revisit_budget")
+        ctx.bump("revisit_budget_exceeded")
         return fired
 
-    def _run_program(self, program: ActionProgram, unit, ctx) -> bool:
+    def _run_program(self, program: ActionProgram, unit, ctx, snaps) -> bool:
         reemit = False
         for step in program.steps:
-            if step.kind is StepKind.SET_FIELD:
-                setattr(unit.meta, step.arg, step.value)
-            elif step.kind is StepKind.INC_COUNTER:
-                ctx.bump(step.arg)
-            elif step.kind is StepKind.SELECT_QUEUE:
-                unit.meta.bind_queue(step.arg)
-            elif step.kind is StepKind.SET_VERDICT:
-                unit.meta.set_verdict(step.arg, step.value)
-            elif step.kind is StepKind.EMIT:
-                if step.arg == "self":
-                    reemit = True
-                elif step.arg == "dsa":
-                    if self.dsa_transform is not None:
-                        unit.payload = self.dsa_transform(unit.payload)
-                    ctx.bump("dsa_invocations")
-                # "next" is implicit chain order
-            elif step.kind is StepKind.PROC:
-                step.arg(unit, ctx)
-                if unit.meta.verdict != Verdict.CONTINUE:
-                    break
+            if step(self, unit, ctx, snaps):
+                reemit = True
+            if unit.meta.verdict is not Verdict.CONTINUE:
+                break
         return reemit
 
 
@@ -270,27 +249,26 @@ class ExecutableChain:
 
     def __init__(self, order: list, registry: dict):
         self.order = list(order)
-        self._ppms = {pid: registry[pid] for pid in order}
-
-    @property
-    def nodes(self):
-        return [self._ppms[pid] for pid in self.order]
+        self.nodes = tuple(registry[pid] for pid in self.order)
+        tables = {}
+        for node in self.nodes:
+            for t in node.tables:
+                tables.setdefault(t.name, t)
+        self._tables = tuple(tables.values())
 
     def execute(self, unit: TrafficUnit, ctx: ExecContext = None):
-        """Apply each node until the verdict goes terminal.
+        """Apply each node, on one snapshot of every table taken here,
+        until the verdict goes terminal.
 
         Returns (unit, trace) with trace = [(ppm_id, action_ref), ...].
         """
         ctx = ctx or ExecContext(counters={})
         trace = []
-        snaps = {}
-        for node in self.nodes:
-            for t in node.tables:
-                snaps.setdefault(t.name, t.snapshot())
+        snaps = {t.name: t.current for t in self._tables}
         for node in self.nodes:
             fired = node.apply(unit, ctx, snaps)
             trace.extend((node.id, ref) for ref in fired)
-            if unit.meta.verdict != Verdict.CONTINUE:
+            if unit.meta.verdict is not Verdict.CONTINUE:
                 break
         return unit, trace
 

@@ -289,14 +289,9 @@ def capacity_rps(mode: Mode, cost: CostModel, topo: Topology,
     """Analytic saturation rate: pipeline stages each pass one unit per
     service time; host stages share the cores serially."""
     rates = []
-    factor = host_conn_factor(connections, topo.conn_penalty)
     for st in build_stations(mode, cost, topo, connections):
         rates.append(st.servers / (st.service_ns * 1e-9))
     return min(rates) if rates else float("inf")
-
-
-class UnstableSystem(Warning):
-    pass
 
 
 def run_sim(mode: Mode, cost: CostModel, wl: Workload,

@@ -30,20 +30,9 @@ from .core import (
     Proto,
     TrafficUnit,
     ip4_to_int,
-    make_conn_key,
     make_listener_key,
 )
-from .fast_path import (
-    FastPath,
-    Framing,
-    make_filter,
-    make_http_deparser,
-    make_http_parser,
-    make_l2_vswitch,
-    make_l3,
-    make_router,
-    make_toe,
-)
+from .fast_path import FastPath, Framing, standard_registry
 from .l7 import (
     Cluster,
     Decision,
@@ -197,9 +186,13 @@ def load_config(source) -> MeshConfig:
         chain=chain,
         cost_profile=doc.get("cost_profile"),
     )
-    # chain must compile against the standard PPM registry
+    # the chain must compile against the standard PPM registry; compiling
+    # reads only PPM ids and layers, so scratch tables will do
+    registry = standard_registry(
+        *(MatchTable(f"t{i}") for i in range(8)), BufferPool(), QueueTable()
+    )
     try:
-        _validation_runtime().compile(cfg.chain)
+        compile_chain(cfg.chain, registry)
     except MatchActionError as exc:
         raise InvalidChain(str(exc)) from exc
     return cfg
@@ -354,7 +347,12 @@ class MeshRuntime:
             self.msg_controller.own(t)
 
         self._connector = connector or self._default_connect
-        self.registry = self._build_registry()
+        self.registry = standard_registry(
+            self.l2_table, self.l3_table, self.l4_table, self.listener_table,
+            self.filter_table, self.route_table, self.cluster_table,
+            self.proto_table, self.buffer_pool, self.queue_table,
+            connector=lambda ep, meta: self._connector(ep, meta),
+        )
 
         self.config = config
         self.conns: dict[FlowKey, ConnRecord] = {}
@@ -380,23 +378,6 @@ class MeshRuntime:
             self.distribute(config)
 
     # -- assembly ----------------------------------------------------------
-    def _build_registry(self) -> dict:
-        return {
-            "vswitch": make_l2_vswitch(self.l2_table),
-            "l3": make_l3(self.l3_table),
-            "toe": make_toe(self.l4_table),
-            "http_parser": make_http_parser(self.buffer_pool, self.proto_table),
-            "filter": make_filter(self.filter_table),
-            "router": make_router(
-                self.listener_table,
-                self.route_table,
-                self.cluster_table,
-                self.queue_table,
-                connector=lambda ep, meta: self._connector(ep, meta),
-            ),
-            "http_deparser": make_http_deparser(self.buffer_pool, self.proto_table),
-        }
-
     def compile(self, spec: ChainSpec):
         return compile_chain(spec, self.registry)
 
@@ -444,7 +425,7 @@ class MeshRuntime:
         from .vq import ServiceStub, VirtQueue
 
         with self._lock:
-            key = make_conn_key(meta)
+            key = meta.flow
             record = self.conns.get(key)
             if record is not None and record.vq is not None:
                 return record.vq
@@ -501,7 +482,7 @@ class MeshRuntime:
         if lkey not in {l.key for l in self.config.listeners}:
             self._count("drop.no_listener")
             return "dropped"
-        key = make_conn_key(unit.meta)
+        key = unit.meta.flow
         with self._lock:
             if key not in self.conns:
                 now = self.clock()
@@ -570,26 +551,3 @@ class MeshRuntime:
 
     def shutdown(self):
         self.fast_path.shutdown()
-
-
-_VALIDATION_RUNTIME = None
-
-
-def _validation_runtime() -> MeshRuntime:
-    """Shared registry-only runtime used to validate chain specs."""
-    global _VALIDATION_RUNTIME
-    if _VALIDATION_RUNTIME is None:
-        _VALIDATION_RUNTIME = MeshRuntime(config=None, synchronous=True)
-    return _VALIDATION_RUNTIME
-
-
-def stats_snapshot(runtime: MeshRuntime) -> dict:
-    return runtime.stats_snapshot()
-
-
-def distribute(runtime: MeshRuntime, config: MeshConfig) -> dict:
-    return runtime.distribute(config)
-
-
-def handle_slow_path(runtime: MeshRuntime, unit: TrafficUnit, reason) -> str:
-    return runtime.handle_slow_path(unit, reason)

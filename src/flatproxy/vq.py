@@ -219,15 +219,3 @@ class VirtQueue:
         """Proxy fetch plus RX slot release; None when nothing pending."""
         self._check_bound()
         return self.rx_ring.pop()
-
-
-def bind(vq: VirtQueue, stub: ServiceStub) -> VirtQueue:
-    return vq.bind(stub)
-
-
-def tx_deliver(vq: VirtQueue, data: bytes, **kw):
-    return vq.tx_deliver(data, **kw)
-
-
-def rx_collect(vq: VirtQueue):
-    return vq.rx_collect()

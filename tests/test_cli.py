@@ -55,7 +55,8 @@ def test_sim_writes_csv(tmp_path, capsys):
         "--cores", "1", "--duration", "0.01", "--out", str(out_path),
     ], capsys)
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
+    with out_path.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 2 * 4  # two rates x four modes
     assert list(rows[0]) == CSV_COLUMNS
     assert "headline" in out

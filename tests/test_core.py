@@ -11,7 +11,6 @@ from flatproxy.core import (
     BufferPool,
     int_to_ip4,
     ip4_to_int,
-    make_conn_key,
     make_listener_key,
 )
 from conftest import make_flow
@@ -37,19 +36,19 @@ def test_make_listener_key_distinct_ports():
 def test_make_conn_key_verbatim():
     flow = make_flow()
     meta = Metadata(flow=flow)
-    assert make_conn_key(meta) == flow
+    assert meta.flow == flow
 
 
 def test_make_conn_key_equal_flows():
     m1 = Metadata(flow=make_flow())
     m2 = Metadata(flow=make_flow())
-    assert make_conn_key(m1) == make_conn_key(m2)
+    assert m1.flow == m2.flow
 
 
 def test_make_conn_key_sport_differs():
     m1 = Metadata(flow=make_flow(sport=40000))
     m2 = Metadata(flow=make_flow(sport=40001))
-    assert make_conn_key(m1) != make_conn_key(m2)
+    assert m1.flow != m2.flow
 
 
 @given(
@@ -63,8 +62,8 @@ def test_make_conn_key_sport_differs():
     ),
 )
 def test_conn_key_injective(t1, t2):
-    k1 = make_conn_key(Metadata(flow=FlowKey(*t1)))
-    k2 = make_conn_key(Metadata(flow=FlowKey(*t2)))
+    k1 = Metadata(flow=FlowKey(*t1)).flow
+    k2 = Metadata(flow=FlowKey(*t2)).flow
     assert (k1 == k2) == (t1 == t2)
 
 

@@ -3,16 +3,31 @@ import threading
 
 import pytest
 
-from flatproxy.core import Metadata, ProtoType, TrafficUnit, UnitKind, Verdict
+from flatproxy.core import (
+    BufferPool,
+    Metadata,
+    ProtoType,
+    TrafficUnit,
+    UnitKind,
+    Verdict,
+)
 from flatproxy.fast_path import (
     Framing,
     OutOfWindow,
     ToeEngine,
     WorkerPool,
 )
-from flatproxy.match_action import ChainSpec, compile_chain
+from flatproxy.l7 import Decision, FilterRule, http_parse
+from flatproxy.match_action import (
+    ActionProgram,
+    ChainSpec,
+    Layer,
+    Ppm,
+    compile_chain,
+    proc,
+)
 from flatproxy.slow_path import MeshRuntime, load_config
-from conftest import config_text, make_flow, make_request
+from conftest import config_text, make_flow, make_message, make_request
 
 
 def seg(payload, seq, flow=None, conn_id=1):
@@ -137,6 +152,20 @@ def test_toe_randomized_permutations_reassemble_exactly():
             out.extend(toe.deliver(seg(chunk, off)))
         assert len(out) == 1
         assert out[0].payload == raw
+
+
+def test_toe_bad_content_length_keeps_stream_framed():
+    """A negative Content-Length frames the header block alone: the next
+    request on the stream is still framed whole, and the parser sends the
+    bad one to the slow path."""
+    toe = ToeEngine()
+    bad = b"POST /svc/a HTTP/1.1\r\nHost: x\r\nContent-Length: -3\r\n\r\n"
+    good = make_request(b"/svc/b", body=b"zz")
+    msgs = toe.deliver(seg(bad + good, 0))
+    assert [m.payload for m in msgs] == [bad, good]
+    http_parse(msgs[0], BufferPool())
+    assert msgs[0].meta.verdict is Verdict.TO_SLOW_PATH
+    assert msgs[0].meta.verdict_reason == "malformed_http:bad content-length"
 
 
 # -- worker pool -------------------------------------------------------------
@@ -308,3 +337,39 @@ def test_deparsed_payload_byte_exact(runtime):
     unit, _trace = runtime.fast_path.results()[0]
     assert unit.meta.verdict is Verdict.DELIVER
     assert unit.payload == raw
+
+
+# -- epoch consistency -------------------------------------------------------
+
+@pytest.mark.parametrize("republish", ["deny_all_filters", "empty_routes"])
+def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
+    """An L7 PPM ahead of the filter publishes new rules mid-traversal.
+    The request in flight keeps the rules its traversal started with; the
+    next traversal sees the new ones."""
+
+    def publish(unit, ctx, snaps):
+        if republish == "deny_all_filters":
+            rules = (FilterRule(decision=Decision.DENY),)
+            runtime.msg_controller.publish(runtime.filter_table,
+                                           add={"rules": rules})
+        else:
+            routes = list(runtime.route_table.current.entries)
+            runtime.msg_controller.publish(runtime.route_table, remove=routes)
+
+    runtime.registry["publisher"] = Ppm(
+        id="publisher", layer=Layer.L7, matcher=lambda unit, snaps: "publish",
+        actions={"publish": ActionProgram("publish", [proc(publish)])},
+    )
+    chain = runtime.compile(ChainSpec(["toe", "http_parser", "publisher",
+                                       "filter", "router", "http_deparser"]))
+    flow = make_flow(sport=48000)
+    runtime.conn_controller.publish(runtime.l4_table,
+                                    add={flow: ("l7", Framing.HTTP)})
+    first, _ = chain.execute(make_message(make_request(b"/svc/a"), flow=flow))
+    assert first.meta.verdict is Verdict.DELIVER
+    assert first.meta.verdict_reason == "deparsed"
+    second, _ = chain.execute(
+        make_message(make_request(b"/svc/a"), flow=flow, conn_id=2))
+    assert second.meta.verdict is Verdict.DROP
+    assert second.meta.verdict_reason == (
+        "filter" if republish == "deny_all_filters" else "no_route")

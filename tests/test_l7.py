@@ -71,6 +71,10 @@ def test_parse_preserves_header_order():
     b"GET /\r\n\r\n",                            # bad request line
     b"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n",    # bad header
     b"GET / HTTP/1.1\r\nContent-Length: zz\r\n\r\n",
+    # a negative or signed length must not cut the body short instead
+    b"GET / HTTP/1.1\r\nContent-Length: -3\r\n\r\nabcdef",
+    b"GET / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabcdef",
+    b"GET / HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
     b"GET / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
 ])
 def test_parse_rejects_malformed(raw):

@@ -19,7 +19,6 @@ from flatproxy.match_action import (
     compile_chain,
     emit,
     inc_counter,
-    publish_rules,
     set_verdict,
 )
 from conftest import make_flow
@@ -74,7 +73,7 @@ def test_publish_owner_enforced():
     t.owner = "alice"
     t.publish(add={"x": 1}, writer="alice")
     with pytest.raises(MatchActionError):
-        publish_rules(t, add={"y": 2}, writer="bob")
+        t.publish(add={"y": 2}, writer="bob")
     assert "y" not in t.current.entries
 
 
@@ -174,9 +173,10 @@ def test_terminal_verdict_stops_program():
     unit = make_unit()
     ctx = ExecContext(counters={})
     p.apply(unit, ctx)
-    # SET_VERDICT is not a PROC; remaining steps of the same straight-line
-    # program still run, but the match loop stops immediately after
+    # a program stops after any step that leaves a terminal verdict, so
+    # the counter step after set_verdict never runs
     assert unit.meta.verdict is Verdict.DROP
+    assert "after" not in ctx.counters
 
 
 # -- chain compilation -------------------------------------------------------

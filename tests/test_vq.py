@@ -12,9 +12,6 @@ from flatproxy.vq import (
     VirtQueue,
     VqError,
     VqState,
-    bind,
-    rx_collect,
-    tx_deliver,
 )
 
 
@@ -31,7 +28,7 @@ def test_bind_records_memory_blocks():
     stub = ServiceStub(tenant="t")
     q = VirtQueue(tenant="t")
     assert q.state is VqState.UNBOUND
-    bind(q, stub)
+    q.bind(stub)
     assert q.state is VqState.BOUND
     assert q.bound_mem == {"rx_addr": stub.rx_addr, "tx_addr": stub.tx_addr}
     assert stub.rx_addr.owner == "t"
@@ -77,7 +74,7 @@ def test_tx_deliver_byte_exact_fifo():
     q, stub = bound_pair()
     msgs = [b"one", b"two", b"three"]
     for m in msgs:
-        tx_deliver(q, m)
+        q.tx_deliver(m)
     assert [q.stub_fetch(stub) for _ in msgs] == msgs
     assert stub.inbox == msgs
 
@@ -151,9 +148,9 @@ def test_rx_roundtrip():
     q, stub = bound_pair()
     q.stub_write(stub, b"resp1")
     q.stub_write(stub, b"resp2")
-    assert rx_collect(q) == b"resp1"
-    assert rx_collect(q) == b"resp2"
-    assert rx_collect(q) is None
+    assert q.rx_collect() == b"resp1"
+    assert q.rx_collect() == b"resp2"
+    assert q.rx_collect() is None
 
 
 def test_rx_slot_released_only_after_collect():
