@@ -2,8 +2,9 @@
 
 L2-L4 run as a fixed pipeline (vswitch -> l3 -> TOE); traffic that
 resolves below L7 short-circuits straight to its virtualization queue.
-Reassembled messages go to a worker pool that executes the compiled L7
-chain.  Flow-to-worker affinity keeps per-flow FIFO without locking.
+Reassembled messages go to a worker pool that runs each through
+`FastPath.message`, the L7 entry live mode shares.  Flow-to-worker
+affinity keeps per-flow FIFO without locking.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .l7 import (
     QueueTable,
     default_connector,
     filter_apply,
+    frame_http,
     http_deparse,
     http_parse,
-    parse_head,
     route,
     MalformedHttp,
 )
@@ -309,18 +310,10 @@ class ToeEngine:
         return self._frame_messages(conn, seg.meta)
 
     def _frame_messages(self, conn: _ToeConn, meta: Metadata) -> list:
+        proto = ProtoType.HTTP if conn.framing == Framing.HTTP else ProtoType.L4_STREAM
         out = []
-        while True:
-            msg_bytes = self._next_message(conn)
-            if msg_bytes is None:
-                break
-            msg_meta = Metadata(
-                flow=meta.flow,
-                proto_type=ProtoType.HTTP
-                if conn.framing == Framing.HTTP
-                else ProtoType.L4_STREAM,
-                conn_id=meta.conn_id,
-            )
+        while (msg_bytes := self._next_message(conn)) is not None:
+            msg_meta = Metadata(flow=meta.flow, proto_type=proto, conn_id=meta.conn_id)
             out.append(
                 TrafficUnit(kind=UnitKind.MESSAGE, meta=msg_meta, payload=msg_bytes)
             )
@@ -341,22 +334,13 @@ class ToeEngine:
                 return None
             conn.assembled = data[4 + n :]
             return data[4 : 4 + n]
-        # HTTP framing: request line + headers + Content-Length body.
-        # Framing only needs the header block, so a complete header with a
-        # still-arriving body waits instead of being treated as malformed.
-        head, sep, _rest = data.partition(b"\r\n\r\n")
-        if not sep:
-            return None
-        end = len(head) + len(sep)
         try:
-            _msg, content_length = parse_head(head)
-        except MalformedHttp:
-            # malformed header block: deliver the prefix as-is and let the
-            # parser PPM raise the slow-path verdict on it
-            conn.assembled = data[end:]
-            return data[:end]
-        end += content_length
-        if len(data) < end:
+            end = frame_http(data)
+        except MalformedHttp as exc:
+            # deliver the bad header block alone, so the stream stays framed;
+            # the parser PPM raises the slow-path verdict on it
+            end = exc.end
+        if end is None:
             return None
         conn.assembled = data[end:]
         return data[:end]
@@ -366,32 +350,23 @@ class ToeEngine:
 # Worker pool
 
 class WorkerPool:
-    """Fixed set of workers each draining a bounded run queue.
+    """Fixed set of workers each draining a bounded run queue into
+    `handle(msg)`.
 
     A unit is pinned to hash(conn_key) % n_workers, so units of one flow
     are processed in submission order end to end.  submit() blocks when
     the target queue is full: backpressure, never loss.
     """
 
-    def __init__(
-        self,
-        n_workers: int,
-        chain: ExecutableChain,
-        egress: Callable,
-        ctx: ExecContext = None,
-        depth: int = DEFAULT_RUN_QUEUE_DEPTH,
-        synchronous: bool = False,
-    ):
+    def __init__(self, n_workers: int, handle: Callable, synchronous=False):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
-        self.chain = chain
-        self.egress = egress
-        self.ctx = ctx or ExecContext(counters={})
+        self.handle = handle
         self.synchronous = synchronous
-        self._lock = threading.Lock()
         if not synchronous:
-            self._queues = [queue.Queue(maxsize=depth) for _ in range(n_workers)]
+            self._queues = [queue.Queue(maxsize=DEFAULT_RUN_QUEUE_DEPTH)
+                            for _ in range(n_workers)]
             self._threads = [
                 threading.Thread(target=self._run, args=(q,), daemon=True)
                 for q in self._queues
@@ -406,7 +381,7 @@ class WorkerPool:
         if msg.kind is not UnitKind.MESSAGE:
             raise ValueError("worker pool accepts MESSAGE units only")
         if self.synchronous:
-            self._process(msg)
+            self.handle(msg)
         else:
             self._queues[self._shard(msg)].put(msg)
 
@@ -416,13 +391,9 @@ class WorkerPool:
             if msg is None:
                 return
             try:
-                self._process(msg)
+                self.handle(msg)
             finally:
                 q.task_done()
-
-    def _process(self, msg: TrafficUnit):
-        unit, trace = self.chain.execute(msg, self.ctx)
-        self.egress(unit, trace)
 
     def drain(self):
         """Wait until all submitted units have been processed."""
@@ -450,29 +421,22 @@ class FastPath:
         l2_ppm: Ppm,
         l3_ppm: Ppm,
         l4_table: MatchTable,
+        slow_path_handoff: Callable,
+        vq_egress: Callable,
         n_workers: int = 4,
         synchronous: bool = False,
-        run_queue_depth: int = DEFAULT_RUN_QUEUE_DEPTH,
-        slow_path_handoff: Callable = None,
-        vq_egress: Callable = None,
     ):
         self.ctx = ExecContext(counters={})
+        self.chain = l7_chain
         self.toe = ToeEngine()
         self.l2_ppm = l2_ppm
         self.l3_ppm = l3_ppm
         self.l4_table = l4_table
         self._results = []
         self._results_lock = threading.Lock()
-        self.slow_path_handoff = slow_path_handoff or (lambda unit, reason: None)
-        self.vq_egress = vq_egress or (lambda unit: None)
-        self.pool = WorkerPool(
-            n_workers,
-            l7_chain,
-            egress=self._on_l7_done,
-            ctx=self.ctx,
-            depth=run_queue_depth,
-            synchronous=synchronous,
-        )
+        self.slow_path_handoff = slow_path_handoff
+        self.vq_egress = vq_egress
+        self.pool = WorkerPool(n_workers, self._pooled, synchronous)
 
     # counters --------------------------------------------------------------
     def _bump(self, name, n=1):
@@ -525,7 +489,6 @@ class FastPath:
             self.slow_path_handoff(unit, unit.meta.verdict_reason)
             return "slow_path"
         for msg in messages:
-            self._bump("msg_submitted")
             self.pool.submit(msg)
         if messages:
             self._bump("egress")
@@ -533,9 +496,12 @@ class FastPath:
         self._bump("buffered")
         return "buffered"
 
-    def _on_l7_done(self, unit: TrafficUnit, trace):
-        with self._results_lock:
-            self._results.append((unit, trace))
+    def message(self, msg: TrafficUnit):
+        """The one L7 message entry, for the worker pool and live mode: run
+        the chain, count, and send DELIVER to VQ egress and any verdict but
+        DROP to the slow path.  Returns (unit, trace)."""
+        self._bump("msg_submitted")
+        unit, trace = self.chain.execute(msg, self.ctx)
         if unit.meta.verdict is Verdict.DELIVER:
             self._bump("msg_egress")
             self.vq_egress(unit)
@@ -544,6 +510,12 @@ class FastPath:
         else:
             self._bump("msg_slow_path")
             self.slow_path_handoff(unit, unit.meta.verdict_reason)
+        return unit, trace
+
+    def _pooled(self, msg: TrafficUnit):
+        result = self.message(msg)
+        with self._results_lock:
+            self._results.append(result)
 
     def results(self):
         with self._results_lock:

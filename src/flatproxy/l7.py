@@ -26,10 +26,15 @@ from .core import (
     Verdict,
     make_listener_key,
 )
+from .vq import MAX_DESCRIPTOR_BYTES
 
 
 class MalformedHttp(Exception):
-    pass
+    """An HTTP message that cannot be parsed or framed.  `end`, set by
+    `frame_http`, is where the unframeable message's header block ends (or
+    the whole buffer, when it has none)."""
+
+    end = None
 
 
 class NoHealthyEndpoint(Exception):
@@ -65,51 +70,71 @@ def http_parse(unit: TrafficUnit, pool: BufferPool) -> Metadata:
     return meta
 
 
-def parse_content_length(value: bytes) -> int:
-    """The one Content-Length rule: a non-negative decimal integer.  A
-    negative or non-numeric value raises MalformedHttp."""
-    value = value.strip()
-    if not value.isdigit():
-        raise MalformedHttp("bad content-length")
-    return int(value)
+def frame_http(data: bytes) -> Optional[int]:
+    """The one HTTP/1.1 framing rule (RFC 9112 section 6.3): the length of
+    the message at the start of `data` -- header block plus Content-Length
+    body -- or None while more bytes are needed.
+
+    Raises MalformedHttp, with `end` set, for a message larger than
+    MAX_DESCRIPTOR_BYTES (or no header terminator within that many bytes),
+    a bad or conflicting Content-Length, or any Transfer-Encoding, which is
+    not supported.
+    """
+    head_end = data.find(_CRLF + _CRLF)
+    end = head_end + 4 if head_end >= 0 else len(data)
+    try:
+        if head_end < 0:
+            if end < MAX_DESCRIPTOR_BYTES:
+                return None
+            raise MalformedHttp(
+                f"no header terminator within {MAX_DESCRIPTOR_BYTES} bytes")
+        lengths = set()
+        for line in data[:head_end].split(_CRLF)[1:]:
+            name, _, value = line.partition(b":")
+            name = name.strip().lower()
+            if name == b"content-length":
+                # a non-negative decimal; "+3", "-3" and "1_0" are not
+                if not value.strip().isdigit():
+                    raise MalformedHttp("bad content-length")
+                lengths.add(int(value))
+            elif name == b"transfer-encoding":
+                raise MalformedHttp("transfer-encoding not supported")
+        if len(lengths) > 1:
+            raise MalformedHttp("conflicting content-length")
+        total = end + sum(lengths)
+        if total > MAX_DESCRIPTOR_BYTES:
+            raise MalformedHttp(f"message exceeds {MAX_DESCRIPTOR_BYTES} bytes")
+    except MalformedHttp as exc:
+        exc.end = end
+        raise
+    return total if len(data) >= total else None
 
 
-def parse_head(head: bytes):
-    """Parse a request header block without its terminator; returns
-    (HttpMessage, content length) or raises MalformedHttp."""
-    lines = head.split(_CRLF)
+def parse_request_bytes(data: bytes):
+    """Returns (HttpMessage, body bytes) of the request `frame_http` finds
+    at the start of `data`; raises MalformedHttp."""
+    end = frame_http(data)
+    if end is None:
+        raise MalformedHttp("incomplete message")
+    head_end = data.find(_CRLF + _CRLF)
+    lines = data[:head_end].split(_CRLF)
     parts = lines[0].split(b" ")
     if len(parts) != 3 or not parts[0] or not parts[2].startswith(b"HTTP/"):
         raise MalformedHttp("bad request line")
     method, path, version = parts
     headers = []
     host = b""
-    content_length = 0
     for line in lines[1:]:
         name, colon, value = line.partition(b":")
         if not colon or not name:
             raise MalformedHttp(f"bad header line {line!r}")
         headers.append((name, value))
-        lname = name.strip().lower()
-        if lname == b"host":
+        if name.strip().lower() == b"host":
             host = value.strip()
-        elif lname == b"content-length":
-            content_length = parse_content_length(value)
     msg = HttpMessage(
         method=method, url_path=path, host=host, version=version, headers=headers
     )
-    return msg, content_length
-
-
-def parse_request_bytes(data: bytes):
-    """Returns (HttpMessage, body bytes); raises MalformedHttp."""
-    head, sep, rest = data.partition(_CRLF + _CRLF)
-    if not sep:
-        raise MalformedHttp("missing header terminator")
-    msg, content_length = parse_head(head)
-    if len(rest) < content_length:
-        raise MalformedHttp("truncated body")
-    return msg, rest[:content_length]
+    return msg, data[head_end + 4:end]
 
 
 def http_deparse(meta: Metadata, pool: BufferPool) -> bytes:

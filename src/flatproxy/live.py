@@ -1,18 +1,20 @@
-"""Live proxy mode: the same L7 chain, served over local TCP sockets.
+"""Live proxy mode: a socket front end over the shared data path.
 
-VirtQueues are replaced by a thin socket wrapper with the same
-tx-deliver / rx-collect surface, so the chain implementation is shared
-between simulation and live operation.  One acceptor, one thread per
+Each client connection is one flow whose requests, framed by
+`l7.frame_http`, go to `FastPath.message` -- the worker pool's entry too
+-- so live traffic shares the chain, counters, VQ egress and slow path.
+A route's upstream connection is a LiveQueue in `runtime.vqs`, with the
+VirtQueue tx-deliver / rx-collect surface.  One acceptor, one thread per
 client connection, a single control path for config reloads.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import socket
 import socketserver
 import threading
+from http import HTTPStatus
 
 from .core import (
     FlowKey,
@@ -25,34 +27,35 @@ from .core import (
     ip4_to_int,
     next_conn_id,
 )
-from .l7 import MalformedHttp, parse_content_length, parse_request_bytes
-from .slow_path import MeshConfig, MeshRuntime
+from .fast_path import Framing
+from .l7 import ConnectFailure, MalformedHttp, frame_http, parse_request_bytes
+from .slow_path import MeshConfig, MeshRuntime, http_status
 
-log = logging.getLogger("flatproxy.live")
-
-_CRLF = b"\r\n"
+_RECV_BYTES = 64 * 1024
 
 
-def read_http_message(sock_file) -> bytes:
-    """Read one HTTP message (headers + Content-Length body) off a socket
-    file; returns b'' on clean EOF."""
-    head = b""
-    while _CRLF + _CRLF not in head:
-        chunk = sock_file.read(1)
-        if not chunk:
-            if head:
-                raise MalformedHttp("connection closed mid-headers")
-            return b""
-        head += chunk
-    content_length = 0
-    for line in head.split(_CRLF):
-        name, colon, value = line.partition(b":")
-        if colon and name.strip().lower() == b"content-length":
-            content_length = parse_content_length(value)
-    body = sock_file.read(content_length) if content_length else b""
-    if len(body) != content_length:
-        raise MalformedHttp("connection closed mid-body")
-    return head + body
+class HttpReader:
+    """Reads `frame_http`-framed messages off `recv(n)` (a socket's recv),
+    keeping bytes past a message for the next read, so pipelining works."""
+
+    def __init__(self, recv):
+        self._recv = recv
+        self._buf = b""
+
+    def read(self) -> bytes:
+        """The next message; b'' on clean EOF.  Raises MalformedHttp on a
+        message `frame_http` rejects or a stream that ends mid-message."""
+        while True:
+            end = frame_http(self._buf)
+            if end is not None:
+                data, self._buf = self._buf[:end], self._buf[end:]
+                return data
+            chunk = self._recv(_RECV_BYTES)
+            if not chunk:
+                if self._buf:
+                    raise MalformedHttp("connection closed mid-message")
+                return b""
+            self._buf += chunk
 
 
 class EchoStub:
@@ -67,12 +70,9 @@ class EchoStub:
 
         class Handler(socketserver.BaseRequestHandler):
             def handle(self):
-                fh = self.request.makefile("rb")
+                reader = HttpReader(self.request.recv)
                 try:
-                    while True:
-                        data = read_http_message(fh)
-                        if not data:
-                            return
+                    while data := reader.read():
                         _msg, body = parse_request_bytes(data)
                         with stub._lock:
                             stub.hits += 1
@@ -83,7 +83,7 @@ class EchoStub:
                             + b"\r\n\r\n" + body
                         )
                         self.request.sendall(resp)
-                except (MalformedHttp, ConnectionError, OSError):
+                except (MalformedHttp, OSError):
                     return
 
         class Server(socketserver.ThreadingTCPServer):
@@ -114,16 +114,18 @@ class LiveQueue:
     def __init__(self, sock: socket.socket):
         self.id = next(LiveQueue._ids)
         self.sock = sock
-        self.file = sock.makefile("rb")
+        self.reader = HttpReader(sock.recv)
         self.lock = threading.Lock()
 
-    def tx_deliver(self, data: bytes):
+    def tx_deliver(self, data: bytes, block: bool = True, timeout=None):
+        """`block` and `timeout` match VirtQueue.tx_deliver; a socket send
+        is bounded by the socket's own timeout and never raises RingFull."""
         with self.lock:
             self.sock.sendall(data)
 
     def rx_collect(self) -> bytes:
         with self.lock:
-            return read_http_message(self.file)
+            return self.reader.read()
 
     def close(self):
         try:
@@ -137,8 +139,6 @@ class LiveProxy:
 
     def __init__(self, config: MeshConfig, listen_host: str = "127.0.0.1",
                  listen_port: int = 0):
-        self.live_queues: dict[int, LiveQueue] = {}
-        self._lq_lock = threading.Lock()
         self.runtime = MeshRuntime(
             config=config, synchronous=True, connector=self._connect
         )
@@ -158,25 +158,24 @@ class LiveProxy:
         self.port = self._sock.getsockname()[1]
         self._sock.listen(128)
         self._stop = threading.Event()
-        self._threads = []
         self.delivered = 0
         self._count_lock = threading.Lock()
 
     # -- connection establishment toward endpoints -------------------------
     def _connect(self, endpoint, meta) -> int:
         addr = (int_to_ip4(endpoint.address.dip), endpoint.address.dport)
-        sock = socket.create_connection(addr, timeout=10)
+        try:
+            sock = socket.create_connection(addr, timeout=10)
+        except OSError as exc:
+            raise ConnectFailure(str(exc)) from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         lq = LiveQueue(sock)
-        with self._lq_lock:
-            self.live_queues[lq.id] = lq
+        self.runtime.vqs[lq.id] = lq
         return lq.id
 
     # -- serving -----------------------------------------------------------
     def start(self):
-        t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
+        threading.Thread(target=self._accept_loop, daemon=True).start()
         return self
 
     def _accept_loop(self):
@@ -188,11 +187,9 @@ class LiveProxy:
                 continue
             except OSError:
                 return
-            t = threading.Thread(
+            threading.Thread(
                 target=self._serve_client, args=(client, peer), daemon=True
-            )
-            t.start()
-            self._threads.append(t)
+            ).start()
 
     def _serve_client(self, client: socket.socket, peer):
         conn_id = next_conn_id()
@@ -203,74 +200,48 @@ class LiveProxy:
         )
         # accepting the connection is live mode's slow-path moment: install
         # the flow in the L4 table so the chain's toe node classifies it
-        from .fast_path import Framing
-
         self.runtime.conn_controller.publish(
             self.runtime.l4_table, add={flow: ("l7", Framing.HTTP)}
         )
-        fh = client.makefile("rb")
-        upstream_qid = None
+        reader = HttpReader(client.recv)
         try:
             # each response is one small write; with Nagle on, a pipelined
             # client waits for the ACK of the previous one
             client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while not self._stop.is_set():
                 try:
-                    data = read_http_message(fh)
-                except MalformedHttp:
-                    client.sendall(_error_response(400, "bad request"))
+                    data = reader.read()
+                except MalformedHttp as exc:
+                    # the stream cannot be framed past this point
+                    client.sendall(_error_response(400, f"malformed_http:{exc}"))
                     return
                 if not data:
                     return
-                unit = TrafficUnit(
+                unit, _trace = self.runtime.fast_path.message(TrafficUnit(
                     kind=UnitKind.MESSAGE,
                     meta=Metadata(flow=flow, conn_id=conn_id),
                     payload=data,
-                )
-                unit, _trace = self.runtime.chain.execute(
-                    unit, self.runtime.fast_path.ctx
-                )
-                verdict = unit.meta.verdict
-                reason = unit.meta.verdict_reason or ""
-                if verdict is Verdict.DELIVER:
-                    upstream_qid = unit.meta.queue
-                    lq = self.live_queues[upstream_qid]
-                    lq.tx_deliver(unit.payload)
-                    try:
-                        resp = lq.rx_collect()
-                    except MalformedHttp:
-                        client.sendall(_error_response(502, "bad upstream response"))
-                        return
-                    # count before relaying so the counter is visible by the
-                    # time the client has read the response
-                    with self._count_lock:
-                        self.delivered += 1
-                    client.sendall(resp)
-                elif reason.startswith(("no_listener", "no_route")):
-                    client.sendall(_error_response(404, reason))
-                elif reason.startswith("no_healthy_endpoint"):
-                    client.sendall(_error_response(503, reason))
-                elif verdict is Verdict.DROP:
-                    client.sendall(_error_response(403, reason or "filtered"))
+                ))
+                verdict, reason = unit.meta.verdict, unit.meta.verdict_reason
+                if verdict is not Verdict.DELIVER:
+                    client.sendall(_error_response(http_status(verdict, reason),
+                                                   reason or "unhandled"))
+                    continue
+                try:
+                    resp = self.runtime.vqs[unit.meta.queue].rx_collect()
+                except MalformedHttp:
+                    client.sendall(_error_response(502, "bad upstream response"))
                     return
-                else:
-                    client.sendall(_error_response(502, reason or "unhandled"))
-        except (ConnectionError, OSError):
+                # count before relaying so the counter is visible by the
+                # time the client has read the response
+                with self._count_lock:
+                    self.delivered += 1
+                client.sendall(resp)
+        except OSError:
             return
         finally:
-            try:
-                client.close()
-            except OSError:
-                pass
-            self.runtime.queue_table.remove(flow)
-            self.runtime.conn_controller.publish(
-                self.runtime.l4_table, remove=[flow]
-            )
-            if upstream_qid is not None:
-                with self._lq_lock:
-                    lq = self.live_queues.pop(upstream_qid, None)
-                if lq is not None:
-                    lq.close()
+            self.runtime.close_flow(flow)
+            client.close()
 
     def reload(self, config: MeshConfig):
         self.runtime.distribute(config)
@@ -289,10 +260,8 @@ class LiveProxy:
 
 
 def _error_response(code: int, reason: str) -> bytes:
-    text = {400: "Bad Request", 403: "Forbidden", 404: "Not Found",
-            502: "Bad Gateway", 503: "Service Unavailable"}.get(code, "Error")
     body = reason.encode() + b"\n"
     return (
-        b"HTTP/1.1 " + str(code).encode() + b" " + text.encode() + _CRLF
-        + b"Content-Length: " + str(len(body)).encode() + _CRLF + _CRLF + body
+        b"HTTP/1.1 %d %s\r\nContent-Length: %d\r\n\r\n"
+        % (code, HTTPStatus(code).phrase.encode(), len(body)) + body
     )

@@ -542,8 +542,10 @@ def run_functional(runtime, wl: Workload, requests=None):
         runtime.fast_path.ingress(unit)
     runtime.fast_path.drain()
     for unit, trace in runtime.fast_path.results():
-        traces.append((unit.meta.verdict.value, unit.meta.verdict_reason, trace))
-        if unit.meta.verdict.value == "deliver":
+        verdict, reason = unit.meta.verdict.value, unit.meta.verdict_reason
+        traces.append((verdict, reason, trace))
+        if verdict == "deliver" and reason != "ring_full":
             metrics.record(float(cost.total_ns))
-    metrics.loss = sum(1 for t in traces if t[0] == "drop")
+    # a message that found its TX ring full is lost, not delivered
+    metrics.loss = sum(1 for v, r, _ in traces if v == "drop" or r == "ring_full")
     return metrics, traces

@@ -29,6 +29,8 @@ from .core import (
     Metadata,
     Proto,
     TrafficUnit,
+    UnitKind,
+    Verdict,
     ip4_to_int,
     make_listener_key,
 )
@@ -44,6 +46,7 @@ from .l7 import (
     RouteRule,
 )
 from .match_action import ChainSpec, MatchTable, compile_chain, MatchActionError
+from .vq import RingFull, ServiceStub, VirtQueue
 
 IDLE_TIMEOUT_NS = 60 * 1_000_000_000
 
@@ -250,6 +253,21 @@ def _parse_cluster(d) -> Cluster:
 
 
 # ---------------------------------------------------------------------------
+# HTTP status of a verdict
+
+_STATUS_BY_REASON = {"no_listener": 404, "no_route": 404,
+                     "no_healthy_endpoint": 503, "malformed_http": 400}
+
+
+def http_status(verdict: Verdict, reason: Optional[str]) -> int:
+    """The one verdict -> HTTP status rule, for live replies and the slow
+    path's synthesized responses: a known reason has its own status, any
+    other drop is 403 (filtered) and anything else 502."""
+    default = 403 if verdict is Verdict.DROP else 502
+    return _STATUS_BY_REASON.get((reason or "").split(":")[0], default)
+
+
+# ---------------------------------------------------------------------------
 # Connection records
 
 class ConnState(Enum):
@@ -356,7 +374,7 @@ class MeshRuntime:
 
         self.config = config
         self.conns: dict[FlowKey, ConnRecord] = {}
-        self.vqs: dict[int, object] = {}  # vq id -> VirtQueue (sim stubs)
+        self.vqs: dict[int, object] = {}  # vq id -> VirtQueue or LiveQueue
         self.stubs: dict[int, object] = {}
         self.responses = []  # synthesized slow-path responses
         self.slow_counters: dict[str, int] = {}
@@ -422,12 +440,10 @@ class MeshRuntime:
     # -- connection management --------------------------------------------
     def _default_connect(self, endpoint: Endpoint, meta: Metadata) -> int:
         """Establish a connection: ConnRecord plus a bound VirtQueue."""
-        from .vq import ServiceStub, VirtQueue
-
         with self._lock:
             key = meta.flow
             record = self.conns.get(key)
-            if record is not None and record.vq is not None:
+            if record is not None and record.state is ConnState.OPEN:
                 return record.vq
             now = self.clock()
             record = ConnRecord(conn_key=key, endpoint=endpoint,
@@ -443,9 +459,27 @@ class MeshRuntime:
             return q.id
 
     def _vq_egress(self, unit: TrafficUnit):
+        """Never blocks: a full TX ring loses the message, which is counted
+        as `ring_full` and marked with that reason."""
         q = self.vqs.get(unit.meta.queue)
         if q is not None and unit.payload:
-            q.tx_deliver(unit.payload)
+            try:
+                q.tx_deliver(unit.payload, block=False)
+            except RingFull:
+                unit.meta.verdict_reason = "ring_full"
+                self.fast_path.ctx.bump("ring_full")
+
+    def close_flow(self, key: FlowKey):
+        """Release a flow's queue binding, L4 entry, queue (closed), stub and
+        TOE state; its ConnRecord, if any, is the caller's to move on."""
+        qid = self.queue_table.lookup(key)
+        self.queue_table.remove(key)
+        self.conn_controller.publish(self.l4_table, remove=[key])
+        q = self.vqs.pop(qid, None)
+        if q is not None:
+            q.close()
+        self.stubs.pop(qid, None)
+        self.fast_path.toe.close(key)
 
     # -- slow path ---------------------------------------------------------
     def _count(self, name):
@@ -463,11 +497,9 @@ class MeshRuntime:
             return self._handle_new_connection(unit)
         if reason in ("no_listener", "no_route"):
             self._count(f"drop.{reason}")
-            self.responses.append((unit.meta.conn_id, 404, reason))
-            self._count("responded")
-            return "responded"
-        if reason == "no_healthy_endpoint":
-            self.responses.append((unit.meta.conn_id, 503, reason))
+        if reason in ("no_listener", "no_route", "no_healthy_endpoint"):
+            status = http_status(unit.meta.verdict, reason)
+            self.responses.append((unit.meta.conn_id, status, reason))
             self._count("responded")
             return "responded"
         self._count("dropped")
@@ -494,8 +526,6 @@ class MeshRuntime:
         self._count("installed")
         # reinjection preserves the original unit bytes; the unit re-enters
         # at L2 as a fresh frame
-        from .core import Metadata, TrafficUnit, UnitKind
-
         fresh = TrafficUnit(
             kind=UnitKind.FRAME,
             meta=Metadata(flow=unit.meta.flow, conn_id=unit.meta.conn_id),
@@ -513,13 +543,12 @@ class MeshRuntime:
             rec.last_active = now if now is not None else self.clock()
 
     def expire_idle(self, now: int = None):
-        """Idle connections move to CLOSING and lose their queue binding."""
+        """Idle connections move to CLOSING and release their flow."""
         now = now if now is not None else self.clock()
         for key, rec in list(self.conns.items()):
             if rec.state is ConnState.OPEN and now - rec.last_active > IDLE_TIMEOUT_NS:
                 rec.transition(ConnState.CLOSING)
-                self.queue_table.remove(key)
-                self.conn_controller.publish(self.l4_table, remove=[key])
+                self.close_flow(key)
 
     # -- statistics --------------------------------------------------------
     def stats_snapshot(self) -> dict:

@@ -23,7 +23,6 @@ from flatproxy.match_action import (
     ChainSpec,
     Layer,
     Ppm,
-    compile_chain,
     proc,
 )
 from flatproxy.slow_path import MeshRuntime, load_config
@@ -170,12 +169,8 @@ def test_toe_bad_content_length_keeps_stream_framed():
 
 # -- worker pool -------------------------------------------------------------
 
-def echo_chain():
-    return compile_chain(ChainSpec([]), {})
-
-
 def test_worker_pool_rejects_non_message():
-    pool = WorkerPool(1, echo_chain(), egress=lambda u, t: None, synchronous=True)
+    pool = WorkerPool(1, lambda u: None, synchronous=True)
     with pytest.raises(ValueError):
         pool.submit(frame(b"x"))
 
@@ -184,11 +179,11 @@ def test_worker_pool_per_flow_fifo():
     done = []
     lock = threading.Lock()
 
-    def egress(unit, trace):
+    def egress(unit):
         with lock:
             done.append((unit.meta.flow.sport, unit.meta.conn_id))
 
-    pool = WorkerPool(4, echo_chain(), egress=egress)
+    pool = WorkerPool(4, egress)
     flows = [make_flow(sport=40000 + i) for i in range(8)]
     for i in range(50):
         for f in flows:
@@ -212,11 +207,11 @@ def test_worker_pool_result_multiset_invariant_across_sizes():
         done = []
         lock = threading.Lock()
 
-        def egress(unit, trace):
+        def egress(unit):
             with lock:
                 done.append(unit.payload)
 
-        pool = WorkerPool(n, echo_chain(), egress=egress)
+        pool = WorkerPool(n, egress)
         for i, p in enumerate(payloads):
             pool.submit(TrafficUnit(
                 kind=UnitKind.MESSAGE,
@@ -328,6 +323,20 @@ def test_unit_conservation(runtime):
         c.get("msg_egress", 0) + c.get("msg_dropped", 0)
         + c.get("msg_slow_path", 0)
     )
+
+
+def test_oversize_message_goes_to_slow_path(runtime):
+    """A message larger than a VQ descriptor is refused by the framer, so
+    it never reaches tx_deliver."""
+    raw = make_request(b"/svc/a", method=b"POST", body=b"x" * (70 * 1024))
+    runtime.fast_path.ingress(frame(raw))
+    runtime.fast_path.drain()
+    results = runtime.fast_path.results()
+    assert results
+    for unit, _trace in results:
+        assert unit.meta.verdict is Verdict.TO_SLOW_PATH
+        assert unit.meta.verdict_reason.startswith("malformed_http:")
+    assert runtime.fast_path.counters().get("msg_egress", 0) == 0
 
 
 def test_deparsed_payload_byte_exact(runtime):

@@ -31,6 +31,7 @@ from flatproxy.l7 import (
     rewrite_host,
     route,
 )
+from flatproxy.vq import MAX_DESCRIPTOR_BYTES
 from conftest import make_flow, make_request
 
 
@@ -76,6 +77,14 @@ def test_parse_preserves_header_order():
     b"GET / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabcdef",
     b"GET / HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
     b"GET / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
+    # framing the proxy refuses: conflicting lengths, any transfer coding,
+    # and messages larger than a VQ descriptor
+    b"GET / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\nabcd",
+    b"GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n",
+    pytest.param(make_request(b"/", method=b"POST", body=b"x" * (70 * 1024)),
+                 id="body_over_descriptor"),
+    pytest.param(b"GET / HTTP/1.1\r\nX-Pad: " + b"a" * MAX_DESCRIPTOR_BYTES,
+                 id="header_over_descriptor"),
 ])
 def test_parse_rejects_malformed(raw):
     with pytest.raises(MalformedHttp):

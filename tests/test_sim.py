@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from flatproxy.sim import (
@@ -216,4 +218,25 @@ def test_run_functional_delivers_requests():
     assert metrics.delivered == 20
     assert metrics.loss == 0
     assert metrics.mean_ns == pytest.approx(17_600, abs=1)
+    rt.shutdown()
+
+
+def test_run_functional_full_ring_counts_loss_instead_of_blocking():
+    """Nothing drains the stub side, so one flow's TX ring fills after
+    DEFAULT_RING_CAPACITY (256) messages; the rest are counted as lost."""
+    from flatproxy.slow_path import MeshRuntime, load_config
+    from flatproxy.sim import run_functional
+    from conftest import config_text
+
+    rt = MeshRuntime(config=load_config(config_text()), synchronous=True)
+    wl = Workload(pattern="open", rate_qps=300, duration_s=1.0, n_connections=1)
+    out = {}
+    t = threading.Thread(target=lambda: out.update(m=run_functional(rt, wl)[0]),
+                         daemon=True)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    assert out["m"].delivered == 256
+    assert out["m"].loss == 44
+    assert rt.fast_path.counters()["ring_full"] == 44
     rt.shutdown()

@@ -17,6 +17,7 @@ from flatproxy.slow_path import (
     load_config,
 )
 from flatproxy.match_action import MatchActionError, MatchTable
+from flatproxy.vq import VqState
 from conftest import config_text, make_flow, make_request
 
 
@@ -261,10 +262,22 @@ def test_expire_idle_closes_and_uninstalls(runtime):
     rec = runtime.conns[flow]
     assert rec.state is ConnState.OPEN
     now = rec.last_active + IDLE_TIMEOUT_NS + 1
+    q = runtime.vqs[rec.vq]
     runtime.expire_idle(now=now)
     assert rec.state is ConnState.CLOSING
     assert runtime.l4_table.lookup(flow) == runtime.l4_table.default
     assert runtime.queue_table.lookup(flow) is None
+    # the flow's queue, stub and TOE state are released too
+    assert rec.vq not in runtime.vqs
+    assert rec.vq not in runtime.stubs
+    assert flow not in runtime.fast_path.toe.connections
+    assert q.state is VqState.CLOSED
+    # the 4-tuple connecting again gets a fresh queue, not the closed one
+    raw = make_request(b"/svc/a")
+    runtime.fast_path.ingress(make_frame(raw, flow))
+    new = runtime.conns[flow]
+    assert new.vq != rec.vq
+    assert runtime.vqs[new.vq].stub_fetch(runtime.stubs[new.vq]) == raw
 
 
 def test_stats_snapshot_shape(runtime):
