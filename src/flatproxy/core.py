@@ -141,9 +141,9 @@ class Metadata:
 
     def reset_transient(self):
         """Clear routing scratch state at the end of a traversal (the
-        'initial metadata' step of the routing algorithm)."""
+        'initial metadata' step of the routing algorithm).  `body_ref` is
+        kept: the fast path releases the body when it disposes of the unit."""
         self.http = None
-        self.body_ref = None
 
 
 _KIND_ORDER = {

@@ -1,10 +1,13 @@
 """Hierarchical data plane.
 
-L2-L4 run as a fixed pipeline (vswitch -> l3 -> TOE); traffic that
-resolves below L7 short-circuits straight to its virtualization queue.
-Reassembled messages go to a worker pool that runs each through
-`FastPath.message`, the L7 entry live mode shares.  Flow-to-worker
-affinity keeps per-flow FIFO without locking.
+`FastPath.ingress` applies the vswitch, l3 and toe PPMs to each L2 frame on
+one snapshot of their tables; the toe PPM is the one place a flow is
+classified.  A flow forwarded at L4 short-circuits to its virtualization
+queue; the segments of an L7 flow are reassembled by the ToeEngine into
+messages, which a worker pool runs through `FastPath.message`, the L7 entry
+live mode shares.  Frames and messages leave through one disposition: VQ
+egress, a counted drop or the slow-path handoff.  Flow-to-worker affinity
+keeps per-flow FIFO without locking.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .l7 import (
     MalformedHttp,
 )
 from .match_action import (
+    DEFAULT_ACTION,
     ActionProgram,
     ExecContext,
     ExecutableChain,
@@ -98,20 +102,21 @@ def make_l3(l3_table: MatchTable) -> Ppm:
 
 
 def make_toe(l4_table: MatchTable) -> Ppm:
-    """TOE as a chain node: classifies the flow via the L4 table.
-
-    MESSAGE units (already reassembled) pass through; SEGMENT handling
-    with reassembly lives in ToeEngine, which the fast path drives
-    directly because one segment may yield zero or many messages.
+    """TOE as a PPM, the one place a flow is classified by its L4 entry:
+    `("l7", framing)` goes on to reassembly (`to_l7`), `("forward_vq", q)`
+    binds queue q and delivers the segment as it is, and a miss goes to the
+    slow path as `new_connection`.  MESSAGE units, already framed, pass
+    through without a lookup.  Reassembly lives in ToeEngine, which the fast
+    path drives because one segment may yield zero or many messages.
     """
 
     def matcher(unit, snaps):
-        snap = snaps.get(l4_table.name)
-        entry = l4_table.lookup(unit.meta.flow, snap)
+        if unit.kind is UnitKind.MESSAGE:
+            return "to_l7"
+        entry = l4_table.lookup(unit.meta.flow, snaps.get(l4_table.name))
         if entry == l4_table.default:
             return l4_table.default
-        kind = entry[0]
-        if kind == "forward_vq":
+        if entry[0] == "forward_vq":
             unit.meta.bind_queue(entry[1])
             return "forward_vq"
         return "to_l7"
@@ -125,6 +130,10 @@ def make_toe(l4_table: MatchTable) -> Ppm:
             "to_l7": ActionProgram("to_l7", []),
             "forward_vq": ActionProgram(
                 "forward_vq", [set_verdict(Verdict.DELIVER, "l4_forward")]
+            ),
+            DEFAULT_ACTION: ActionProgram(
+                DEFAULT_ACTION,
+                [set_verdict(Verdict.TO_SLOW_PATH, "new_connection")],
             ),
         },
     )
@@ -413,14 +422,14 @@ class WorkerPool:
 # Fast path assembly
 
 class FastPath:
-    """The full ingress data plane: L2/L3 pipeline, TOE, L7 worker pool."""
+    """The full ingress data plane: the registry's vswitch, l3 and toe PPMs,
+    TOE reassembly, the L7 chain on a worker pool, and one disposition."""
 
     def __init__(
         self,
         l7_chain: ExecutableChain,
-        l2_ppm: Ppm,
-        l3_ppm: Ppm,
-        l4_table: MatchTable,
+        registry: dict,
+        buffer_pool: BufferPool,
         slow_path_handoff: Callable,
         vq_egress: Callable,
         n_workers: int = 4,
@@ -429,18 +438,14 @@ class FastPath:
         self.ctx = ExecContext(counters={})
         self.chain = l7_chain
         self.toe = ToeEngine()
-        self.l2_ppm = l2_ppm
-        self.l3_ppm = l3_ppm
-        self.l4_table = l4_table
+        self._l2_l4 = tuple(registry[pid] for pid in ("vswitch", "l3", "toe"))
+        self._l2_l4_tables = tuple(t for ppm in self._l2_l4 for t in ppm.tables)
+        self.buffer_pool = buffer_pool
         self._results = []
         self._results_lock = threading.Lock()
         self.slow_path_handoff = slow_path_handoff
         self.vq_egress = vq_egress
         self.pool = WorkerPool(n_workers, self._pooled, synchronous)
-
-    # counters --------------------------------------------------------------
-    def _bump(self, name, n=1):
-        self.ctx.bump(name, n)
 
     def counters(self) -> dict:
         with self.ctx._lock:
@@ -448,69 +453,60 @@ class FastPath:
 
     # ingress ---------------------------------------------------------------
     def ingress(self, unit: TrafficUnit) -> str:
-        """Run one L2 frame through the pipeline; returns the disposition:
-        'l7' | 'vq' | 'slow_path' | 'dropped' | 'buffered'."""
+        """Run one L2 frame through the vswitch, l3 and toe PPMs, on one
+        snapshot of their tables taken here, then TOE reassembly; returns
+        the disposition: 'l7' | 'vq' | 'slow_path' | 'dropped' | 'buffered'."""
         if unit.kind is not UnitKind.FRAME:
             raise ValueError("ingress takes FRAME units")
-        self._bump("ingress")
-        snaps = {t.name: t.current
-                 for ppm in (self.l2_ppm, self.l3_ppm) for t in ppm.tables}
-        for ppm in (self.l2_ppm, self.l3_ppm):
+        self.ctx.bump("ingress")
+        snaps = {t.name: t.current for t in self._l2_l4_tables}
+        for ppm in self._l2_l4:
             ppm.apply(unit, self.ctx, snaps)
-            if unit.meta.verdict is Verdict.DROP:
-                self._bump("dropped")
-                return "dropped"
-            if unit.meta.verdict is Verdict.TO_SLOW_PATH:
-                self._bump("slow_path")
-                self.slow_path_handoff(unit, unit.meta.verdict_reason)
-                return "slow_path"
-
-        entry = self.l4_table.lookup(unit.meta.flow)
-        if entry == self.l4_table.default:
-            self._bump("slow_path")
-            unit.meta.set_verdict(Verdict.TO_SLOW_PATH, "new_connection")
-            self.slow_path_handoff(unit, "new_connection")
-            return "slow_path"
-        if entry[0] == "forward_vq":
-            unit.meta.bind_queue(entry[1])
-            unit.meta.set_verdict(Verdict.DELIVER, "l4_forward")
-            self._bump("egress")
-            self.vq_egress(unit)
-            return "vq"
+            if unit.meta.verdict is not Verdict.CONTINUE:
+                return self._dispose(unit)
 
         # to_l7: reassemble and hand completed messages to the pool
         try:
             messages = self.toe.deliver(unit)
         except OutOfWindow:
-            self._bump("dropped")
-            return "dropped"
-        if unit.meta.verdict is Verdict.TO_SLOW_PATH:
-            self._bump("slow_path")
-            self.slow_path_handoff(unit, unit.meta.verdict_reason)
-            return "slow_path"
+            unit.meta.set_verdict(Verdict.DROP, "out_of_window")
+        if unit.meta.verdict is not Verdict.CONTINUE:
+            return self._dispose(unit)
         for msg in messages:
             self.pool.submit(msg)
         if messages:
-            self._bump("egress")
+            self.ctx.bump("egress")
             return "l7"
-        self._bump("buffered")
+        self.ctx.bump("buffered")
         return "buffered"
 
     def message(self, msg: TrafficUnit):
         """The one L7 message entry, for the worker pool and live mode: run
-        the chain, count, and send DELIVER to VQ egress and any verdict but
-        DROP to the slow path.  Returns (unit, trace)."""
-        self._bump("msg_submitted")
+        the chain and dispose of the unit.  Returns (unit, trace)."""
+        self.ctx.bump("msg_submitted")
         unit, trace = self.chain.execute(msg, self.ctx)
-        if unit.meta.verdict is Verdict.DELIVER:
-            self._bump("msg_egress")
-            self.vq_egress(unit)
-        elif unit.meta.verdict is Verdict.DROP:
-            self._bump("msg_dropped")
-        else:
-            self._bump("msg_slow_path")
-            self.slow_path_handoff(unit, unit.meta.verdict_reason)
+        self._dispose(unit, "msg_")
         return unit, trace
+
+    def _dispose(self, unit: TrafficUnit, prefix: str = "") -> str:
+        """The one exit from the data plane, for frames (`prefix` '') and
+        messages ('msg_'): release the unit's parsed body, then send DELIVER
+        to VQ egress, count DROP, and hand any other verdict to the slow
+        path.  Returns 'vq' | 'dropped' | 'slow_path'."""
+        meta = unit.meta
+        if meta.body_ref is not None:
+            self.buffer_pool.release(meta.body_ref)
+            meta.body_ref = None
+        if meta.verdict is Verdict.DELIVER:
+            self.ctx.bump(prefix + "egress")
+            self.vq_egress(unit)
+            return "vq"
+        if meta.verdict is Verdict.DROP:
+            self.ctx.bump(prefix + "dropped")
+            return "dropped"
+        self.ctx.bump(prefix + "slow_path")
+        self.slow_path_handoff(unit, meta.verdict_reason)
+        return "slow_path"
 
     def _pooled(self, msg: TrafficUnit):
         result = self.message(msg)

@@ -3,6 +3,8 @@
 Each client connection is one flow whose requests, framed by
 `l7.frame_http`, go to `FastPath.message` -- the worker pool's entry too
 -- so live traffic shares the chain, counters, VQ egress and slow path.
+Accepting a connection installs nothing in the L4 table: the requests
+arrive as MESSAGE units, which the toe PPM passes through without a lookup.
 A route's upstream connection is a LiveQueue in `runtime.vqs`, with the
 VirtQueue tx-deliver / rx-collect surface.  One acceptor, one thread per
 client connection, a single control path for config reloads.
@@ -27,7 +29,6 @@ from .core import (
     ip4_to_int,
     next_conn_id,
 )
-from .fast_path import Framing
 from .l7 import ConnectFailure, MalformedHttp, frame_http, parse_request_bytes
 from .slow_path import MeshConfig, MeshRuntime, http_status
 
@@ -197,11 +198,6 @@ class LiveProxy:
             sip=ip4_to_int(peer[0]), sport=peer[1],
             dip=self.listener_def.dip, dport=self.listener_def.dport,
             proto=Proto.TCP,
-        )
-        # accepting the connection is live mode's slow-path moment: install
-        # the flow in the L4 table so the chain's toe node classifies it
-        self.runtime.conn_controller.publish(
-            self.runtime.l4_table, add={flow: ("l7", Framing.HTTP)}
         )
         reader = HttpReader(client.recv)
         try:

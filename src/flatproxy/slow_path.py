@@ -384,9 +384,8 @@ class MeshRuntime:
         self.chain = self.compile(chain_spec)
         self.fast_path = FastPath(
             l7_chain=self.chain,
-            l2_ppm=self.registry["vswitch"],
-            l3_ppm=self.registry["l3"],
-            l4_table=self.l4_table,
+            registry=self.registry,
+            buffer_pool=self.buffer_pool,
             n_workers=n_workers,
             synchronous=synchronous,
             slow_path_handoff=self.handle_slow_path,
@@ -460,7 +459,11 @@ class MeshRuntime:
 
     def _vq_egress(self, unit: TrafficUnit):
         """Never blocks: a full TX ring loses the message, which is counted
-        as `ring_full` and marked with that reason."""
+        as `ring_full` and marked with that reason.  Egress is the activity
+        `expire_idle` measures a flow's idle time from."""
+        rec = self.conns.get(unit.meta.flow)
+        if rec is not None:
+            rec.last_active = self.clock()
         q = self.vqs.get(unit.meta.queue)
         if q is not None and unit.payload:
             try:
@@ -474,7 +477,8 @@ class MeshRuntime:
         TOE state; its ConnRecord, if any, is the caller's to move on."""
         qid = self.queue_table.lookup(key)
         self.queue_table.remove(key)
-        self.conn_controller.publish(self.l4_table, remove=[key])
+        if key in self.l4_table.current.entries:  # live flows have none
+            self.conn_controller.publish(self.l4_table, remove=[key])
         q = self.vqs.pop(qid, None)
         if q is not None:
             q.close()
@@ -523,6 +527,9 @@ class MeshRuntime:
         self.conn_controller.publish(
             self.l4_table, add={key: ("l7", Framing.HTTP)}
         )
+        # open the TOE state with the entry, as close_flow closes both, so a
+        # first segment that arrives out of order waits for the ones before it
+        self.fast_path.toe.open(key)
         self._count("installed")
         # reinjection preserves the original unit bytes; the unit re-enters
         # at L2 as a fresh frame
@@ -536,11 +543,6 @@ class MeshRuntime:
         self.fast_path.ingress(fresh)
         self._count("reinjected")
         return "reinjected"
-
-    def touch(self, key: FlowKey, now: int = None):
-        rec = self.conns.get(key)
-        if rec is not None:
-            rec.last_active = now if now is not None else self.clock()
 
     def expire_idle(self, now: int = None):
         """Idle connections move to CLOSING and release their flow."""

@@ -288,6 +288,7 @@ def test_criterion_07_chain_monolith_and_workers(announce):
         rt_a = MeshRuntime(config=load_config(config_text()), synchronous=True)
         rt_b = MeshRuntime(config=load_config(config_text()), synchronous=True)
         order = rt_b.chain.order
+        reached = set()
         for i in range(1000):
             ua, ub = msg(i), msg(i)
             rt_a.chain.execute(ua, rt_a.fast_path.ctx)
@@ -298,6 +299,13 @@ def test_criterion_07_chain_monolith_and_workers(announce):
             assert ua.payload == ub.payload, i
             assert ua.meta.verdict == ub.meta.verdict, i
             assert ua.meta.verdict_reason == ub.meta.verdict_reason, i
+            reached.add((ua.meta.verdict, (ua.meta.verdict_reason or "").split(":")[0]))
+        # the messages get past the toe node: parser, filter, router and
+        # deparser each decide some of them
+        assert (Verdict.DELIVER, "deparsed") in reached
+        assert (Verdict.DROP, "filter") in reached
+        assert (Verdict.DROP, "no_route") in reached
+        assert (Verdict.TO_SLOW_PATH, "malformed_http") in reached
         rt_a.shutdown()
         rt_b.shutdown()
 

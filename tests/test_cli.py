@@ -1,4 +1,5 @@
 import csv
+import os
 import signal
 import socket
 import subprocess
@@ -7,6 +8,7 @@ import time
 
 import pytest
 
+import flatproxy
 from flatproxy.cli import main
 from flatproxy.sim import CSV_COLUMNS
 from conftest import config_text
@@ -119,13 +121,27 @@ def test_reload_bad_pidfile(capsys):
 
 # -- live subprocess ---------------------------------------------------------
 
+def _child_env():
+    """The environment for a `python -m flatproxy.cli` child: it imports
+    flatproxy from where this process did, installed or not."""
+    src = os.path.dirname(os.path.dirname(flatproxy.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
 def _wait_for_line(proc, prefix, timeout=10):
     deadline = time.time() + timeout
     while time.time() < deadline:
         line = proc.stdout.readline()
         if line.startswith(prefix):
             return line.strip()
-    raise TimeoutError(f"no line starting with {prefix!r}")
+        if not line and proc.poll() is not None:
+            break
+    proc.kill()
+    proc.wait(timeout=10)
+    raise TimeoutError(f"no line starting with {prefix!r}; child stderr:\n"
+                       f"{proc.stderr.read()}")
 
 
 def _http_get(host, port, path=b"/svc/a"):
@@ -156,6 +172,7 @@ def test_live_subprocess_with_sighup_reload(tmp_path):
          "--listen", "127.0.0.1:0", "--duration", "30",
          "--spawn-stubs", "2", "--pid-file", str(pid_file)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=_child_env(),
     )
     try:
         line = _wait_for_line(proc, "listening on")
@@ -172,6 +189,7 @@ def test_live_subprocess_with_sighup_reload(tmp_path):
         rc = subprocess.run(
             [sys.executable, "-m", "flatproxy.cli", "reload",
              "--pid-file", str(pid_file)],
+            env=_child_env(),
         ).returncode
         assert rc == 0
         status, _, _ = _http_get("127.0.0.1", port)

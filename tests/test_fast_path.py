@@ -323,6 +323,25 @@ def test_unit_conservation(runtime):
         c.get("msg_egress", 0) + c.get("msg_dropped", 0)
         + c.get("msg_slow_path", 0)
     )
+    # every parsed body is released once its unit is disposed of
+    assert len(runtime.buffer_pool) == 0
+
+
+def test_first_segments_swapped_still_delivered(runtime):
+    """A new flow whose second segment arrives first: the slow path opens
+    the flow's TOE state when it installs the L4 entry, so the reinjected
+    segment waits for the first one instead of being dropped."""
+    flow = make_flow(sport=46500)
+    raw = make_request(b"/svc/a", method=b"POST", body=bytes(range(256)) * 4)
+    cuts = [0, len(raw) // 3, 2 * len(raw) // 3, len(raw)]
+    segs = [(cuts[i], raw[cuts[i]:cuts[i + 1]]) for i in range(3)]
+    segs[0], segs[1] = segs[1], segs[0]
+    for off, chunk in segs:
+        runtime.fast_path.ingress(frame(chunk, flow=flow, seq=off))
+    runtime.fast_path.drain()
+    qid = runtime.queue_table.lookup(flow)
+    assert qid is not None
+    assert runtime.vqs[qid].stub_fetch(runtime.stubs[qid]) == raw
 
 
 def test_oversize_message_goes_to_slow_path(runtime):

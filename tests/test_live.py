@@ -99,6 +99,8 @@ def test_live_client_close_releases_upstream(proxy):
     assert proxy.runtime.vqs == {}
     assert len(proxy.runtime.queue_table) == 0
     assert lq.sock.fileno() == -1
+    # live flows are never installed in the L4 table, nor removed from it
+    assert proxy.runtime.l4_table.epoch == 0
 
 
 def test_live_upstream_socket_has_nodelay(proxy):

@@ -184,11 +184,12 @@ def test_redistribute_removes_stale_entries():
 
 # -- slow-path handling ------------------------------------------------------
 
-def make_frame(payload, flow=None, conn_id=1):
+def make_frame(payload, flow=None, conn_id=1, seq=0):
     return TrafficUnit(
         kind=UnitKind.FRAME,
         meta=Metadata(flow=flow or make_flow(), conn_id=conn_id),
         payload=payload,
+        seq=seq,
     )
 
 
@@ -278,6 +279,26 @@ def test_expire_idle_closes_and_uninstalls(runtime):
     new = runtime.conns[flow]
     assert new.vq != rec.vq
     assert runtime.vqs[new.vq].stub_fetch(runtime.stubs[new.vq]) == raw
+
+
+def test_idle_expiry_counts_from_last_activity():
+    """A flow that delivers a request every 30 s is not idle: expiry counts
+    from its last egress, not from when it opened."""
+    now = [0]
+    rt = MeshRuntime(config=load_config(config_text()), synchronous=True,
+                     clock=lambda: now[0])
+    flow = make_flow(sport=44100)
+    seq = 0
+    for t in (0, 30, 60):
+        now[0] = t * 1_000_000_000
+        raw = make_request(b"/svc/a")
+        rt.fast_path.ingress(make_frame(raw, flow, seq=seq))
+        seq += len(raw)
+    rt.expire_idle(now=90 * 1_000_000_000)
+    assert rt.conns[flow].state is ConnState.OPEN
+    rt.expire_idle(now=60 * 1_000_000_000 + IDLE_TIMEOUT_NS + 1)
+    assert rt.conns[flow].state is ConnState.CLOSING
+    rt.shutdown()
 
 
 def test_stats_snapshot_shape(runtime):
