@@ -4,15 +4,15 @@
 one snapshot of their tables; the toe PPM is the one place a flow is
 classified.  A flow forwarded at L4 short-circuits to its virtualization
 queue; the segments of an L7 flow are reassembled by the ToeEngine into
-messages, which a worker pool runs through `FastPath.message`, the L7 entry
-live mode shares.  Frames and messages leave through one disposition: VQ
-egress, a counted drop or the slow-path handoff.  Flow-to-worker affinity
-keeps per-flow FIFO without locking.
+HTTP messages, which `ingress` runs at once, in order, through
+`FastPath.message`, the L7 entry live mode shares.  Frames and messages
+leave through one disposition: VQ egress, a counted drop or the slow-path
+handoff.  Per-flow FIFO holds by construction: one caller runs a flow's
+frames, and each live client has its own thread.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -48,14 +48,7 @@ from .match_action import (
     set_verdict,
 )
 
-DEFAULT_RUN_QUEUE_DEPTH = 1024
 REORDER_BUFFER_SEGMENTS = 64
-
-
-class Framing:
-    HTTP = "http"
-    LENGTH_PREFIX = "length_prefix"
-    STREAM = "stream"
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +96,9 @@ def make_l3(l3_table: MatchTable) -> Ppm:
 
 def make_toe(l4_table: MatchTable) -> Ppm:
     """TOE as a PPM, the one place a flow is classified by its L4 entry:
-    `("l7", framing)` goes on to reassembly (`to_l7`), `("forward_vq", q)`
-    binds queue q and delivers the segment as it is, and a miss goes to the
-    slow path as `new_connection`.  MESSAGE units, already framed, pass
+    `"l7"` goes on to HTTP reassembly (`to_l7`), `("forward_vq", q)` binds
+    queue q and delivers the segment as it is, and a miss goes to the slow
+    path as `new_connection`.  MESSAGE units, already framed, pass
     through without a lookup.  Reassembly lives in ToeEngine, which the fast
     path drives because one segment may yield zero or many messages.
     """
@@ -115,11 +108,11 @@ def make_toe(l4_table: MatchTable) -> Ppm:
             return "to_l7"
         entry = l4_table.lookup(unit.meta.flow, snaps.get(l4_table.name))
         if entry == l4_table.default:
-            return l4_table.default
-        if entry[0] == "forward_vq":
-            unit.meta.bind_queue(entry[1])
-            return "forward_vq"
-        return "to_l7"
+            return entry
+        if entry == "l7":
+            return "to_l7"
+        unit.meta.bind_queue(entry[1])  # ("forward_vq", q)
+        return "forward_vq"
 
     return Ppm(
         id="toe",
@@ -139,19 +132,18 @@ def make_toe(l4_table: MatchTable) -> Ppm:
     )
 
 
-def make_http_parser(pool: BufferPool, proto_table: MatchTable) -> Ppm:
+def make_http_parser(pool: BufferPool) -> Ppm:
     def parser(unit: TrafficUnit, ctx: ExecContext):
         if unit.meta.http is None:
             http_parse(unit, pool)
 
     def matcher(unit, snaps):
-        return "parsed" if unit.meta.http is not None else proto_table.default
+        return "parsed" if unit.meta.http is not None else DEFAULT_ACTION
 
     return Ppm(
         id="http_parser",
         layer=Layer.L7,
         parser=parser,
-        tables=[proto_table],
         matcher=matcher,
         actions={"parsed": ActionProgram("parsed", [])},
     )
@@ -208,7 +200,7 @@ def make_router(
     )
 
 
-def make_http_deparser(pool: BufferPool, proto_table: MatchTable) -> Ppm:
+def make_http_deparser(pool: BufferPool) -> Ppm:
     def deparse_proc(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
         try:
             unit.payload = http_deparse(unit.meta, pool)
@@ -218,12 +210,11 @@ def make_http_deparser(pool: BufferPool, proto_table: MatchTable) -> Ppm:
         unit.meta.set_verdict(Verdict.DELIVER, "deparsed")
 
     def matcher(unit, snaps):
-        return "deparse" if unit.meta.queue is not None else proto_table.default
+        return "deparse" if unit.meta.queue is not None else DEFAULT_ACTION
 
     return Ppm(
         id="http_deparser",
         layer=Layer.L7,
-        tables=[proto_table],
         matcher=matcher,
         actions={"deparse": ActionProgram("deparse", [proc(deparse_proc)])},
     )
@@ -237,7 +228,6 @@ def standard_registry(
     filter_table: MatchTable,
     route_table: MatchTable,
     cluster_table: MatchTable,
-    proto_table: MatchTable,
     pool: BufferPool,
     queues: QueueTable,
     connector: Callable = default_connector,
@@ -247,12 +237,12 @@ def standard_registry(
         "vswitch": make_l2_vswitch(l2_table),
         "l3": make_l3(l3_table),
         "toe": make_toe(l4_table),
-        "http_parser": make_http_parser(pool, proto_table),
+        "http_parser": make_http_parser(pool),
         "filter": make_filter(filter_table),
         "router": make_router(
             listener_table, route_table, cluster_table, queues, connector
         ),
-        "http_deparser": make_http_deparser(pool, proto_table),
+        "http_deparser": make_http_deparser(pool),
     }
 
 
@@ -265,7 +255,6 @@ class OutOfWindow(Exception):
 
 @dataclass
 class _ToeConn:
-    framing: str = Framing.HTTP
     next_seq: int = 0
     assembled: bytes = b""
     reorder: dict = field(default_factory=dict)
@@ -273,7 +262,7 @@ class _ToeConn:
 
 
 class ToeEngine:
-    """In-order exactly-once byte delivery with message framing.
+    """In-order exactly-once byte delivery with HTTP message framing.
 
     Reliable by construction (no retransmit timers); out-of-window
     segments beyond the reorder buffer are dropped.
@@ -283,8 +272,8 @@ class ToeEngine:
         self.connections: dict[FlowKey, _ToeConn] = {}
         self.reorder_limit = reorder_limit
 
-    def open(self, key: FlowKey, framing: str = Framing.HTTP):
-        self.connections.setdefault(key, _ToeConn(framing=framing))
+    def open(self, key: FlowKey):
+        self.connections.setdefault(key, _ToeConn())
 
     def close(self, key: FlowKey):
         self.connections.pop(key, None)
@@ -319,10 +308,10 @@ class ToeEngine:
         return self._frame_messages(conn, seg.meta)
 
     def _frame_messages(self, conn: _ToeConn, meta: Metadata) -> list:
-        proto = ProtoType.HTTP if conn.framing == Framing.HTTP else ProtoType.L4_STREAM
         out = []
         while (msg_bytes := self._next_message(conn)) is not None:
-            msg_meta = Metadata(flow=meta.flow, proto_type=proto, conn_id=meta.conn_id)
+            msg_meta = Metadata(flow=meta.flow, proto_type=ProtoType.HTTP,
+                                conn_id=meta.conn_id)
             out.append(
                 TrafficUnit(kind=UnitKind.MESSAGE, meta=msg_meta, payload=msg_bytes)
             )
@@ -332,17 +321,6 @@ class ToeEngine:
         data = conn.assembled
         if not data:
             return None
-        if conn.framing == Framing.STREAM:
-            conn.assembled = b""
-            return data
-        if conn.framing == Framing.LENGTH_PREFIX:
-            if len(data) < 4:
-                return None
-            n = int.from_bytes(data[:4], "big")
-            if len(data) < 4 + n:
-                return None
-            conn.assembled = data[4 + n :]
-            return data[4 : 4 + n]
         try:
             end = frame_http(data)
         except MalformedHttp as exc:
@@ -356,74 +334,13 @@ class ToeEngine:
 
 
 # ---------------------------------------------------------------------------
-# Worker pool
-
-class WorkerPool:
-    """Fixed set of workers each draining a bounded run queue into
-    `handle(msg)`.
-
-    A unit is pinned to hash(conn_key) % n_workers, so units of one flow
-    are processed in submission order end to end.  submit() blocks when
-    the target queue is full: backpressure, never loss.
-    """
-
-    def __init__(self, n_workers: int, handle: Callable, synchronous=False):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = n_workers
-        self.handle = handle
-        self.synchronous = synchronous
-        if not synchronous:
-            self._queues = [queue.Queue(maxsize=DEFAULT_RUN_QUEUE_DEPTH)
-                            for _ in range(n_workers)]
-            self._threads = [
-                threading.Thread(target=self._run, args=(q,), daemon=True)
-                for q in self._queues
-            ]
-            for t in self._threads:
-                t.start()
-
-    def _shard(self, unit: TrafficUnit) -> int:
-        return hash(unit.meta.flow) % self.n_workers
-
-    def submit(self, msg: TrafficUnit):
-        if msg.kind is not UnitKind.MESSAGE:
-            raise ValueError("worker pool accepts MESSAGE units only")
-        if self.synchronous:
-            self.handle(msg)
-        else:
-            self._queues[self._shard(msg)].put(msg)
-
-    def _run(self, q: queue.Queue):
-        while True:
-            msg = q.get()
-            if msg is None:
-                return
-            try:
-                self.handle(msg)
-            finally:
-                q.task_done()
-
-    def drain(self):
-        """Wait until all submitted units have been processed."""
-        if not self.synchronous:
-            for q in self._queues:
-                q.join()
-
-    def shutdown(self):
-        if not self.synchronous:
-            for q in self._queues:
-                q.put(None)
-            for t in self._threads:
-                t.join(timeout=5)
-
-
-# ---------------------------------------------------------------------------
 # Fast path assembly
 
 class FastPath:
     """The full ingress data plane: the registry's vswitch, l3 and toe PPMs,
-    TOE reassembly, the L7 chain on a worker pool, and one disposition."""
+    TOE reassembly, the L7 chain run inline on each reassembled message, and
+    one disposition.  `results()` holds the (unit, trace) of every message
+    `ingress` ran."""
 
     def __init__(
         self,
@@ -432,8 +349,6 @@ class FastPath:
         buffer_pool: BufferPool,
         slow_path_handoff: Callable,
         vq_egress: Callable,
-        n_workers: int = 4,
-        synchronous: bool = False,
     ):
         self.ctx = ExecContext(counters={})
         self.chain = l7_chain
@@ -445,7 +360,6 @@ class FastPath:
         self._results_lock = threading.Lock()
         self.slow_path_handoff = slow_path_handoff
         self.vq_egress = vq_egress
-        self.pool = WorkerPool(n_workers, self._pooled, synchronous)
 
     def counters(self) -> dict:
         with self.ctx._lock:
@@ -465,7 +379,7 @@ class FastPath:
             if unit.meta.verdict is not Verdict.CONTINUE:
                 return self._dispose(unit)
 
-        # to_l7: reassemble and hand completed messages to the pool
+        # to_l7: reassemble, then run each completed message in order
         try:
             messages = self.toe.deliver(unit)
         except OutOfWindow:
@@ -473,7 +387,9 @@ class FastPath:
         if unit.meta.verdict is not Verdict.CONTINUE:
             return self._dispose(unit)
         for msg in messages:
-            self.pool.submit(msg)
+            result = self.message(msg)
+            with self._results_lock:
+                self._results.append(result)
         if messages:
             self.ctx.bump("egress")
             return "l7"
@@ -481,8 +397,8 @@ class FastPath:
         return "buffered"
 
     def message(self, msg: TrafficUnit):
-        """The one L7 message entry, for the worker pool and live mode: run
-        the chain and dispose of the unit.  Returns (unit, trace)."""
+        """The one L7 message entry, for `ingress` and live mode: run the
+        chain and dispose of the unit.  Returns (unit, trace)."""
         self.ctx.bump("msg_submitted")
         unit, trace = self.chain.execute(msg, self.ctx)
         self._dispose(unit, "msg_")
@@ -508,17 +424,6 @@ class FastPath:
         self.slow_path_handoff(unit, meta.verdict_reason)
         return "slow_path"
 
-    def _pooled(self, msg: TrafficUnit):
-        result = self.message(msg)
-        with self._results_lock:
-            self._results.append(result)
-
     def results(self):
         with self._results_lock:
             return list(self._results)
-
-    def drain(self):
-        self.pool.drain()
-
-    def shutdown(self):
-        self.pool.shutdown()

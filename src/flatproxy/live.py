@@ -1,13 +1,15 @@
 """Live proxy mode: a socket front end over the shared data path.
 
-Each client connection is one flow whose requests, framed by
-`l7.frame_http`, go to `FastPath.message` -- the worker pool's entry too
--- so live traffic shares the chain, counters, VQ egress and slow path.
-Accepting a connection installs nothing in the L4 table: the requests
-arrive as MESSAGE units, which the toe PPM passes through without a lookup.
-A route's upstream connection is a LiveQueue in `runtime.vqs`, with the
-VirtQueue tx-deliver / rx-collect surface.  One acceptor, one thread per
-client connection, a single control path for config reloads.
+Each client connection is one flow, served by its own thread: its
+requests, framed by `l7.frame_http`, go one at a time, in order, to
+`FastPath.message` -- the entry `FastPath.ingress` runs each reassembled
+message through -- so live traffic shares the chain, counters, VQ egress
+and slow path.  Accepting a connection installs nothing in the L4 table:
+the requests arrive as MESSAGE units, which the toe PPM passes through
+without a lookup.  A route's upstream connection is a LiveQueue in
+`runtime.vqs`, with the VirtQueue tx-deliver / rx-collect surface.  One
+acceptor, one thread per client connection, a single control path for
+config reloads.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ class LiveProxy:
     def __init__(self, config: MeshConfig, listen_host: str = "127.0.0.1",
                  listen_port: int = 0):
         self.runtime = MeshRuntime(
-            config=config, synchronous=True, connector=self._connect
+            config=config, connector=self._connect
         )
         if not config.listeners:
             raise ValueError("live mode needs at least one listener")

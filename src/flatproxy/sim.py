@@ -540,7 +540,6 @@ def run_functional(runtime, wl: Workload, requests=None):
         )
         offsets[conn_idx] += len(payload)
         runtime.fast_path.ingress(unit)
-    runtime.fast_path.drain()
     for unit, trace in runtime.fast_path.results():
         verdict, reason = unit.meta.verdict.value, unit.meta.verdict_reason
         traces.append((verdict, reason, trace))

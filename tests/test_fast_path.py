@@ -1,5 +1,4 @@
 import random
-import threading
 
 import pytest
 
@@ -11,12 +10,7 @@ from flatproxy.core import (
     UnitKind,
     Verdict,
 )
-from flatproxy.fast_path import (
-    Framing,
-    OutOfWindow,
-    ToeEngine,
-    WorkerPool,
-)
+from flatproxy.fast_path import OutOfWindow, ToeEngine
 from flatproxy.l7 import Decision, FilterRule, http_parse
 from flatproxy.match_action import (
     ActionProgram,
@@ -116,24 +110,6 @@ def test_toe_reorder_overflow_raises():
         toe.deliver(seg(b"x", 100))
 
 
-def test_toe_length_prefix_framing():
-    toe = ToeEngine()
-    key = make_flow()
-    toe.open(key, framing=Framing.LENGTH_PREFIX)
-    payload = (3).to_bytes(4, "big") + b"abc" + (2).to_bytes(4, "big") + b"de"
-    msgs = toe.deliver(seg(payload, 0))
-    assert [m.payload for m in msgs] == [b"abc", b"de"]
-    assert all(m.meta.proto_type is ProtoType.L4_STREAM for m in msgs)
-
-
-def test_toe_stream_framing_passthrough():
-    toe = ToeEngine()
-    key = make_flow()
-    toe.open(key, framing=Framing.STREAM)
-    msgs = toe.deliver(seg(b"raw bytes", 0))
-    assert [m.payload for m in msgs] == [b"raw bytes"]
-
-
 def test_toe_randomized_permutations_reassemble_exactly():
     rng = random.Random(7)
     for trial in range(30):
@@ -167,69 +143,12 @@ def test_toe_bad_content_length_keeps_stream_framed():
     assert msgs[0].meta.verdict_reason == "malformed_http:bad content-length"
 
 
-# -- worker pool -------------------------------------------------------------
-
-def test_worker_pool_rejects_non_message():
-    pool = WorkerPool(1, lambda u: None, synchronous=True)
-    with pytest.raises(ValueError):
-        pool.submit(frame(b"x"))
-
-
-def test_worker_pool_per_flow_fifo():
-    done = []
-    lock = threading.Lock()
-
-    def egress(unit):
-        with lock:
-            done.append((unit.meta.flow.sport, unit.meta.conn_id))
-
-    pool = WorkerPool(4, egress)
-    flows = [make_flow(sport=40000 + i) for i in range(8)]
-    for i in range(50):
-        for f in flows:
-            pool.submit(TrafficUnit(
-                kind=UnitKind.MESSAGE, meta=Metadata(flow=f, conn_id=i)
-            ))
-    pool.drain()
-    pool.shutdown()
-    assert len(done) == 400
-    by_flow = {}
-    for sport, i in done:
-        by_flow.setdefault(sport, []).append(i)
-    for seq_list in by_flow.values():
-        assert seq_list == sorted(seq_list)
-
-
-def test_worker_pool_result_multiset_invariant_across_sizes():
-    payloads = [make_request(b"/p%d" % i) for i in range(40)]
-    results = {}
-    for n in (1, 2, 8):
-        done = []
-        lock = threading.Lock()
-
-        def egress(unit):
-            with lock:
-                done.append(unit.payload)
-
-        pool = WorkerPool(n, egress)
-        for i, p in enumerate(payloads):
-            pool.submit(TrafficUnit(
-                kind=UnitKind.MESSAGE,
-                meta=Metadata(flow=make_flow(sport=40000 + i)),
-                payload=p,
-            ))
-        pool.drain()
-        pool.shutdown()
-        results[n] = sorted(done)
-    assert results[1] == results[2] == results[8]
-
-
 # -- full fast path ----------------------------------------------------------
 
 @pytest.fixture
 def runtime():
     cfg = load_config(config_text())
-    rt = MeshRuntime(config=cfg, synchronous=True)
+    rt = MeshRuntime(config=cfg)
     yield rt
     rt.shutdown()
 
@@ -247,7 +166,6 @@ def test_first_packet_slow_path_then_delivery(runtime):
     # the slow path installs the flow and reinjects; the reinjected unit
     # travels the whole pipeline to delivery
     assert disp == "slow_path"
-    runtime.fast_path.drain()
     snap = runtime.stats_snapshot()
     assert snap["slow_path"]["installed"] == 1
     assert snap["slow_path"]["reinjected"] == 1
@@ -282,14 +200,13 @@ def test_l4_forward_short_circuits_to_vq(runtime):
     assert disp == "vq"
     assert unit.meta.queue == q.id
     assert q.stub_fetch(stub) == b"opaque-l4-bytes"
-    # never submitted to the L7 pool
+    # never run through the L7 chain
     assert runtime.fast_path.counters().get("msg_submitted", 0) == 0
 
 
 def test_filtered_request_dropped(runtime):
     raw = make_request(b"/admin/panel")
     runtime.fast_path.ingress(frame(raw))
-    runtime.fast_path.drain()
     counters = runtime.fast_path.counters()
     assert counters.get("msg_dropped", 0) == 1
     assert counters.get("msg_egress", 0) == 0
@@ -301,10 +218,42 @@ def test_partial_message_buffers(runtime):
     runtime.fast_path.ingress(frame(raw[:20], flow=flow))  # installs + reinjects
     disp = runtime.fast_path.ingress(frame(raw[20:], flow=flow, seq=20))
     assert disp == "l7"
-    runtime.fast_path.drain()
     counters = runtime.fast_path.counters()
     assert counters.get("buffered", 0) == 1
     assert counters.get("msg_egress", 0) == 1
+
+
+def test_ingress_keeps_per_flow_fifo(runtime):
+    """8 flows x 50 requests, each cut into two frames, the flows' frames
+    interleaved at random: each flow's stub fetches its own requests
+    byte-exact and in the order they were sent."""
+    rng = random.Random(11)
+    flows = [make_flow(sport=49000 + f) for f in range(8)]
+    sent = {flow: [] for flow in flows}
+    streams = []
+    for flow in flows:
+        seq, frames = 0, []
+        for i in range(50):
+            raw = make_request(b"/svc/item/%d" % i, method=b"POST",
+                               body=b"%d:%d;" % (flow.sport, i) * rng.randrange(1, 9))
+            sent[flow].append(raw)
+            cut = rng.randrange(1, len(raw))
+            frames += [frame(raw[:cut], flow=flow, seq=seq),
+                       frame(raw[cut:], flow=flow, seq=seq + cut)]
+            seq += len(raw)
+        streams.append(frames)
+    while streams:
+        frames = rng.choice(streams)
+        runtime.fast_path.ingress(frames.pop(0))
+        streams = [s for s in streams if s]
+    assert len(runtime.fast_path.results()) == 400
+    for flow in flows:
+        qid = runtime.queue_table.lookup(flow)
+        q, stub = runtime.vqs[qid], runtime.stubs[qid]
+        got = []
+        while (data := q.stub_fetch(stub)) is not None:
+            got.append(data)
+        assert got == sent[flow], flow.sport
 
 
 def test_unit_conservation(runtime):
@@ -313,7 +262,6 @@ def test_unit_conservation(runtime):
         path = rng.choice([b"/svc/a", b"/admin/x", b"/nowhere"])
         raw = make_request(path)
         runtime.fast_path.ingress(frame(raw, flow=make_flow(sport=47000 + i)))
-    runtime.fast_path.drain()
     c = runtime.fast_path.counters()
     assert c["ingress"] == (
         c.get("egress", 0) + c.get("dropped", 0)
@@ -338,7 +286,6 @@ def test_first_segments_swapped_still_delivered(runtime):
     segs[0], segs[1] = segs[1], segs[0]
     for off, chunk in segs:
         runtime.fast_path.ingress(frame(chunk, flow=flow, seq=off))
-    runtime.fast_path.drain()
     qid = runtime.queue_table.lookup(flow)
     assert qid is not None
     assert runtime.vqs[qid].stub_fetch(runtime.stubs[qid]) == raw
@@ -349,7 +296,6 @@ def test_oversize_message_goes_to_slow_path(runtime):
     it never reaches tx_deliver."""
     raw = make_request(b"/svc/a", method=b"POST", body=b"x" * (70 * 1024))
     runtime.fast_path.ingress(frame(raw))
-    runtime.fast_path.drain()
     results = runtime.fast_path.results()
     assert results
     for unit, _trace in results:
@@ -361,7 +307,6 @@ def test_oversize_message_goes_to_slow_path(runtime):
 def test_deparsed_payload_byte_exact(runtime):
     raw = make_request(b"/svc/a", host=b"api", body=b"payload")
     runtime.fast_path.ingress(frame(raw))
-    runtime.fast_path.drain()
     unit, _trace = runtime.fast_path.results()[0]
     assert unit.meta.verdict is Verdict.DELIVER
     assert unit.payload == raw
@@ -392,7 +337,7 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
                                        "filter", "router", "http_deparser"]))
     flow = make_flow(sport=48000)
     runtime.conn_controller.publish(runtime.l4_table,
-                                    add={flow: ("l7", Framing.HTTP)})
+                                    add={flow: "l7"})
     first, _ = chain.execute(make_message(make_request(b"/svc/a"), flow=flow))
     assert first.meta.verdict is Verdict.DELIVER
     assert first.meta.verdict_reason == "deparsed"

@@ -212,7 +212,7 @@ def test_run_functional_delivers_requests():
     from flatproxy.sim import run_functional
     from conftest import config_text
 
-    rt = MeshRuntime(config=load_config(config_text()), synchronous=True)
+    rt = MeshRuntime(config=load_config(config_text()))
     wl = Workload(pattern="open", rate_qps=100, duration_s=0.2, n_connections=4)
     metrics, traces = run_functional(rt, wl)
     assert metrics.delivered == 20
@@ -228,7 +228,7 @@ def test_run_functional_full_ring_counts_loss_instead_of_blocking():
     from flatproxy.sim import run_functional
     from conftest import config_text
 
-    rt = MeshRuntime(config=load_config(config_text()), synchronous=True)
+    rt = MeshRuntime(config=load_config(config_text()))
     wl = Workload(pattern="open", rate_qps=300, duration_s=1.0, n_connections=1)
     out = {}
     t = threading.Thread(target=lambda: out.update(m=run_functional(rt, wl)[0]),

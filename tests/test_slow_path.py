@@ -144,7 +144,7 @@ def test_controller_ownership_exclusive():
 
 
 def test_runtime_table_ownership_layout():
-    rt = MeshRuntime(config=None, synchronous=True)
+    rt = MeshRuntime(config=None)
     assert rt.l2_table.owner == "ovs"
     for t in (rt.l3_table, rt.l4_table, rt.listener_table):
         assert t.owner == "connection"
@@ -157,7 +157,7 @@ def test_runtime_table_ownership_layout():
 
 def test_distribute_returns_epochs_and_installs_rules():
     cfg = load_config(config_text())
-    rt = MeshRuntime(config=None, synchronous=True)
+    rt = MeshRuntime(config=None)
     epochs = rt.distribute(cfg)
     assert epochs["listeners"] == 1
     assert epochs["filters"] == 1
@@ -172,7 +172,7 @@ def test_distribute_returns_epochs_and_installs_rules():
 
 
 def test_redistribute_removes_stale_entries():
-    rt = MeshRuntime(config=load_config(config_text()), synchronous=True)
+    rt = MeshRuntime(config=load_config(config_text()))
     old_key = make_listener_key("10.0.0.2", 8080)
     cfg2 = load_config(config_text(dip="10.0.0.3", dport=9090))
     epochs = rt.distribute(cfg2)
@@ -195,7 +195,7 @@ def make_frame(payload, flow=None, conn_id=1, seq=0):
 
 @pytest.fixture
 def runtime():
-    rt = MeshRuntime(config=load_config(config_text()), synchronous=True)
+    rt = MeshRuntime(config=load_config(config_text()))
     yield rt
     rt.shutdown()
 
@@ -217,7 +217,9 @@ def test_unknown_listener_404(runtime):
         make_frame(make_request(), flow, conn_id=5), "no_listener"
     )
     assert disp == "responded"
-    assert runtime.responses[-1] == (5, 404, "no_listener")
+    slow = runtime.stats_snapshot()["slow_path"]
+    assert slow["status.404"] == slow["reason.no_listener"] == 1
+    assert slow["responded"] == 1
 
 
 def test_no_route_dropped_with_reason(runtime):
@@ -236,7 +238,9 @@ def test_no_healthy_endpoint_503(runtime):
     runtime.distribute(runtime.config)
     flow = make_flow(sport=42000)
     runtime.fast_path.ingress(make_frame(make_request(b"/svc/a"), flow, conn_id=3))
-    assert (3, 503, "no_healthy_endpoint") in runtime.responses
+    slow = runtime.stats_snapshot()["slow_path"]
+    assert slow["status.503"] == slow["reason.no_healthy_endpoint"] == 1
+    assert slow["responded"] == 1
 
 
 def test_slow_path_frame_for_unconfigured_listener_dropped(runtime):
@@ -285,8 +289,7 @@ def test_idle_expiry_counts_from_last_activity():
     """A flow that delivers a request every 30 s is not idle: expiry counts
     from its last egress, not from when it opened."""
     now = [0]
-    rt = MeshRuntime(config=load_config(config_text()), synchronous=True,
-                     clock=lambda: now[0])
+    rt = MeshRuntime(config=load_config(config_text()), clock=lambda: now[0])
     flow = make_flow(sport=44100)
     seq = 0
     for t in (0, 30, 60):
@@ -299,6 +302,16 @@ def test_idle_expiry_counts_from_last_activity():
     rt.expire_idle(now=60 * 1_000_000_000 + IDLE_TIMEOUT_NS + 1)
     assert rt.conns[flow].state is ConnState.CLOSING
     rt.shutdown()
+
+
+def test_shutdown_closes_every_queue():
+    rt = MeshRuntime(config=load_config(config_text()))
+    for i in range(3):
+        rt.fast_path.ingress(
+            make_frame(make_request(b"/svc/a"), make_flow(sport=45100 + i)))
+    assert len(rt.vqs) == 3
+    rt.shutdown()
+    assert all(q.state is VqState.CLOSED for q in rt.vqs.values())
 
 
 def test_stats_snapshot_shape(runtime):
