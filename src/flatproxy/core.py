@@ -79,6 +79,13 @@ class FlowKey:
             raise ValueError("addresses must fit in 32 bits")
         if not 0 <= self.sport <= 0xFFFF or not 0 <= self.dport <= 0xFFFF:
             raise ValueError("ports must fit in 16 bits")
+        # hashed on every table lookup: hash once, on proto's `_value_`
+        # (Enum.__hash__ and `.value` run as Python code)
+        object.__setattr__(self, "_hash", hash(
+            (self.sip, self.sport, self.dip, self.dport, self.proto._value_)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_listener_key(self) -> bool:
@@ -146,14 +153,6 @@ class Metadata:
         self.http = None
 
 
-_KIND_ORDER = {
-    UnitKind.FRAME: 0,
-    UnitKind.PACKET: 1,
-    UnitKind.SEGMENT: 2,
-    UnitKind.MESSAGE: 3,
-}
-
-
 @dataclass
 class TrafficUnit:
     kind: UnitKind
@@ -163,8 +162,9 @@ class TrafficUnit:
     seq: int = 0  # L4 sequence offset, meaningful for SEGMENT only
 
     def advance(self, kind: UnitKind):
-        """Kind only moves upward within ingress processing."""
-        if _KIND_ORDER[kind] < _KIND_ORDER[self.kind]:
+        """Kind only moves upward within ingress processing; the UnitKind
+        values are in ingress order."""
+        if kind._value_ < self.kind._value_:
             raise ValueError(f"cannot demote {self.kind} to {kind}")
         self.kind = kind
 

@@ -46,6 +46,7 @@ from .match_action import (
     Ppm,
     proc,
     set_verdict,
+    traverse,
 )
 
 REORDER_BUFFER_SEGMENTS = 64
@@ -353,8 +354,9 @@ class FastPath:
         self.ctx = ExecContext(counters={})
         self.chain = l7_chain
         self.toe = ToeEngine()
-        self._l2_l4 = tuple(registry[pid] for pid in ("vswitch", "l3", "toe"))
-        self._l2_l4_tables = tuple(t for ppm in self._l2_l4 for t in ppm.tables)
+        l2_l4 = tuple(registry[pid] for pid in ("vswitch", "l3", "toe"))
+        self._l2_l4 = tuple(ppm.node for ppm in l2_l4)
+        self._l2_l4_tables = tuple(t for ppm in l2_l4 for t in ppm.tables)
         self.buffer_pool = buffer_pool
         self._results = []
         self._results_lock = threading.Lock()
@@ -374,10 +376,9 @@ class FastPath:
             raise ValueError("ingress takes FRAME units")
         self.ctx.bump("ingress")
         snaps = {t.name: t.current for t in self._l2_l4_tables}
-        for ppm in self._l2_l4:
-            ppm.apply(unit, self.ctx, snaps)
-            if unit.meta.verdict is not Verdict.CONTINUE:
-                return self._dispose(unit)
+        traverse(self._l2_l4, unit, self.ctx, snaps, [])
+        if unit.meta.verdict is not Verdict.CONTINUE:
+            return self._dispose(unit)
 
         # to_l7: reassemble, then run each completed message in order
         try:

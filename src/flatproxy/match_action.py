@@ -1,16 +1,19 @@
 """Extended match-action engine.
 
 A processing module (PPM) is <parser, (match, action)*>.  PPMs wire only
-to modules in the same or an adjacent network layer, and compiled chains
-are immutable so many workers can traverse them concurrently.  Rule
-tables are epoch-published: a traversal takes one snapshot of every table
-at its start and hands it to every matcher and action, so no traversal
-ever sees a half-applied update.
+to modules in the same or an adjacent network layer.  Each PPM is built
+once into an immutable node tuple, `Ppm.node`:
+`(ppm, id, parser or None, matcher, {action_ref: steps})`; a compiled
+chain is a tuple of them.  One function, `traverse`, runs every chain
+over its nodes: the compiled L7 chain, the fast path's vswitch/l3/toe
+pass and a PPM applied on its own.  Rule tables are epoch-published: a
+traversal takes one snapshot of every table at its start and hands it to
+every matcher and action, so no traversal ever sees a half-applied update.
 
 An action is a straight-line program of steps.  A step is a callable
 `step(ppm, unit, ctx, snaps)`; only emit("self") returns True, which
-re-feeds the PPM's own match stage.  A program stops after any step that
-leaves a terminal verdict.
+re-feeds the PPM's own match stage.  A traversal stops after any step
+that leaves a terminal verdict.
 """
 
 from __future__ import annotations
@@ -176,17 +179,13 @@ class Ppm:
     ):
         self.id = id
         self.layer = layer
-        self.parser = parser or (lambda unit, ctx: None)
         self.tables = tables or []
-        self.actions = dict(actions or {})
-        if DEFAULT_ACTION not in self.actions:
-            self.actions[DEFAULT_ACTION] = ActionProgram(
-                DEFAULT_ACTION, [set_verdict(Verdict.TO_SLOW_PATH)]
-            )
         if not self.tables and matcher is None:
             raise MatchActionError(f"ppm {id} needs at least one (table, action) pair")
-        self.matcher = matcher or self._table_match
         self.dsa_transform = dsa_transform  # pass-through payload transform stub
+        programs = {ref: tuple(p.steps) for ref, p in (actions or {}).items()}
+        programs.setdefault(DEFAULT_ACTION, (set_verdict(Verdict.TO_SLOW_PATH),))
+        self.node = (self, id, parser, matcher or self._table_match, programs)
 
     def _table_match(self, unit: TrafficUnit, snaps: dict) -> str:
         table = self.tables[0]
@@ -196,39 +195,48 @@ class Ppm:
         return table.lookup(key, snaps.get(table.name))
 
     def apply(self, unit: TrafficUnit, ctx: ExecContext, snaps: dict = None):
-        """Run parser then bounded match/action rounds on one unit.
-
-        `snaps` maps table name -> TableEpoch; a PPM applied on its own
-        snapshots its own tables.  Returns the list of ActionRefs fired,
-        in order.
-        """
+        """Traverse this PPM alone, by default on a snapshot of its own
+        tables.  Returns the list of ActionRefs fired, in order."""
         if snaps is None:
             snaps = {t.name: t.current for t in self.tables}
-        fired = []
-        self.parser(unit, ctx)
-        if unit.meta.verdict is not Verdict.CONTINUE:
-            return fired
-        for _ in range(REVISIT_BUDGET):
-            ref = self.matcher(unit, snaps)
-            fired.append(ref)
-            program = self.actions.get(ref)
-            if program is None:
-                raise MatchActionError(f"ppm {self.id}: unknown action {ref!r}")
-            again = self._run_program(program, unit, ctx, snaps)
-            if not again or unit.meta.verdict is not Verdict.CONTINUE:
-                return fired
-        unit.meta.set_verdict(Verdict.TO_SLOW_PATH, "revisit_budget")
-        ctx.bump("revisit_budget_exceeded")
-        return fired
+        trace = []
+        traverse((self.node,), unit, ctx, snaps, trace)
+        return [ref for _, ref in trace]
 
-    def _run_program(self, program: ActionProgram, unit, ctx, snaps) -> bool:
-        reemit = False
-        for step in program.steps:
-            if step(self, unit, ctx, snaps):
-                reemit = True
-            if unit.meta.verdict is not Verdict.CONTINUE:
+
+def traverse(nodes, unit: TrafficUnit, ctx: ExecContext, snaps: dict, trace: list):
+    """Run `unit` through `nodes`, on the table snapshots `snaps`, appending
+    (ppm_id, action_ref) to `trace` for every match.
+
+    Each node runs its parser, then match/action rounds: a round whose
+    steps emit("self") matches again, at most REVISIT_BUDGET times before
+    the unit goes to the slow path.  The traversal stops after any step
+    (or parser) that leaves a terminal verdict.
+    """
+    meta = unit.meta
+    for ppm, pid, parser, matcher, programs in nodes:
+        if parser is not None:
+            parser(unit, ctx)
+        if meta.verdict is not Verdict.CONTINUE:
+            return
+        for _ in range(REVISIT_BUDGET):
+            ref = matcher(unit, snaps)
+            trace.append((pid, ref))
+            steps = programs.get(ref)
+            if steps is None:
+                raise MatchActionError(f"ppm {pid}: unknown action {ref!r}")
+            again = False
+            for step in steps:
+                if step(ppm, unit, ctx, snaps):
+                    again = True
+                if meta.verdict is not Verdict.CONTINUE:
+                    return
+            if not again:
                 break
-        return reemit
+        else:
+            meta.set_verdict(Verdict.TO_SLOW_PATH, "revisit_budget")
+            ctx.bump("revisit_budget_exceeded")
+            return
 
 
 @dataclass
@@ -249,27 +257,18 @@ class ExecutableChain:
 
     def __init__(self, order: list, registry: dict):
         self.order = list(order)
-        self.nodes = tuple(registry[pid] for pid in self.order)
-        tables = {}
-        for node in self.nodes:
-            for t in node.tables:
-                tables.setdefault(t.name, t)
+        self.nodes = tuple(registry[pid].node for pid in self.order)
+        tables = {t.name: t for pid in self.order for t in registry[pid].tables}
         self._tables = tuple(tables.values())
 
     def execute(self, unit: TrafficUnit, ctx: ExecContext = None):
-        """Apply each node, on one snapshot of every table taken here,
-        until the verdict goes terminal.
+        """Traverse the chain on one snapshot of every table taken here.
 
         Returns (unit, trace) with trace = [(ppm_id, action_ref), ...].
         """
-        ctx = ctx or ExecContext(counters={})
         trace = []
         snaps = {t.name: t.current for t in self._tables}
-        for node in self.nodes:
-            fired = node.apply(unit, ctx, snaps)
-            trace.extend((node.id, ref) for ref in fired)
-            if unit.meta.verdict is not Verdict.CONTINUE:
-                break
+        traverse(self.nodes, unit, ctx or ExecContext(counters={}), snaps, trace)
         return unit, trace
 
 

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -65,6 +69,51 @@ def test_conn_key_injective(t1, t2):
     k1 = Metadata(flow=FlowKey(*t1)).flow
     k2 = Metadata(flow=FlowKey(*t2)).flow
     assert (k1 == k2) == (t1 == t2)
+
+
+def test_flow_key_hash_matches_equality():
+    a = FlowKey(0x01010101, 40000, 0x0A000002, 8080, Proto.TCP)
+    b = FlowKey(0x01010101, 40000, 0x0A000002, 8080, Proto.TCP)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    # a table keyed by one instance answers for an equal, separate one
+    assert {a: "l7"}[b] == "l7"
+    assert b in {a}
+
+
+def test_flow_key_proto_distinguishes():
+    tcp = FlowKey(0x01010101, 53, 0x0A000002, 53, Proto.TCP)
+    udp = FlowKey(0x01010101, 53, 0x0A000002, 53, Proto.UDP)
+    assert tcp != udp
+    assert len({tcp: 1, udp: 2}) == 2
+
+
+def test_flow_key_frozen_fields_and_repr():
+    key = make_flow()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        key.sport = 1
+    assert [f.name for f in dataclasses.fields(key)] == [
+        "sip", "sport", "dip", "dport", "proto"]
+    assert repr(FlowKey(1, 2, 3, 4)) == (
+        "FlowKey(sip=1, sport=2, dip=3, dport=4, proto=<Proto.TCP: 6>)")
+
+
+def test_flow_key_copy_and_pickle_keep_hash():
+    key = make_flow()
+    for other in (copy.copy(key), copy.deepcopy(key),
+                  pickle.loads(pickle.dumps(key))):
+        assert other == key
+        assert hash(other) == hash(key)
+        assert {key: 1}[other] == 1
+
+
+@pytest.mark.parametrize("fields", [
+    (-1, 0, 0, 0), (2**32, 0, 0, 0), (0, 0, 2**32, 0),
+    (0, -1, 0, 0), (0, 2**16, 0, 0), (0, 0, 0, 2**16),
+])
+def test_flow_key_range_validation(fields):
+    with pytest.raises(ValueError):
+        FlowKey(*fields)
 
 
 def test_verdict_terminal_sticks():

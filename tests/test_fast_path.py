@@ -346,3 +346,57 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
     assert second.meta.verdict is Verdict.DROP
     assert second.meta.verdict_reason == (
         "filter" if republish == "deny_all_filters" else "no_route")
+
+
+def test_l2_l4_traversal_keeps_snapshot_from_its_start(runtime, monkeypatch):
+    """The vswitch step publishes an "l7" entry for the frame's own flow
+    mid-traversal.  The toe step of that frame still matches on the
+    snapshot its traversal started with, so the frame goes to the slow
+    path as a new connection; the reinjected frame sees the entry."""
+    flow = make_flow(sport=48500)
+    l2_lookup = runtime.l2_table.lookup
+    published = []
+
+    def lookup(key, snap=None):
+        if not published:
+            published.append(runtime.conn_controller.publish(
+                runtime.l4_table, add={flow: "l7"}))
+        return l2_lookup(key, snap)
+
+    monkeypatch.setattr(runtime.l2_table, "lookup", lookup)
+    raw = make_request(b"/svc/a")
+    unit = frame(raw, flow=flow)
+    assert runtime.fast_path.ingress(unit) == "slow_path"
+    assert published
+    assert unit.meta.verdict is Verdict.TO_SLOW_PATH
+    assert unit.meta.verdict_reason == "new_connection"
+    slow = runtime.stats_snapshot()["slow_path"]
+    assert slow["reason.new_connection"] == 1
+    assert slow["reinjected"] == 1
+    qid = runtime.queue_table.lookup(flow)
+    assert runtime.vqs[qid].stub_fetch(runtime.stubs[qid]) == raw
+
+
+# -- hot path ----------------------------------------------------------------
+
+def test_hot_path_bypasses_ppm_apply(runtime, monkeypatch):
+    """Frames and messages run on the compiled node tuples; `Ppm.apply`,
+    the single-PPM entry, is never on the hot path."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"Ppm.apply({self.id}) on the hot path")
+
+    monkeypatch.setattr(Ppm, "apply", refuse)
+    flow = make_flow(sport=48600)
+    first = make_request(b"/svc/a", extra_headers=(b"X-Req: 1",))
+    second = make_request(b"/svc/b", extra_headers=(b"X-Req: 2",))
+    assert runtime.fast_path.ingress(frame(first, flow=flow)) == "slow_path"
+    assert runtime.fast_path.ingress(
+        frame(second, flow=flow, seq=len(first))) == "l7"
+    third = make_request(b"/svc/c", extra_headers=(b"X-Req: 3",))
+    unit, trace = runtime.fast_path.message(make_message(third, flow=flow))
+    assert unit.meta.verdict is Verdict.DELIVER
+    assert trace[-1] == ("http_deparser", "deparse")
+    qid = runtime.queue_table.lookup(flow)
+    q, stub = runtime.vqs[qid], runtime.stubs[qid]
+    assert [q.stub_fetch(stub) for _ in range(3)] == [first, second, third]

@@ -257,14 +257,68 @@ def test_execute_trace_and_stop_on_terminal():
     assert unit.meta.verdict is Verdict.DROP
 
 
+def test_chain_self_emit_budget_stops_later_nodes():
+    reg = layered_registry()
+    reg["loop"] = Ppm(
+        id="loop", layer=Layer.L7, tables=[MatchTable("loop_t", default="again")],
+        actions={"again": ActionProgram("again", [inc_counter("n"), emit("self")])},
+    )
+    chain = compile_chain(ChainSpec(["l7a", "loop", "l7b"]), reg)
+    ctx = ExecContext(counters={})
+    unit, trace = chain.execute(make_unit(), ctx)
+    assert unit.meta.verdict is Verdict.TO_SLOW_PATH
+    assert unit.meta.verdict_reason == "revisit_budget"
+    assert trace == [("l7a", "go")] + [("loop", "again")] * REVISIT_BUDGET
+    assert ctx.counters == {
+        "l7a": 1, "n": REVISIT_BUDGET, "revisit_budget_exceeded": 1}
+
+
+def test_chain_dsa_step_bumps_counter():
+    reg = layered_registry()
+    reg["dsa"] = Ppm(
+        id="dsa", layer=Layer.L7, tables=[MatchTable("dsa_t", default="go")],
+        actions={"go": ActionProgram("go", [emit("dsa")])},
+        dsa_transform=bytes.upper,
+    )
+    chain = compile_chain(ChainSpec(["l7a", "dsa", "l7b"]), reg)
+    ctx = ExecContext(counters={})
+    unit = make_unit()
+    unit.payload = b"abc"
+    unit, trace = chain.execute(unit, ctx)
+    assert unit.payload == b"ABC"
+    assert unit.meta.verdict is Verdict.CONTINUE
+    assert [pid for pid, _ in trace] == ["l7a", "dsa", "l7b"]
+    assert ctx.counters == {"l7a": 1, "dsa_invocations": 1, "l7b": 1}
+
+
+def test_chain_unknown_action_raises():
+    reg = layered_registry()
+    reg["bad"] = Ppm(id="bad", layer=Layer.L7,
+                     tables=[MatchTable("bad_t", default="missing")])
+    chain = compile_chain(ChainSpec(["l7a", "bad"]), reg)
+    with pytest.raises(MatchActionError):
+        chain.execute(make_unit())
+
+
 def test_chain_equals_sequential_application():
     """Chain execution is byte-for-byte the same as applying each PPM by
-    hand in order, across randomized payload/metadata."""
+    hand in order, across randomized payload/metadata and a randomly
+    placed terminal node; so is the (ppm_id, action_ref) trace."""
     rng = random.Random(42)
+    nodes = ["l2", "l3", "l4", "l7a", "l7b"]
     for _ in range(50):
+        stop = rng.choice(nodes + [None])
+        verdict = rng.choice([Verdict.DROP, Verdict.DELIVER, Verdict.TO_SLOW_PATH])
         reg_a = layered_registry()
         reg_b = layered_registry()
-        nodes = ["l2", "l3", "l4", "l7a", "l7b"]
+        if stop is not None:
+            for reg in (reg_a, reg_b):
+                reg[stop] = Ppm(
+                    id=stop, layer=reg[stop].layer,
+                    tables=[MatchTable(f"{stop}_t", default="stop")],
+                    actions={"stop": ActionProgram("stop", [
+                        inc_counter(stop), set_verdict(verdict, "stopped")])},
+                )
         chain = compile_chain(ChainSpec(nodes), reg_a)
         unit_a = make_unit()
         unit_b = make_unit()
@@ -272,11 +326,14 @@ def test_chain_equals_sequential_application():
         unit_a.payload = unit_b.payload = payload
         ctx_a = ExecContext(counters={})
         ctx_b = ExecContext(counters={})
-        chain.execute(unit_a, ctx_a)
+        _, trace_a = chain.execute(unit_a, ctx_a)
+        trace_b = []
         for pid in nodes:
             if unit_b.meta.verdict is not Verdict.CONTINUE:
                 break
-            reg_b[pid].apply(unit_b, ctx_b)
+            trace_b += [(pid, ref) for ref in reg_b[pid].apply(unit_b, ctx_b)]
         assert unit_a.payload == unit_b.payload
         assert unit_a.meta.verdict == unit_b.meta.verdict
+        assert unit_a.meta.verdict_reason == unit_b.meta.verdict_reason
         assert ctx_a.counters == ctx_b.counters
+        assert trace_a == trace_b
