@@ -175,6 +175,8 @@ class Endpoint:
     address: FlowKey  # destination half only (sip/sport zero)
     weight: int = 1
     healthy: bool = True
+    # open flows routed here; MeshRuntime keeps it, LEAST_CONN reads it
+    active_conns: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if self.weight < 0:

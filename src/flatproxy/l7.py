@@ -261,20 +261,11 @@ class Cluster:
     endpoints: list
     policy: LbPolicy = LbPolicy.ROUND_ROBIN
     rr_cursor: int = 0
-    active_conns: dict = field(default_factory=dict)
     _wrr_current: dict = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def selectable(self):
         return [e for e in self.endpoints if e.selectable]
-
-    def conn_opened(self, endpoint: Endpoint):
-        self.active_conns[endpoint.id] = self.active_conns.get(endpoint.id, 0) + 1
-
-    def conn_closed(self, endpoint_id: str):
-        n = self.active_conns.get(endpoint_id, 0)
-        if n > 0:
-            self.active_conns[endpoint_id] = n - 1
 
 
 def load_balance(cluster: Cluster, meta: Metadata = None) -> Endpoint:
@@ -290,7 +281,7 @@ def load_balance(cluster: Cluster, meta: Metadata = None) -> Endpoint:
         if cluster.policy is LbPolicy.WEIGHTED_RR:
             return _smooth_wrr(cluster, live)
         # LEAST_CONN; ties broken by endpoint id order
-        return min(live, key=lambda e: (cluster.active_conns.get(e.id, 0), e.id))
+        return min(live, key=lambda e: (e.active_conns, e.id))
 
 
 def _smooth_wrr(cluster: Cluster, live) -> Endpoint:
@@ -390,7 +381,6 @@ def route(
         except ConnectFailure:
             meta.set_verdict(Verdict.TO_SLOW_PATH, "connect_failure")
             return result
-        cluster.conn_opened(endpoint)
         queues.bind(ckey, queue_id)
     meta.bind_queue(queue_id)
     return result

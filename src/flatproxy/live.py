@@ -7,7 +7,8 @@ message through -- so live traffic shares the chain, counters, VQ egress
 and slow path.  Accepting a connection installs nothing in the L4 table:
 the requests arrive as MESSAGE units, which the toe PPM passes through
 without a lookup.  A route's upstream connection is a LiveQueue in
-`runtime.vqs`, with the VirtQueue tx-deliver / rx-collect surface.  One
+`runtime.vqs`, with the VirtQueue tx-deliver / rx-collect surface; the
+flow's record holds it until the client goes and `close_flow` runs.  One
 acceptor, one thread per client connection, a single control path for
 config reloads.
 """

@@ -6,9 +6,11 @@ the OVS controller owns the L2 table, the connection controller owns the
 L3/L4 and listener tables, and the message controller owns the L7 rule
 tables.  Only a table's owning controller ever publishes to it.
 
-The slow path itself handles first packets: it creates connection
-records, binds virtualization queues, installs L4 entries, and reinjects
-the triggering unit into the fast path.
+The slow path itself handles first packets: it installs L4 entries and
+TOE state and reinjects the triggering unit into the fast path.  A flow
+has a connection record exactly while it holds something -- an L4 entry,
+TOE state, a queue or an endpoint's LB count -- and `close_flow`, called
+on idle expiry and on a live client's disconnect, releases all of it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Optional
 
@@ -270,34 +271,14 @@ def http_status(verdict: Verdict, reason: Optional[str]) -> int:
 # ---------------------------------------------------------------------------
 # Connection records
 
-class ConnState(Enum):
-    OPENING = "opening"
-    OPEN = "open"
-    CLOSING = "closing"
-    CLOSED = "closed"
-
-
-_CONN_TRANSITIONS = {
-    ConnState.OPENING: {ConnState.OPEN},
-    ConnState.OPEN: {ConnState.CLOSING},
-    ConnState.CLOSING: {ConnState.CLOSED},
-    ConnState.CLOSED: set(),
-}
-
-
 @dataclass
 class ConnRecord:
-    conn_key: FlowKey
-    endpoint: Optional[Endpoint] = None
-    vq: Optional[int] = None
-    state: ConnState = ConnState.OPENING
-    created_at: int = 0
-    last_active: int = 0
+    """An open flow: the endpoint whose LB count it holds (None until it
+    routes) and when it was last active.  A record is in `MeshRuntime.conns`
+    exactly while its flow is open; `close_flow` removes it."""
 
-    def transition(self, new: ConnState):
-        if new not in _CONN_TRANSITIONS[self.state]:
-            raise ValueError(f"illegal transition {self.state} -> {new}")
-        self.state = new
+    endpoint: Optional[Endpoint] = None
+    last_active: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +346,7 @@ class MeshRuntime:
             self.l2_table, self.l3_table, self.l4_table, self.listener_table,
             self.filter_table, self.route_table, self.cluster_table,
             self.buffer_pool, self.queue_table,
-            connector=lambda ep, meta: self._connector(ep, meta),
+            connector=self._connect,
         )
 
         self.config = config
@@ -430,25 +411,33 @@ class MeshRuntime:
         return epochs
 
     # -- connection management --------------------------------------------
-    def _default_connect(self, endpoint: Endpoint, meta: Metadata) -> int:
-        """Establish a connection: ConnRecord plus a bound VirtQueue."""
+    def _record(self, key: FlowKey) -> ConnRecord:
+        """The flow's record, made active as of now if it has none; called
+        wherever a flow starts to hold something."""
         with self._lock:
-            key = meta.flow
-            record = self.conns.get(key)
-            if record is not None and record.state is ConnState.OPEN:
-                return record.vq
-            now = self.clock()
-            record = ConnRecord(conn_key=key, endpoint=endpoint,
-                                created_at=now, last_active=now)
-            stub = ServiceStub(tenant=f"svc:{endpoint.id}")
-            q = VirtQueue(tenant=stub.tenant)
-            q.bind(stub)
-            record.vq = q.id
-            record.transition(ConnState.OPEN)
-            self.conns[key] = record
-            self.vqs[q.id] = q
-            self.stubs[q.id] = stub
-            return q.id
+            rec = self.conns.get(key)
+            if rec is None:
+                rec = self.conns[key] = ConnRecord(last_active=self.clock())
+            return rec
+
+    def _connect(self, endpoint: Endpoint, meta: Metadata) -> int:
+        """The router's connector: the transport connector builds the
+        queue, then the flow's record takes the endpoint and its LB count."""
+        qid = self._connector(endpoint, meta)
+        with self._lock:
+            self._record(meta.flow).endpoint = endpoint
+            endpoint.active_conns += 1
+        return qid
+
+    def _default_connect(self, endpoint: Endpoint, meta: Metadata) -> int:
+        """The in-process transport connector: a VirtQueue bound to a fresh
+        ServiceStub, registered in `vqs` and `stubs`."""
+        stub = ServiceStub(tenant=f"svc:{endpoint.id}")
+        q = VirtQueue(tenant=stub.tenant)
+        q.bind(stub)
+        self.vqs[q.id] = q
+        self.stubs[q.id] = stub
+        return q.id
 
     def _vq_egress(self, unit: TrafficUnit):
         """Never blocks: a full TX ring loses the message, which is counted
@@ -466,8 +455,13 @@ class MeshRuntime:
                 self.fast_path.ctx.bump("ring_full")
 
     def close_flow(self, key: FlowKey):
-        """Release a flow's queue binding, L4 entry, queue (closed), stub and
-        TOE state; its ConnRecord, if any, is the caller's to move on."""
+        """The one path that releases a flow: its record and the LB count
+        the record holds on its endpoint, queue binding, L4 entry, queue
+        (closed), stub and TOE state."""
+        with self._lock:
+            rec = self.conns.pop(key, None)
+            if rec is not None and rec.endpoint is not None:
+                rec.endpoint.active_conns -= 1
         qid = self.queue_table.lookup(key)
         self.queue_table.remove(key)
         if key in self.l4_table.current.entries:  # live flows have none
@@ -503,20 +497,22 @@ class MeshRuntime:
         return "dropped"
 
     def _handle_new_connection(self, unit: TrafficUnit) -> str:
-        if self.config is None:
-            self._count("dropped")
-            return "dropped"
-        lkey = make_listener_key(unit.meta.flow.dip, unit.meta.flow.dport,
-                                 unit.meta.flow.proto)
-        if lkey not in {l.key for l in self.config.listeners}:
+        """First packet of a flow to a published listener: make its record,
+        install its L4 entry and TOE state, and reinject the frame.
+
+        The TOE state opens at seq 0.  A flow that resumes after expiry, its
+        first segment now at seq > 0, cannot be told from a first pair that
+        arrived swapped, so its segments wait in the reorder buffer -- up to
+        REORDER_BUFFER_SEGMENTS, counted `buffered`, then dropped as
+        `out_of_window` -- and the next `expire_idle` past its idle timeout
+        releases it like any other idle flow.
+        """
+        key = unit.meta.flow
+        lkey = make_listener_key(key.dip, key.dport, key.proto)
+        if lkey not in self.listener_table.current.entries:
             self._count("drop.no_listener")
             return "dropped"
-        key = unit.meta.flow
-        with self._lock:
-            if key not in self.conns:
-                now = self.clock()
-                rec = ConnRecord(conn_key=key, created_at=now, last_active=now)
-                self.conns[key] = rec
+        self._record(key)
         self.conn_controller.publish(self.l4_table, add={key: "l7"})
         # open the TOE state with the entry, as close_flow closes both, so a
         # first segment that arrives out of order waits for the ones before it
@@ -536,21 +532,20 @@ class MeshRuntime:
         return "reinjected"
 
     def expire_idle(self, now: int = None):
-        """Idle connections move to CLOSING and release their flow."""
+        """Close every flow idle for longer than IDLE_TIMEOUT_NS."""
         now = now if now is not None else self.clock()
-        for key, rec in list(self.conns.items()):
-            if rec.state is ConnState.OPEN and now - rec.last_active > IDLE_TIMEOUT_NS:
-                rec.transition(ConnState.CLOSING)
-                self.close_flow(key)
+        with self._lock:
+            idle = [key for key, rec in self.conns.items()
+                    if now - rec.last_active > IDLE_TIMEOUT_NS]
+        for key in idle:
+            self.close_flow(key)
 
     # -- statistics --------------------------------------------------------
     def stats_snapshot(self) -> dict:
         """Point-in-time counters document; never blocks the fast path."""
         with self._lock:
             slow = dict(self.slow_counters)
-            conn_states = {}
-            for rec in self.conns.values():
-                conn_states[rec.state.value] = conn_states.get(rec.state.value, 0) + 1
+            open_conns = len(self.conns)
         fast = self.fast_path.counters()
         epochs = {
             t.name: t.epoch
@@ -568,7 +563,7 @@ class MeshRuntime:
             "slow_path": slow,
             "table_epochs": epochs,
             "endpoint_assignments": endpoints,
-            "connections": conn_states,
+            "connections": {"open": open_conns},
         }
 
     def shutdown(self):

@@ -234,11 +234,11 @@ def test_least_conn_prefers_idle_and_breaks_ties_by_id():
     cluster = Cluster(ref="c", endpoints=eps, policy=LbPolicy.LEAST_CONN)
     first = load_balance(cluster)
     assert first.id == "ep-0"  # all zero, lowest id
-    cluster.conn_opened(eps[0])
+    eps[0].active_conns += 1
     assert load_balance(cluster).id == "ep-1"
-    cluster.conn_opened(eps[1])
+    eps[1].active_conns += 1
     assert load_balance(cluster).id == "ep-2"
-    cluster.conn_closed("ep-0")
+    eps[0].active_conns -= 1
     assert load_balance(cluster).id == "ep-0"
 
 

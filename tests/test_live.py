@@ -93,12 +93,17 @@ def test_live_client_close_releases_upstream(proxy):
         s.sendall(make_request(b"/svc/a"))
         assert HttpReader(s.recv).read().startswith(b"HTTP/1.1 200")
         (lq,) = proxy.runtime.vqs.values()
+        assert proxy.runtime.stats_snapshot()["connections"] == {"open": 1}
     deadline = time.monotonic() + 5
     while proxy.runtime.vqs and time.monotonic() < deadline:
         time.sleep(0.01)
     assert proxy.runtime.vqs == {}
     assert len(proxy.runtime.queue_table) == 0
     assert lq.sock.fileno() == -1
+    # the flow's record and its endpoint's LB count go with it
+    assert proxy.runtime.conns == {}
+    endpoints = [e for c in proxy.runtime.config.clusters for e in c.endpoints]
+    assert [e.active_conns for e in endpoints] == [0]
     # live flows are never installed in the L4 table, nor removed from it
     assert proxy.runtime.l4_table.epoch == 0
 

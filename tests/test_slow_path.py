@@ -1,13 +1,14 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flatproxy import slow_path
 from flatproxy.core import Metadata, TrafficUnit, UnitKind, make_listener_key
+from flatproxy.fast_path import REORDER_BUFFER_SEGMENTS
 from flatproxy.l7 import Decision, LbPolicy, MatchKind
 from flatproxy.slow_path import (
     ConfigError,
-    ConnRecord,
-    ConnState,
     Controller,
     DanglingClusterRef,
     IDLE_TIMEOUT_NS,
@@ -114,20 +115,6 @@ def test_missing_chain_defaults():
                                "http_deparser"]
 
 
-# -- connection records ------------------------------------------------------
-
-def test_conn_state_machine():
-    rec = ConnRecord(conn_key=make_flow())
-    assert rec.state is ConnState.OPENING
-    rec.transition(ConnState.OPEN)
-    with pytest.raises(ValueError):
-        rec.transition(ConnState.OPENING)
-    rec.transition(ConnState.CLOSING)
-    rec.transition(ConnState.CLOSED)
-    with pytest.raises(ValueError):
-        rec.transition(ConnState.OPEN)
-
-
 # -- controllers and ownership -----------------------------------------------
 
 def test_controller_ownership_exclusive():
@@ -204,8 +191,7 @@ def test_new_connection_installs_and_reinjects(runtime):
     flow = make_flow()
     runtime.fast_path.ingress(make_frame(make_request(b"/svc/a"), flow))
     assert runtime.l4_table.lookup(flow) != runtime.l4_table.default
-    rec = runtime.conns[flow]
-    assert rec.state in (ConnState.OPENING, ConnState.OPEN)
+    assert runtime.conns[flow].endpoint is not None
     snap = runtime.stats_snapshot()
     assert snap["slow_path"]["reinjected"] == 1
     assert snap["fast_path"]["msg_egress"] == 1
@@ -254,35 +240,34 @@ def test_connection_end_to_end_uses_vq(runtime):
     flow = make_flow(sport=43000)
     raw = make_request(b"/svc/a", body=b"ping")
     runtime.fast_path.ingress(make_frame(raw, flow))
-    rec = runtime.conns[flow]
-    q = runtime.vqs[rec.vq]
-    stub = runtime.stubs[rec.vq]
-    assert q.stub_fetch(stub) == raw
-    assert rec.endpoint is not None
+    qid = runtime.queue_table.lookup(flow)
+    assert runtime.vqs[qid].stub_fetch(runtime.stubs[qid]) == raw
+    assert runtime.conns[flow].endpoint is not None
 
 
 def test_expire_idle_closes_and_uninstalls(runtime):
     flow = make_flow(sport=44000)
     runtime.fast_path.ingress(make_frame(make_request(b"/svc/a"), flow))
     rec = runtime.conns[flow]
-    assert rec.state is ConnState.OPEN
     now = rec.last_active + IDLE_TIMEOUT_NS + 1
-    q = runtime.vqs[rec.vq]
+    qid = runtime.queue_table.lookup(flow)
+    q = runtime.vqs[qid]
     runtime.expire_idle(now=now)
-    assert rec.state is ConnState.CLOSING
+    assert flow not in runtime.conns
+    assert rec.endpoint.active_conns == 0
     assert runtime.l4_table.lookup(flow) == runtime.l4_table.default
     assert runtime.queue_table.lookup(flow) is None
     # the flow's queue, stub and TOE state are released too
-    assert rec.vq not in runtime.vqs
-    assert rec.vq not in runtime.stubs
+    assert qid not in runtime.vqs
+    assert qid not in runtime.stubs
     assert flow not in runtime.fast_path.toe.connections
     assert q.state is VqState.CLOSED
     # the 4-tuple connecting again gets a fresh queue, not the closed one
     raw = make_request(b"/svc/a")
     runtime.fast_path.ingress(make_frame(raw, flow))
-    new = runtime.conns[flow]
-    assert new.vq != rec.vq
-    assert runtime.vqs[new.vq].stub_fetch(runtime.stubs[new.vq]) == raw
+    new_qid = runtime.queue_table.lookup(flow)
+    assert new_qid != qid
+    assert runtime.vqs[new_qid].stub_fetch(runtime.stubs[new_qid]) == raw
 
 
 def test_idle_expiry_counts_from_last_activity():
@@ -298,9 +283,13 @@ def test_idle_expiry_counts_from_last_activity():
         rt.fast_path.ingress(make_frame(raw, flow, seq=seq))
         seq += len(raw)
     rt.expire_idle(now=90 * 1_000_000_000)
-    assert rt.conns[flow].state is ConnState.OPEN
+    assert flow in rt.conns
+    assert rt.queue_table.lookup(flow) is not None
+    endpoint = rt.conns[flow].endpoint
     rt.expire_idle(now=60 * 1_000_000_000 + IDLE_TIMEOUT_NS + 1)
-    assert rt.conns[flow].state is ConnState.CLOSING
+    assert flow not in rt.conns
+    assert rt.queue_table.lookup(flow) is None
+    assert endpoint.active_conns == 0
     rt.shutdown()
 
 
@@ -327,3 +316,174 @@ def test_stats_snapshot_shape(runtime):
     # round robin over two endpoints
     assert sorted(snap["endpoint_assignments"].values()) == [2, 2]
     assert snap["table_epochs"]["l4_flows"] >= 4
+
+
+# -- flow lifecycle ----------------------------------------------------------
+
+S = 1_000_000_000
+
+MALFORMED = b"BOGUS\r\nHost: x\r\n\r\n"
+REQUESTS = {
+    "allowed": make_request(b"/svc/a"),
+    "denied": make_request(b"/admin/x"),
+    "unrouted": make_request(b"/missing"),
+    "malformed": MALFORMED,
+}
+
+
+def clocked_runtime(text=None):
+    now = [0]
+    rt = MeshRuntime(config=load_config(text or config_text()),
+                     clock=lambda: now[0])
+    return rt, now
+
+
+def endpoints_of(*configs):
+    return [e for cfg in configs for c in cfg.clusters for e in c.endpoints]
+
+
+def assert_released(rt, endpoints):
+    """Nothing a flow takes is left: records, tables, queues, TOE state,
+    buffers and LB counts."""
+    assert rt.conns == {}
+    assert rt.vqs == {} and rt.stubs == {}
+    assert len(rt.queue_table) == 0
+    assert rt.l4_table.current.entries == {}
+    assert rt.fast_path.toe.connections == {}
+    assert len(rt.buffer_pool) == 0
+    assert [e.active_conns for e in endpoints] == [0] * len(endpoints)
+
+
+def test_each_new_flow_makes_one_record(monkeypatch):
+    made = []
+    real = slow_path.ConnRecord
+
+    def counting(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(slow_path, "ConnRecord", counting)
+    rt, _ = clocked_runtime()
+    for i in range(100):
+        rt.fast_path.ingress(
+            make_frame(make_request(b"/svc/a"), make_flow(sport=46000 + i)))
+    assert len(made) == len(rt.conns) == 100
+    assert all(rec.endpoint is not None for rec in rt.conns.values())
+    assert sum(e.active_conns for e in endpoints_of(rt.config)) == 100
+    rt.shutdown()
+
+
+def test_flows_that_never_connect_are_released_on_expiry():
+    rt, now = clocked_runtime()
+    kinds = ("denied", "unrouted", "malformed")
+    for i in range(99):
+        rt.fast_path.ingress(make_frame(REQUESTS[kinds[i % 3]],
+                                        make_flow(sport=47000 + i)))
+    assert len(rt.conns) == len(rt.l4_table.current.entries) == 99
+    assert len(rt.fast_path.toe.connections) == 99
+    assert rt.vqs == {}
+    now[0] = IDLE_TIMEOUT_NS + 1
+    rt.expire_idle()
+    assert_released(rt, endpoints_of(rt.config))
+    rt.shutdown()
+
+
+def test_least_conn_counts_drop_when_flows_close():
+    """A and C (on backend-0) expire while B (backend-1) stays active, so
+    the next flow D goes to backend-0: the counts are of open flows."""
+    rt, now = clocked_runtime(config_text(policy="LEAST_CONN"))
+    flows = {name: make_flow(sport=48000 + i) for i, name in enumerate("ABCD")}
+    raw = make_request(b"/svc/a")
+
+    def send(name, seq=0):
+        rt.fast_path.ingress(make_frame(raw, flows[name], seq=seq))
+        return rt.conns[flows[name]].endpoint.id
+
+    assert [send("A"), send("B"), send("C")] == [
+        "backend-0", "backend-1", "backend-0"]
+    now[0] = 30 * S
+    send("B", seq=len(raw))
+    now[0] = IDLE_TIMEOUT_NS + 1
+    rt.expire_idle()
+    assert send("D") == "backend-0"
+    assert set(rt.conns) == {flows["B"], flows["D"]}
+    now[0] = 10 * IDLE_TIMEOUT_NS
+    rt.expire_idle()
+    assert_released(rt, endpoints_of(rt.config))
+    rt.shutdown()
+
+
+def test_flow_resumed_after_expiry_is_held_then_released():
+    """A flow resuming mid-stream after expiry looks like a swapped first
+    pair: its segments wait in the reorder buffer, those past it are dropped
+    as out_of_window, and the next expiry releases the flow."""
+    rt, now = clocked_runtime()
+    flow = make_flow(sport=49000)
+    raw = make_request(b"/svc/a")
+    rt.fast_path.ingress(make_frame(raw, flow))
+    now[0] = IDLE_TIMEOUT_NS + 1
+    rt.expire_idle()
+    assert flow not in rt.conns
+    for i in range(1, REORDER_BUFFER_SEGMENTS + 3):
+        rt.fast_path.ingress(make_frame(raw, flow, seq=i * len(raw)))
+    c = rt.fast_path.counters()
+    assert c["buffered"] == REORDER_BUFFER_SEGMENTS
+    assert c["dropped"] == 2
+    assert c["msg_egress"] == 1  # the request before expiry, nothing after
+    assert rt.vqs == {}
+    assert flow in rt.conns
+    rt.expire_idle()  # not idle for a full timeout since it resumed
+    assert flow in rt.conns
+    now[0] = 2 * IDLE_TIMEOUT_NS + 2
+    rt.expire_idle()
+    assert_released(rt, endpoints_of(rt.config))
+    rt.shutdown()
+
+
+_FLOWS = [make_flow(sport=50000 + i) for i in range(4)]
+_STEPS = st.one_of(
+    st.tuples(st.just("send"), st.integers(0, len(_FLOWS) - 1),
+              st.sampled_from(sorted(REQUESTS))),
+    st.tuples(st.just("expire"), st.sampled_from([1, 30, 61])),
+    st.tuples(st.just("close"), st.integers(0, len(_FLOWS) - 1)),
+    st.tuples(st.just("reload"), st.booleans()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(_STEPS, max_size=40))
+def test_flow_lifecycle_property(steps):
+    """Over any sequence of sends, expiries, closes and reloads, only open
+    flows hold state, each endpoint's count is the records routed to it,
+    and expiry past every timeout releases everything."""
+    rt, now = clocked_runtime()
+    configs = [rt.config]
+    seqs = [0] * len(_FLOWS)
+    for step in steps:
+        if step[0] == "send":
+            _, i, kind = step
+            rt.fast_path.ingress(make_frame(REQUESTS[kind], _FLOWS[i], seq=seqs[i]))
+            seqs[i] += len(REQUESTS[kind])
+        elif step[0] == "expire":
+            now[0] += step[1] * S
+            rt.expire_idle()
+        elif step[0] == "close":
+            rt.close_flow(_FLOWS[step[1]])
+            seqs[step[1]] = 0  # the client opens the 4-tuple afresh
+        else:
+            if step[1]:  # fresh Endpoint objects; old flows keep theirs
+                configs.append(load_config(config_text()))
+            rt.distribute(configs[-1])
+        for flow in _FLOWS:
+            if flow not in rt.conns:
+                assert rt.queue_table.lookup(flow) is None
+                assert flow not in rt.l4_table.current.entries
+                assert flow not in rt.fast_path.toe.connections
+        assert len(rt.vqs) == len(rt.stubs) == len(rt.queue_table)
+        assert len(rt.buffer_pool) == 0
+        assert sum(e.active_conns for e in endpoints_of(*configs)) == sum(
+            rec.endpoint is not None for rec in rt.conns.values())
+    now[0] += IDLE_TIMEOUT_NS + 1
+    rt.expire_idle()
+    assert_released(rt, endpoints_of(*configs))
+    rt.shutdown()
