@@ -11,7 +11,7 @@ from .core import (
     Verdict,
     make_listener_key,
 )
-from .match_action import ChainSpec, MatchTable, Ppm, compile_chain
+from .match_action import MatchTable, Ppm, compile_chain
 from .slow_path import MeshConfig, MeshRuntime, load_config
 from .sim import Mode, Workload, builtin_cost_models, compare_modes, run_sim
 

@@ -38,7 +38,6 @@ from .l7 import (
 )
 from .match_action import (
     DEFAULT_ACTION,
-    ActionProgram,
     ExecContext,
     ExecutableChain,
     Layer,
@@ -72,7 +71,7 @@ def make_l2_vswitch(l2_table: MatchTable) -> Ppm:
         parser=parser,
         tables=[l2_table],
         matcher=matcher,
-        actions={"forward": ActionProgram("forward", [])},
+        actions={"forward": []},
     )
 
 
@@ -91,7 +90,7 @@ def make_l3(l3_table: MatchTable) -> Ppm:
         parser=parser,
         tables=[l3_table],
         matcher=matcher,
-        actions={"forward": ActionProgram("forward", [])},
+        actions={"forward": []},
     )
 
 
@@ -121,14 +120,9 @@ def make_toe(l4_table: MatchTable) -> Ppm:
         tables=[l4_table],
         matcher=matcher,
         actions={
-            "to_l7": ActionProgram("to_l7", []),
-            "forward_vq": ActionProgram(
-                "forward_vq", [set_verdict(Verdict.DELIVER, "l4_forward")]
-            ),
-            DEFAULT_ACTION: ActionProgram(
-                DEFAULT_ACTION,
-                [set_verdict(Verdict.TO_SLOW_PATH, "new_connection")],
-            ),
+            "to_l7": [],
+            "forward_vq": [set_verdict(Verdict.DELIVER, "l4_forward")],
+            DEFAULT_ACTION: [set_verdict(Verdict.TO_SLOW_PATH, "new_connection")],
         },
     )
 
@@ -146,7 +140,7 @@ def make_http_parser(pool: BufferPool) -> Ppm:
         layer=Layer.L7,
         parser=parser,
         matcher=matcher,
-        actions={"parsed": ActionProgram("parsed", [])},
+        actions={"parsed": []},
     )
 
 
@@ -165,7 +159,7 @@ def make_filter(filter_table: MatchTable) -> Ppm:
         layer=Layer.L7,
         tables=[filter_table],
         matcher=matcher,
-        actions={"evaluate": ActionProgram("evaluate", [proc(filter_proc)])},
+        actions={"evaluate": [proc(filter_proc)]},
     )
 
 
@@ -197,7 +191,7 @@ def make_router(
         layer=Layer.L7,
         tables=[listener_table, route_table, cluster_table],
         matcher=matcher,
-        actions={"route": ActionProgram("route", [proc(route_proc)])},
+        actions={"route": [proc(route_proc)]},
     )
 
 
@@ -217,7 +211,7 @@ def make_http_deparser(pool: BufferPool) -> Ppm:
         id="http_deparser",
         layer=Layer.L7,
         matcher=matcher,
-        actions={"deparse": ActionProgram("deparse", [proc(deparse_proc)])},
+        actions={"deparse": [proc(deparse_proc)]},
     )
 
 

@@ -111,7 +111,9 @@ class EchoStub:
 
 
 class LiveQueue:
-    """Socket-backed stand-in for a VirtQueue, same transfer surface."""
+    """Socket-backed stand-in for a VirtQueue, same transfer surface.  One
+    thread owns it: the client thread of the flow it was opened for is the
+    only one that delivers to it and collects from it, so it takes no lock."""
 
     _ids = itertools.count(10_000)
 
@@ -119,17 +121,14 @@ class LiveQueue:
         self.id = next(LiveQueue._ids)
         self.sock = sock
         self.reader = HttpReader(sock.recv)
-        self.lock = threading.Lock()
 
-    def tx_deliver(self, data: bytes, block: bool = True, timeout=None):
-        """`block` and `timeout` match VirtQueue.tx_deliver; a socket send
-        is bounded by the socket's own timeout and never raises RingFull."""
-        with self.lock:
-            self.sock.sendall(data)
+    def tx_deliver(self, data: bytes):
+        """A socket send, bounded by the socket's own timeout; it never
+        raises RingFull."""
+        self.sock.sendall(data)
 
     def rx_collect(self) -> bytes:
-        with self.lock:
-            return self.reader.read()
+        return self.reader.read()
 
     def close(self):
         try:

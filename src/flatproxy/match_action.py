@@ -10,15 +10,16 @@ pass and a PPM applied on its own.  Rule tables are epoch-published: a
 traversal takes one snapshot of every table at its start and hands it to
 every matcher and action, so no traversal ever sees a half-applied update.
 
-An action is a straight-line program of steps.  A step is a callable
+A chain is an ordered list of PPM ids, none repeated.  Every PPM names
+its matcher, `matcher(unit, snaps) -> action_ref`, and gives each action
+as a plain list of steps.  A step is a callable
 `step(ppm, unit, ctx, snaps)`; only emit("self") returns True, which
-re-feeds the PPM's own match stage.  A traversal stops after any step
-that leaves a terminal verdict.
+re-feeds the PPM's own match stage, at most REVISIT_BUDGET times.  A
+traversal stops after any step that leaves a terminal verdict.
 """
 
 from __future__ import annotations
 
-import graphlib
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,10 +40,6 @@ class UnknownPpm(MatchActionError):
 
 
 class LayerAdjacencyViolation(MatchActionError):
-    pass
-
-
-class CycleDetected(MatchActionError):
     pass
 
 
@@ -76,9 +73,8 @@ class MatchTable:
     to publishes.  Publishes must come from the single owning controller.
     """
 
-    def __init__(self, name: str, key_schema=(), default: str = DEFAULT_ACTION):
+    def __init__(self, name: str, default: str = DEFAULT_ACTION):
         self.name = name
-        self.key_schema = tuple(key_schema)
         self.default = default
         self.current = TableEpoch(epoch=0, entries={})
         self.owner: Optional[str] = None
@@ -86,9 +82,6 @@ class MatchTable:
     @property
     def epoch(self) -> int:
         return self.current.epoch
-
-    def snapshot(self) -> TableEpoch:
-        return self.current
 
     def lookup(self, key, snap: TableEpoch = None):
         snap = snap or self.current
@@ -118,11 +111,9 @@ def set_verdict(verdict, reason=None):
     return lambda ppm, unit, ctx, snaps: unit.meta.set_verdict(verdict, reason)
 
 
-def emit(target="next"):
-    """Targets: "next" is implicit chain order, "self" re-feeds this PPM's
-    match stage, "dsa" runs the PPM's cost-bearing pass-through transform."""
-    if target == "next":
-        return lambda ppm, unit, ctx, snaps: None
+def emit(target):
+    """Targets: "self" re-feeds this PPM's match stage, "dsa" runs the
+    PPM's cost-bearing pass-through transform."""
     if target == "self":
         return lambda ppm, unit, ctx, snaps: True
     if target != "dsa":
@@ -146,15 +137,6 @@ def proc(fn):
 
 
 @dataclass
-class ActionProgram:
-    """Straight-line program over Metadata; no internal loops.  Re-entry
-    happens only via an explicit emit("self"), bounded by REVISIT_BUDGET."""
-
-    id: str
-    steps: list = field(default_factory=list)
-
-
-@dataclass
 class ExecContext:
     counters: dict
     _lock: "threading.Lock" = field(default_factory=lambda: threading.Lock())
@@ -165,7 +147,10 @@ class ExecContext:
 
 
 class Ppm:
-    """Protocol processing module: one parser, >=1 (table, action) pairs."""
+    """Protocol processing module: an optional parser, a required matcher
+    `matcher(unit, snaps) -> action_ref` over the snapshots of `tables`,
+    and `actions`, `{action_ref: [steps]}`.  DEFAULT_ACTION, unless given,
+    sends the unit to the slow path."""
 
     def __init__(
         self,
@@ -177,22 +162,15 @@ class Ppm:
         matcher: Callable = None,
         dsa_transform: Callable = None,
     ):
+        if matcher is None:
+            raise MatchActionError(f"ppm {id} needs a matcher")
         self.id = id
         self.layer = layer
         self.tables = tables or []
-        if not self.tables and matcher is None:
-            raise MatchActionError(f"ppm {id} needs at least one (table, action) pair")
         self.dsa_transform = dsa_transform  # pass-through payload transform stub
-        programs = {ref: tuple(p.steps) for ref, p in (actions or {}).items()}
+        programs = {ref: tuple(steps) for ref, steps in (actions or {}).items()}
         programs.setdefault(DEFAULT_ACTION, (set_verdict(Verdict.TO_SLOW_PATH),))
-        self.node = (self, id, parser, matcher or self._table_match, programs)
-
-    def _table_match(self, unit: TrafficUnit, snaps: dict) -> str:
-        table = self.tables[0]
-        key = tuple(getattr(unit.meta, f) for f in table.key_schema)
-        if len(key) == 1:
-            key = key[0]
-        return table.lookup(key, snaps.get(table.name))
+        self.node = (self, id, parser, matcher, programs)
 
     def apply(self, unit: TrafficUnit, ctx: ExecContext, snaps: dict = None):
         """Traverse this PPM alone, by default on a snapshot of its own
@@ -239,19 +217,6 @@ def traverse(nodes, unit: TrafficUnit, ctx: ExecContext, snaps: dict, trace: lis
             return
 
 
-@dataclass
-class ChainSpec:
-    """Node ids plus directed edges; edges default to linear order."""
-
-    nodes: list
-    edges: list = None  # list[(src, dst)]; None -> consecutive nodes
-
-    def resolved_edges(self):
-        if self.edges is not None:
-            return list(self.edges)
-        return list(zip(self.nodes, self.nodes[1:]))
-
-
 class ExecutableChain:
     """Immutable traversal order over registered PPMs."""
 
@@ -272,36 +237,17 @@ class ExecutableChain:
         return unit, trace
 
 
-def compile_chain(spec: ChainSpec, registry: dict) -> ExecutableChain:
-    """Validate layer adjacency and acyclicity, return the executable.
-
-    Self-edges (a node re-feeding its own match stage) are allowed and
-    ignored for ordering; any other cycle is rejected.
-    """
-    for pid in spec.nodes:
+def compile_chain(nodes: list, registry: dict) -> ExecutableChain:
+    """Check that every id in `nodes` is registered, that none repeats and
+    that each consecutive pair sits in the same or adjacent layers; return
+    the executable chain in that order."""
+    for pid in nodes:
         if pid not in registry:
             raise UnknownPpm(pid)
-    graph = {pid: set() for pid in spec.nodes}
-    for src, dst in spec.resolved_edges():
-        if src not in registry or dst not in registry:
-            raise UnknownPpm(src if src not in registry else dst)
-        if src == dst:
-            continue  # self-edge: own match stage
+    if len(set(nodes)) != len(nodes):
+        raise MatchActionError(f"chain {list(nodes)} repeats a ppm id")
+    for src, dst in zip(nodes, nodes[1:]):
         a, b = registry[src].layer, registry[dst].layer
         if not layers_adjacent(a, b):
             raise LayerAdjacencyViolation(f"{src}({a.name}) -> {dst}({b.name})")
-        graph[dst].add(src)
-    # topological order, keeping the declared node order among independents
-    pos = {pid: i for i, pid in enumerate(spec.nodes)}
-    ts = graphlib.TopologicalSorter(graph)
-    try:
-        ts.prepare()
-    except graphlib.CycleError as exc:
-        raise CycleDetected(str(exc)) from exc
-    order = []
-    while ts.is_active():
-        ready = sorted(ts.get_ready(), key=pos.get)
-        for pid in ready:
-            order.append(pid)
-            ts.done(pid)
-    return ExecutableChain(order, registry)
+    return ExecutableChain(nodes, registry)

@@ -46,7 +46,7 @@ from .l7 import (
     QueueTable,
     RouteRule,
 )
-from .match_action import ChainSpec, MatchTable, compile_chain, MatchActionError
+from .match_action import MatchTable, compile_chain, MatchActionError
 from .vq import RingFull, ServiceStub, VirtQueue
 
 IDLE_TIMEOUT_NS = 60 * 1_000_000_000
@@ -96,7 +96,7 @@ class MeshConfig:
     filters: list
     routes: list
     clusters: list  # list[Cluster]
-    chain: ChainSpec
+    chain: list  # PPM ids, in traversal order
     cost_profile: Optional[str] = None
 
 
@@ -109,7 +109,7 @@ _ROUTE_FIELDS = {"listener", "path_matchers", "cluster"}
 _MATCHER_FIELDS = {"kind", "pattern"}
 _CLUSTER_FIELDS = {"ref", "endpoints", "policy"}
 _ENDPOINT_FIELDS = {"address", "port", "weight", "healthy"}
-_CHAIN_FIELDS = {"nodes", "edges"}
+_CHAIN_FIELDS = {"nodes"}
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -177,17 +177,12 @@ def load_config(source) -> MeshConfig:
 
     chain_doc = doc.get("chain") or {"nodes": list(DEFAULT_CHAIN_NODES)}
     _reject_unknown(chain_doc, _CHAIN_FIELDS, "chain")
-    edges = chain_doc.get("edges")
-    chain = ChainSpec(
-        nodes=list(chain_doc.get("nodes", [])),
-        edges=[tuple(e) for e in edges] if edges is not None else None,
-    )
     cfg = MeshConfig(
         listeners=listeners,
         filters=filters,
         routes=routes,
         clusters=clusters,
-        chain=chain,
+        chain=list(chain_doc.get("nodes", [])),
         cost_profile=doc.get("cost_profile"),
     )
     # the chain must compile against the standard PPM registry; compiling
@@ -323,10 +318,9 @@ class MeshRuntime:
         self.queue_table = QueueTable()
         self.clock = clock or (lambda: time.monotonic_ns())
 
-        self.l2_table = MatchTable("l2_fwd", key_schema=("dip",), default="forward")
-        self.l3_table = MatchTable("l3_proto", key_schema=("proto",),
-                                   default="forward")
-        self.l4_table = MatchTable("l4_flows", key_schema=("flow",))
+        self.l2_table = MatchTable("l2_fwd", default="forward")
+        self.l3_table = MatchTable("l3_proto", default="forward")
+        self.l4_table = MatchTable("l4_flows")
         self.listener_table = MatchTable("listeners")
         self.filter_table = MatchTable("filters")
         self.route_table = MatchTable("routes")
@@ -356,8 +350,7 @@ class MeshRuntime:
         self.slow_counters: dict[str, int] = {}
         self._lock = threading.RLock()
 
-        chain_spec = config.chain if config else ChainSpec(list(DEFAULT_CHAIN_NODES))
-        self.chain = self.compile(chain_spec)
+        self.chain = self.compile(config.chain if config else DEFAULT_CHAIN_NODES)
         self.fast_path = FastPath(
             l7_chain=self.chain,
             registry=self.registry,
@@ -369,8 +362,8 @@ class MeshRuntime:
             self.distribute(config)
 
     # -- assembly ----------------------------------------------------------
-    def compile(self, spec: ChainSpec):
-        return compile_chain(spec, self.registry)
+    def compile(self, nodes: list):
+        return compile_chain(nodes, self.registry)
 
     # -- rule distribution -------------------------------------------------
     def distribute(self, config: MeshConfig) -> dict:
@@ -449,7 +442,7 @@ class MeshRuntime:
         q = self.vqs.get(unit.meta.queue)
         if q is not None and unit.payload:
             try:
-                q.tx_deliver(unit.payload, block=False)
+                q.tx_deliver(unit.payload)
             except RingFull:
                 unit.meta.verdict_reason = "ring_full"
                 self.fast_path.ctx.bump("ring_full")
@@ -511,6 +504,7 @@ class MeshRuntime:
         lkey = make_listener_key(key.dip, key.dport, key.proto)
         if lkey not in self.listener_table.current.entries:
             self._count("drop.no_listener")
+            self._count("dropped")
             return "dropped"
         self._record(key)
         self.conn_controller.publish(self.l4_table, add={key: "l7"})

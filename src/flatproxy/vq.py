@@ -4,12 +4,13 @@ Models SRIOV + socket-direct: a bound RX/TX ring pair, descriptor copies
 standing in for DMA, and logical tenant isolation.  The TX path raises a
 single readiness event per delivered message and never touches a host
 doorbell; the RX path releases its ring slot only after the proxy fetch.
+Rings never block: a write to a full ring raises RingFull, and a read of
+an empty one returns None.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -50,37 +51,21 @@ class _Ring:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self._slots = deque()
-        self._cond = threading.Condition()
 
     @property
     def occupied(self) -> int:
         return len(self._slots)
 
-    @property
-    def free(self) -> int:
-        return self.capacity - len(self._slots)
-
-    def push(self, data: bytes, block: bool, timeout=None) -> bool:
-        with self._cond:
-            if len(self._slots) >= self.capacity:
-                if not block:
-                    return False
-                ok = self._cond.wait_for(
-                    lambda: len(self._slots) < self.capacity, timeout=timeout
-                )
-                if not ok:
-                    return False
-            self._slots.append(data)
-            self._cond.notify_all()
-            return True
+    def push(self, data: bytes) -> bool:
+        """Append `data`; False, with nothing appended, if the ring is full."""
+        if len(self._slots) >= self.capacity:
+            return False
+        self._slots.append(data)
+        return True
 
     def pop(self):
-        with self._cond:
-            if not self._slots:
-                return None
-            data = self._slots.popleft()
-            self._cond.notify_all()
-            return data
+        """The oldest descriptor, or None if the ring is empty."""
+        return self._slots.popleft() if self._slots else None
 
 
 @dataclass(frozen=True)
@@ -103,20 +88,9 @@ class ServiceStub:
         self.tenant = tenant
         self.rx_addr = MemoryBlockAddr(next(_block_ids), tenant)
         self.tx_addr = MemoryBlockAddr(next(_block_ids), tenant)
-        self.events = 0
-        self._event_flag = threading.Event()
+        self.events = 0  # readiness events raised, one per TX delivery
         self.inbox = []  # messages fetched from the proxy
         self.outbox_count = 0
-
-    def raise_event(self):
-        self.events += 1
-        self._event_flag.set()
-
-    def wait_event(self, timeout=None) -> bool:
-        return self._event_flag.wait(timeout)
-
-    def clear_event(self):
-        self._event_flag.clear()
 
 
 _queue_ids = itertools.count(1)
@@ -177,18 +151,17 @@ class VirtQueue:
             )
 
     # -- transmitting path (proxy -> service) ------------------------------
-    def tx_deliver(self, data: bytes, block: bool = True, timeout=None):
+    def tx_deliver(self, data: bytes):
         """Data lands in the TX ring and one readiness event fires; no
-        host doorbell.  A full ring backpressures the caller (blocks, or
-        raises RingFull when block=False / timeout expires)."""
+        host doorbell.  A full ring raises RingFull and delivers nothing."""
         self._check_bound()
         if not data:
             raise ValueError("empty delivery")
         if len(data) > self.max_descriptor:
             raise ValueError(f"descriptor exceeds {self.max_descriptor} bytes")
-        if not self.tx_ring.push(data, block=block, timeout=timeout):
+        if not self.tx_ring.push(data):
             raise RingFull(self.id)
-        self._stub.raise_event()
+        self._stub.events += 1
 
     def stub_fetch(self, stub: ServiceStub):
         """The service consumes one delivered message; this is the DMA
@@ -197,20 +170,19 @@ class VirtQueue:
         self._check_stub(stub)
         data = self.tx_ring.pop()
         if data is None:
-            stub.clear_event()
             return None
         self.dma_copies += 1
         stub.inbox.append(data)
         return data
 
     # -- receiving path (service -> proxy) ---------------------------------
-    def stub_write(self, stub: ServiceStub, data: bytes, block=True, timeout=None):
+    def stub_write(self, stub: ServiceStub, data: bytes):
         """The service writes into its TX buffer; the free address returns
         synchronously, the driver kicks the DMA, and the bytes land in the
-        proxy-facing RX ring."""
+        proxy-facing RX ring.  A full ring raises RingFull."""
         self._check_bound()
         self._check_stub(stub)
-        if not self.rx_ring.push(data, block=block, timeout=timeout):
+        if not self.rx_ring.push(data):
             raise RingFull(self.id)
         self.dma_copies += 1
         stub.outbox_count += 1

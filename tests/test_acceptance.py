@@ -355,7 +355,7 @@ def test_criterion_08_transport_properties(announce):
                 if op == "tx":
                     data = bytes([rng.randrange(256)]) * rng.randrange(1, 32)
                     try:
-                        q.tx_deliver(data, block=False)
+                        q.tx_deliver(data)
                         tx_sent.append(data)
                     except RingFull:
                         assert q.tx_ring.occupied == capacity
@@ -366,7 +366,7 @@ def test_criterion_08_transport_properties(announce):
                 elif op == "write":
                     data = b"w%d" % i
                     try:
-                        q.stub_write(stub, data, block=False)
+                        q.stub_write(stub, data)
                         rx_sent.append(data)
                     except RingFull:
                         assert q.rx_ring.occupied == capacity

@@ -13,8 +13,6 @@ from flatproxy.core import (
 from flatproxy.fast_path import OutOfWindow, ToeEngine
 from flatproxy.l7 import Decision, FilterRule, http_parse
 from flatproxy.match_action import (
-    ActionProgram,
-    ChainSpec,
     Layer,
     Ppm,
     proc,
@@ -331,10 +329,10 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
 
     runtime.registry["publisher"] = Ppm(
         id="publisher", layer=Layer.L7, matcher=lambda unit, snaps: "publish",
-        actions={"publish": ActionProgram("publish", [proc(publish)])},
+        actions={"publish": [proc(publish)]},
     )
-    chain = runtime.compile(ChainSpec(["toe", "http_parser", "publisher",
-                                       "filter", "router", "http_deparser"]))
+    chain = runtime.compile(["toe", "http_parser", "publisher",
+                             "filter", "router", "http_deparser"])
     flow = make_flow(sport=48000)
     runtime.conn_controller.publish(runtime.l4_table,
                                     add={flow: "l7"})

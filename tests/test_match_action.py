@@ -4,9 +4,6 @@ import pytest
 
 from flatproxy.core import Metadata, TrafficUnit, UnitKind, Verdict
 from flatproxy.match_action import (
-    ActionProgram,
-    ChainSpec,
-    CycleDetected,
     ExecContext,
     Layer,
     LayerAdjacencyViolation,
@@ -24,12 +21,17 @@ from flatproxy.match_action import (
 from conftest import make_flow
 
 
+def lookup(table, key=lambda unit: ()):
+    """A matcher that looks `key(unit)` up in the traversal's snapshot of
+    `table`."""
+    return lambda unit, snaps: table.lookup(key(unit), snaps.get(table.name))
+
+
 def passthrough_ppm(pid, layer, counter=None):
     table = MatchTable(f"{pid}_t", default="go")
-    steps = [inc_counter(counter or pid)]
     return Ppm(
-        id=pid, layer=layer, tables=[table],
-        actions={"go": ActionProgram("go", steps)},
+        id=pid, layer=layer, tables=[table], matcher=lookup(table),
+        actions={"go": [inc_counter(counter or pid)]},
     )
 
 
@@ -42,7 +44,7 @@ def make_unit():
 def test_publish_bumps_epoch_atomically():
     t = MatchTable("t")
     assert t.epoch == 0
-    snap0 = t.snapshot()
+    snap0 = t.current
     e1 = t.publish(add={"a": 1, "b": 2})
     assert e1 == 1
     assert t.lookup("a") == 1
@@ -80,7 +82,7 @@ def test_publish_owner_enforced():
 def test_snapshot_is_immutable_type():
     t = MatchTable("t")
     t.publish(add={"x": 1})
-    snap = t.snapshot()
+    snap = t.current
     assert isinstance(snap, TableEpoch)
     with pytest.raises(Exception):
         snap.epoch = 99
@@ -91,24 +93,25 @@ def test_lookup_consistency_under_republish():
     matter how many publishes land mid-traversal."""
     t = MatchTable("t")
     t.publish(add={"a": "v1", "b": "v1"})
-    snap = t.snapshot()
+    snap = t.current
     for i in range(100):
         t.publish(add={"a": f"v{i+2}", "b": f"v{i+2}"})
         # the held snapshot keeps answering from one coherent version
         assert t.lookup("a", snap) == "v1"
         assert t.lookup("b", snap) == "v1"
-    cur = t.snapshot()
+    cur = t.current
     assert t.lookup("a", cur) == t.lookup("b", cur)
 
 
 # -- PPM application ---------------------------------------------------------
 
 def test_ppm_runs_matched_program():
-    t = MatchTable("t", key_schema=("conn_id",))
+    t = MatchTable("t")
     t.publish(add={7: "hit"})
     p = Ppm(
         id="p", layer=Layer.L7, tables=[t],
-        actions={"hit": ActionProgram("hit", [inc_counter("hits")])},
+        matcher=lookup(t, lambda unit: unit.meta.conn_id),
+        actions={"hit": [inc_counter("hits")]},
     )
     unit = make_unit()
     unit.meta.conn_id = 7
@@ -119,8 +122,9 @@ def test_ppm_runs_matched_program():
 
 
 def test_ppm_default_action_is_slow_path():
-    t = MatchTable("t", key_schema=("conn_id",))
-    p = Ppm(id="p", layer=Layer.L7, tables=[t], actions={})
+    t = MatchTable("t")
+    p = Ppm(id="p", layer=Layer.L7, tables=[t],
+            matcher=lookup(t, lambda unit: unit.meta.conn_id), actions={})
     unit = make_unit()
     fired = p.apply(unit, ExecContext(counters={}))
     assert fired == ["to_slow_path"]
@@ -130,13 +134,16 @@ def test_ppm_default_action_is_slow_path():
 def test_ppm_requires_table_or_matcher():
     with pytest.raises(MatchActionError):
         Ppm(id="p", layer=Layer.L4)
+    # a table is no longer enough: every PPM names its matcher
+    with pytest.raises(MatchActionError):
+        Ppm(id="p", layer=Layer.L4, tables=[MatchTable("t")])
 
 
 def test_revisit_budget_bounds_self_emit():
     t = MatchTable("t", default="again")
     p = Ppm(
-        id="p", layer=Layer.L7, tables=[t],
-        actions={"again": ActionProgram("again", [inc_counter("n"), emit("self")])},
+        id="p", layer=Layer.L7, tables=[t], matcher=lookup(t),
+        actions={"again": [inc_counter("n"), emit("self")]},
     )
     unit = make_unit()
     ctx = ExecContext(counters={})
@@ -150,8 +157,8 @@ def test_revisit_budget_bounds_self_emit():
 def test_dsa_step_is_cost_bearing_passthrough():
     t = MatchTable("t", default="go")
     p = Ppm(
-        id="p", layer=Layer.L7, tables=[t],
-        actions={"go": ActionProgram("go", [emit("dsa")])},
+        id="p", layer=Layer.L7, tables=[t], matcher=lookup(t),
+        actions={"go": [emit("dsa")]},
         dsa_transform=lambda payload: payload,
     )
     unit = make_unit()
@@ -165,10 +172,10 @@ def test_dsa_step_is_cost_bearing_passthrough():
 def test_terminal_verdict_stops_program():
     t = MatchTable("t", default="go")
     p = Ppm(
-        id="p", layer=Layer.L7, tables=[t],
-        actions={"go": ActionProgram("go", [
+        id="p", layer=Layer.L7, tables=[t], matcher=lookup(t),
+        actions={"go": [
             set_verdict(Verdict.DROP, "x"), inc_counter("after"),
-        ])},
+        ]},
     )
     unit = make_unit()
     ctx = ExecContext(counters={})
@@ -193,49 +200,42 @@ def layered_registry():
 
 def test_compile_linear_chain_order():
     reg = layered_registry()
-    chain = compile_chain(ChainSpec(["l2", "l3", "l4", "l7a", "l7b"]), reg)
+    chain = compile_chain(["l2", "l3", "l4", "l7a", "l7b"], reg)
     assert chain.order == ["l2", "l3", "l4", "l7a", "l7b"]
 
 
 def test_compile_rejects_unknown_node():
     reg = layered_registry()
     with pytest.raises(UnknownPpm):
-        compile_chain(ChainSpec(["l2", "nope"]), reg)
+        compile_chain(["l2", "nope"], reg)
 
 
 def test_compile_rejects_layer_skip():
     reg = layered_registry()
     with pytest.raises(LayerAdjacencyViolation):
-        compile_chain(ChainSpec(["l2", "l4"]), reg)
+        compile_chain(["l2", "l4"], reg)
     with pytest.raises(LayerAdjacencyViolation):
-        compile_chain(ChainSpec(["l4", "l2"], edges=[("l4", "l2")]), reg)
+        compile_chain(["l4", "l2"], reg)
 
 
 def test_same_layer_wiring_allowed():
     reg = layered_registry()
-    chain = compile_chain(ChainSpec(["l7a", "l7b"]), reg)
+    chain = compile_chain(["l7a", "l7b"], reg)
     assert chain.order == ["l7a", "l7b"]
 
 
-def test_self_edge_allowed():
-    reg = layered_registry()
-    chain = compile_chain(
-        ChainSpec(["l4", "l7a"], edges=[("l4", "l4"), ("l4", "l7a")]), reg
-    )
-    assert chain.order == ["l4", "l7a"]
-
-
 def test_compile_rejects_cycle():
+    """A chain is a list run once in order, so a repeated id -- the only
+    way left to write a cycle -- is refused, adjacent or not."""
     reg = layered_registry()
-    with pytest.raises(CycleDetected):
-        compile_chain(
-            ChainSpec(["l7a", "l7b"], edges=[("l7a", "l7b"), ("l7b", "l7a")]),
-            reg,
-        )
+    for nodes in (["l7a", "l7b", "l7a"], ["l4", "l4", "l7a"],
+                  ["l2", "l3", "l2"]):
+        with pytest.raises(MatchActionError, match="repeats"):
+            compile_chain(nodes, reg)
 
 
 def test_empty_chain_is_identity():
-    chain = compile_chain(ChainSpec([]), {})
+    chain = compile_chain([], {})
     unit = make_unit()
     unit.payload = b"untouched"
     out, trace = chain.execute(unit)
@@ -248,10 +248,10 @@ def test_execute_trace_and_stop_on_terminal():
     reg = layered_registry()
     t = MatchTable("drop_t", default="kill")
     reg["l7drop"] = Ppm(
-        id="l7drop", layer=Layer.L7, tables=[t],
-        actions={"kill": ActionProgram("kill", [set_verdict(Verdict.DROP, "x")])},
+        id="l7drop", layer=Layer.L7, tables=[t], matcher=lookup(t),
+        actions={"kill": [set_verdict(Verdict.DROP, "x")]},
     )
-    chain = compile_chain(ChainSpec(["l7a", "l7drop", "l7b"]), reg)
+    chain = compile_chain(["l7a", "l7drop", "l7b"], reg)
     unit, trace = chain.execute(make_unit())
     assert [pid for pid, _ in trace] == ["l7a", "l7drop"]
     assert unit.meta.verdict is Verdict.DROP
@@ -259,11 +259,12 @@ def test_execute_trace_and_stop_on_terminal():
 
 def test_chain_self_emit_budget_stops_later_nodes():
     reg = layered_registry()
+    t = MatchTable("loop_t", default="again")
     reg["loop"] = Ppm(
-        id="loop", layer=Layer.L7, tables=[MatchTable("loop_t", default="again")],
-        actions={"again": ActionProgram("again", [inc_counter("n"), emit("self")])},
+        id="loop", layer=Layer.L7, tables=[t], matcher=lookup(t),
+        actions={"again": [inc_counter("n"), emit("self")]},
     )
-    chain = compile_chain(ChainSpec(["l7a", "loop", "l7b"]), reg)
+    chain = compile_chain(["l7a", "loop", "l7b"], reg)
     ctx = ExecContext(counters={})
     unit, trace = chain.execute(make_unit(), ctx)
     assert unit.meta.verdict is Verdict.TO_SLOW_PATH
@@ -275,12 +276,13 @@ def test_chain_self_emit_budget_stops_later_nodes():
 
 def test_chain_dsa_step_bumps_counter():
     reg = layered_registry()
+    t = MatchTable("dsa_t", default="go")
     reg["dsa"] = Ppm(
-        id="dsa", layer=Layer.L7, tables=[MatchTable("dsa_t", default="go")],
-        actions={"go": ActionProgram("go", [emit("dsa")])},
+        id="dsa", layer=Layer.L7, tables=[t], matcher=lookup(t),
+        actions={"go": [emit("dsa")]},
         dsa_transform=bytes.upper,
     )
-    chain = compile_chain(ChainSpec(["l7a", "dsa", "l7b"]), reg)
+    chain = compile_chain(["l7a", "dsa", "l7b"], reg)
     ctx = ExecContext(counters={})
     unit = make_unit()
     unit.payload = b"abc"
@@ -293,9 +295,9 @@ def test_chain_dsa_step_bumps_counter():
 
 def test_chain_unknown_action_raises():
     reg = layered_registry()
-    reg["bad"] = Ppm(id="bad", layer=Layer.L7,
-                     tables=[MatchTable("bad_t", default="missing")])
-    chain = compile_chain(ChainSpec(["l7a", "bad"]), reg)
+    t = MatchTable("bad_t", default="missing")
+    reg["bad"] = Ppm(id="bad", layer=Layer.L7, tables=[t], matcher=lookup(t))
+    chain = compile_chain(["l7a", "bad"], reg)
     with pytest.raises(MatchActionError):
         chain.execute(make_unit())
 
@@ -313,13 +315,13 @@ def test_chain_equals_sequential_application():
         reg_b = layered_registry()
         if stop is not None:
             for reg in (reg_a, reg_b):
+                t = MatchTable(f"{stop}_t", default="stop")
                 reg[stop] = Ppm(
-                    id=stop, layer=reg[stop].layer,
-                    tables=[MatchTable(f"{stop}_t", default="stop")],
-                    actions={"stop": ActionProgram("stop", [
-                        inc_counter(stop), set_verdict(verdict, "stopped")])},
+                    id=stop, layer=reg[stop].layer, tables=[t], matcher=lookup(t),
+                    actions={"stop": [
+                        inc_counter(stop), set_verdict(verdict, "stopped")]},
                 )
-        chain = compile_chain(ChainSpec(nodes), reg_a)
+        chain = compile_chain(nodes, reg_a)
         unit_a = make_unit()
         unit_b = make_unit()
         payload = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))

@@ -34,8 +34,8 @@ def test_load_example_config(example_config_path):
     assert cfg.routes[0].path_matchers[0].kind is MatchKind.EXACT
     assert cfg.clusters[0].policy is LbPolicy.ROUND_ROBIN
     assert len(cfg.clusters[0].endpoints) == 2
-    assert cfg.chain.nodes == ["toe", "http_parser", "filter", "router",
-                               "http_deparser"]
+    assert cfg.chain == ["toe", "http_parser", "filter", "router",
+                         "http_deparser"]
     assert cfg.cost_profile == "flatproxy_l7"
 
 
@@ -103,6 +103,22 @@ def test_unknown_chain_node_rejected():
         load_config(bad)
 
 
+def test_chain_edges_field_rejected():
+    """A chain is an ordered list of PPM ids; `edges` is an unknown field."""
+    bad = config_text() + (
+        "chain:\n  nodes: [toe, http_parser]\n"
+        "  edges: [[toe, http_parser]]\n")
+    with pytest.raises(ParseError) as exc:
+        load_config(bad)
+    assert exc.value.field_name == "edges"
+
+
+def test_repeated_chain_node_rejected():
+    bad = config_text() + "chain:\n  nodes: [toe, http_parser, toe]\n"
+    with pytest.raises(InvalidChain):
+        load_config(bad)
+
+
 def test_config_error_is_common_base():
     assert issubclass(ParseError, ConfigError)
     assert issubclass(DanglingClusterRef, ConfigError)
@@ -111,8 +127,8 @@ def test_config_error_is_common_base():
 
 def test_missing_chain_defaults():
     cfg = load_config(config_text())
-    assert cfg.chain.nodes == ["toe", "http_parser", "filter", "router",
-                               "http_deparser"]
+    assert cfg.chain == ["toe", "http_parser", "filter", "router",
+                         "http_deparser"]
 
 
 # -- controllers and ownership -----------------------------------------------
@@ -150,7 +166,7 @@ def test_distribute_returns_epochs_and_installs_rules():
     assert epochs["filters"] == 1
     lkey = make_listener_key("10.0.0.2", 8080)
     assert rt.listener_table.lookup(lkey) == "web"
-    rules = rt.filter_table.snapshot().entries["rules"]
+    rules = rt.filter_table.current.entries["rules"]
     # explicit rules first, catch-all ALLOW last
     assert rules[0].decision is Decision.DENY
     assert rules[-1].decision is Decision.ALLOW
@@ -234,6 +250,23 @@ def test_slow_path_frame_for_unconfigured_listener_dropped(runtime):
     disp = runtime.handle_slow_path(make_frame(b"x", flow), "new_connection")
     assert disp == "dropped"
     assert flow not in runtime.conns
+
+
+def test_every_handoff_has_one_disposition(runtime):
+    """Each unit handed to the slow path is counted once by reason and once
+    by disposition: reinjected, responded or dropped."""
+    runtime.fast_path.ingress(make_frame(make_request(), make_flow(dport=7777)))
+    runtime.fast_path.ingress(make_frame(make_request(), make_flow(sport=44001)))
+    runtime.fast_path.ingress(make_frame(MALFORMED, make_flow(sport=44002)))
+    for e in endpoints_of(runtime.config):
+        e.healthy = False
+    runtime.distribute(runtime.config)
+    runtime.fast_path.ingress(make_frame(make_request(), make_flow(sport=44003)))
+    slow = runtime.stats_snapshot()["slow_path"]
+    handoffs = sum(v for k, v in slow.items() if k.startswith("reason."))
+    assert handoffs == 6
+    assert handoffs == sum(slow.get(k, 0)
+                           for k in ("reinjected", "responded", "dropped"))
 
 
 def test_connection_end_to_end_uses_vq(runtime):

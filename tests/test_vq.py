@@ -1,5 +1,3 @@
-import threading
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,31 +96,13 @@ def test_tx_rejects_empty_and_oversized():
 def test_tx_ring_full_backpressure_nonblocking():
     q, stub = bound_pair(capacity=4)
     for i in range(4):
-        q.tx_deliver(b"m%d" % i, block=False)
+        q.tx_deliver(b"m%d" % i)
     with pytest.raises(RingFull):
-        q.tx_deliver(b"m4", block=False)
+        q.tx_deliver(b"m4")
     # a fetch releases exactly one slot
     q.stub_fetch(stub)
-    q.tx_deliver(b"m4", block=False)
+    q.tx_deliver(b"m4")
     assert q.tx_ring.occupied == 4
-
-
-def test_tx_ring_full_blocks_until_fetch():
-    q, stub = bound_pair(capacity=2)
-    q.tx_deliver(b"a")
-    q.tx_deliver(b"b")
-    unblocked = threading.Event()
-
-    def sender():
-        q.tx_deliver(b"c", block=True, timeout=5)
-        unblocked.set()
-
-    t = threading.Thread(target=sender, daemon=True)
-    t.start()
-    assert not unblocked.wait(0.1)
-    q.stub_fetch(stub)
-    assert unblocked.wait(2)
-    t.join()
 
 
 def test_stub_fetch_wrong_stub_rejected():
@@ -131,15 +111,6 @@ def test_stub_fetch_wrong_stub_rejected():
     intruder = ServiceStub(tenant="t")
     with pytest.raises(TenantMismatch):
         q.stub_fetch(intruder)
-
-
-def test_fetch_empty_clears_event_flag():
-    q, stub = bound_pair()
-    q.tx_deliver(b"x")
-    assert stub.wait_event(0)
-    q.stub_fetch(stub)
-    assert q.stub_fetch(stub) is None
-    assert not stub.wait_event(0)
 
 
 # -- RX path (service -> proxy) ----------------------------------------------
@@ -158,9 +129,9 @@ def test_rx_slot_released_only_after_collect():
     q.stub_write(stub, b"a")
     q.stub_write(stub, b"b")
     with pytest.raises(RingFull):
-        q.stub_write(stub, b"c", block=False)
+        q.stub_write(stub, b"c")
     q.rx_collect()
-    q.stub_write(stub, b"c", block=False)
+    q.stub_write(stub, b"c")
 
 
 def test_tenant_isolation_across_queues():
@@ -198,7 +169,7 @@ def test_slot_conservation_property(ops, capacity):
         if op == "tx":
             data = b"t%d" % i
             try:
-                q.tx_deliver(data, block=False)
+                q.tx_deliver(data)
                 tx_sent.append(data)
             except RingFull:
                 assert q.tx_ring.occupied == capacity
@@ -209,7 +180,7 @@ def test_slot_conservation_property(ops, capacity):
         elif op == "write":
             data = b"r%d" % i
             try:
-                q.stub_write(stub, data, block=False)
+                q.stub_write(stub, data)
                 rx_sent.append(data)
             except RingFull:
                 assert q.rx_ring.occupied == capacity
