@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import itertools
 import struct
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 
@@ -90,6 +92,22 @@ class FlowKey:
     @property
     def is_listener_key(self) -> bool:
         return self.sip == 0 and self.sport == 0
+
+    @cached_property
+    def listener_key(self) -> "FlowKey":
+        """The wildcard-source key of this flow's listener, made on first
+        use and kept: the router looks it up for every message.  Flows to
+        one listener share one key, so keeping it costs a flow a pointer."""
+        ident = (self.dip, self.dport, self.proto)
+        lkey = _listener_keys.get(ident)
+        if lkey is None:
+            lkey = _listener_keys[ident] = make_listener_key(*ident)
+        return lkey
+
+
+# (dip, dport, proto) -> the listener key flows to it share; an entry goes
+# with the last flow that holds its key
+_listener_keys = weakref.WeakValueDictionary()
 
 
 def make_listener_key(dip, dport: int, proto: Proto = Proto.TCP) -> FlowKey:

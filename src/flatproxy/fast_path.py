@@ -2,13 +2,19 @@
 
 `FastPath.ingress` applies the vswitch, l3 and toe PPMs to each L2 frame on
 one snapshot of their tables; the toe PPM is the one place a flow is
-classified.  A flow forwarded at L4 short-circuits to its virtualization
-queue; the segments of an L7 flow are reassembled by the ToeEngine into
-HTTP messages, which `ingress` runs at once, in order, through
-`FastPath.message`, the L7 entry live mode shares.  Frames and messages
-leave through one disposition: VQ egress, a counted drop or the slow-path
-handoff.  Per-flow FIFO holds by construction: one caller runs a flow's
-frames, and each live client has its own thread.
+classified.  Like an exact-match flow cache, a flow classified `to_l7`
+keeps the epochs of those three tables on its TOE state, and its later
+frames skip the traversal until one of the tables is republished;
+`close_flow` drops the epochs with the TOE state.  A flow forwarded at L4
+short-circuits to its virtualization queue and is classified on every
+frame.  The segments of an L7 flow are reassembled by the ToeEngine into
+HTTP messages, each framed once: `frame_http` gives a message's length as
+soon as its header block is in, and the TOE waits for that many bytes.
+`ingress` runs the messages at once, in order, through `FastPath.message`,
+the L7 entry live mode shares.  Frames and messages leave through one
+disposition: VQ egress, a counted drop or the slow-path handoff.  Per-flow
+FIFO holds by construction: one caller runs a flow's frames, and each live
+client has its own thread.
 """
 
 from __future__ import annotations
@@ -250,10 +256,18 @@ class OutOfWindow(Exception):
 
 @dataclass
 class _ToeConn:
+    """One flow's TOE state, released by `ToeEngine.close`."""
+
     next_seq: int = 0
     assembled: bytes = b""
     reorder: dict = field(default_factory=dict)
     duplicates: int = 0
+    # length of the message at the head of `assembled` once its header
+    # block is framed; None until then
+    need: Optional[int] = None
+    # the (l2_fwd, l3_proto, l4_flows) epochs the flow was last classified
+    # on by a traversal that ended in to_l7; plain ints, never snapshots
+    epochs: Optional[tuple] = None
 
 
 class ToeEngine:
@@ -313,17 +327,25 @@ class ToeEngine:
         return out
 
     def _next_message(self, conn: _ToeConn) -> Optional[bytes]:
+        """Each message is framed once: its length is kept in `conn.need`
+        until that many bytes have been assembled."""
         data = conn.assembled
-        if not data:
-            return None
-        try:
-            end = frame_http(data)
-        except MalformedHttp as exc:
-            # deliver the bad header block alone, so the stream stays framed;
-            # the parser PPM raises the slow-path verdict on it
-            end = exc.end
+        end = conn.need
         if end is None:
+            if not data:
+                return None
+            try:
+                end = frame_http(data)
+            except MalformedHttp as exc:
+                # deliver the bad header block alone, so the stream stays
+                # framed; the parser PPM raises the slow-path verdict on it
+                end = exc.end
+            if end is None:
+                return None
+        if len(data) < end:
+            conn.need = end
             return None
+        conn.need = None
         conn.assembled = data[end:]
         return data[:end]
 
@@ -364,15 +386,26 @@ class FastPath:
     # ingress ---------------------------------------------------------------
     def ingress(self, unit: TrafficUnit) -> str:
         """Run one L2 frame through the vswitch, l3 and toe PPMs, on one
-        snapshot of their tables taken here, then TOE reassembly; returns
-        the disposition: 'l7' | 'vq' | 'slow_path' | 'dropped' | 'buffered'."""
+        snapshot of their tables taken here -- or, for a flow classified
+        to_l7 on the tables' current epochs, reuse that -- then TOE
+        reassembly; returns the disposition:
+        'l7' | 'vq' | 'slow_path' | 'dropped' | 'buffered'."""
         if unit.kind is not UnitKind.FRAME:
             raise ValueError("ingress takes FRAME units")
         self.ctx.bump("ingress")
-        snaps = {t.name: t.current for t in self._l2_l4_tables}
-        traverse(self._l2_l4, unit, self.ctx, snaps, [])
-        if unit.meta.verdict is not Verdict.CONTINUE:
-            return self._dispose(unit)
+        l2, l3, l4 = self._l2_l4_tables
+        s2, s3, s4 = l2.current, l3.current, l4.current
+        epochs = (s2.epoch, s3.epoch, s4.epoch)
+        flow = unit.meta.flow
+        conn = self.toe.connections.get(flow)
+        if conn is not None and conn.epochs == epochs:
+            # classified to_l7 on these very table versions: reuse that
+            unit.kind = UnitKind.SEGMENT
+        else:
+            snaps = {l2.name: s2, l3.name: s3, l4.name: s4}
+            traverse(self._l2_l4, unit, self.ctx, snaps, [])
+            if unit.meta.verdict is not Verdict.CONTINUE:
+                return self._dispose(unit)
 
         # to_l7: reassemble, then run each completed message in order
         try:
@@ -381,6 +414,9 @@ class FastPath:
             unit.meta.set_verdict(Verdict.DROP, "out_of_window")
         if unit.meta.verdict is not Verdict.CONTINUE:
             return self._dispose(unit)
+        if conn is None:  # deliver opened the flow's TOE state
+            conn = self.toe.connections[flow]
+        conn.epochs = epochs
         for msg in messages:
             result = self.message(msg)
             with self._results_lock:

@@ -24,7 +24,6 @@ from .core import (
     ProtoType,
     TrafficUnit,
     Verdict,
-    make_listener_key,
 )
 from .vq import MAX_DESCRIPTOR_BYTES
 
@@ -73,7 +72,9 @@ def http_parse(unit: TrafficUnit, pool: BufferPool) -> Metadata:
 def frame_http(data: bytes) -> Optional[int]:
     """The one HTTP/1.1 framing rule (RFC 9112 section 6.3): the length of
     the message at the start of `data` -- header block plus Content-Length
-    body -- or None while more bytes are needed.
+    body -- as soon as its header block is complete, or None while it is
+    not.  The message is whole once `len(data)` reaches that length; a
+    caller that keeps it need not frame the same message again.
 
     Raises MalformedHttp, with `end` set, for a message larger than
     MAX_DESCRIPTOR_BYTES (or no header terminator within that many bytes),
@@ -107,14 +108,14 @@ def frame_http(data: bytes) -> Optional[int]:
     except MalformedHttp as exc:
         exc.end = end
         raise
-    return total if len(data) >= total else None
+    return total
 
 
 def parse_request_bytes(data: bytes):
     """Returns (HttpMessage, body bytes) of the request `frame_http` finds
     at the start of `data`; raises MalformedHttp."""
     end = frame_http(data)
-    if end is None:
+    if end is None or end > len(data):
         raise MalformedHttp("incomplete message")
     head_end = data.find(_CRLF + _CRLF)
     lines = data[:head_end].split(_CRLF)
@@ -352,7 +353,7 @@ def route(
     clusters:  cluster ref -> Cluster
     """
     result = RouteResult(meta)
-    lkey = make_listener_key(meta.flow.dip, meta.flow.dport, meta.flow.proto)
+    lkey = meta.flow.listener_key
     if lkey not in listeners:
         meta.reset_transient()
         meta.set_verdict(Verdict.DROP, "no_listener")

@@ -49,9 +49,11 @@ class HttpReader:
     def read(self) -> bytes:
         """The next message; b'' on clean EOF.  Raises MalformedHttp on a
         message `frame_http` rejects or a stream that ends mid-message."""
+        end = None
         while True:
-            end = frame_http(self._buf)
-            if end is not None:
+            if end is None:
+                end = frame_http(self._buf)
+            if end is not None and len(self._buf) >= end:
                 data, self._buf = self._buf[:end], self._buf[end:]
                 return data
             chunk = self._recv(_RECV_BYTES)

@@ -471,18 +471,19 @@ class MeshRuntime:
             self.slow_counters[name] = self.slow_counters.get(name, 0) + 1
 
     def handle_slow_path(self, unit: TrafficUnit, reason) -> str:
-        """Dispose of a unit the fast path could not process.  A unit that
-        gets an HTTP reply is counted under `status.<code>`.
+        """Dispose of a unit the fast path could not process.  A unit whose
+        reason has its own HTTP status gets that reply, counted under
+        `status.<code>` and `responded`; any other is dropped.
 
         Returns the disposition: 'reinjected' | 'responded' | 'dropped'.
         """
-        reason = reason or "unknown"
-        self._count(f"reason.{reason.split(':')[0]}")
+        reason = (reason or "unknown").split(":")[0]
+        self._count(f"reason.{reason}")
         if reason == "new_connection":
             return self._handle_new_connection(unit)
         if reason in ("no_listener", "no_route"):
             self._count(f"drop.{reason}")
-        if reason in ("no_listener", "no_route", "no_healthy_endpoint"):
+        if reason in _STATUS_BY_REASON:
             self._count(f"status.{http_status(unit.meta.verdict, reason)}")
             self._count("responded")
             return "responded"
@@ -501,8 +502,7 @@ class MeshRuntime:
         releases it like any other idle flow.
         """
         key = unit.meta.flow
-        lkey = make_listener_key(key.dip, key.dport, key.proto)
-        if lkey not in self.listener_table.current.entries:
+        if key.listener_key not in self.listener_table.current.entries:
             self._count("drop.no_listener")
             self._count("dropped")
             return "dropped"

@@ -37,6 +37,19 @@ def test_make_listener_key_distinct_ports():
     assert make_listener_key("10.0.0.2", 8080) != make_listener_key("10.0.0.2", 8081)
 
 
+def test_flow_key_listener_key_is_kept():
+    key = make_flow()
+    lkey = key.listener_key
+    assert lkey == make_listener_key("10.0.0.2", 8080)
+    assert key.listener_key is lkey
+    # keeping it changes neither equality, hash nor repr
+    fresh = make_flow()
+    assert key == fresh and hash(key) == hash(fresh)
+    assert repr(key) == repr(fresh)
+    assert pickle.loads(pickle.dumps(key)) == fresh
+    assert make_flow(dport=8081).listener_key != lkey
+
+
 def test_make_conn_key_verbatim():
     flow = make_flow()
     meta = Metadata(flow=flow)

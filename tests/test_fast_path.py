@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flatproxy import fast_path
 from flatproxy.core import (
     BufferPool,
     Metadata,
+    Proto,
     ProtoType,
     TrafficUnit,
     UnitKind,
@@ -13,11 +16,14 @@ from flatproxy.core import (
 from flatproxy.fast_path import OutOfWindow, ToeEngine
 from flatproxy.l7 import Decision, FilterRule, http_parse
 from flatproxy.match_action import (
+    ExecContext,
     Layer,
     Ppm,
     proc,
+    traverse,
 )
-from flatproxy.slow_path import MeshRuntime, load_config
+from flatproxy.slow_path import IDLE_TIMEOUT_NS, MeshRuntime, load_config
+from flatproxy.vq import ServiceStub, VirtQueue
 from conftest import config_text, make_flow, make_message, make_request
 
 
@@ -398,3 +404,239 @@ def test_hot_path_bypasses_ppm_apply(runtime, monkeypatch):
     qid = runtime.queue_table.lookup(flow)
     q, stub = runtime.vqs[qid], runtime.stubs[qid]
     assert [q.stub_fetch(stub) for _ in range(3)] == [first, second, third]
+
+
+# -- classification reuse ----------------------------------------------------
+
+def count_l2_l4_matches(runtime, monkeypatch) -> list:
+    """Wrap the fast path's vswitch, l3 and toe matchers; returns the list
+    each match appends its ppm id to."""
+    calls = []
+
+    def counted(node):
+        ppm, pid, parser, matcher, programs = node
+
+        def matcher_(unit, snaps):
+            calls.append(pid)
+            return matcher(unit, snaps)
+
+        return ppm, pid, parser, matcher_, programs
+
+    monkeypatch.setattr(runtime.fast_path, "_l2_l4",
+                        tuple(counted(n) for n in runtime.fast_path._l2_l4))
+    return calls
+
+
+def test_established_flow_reuses_its_classification(runtime, monkeypatch):
+    calls = count_l2_l4_matches(runtime, monkeypatch)
+    flow = make_flow(sport=48700)
+    first, second = make_request(b"/svc/a"), make_request(b"/svc/b")
+    assert runtime.fast_path.ingress(frame(first, flow=flow)) == "slow_path"
+    # the miss, then the reinjected frame's traversal
+    assert calls == ["vswitch", "l3", "toe"] * 2
+    calls.clear()
+    unit = frame(second, flow=flow, seq=len(first))
+    assert runtime.fast_path.ingress(unit) == "l7"
+    assert calls == []
+    assert unit.kind is UnitKind.SEGMENT
+    qid = runtime.queue_table.lookup(flow)
+    q, stub = runtime.vqs[qid], runtime.stubs[qid]
+    assert [q.stub_fetch(stub), q.stub_fetch(stub)] == [first, second]
+
+
+@pytest.mark.parametrize("table", ["l2_table", "l3_table", "l4_table"])
+def test_publish_between_frames_forces_a_traversal(runtime, monkeypatch, table):
+    calls = count_l2_l4_matches(runtime, monkeypatch)
+    flow = make_flow(sport=48710)
+    raw = make_request(b"/svc/a")
+    runtime.fast_path.ingress(frame(raw, flow=flow))
+    add = {"l2_table": {flow.dip: "forward"},
+           "l3_table": {Proto.TCP: "forward"},
+           "l4_table": {make_flow(sport=48711): "l7"}}[table]
+    getattr(runtime, table).publish(add=add)
+    calls.clear()
+    assert runtime.fast_path.ingress(frame(raw, flow=flow, seq=len(raw))) == "l7"
+    assert calls == ["vswitch", "l3", "toe"]
+    calls.clear()
+    assert runtime.fast_path.ingress(
+        frame(raw, flow=flow, seq=2 * len(raw))) == "l7"
+    assert calls == []
+
+
+def test_closed_flow_is_a_new_connection_again(runtime):
+    flow = make_flow(sport=48720)
+    raw = make_request(b"/svc/a")
+    runtime.fast_path.ingress(frame(raw, flow=flow))
+    runtime.close_flow(flow)
+    assert flow not in runtime.fast_path.toe.connections
+    unit = frame(raw, flow=flow)
+    assert runtime.fast_path.ingress(unit) == "slow_path"
+    assert unit.meta.verdict_reason == "new_connection"
+    assert runtime.stats_snapshot()["slow_path"]["reason.new_connection"] == 2
+    qid = runtime.queue_table.lookup(flow)
+    assert runtime.vqs[qid].stub_fetch(runtime.stubs[qid]) == raw
+
+
+def test_l4_entry_replaced_by_forward_vq_delivers_at_l4(runtime, monkeypatch):
+    calls = count_l2_l4_matches(runtime, monkeypatch)
+    flow = make_flow(sport=48730)
+    raw = make_request(b"/svc/a")
+    runtime.fast_path.ingress(frame(raw, flow=flow))
+    stub, q = ServiceStub(tenant="t"), VirtQueue(tenant="t")
+    q.bind(stub)
+    runtime.vqs[q.id] = q
+    runtime.conn_controller.publish(runtime.l4_table,
+                                    add={flow: ("forward_vq", q.id)})
+    for i, payload in enumerate((b"opaque-1", b"opaque-2")):
+        calls.clear()
+        unit = frame(payload, flow=flow, seq=len(raw) + 8 * i)
+        assert runtime.fast_path.ingress(unit) == "vq"
+        # an L4 forward is classified afresh on every frame
+        assert calls == ["vswitch", "l3", "toe"]
+        assert unit.meta.verdict is Verdict.DELIVER
+        assert unit.meta.verdict_reason == "l4_forward"
+        assert unit.meta.queue == q.id
+        assert q.stub_fetch(stub) == payload
+
+
+FLOW_SPORTS = (48800, 48801)
+FRAME_STEP = st.tuples(st.just("frame"), st.sampled_from(FLOW_SPORTS))
+STEPS = st.one_of(
+    FRAME_STEP, FRAME_STEP, FRAME_STEP,  # mostly frames
+    st.tuples(st.just("l2"), st.sampled_from(["forward", "to_slow_path"])),
+    st.tuples(st.just("l3"), st.sampled_from(["forward", "to_slow_path"])),
+    st.tuples(st.just("l4"), st.sampled_from(FLOW_SPORTS),
+              st.sampled_from(["l7", "forward_vq", "remove"])),
+    st.tuples(st.just("close"), st.sampled_from(FLOW_SPORTS)),
+    st.tuples(st.just("expire"), st.booleans()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(STEPS, max_size=40))
+def test_reused_classification_equals_a_traversal(steps):
+    """Frames interleaved with publishes to the three L2-L4 tables,
+    close_flow and expire_idle.  Every frame ingress sees -- the reinjected
+    ones too -- is classified as a traversal of a copy of it on the same
+    snapshot classifies it: same kind, verdict and queue."""
+    now = [0]
+    rt = MeshRuntime(config=load_config(config_text()), clock=lambda: now[0])
+    fp = rt.fast_path
+    flows = {sport: make_flow(sport=sport) for sport in FLOW_SPORTS}
+    seqs = dict.fromkeys(FLOW_SPORTS, 0)
+    classified = []
+    deliver = fp.toe.deliver
+
+    def recording_deliver(seg):
+        classified.append((seg, (seg.kind, seg.meta.verdict, seg.meta.queue)))
+        return deliver(seg)
+
+    ingress = fp.ingress
+
+    def checked_ingress(unit):
+        copy = TrafficUnit(kind=unit.kind, payload=unit.payload, seq=unit.seq,
+                           meta=Metadata(flow=unit.meta.flow))
+        snaps = {t.name: t.current for t in fp._l2_l4_tables}
+        traverse(fp._l2_l4, copy, ExecContext(counters={}), snaps, [])
+        expected = (copy.kind, copy.meta.verdict, copy.meta.queue)
+        n = len(classified)
+        disposition = ingress(unit)
+        # a to_l7 frame is checked as deliver got it, before any TOE verdict
+        seen = [c for seg, c in classified[n:] if seg is unit]
+        got = seen[0] if seen else (unit.kind, unit.meta.verdict, unit.meta.queue)
+        assert got == expected
+        return disposition
+
+    fp.toe.deliver = recording_deliver
+    fp.ingress = checked_ingress
+    for step in steps:
+        kind = step[0]
+        if kind == "frame":
+            sport = step[1]
+            if flows[sport] not in fp.toe.connections:
+                seqs[sport] = 0  # a new connection on the same 5-tuple
+            raw = make_request(b"/svc/%d" % seqs[sport])
+            fp.ingress(frame(raw, flow=flows[sport], seq=seqs[sport]))
+            seqs[sport] += len(raw)
+        elif kind == "l2":
+            rt.ovs_controller.publish(rt.l2_table,
+                                      add={flows[FLOW_SPORTS[0]].dip: step[1]})
+        elif kind == "l3":
+            rt.conn_controller.publish(rt.l3_table, add={Proto.TCP: step[1]})
+        elif kind == "l4":
+            flow = flows[step[1]]
+            if step[2] == "remove":
+                rt.conn_controller.publish(rt.l4_table, remove=[flow])
+            else:
+                entry = "l7" if step[2] == "l7" else ("forward_vq", 999)
+                rt.conn_controller.publish(rt.l4_table, add={flow: entry})
+        elif kind == "close":
+            rt.close_flow(flows[step[1]])
+            assert flows[step[1]] not in fp.toe.connections
+        else:
+            if step[1]:
+                now[0] += IDLE_TIMEOUT_NS + 1
+            rt.expire_idle()
+        for conn in fp.toe.connections.values():
+            assert conn.epochs is None or all(type(e) is int for e in conn.epochs)
+    for flow in flows.values():
+        rt.close_flow(flow)
+    assert fp.toe.connections == {}
+    rt.shutdown()
+
+
+# -- framing once ------------------------------------------------------------
+
+def segments_of(raw, seq0=0, size=1460):
+    return [(seq0 + off, raw[off:off + size]) for off in range(0, len(raw), size)]
+
+
+def test_toe_frames_each_message_once(monkeypatch):
+    """Three 32 KiB POSTs in 1,460 B segments: `frame_http` runs once per
+    message, not once per segment."""
+    framed = []
+    real = fast_path.frame_http
+
+    def counting(data):
+        framed.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(fast_path, "frame_http", counting)
+    toe = ToeEngine()
+    sent, out, seq = [], [], 0
+    for i in range(3):
+        raw = make_request(b"/svc/up/%d" % i, method=b"POST",
+                           body=bytes([i]) * (32 * 1024))
+        sent.append(raw)
+        for off, chunk in segments_of(raw, seq):
+            out.extend(toe.deliver(seg(chunk, off)))
+        seq += len(raw)
+    assert [m.payload for m in out] == sent
+    assert len(framed) == 3
+    assert toe.connections[make_flow()].need is None
+
+
+def test_toe_reordered_and_duplicate_segments_reassemble_exactly():
+    """Large messages whose segments arrive shuffled within a window and
+    partly twice: every message is delivered once, byte-exact, in order."""
+    rng = random.Random(9)
+    sent, segs, seq = [], [], 0
+    for i in range(4):
+        raw = make_request(b"/svc/up/%d" % i, method=b"POST",
+                           body=rng.randbytes(rng.randrange(2000, 20000)))
+        sent.append(raw)
+        segs += segments_of(raw, seq, size=rng.choice((700, 1460)))
+        seq += len(raw)
+    windows = [segs[k:k + 6] for k in range(0, len(segs), 6)]
+    arrived = []
+    for window in windows:
+        window += rng.sample(window, min(2, len(window)))  # duplicates
+        rng.shuffle(window)
+        arrived += window
+    toe = ToeEngine()
+    toe.open(make_flow())
+    out = []
+    for off, chunk in arrived:
+        out.extend(toe.deliver(seg(chunk, off)))
+    assert [m.payload for m in out] == sent
+    assert toe.connections[make_flow()].duplicates == len(arrived) - len(segs)

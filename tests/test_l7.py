@@ -1,6 +1,9 @@
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
+from flatproxy import core
 from flatproxy.core import (
     BufferPool,
     Endpoint,
@@ -24,6 +27,7 @@ from flatproxy.l7 import (
     QueueTable,
     RouteRule,
     filter_apply,
+    frame_http,
     http_deparse,
     http_parse,
     load_balance,
@@ -89,6 +93,24 @@ def test_parse_preserves_header_order():
 def test_parse_rejects_malformed(raw):
     with pytest.raises(MalformedHttp):
         parse_request_bytes(raw)
+
+
+def test_frame_http_gives_the_length_once_the_header_block_is_complete():
+    raw = make_request(b"/svc/a", method=b"POST", body=b"0123456789")
+    head = raw.index(b"\r\n\r\n") + 4
+    assert frame_http(raw[:head - 1]) is None
+    for cut in (head, head + 3, len(raw), len(raw) + 5):
+        data = (raw + b"GET / HTTP/1.1\r\n")[:cut]
+        assert frame_http(data) == len(raw)
+    assert frame_http(raw[:head + 3]) > len(raw[:head + 3])
+
+
+def test_parse_rejects_incomplete_body():
+    raw = make_request(b"/svc/a", method=b"POST", body=b"0123456789")
+    for cut in (len(raw) - 10, len(raw) - 1):
+        with pytest.raises(MalformedHttp, match="incomplete"):
+            parse_request_bytes(raw[:cut])
+    assert parse_request_bytes(raw)[1] == b"0123456789"
 
 
 def test_parse_malformed_goes_to_slow_path_not_exception():
@@ -308,6 +330,27 @@ def test_route_no_route_drops():
     _, meta = routed(path=b"/other", env=env)
     assert meta.verdict is Verdict.DROP
     assert meta.verdict_reason == "no_route"
+
+
+def test_route_makes_a_flows_listener_key_once(monkeypatch):
+    made = []
+    real = core.make_listener_key
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "make_listener_key", counting)
+    monkeypatch.setattr(core, "_listener_keys", weakref.WeakValueDictionary())
+    env = make_route_env()
+    flows = make_flow(sport=40100), make_flow(sport=40101)
+    for flow in flows:
+        for path in (b"/svc/a", b"/svc/b", b"/other"):
+            routed(path=path, flow=flow, env=env)
+    assert len(made) == 1
+    assert flows[0].listener_key is flows[1].listener_key
+    _, meta = routed(flow=make_flow(sport=40100, dport=9999), env=env)
+    assert meta.verdict_reason == "no_listener"
 
 
 def test_route_no_healthy_endpoint_to_slow_path():

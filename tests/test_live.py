@@ -37,6 +37,29 @@ def test_read_http_message_rejects_bad_content_length():
             HttpReader(io.BytesIO(raw + b"abcdef").read).read()
 
 
+def test_http_reader_waits_for_the_whole_body_and_frames_it_once(monkeypatch):
+    from flatproxy import live
+
+    framed = []
+    real = live.frame_http
+
+    def counting(data):
+        framed.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(live, "frame_http", counting)
+    raw = make_request(b"/svc/a", method=b"POST", body=b"x" * 5000)
+    chunks = [raw[i:i + 700] for i in range(0, len(raw), 700)]
+    reader = HttpReader(lambda n: chunks.pop(0) if chunks else b"")
+    assert reader.read() == raw
+    assert reader.read() == b""
+    # framed once the header block is in, not again per chunk
+    assert [n for n in framed if n] == [700]
+    short = HttpReader(io.BytesIO(raw[:-1]).read)
+    with pytest.raises(MalformedHttp, match="mid-message"):
+        short.read()
+
+
 @pytest.fixture
 def proxy():
     stub = EchoStub("stub-0").start()

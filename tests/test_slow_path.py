@@ -269,6 +269,16 @@ def test_every_handoff_has_one_disposition(runtime):
                            for k in ("reinjected", "responded", "dropped"))
 
 
+def test_malformed_request_answered_400(runtime):
+    runtime.fast_path.ingress(make_frame(MALFORMED, make_flow(sport=44010)))
+    slow = runtime.stats_snapshot()["slow_path"]
+    assert slow["reason.malformed_http"] == 1
+    assert slow["status.400"] == slow["responded"] == 1
+    assert "dropped" not in slow
+    handoffs = sum(v for k, v in slow.items() if k.startswith("reason."))
+    assert handoffs == slow["reinjected"] + slow["responded"]
+
+
 def test_connection_end_to_end_uses_vq(runtime):
     flow = make_flow(sport=43000)
     raw = make_request(b"/svc/a", body=b"ping")
