@@ -7,6 +7,11 @@ stage gets total x its breakdown percentage.  Host modes serialize all
 host stages onto k shared cores; the offloaded mode pipelines its
 hardware stages and runs L7 work on a parallel worker pool, which is
 where the throughput gap comes from.
+
+The event engine reads arrivals from their sequence, already in time
+order, and keeps only in-flight completions (and a closed loop's later
+arrivals) on its heap.  At equal times an arrival from the sequence goes
+first; heap events at equal times go in insertion order.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import io
 import math
 import random
 import statistics
+from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -179,7 +185,6 @@ class Metrics:
     delivered: int = 0
     loss: int = 0
     latencies: list = field(default_factory=list)
-    histogram: dict = field(default_factory=dict)  # log2 bucket -> count
     stage_busy_ns: dict = field(default_factory=dict)
     cpu_cost_ns: float = 0.0
     duration_s: float = 0.0
@@ -190,8 +195,16 @@ class Metrics:
     def record(self, latency_ns: float):
         self.delivered += 1
         self.latencies.append(latency_ns)
-        bucket = max(0, int(math.log2(latency_ns))) if latency_ns >= 1 else 0
-        self.histogram[bucket] = self.histogram.get(bucket, 0) + 1
+
+    @property
+    def histogram(self) -> dict:
+        """log2 bucket -> count of the latencies, buckets in order of first
+        appearance; a latency below 1 ns counts in bucket 0."""
+        hist = {}
+        for ns in self.latencies:
+            bucket = int(math.log2(ns)) if ns >= 1 else 0
+            hist[bucket] = hist.get(bucket, 0) + 1
+        return hist
 
     @property
     def mean_ns(self) -> float:
@@ -231,7 +244,7 @@ class Metrics:
 # ---------------------------------------------------------------------------
 # Event engine
 
-@dataclass
+@dataclass(frozen=True)
 class _Station:
     name: str
     servers: int
@@ -239,12 +252,6 @@ class _Station:
     jitter_sigma: float
     depth: int
     host: bool
-    free: int = 0
-    queue: list = field(default_factory=list)
-    busy_ns: float = 0.0
-
-    def __post_init__(self):
-        self.free = self.servers
 
 
 def build_stations(mode: Mode, cost: CostModel, topo: Topology,
@@ -298,8 +305,12 @@ def run_sim(mode: Mode, cost: CostModel, wl: Workload,
             topo: Topology = Topology()) -> Metrics:
     """Drive one workload through one mode's stage sequence.
 
-    Deterministic for a fixed (seed, workload, topology): events dequeue
-    in nondecreasing time with ties broken by insertion sequence.
+    Deterministic for a fixed (seed, workload, topology): events are taken
+    in nondecreasing time.  The open loop's arrivals, and the closed loop's
+    first `concurrency`, are read from their sequence, already in time
+    order; the heap holds only in-flight completions and the closed loop's
+    later arrivals.  At equal times an arrival from the sequence goes
+    first, and heap events go in insertion order.
     """
     rng = random.Random(wl.seed)
     stations = []
@@ -312,77 +323,98 @@ def run_sim(mode: Mode, cost: CostModel, wl: Workload,
         and wl.rate_qps > capacity_rps(mode, cost, topo, wl.n_connections)
     )
 
+    cpu = 0.0
     if mode is Mode.FLATPROXY:
         # only slow-path connection setup touches the host
-        metrics.cpu_cost_ns += topo.slow_path_conn_ns * wl.n_connections
-
-    events = []  # (time_ns, seq, kind, payload)
-    seq = 0
-
-    def push(t, kind, payload):
-        nonlocal seq
-        heapq.heappush(events, (t, seq, kind, payload))
-        seq += 1
+        cpu += topo.slow_path_conn_ns * wl.n_connections
 
     horizon_ns = wl.duration_s * 1e9
     if wl.pattern == "open":
         interval = 1e9 / wl.rate_qps
         n = int(horizon_ns / interval)
-        for i in range(n):
-            push(i * interval, "arrival", (i * interval, 0))
     else:
-        for c in range(wl.concurrency):
-            push(0.0, "arrival", (0.0, 0))
+        interval, n = 0.0, wl.concurrency
+    rearrive = wl.pattern == "closed"
 
-    def draw_service(st: _Station) -> float:
-        base = st.service_ns
-        if st.jitter_sigma > 0:
-            # mean-1 lognormal multiplier so jitter does not shift totals
-            z = rng.gauss(0.0, st.jitter_sigma)
-            base *= math.exp(z - st.jitter_sigma ** 2 / 2)
-        return base
+    free = [st.servers for st in stations]
+    queues = [deque() for _ in stations]
+    busy = [0.0] * len(stations)
+    service = [st.service_ns for st in stations]
+    sigma = [st.jitter_sigma for st in stations]
+    # a mean-1 lognormal multiplier, so jitter does not shift totals
+    half_var = [s ** 2 / 2 for s in sigma]
+    depth = [st.depth for st in stations]
+    host = [st.host for st in stations]
+    last = len(stations) - 1
+    gauss, exp = rng.gauss, math.exp
+    heappush, heappop = heapq.heappush, heapq.heappop
+    latencies = metrics.latencies
+    loss = 0
+    last_delivery = 0.0
 
-    def start_service(now, st_idx, arrival):
-        st = stations[st_idx]
-        st.free -= 1
-        svc = draw_service(st)
-        st.busy_ns += svc
-        if st.host:
-            metrics.cpu_cost_ns += svc
-        push(now + svc, "done", (st_idx, arrival))
-
-    def enter(now, st_idx, arrival):
-        st = stations[st_idx]
-        if st.free > 0:
-            start_service(now, st_idx, arrival)
-        elif len(st.queue) < st.depth:
-            st.queue.append(arrival)
-        else:
-            metrics.loss += 1
-
-    while events:
-        now, _s, kind, payload = heapq.heappop(events)
-        if kind == "arrival":
-            arrival_t, _ = payload
-            enter(now, 0, now)
-        else:
-            st_idx, arrival = payload
-            st = stations[st_idx]
-            st.free += 1
-            if st.queue:
-                start_service(now, st_idx, st.queue.pop(0))
-            nxt = st_idx + 1
-            if nxt < len(stations):
-                enter(now, nxt, arrival)
+    heap = []  # (time_ns, seq, station, arrival_ns); station -1: an arrival
+    seq = 0
+    i = 0
+    next_arrival = 0.0 if n else math.inf
+    while True:
+        # strictly earlier only: at a tie the arrival goes first
+        if heap and heap[0][0] < next_arrival:
+            now, _s, k, arrival = heappop(heap)
+            if k < 0:
+                k = 0
             else:
-                metrics.record(now - arrival)
-                metrics.last_delivery_ns = now
-                if wl.pattern == "closed" and now < horizon_ns:
-                    push(now, "arrival", (now, 0))
+                # station k finished `arrival`: it takes its next waiting
+                # request, and `arrival` moves on to station k + 1
+                q = queues[k]
+                if q:
+                    svc = service[k]
+                    if sigma[k] > 0:
+                        svc *= exp(gauss(0.0, sigma[k]) - half_var[k])
+                    busy[k] += svc
+                    if host[k]:
+                        cpu += svc
+                    heappush(heap, (now + svc, seq, k, q.popleft()))
+                    seq += 1
+                else:
+                    free[k] += 1
+                if k == last:
+                    latencies.append(now - arrival)
+                    last_delivery = now
+                    if rearrive and now < horizon_ns:
+                        heappush(heap, (now, seq, -1, now))
+                        seq += 1
+                    continue
+                k += 1
+        elif i < n:
+            now = arrival = next_arrival
+            i += 1
+            next_arrival = i * interval if i < n else math.inf
+            k = 0
+        else:
+            break
+        # `arrival` enters station k
+        if free[k] > 0:
+            free[k] -= 1
+            svc = service[k]
+            if sigma[k] > 0:
+                svc *= exp(gauss(0.0, sigma[k]) - half_var[k])
+            busy[k] += svc
+            if host[k]:
+                cpu += svc
+            heappush(heap, (now + svc, seq, k, arrival))
+            seq += 1
+        elif len(queues[k]) < depth[k]:
+            queues[k].append(arrival)
+        else:
+            loss += 1
 
-    for st in stations:
+    metrics.delivered = len(latencies)
+    metrics.loss = loss
+    metrics.cpu_cost_ns = cpu
+    metrics.last_delivery_ns = last_delivery
+    for st, busy_ns in zip(stations, busy):
         metrics.stage_busy_ns[st.name] = (
-            metrics.stage_busy_ns.get(st.name, 0.0) + st.busy_ns
+            metrics.stage_busy_ns.get(st.name, 0.0) + busy_ns
         )
     return metrics
 

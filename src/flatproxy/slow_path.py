@@ -252,7 +252,9 @@ def _parse_cluster(d) -> Cluster:
 # HTTP status of a verdict
 
 _STATUS_BY_REASON = {"no_listener": 404, "no_route": 404,
-                     "no_healthy_endpoint": 503, "malformed_http": 400}
+                     "no_healthy_endpoint": 503, "malformed_http": 400,
+                     "connect_failure": 502, "unknown_cluster": 502,
+                     "deparse_failed": 502}
 
 
 def http_status(verdict: Verdict, reason: Optional[str]) -> int:

@@ -1,10 +1,11 @@
 """The program interface perfbench drives, checked without timing anything.
 
 perfbench calls `MeshRuntime`, `FastPath.ingress`, `results()`,
-`shutdown()` and the queue and stub maps, and patches names in every
-flatproxy module when it traces.  This runs one traced round of each gated
-in-process workload and the first-swap probe, in a subprocess because
-tracing patches classes for the life of the process.
+`shutdown()` and the queue and stub maps, and `sim.compare_modes`, and
+patches names in every flatproxy module when it traces.  This runs one
+traced round of each gated in-process workload, the first-swap probe and
+traced simulator sweeps, each in a subprocess because tracing patches
+classes and modules for the life of the process.
 """
 
 import json
@@ -38,15 +39,51 @@ print(json.dumps({
 """
 
 
-def test_perfbench_drives_the_program():
+# seconds=0 runs the minimum of three sweeps; the tracer only sees run_sim
+# if compare_modes resolves it through sim's module globals
+SIM_SCRIPT = """
+import json
+import inproc
+from tracing import Tracer, install
+
+tracer = Tracer()
+res = inproc.run_sim_sweep(1, 0.0, tracer)
+print(json.dumps({
+    "grid": len(inproc.sim_grid()),
+    "sweeps": len(res["sweeps"]),
+    "identical": res["identical"],
+    "calls": {n: a.calls for n, a in tracer.agg.items()
+              if n.startswith("sim.run_sim.")},
+}))
+"""
+
+
+def run_script(script: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_perfbench_drives_the_program():
+    out = run_script(SCRIPT)
     for name, r in out["rounds"].items():
         assert r["correct"] and r["failed"] == 0 and r["delivered"] > 0, name
     assert out["probe"]["correct"]
     assert out["probe"]["lost_flows"] == 0
     assert all(n > 0 for n in out["calls"].values()), out["calls"]
+
+
+def test_perfbench_traces_the_simulator_sweep():
+    out = run_script(SIM_SCRIPT)
+    assert out["identical"] and out["sweeps"] >= 2
+    # 4 grid points x 4 modes: one run_sim call each per sweep
+    assert out["grid"] == 4
+    assert sum(out["calls"].values()) == 16 * out["sweeps"], out["calls"]
+    # layers l4 and l7 share each mode's under and over span
+    assert sorted(out["calls"]) == sorted(
+        f"sim.run_sim.{m}.{load}" for m in ("envoy", "sockmap", "toe", "flatproxy")
+        for load in ("under", "over"))
+    assert set(out["calls"].values()) == {2 * out["sweeps"]}

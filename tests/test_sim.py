@@ -1,9 +1,11 @@
+import math
 import threading
 
 import pytest
 
 from flatproxy.sim import (
     CSV_COLUMNS,
+    Metrics,
     Mode,
     StageKind,
     Topology,
@@ -106,6 +108,27 @@ def test_jitter_sigma_preserves_mean():
     # mean-one multiplier: mean latency within a few percent of the base
     assert m.mean_ns == pytest.approx(22_000, rel=0.10)
     assert m.jitter_ns > 0
+
+
+def test_histogram_matches_per_record_buckets():
+    """`histogram` is computed when read; it gives the buckets, and their
+    order of first appearance, that counting at each `record` gave."""
+    below = [math.nextafter(2.0 ** k, 0.0) for k in (1, 2, 10, 40)]
+    latencies = [0.0, 0.25, math.nextafter(1.0, 0.0), 1.0, 1.5, 2.0, 4.0,
+                 1023.5, 1024.0, 2.0 ** 40, 22_000, 17_600.0, 0.5, 2.0, *below]
+    per_record = {}
+    m = Metrics()
+    for ns in latencies:
+        m.record(ns)
+        bucket = max(0, int(math.log2(ns))) if ns >= 1 else 0
+        per_record[bucket] = per_record.get(bucket, 0) + 1
+    assert list(m.histogram.items()) == list(per_record.items())
+    assert m.delivered == len(latencies)
+    # below 1 ns is bucket 0 and a power of two starts its bucket; log2
+    # rounds the float just below 2**10 (or 2**40) up into that bucket
+    hist = m.histogram
+    assert (hist[0], hist[1], hist[2], hist[9], hist[10], hist[40]) == (7, 3, 1, 1, 2, 2)
+    assert Metrics().histogram == {}
 
 
 # -- capacity and contention -------------------------------------------------

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatproxy import slow_path
-from flatproxy.core import Metadata, TrafficUnit, UnitKind, make_listener_key
+from flatproxy.core import Metadata, TrafficUnit, UnitKind, Verdict, make_listener_key
 from flatproxy.fast_path import REORDER_BUFFER_SEGMENTS
-from flatproxy.l7 import Decision, LbPolicy, MatchKind
+from flatproxy.l7 import ConnectFailure, Decision, LbPolicy, MatchKind
 from flatproxy.slow_path import (
     ConfigError,
     Controller,
@@ -243,6 +243,36 @@ def test_no_healthy_endpoint_503(runtime):
     slow = runtime.stats_snapshot()["slow_path"]
     assert slow["status.503"] == slow["reason.no_healthy_endpoint"] == 1
     assert slow["responded"] == 1
+
+
+def assert_answered_502(rt, reason):
+    slow = rt.stats_snapshot()["slow_path"]
+    assert slow[f"reason.{reason}"] == 1
+    assert slow["status.502"] == slow["responded"] == 1
+    assert "dropped" not in slow
+
+
+def test_connect_failure_answered_502():
+    def refuse(endpoint, meta):
+        raise ConnectFailure("refused")
+
+    rt = MeshRuntime(config=load_config(config_text()), connector=refuse)
+    rt.fast_path.ingress(make_frame(make_request(b"/svc/a"), make_flow(sport=42100)))
+    assert_answered_502(rt, "connect_failure")
+    rt.shutdown()
+
+
+def test_unknown_cluster_answered_502(runtime):
+    runtime.msg_controller.publish(runtime.cluster_table, remove=["backend"])
+    runtime.fast_path.ingress(make_frame(make_request(b"/svc/a"), make_flow(sport=42200)))
+    assert_answered_502(runtime, "unknown_cluster")
+
+
+def test_deparse_failed_answered_502(runtime):
+    unit = make_frame(make_request(b"/svc/a"), make_flow(sport=42300))
+    unit.meta.set_verdict(Verdict.TO_SLOW_PATH, "deparse_failed")
+    assert runtime.handle_slow_path(unit, "deparse_failed") == "responded"
+    assert_answered_502(runtime, "deparse_failed")
 
 
 def test_slow_path_frame_for_unconfigured_listener_dropped(runtime):
