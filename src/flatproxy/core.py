@@ -117,14 +117,18 @@ def make_listener_key(dip, dport: int, proto: Proto = Proto.TCP) -> FlowKey:
 
 @dataclass
 class HttpMessage:
-    """Parsed HTTP/1.1 request fields; header wire order is preserved so a
-    deparse round-trips byte-exact."""
+    """Parsed HTTP/1.1 request fields, and the message bytes they were
+    parsed from.  The deparser forwards `raw` untouched unless the request
+    was `rewritten`; header wire order is preserved for that case."""
 
     method: bytes = b""
     url_path: bytes = b""
     host: bytes = b""
     version: bytes = b"HTTP/1.1"
     headers: list = field(default_factory=list)  # list[(name bytes, value bytes)]
+    raw: bytes = b""  # the whole framed message as it arrived
+    body_at: int = 0  # where the body starts in `raw`
+    rewritten: bool = False  # a field was changed: serialise it again
 
 
 _conn_ids = itertools.count(1)
@@ -145,7 +149,6 @@ class Metadata:
     queue: Optional[int] = None
     verdict: Verdict = Verdict.CONTINUE
     verdict_reason: Optional[str] = None
-    body_ref: Optional[int] = None
 
     def set_verdict(self, verdict: Verdict, reason: str = None):
         """Verdict transitions are monotone: terminal verdicts stick."""
@@ -166,8 +169,8 @@ class Metadata:
 
     def reset_transient(self):
         """Clear routing scratch state at the end of a traversal (the
-        'initial metadata' step of the routing algorithm).  `body_ref` is
-        kept: the fast path releases the body when it disposes of the unit."""
+        'initial metadata' step of the routing algorithm): the parsed
+        request, and with it the message bytes it holds."""
         self.http = None
 
 
@@ -178,6 +181,9 @@ class TrafficUnit:
     payload: bytes = b""
     arrival_time: int = 0  # simulated ns; 0 in live mode
     seq: int = 0  # L4 sequence offset, meaningful for SEGMENT only
+    # a MESSAGE framed on arrival: `l7.frame_http(payload)`, which the
+    # parser builds the request from instead of framing it again
+    head: Optional[tuple] = None
 
     def advance(self, kind: UnitKind):
         """Kind only moves upward within ingress processing; the UnitKind
@@ -206,7 +212,7 @@ class Endpoint:
 
 
 class BufferPool:
-    """Per-connection payload buffer store; body_ref is a handle into it."""
+    """Payload buffer store; `put` returns the handle to `get` it by."""
 
     def __init__(self):
         self._buffers = {}

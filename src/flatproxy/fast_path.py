@@ -7,14 +7,16 @@ keeps the epochs of those three tables on its TOE state, and its later
 frames skip the traversal until one of the tables is republished;
 `close_flow` drops the epochs with the TOE state.  A flow forwarded at L4
 short-circuits to its virtualization queue and is classified on every
-frame.  The segments of an L7 flow are reassembled by the ToeEngine into
-HTTP messages, each framed once: `frame_http` gives a message's length as
-soon as its header block is in, and the TOE waits for that many bytes.
-`ingress` runs the messages at once, in order, through `FastPath.message`,
-the L7 entry live mode shares.  Frames and messages leave through one
-disposition: VQ egress, a counted drop or the slow-path handoff.  Per-flow
-FIFO holds by construction: one caller runs a flow's frames, and each live
-client has its own thread.
+frame.  The ToeEngine collects an L7 flow's segments and cuts HTTP
+messages off them, each framed once and joined once: `frame_http` splits a
+message's header block as soon as it is in, and the message leaves with
+that head once its length is held.  `ingress` runs the messages at once,
+in order, through `FastPath.message`, the L7 entry live mode shares; the
+parser builds each request from its head, and the deparser forwards the
+message bytes untouched unless the request was rewritten.  Frames and
+messages leave through one disposition: VQ egress, a counted drop or the
+slow-path handoff.  Per-flow FIFO holds by construction: one caller runs a
+flow's frames, and each live client has its own thread.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import (
-    BufferPool,
     FlowKey,
     Metadata,
     ProtoType,
@@ -133,10 +134,10 @@ def make_toe(l4_table: MatchTable) -> Ppm:
     )
 
 
-def make_http_parser(pool: BufferPool) -> Ppm:
+def make_http_parser() -> Ppm:
     def parser(unit: TrafficUnit, ctx: ExecContext):
         if unit.meta.http is None:
-            http_parse(unit, pool)
+            http_parse(unit)
 
     def matcher(unit, snaps):
         return "parsed" if unit.meta.http is not None else DEFAULT_ACTION
@@ -201,10 +202,10 @@ def make_router(
     )
 
 
-def make_http_deparser(pool: BufferPool) -> Ppm:
+def make_http_deparser() -> Ppm:
     def deparse_proc(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
         try:
-            unit.payload = http_deparse(unit.meta, pool)
+            unit.payload = http_deparse(unit.meta)
         except MalformedHttp:
             unit.meta.set_verdict(Verdict.TO_SLOW_PATH, "deparse_failed")
             return
@@ -229,7 +230,6 @@ def standard_registry(
     filter_table: MatchTable,
     route_table: MatchTable,
     cluster_table: MatchTable,
-    pool: BufferPool,
     queues: QueueTable,
     connector: Callable = default_connector,
 ) -> dict:
@@ -238,12 +238,12 @@ def standard_registry(
         "vswitch": make_l2_vswitch(l2_table),
         "l3": make_l3(l3_table),
         "toe": make_toe(l4_table),
-        "http_parser": make_http_parser(pool),
+        "http_parser": make_http_parser(),
         "filter": make_filter(filter_table),
         "router": make_router(
             listener_table, route_table, cluster_table, queues, connector
         ),
-        "http_deparser": make_http_deparser(pool),
+        "http_deparser": make_http_deparser(),
     }
 
 
@@ -259,12 +259,15 @@ class _ToeConn:
     """One flow's TOE state, released by `ToeEngine.close`."""
 
     next_seq: int = 0
-    assembled: bytes = b""
+    # the in-order bytes not yet delivered, as they arrived, `held` bytes
+    # in all; joined once a whole message is in
+    chunks: list = field(default_factory=list)
+    held: int = 0
     reorder: dict = field(default_factory=dict)
     duplicates: int = 0
-    # length of the message at the head of `assembled` once its header
-    # block is framed; None until then
-    need: Optional[int] = None
+    # `frame_http`'s result for the message at the head of `chunks` once
+    # its header block is in and the rest is not; None otherwise
+    need: Optional[tuple] = None
     # the (l2_fwd, l3_proto, l4_flows) epochs the flow was last classified
     # on by a traversal that ended in to_l7; plain ints, never snapshots
     epochs: Optional[tuple] = None
@@ -308,46 +311,59 @@ class ToeEngine:
                 raise OutOfWindow(f"reorder buffer full for {key}")
             conn.reorder[seg.seq] = seg.payload
             return []
-        conn.assembled += seg.payload
-        conn.next_seq += len(seg.payload)
-        while conn.next_seq in conn.reorder:
-            chunk = conn.reorder.pop(conn.next_seq)
-            conn.assembled += chunk
+        chunk = seg.payload
+        while True:
+            if chunk:
+                conn.chunks.append(chunk)
+            conn.held += len(chunk)
             conn.next_seq += len(chunk)
+            if conn.next_seq not in conn.reorder:
+                break
+            chunk = conn.reorder.pop(conn.next_seq)
         return self._frame_messages(conn, seg.meta)
 
     def _frame_messages(self, conn: _ToeConn, meta: Metadata) -> list:
+        """Cut each whole message off the bytes `conn` holds.  A message is
+        framed once, its head waiting in `conn.need` until that many bytes
+        are held, and its segments are joined once."""
         out = []
-        while (msg_bytes := self._next_message(conn)) is not None:
-            msg_meta = Metadata(flow=meta.flow, proto_type=ProtoType.HTTP,
-                                conn_id=meta.conn_id)
-            out.append(
-                TrafficUnit(kind=UnitKind.MESSAGE, meta=msg_meta, payload=msg_bytes)
-            )
+        while conn.held:
+            head = conn.need
+            if head is None:
+                try:
+                    head = frame_http(_joined(conn))
+                except MalformedHttp as exc:
+                    # deliver the bad header block alone, so the stream
+                    # stays framed; the parser raises the slow-path verdict
+                    out.append(_cut(conn, meta, exc.end, None))
+                    continue
+                if head is None:
+                    break
+            if conn.held < head[0]:
+                conn.need = head
+                break
+            conn.need = None
+            out.append(_cut(conn, meta, head[0], head))
         return out
 
-    def _next_message(self, conn: _ToeConn) -> Optional[bytes]:
-        """Each message is framed once: its length is kept in `conn.need`
-        until that many bytes have been assembled."""
-        data = conn.assembled
-        end = conn.need
-        if end is None:
-            if not data:
-                return None
-            try:
-                end = frame_http(data)
-            except MalformedHttp as exc:
-                # deliver the bad header block alone, so the stream stays
-                # framed; the parser PPM raises the slow-path verdict on it
-                end = exc.end
-            if end is None:
-                return None
-        if len(data) < end:
-            conn.need = end
-            return None
-        conn.need = None
-        conn.assembled = data[end:]
-        return data[:end]
+
+def _joined(conn: _ToeConn) -> bytes:
+    """The bytes `conn` holds, as one chunk."""
+    if len(conn.chunks) > 1:
+        conn.chunks = [b"".join(conn.chunks)]
+    return conn.chunks[0]
+
+
+def _cut(conn: _ToeConn, meta: Metadata, end: int, head) -> TrafficUnit:
+    """The MESSAGE unit of the first `end` bytes `conn` holds."""
+    data = _joined(conn)
+    rest = data[end:]
+    conn.chunks = [rest] if rest else []
+    conn.held = len(rest)
+    return TrafficUnit(
+        kind=UnitKind.MESSAGE, payload=data[:end], head=head,
+        meta=Metadata(flow=meta.flow, proto_type=ProtoType.HTTP,
+                      conn_id=meta.conn_id))
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +371,14 @@ class ToeEngine:
 
 class FastPath:
     """The full ingress data plane: the registry's vswitch, l3 and toe PPMs,
-    TOE reassembly, the L7 chain run inline on each reassembled message, and
-    one disposition.  `results()` holds the (unit, trace) of every message
-    `ingress` ran."""
+    TOE reassembly, the L7 chain run inline on each framed message (from the
+    TOE, or live mode's `message` calls), and one disposition.  `results()`
+    holds the (unit, trace) of every message `ingress` ran."""
 
     def __init__(
         self,
         l7_chain: ExecutableChain,
         registry: dict,
-        buffer_pool: BufferPool,
         slow_path_handoff: Callable,
         vq_egress: Callable,
     ):
@@ -373,7 +388,6 @@ class FastPath:
         l2_l4 = tuple(registry[pid] for pid in ("vswitch", "l3", "toe"))
         self._l2_l4 = tuple(ppm.node for ppm in l2_l4)
         self._l2_l4_tables = tuple(t for ppm in l2_l4 for t in ppm.tables)
-        self.buffer_pool = buffer_pool
         self._results = []
         self._results_lock = threading.Lock()
         self.slow_path_handoff = slow_path_handoff
@@ -437,13 +451,10 @@ class FastPath:
 
     def _dispose(self, unit: TrafficUnit, prefix: str = "") -> str:
         """The one exit from the data plane, for frames (`prefix` '') and
-        messages ('msg_'): release the unit's parsed body, then send DELIVER
-        to VQ egress, count DROP, and hand any other verdict to the slow
-        path.  Returns 'vq' | 'dropped' | 'slow_path'."""
+        messages ('msg_'): send DELIVER to VQ egress, count DROP, and hand
+        any other verdict to the slow path.  Returns 'vq' | 'dropped' |
+        'slow_path'."""
         meta = unit.meta
-        if meta.body_ref is not None:
-            self.buffer_pool.release(meta.body_ref)
-            meta.body_ref = None
         if meta.verdict is Verdict.DELIVER:
             self.ctx.bump(prefix + "egress")
             self.vq_egress(unit)

