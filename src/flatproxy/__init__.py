@@ -5,7 +5,6 @@ from .core import (
     FlowKey,
     Metadata,
     Proto,
-    ProtoType,
     TrafficUnit,
     UnitKind,
     Verdict,

@@ -59,6 +59,15 @@ def _mode_list(text: str):
     return out
 
 
+def _host_port(text: str):
+    """`host:port` as (host, port); by default 127.0.0.1 and 0 (any port)."""
+    host, _, port = text.partition(":")
+    port = port or "0"
+    if not port.isdecimal() or int(port) > 0xFFFF:
+        raise argparse.ArgumentTypeError(f"bad port in {text!r}")
+    return host or "127.0.0.1", int(port)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flatproxy")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -79,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("live", help="serve the configured proxy over TCP")
     p.add_argument("--config", required=True)
-    p.add_argument("--listen", default="127.0.0.1:0")
+    p.add_argument("--listen", type=_host_port, default="127.0.0.1:0")
     p.add_argument("--duration", type=float, default=0.0,
                    help="seconds to run; 0 = until interrupted")
     p.add_argument("--spawn-stubs", type=int, default=0,
@@ -93,6 +102,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reload", help="signal a running live instance")
     p.add_argument("--pid-file", required=True)
     return parser
+
+
+def _write(path, text: str) -> int:
+    """Write `text` to the file `path`, or to stdout if there is none."""
+    if not path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    return EXIT_OK
 
 
 def cmd_validate(args) -> int:
@@ -128,16 +151,8 @@ def cmd_sim(args) -> int:
         duration_s=args.duration,
         seed=args.seed,
     )
-    text = rows_to_csv(rows)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-    else:
-        sys.stdout.write(text)
+    if _write(args.out, rows_to_csv(rows)) != EXIT_OK:
+        return EXIT_RUNTIME
 
     for mode in args.modes:
         mrows = [r for r in rows if r["mode"] == mode.value]
@@ -169,7 +184,7 @@ def cmd_live(args) -> int:
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    host, _, port = args.listen.partition(":")
+    host, port = args.listen
     stubs = []
     if args.spawn_stubs:
         endpoints = [e for c in config.clusters for e in c.endpoints]
@@ -181,10 +196,9 @@ def cmd_live(args) -> int:
             ).start()
             stubs.append(stub)
     try:
-        proxy = LiveProxy(config, listen_host=host or "127.0.0.1",
-                          listen_port=int(port or 0))
+        proxy = LiveProxy(config, listen_host=host, listen_port=port)
     except OSError as exc:
-        print(f"cannot bind {args.listen}: {exc}", file=sys.stderr)
+        print(f"cannot bind {host}:{port}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     proxy.start()
     print(f"listening on {proxy.listen_host}:{proxy.port}", flush=True)
@@ -235,22 +249,21 @@ def cmd_report(args) -> int:
         return EXIT_RUNTIME
     lines = []
     by_mode = {}
-    for row in rows:
-        by_mode.setdefault(row["mode"], []).append(row)
-    for mode, mrows in by_mode.items():
-        mean = sum(float(r["mean_ns"]) for r in mrows) / len(mrows)
-        rps = max(float(r["responses_per_s"]) for r in mrows)
-        lines.append(
-            f"{mode}: {len(mrows)} points, mean latency {mean:.0f} ns, "
-            f"peak {rps:.0f} rsp/s"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    try:
+        for row in rows:
+            by_mode.setdefault(row["mode"], []).append(row)
+        for mode, mrows in by_mode.items():
+            mean = sum(float(r["mean_ns"]) for r in mrows) / len(mrows)
+            rps = max(float(r["responses_per_s"]) for r in mrows)
+            lines.append(
+                f"{mode}: {len(mrows)} points, mean latency {mean:.0f} ns, "
+                f"peak {rps:.0f} rsp/s"
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        what = f"no {exc} column" if isinstance(exc, KeyError) else exc
+        print(f"not a sweep csv: {args.csv_in}: {what}", file=sys.stderr)
+        return EXIT_RUNTIME
+    return _write(args.out, "\n".join(lines) + "\n")
 
 
 def cmd_reload(args) -> int:

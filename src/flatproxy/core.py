@@ -21,11 +21,6 @@ class Proto(Enum):
     UDP = 17
 
 
-class ProtoType(Enum):
-    L4_STREAM = "l4_stream"
-    HTTP = "http"
-
-
 class UnitKind(Enum):
     """Traffic category; only ever advances upward on ingress."""
 
@@ -89,10 +84,6 @@ class FlowKey:
     def __hash__(self):
         return self._hash
 
-    @property
-    def is_listener_key(self) -> bool:
-        return self.sip == 0 and self.sport == 0
-
     @cached_property
     def listener_key(self) -> "FlowKey":
         """The wildcard-source key of this flow's listener, made on first
@@ -143,7 +134,6 @@ class Metadata:
     """Per-unit descriptor threaded through every processing module."""
 
     flow: FlowKey
-    proto_type: ProtoType = ProtoType.L4_STREAM
     conn_id: int = 0
     http: Optional[HttpMessage] = None
     queue: Optional[int] = None
@@ -179,7 +169,6 @@ class TrafficUnit:
     kind: UnitKind
     meta: Metadata
     payload: bytes = b""
-    arrival_time: int = 0  # simulated ns; 0 in live mode
     seq: int = 0  # L4 sequence offset, meaningful for SEGMENT only
     # a MESSAGE framed on arrival: `l7.frame_http(payload)`, which the
     # parser builds the request from instead of framing it again

@@ -14,28 +14,26 @@ that head once its length is held.  `ingress` runs the messages at once,
 in order, through `FastPath.message`, the L7 entry live mode shares; the
 parser builds each request from its head, and the deparser forwards the
 message bytes untouched unless the request was rewritten.  Frames and
-messages leave through one disposition: VQ egress, a counted drop or the
-slow-path handoff.  Per-flow FIFO holds by construction: one caller runs a
-flow's frames, and each live client has its own thread.
+messages leave through one disposition, which counts the outcome and keeps
+nothing: VQ egress, a drop counted by reason or the slow-path handoff.
+Per-flow FIFO holds by construction: one caller runs a flow's frames, and
+each live client has its own thread.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import (
     FlowKey,
     Metadata,
-    ProtoType,
     TrafficUnit,
     UnitKind,
     Verdict,
 )
 from .l7 import (
     QueueTable,
-    default_connector,
     filter_apply,
     frame_http,
     http_deparse,
@@ -175,7 +173,7 @@ def make_router(
     route_table: MatchTable,
     cluster_table: MatchTable,
     queues: QueueTable,
-    connector: Callable = default_connector,
+    connector: Callable,
 ) -> Ppm:
     def route_proc(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
         result = route(
@@ -231,7 +229,7 @@ def standard_registry(
     route_table: MatchTable,
     cluster_table: MatchTable,
     queues: QueueTable,
-    connector: Callable = default_connector,
+    connector: Callable,
 ) -> dict:
     """The standard PPMs by id, over the given tables."""
     return {
@@ -362,8 +360,7 @@ def _cut(conn: _ToeConn, meta: Metadata, end: int, head) -> TrafficUnit:
     conn.held = len(rest)
     return TrafficUnit(
         kind=UnitKind.MESSAGE, payload=data[:end], head=head,
-        meta=Metadata(flow=meta.flow, proto_type=ProtoType.HTTP,
-                      conn_id=meta.conn_id))
+        meta=Metadata(flow=meta.flow, conn_id=meta.conn_id))
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +369,8 @@ def _cut(conn: _ToeConn, meta: Metadata, end: int, head) -> TrafficUnit:
 class FastPath:
     """The full ingress data plane: the registry's vswitch, l3 and toe PPMs,
     TOE reassembly, the L7 chain run inline on each framed message (from the
-    TOE, or live mode's `message` calls), and one disposition.  `results()`
-    holds the (unit, trace) of every message `ingress` ran."""
+    TOE, or live mode's `message` calls), and one disposition.  It keeps
+    nothing of a message: `counters()` is the record of what happened."""
 
     def __init__(
         self,
@@ -388,14 +385,11 @@ class FastPath:
         l2_l4 = tuple(registry[pid] for pid in ("vswitch", "l3", "toe"))
         self._l2_l4 = tuple(ppm.node for ppm in l2_l4)
         self._l2_l4_tables = tuple(t for ppm in l2_l4 for t in ppm.tables)
-        self._results = []
-        self._results_lock = threading.Lock()
         self.slow_path_handoff = slow_path_handoff
         self.vq_egress = vq_egress
 
     def counters(self) -> dict:
-        with self.ctx._lock:
-            return dict(self.ctx.counters)
+        return self.ctx.snapshot()
 
     # ingress ---------------------------------------------------------------
     def ingress(self, unit: TrafficUnit) -> str:
@@ -432,9 +426,7 @@ class FastPath:
             conn = self.toe.connections[flow]
         conn.epochs = epochs
         for msg in messages:
-            result = self.message(msg)
-            with self._results_lock:
-                self._results.append(result)
+            self.message(msg)
         if messages:
             self.ctx.bump("egress")
             return "l7"
@@ -451,9 +443,9 @@ class FastPath:
 
     def _dispose(self, unit: TrafficUnit, prefix: str = "") -> str:
         """The one exit from the data plane, for frames (`prefix` '') and
-        messages ('msg_'): send DELIVER to VQ egress, count DROP, and hand
-        any other verdict to the slow path.  Returns 'vq' | 'dropped' |
-        'slow_path'."""
+        messages ('msg_'): send DELIVER to VQ egress, count DROP in all and
+        by reason (`dropped.<reason>`), and hand any other verdict to the
+        slow path.  Returns 'vq' | 'dropped' | 'slow_path'."""
         meta = unit.meta
         if meta.verdict is Verdict.DELIVER:
             self.ctx.bump(prefix + "egress")
@@ -461,11 +453,14 @@ class FastPath:
             return "vq"
         if meta.verdict is Verdict.DROP:
             self.ctx.bump(prefix + "dropped")
+            self.ctx.bump(f"{prefix}dropped.{meta.verdict_reason or 'unknown'}")
             return "dropped"
         self.ctx.bump(prefix + "slow_path")
         self.slow_path_handoff(unit, meta.verdict_reason)
         return "slow_path"
 
     def results(self):
-        with self._results_lock:
-            return list(self._results)
+        """Always empty: nothing is kept per message.  It remains only for
+        the benchmark's `fast_path.results_held` gauge, which reads its
+        length."""
+        return []

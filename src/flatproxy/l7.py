@@ -14,7 +14,6 @@ the flow is pinned to its queue for life.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,7 +24,6 @@ from .core import (
     FlowKey,
     HttpMessage,
     Metadata,
-    ProtoType,
     TrafficUnit,
     Verdict,
 )
@@ -61,14 +59,12 @@ def http_parse(unit: TrafficUnit) -> Metadata:
     path decides drop vs. 400) and metadata is otherwise untouched.
     """
     meta = unit.meta
-    # a head is used once: a unit kept in FastPath.results() holds none
+    # a head is used once, so a parsed unit holds no header fields twice
     head, unit.head = unit.head, None
     try:
         meta.http = parse_request(unit.payload, head)
     except MalformedHttp as exc:
         meta.set_verdict(Verdict.TO_SLOW_PATH, f"malformed_http:{exc}")
-        return meta
-    meta.proto_type = ProtoType.HTTP
     return meta
 
 
@@ -337,14 +333,6 @@ class QueueTable:
         return len(self._map)
 
 
-_queue_ids = itertools.count(1)
-
-
-def default_connector(endpoint: Endpoint, meta: Metadata) -> int:
-    """Stand-in connection establishment: allocate a fresh queue id."""
-    return next(_queue_ids)
-
-
 @dataclass
 class RouteResult:
     meta: Metadata
@@ -358,7 +346,7 @@ def route(
     routes: dict,
     queues: QueueTable,
     clusters: dict,
-    connector: Callable = default_connector,
+    connector: Callable,
 ) -> RouteResult:
     """HTTP routing: listener hash lookup, path match, queue lookup with
     lazy connection establishment.
@@ -366,6 +354,7 @@ def route(
     listeners: listener FlowKey -> listener name
     routes:    listener FlowKey -> list[RouteRule]
     clusters:  cluster ref -> Cluster
+    connector: (endpoint, meta) -> queue id, on a queue miss
     """
     result = RouteResult(meta)
     lkey = meta.flow.listener_key

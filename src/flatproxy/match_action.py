@@ -145,6 +145,11 @@ class ExecContext:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + n
 
+    def snapshot(self) -> dict:
+        """A copy of the counters, taken between bumps."""
+        with self._lock:
+            return dict(self.counters)
+
 
 class Ppm:
     """Protocol processing module: an optional parser, a required matcher

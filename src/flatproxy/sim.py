@@ -521,9 +521,11 @@ def e2e_latency_reduction(seed: int = 0, rate_frac: float = 0.95,
 # ---------------------------------------------------------------------------
 # Functional run: the real chain under simulated time
 
-def run_functional(runtime, wl: Workload, requests=None):
+def run_functional(runtime, wl: Workload) -> Metrics:
     """Push seeded requests through the real fast path and time them with
-    the offloaded cost model.  Returns (Metrics, trace log)."""
+    the offloaded cost model.  Outcomes are read as fast-path counter
+    deltas: a message egressed to a full TX ring (`ring_full`) is lost,
+    not delivered, and so is one dropped (`msg_dropped`)."""
     from .core import FlowKey, Metadata, Proto, TrafficUnit, UnitKind
 
     rng = random.Random(wl.seed)
@@ -534,7 +536,6 @@ def run_functional(runtime, wl: Workload, requests=None):
 
     models = builtin_cost_models()
     cost = models[(Mode.FLATPROXY, "l7")]
-    interval = 1e9 / wl.rate_qps
     n_requests = max(1, int(wl.duration_s * wl.rate_qps))
 
     client_base = 0x0A000064  # 10.0.0.100
@@ -550,33 +551,28 @@ def run_functional(runtime, wl: Workload, requests=None):
     ]
 
     metrics = Metrics(duration_s=wl.duration_s, request_size=wl.request_size)
-    traces = []
+    before = runtime.fast_path.counters()
     offsets = [0] * len(flows)  # per-connection byte sequence cursor
     for i in range(n_requests):
         conn_idx = i % len(flows)
         flow = flows[conn_idx]
-        if requests is not None:
-            payload = requests[i % len(requests)]
-        else:
-            body = bytes([rng.randrange(32, 127)]) * max(0, wl.request_size - 64)
-            payload = (
-                b"GET /svc/a HTTP/1.1\r\nHost: a\r\nContent-Length: "
-                + str(len(body)).encode() + b"\r\n\r\n" + body
-            )
+        body = bytes([rng.randrange(32, 127)]) * max(0, wl.request_size - 64)
+        payload = (
+            b"GET /svc/a HTTP/1.1\r\nHost: a\r\nContent-Length: "
+            + str(len(body)).encode() + b"\r\n\r\n" + body
+        )
         unit = TrafficUnit(
             kind=UnitKind.FRAME,
             meta=Metadata(flow=flow, conn_id=conn_idx),
             payload=payload,
-            arrival_time=int(i * interval),
             seq=offsets[conn_idx],
         )
         offsets[conn_idx] += len(payload)
         runtime.fast_path.ingress(unit)
-    for unit, trace in runtime.fast_path.results():
-        verdict, reason = unit.meta.verdict.value, unit.meta.verdict_reason
-        traces.append((verdict, reason, trace))
-        if verdict == "deliver" and reason != "ring_full":
-            metrics.record(float(cost.total_ns))
-    # a message that found its TX ring full is lost, not delivered
-    metrics.loss = sum(1 for v, r, _ in traces if v == "drop" or r == "ring_full")
-    return metrics, traces
+    delta = {k: v - before.get(k, 0)
+             for k, v in runtime.fast_path.counters().items()}
+    lost = delta.get("ring_full", 0)
+    for _ in range(delta.get("msg_egress", 0) - lost):
+        metrics.record(float(cost.total_ns))
+    metrics.loss = delta.get("msg_dropped", 0) + lost
+    return metrics

@@ -46,7 +46,7 @@ from .l7 import (
     QueueTable,
     RouteRule,
 )
-from .match_action import MatchTable, compile_chain, MatchActionError
+from .match_action import ExecContext, MatchTable, compile_chain, MatchActionError
 from .vq import RingFull, ServiceStub, VirtQueue
 
 IDLE_TIMEOUT_NS = 60 * 1_000_000_000
@@ -188,7 +188,7 @@ def load_config(source) -> MeshConfig:
     # the chain must compile against the standard PPM registry; compiling
     # reads only PPM ids and layers, so scratch tables will do
     registry = standard_registry(
-        *(MatchTable(f"t{i}") for i in range(7)), QueueTable()
+        *(MatchTable(f"t{i}") for i in range(7)), QueueTable(), connector=None
     )
     try:
         compile_chain(cfg.chain, registry)
@@ -284,7 +284,6 @@ class ConnRecord:
 @dataclass
 class Controller:
     name: str
-    layer: str  # "L2" | "L3L4" | "L7"
     tables: list = field(default_factory=list)
 
     def own(self, table: MatchTable):
@@ -330,9 +329,9 @@ class MeshRuntime:
         self.route_table = MatchTable("routes")
         self.cluster_table = MatchTable("clusters")
 
-        self.ovs_controller = Controller("ovs", "L2")
-        self.conn_controller = Controller("connection", "L3L4")
-        self.msg_controller = Controller("message", "L7")
+        self.ovs_controller = Controller("ovs")
+        self.conn_controller = Controller("connection")
+        self.msg_controller = Controller("message")
         self.ovs_controller.own(self.l2_table)
         for t in (self.l3_table, self.l4_table, self.listener_table):
             self.conn_controller.own(t)
@@ -351,7 +350,7 @@ class MeshRuntime:
         self.conns: dict[FlowKey, ConnRecord] = {}
         self.vqs: dict[int, object] = {}  # vq id -> VirtQueue or LiveQueue
         self.stubs: dict[int, object] = {}
-        self.slow_counters: dict[str, int] = {}
+        self.slow = ExecContext(counters={})  # the slow path's counters
         self._lock = threading.RLock()
 
         self.chain = self.compile(config.chain if config else DEFAULT_CHAIN_NODES)
@@ -469,10 +468,6 @@ class MeshRuntime:
         self.fast_path.toe.close(key)
 
     # -- slow path ---------------------------------------------------------
-    def _count(self, name):
-        with self._lock:
-            self.slow_counters[name] = self.slow_counters.get(name, 0) + 1
-
     def handle_slow_path(self, unit: TrafficUnit, reason) -> str:
         """Dispose of a unit the fast path could not process.  A unit whose
         reason has its own HTTP status gets that reply, counted under
@@ -481,16 +476,16 @@ class MeshRuntime:
         Returns the disposition: 'reinjected' | 'responded' | 'dropped'.
         """
         reason = (reason or "unknown").split(":")[0]
-        self._count(f"reason.{reason}")
+        self.slow.bump(f"reason.{reason}")
         if reason == "new_connection":
             return self._handle_new_connection(unit)
         if reason in ("no_listener", "no_route"):
-            self._count(f"drop.{reason}")
+            self.slow.bump(f"drop.{reason}")
         if reason in _STATUS_BY_REASON:
-            self._count(f"status.{http_status(unit.meta.verdict, reason)}")
-            self._count("responded")
+            self.slow.bump(f"status.{http_status(unit.meta.verdict, reason)}")
+            self.slow.bump("responded")
             return "responded"
-        self._count("dropped")
+        self.slow.bump("dropped")
         return "dropped"
 
     def _handle_new_connection(self, unit: TrafficUnit) -> str:
@@ -506,26 +501,25 @@ class MeshRuntime:
         """
         key = unit.meta.flow
         if key.listener_key not in self.listener_table.current.entries:
-            self._count("drop.no_listener")
-            self._count("dropped")
+            self.slow.bump("drop.no_listener")
+            self.slow.bump("dropped")
             return "dropped"
         self._record(key)
         self.conn_controller.publish(self.l4_table, add={key: "l7"})
         # open the TOE state with the entry, as close_flow closes both, so a
         # first segment that arrives out of order waits for the ones before it
         self.fast_path.toe.open(key)
-        self._count("installed")
+        self.slow.bump("installed")
         # reinjection preserves the original unit bytes; the unit re-enters
         # at L2 as a fresh frame
         fresh = TrafficUnit(
             kind=UnitKind.FRAME,
             meta=Metadata(flow=unit.meta.flow, conn_id=unit.meta.conn_id),
             payload=unit.payload,
-            arrival_time=unit.arrival_time,
             seq=unit.seq,
         )
         self.fast_path.ingress(fresh)
-        self._count("reinjected")
+        self.slow.bump("reinjected")
         return "reinjected"
 
     def expire_idle(self, now: int = None):
@@ -539,10 +533,8 @@ class MeshRuntime:
 
     # -- statistics --------------------------------------------------------
     def stats_snapshot(self) -> dict:
-        """Point-in-time counters document; never blocks the fast path."""
-        with self._lock:
-            slow = dict(self.slow_counters)
-            open_conns = len(self.conns)
+        """Point-in-time counters document; each path's counters are
+        copied whole, between two of its bumps."""
         fast = self.fast_path.counters()
         epochs = {
             t.name: t.epoch
@@ -557,10 +549,10 @@ class MeshRuntime:
         }
         return {
             "fast_path": fast,
-            "slow_path": slow,
+            "slow_path": self.slow.snapshot(),
             "table_epochs": epochs,
             "endpoint_assignments": endpoints,
-            "connections": {"open": open_conns},
+            "connections": {"open": len(self.conns)},
         }
 
     def shutdown(self):

@@ -112,6 +112,38 @@ def test_report_missing_file(capsys):
     assert code == 1
 
 
+def test_report_rejects_a_csv_that_is_not_a_sweep(tmp_path, capsys):
+    other = tmp_path / "other.csv"
+    other.write_text("mode,mean_ns\nenvoy,1\n")
+    code, out, err = run_cli(["report", str(other)], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "responses_per_s" in err
+    other.write_text("mode,mean_ns,responses_per_s\nenvoy,1,fast\n")
+    code, out, err = run_cli(["report", str(other)], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "fast" in err
+
+
+def test_report_out_unwritable(tmp_path, capsys):
+    sweep = tmp_path / "sweep.csv"
+    run_cli(["sim", "--rate", "100", "--duration", "0.01",
+             "--out", str(sweep)], capsys)
+    dest = tmp_path / "no-such-dir" / "report.txt"
+    code, _, err = run_cli(["report", str(sweep), "--out", str(dest)], capsys)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("cannot write")
+
+
+# -- live --------------------------------------------------------------------
+
+def test_live_rejects_bad_listen_port(config_file, capsys):
+    for listen in ("127.0.0.1:abc", "127.0.0.1:70000"):
+        with pytest.raises(SystemExit) as exc:
+            main(["live", "--config", config_file, "--listen", listen])
+        assert exc.value.code == 2
+        assert "bad port" in capsys.readouterr().err
+
+
 # -- reload ------------------------------------------------------------------
 
 def test_reload_bad_pidfile(capsys):

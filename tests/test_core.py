@@ -23,7 +23,7 @@ from conftest import make_flow
 def test_make_listener_key_wildcard_source():
     key = make_listener_key("10.0.0.2", 8080)
     assert key == FlowKey(0, 0, ip4_to_int("10.0.0.2"), 8080, Proto.TCP)
-    assert key.is_listener_key
+    assert key.sip == key.sport == 0
 
 
 def test_make_listener_key_deterministic():

@@ -7,7 +7,6 @@ from flatproxy import fast_path, l7, live
 from flatproxy.core import (
     Metadata,
     Proto,
-    ProtoType,
     TrafficUnit,
     UnitKind,
     Verdict,
@@ -53,7 +52,6 @@ def test_toe_in_order_single_message():
     assert len(msgs) == 1
     assert msgs[0].payload == raw
     assert msgs[0].kind is UnitKind.MESSAGE
-    assert msgs[0].meta.proto_type is ProtoType.HTTP
 
 
 def test_toe_split_across_segments():
@@ -173,8 +171,8 @@ def test_first_packet_slow_path_then_delivery(runtime):
     assert snap["slow_path"]["installed"] == 1
     assert snap["slow_path"]["reinjected"] == 1
     assert snap["fast_path"]["msg_egress"] == 1
-    results = runtime.fast_path.results()
-    assert results[0][0].meta.verdict is Verdict.DELIVER
+    qid = runtime.queue_table.lookup(make_flow())
+    assert runtime.vqs[qid].stub_fetch(runtime.stubs[qid]) == raw
 
 
 def test_established_flow_skips_slow_path(runtime):
@@ -249,7 +247,7 @@ def test_ingress_keeps_per_flow_fifo(runtime):
         frames = rng.choice(streams)
         runtime.fast_path.ingress(frames.pop(0))
         streams = [s for s in streams if s]
-    assert len(runtime.fast_path.results()) == 400
+    assert runtime.fast_path.counters()["msg_egress"] == 400
     for flow in flows:
         qid = runtime.queue_table.lookup(flow)
         q, stub = runtime.vqs[qid], runtime.stubs[qid]
@@ -274,6 +272,12 @@ def test_unit_conservation(runtime):
         c.get("msg_egress", 0) + c.get("msg_dropped", 0)
         + c.get("msg_slow_path", 0)
     )
+    # every drop is counted under its reason: /admin (filter), /nowhere
+    # (no_route)
+    for prefix in ("dropped", "msg_dropped"):
+        by_reason = {k: v for k, v in c.items() if k.startswith(prefix + ".")}
+        assert sum(by_reason.values()) == c.get(prefix, 0)
+    assert c["msg_dropped.filter"] > 0 and c["msg_dropped.no_route"] > 0
     # every parsed body is released once its unit is disposed of
     assert len(runtime.buffer_pool) == 0
 
@@ -299,20 +303,18 @@ def test_oversize_message_goes_to_slow_path(runtime):
     it never reaches tx_deliver."""
     raw = make_request(b"/svc/a", method=b"POST", body=b"x" * (70 * 1024))
     runtime.fast_path.ingress(frame(raw))
-    results = runtime.fast_path.results()
-    assert results
-    for unit, _trace in results:
-        assert unit.meta.verdict is Verdict.TO_SLOW_PATH
-        assert unit.meta.verdict_reason.startswith("malformed_http:")
-    assert runtime.fast_path.counters().get("msg_egress", 0) == 0
+    c = runtime.fast_path.counters()
+    assert c["msg_submitted"] == c["msg_slow_path"] > 0
+    assert runtime.stats_snapshot()["slow_path"]["reason.malformed_http"] == (
+        c["msg_slow_path"])
+    assert c.get("msg_egress", 0) == 0
 
 
 def test_deparsed_payload_byte_exact(runtime):
     raw = make_request(b"/svc/a", host=b"api", body=b"payload")
     runtime.fast_path.ingress(frame(raw))
-    unit, _trace = runtime.fast_path.results()[0]
-    assert unit.meta.verdict is Verdict.DELIVER
-    assert unit.payload == raw
+    qid = runtime.queue_table.lookup(make_flow())
+    assert runtime.vqs[qid].stub_fetch(runtime.stubs[qid]) == raw
 
 
 # -- epoch consistency -------------------------------------------------------
@@ -632,6 +634,14 @@ def test_toe_frames_each_message_once(monkeypatch):
     splits.clear()
     rt = MeshRuntime(config=load_config(config_text()))
     fp = rt.fast_path
+    units, real_message = [], fp.message
+
+    def keeping_message(msg):
+        unit, trace = real_message(msg)
+        units.append(unit)
+        return unit, trace
+
+    monkeypatch.setattr(fp, "message", keeping_message)
     sent = {make_flow(sport=47100): [make_request(b"/svc/a/%d" % i)
                                      for i in range(5)],
             make_flow(sport=47101): posts(2)}
@@ -652,8 +662,8 @@ def test_toe_frames_each_message_once(monkeypatch):
             payload=data, head=reader.head))
         assert unit.meta.verdict is Verdict.DELIVER
     assert len(framed) == len(splits) == 11
-    # a parsed unit keeps no head, so results() holds no header fields twice
-    assert all(u.head is None for u, _ in fp.results())
+    # a parsed unit keeps no head, so it holds no header fields twice
+    assert len(units) == 11 and all(u.head is None for u in units)
     for flow, msgs in sent.items():
         qid = rt.queue_table.lookup(flow)
         q, stub = rt.vqs[qid], rt.stubs[qid]

@@ -1,3 +1,4 @@
+import itertools
 import weakref
 
 import pytest
@@ -299,11 +300,14 @@ def make_route_env(n_endpoints=2, policy=LbPolicy.ROUND_ROBIN):
     return listeners, routes, QueueTable(), {"backend": cluster}
 
 
+_queue_ids = itertools.count(1)
+
+
 def routed(path=b"/svc/a", flow=None, env=None, connector=None):
     listeners, routes, queues, clusters = env
     meta = parsed_meta(make_request(path), flow=flow or make_flow())
-    kwargs = {} if connector is None else {"connector": connector}
-    return route(meta, listeners, routes, queues, clusters, **kwargs), meta
+    connector = connector or (lambda ep, m: next(_queue_ids))
+    return route(meta, listeners, routes, queues, clusters, connector), meta
 
 
 def test_route_happy_path_binds_queue():

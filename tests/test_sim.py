@@ -237,7 +237,7 @@ def test_run_functional_delivers_requests():
 
     rt = MeshRuntime(config=load_config(config_text()))
     wl = Workload(pattern="open", rate_qps=100, duration_s=0.2, n_connections=4)
-    metrics, traces = run_functional(rt, wl)
+    metrics = run_functional(rt, wl)
     assert metrics.delivered == 20
     assert metrics.loss == 0
     assert metrics.mean_ns == pytest.approx(17_600, abs=1)
@@ -254,7 +254,7 @@ def test_run_functional_full_ring_counts_loss_instead_of_blocking():
     rt = MeshRuntime(config=load_config(config_text()))
     wl = Workload(pattern="open", rate_qps=300, duration_s=1.0, n_connections=1)
     out = {}
-    t = threading.Thread(target=lambda: out.update(m=run_functional(rt, wl)[0]),
+    t = threading.Thread(target=lambda: out.update(m=run_functional(rt, wl)),
                          daemon=True)
     t.start()
     t.join(timeout=60)
