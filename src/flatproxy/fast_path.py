@@ -48,7 +48,6 @@ from .match_action import (
     Layer,
     MatchTable,
     Ppm,
-    proc,
     set_verdict,
     traverse,
 )
@@ -150,7 +149,7 @@ def make_http_parser() -> Ppm:
 
 
 def make_filter(filter_table: MatchTable) -> Ppm:
-    def filter_proc(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
+    def evaluate(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
         rules = snaps[filter_table.name].entries.get("rules", ())
         verdict = filter_apply(unit.meta, rules)
         if verdict is not Verdict.CONTINUE:
@@ -164,7 +163,7 @@ def make_filter(filter_table: MatchTable) -> Ppm:
         layer=Layer.L7,
         tables=[filter_table],
         matcher=matcher,
-        actions={"evaluate": [proc(filter_proc)]},
+        actions={"evaluate": [evaluate]},
     )
 
 
@@ -175,7 +174,7 @@ def make_router(
     queues: QueueTable,
     connector: Callable,
 ) -> Ppm:
-    def route_proc(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
+    def route_step(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
         result = route(
             unit.meta,
             snaps[listener_table.name].entries,
@@ -196,12 +195,12 @@ def make_router(
         layer=Layer.L7,
         tables=[listener_table, route_table, cluster_table],
         matcher=matcher,
-        actions={"route": [proc(route_proc)]},
+        actions={"route": [route_step]},
     )
 
 
 def make_http_deparser() -> Ppm:
-    def deparse_proc(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
+    def deparse(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
         try:
             unit.payload = http_deparse(unit.meta)
         except MalformedHttp:
@@ -216,7 +215,7 @@ def make_http_deparser() -> Ppm:
         id="http_deparser",
         layer=Layer.L7,
         matcher=matcher,
-        actions={"deparse": [proc(deparse_proc)]},
+        actions={"deparse": [deparse]},
     )
 
 
@@ -370,7 +369,8 @@ class FastPath:
     """The full ingress data plane: the registry's vswitch, l3 and toe PPMs,
     TOE reassembly, the L7 chain run inline on each framed message (from the
     TOE, or live mode's `message` calls), and one disposition.  It keeps
-    nothing of a message: `counters()` is the record of what happened."""
+    nothing of a message: `counters()` is the record of what happened.
+    `vq_egress(unit)` returns whether the unit's queue took it."""
 
     def __init__(
         self,
@@ -411,7 +411,7 @@ class FastPath:
             unit.kind = UnitKind.SEGMENT
         else:
             snaps = {l2.name: s2, l3.name: s3, l4.name: s4}
-            traverse(self._l2_l4, unit, self.ctx, snaps, [])
+            traverse(self._l2_l4, unit, self.ctx, snaps)
             if unit.meta.verdict is not Verdict.CONTINUE:
                 return self._dispose(unit)
 
@@ -435,29 +435,34 @@ class FastPath:
 
     def message(self, msg: TrafficUnit):
         """The one L7 message entry, for `ingress` and live mode: run the
-        chain and dispose of the unit.  Returns (unit, trace)."""
+        chain and dispose of the unit.  Returns the unit."""
         self.ctx.bump("msg_submitted")
-        unit, trace = self.chain.execute(msg, self.ctx)
+        unit = self.chain.execute(msg, self.ctx)
         self._dispose(unit, "msg_")
-        return unit, trace
+        return unit
 
     def _dispose(self, unit: TrafficUnit, prefix: str = "") -> str:
         """The one exit from the data plane, for frames (`prefix` '') and
-        messages ('msg_'): send DELIVER to VQ egress, count DROP in all and
-        by reason (`dropped.<reason>`), and hand any other verdict to the
-        slow path.  Returns 'vq' | 'dropped' | 'slow_path'."""
+        messages ('msg_'): send DELIVER to VQ egress and count it `egress`
+        once the queue took it, count DROP -- and a DELIVER that a full TX
+        ring lost -- in all and by reason (`dropped.<reason>`), and hand any
+        other verdict to the slow path.
+        Returns 'vq' | 'dropped' | 'slow_path'."""
         meta = unit.meta
         if meta.verdict is Verdict.DELIVER:
-            self.ctx.bump(prefix + "egress")
-            self.vq_egress(unit)
-            return "vq"
-        if meta.verdict is Verdict.DROP:
-            self.ctx.bump(prefix + "dropped")
-            self.ctx.bump(f"{prefix}dropped.{meta.verdict_reason or 'unknown'}")
-            return "dropped"
-        self.ctx.bump(prefix + "slow_path")
-        self.slow_path_handoff(unit, meta.verdict_reason)
-        return "slow_path"
+            if self.vq_egress(unit):
+                self.ctx.bump(prefix + "egress")
+                return "vq"
+            reason = "ring_full"
+        elif meta.verdict is Verdict.DROP:
+            reason = meta.verdict_reason or "unknown"
+        else:
+            self.ctx.bump(prefix + "slow_path")
+            self.slow_path_handoff(unit, meta.verdict_reason)
+            return "slow_path"
+        self.ctx.bump(prefix + "dropped")
+        self.ctx.bump(f"{prefix}dropped.{reason}")
+        return "dropped"
 
     def results(self):
         """Always empty: nothing is kept per message.  It remains only for

@@ -219,7 +219,7 @@ class LiveProxy:
                     return
                 if not data:
                     return
-                unit, _trace = self.runtime.fast_path.message(TrafficUnit(
+                unit = self.runtime.fast_path.message(TrafficUnit(
                     kind=UnitKind.MESSAGE,
                     meta=Metadata(flow=flow, conn_id=conn_id),
                     payload=data, head=reader.head,

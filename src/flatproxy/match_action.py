@@ -1,21 +1,22 @@
 """Extended match-action engine.
 
-A processing module (PPM) is <parser, (match, action)*>.  PPMs wire only
-to modules in the same or an adjacent network layer.  Each PPM is built
-once into an immutable node tuple, `Ppm.node`:
-`(ppm, id, parser or None, matcher, {action_ref: steps})`; a compiled
-chain is a tuple of them.  One function, `traverse`, runs every chain
-over its nodes: the compiled L7 chain, the fast path's vswitch/l3/toe
-pass and a PPM applied on its own.  Rule tables are epoch-published: a
-traversal takes one snapshot of every table at its start and hands it to
-every matcher and action, so no traversal ever sees a half-applied update.
+A processing module (PPM) is <parser, match, action>: one parser, one
+match and the steps of the one action it picks.  The paper's
+<parser, (match, action)*> is written as consecutive PPMs in one layer, as
+filter -> router -> http_deparser are.  PPMs wire only to modules in the
+same or an adjacent network layer.  Each PPM is built once into an
+immutable node tuple, `Ppm.node`: `(id, parser or None, matcher,
+{action_ref: steps})`; a compiled chain is a tuple of them.  One
+function, `traverse`, runs every chain over its nodes: the compiled L7
+chain, the fast path's vswitch/l3/toe pass and a PPM applied on its own.
+Rule tables are epoch-published: a traversal takes one snapshot of every
+table at its start and hands it to every matcher and action, so no
+traversal ever sees a half-applied update.
 
 A chain is an ordered list of PPM ids, none repeated.  Every PPM names
 its matcher, `matcher(unit, snaps) -> action_ref`, and gives each action
-as a plain list of steps.  A step is a callable
-`step(ppm, unit, ctx, snaps)`; only emit("self") returns True, which
-re-feeds the PPM's own match stage, at most REVISIT_BUDGET times.  A
-traversal stops after any step that leaves a terminal verdict.
+as a plain list of steps, `step(unit, ctx, snaps)`.  A traversal records
+nothing and stops after any parser or step that leaves a terminal verdict.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Callable, Optional
 from .core import TrafficUnit, Verdict
 
 DEFAULT_ACTION = "to_slow_path"
-REVISIT_BUDGET = 8
 
 
 class MatchActionError(Exception):
@@ -103,37 +103,8 @@ class MatchTable:
         return new_epoch
 
 
-def inc_counter(name):
-    return lambda ppm, unit, ctx, snaps: ctx.bump(name)
-
-
 def set_verdict(verdict, reason=None):
-    return lambda ppm, unit, ctx, snaps: unit.meta.set_verdict(verdict, reason)
-
-
-def emit(target):
-    """Targets: "self" re-feeds this PPM's match stage, "dsa" runs the
-    PPM's cost-bearing pass-through transform."""
-    if target == "self":
-        return lambda ppm, unit, ctx, snaps: True
-    if target != "dsa":
-        raise ValueError(f"unknown emit target {target!r}")
-
-    def dsa(ppm, unit, ctx, snaps):
-        if ppm.dsa_transform is not None:
-            unit.payload = ppm.dsa_transform(unit.payload)
-        ctx.bump("dsa_invocations")
-
-    return dsa
-
-
-def proc(fn):
-    """Escape hatch for L7 logic: fn(unit, ctx, snaps)."""
-
-    def step(ppm, unit, ctx, snaps):
-        fn(unit, ctx, snaps)
-
-    return step
+    return lambda unit, ctx, snaps: unit.meta.set_verdict(verdict, reason)
 
 
 @dataclass
@@ -165,61 +136,43 @@ class Ppm:
         tables: list = None,
         actions: dict = None,
         matcher: Callable = None,
-        dsa_transform: Callable = None,
     ):
         if matcher is None:
             raise MatchActionError(f"ppm {id} needs a matcher")
         self.id = id
         self.layer = layer
         self.tables = tables or []
-        self.dsa_transform = dsa_transform  # pass-through payload transform stub
         programs = {ref: tuple(steps) for ref, steps in (actions or {}).items()}
         programs.setdefault(DEFAULT_ACTION, (set_verdict(Verdict.TO_SLOW_PATH),))
-        self.node = (self, id, parser, matcher, programs)
+        self.node = (id, parser, matcher, programs)
 
     def apply(self, unit: TrafficUnit, ctx: ExecContext, snaps: dict = None):
         """Traverse this PPM alone, by default on a snapshot of its own
-        tables.  Returns the list of ActionRefs fired, in order."""
+        tables."""
         if snaps is None:
             snaps = {t.name: t.current for t in self.tables}
-        trace = []
-        traverse((self.node,), unit, ctx, snaps, trace)
-        return [ref for _, ref in trace]
+        traverse((self.node,), unit, ctx, snaps)
 
 
-def traverse(nodes, unit: TrafficUnit, ctx: ExecContext, snaps: dict, trace: list):
-    """Run `unit` through `nodes`, on the table snapshots `snaps`, appending
-    (ppm_id, action_ref) to `trace` for every match.
-
-    Each node runs its parser, then match/action rounds: a round whose
-    steps emit("self") matches again, at most REVISIT_BUDGET times before
-    the unit goes to the slow path.  The traversal stops after any step
-    (or parser) that leaves a terminal verdict.
-    """
+def traverse(nodes, unit: TrafficUnit, ctx: ExecContext, snaps: dict):
+    """Run `unit` through `nodes`, on the table snapshots `snaps`: each
+    node's parser, then its matcher, then the steps of the action it
+    picked.  The traversal stops after any parser or step that leaves a
+    terminal verdict."""
     meta = unit.meta
-    for ppm, pid, parser, matcher, programs in nodes:
+    for pid, parser, matcher, programs in nodes:
         if parser is not None:
             parser(unit, ctx)
-        if meta.verdict is not Verdict.CONTINUE:
-            return
-        for _ in range(REVISIT_BUDGET):
-            ref = matcher(unit, snaps)
-            trace.append((pid, ref))
-            steps = programs.get(ref)
-            if steps is None:
-                raise MatchActionError(f"ppm {pid}: unknown action {ref!r}")
-            again = False
-            for step in steps:
-                if step(ppm, unit, ctx, snaps):
-                    again = True
-                if meta.verdict is not Verdict.CONTINUE:
-                    return
-            if not again:
-                break
-        else:
-            meta.set_verdict(Verdict.TO_SLOW_PATH, "revisit_budget")
-            ctx.bump("revisit_budget_exceeded")
-            return
+            if meta.verdict is not Verdict.CONTINUE:
+                return
+        ref = matcher(unit, snaps)
+        steps = programs.get(ref)
+        if steps is None:
+            raise MatchActionError(f"ppm {pid}: unknown action {ref!r}")
+        for step in steps:
+            step(unit, ctx, snaps)
+            if meta.verdict is not Verdict.CONTINUE:
+                return
 
 
 class ExecutableChain:
@@ -232,14 +185,11 @@ class ExecutableChain:
         self._tables = tuple(tables.values())
 
     def execute(self, unit: TrafficUnit, ctx: ExecContext = None):
-        """Traverse the chain on one snapshot of every table taken here.
-
-        Returns (unit, trace) with trace = [(ppm_id, action_ref), ...].
-        """
-        trace = []
+        """Traverse the chain on one snapshot of every table taken here;
+        returns the unit."""
         snaps = {t.name: t.current for t in self._tables}
-        traverse(self.nodes, unit, ctx or ExecContext(counters={}), snaps, trace)
-        return unit, trace
+        traverse(self.nodes, unit, ctx or ExecContext(counters={}), snaps)
+        return unit
 
 
 def compile_chain(nodes: list, registry: dict) -> ExecutableChain:

@@ -434,10 +434,10 @@ class MeshRuntime:
         self.stubs[q.id] = stub
         return q.id
 
-    def _vq_egress(self, unit: TrafficUnit):
-        """Never blocks: a full TX ring loses the message, which is counted
-        as `ring_full` and marked with that reason.  Egress is the activity
-        `expire_idle` measures a flow's idle time from."""
+    def _vq_egress(self, unit: TrafficUnit) -> bool:
+        """Never blocks: returns False when a full TX ring lost the unit,
+        which the fast path counts as `dropped.ring_full`.  Egress is the
+        activity `expire_idle` measures a flow's idle time from."""
         rec = self.conns.get(unit.meta.flow)
         if rec is not None:
             rec.last_active = self.clock()
@@ -446,8 +446,8 @@ class MeshRuntime:
             try:
                 q.tx_deliver(unit.payload)
             except RingFull:
-                unit.meta.verdict_reason = "ring_full"
-                self.fast_path.ctx.bump("ring_full")
+                return False
+        return True
 
     def close_flow(self, key: FlowKey):
         """The one path that releases a flow: its record and the LB count
@@ -479,8 +479,6 @@ class MeshRuntime:
         self.slow.bump(f"reason.{reason}")
         if reason == "new_connection":
             return self._handle_new_connection(unit)
-        if reason in ("no_listener", "no_route"):
-            self.slow.bump(f"drop.{reason}")
         if reason in _STATUS_BY_REASON:
             self.slow.bump(f"status.{http_status(unit.meta.verdict, reason)}")
             self.slow.bump("responded")

@@ -70,8 +70,11 @@ class _Ring:
 
 @dataclass(frozen=True)
 class MemoryBlockAddr:
-    """Opaque handle for a socket-memory block; carries its owner so every
-    access can be tenant-checked."""
+    """Opaque handle for a socket-memory block, labelled with the tenant
+    that owns it.  The handle checks nothing itself: access is checked at
+    the queue, where `bind` refuses a stub of another tenant and every
+    stub-side transfer refuses a stub the queue is not bound to
+    (`_check_stub`)."""
 
     addr: int
     owner: str
@@ -91,7 +94,6 @@ class ServiceStub:
         self.tx_addr = MemoryBlockAddr(next(_block_ids), tenant)
         self.events = 0  # readiness events raised, one per TX delivery
         self.fetched = 0  # messages fetched from the proxy
-        self.outbox_count = 0
 
 
 _queue_ids = itertools.count(1)
@@ -186,7 +188,6 @@ class VirtQueue:
         if not self.rx_ring.push(data):
             raise RingFull(self.id)
         self.dma_copies += 1
-        stub.outbox_count += 1
 
     def rx_collect(self):
         """Proxy fetch plus RX slot release; None when nothing pending."""

@@ -322,10 +322,10 @@ def test_criterion_07_chain_monolith_and_workers(announce):
                        for i in turn if i is not None]
             multiset = sorted(
                 (u.meta.flow.sport, u.payload, u.meta.verdict.value)
-                for u, _ in results
+                for u in results
             )
             per_flow = {}
-            for u, _ in results:
+            for u in results:
                 per_flow.setdefault(u.meta.flow.sport, []).append(u.meta.conn_id)
             outcomes[n] = (multiset, per_flow)
             rt.shutdown()

@@ -17,11 +17,10 @@ from flatproxy.match_action import (
     ExecContext,
     Layer,
     Ppm,
-    proc,
     traverse,
 )
 from flatproxy.slow_path import IDLE_TIMEOUT_NS, MeshRuntime, load_config
-from flatproxy.vq import ServiceStub, VirtQueue
+from flatproxy.vq import DEFAULT_RING_CAPACITY, ServiceStub, VirtQueue
 from conftest import config_text, make_flow, make_message, make_request
 
 
@@ -186,7 +185,7 @@ def test_established_flow_skips_slow_path(runtime):
 
 
 def test_l4_forward_short_circuits_to_vq(runtime):
-    from flatproxy.vq import ServiceStub, VirtQueue
+    from flatproxy.vq import DEFAULT_RING_CAPACITY, ServiceStub, VirtQueue
 
     flow = make_flow(sport=45000)
     stub = ServiceStub(tenant="t")
@@ -258,28 +257,49 @@ def test_ingress_keeps_per_flow_fifo(runtime):
 
 
 def test_unit_conservation(runtime):
+    def conserved():
+        c = runtime.fast_path.counters()
+        assert c["ingress"] == (
+            c.get("egress", 0) + c.get("dropped", 0)
+            + c.get("slow_path", 0) + c.get("buffered", 0)
+        )
+        assert c.get("msg_submitted", 0) == (
+            c.get("msg_egress", 0) + c.get("msg_dropped", 0)
+            + c.get("msg_slow_path", 0)
+        )
+        # every drop is counted under its reason
+        for prefix in ("dropped", "msg_dropped"):
+            by_reason = {k: v for k, v in c.items()
+                         if k.startswith(prefix + ".")}
+            assert sum(by_reason.values()) == c.get(prefix, 0)
+        return c
+
     rng = random.Random(3)
     for i in range(60):
         path = rng.choice([b"/svc/a", b"/admin/x", b"/nowhere"])
         raw = make_request(path)
         runtime.fast_path.ingress(frame(raw, flow=make_flow(sport=47000 + i)))
-    c = runtime.fast_path.counters()
-    assert c["ingress"] == (
-        c.get("egress", 0) + c.get("dropped", 0)
-        + c.get("slow_path", 0) + c.get("buffered", 0)
-    )
-    assert c.get("msg_submitted", 0) == (
-        c.get("msg_egress", 0) + c.get("msg_dropped", 0)
-        + c.get("msg_slow_path", 0)
-    )
-    # every drop is counted under its reason: /admin (filter), /nowhere
-    # (no_route)
-    for prefix in ("dropped", "msg_dropped"):
-        by_reason = {k: v for k, v in c.items() if k.startswith(prefix + ".")}
-        assert sum(by_reason.values()) == c.get(prefix, 0)
+    c = conserved()
     assert c["msg_dropped.filter"] > 0 and c["msg_dropped.no_route"] > 0
     # every parsed body is released once its unit is disposed of
     assert len(runtime.buffer_pool) == 0
+
+    # one flow sends more messages than its TX ring holds, nothing drained:
+    # the ones the full ring lost count as dropped, not as egress
+    flow, seq = make_flow(sport=47099), 0
+    sent = DEFAULT_RING_CAPACITY + 44
+    for i in range(sent):
+        raw = make_request(b"/svc/a/%d" % i)
+        runtime.fast_path.ingress(frame(raw, flow=flow, seq=seq))
+        seq += len(raw)
+    c = conserved()
+    assert c["msg_dropped.ring_full"] == sent - DEFAULT_RING_CAPACITY
+    fetched = 0
+    for qid, stub in runtime.stubs.items():
+        while runtime.vqs[qid].stub_fetch(stub) is not None:
+            pass
+        fetched += stub.fetched
+    assert c["msg_egress"] == fetched
 
 
 def test_first_segments_swapped_still_delivered(runtime):
@@ -336,17 +356,17 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
 
     runtime.registry["publisher"] = Ppm(
         id="publisher", layer=Layer.L7, matcher=lambda unit, snaps: "publish",
-        actions={"publish": [proc(publish)]},
+        actions={"publish": [publish]},
     )
     chain = runtime.compile(["toe", "http_parser", "publisher",
                              "filter", "router", "http_deparser"])
     flow = make_flow(sport=48000)
     runtime.conn_controller.publish(runtime.l4_table,
                                     add={flow: "l7"})
-    first, _ = chain.execute(make_message(make_request(b"/svc/a"), flow=flow))
+    first = chain.execute(make_message(make_request(b"/svc/a"), flow=flow))
     assert first.meta.verdict is Verdict.DELIVER
     assert first.meta.verdict_reason == "deparsed"
-    second, _ = chain.execute(
+    second = chain.execute(
         make_message(make_request(b"/svc/a"), flow=flow, conn_id=2))
     assert second.meta.verdict is Verdict.DROP
     assert second.meta.verdict_reason == (
@@ -399,9 +419,9 @@ def test_hot_path_bypasses_ppm_apply(runtime, monkeypatch):
     assert runtime.fast_path.ingress(
         frame(second, flow=flow, seq=len(first))) == "l7"
     third = make_request(b"/svc/c", extra_headers=(b"X-Req: 3",))
-    unit, trace = runtime.fast_path.message(make_message(third, flow=flow))
+    unit = runtime.fast_path.message(make_message(third, flow=flow))
     assert unit.meta.verdict is Verdict.DELIVER
-    assert trace[-1] == ("http_deparser", "deparse")
+    assert unit.meta.verdict_reason == "deparsed"
     qid = runtime.queue_table.lookup(flow)
     q, stub = runtime.vqs[qid], runtime.stubs[qid]
     assert [q.stub_fetch(stub) for _ in range(3)] == [first, second, third]
@@ -415,13 +435,13 @@ def count_l2_l4_matches(runtime, monkeypatch) -> list:
     calls = []
 
     def counted(node):
-        ppm, pid, parser, matcher, programs = node
+        pid, parser, matcher, programs = node
 
         def matcher_(unit, snaps):
             calls.append(pid)
             return matcher(unit, snaps)
 
-        return ppm, pid, parser, matcher_, programs
+        return pid, parser, matcher_, programs
 
     monkeypatch.setattr(runtime.fast_path, "_l2_l4",
                         tuple(counted(n) for n in runtime.fast_path._l2_l4))
@@ -538,7 +558,7 @@ def test_reused_classification_equals_a_traversal(steps):
         copy = TrafficUnit(kind=unit.kind, payload=unit.payload, seq=unit.seq,
                            meta=Metadata(flow=unit.meta.flow))
         snaps = {t.name: t.current for t in fp._l2_l4_tables}
-        traverse(fp._l2_l4, copy, ExecContext(counters={}), snaps, [])
+        traverse(fp._l2_l4, copy, ExecContext(counters={}), snaps)
         expected = (copy.kind, copy.meta.verdict, copy.meta.queue)
         n = len(classified)
         disposition = ingress(unit)
@@ -637,9 +657,9 @@ def test_toe_frames_each_message_once(monkeypatch):
     units, real_message = [], fp.message
 
     def keeping_message(msg):
-        unit, trace = real_message(msg)
+        unit = real_message(msg)
         units.append(unit)
-        return unit, trace
+        return unit
 
     monkeypatch.setattr(fp, "message", keeping_message)
     sent = {make_flow(sport=47100): [make_request(b"/svc/a/%d" % i)
@@ -657,7 +677,7 @@ def test_toe_frames_each_message_once(monkeypatch):
     chunks = [b"".join(sent[pipelined])]
     reader = live.HttpReader(lambda n: chunks.pop(0) if chunks else b"")
     while data := reader.read():
-        unit, _ = fp.message(TrafficUnit(
+        unit = fp.message(TrafficUnit(
             kind=UnitKind.MESSAGE, meta=Metadata(flow=pipelined),
             payload=data, head=reader.head))
         assert unit.meta.verdict is Verdict.DELIVER
@@ -690,7 +710,7 @@ def test_message_is_forwarded_only_as_the_filter_saw_it(runtime, case,
         framed = make_request(b"/svc/a", method=b"POST", body=b"0123456789")
         payload = framed[:-3]
     flow = make_flow(sport=47200)
-    unit, _ = runtime.fast_path.message(TrafficUnit(
+    unit = runtime.fast_path.message(TrafficUnit(
         kind=UnitKind.MESSAGE, meta=Metadata(flow=flow), payload=payload,
         head=frame_http(framed) if with_head else None))
     assert unit.meta.verdict is Verdict.TO_SLOW_PATH

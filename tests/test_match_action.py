@@ -10,15 +10,17 @@ from flatproxy.match_action import (
     MatchActionError,
     MatchTable,
     Ppm,
-    REVISIT_BUDGET,
     TableEpoch,
     UnknownPpm,
     compile_chain,
-    emit,
-    inc_counter,
     set_verdict,
 )
 from conftest import make_flow
+
+
+def inc_counter(name):
+    """A step that counts `name` each time its action runs."""
+    return lambda unit, ctx, snaps: ctx.bump(name)
 
 
 def lookup(table, key=lambda unit: ()):
@@ -116,9 +118,9 @@ def test_ppm_runs_matched_program():
     unit = make_unit()
     unit.meta.conn_id = 7
     ctx = ExecContext(counters={})
-    fired = p.apply(unit, ctx)
-    assert fired == ["hit"]
+    assert p.apply(unit, ctx) is None
     assert ctx.counters == {"hits": 1}
+    assert unit.meta.verdict is Verdict.CONTINUE
 
 
 def test_ppm_default_action_is_slow_path():
@@ -126,9 +128,10 @@ def test_ppm_default_action_is_slow_path():
     p = Ppm(id="p", layer=Layer.L7, tables=[t],
             matcher=lookup(t, lambda unit: unit.meta.conn_id), actions={})
     unit = make_unit()
-    fired = p.apply(unit, ExecContext(counters={}))
-    assert fired == ["to_slow_path"]
+    ctx = ExecContext(counters={})
+    p.apply(unit, ctx)
     assert unit.meta.verdict is Verdict.TO_SLOW_PATH
+    assert ctx.counters == {}
 
 
 def test_ppm_requires_table_or_matcher():
@@ -137,36 +140,6 @@ def test_ppm_requires_table_or_matcher():
     # a table is no longer enough: every PPM names its matcher
     with pytest.raises(MatchActionError):
         Ppm(id="p", layer=Layer.L4, tables=[MatchTable("t")])
-
-
-def test_revisit_budget_bounds_self_emit():
-    t = MatchTable("t", default="again")
-    p = Ppm(
-        id="p", layer=Layer.L7, tables=[t], matcher=lookup(t),
-        actions={"again": [inc_counter("n"), emit("self")]},
-    )
-    unit = make_unit()
-    ctx = ExecContext(counters={})
-    p.apply(unit, ctx)
-    assert unit.meta.verdict is Verdict.TO_SLOW_PATH
-    assert unit.meta.verdict_reason == "revisit_budget"
-    assert ctx.counters["n"] == REVISIT_BUDGET
-    assert ctx.counters["revisit_budget_exceeded"] == 1
-
-
-def test_dsa_step_is_cost_bearing_passthrough():
-    t = MatchTable("t", default="go")
-    p = Ppm(
-        id="p", layer=Layer.L7, tables=[t], matcher=lookup(t),
-        actions={"go": [emit("dsa")]},
-        dsa_transform=lambda payload: payload,
-    )
-    unit = make_unit()
-    unit.payload = b"abc"
-    ctx = ExecContext(counters={})
-    p.apply(unit, ctx)
-    assert unit.payload == b"abc"
-    assert ctx.counters["dsa_invocations"] == 1
 
 
 def test_terminal_verdict_stops_program():
@@ -238,10 +211,10 @@ def test_empty_chain_is_identity():
     chain = compile_chain([], {})
     unit = make_unit()
     unit.payload = b"untouched"
-    out, trace = chain.execute(unit)
+    out = chain.execute(unit)
+    assert out is unit
     assert out.payload == b"untouched"
     assert out.meta.verdict is Verdict.CONTINUE
-    assert trace == []
 
 
 def test_execute_trace_and_stop_on_terminal():
@@ -252,45 +225,12 @@ def test_execute_trace_and_stop_on_terminal():
         actions={"kill": [set_verdict(Verdict.DROP, "x")]},
     )
     chain = compile_chain(["l7a", "l7drop", "l7b"], reg)
-    unit, trace = chain.execute(make_unit())
-    assert [pid for pid, _ in trace] == ["l7a", "l7drop"]
+    ctx = ExecContext(counters={})
+    unit = chain.execute(make_unit(), ctx)
     assert unit.meta.verdict is Verdict.DROP
-
-
-def test_chain_self_emit_budget_stops_later_nodes():
-    reg = layered_registry()
-    t = MatchTable("loop_t", default="again")
-    reg["loop"] = Ppm(
-        id="loop", layer=Layer.L7, tables=[t], matcher=lookup(t),
-        actions={"again": [inc_counter("n"), emit("self")]},
-    )
-    chain = compile_chain(["l7a", "loop", "l7b"], reg)
-    ctx = ExecContext(counters={})
-    unit, trace = chain.execute(make_unit(), ctx)
-    assert unit.meta.verdict is Verdict.TO_SLOW_PATH
-    assert unit.meta.verdict_reason == "revisit_budget"
-    assert trace == [("l7a", "go")] + [("loop", "again")] * REVISIT_BUDGET
-    assert ctx.counters == {
-        "l7a": 1, "n": REVISIT_BUDGET, "revisit_budget_exceeded": 1}
-
-
-def test_chain_dsa_step_bumps_counter():
-    reg = layered_registry()
-    t = MatchTable("dsa_t", default="go")
-    reg["dsa"] = Ppm(
-        id="dsa", layer=Layer.L7, tables=[t], matcher=lookup(t),
-        actions={"go": [emit("dsa")]},
-        dsa_transform=bytes.upper,
-    )
-    chain = compile_chain(["l7a", "dsa", "l7b"], reg)
-    ctx = ExecContext(counters={})
-    unit = make_unit()
-    unit.payload = b"abc"
-    unit, trace = chain.execute(unit, ctx)
-    assert unit.payload == b"ABC"
-    assert unit.meta.verdict is Verdict.CONTINUE
-    assert [pid for pid, _ in trace] == ["l7a", "dsa", "l7b"]
-    assert ctx.counters == {"l7a": 1, "dsa_invocations": 1, "l7b": 1}
+    assert unit.meta.verdict_reason == "x"
+    # l7a ran, l7b after the drop did not
+    assert ctx.counters == {"l7a": 1}
 
 
 def test_chain_unknown_action_raises():
@@ -305,7 +245,7 @@ def test_chain_unknown_action_raises():
 def test_chain_equals_sequential_application():
     """Chain execution is byte-for-byte the same as applying each PPM by
     hand in order, across randomized payload/metadata and a randomly
-    placed terminal node; so is the (ppm_id, action_ref) trace."""
+    placed terminal node; so are the counters each PPM's action bumps."""
     rng = random.Random(42)
     nodes = ["l2", "l3", "l4", "l7a", "l7b"]
     for _ in range(50):
@@ -328,14 +268,12 @@ def test_chain_equals_sequential_application():
         unit_a.payload = unit_b.payload = payload
         ctx_a = ExecContext(counters={})
         ctx_b = ExecContext(counters={})
-        _, trace_a = chain.execute(unit_a, ctx_a)
-        trace_b = []
+        chain.execute(unit_a, ctx_a)
         for pid in nodes:
             if unit_b.meta.verdict is not Verdict.CONTINUE:
                 break
-            trace_b += [(pid, ref) for ref in reg_b[pid].apply(unit_b, ctx_b)]
+            reg_b[pid].apply(unit_b, ctx_b)
         assert unit_a.payload == unit_b.payload
         assert unit_a.meta.verdict == unit_b.meta.verdict
         assert unit_a.meta.verdict_reason == unit_b.meta.verdict_reason
         assert ctx_a.counters == ctx_b.counters
-        assert trace_a == trace_b

@@ -261,5 +261,5 @@ def test_run_functional_full_ring_counts_loss_instead_of_blocking():
     assert not t.is_alive()
     assert out["m"].delivered == 256
     assert out["m"].loss == 44
-    assert rt.fast_path.counters()["ring_full"] == 44
+    assert rt.fast_path.counters()["msg_dropped.ring_full"] == 44
     rt.shutdown()
