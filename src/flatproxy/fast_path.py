@@ -4,7 +4,7 @@
 one snapshot of their tables; the toe PPM is the one place a flow is
 classified.  Like an exact-match flow cache, a flow classified `to_l7`
 keeps the epochs of those three tables on its TOE state, and its later
-frames skip the traversal until one of the tables is republished;
+frames skip the traversal until one of the tables is written;
 `close_flow` drops the epochs with the TOE state.  A flow forwarded at L4
 short-circuits to its virtualization queue and is classified on every
 frame.  The ToeEngine collects an L7 flow's segments and cuts HTTP
@@ -45,6 +45,7 @@ from .match_action import (
     DEFAULT_ACTION,
     ExecContext,
     ExecutableChain,
+    FlowTable,
     Layer,
     MatchTable,
     Ppm,
@@ -57,6 +58,20 @@ REORDER_BUFFER_SEGMENTS = 64
 
 # ---------------------------------------------------------------------------
 # PPM factories for the standard HTTP routing chain
+
+# the layer of each standard PPM, by id: the factories below take theirs
+# from here, and a config's chain is checked against it before any table
+# exists
+STANDARD_LAYERS = {
+    "vswitch": Layer.L2,
+    "l3": Layer.L3,
+    "toe": Layer.L4,
+    "http_parser": Layer.L7,
+    "filter": Layer.L7,
+    "router": Layer.L7,
+    "http_deparser": Layer.L7,
+}
+
 
 def make_l2_vswitch(l2_table: MatchTable) -> Ppm:
     """Destination-based forwarding; VLAN tags pass through untouched."""
@@ -71,7 +86,7 @@ def make_l2_vswitch(l2_table: MatchTable) -> Ppm:
 
     return Ppm(
         id="vswitch",
-        layer=Layer.L2,
+        layer=STANDARD_LAYERS["vswitch"],
         parser=parser,
         tables=[l2_table],
         matcher=matcher,
@@ -90,7 +105,7 @@ def make_l3(l3_table: MatchTable) -> Ppm:
 
     return Ppm(
         id="l3",
-        layer=Layer.L3,
+        layer=STANDARD_LAYERS["l3"],
         parser=parser,
         tables=[l3_table],
         matcher=matcher,
@@ -98,7 +113,7 @@ def make_l3(l3_table: MatchTable) -> Ppm:
     )
 
 
-def make_toe(l4_table: MatchTable) -> Ppm:
+def make_toe(l4_table: FlowTable) -> Ppm:
     """TOE as a PPM, the one place a flow is classified by its L4 entry:
     `"l7"` goes on to HTTP reassembly (`to_l7`), `("forward_vq", q)` binds
     queue q and delivers the segment as it is, and a miss goes to the slow
@@ -120,7 +135,7 @@ def make_toe(l4_table: MatchTable) -> Ppm:
 
     return Ppm(
         id="toe",
-        layer=Layer.L4,
+        layer=STANDARD_LAYERS["toe"],
         tables=[l4_table],
         matcher=matcher,
         actions={
@@ -141,7 +156,7 @@ def make_http_parser() -> Ppm:
 
     return Ppm(
         id="http_parser",
-        layer=Layer.L7,
+        layer=STANDARD_LAYERS["http_parser"],
         parser=parser,
         matcher=matcher,
         actions={"parsed": []},
@@ -160,7 +175,7 @@ def make_filter(filter_table: MatchTable) -> Ppm:
 
     return Ppm(
         id="filter",
-        layer=Layer.L7,
+        layer=STANDARD_LAYERS["filter"],
         tables=[filter_table],
         matcher=matcher,
         actions={"evaluate": [evaluate]},
@@ -192,7 +207,7 @@ def make_router(
 
     return Ppm(
         id="router",
-        layer=Layer.L7,
+        layer=STANDARD_LAYERS["router"],
         tables=[listener_table, route_table, cluster_table],
         matcher=matcher,
         actions={"route": [route_step]},
@@ -213,7 +228,7 @@ def make_http_deparser() -> Ppm:
 
     return Ppm(
         id="http_deparser",
-        layer=Layer.L7,
+        layer=STANDARD_LAYERS["http_deparser"],
         matcher=matcher,
         actions={"deparse": [deparse]},
     )
@@ -222,7 +237,7 @@ def make_http_deparser() -> Ppm:
 def standard_registry(
     l2_table: MatchTable,
     l3_table: MatchTable,
-    l4_table: MatchTable,
+    l4_table: FlowTable,
     listener_table: MatchTable,
     filter_table: MatchTable,
     route_table: MatchTable,

@@ -9,9 +9,11 @@ immutable node tuple, `Ppm.node`: `(id, parser or None, matcher,
 {action_ref: steps})`; a compiled chain is a tuple of them.  One
 function, `traverse`, runs every chain over its nodes: the compiled L7
 chain, the fast path's vswitch/l3/toe pass and a PPM applied on its own.
-Rule tables are epoch-published: a traversal takes one snapshot of every
-table at its start and hands it to every matcher and action, so no
-traversal ever sees a half-applied update.
+A traversal takes one snapshot of every table at its start and hands it
+to every matcher and action.  Rule tables are copy-on-write, so no
+traversal ever sees a half-applied update.  The per-flow L4 table is a
+`FlowTable`, written one entry at a time in place: a snapshot of it is
+consistent per entry, which is what its one lookup per traversal needs.
 
 A chain is an ordered list of PPM ids, none repeated.  Every PPM names
 its matcher, `matcher(unit, snaps) -> action_ref`, and gives each action
@@ -59,18 +61,20 @@ def layers_adjacent(a: Layer, b: Layer) -> bool:
 
 @dataclass(frozen=True)
 class TableEpoch:
-    """One immutable published version of a table's entries."""
+    """One published version of a table: its epoch and entries.  A rule
+    table's entries never change once published; a `FlowTable`'s current
+    entries are written in place."""
 
     epoch: int
     entries: dict  # key tuple -> action ref (or arbitrary rule object)
 
 
-class MatchTable:
-    """Exact-match table with atomic versioned publication.
+class Table:
+    """An exact-match table's current version and its single owner.
 
     Lookups read `self.current` once and keep using that snapshot; Python
     attribute assignment is atomic, so readers are wait-free with respect
-    to publishes.  Publishes must come from the single owning controller.
+    to writes.  Writes must come from the single owning controller.
     """
 
     def __init__(self, name: str, default: str = DEFAULT_ACTION):
@@ -87,12 +91,20 @@ class MatchTable:
         snap = snap or self.current
         return snap.entries.get(key, self.default)
 
-    def publish(self, add: dict = None, remove=(), writer: str = None) -> int:
-        """Publish a delta atomically; returns the new epoch number."""
+    def _check_writer(self, writer: Optional[str]):
         if self.owner is not None and writer is not None and writer != self.owner:
             raise MatchActionError(
-                f"table {self.name} owned by {self.owner}, publish from {writer}"
+                f"table {self.name} owned by {self.owner}, write from {writer}"
             )
+
+
+class MatchTable(Table):
+    """Exact-match rule table with copy-on-write versioned publication."""
+
+    def publish(self, add: dict = None, remove=(), writer: str = None) -> int:
+        """Publish a delta as a new copy of the entries; returns the new
+        epoch number."""
+        self._check_writer(writer)
         entries = dict(self.current.entries)
         for k in remove:
             entries.pop(k, None)
@@ -101,6 +113,28 @@ class MatchTable:
         new_epoch = self.current.epoch + 1
         self.current = TableEpoch(epoch=new_epoch, entries=entries)
         return new_epoch
+
+
+class FlowTable(Table):
+    """A per-flow exact-match cache.  `install` and `uninstall` write one
+    entry in place, in O(1), and bump the epoch; the current snapshot
+    shares the written entries, so it is consistent per entry, not per
+    table."""
+
+    def install(self, key, value, writer: str = None):
+        """Write `key`'s entry in place."""
+        self._check_writer(writer)
+        entries = self.current.entries
+        entries[key] = value
+        self.current = TableEpoch(epoch=self.current.epoch + 1, entries=entries)
+
+    def uninstall(self, key, writer: str = None):
+        """Remove `key`'s entry in place, if it has one."""
+        self._check_writer(writer)
+        entries = self.current.entries
+        if entries.pop(key, None) is not None:
+            self.current = TableEpoch(epoch=self.current.epoch + 1,
+                                      entries=entries)
 
 
 def set_verdict(verdict, reason=None):
@@ -192,17 +226,23 @@ class ExecutableChain:
         return unit
 
 
-def compile_chain(nodes: list, registry: dict) -> ExecutableChain:
-    """Check that every id in `nodes` is registered, that none repeats and
-    that each consecutive pair sits in the same or adjacent layers; return
-    the executable chain in that order."""
+def check_chain(nodes: list, layers: dict):
+    """Check that every id in `nodes` has a layer in `layers`
+    (`{ppm id: Layer}`), that none repeats and that each consecutive pair
+    sits in the same or adjacent layers."""
     for pid in nodes:
-        if pid not in registry:
+        if pid not in layers:
             raise UnknownPpm(pid)
     if len(set(nodes)) != len(nodes):
         raise MatchActionError(f"chain {list(nodes)} repeats a ppm id")
     for src, dst in zip(nodes, nodes[1:]):
-        a, b = registry[src].layer, registry[dst].layer
+        a, b = layers[src], layers[dst]
         if not layers_adjacent(a, b):
             raise LayerAdjacencyViolation(f"{src}({a.name}) -> {dst}({b.name})")
+
+
+def compile_chain(nodes: list, registry: dict) -> ExecutableChain:
+    """Check `nodes` against the registry's PPMs (`check_chain`); return
+    the executable chain in that order."""
+    check_chain(nodes, {pid: ppm.layer for pid, ppm in registry.items()})
     return ExecutableChain(nodes, registry)

@@ -20,6 +20,7 @@ import csv
 import heapq
 import io
 import math
+import operator
 import random
 import statistics
 from collections import deque
@@ -191,6 +192,9 @@ class Metrics:
     request_size: int = 0
     unstable: bool = False
     last_delivery_ns: float = 0.0
+    # `latencies` in order, sorted again only once more have been recorded
+    _sorted: list = field(default_factory=list, init=False, repr=False,
+                          compare=False)
 
     def record(self, latency_ns: float):
         self.delivered += 1
@@ -213,7 +217,9 @@ class Metrics:
     def percentile(self, p: float) -> float:
         if not self.latencies:
             return 0.0
-        data = sorted(self.latencies)
+        data = self._sorted
+        if len(data) != len(self.latencies):
+            data = self._sorted = sorted(self.latencies)
         idx = min(len(data) - 1, int(math.ceil(p / 100 * len(data))) - 1)
         return data[max(0, idx)]
 
@@ -227,7 +233,9 @@ class Metrics:
 
     @property
     def jitter_ns(self) -> float:
-        return statistics.pstdev(self.latencies) if len(self.latencies) > 1 else 0.0
+        """The latencies' population standard deviation, correctly
+        rounded: `statistics.pstdev`'s bit for bit from Python 3.11 on."""
+        return _pstdev(self.latencies) if len(self.latencies) > 1 else 0.0
 
     @property
     def responses_per_s(self) -> float:
@@ -239,6 +247,45 @@ class Metrics:
     @property
     def throughput_bps(self) -> float:
         return self.responses_per_s * self.request_size
+
+
+def _pstdev(xs: list) -> float:
+    """`statistics.pstdev` of finite floats, without its per-element
+    fractions.  A float is a whole multiple of the last place of any float
+    no larger in magnitude, so scaling by 2**k, k from the smallest
+    nonzero |x|, makes every x an exact int; the population variance is
+    then (n*sum(x*x) - sum(x)**2) / (n*n * 4**k) exactly, and its square
+    root is rounded once, as pstdev rounds it from Python 3.11 on (before
+    that, pstdev rounds the variance first, so its last bit may differ)."""
+    lo = min(xs)
+    if lo <= 0:
+        lo = min((abs(x) for x in xs if x), default=0)
+        if not lo:
+            return 0.0
+    k = 53 - math.frexp(lo)[1]
+    ints = list(map(int, map(math.ldexp(1.0, k).__mul__, xs)))
+    n, sx = len(ints), sum(ints)
+    num = n * sum(map(operator.mul, ints, ints)) - sx * sx
+    den = n * n
+    if k >= 0:
+        den <<= 2 * k
+    else:
+        num <<= -2 * k
+    return _sqrt_of_ratio(num, den)
+
+
+def _sqrt_of_ratio(num: int, den: int) -> float:
+    """sqrt(num/den), correctly rounded: an integer square root of about
+    55 bits, its last bit set when inexact (round to odd), then one
+    rounding to a float."""
+    e = (num.bit_length() - den.bit_length() - 109) // 2
+    if e >= 0:
+        den <<= 2 * e
+    else:
+        num <<= -2 * e
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << e) if e >= 0 else root / (1 << -e)
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,30 @@
 """Configuration and control planes.
 
 Config comes from local YAML files (standing in for a cloud control
-center), gets validated into a MeshConfig, and is distributed layer-wise:
-the OVS controller owns the L2 table, the connection controller owns the
-L3/L4 and listener tables, and the message controller owns the L7 rule
-tables.  Only a table's owning controller ever publishes to it.
+center), parsed by libyaml's C parser where PyYAML has it, and gets
+validated into a MeshConfig -- its chain against the standard PPMs'
+layers, `STANDARD_LAYERS` -- and is distributed layer-wise: the OVS
+controller owns the L2 table, the connection controller owns the L3/L4
+and listener tables, and the message controller owns the L7 rule tables.
+Only a table's owning controller ever writes to it.  Rule tables are
+republished whole, copy-on-write; the per-flow L4 table is written one
+entry at a time.
 
-The slow path itself handles first packets: it installs L4 entries and
-TOE state and reinjects the triggering unit into the fast path.  A flow
-has a connection record exactly while it holds something -- an L4 entry,
-TOE state, a queue or an endpoint's LB count -- and `close_flow`, called
-on idle expiry and on a live client's disconnect, releases all of it.
+The slow path itself handles first packets: it installs the flow's L4
+entry and TOE state, each in O(1), and reinjects the triggering unit into
+the fast path.  A flow has a connection record exactly while it holds
+something -- an L4 entry, TOE state, a queue or an endpoint's LB count --
+and `close_flow`, called on idle expiry and on a live client's
+disconnect, releases all of it.  Records are kept in order of last
+activity, so idle expiry visits only the flows it closes and the first
+one it keeps.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -35,7 +43,7 @@ from .core import (
     ip4_to_int,
     make_listener_key,
 )
-from .fast_path import FastPath, standard_registry
+from .fast_path import STANDARD_LAYERS, FastPath, standard_registry
 from .l7 import (
     Cluster,
     Decision,
@@ -46,10 +54,22 @@ from .l7 import (
     QueueTable,
     RouteRule,
 )
-from .match_action import ExecContext, MatchTable, compile_chain, MatchActionError
+from .match_action import (
+    ExecContext,
+    FlowTable,
+    MatchActionError,
+    MatchTable,
+    Table,
+    check_chain,
+    compile_chain,
+)
 from .vq import RingFull, ServiceStub, VirtQueue
 
 IDLE_TIMEOUT_NS = 60 * 1_000_000_000
+
+# libyaml's scanner and parser where PyYAML was built with them; the
+# constructor and resolver are SafeLoader's either way
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(Exception):
@@ -135,7 +155,7 @@ def load_config(source) -> MeshConfig:
     else:
         text = source
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ParseError(str(exc), line=(mark.line + 1) if mark else None)
@@ -185,13 +205,8 @@ def load_config(source) -> MeshConfig:
         chain=list(chain_doc.get("nodes", [])),
         cost_profile=doc.get("cost_profile"),
     )
-    # the chain must compile against the standard PPM registry; compiling
-    # reads only PPM ids and layers, so scratch tables will do
-    registry = standard_registry(
-        *(MatchTable(f"t{i}") for i in range(7)), QueueTable(), connector=None
-    )
     try:
-        compile_chain(cfg.chain, registry)
+        check_chain(cfg.chain, STANDARD_LAYERS)
     except MatchActionError as exc:
         raise InvalidChain(str(exc)) from exc
     return cfg
@@ -272,7 +287,8 @@ def http_status(verdict: Verdict, reason: Optional[str]) -> int:
 class ConnRecord:
     """An open flow: the endpoint whose LB count it holds (None until it
     routes) and when it was last active.  A record is in `MeshRuntime.conns`
-    exactly while its flow is open; `close_flow` removes it."""
+    exactly while its flow is open, in order of `last_active`; `close_flow`
+    removes it."""
 
     endpoint: Optional[Endpoint] = None
     last_active: int = 0
@@ -286,7 +302,7 @@ class Controller:
     name: str
     tables: list = field(default_factory=list)
 
-    def own(self, table: MatchTable):
+    def own(self, table: Table):
         if table.owner is not None and table.owner != self.name:
             raise MatchActionError(
                 f"table {table.name} already owned by {table.owner}"
@@ -295,12 +311,25 @@ class Controller:
         if table not in self.tables:
             self.tables.append(table)
 
-    def publish(self, table: MatchTable, add=None, remove=()):
+    def _check(self, table: Table):
         if table not in self.tables:
             raise MatchActionError(
                 f"controller {self.name} does not own {table.name}"
             )
+
+    def publish(self, table: MatchTable, add=None, remove=()):
+        self._check(table)
         return table.publish(add=add, remove=remove, writer=self.name)
+
+    def install(self, table: FlowTable, key, value):
+        """Write one entry of a per-flow table."""
+        self._check(table)
+        table.install(key, value, writer=self.name)
+
+    def uninstall(self, table: FlowTable, key):
+        """Remove one entry of a per-flow table, if it has one."""
+        self._check(table)
+        table.uninstall(key, writer=self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +352,7 @@ class MeshRuntime:
 
         self.l2_table = MatchTable("l2_fwd", default="forward")
         self.l3_table = MatchTable("l3_proto", default="forward")
-        self.l4_table = MatchTable("l4_flows")
+        self.l4_table = FlowTable("l4_flows")
         self.listener_table = MatchTable("listeners")
         self.filter_table = MatchTable("filters")
         self.route_table = MatchTable("routes")
@@ -347,7 +376,9 @@ class MeshRuntime:
         )
 
         self.config = config
-        self.conns: dict[FlowKey, ConnRecord] = {}
+        # oldest activity first: a new record goes to the end, and so does
+        # a record on each egress
+        self.conns: OrderedDict[FlowKey, ConnRecord] = OrderedDict()
         self.vqs: dict[int, object] = {}  # vq id -> VirtQueue or LiveQueue
         self.stubs: dict[int, object] = {}
         self.slow = ExecContext(counters={})  # the slow path's counters
@@ -437,10 +468,13 @@ class MeshRuntime:
     def _vq_egress(self, unit: TrafficUnit) -> bool:
         """Never blocks: returns False when a full TX ring lost the unit,
         which the fast path counts as `dropped.ring_full`.  Egress is the
-        activity `expire_idle` measures a flow's idle time from."""
-        rec = self.conns.get(unit.meta.flow)
+        activity `expire_idle` measures a flow's idle time from: it moves
+        the flow's record to the end of `conns`."""
+        flow = unit.meta.flow
+        rec = self.conns.get(flow)
         if rec is not None:
             rec.last_active = self.clock()
+            self.conns.move_to_end(flow)
         q = self.vqs.get(unit.meta.queue)
         if q is not None and unit.payload:
             try:
@@ -459,8 +493,7 @@ class MeshRuntime:
                 rec.endpoint.active_conns -= 1
         qid = self.queue_table.lookup(key)
         self.queue_table.remove(key)
-        if key in self.l4_table.current.entries:  # live flows have none
-            self.conn_controller.publish(self.l4_table, remove=[key])
+        self.conn_controller.uninstall(self.l4_table, key)  # live flows have none
         q = self.vqs.pop(qid, None)
         if q is not None:
             q.close()
@@ -503,7 +536,7 @@ class MeshRuntime:
             self.slow.bump("dropped")
             return "dropped"
         self._record(key)
-        self.conn_controller.publish(self.l4_table, add={key: "l7"})
+        self.conn_controller.install(self.l4_table, key, "l7")
         # open the TOE state with the entry, as close_flow closes both, so a
         # first segment that arrives out of order waits for the ones before it
         self.fast_path.toe.open(key)
@@ -521,12 +554,15 @@ class MeshRuntime:
         return "reinjected"
 
     def expire_idle(self, now: int = None):
-        """Close every flow idle for longer than IDLE_TIMEOUT_NS."""
+        """Close every flow idle for longer than IDLE_TIMEOUT_NS: the
+        oldest records first, stopping at the first one still active, as
+        every record after it was active later."""
         now = now if now is not None else self.clock()
-        with self._lock:
-            idle = [key for key, rec in self.conns.items()
-                    if now - rec.last_active > IDLE_TIMEOUT_NS]
-        for key in idle:
+        conns = self.conns
+        while conns:
+            key, rec = next(iter(conns.items()))
+            if now - rec.last_active <= IDLE_TIMEOUT_NS:
+                return
             self.close_flow(key)
 
     # -- statistics --------------------------------------------------------

@@ -1,7 +1,10 @@
 import math
+import statistics
+import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatproxy.sim import (
     CSV_COLUMNS,
@@ -108,6 +111,45 @@ def test_jitter_sigma_preserves_mean():
     # mean-one multiplier: mean latency within a few percent of the base
     assert m.mean_ns == pytest.approx(22_000, rel=0.10)
     assert m.jitter_ns > 0
+
+
+_LATENCY = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1.0, max_value=1e9),
+    st.integers(min_value=1, max_value=10**9).map(float),
+)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="pstdev rounds correctly from Python 3.11 on")
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.lists(_LATENCY, min_size=2, max_size=60),
+    # repeated values, all-equal lists among them
+    st.tuples(st.lists(_LATENCY, min_size=1, max_size=4),
+              st.integers(min_value=2, max_value=40)).map(
+        lambda t: [t[0][i % len(t[0])] for i in range(t[1])]),
+    st.tuples(_LATENCY, _LATENCY).map(list),
+))
+def test_jitter_is_pstdev_exactly(latencies):
+    """`jitter_ns` is `statistics.pstdev` bit for bit, both being the
+    correctly rounded root of the exact variance: zeros, repeated and
+    all-equal values, two latencies, magnitudes from 1 to 1e9."""
+    m = Metrics()
+    for ns in latencies:
+        m.record(ns)
+    assert m.jitter_ns == statistics.pstdev(latencies)
+
+
+def test_percentile_sorts_once_and_follows_records():
+    m = Metrics()
+    for ns in (5.0, 1.0, 3.0):
+        m.record(ns)
+    assert (m.p50_ns, m.p99_ns) == (3.0, 5.0)
+    sorted_once = m._sorted
+    assert m.percentile(10) == 1.0 and m._sorted is sorted_once
+    m.record(0.5)
+    assert m.percentile(10) == 0.5 and m.p99_ns == 5.0
 
 
 def test_histogram_matches_per_record_buckets():

@@ -1,6 +1,7 @@
 import io
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from flatproxy import slow_path
@@ -117,6 +118,69 @@ def test_repeated_chain_node_rejected():
     bad = config_text() + "chain:\n  nodes: [toe, http_parser, toe]\n"
     with pytest.raises(InvalidChain):
         load_config(bad)
+
+
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                   reason="PyYAML built without libyaml")
+
+
+def load_with(monkeypatch, loader, source):
+    monkeypatch.setattr(slow_path, "_YAML_LOADER", loader)
+    return load_config(source)
+
+
+def test_loader_is_libyaml_where_built():
+    assert slow_path._YAML_LOADER is getattr(yaml, "CSafeLoader",
+                                             yaml.SafeLoader)
+
+
+@needs_libyaml
+@pytest.mark.parametrize("path", ["configs/http_routing.yaml",
+                                  "perfbench/mesh.yaml"])
+def test_c_and_python_loaders_give_equal_configs(monkeypatch, path):
+    # repr, not ==: a Cluster's lock compares by identity
+    c = load_with(monkeypatch, yaml.CSafeLoader, path)
+    py = load_with(monkeypatch, yaml.SafeLoader, path)
+    assert repr(c) == repr(py)
+    assert c.listeners and c.routes and c.clusters
+
+
+MALFORMED_YAML = [
+    "listeners:\n  - name: web\n   bad indent: [\n",
+    "listeners: [\n  {name: web\n",
+    "listeners:\n  - name: 'web\n",
+    "a: 1\n\tb: 2\n",
+    "listeners:\n  - name: web\n    dip: *nowhere\n",
+    "a: 1\n- b\n",
+    "routes:\n  - listener: web\n    cluster: {ref: [x}\n",
+]
+
+
+@needs_libyaml
+@pytest.mark.parametrize("doc", MALFORMED_YAML)
+def test_c_and_python_loaders_report_the_same_line(monkeypatch, doc):
+    lines = []
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        with pytest.raises(ParseError) as exc:
+            load_with(monkeypatch, loader, doc)
+        lines.append(exc.value.line)
+    assert lines[0] is not None
+    assert lines[0] == lines[1]
+
+
+@pytest.mark.parametrize("nodes", [
+    "[toe, http_parser, toe]",   # a repeated id
+    "[toe, warp_drive]",         # an unknown id
+    "[vswitch, toe]",            # a layer jump, L2 -> L4
+    "[l3, router]",              # a layer jump, L3 -> L7
+])
+def test_chain_checked_against_standard_layers(nodes):
+    with pytest.raises(InvalidChain):
+        load_config(config_text() + f"chain:\n  nodes: {nodes}\n")
+    every = "[vswitch, l3, toe, http_parser, filter, router, http_deparser]"
+    assert load_config(config_text() + f"chain:\n  nodes: {every}\n").chain == [
+        "vswitch", "l3", "toe", "http_parser", "filter", "router",
+        "http_deparser"]
 
 
 def test_config_error_is_common_base():
@@ -361,6 +425,55 @@ def test_idle_expiry_counts_from_last_activity():
     assert flow not in rt.conns
     assert rt.queue_table.lookup(flow) is None
     assert endpoint.active_conns == 0
+    rt.shutdown()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+    st.just(n), st.permutations(range(n)), st.integers(0, n))))
+def test_expire_idle_closes_exactly_the_idle_and_keeps_order(case):
+    """N flows open at 0 s; N - k of them, in some order, send again at
+    30 s.  Expiry at one timeout closes exactly the k idle ones, and the
+    records left are in the order of their activity, as before it."""
+    n, order, k = case
+    rt, now = clocked_runtime()
+    flows = [make_flow(sport=44200 + i) for i in range(n)]
+    seqs = [0] * n
+    raw = make_request(b"/svc/a")
+
+    def send(i):
+        rt.fast_path.ingress(make_frame(raw, flows[i], seq=seqs[i]))
+        seqs[i] += len(raw)
+
+    for i in range(n):
+        send(i)
+    now[0] = 30 * 1_000_000_000
+    active = order[k:]
+    for i in active:
+        send(i)
+    before = list(rt.conns)
+    idle = sorted(order[:k])  # in the order they opened
+    assert before == [flows[i] for i in idle] + [flows[i] for i in active]
+    rt.expire_idle(now=IDLE_TIMEOUT_NS + 1)
+    assert list(rt.conns) == [flows[i] for i in active]
+    for i in idle:
+        assert flows[i] not in rt.l4_table.current.entries
+        assert rt.queue_table.lookup(flows[i]) is None
+    assert len(rt.l4_table.current.entries) == len(rt.vqs) == n - k
+    rt.shutdown()
+
+
+def test_expire_idle_stops_at_the_first_active_record():
+    """Expiry walks records oldest first and stops at the first one still
+    active: a later record is not looked at, however old it claims to be."""
+    rt, now = clocked_runtime()
+    flows = [make_flow(sport=44300 + i) for i in range(3)]
+    for i, t in enumerate((0, 30, 30)):
+        now[0] = t * 1_000_000_000
+        rt.fast_path.ingress(make_frame(make_request(b"/svc/a"), flows[i]))
+    rt.conns[flows[2]].last_active = 0  # out of order, on purpose
+    rt.expire_idle(now=IDLE_TIMEOUT_NS + 1)
+    assert list(rt.conns) == flows[1:]
     rt.shutdown()
 
 
