@@ -13,6 +13,7 @@ import signal
 import sys
 import time
 
+from .core import int_to_ip4
 from .live import EchoStub, LiveProxy
 from .sim import (
     Mode,
@@ -186,50 +187,48 @@ def cmd_live(args) -> int:
         return EXIT_CONFIG
     host, port = args.listen
     stubs = []
-    if args.spawn_stubs:
+    try:
         endpoints = [e for c in config.clusters for e in c.endpoints]
         for i, ep in enumerate(endpoints[: args.spawn_stubs]):
-            from .core import int_to_ip4
-
-            stub = EchoStub(
+            stubs.append(EchoStub(
                 f"stub-{i}", host=int_to_ip4(ep.address.dip), port=ep.address.dport
-            ).start()
-            stubs.append(stub)
-    try:
-        proxy = LiveProxy(config, listen_host=host, listen_port=port)
-    except OSError as exc:
-        print(f"cannot bind {host}:{port}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    proxy.start()
-    print(f"listening on {proxy.listen_host}:{proxy.port}", flush=True)
-
-    if args.pid_file:
-        with open(args.pid_file, "w") as fh:
-            fh.write(str(os.getpid()))
-
-    def on_hup(_sig, _frame):
+            ).start())
         try:
-            proxy.reload(load_config(args.config))
-            log.info("config reloaded")
-        except ConfigError as exc:
-            log.error("reload failed: %s", exc)
+            proxy = LiveProxy(config, listen_host=host, listen_port=port)
+        except OSError as exc:
+            print(f"cannot bind {host}:{port}: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        proxy.start()
+        print(f"listening on {proxy.listen_host}:{proxy.port}", flush=True)
 
-    signal.signal(signal.SIGHUP, on_hup)
+        if args.pid_file:
+            with open(args.pid_file, "w") as fh:
+                fh.write(str(os.getpid()))
 
-    try:
-        if args.duration > 0:
-            time.sleep(args.duration)
-        else:
-            while True:
-                time.sleep(1)
-    except KeyboardInterrupt:
-        pass
+        def on_hup(_sig, _frame):
+            try:
+                proxy.reload(load_config(args.config))
+                log.info("config reloaded")
+            except ConfigError as exc:
+                log.error("reload failed: %s", exc)
+
+        signal.signal(signal.SIGHUP, on_hup)
+
+        try:
+            if args.duration > 0:
+                time.sleep(args.duration)
+            else:
+                while True:
+                    time.sleep(1)
+        except KeyboardInterrupt:
+            pass
+        finally:
+            proxy.stop()
+            if args.pid_file and os.path.exists(args.pid_file):
+                os.unlink(args.pid_file)
     finally:
-        proxy.stop()
         for stub in stubs:
             stub.stop()
-        if args.pid_file and os.path.exists(args.pid_file):
-            os.unlink(args.pid_file)
     snap = proxy.stats()
     print(f"delivered: {snap['live_delivered']}")
     for ep, n in sorted(snap["endpoint_assignments"].items()):

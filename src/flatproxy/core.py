@@ -86,40 +86,38 @@ class FlowKey:
 
     @cached_property
     def listener_key(self) -> "FlowKey":
-        """The wildcard-source key of this flow's listener, made on first
-        use and kept: the router looks it up for every message.  Flows to
-        one listener share one key, so keeping it costs a flow a pointer."""
-        ident = (self.dip, self.dport, self.proto)
-        lkey = _listener_keys.get(ident)
-        if lkey is None:
-            lkey = _listener_keys[ident] = make_listener_key(*ident)
-        return lkey
+        """The interned wildcard-source key of this flow's listener, kept
+        after first use: the router looks it up for every message."""
+        return make_listener_key(self.dip, self.dport, self.proto)
 
 
-# (dip, dport, proto) -> the listener key flows to it share; an entry goes
-# with the last flow that holds its key
+# (dip, dport, proto) -> the one listener key for it; an entry goes with
+# the last table, rule or flow that holds its key
 _listener_keys = weakref.WeakValueDictionary()
 
 
 def make_listener_key(dip, dport: int, proto: Proto = Proto.TCP) -> FlowKey:
-    """Wildcard-source key used for listener lookup."""
-    return FlowKey(sip=0, sport=0, dip=ip4_to_int(dip), dport=dport, proto=proto)
+    """The wildcard-source key used for listener lookup, interned: the
+    listener and route tables hold the very object each flow to that
+    listener looks up, so a lookup matches by identity."""
+    ident = (ip4_to_int(dip), dport, proto)
+    lkey = _listener_keys.get(ident)
+    if lkey is None:
+        lkey = _listener_keys[ident] = FlowKey(
+            sip=0, sport=0, dip=ident[0], dport=dport, proto=proto)
+    return lkey
 
 
 @dataclass
 class HttpMessage:
-    """Parsed HTTP/1.1 request fields, and the message bytes they were
-    parsed from.  The deparser forwards `raw` untouched unless the request
-    was `rewritten`; header wire order is preserved for that case."""
+    """The request fields a PPM reads, and the message bytes they were
+    parsed from, which the deparser forwards as they are."""
 
     method: bytes = b""
     url_path: bytes = b""
     host: bytes = b""
-    version: bytes = b"HTTP/1.1"
-    headers: list = field(default_factory=list)  # list[(name bytes, value bytes)]
     raw: bytes = b""  # the whole framed message as it arrived
     body_at: int = 0  # where the body starts in `raw`
-    rewritten: bool = False  # a field was changed: serialise it again
 
 
 _conn_ids = itertools.count(1)

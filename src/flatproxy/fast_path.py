@@ -13,9 +13,9 @@ message's header block as soon as it is in, and the message leaves with
 that head once its length is held.  `ingress` runs the messages at once,
 in order, through `FastPath.message`, the L7 entry live mode shares; the
 parser builds each request from its head, and the deparser forwards the
-message bytes untouched unless the request was rewritten.  Frames and
-messages leave through one disposition, which counts the outcome and keeps
-nothing: VQ egress, a drop counted by reason or the slow-path handoff.
+message bytes untouched.  Frames and messages leave through one
+disposition, which counts the outcome and keeps nothing: VQ egress, a drop
+counted by reason or the slow-path handoff.
 Per-flow FIFO holds by construction: one caller runs a flow's frames, and
 each live client has its own thread.
 """

@@ -2,9 +2,10 @@
 and load balancing.
 
 An HTTP message's header block is split once, by `frame_http` when it
-frames the message; the parser builds the request from that head, and the
-deparser forwards the framed bytes untouched unless the request was
-rewritten -- header fields are extracted, the payload passes through.
+frames the message; the parser reads the request line and the Host header
+from that head, checking every header line, and the deparser forwards the
+framed bytes untouched -- header fields are extracted, the payload passes
+through.
 
 The router follows the hash-lookup routing flow: listener lookup on the
 (dip, dport) pair, path match, then a 4-tuple queue lookup; only a queue
@@ -136,17 +137,13 @@ def parse_request(data: bytes, head: Optional[tuple] = None) -> HttpMessage:
     parts = start.split(b" ")
     if len(parts) != 3 or not parts[0] or not parts[2].startswith(b"HTTP/"):
         raise MalformedHttp("bad request line")
-    method, path, version = parts
-    headers = []
     host = b""
     for name, colon, value in fields:
         if not colon or not name:
             raise MalformedHttp(f"bad header line {name + colon + value!r}")
-        headers.append((name, value))
         if name.strip().lower() == b"host":
             host = value.strip()
-    return HttpMessage(method=method, url_path=path, host=host,
-                       version=version, headers=headers, raw=data,
+    return HttpMessage(method=parts[0], url_path=parts[1], host=host, raw=data,
                        body_at=body_at)
 
 
@@ -158,30 +155,10 @@ def parse_request_bytes(data: bytes, head: Optional[tuple] = None):
 
 def http_deparse(meta: Metadata) -> bytes:
     """The request bytes for the bound queue: the message exactly as it
-    arrived, or, once `rewrite_host` rewrote it, serialised again from its
-    fields in header wire order, with the body as it arrived."""
-    http = meta.http
-    if http is None:
+    arrived."""
+    if meta.http is None:
         raise MalformedHttp("no http metadata to deparse")
-    if not http.rewritten:
-        return http.raw
-    lines = [http.method + b" " + http.url_path + b" " + http.version]
-    lines += [name + b":" + value for name, value in http.headers]
-    return _CRLF.join(lines) + _CRLF + _CRLF + http.raw[http.body_at:]
-
-
-def rewrite_host(http: HttpMessage, new_host: bytes):
-    """Rewrite the Host header in place, keeping wire order; the deparser
-    then serialises the request again."""
-    http.host = new_host
-    http.rewritten = True
-    for i, (name, value) in enumerate(http.headers):
-        if name.strip().lower() == b"host":
-            # keep the original leading whitespace of the value
-            ws = value[: len(value) - len(value.lstrip())]
-            http.headers[i] = (name, ws + new_host)
-            return
-    http.headers.append((b"Host", b" " + new_host))
+    return meta.http.raw
 
 
 # ---------------------------------------------------------------------------

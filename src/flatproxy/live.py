@@ -160,6 +160,7 @@ class LiveProxy:
             self._sock.bind((listen_host, requested))
         except OSError:
             if listen_port:
+                self._sock.close()
                 raise
             self._sock.bind((listen_host, 0))
         self.port = self._sock.getsockname()[1]

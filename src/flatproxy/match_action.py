@@ -10,10 +10,12 @@ immutable node tuple, `Ppm.node`: `(id, parser or None, matcher,
 function, `traverse`, runs every chain over its nodes: the compiled L7
 chain, the fast path's vswitch/l3/toe pass and a PPM applied on its own.
 A traversal takes one snapshot of every table at its start and hands it
-to every matcher and action.  Rule tables are copy-on-write, so no
-traversal ever sees a half-applied update.  The per-flow L4 table is a
-`FlowTable`, written one entry at a time in place: a snapshot of it is
-consistent per entry, which is what its one lookup per traversal needs.
+to every matcher and action.  A rule table is published whole, as a new
+copy of its entries, so no traversal ever sees a half-applied update; a
+publish of the entries it already holds keeps its version.  The per-flow
+L4 table is a `FlowTable`, written one entry at a time in place: a
+snapshot of it is consistent per entry, which is what its one lookup per
+traversal needs.  A table checks every write against its one owner.
 
 A chain is an ordered list of PPM ids, none repeated.  Every PPM names
 its matcher, `matcher(unit, snaps) -> action_ref`, and gives each action
@@ -74,7 +76,8 @@ class Table:
 
     Lookups read `self.current` once and keep using that snapshot; Python
     attribute assignment is atomic, so readers are wait-free with respect
-    to writes.  Writes must come from the single owning controller.
+    to writes.  Once a controller owns the table, a write from any other
+    controller is refused here.
     """
 
     def __init__(self, name: str, default: str = DEFAULT_ACTION):
@@ -99,20 +102,16 @@ class Table:
 
 
 class MatchTable(Table):
-    """Exact-match rule table with copy-on-write versioned publication."""
+    """Exact-match rule table, published whole and copy-on-write."""
 
-    def publish(self, add: dict = None, remove=(), writer: str = None) -> int:
-        """Publish a delta as a new copy of the entries; returns the new
-        epoch number."""
+    def publish(self, entries: dict, writer: str = None) -> int:
+        """Publish a copy of `entries` as a new version, unless they equal
+        the current ones; returns the epoch now current."""
         self._check_writer(writer)
-        entries = dict(self.current.entries)
-        for k in remove:
-            entries.pop(k, None)
-        if add:
-            entries.update(add)
-        new_epoch = self.current.epoch + 1
-        self.current = TableEpoch(epoch=new_epoch, entries=entries)
-        return new_epoch
+        if entries != self.current.entries:
+            self.current = TableEpoch(epoch=self.current.epoch + 1,
+                                      entries=dict(entries))
+        return self.current.epoch
 
 
 class FlowTable(Table):

@@ -6,9 +6,12 @@ validated into a MeshConfig -- its chain against the standard PPMs'
 layers, `STANDARD_LAYERS` -- and is distributed layer-wise: the OVS
 controller owns the L2 table, the connection controller owns the L3/L4
 and listener tables, and the message controller owns the L7 rule tables.
-Only a table's owning controller ever writes to it.  Rule tables are
-republished whole, copy-on-write; the per-flow L4 table is written one
-entry at a time.
+Each table refuses a write from any controller but its owner.  A rule
+table is published whole, and a reload keeps the version of every table
+whose entries it leaves equal, so it moves no epoch that established
+flows were classified on.  (A `Cluster` holds a lock and compares equal
+only to itself, so a config loaded again republishes the cluster table.)
+The per-flow L4 table is written one entry at a time.
 
 The slow path itself handles first packets: it installs the flow's L4
 entry and TOE state, each in O(1), and reinjects the triggering unit into
@@ -25,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -299,8 +302,10 @@ class ConnRecord:
 
 @dataclass
 class Controller:
+    """A layer's controller: it writes only the tables it owns, which each
+    table checks on every write."""
+
     name: str
-    tables: list = field(default_factory=list)
 
     def own(self, table: Table):
         if table.owner is not None and table.owner != self.name:
@@ -308,27 +313,17 @@ class Controller:
                 f"table {table.name} already owned by {table.owner}"
             )
         table.owner = self.name
-        if table not in self.tables:
-            self.tables.append(table)
 
-    def _check(self, table: Table):
-        if table not in self.tables:
-            raise MatchActionError(
-                f"controller {self.name} does not own {table.name}"
-            )
-
-    def publish(self, table: MatchTable, add=None, remove=()):
-        self._check(table)
-        return table.publish(add=add, remove=remove, writer=self.name)
+    def publish(self, table: MatchTable, entries: dict) -> int:
+        """Publish a rule table's entries whole; returns its epoch."""
+        return table.publish(entries, writer=self.name)
 
     def install(self, table: FlowTable, key, value):
         """Write one entry of a per-flow table."""
-        self._check(table)
         table.install(key, value, writer=self.name)
 
     def uninstall(self, table: FlowTable, key):
         """Remove one entry of a per-flow table, if it has one."""
-        self._check(table)
         table.uninstall(key, writer=self.name)
 
 
@@ -400,41 +395,28 @@ class MeshRuntime:
 
     # -- rule distribution -------------------------------------------------
     def distribute(self, config: MeshConfig) -> dict:
-        """Publish config-derived entries layer-wise; returns the epoch
-        each table reached."""
+        """Publish each rule table whole from `config`, by its owning
+        controller; returns the epoch each table is at.  A table whose
+        entries did not change keeps its epoch, so flows keep their
+        classification across a reload that leaves L2-L3 alone."""
         self.config = config
-        epochs = {}
-        epochs[self.l2_table.name] = self.ovs_controller.publish(
-            self.l2_table, add={l.dip: "forward" for l in config.listeners}
-        )
-        epochs[self.l3_table.name] = self.conn_controller.publish(
-            self.l3_table, add={Proto.TCP: "forward", Proto.UDP: "forward"}
-        )
-        listener_add = {l.key: l.name for l in config.listeners}
-        old_listeners = set(self.listener_table.current.entries) - set(listener_add)
-        epochs[self.listener_table.name] = self.conn_controller.publish(
-            self.listener_table, add=listener_add, remove=old_listeners
-        )
         # explicit rules first, then a catch-all ALLOW so a request the
         # config says nothing about is forwarded rather than stranded
         rules = tuple(config.filters) + (FilterRule(decision=Decision.ALLOW),)
-        epochs[self.filter_table.name] = self.msg_controller.publish(
-            self.filter_table, add={"rules": rules}
-        )
-        routes_by_listener = {}
+        routes = {}
         for r in config.routes:
-            routes_by_listener.setdefault(r.listener, []).append(r)
-        routes_add = {k: tuple(v) for k, v in routes_by_listener.items()}
-        old_routes = set(self.route_table.current.entries) - set(routes_add)
-        epochs[self.route_table.name] = self.msg_controller.publish(
-            self.route_table, add=routes_add, remove=old_routes
+            routes[r.listener] = routes.get(r.listener, ()) + (r,)
+        ovs, conn, msg = (self.ovs_controller, self.conn_controller,
+                          self.msg_controller)
+        published = (
+            (ovs, self.l2_table, {l.dip: "forward" for l in config.listeners}),
+            (conn, self.l3_table, {Proto.TCP: "forward", Proto.UDP: "forward"}),
+            (conn, self.listener_table, {l.key: l.name for l in config.listeners}),
+            (msg, self.filter_table, {"rules": rules}),
+            (msg, self.route_table, routes),
+            (msg, self.cluster_table, {c.ref: c for c in config.clusters}),
         )
-        cluster_add = {c.ref: c for c in config.clusters}
-        old_clusters = set(self.cluster_table.current.entries) - set(cluster_add)
-        epochs[self.cluster_table.name] = self.msg_controller.publish(
-            self.cluster_table, add=cluster_add, remove=old_clusters
-        )
-        return epochs
+        return {t.name: c.publish(t, entries) for c, t, entries in published}
 
     # -- connection management --------------------------------------------
     def _record(self, key: FlowKey) -> ConnRecord:

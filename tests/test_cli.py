@@ -1,4 +1,5 @@
 import csv
+import gc
 import os
 import signal
 import socket
@@ -142,6 +143,27 @@ def test_live_rejects_bad_listen_port(config_file, capsys):
             main(["live", "--config", config_file, "--listen", listen])
         assert exc.value.code == 2
         assert "bad port" in capsys.readouterr().err
+
+
+def test_live_port_taken_closes_its_socket_and_stops_the_stubs(tmp_path, capsys):
+    """An explicit listen port that is taken exits 1, with the proxy's
+    socket closed (an unclosed one fails the run as a ResourceWarning) and
+    the spawned stub stopped, its port free again."""
+    stub_port = _free_port()
+    cfg = tmp_path / "live.yaml"
+    cfg.write_text(config_text(endpoint_ports=(stub_port,), dip="127.0.0.1"))
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen(1)
+        port = held.getsockname()[1]
+        code, _, err = run_cli(["live", "--config", str(cfg), "--listen",
+                                f"127.0.0.1:{port}", "--spawn-stubs", "1"],
+                               capsys)
+    assert code == 1
+    assert f"cannot bind 127.0.0.1:{port}" in err
+    gc.collect()  # finalise a leaked socket here, inside this test
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", stub_port))
 
 
 # -- reload ------------------------------------------------------------------

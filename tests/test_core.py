@@ -28,8 +28,8 @@ def test_make_listener_key_wildcard_source():
 
 def test_make_listener_key_deterministic():
     a = make_listener_key("10.0.0.2", 8080)
-    b = make_listener_key("10.0.0.2", 8080)
-    assert a == b
+    b = make_listener_key(ip4_to_int("10.0.0.2"), 8080)
+    assert a is b  # interned while a key is held
     assert hash(a) == hash(b)
 
 
@@ -40,7 +40,7 @@ def test_make_listener_key_distinct_ports():
 def test_flow_key_listener_key_is_kept():
     key = make_flow()
     lkey = key.listener_key
-    assert lkey == make_listener_key("10.0.0.2", 8080)
+    assert lkey is make_listener_key("10.0.0.2", 8080)
     assert key.listener_key is lkey
     # keeping it changes neither equality, hash nor repr
     fresh = make_flow()

@@ -347,10 +347,9 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
         if republish == "deny_all_filters":
             rules = (FilterRule(decision=Decision.DENY),)
             runtime.msg_controller.publish(runtime.filter_table,
-                                           add={"rules": rules})
+                                           {"rules": rules})
         else:
-            routes = list(runtime.route_table.current.entries)
-            runtime.msg_controller.publish(runtime.route_table, remove=routes)
+            runtime.msg_controller.publish(runtime.route_table, {})
 
     runtime.registry["publisher"] = Ppm(
         id="publisher", layer=Layer.L7, matcher=lambda unit, snaps: "publish",
@@ -384,7 +383,7 @@ def test_l2_l4_traversal_keeps_snapshot_from_its_start(runtime, monkeypatch):
     def lookup(key, snap=None):
         if not published:
             published.append(runtime.conn_controller.publish(
-                runtime.l3_table, add={Proto.TCP: "to_slow_path"}))
+                runtime.l3_table, {Proto.TCP: "to_slow_path"}))
         return l2_lookup(key, snap)
 
     monkeypatch.setattr(runtime.l2_table, "lookup", lookup)
@@ -466,6 +465,8 @@ def test_established_flow_reuses_its_classification(runtime, monkeypatch):
 
 @pytest.mark.parametrize("table", ["l2_table", "l3_table", "l4_table"])
 def test_publish_between_frames_forces_a_traversal(runtime, monkeypatch, table):
+    """A write that changes one of the L2-L4 tables moves its epoch, so the
+    flow's next frame is classified again, once."""
     calls = count_l2_l4_matches(runtime, monkeypatch)
     flow = make_flow(sport=48710)
     raw = make_request(b"/svc/a")
@@ -473,15 +474,45 @@ def test_publish_between_frames_forces_a_traversal(runtime, monkeypatch, table):
     if table == "l4_table":
         runtime.l4_table.install(make_flow(sport=48711), "l7")
     else:
-        add = {"l2_table": {flow.dip: "forward"},
-               "l3_table": {Proto.TCP: "forward"}}[table]
-        getattr(runtime, table).publish(add=add)
+        # entries that differ from the current ones, and still forward
+        entries = {"l2_table": {flow.dip: "forward", flow.dip + 1: "forward"},
+                   "l3_table": {Proto.TCP: "forward"}}[table]
+        epoch = getattr(runtime, table).epoch
+        assert getattr(runtime, table).publish(entries) == epoch + 1
     calls.clear()
     assert runtime.fast_path.ingress(frame(raw, flow=flow, seq=len(raw))) == "l7"
     assert calls == ["vswitch", "l3", "toe"]
     calls.clear()
     assert runtime.fast_path.ingress(
         frame(raw, flow=flow, seq=2 * len(raw))) == "l7"
+    assert calls == []
+
+
+@pytest.mark.parametrize("reload", ["equal_entries", "same_config",
+                                    "config_loaded_again"])
+def test_unchanged_reload_keeps_the_classification(runtime, monkeypatch, reload):
+    """Publishing the entries a table already holds, or distributing a
+    config equal to the current one, moves no L2-L4 epoch: the flow's next
+    frame is not classified again.  Only the cluster table, whose Clusters
+    compare equal only to themselves, moves for a config loaded again."""
+    calls = count_l2_l4_matches(runtime, monkeypatch)
+    flow = make_flow(sport=48715)
+    raw = make_request(b"/svc/a")
+    runtime.fast_path.ingress(frame(raw, flow=flow))
+    before = runtime.stats_snapshot()["table_epochs"]
+    if reload == "equal_entries":
+        for name in ("l2_table", "l3_table"):
+            table = getattr(runtime, name)
+            table.publish(dict(table.current.entries))
+    elif reload == "same_config":
+        runtime.distribute(runtime.config)
+    else:
+        runtime.distribute(load_config(config_text()))
+    after = runtime.stats_snapshot()["table_epochs"]
+    moved = {"clusters"} if reload == "config_loaded_again" else set()
+    assert {n for n in before if before[n] != after[n]} == moved
+    calls.clear()
+    assert runtime.fast_path.ingress(frame(raw, flow=flow, seq=len(raw))) == "l7"
     assert calls == []
 
 
@@ -581,9 +612,9 @@ def test_reused_classification_equals_a_traversal(steps):
             seqs[sport] += len(raw)
         elif kind == "l2":
             rt.ovs_controller.publish(rt.l2_table,
-                                      add={flows[FLOW_SPORTS[0]].dip: step[1]})
+                                      {flows[FLOW_SPORTS[0]].dip: step[1]})
         elif kind == "l3":
-            rt.conn_controller.publish(rt.l3_table, add={Proto.TCP: step[1]})
+            rt.conn_controller.publish(rt.l3_table, {Proto.TCP: step[1]})
         elif kind == "l4":
             flow = flows[step[1]]
             if step[2] == "remove":

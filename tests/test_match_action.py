@@ -48,7 +48,7 @@ def test_publish_bumps_epoch_atomically():
     t = MatchTable("t")
     assert t.epoch == 0
     snap0 = t.current
-    e1 = t.publish(add={"a": 1, "b": 2})
+    e1 = t.publish({"a": 1, "b": 2})
     assert e1 == 1
     assert t.lookup("a") == 1
     # the old snapshot still answers with old state
@@ -57,34 +57,44 @@ def test_publish_bumps_epoch_atomically():
 
 
 def test_publish_remove_and_delta():
+    """A publish replaces the entries whole: a key it leaves out is gone."""
     t = MatchTable("t")
-    t.publish(add={"a": 1, "b": 2})
-    t.publish(remove=["a"], add={"c": 3})
+    t.publish({"a": 1, "b": 2})
+    assert t.publish({"b": 2, "c": 3}) == 2
     assert t.lookup("a") == t.default
     assert t.lookup("b") == 2
     assert t.lookup("c") == 3
-    assert t.epoch == 2
 
 
 def test_publish_remove_absent_key_is_noop():
+    """Entries equal to the current ones keep the version; what is
+    published is a copy of the caller's dict."""
     t = MatchTable("t")
-    e = t.publish(remove=["ghost"])
-    assert e == 1
+    entries = {"a": 1}
+    assert t.publish(entries) == 1
+    snap = t.current
+    assert snap.entries == entries and snap.entries is not entries
+    entries["b"] = 2
+    assert t.lookup("b") == t.default
+    assert t.publish({"a": 1}) == 1
+    assert t.current is snap
+    assert t.publish(entries) == 2
+    assert t.publish({}) == 3
     assert t.current.entries == {}
 
 
 def test_publish_owner_enforced():
     t = MatchTable("t")
     t.owner = "alice"
-    t.publish(add={"x": 1}, writer="alice")
+    t.publish({"x": 1}, writer="alice")
     with pytest.raises(MatchActionError):
-        t.publish(add={"y": 2}, writer="bob")
+        t.publish({"y": 2}, writer="bob")
     assert "y" not in t.current.entries
 
 
 def test_snapshot_is_immutable_type():
     t = MatchTable("t")
-    t.publish(add={"x": 1})
+    t.publish({"x": 1})
     snap = t.current
     assert isinstance(snap, TableEpoch)
     with pytest.raises(Exception):
@@ -95,10 +105,10 @@ def test_lookup_consistency_under_republish():
     """A traversal that took a snapshot never sees a mixed state, no
     matter how many publishes land mid-traversal."""
     t = MatchTable("t")
-    t.publish(add={"a": "v1", "b": "v1"})
+    t.publish({"a": "v1", "b": "v1"})
     snap = t.current
     for i in range(100):
-        t.publish(add={"a": f"v{i+2}", "b": f"v{i+2}"})
+        t.publish({"a": f"v{i+2}", "b": f"v{i+2}"})
         # the held snapshot keeps answering from one coherent version
         assert t.lookup("a", snap) == "v1"
         assert t.lookup("b", snap) == "v1"
@@ -133,7 +143,7 @@ def test_flow_table_writes_one_entry_in_place():
 
 def test_ppm_runs_matched_program():
     t = MatchTable("t")
-    t.publish(add={7: "hit"})
+    t.publish({7: "hit"})
     p = Ppm(
         id="p", layer=Layer.L7, tables=[t],
         matcher=lookup(t, lambda unit: unit.meta.conn_id),

@@ -3,9 +3,9 @@
 perfbench calls `MeshRuntime`, `FastPath.ingress`, `results()`,
 `shutdown()` and the queue and stub maps, and `sim.compare_modes`, and
 patches names in every flatproxy module when it traces.  This runs one
-traced round of each gated in-process workload, the first-swap probe and
-traced simulator sweeps, each in a subprocess because tracing patches
-classes and modules for the life of the process.
+traced round of each gated in-process workload and of `conn_churn`, the
+first-swap probe and traced simulator sweeps, each in a subprocess because
+tracing patches classes and modules for the life of the process.
 """
 
 import json
@@ -58,6 +58,26 @@ print(json.dumps({
 """
 
 
+# conn_churn is the one workload that reloads the config and expires idle
+# flows: one traced round drives both through the benchmark's hooks
+CHURN_SCRIPT = """
+import json, random
+import inproc
+from tracing import Tracer, install
+
+tracer = Tracer()
+install(tracer)
+rnd = inproc.GENERATORS["conn_churn"](random.Random(1))
+inproc.drive_round(rnd, tracer)
+print(json.dumps({
+    "correct": rnd.check.correct,
+    "failed": rnd.check.failed,
+    "calls": {n: tracer.calls(n) for n in
+              ("slow_path.distribute", "slow_path.expire_idle")},
+}))
+"""
+
+
 def run_script(script: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
@@ -87,3 +107,9 @@ def test_perfbench_traces_the_simulator_sweep():
         f"sim.run_sim.{m}.{load}" for m in ("envoy", "sockmap", "toe", "flatproxy")
         for load in ("under", "over"))
     assert set(out["calls"].values()) == {2 * out["sweeps"]}
+
+
+def test_perfbench_drives_reload_and_expiry():
+    out = run_script(CHURN_SCRIPT)
+    assert out["correct"] and out["failed"] == 0
+    assert all(n > 0 for n in out["calls"].values()), out["calls"]

@@ -5,7 +5,14 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from flatproxy import slow_path
-from flatproxy.core import Metadata, TrafficUnit, UnitKind, Verdict, make_listener_key
+from flatproxy.core import (
+    Metadata,
+    TrafficUnit,
+    UnitKind,
+    Verdict,
+    ip4_to_int,
+    make_listener_key,
+)
 from flatproxy.fast_path import REORDER_BUFFER_SEGMENTS
 from flatproxy.l7 import ConnectFailure, Decision, LbPolicy, MatchKind
 from flatproxy.slow_path import (
@@ -205,8 +212,8 @@ def test_controller_ownership_exclusive():
     with pytest.raises(MatchActionError):
         b.own(t)
     with pytest.raises(MatchActionError):
-        b.publish(t, add={"x": 1})
-    a.publish(t, add={"x": 1})
+        b.publish(t, {"x": 1})
+    a.publish(t, {"x": 1})
     assert t.lookup("x") == 1
 
 
@@ -230,6 +237,10 @@ def test_distribute_returns_epochs_and_installs_rules():
     assert epochs["filters"] == 1
     lkey = make_listener_key("10.0.0.2", 8080)
     assert rt.listener_table.lookup(lkey) == "web"
+    # one interned key: the listener and route tables hold the same object
+    (listener_key,), (route_key,) = (rt.listener_table.current.entries,
+                                     rt.route_table.current.entries)
+    assert listener_key is route_key is lkey
     rules = rt.filter_table.current.entries["rules"]
     # explicit rules first, catch-all ALLOW last
     assert rules[0].decision is Decision.DENY
@@ -246,6 +257,9 @@ def test_redistribute_removes_stale_entries():
     assert rt.listener_table.lookup(old_key) == rt.listener_table.default
     assert rt.listener_table.lookup(make_listener_key("10.0.0.3", 9090)) == "web"
     assert epochs["listeners"] == 2
+    # the old listener's dip is gone from l2_fwd, not only added to
+    assert rt.l2_table.current.entries == {ip4_to_int("10.0.0.3"): "forward"}
+    assert epochs["l2_fwd"] == 2
     rt.shutdown()
 
 
@@ -325,7 +339,7 @@ def test_connect_failure_answered_502():
 
 
 def test_unknown_cluster_answered_502(runtime):
-    runtime.msg_controller.publish(runtime.cluster_table, remove=["backend"])
+    runtime.msg_controller.publish(runtime.cluster_table, {})
     runtime.fast_path.ingress(make_frame(make_request(b"/svc/a"), make_flow(sport=42200)))
     assert_answered_502(runtime, "unknown_cluster")
 
