@@ -190,9 +190,14 @@ def cmd_live(args) -> int:
     try:
         endpoints = [e for c in config.clusters for e in c.endpoints]
         for i, ep in enumerate(endpoints[: args.spawn_stubs]):
-            stubs.append(EchoStub(
-                f"stub-{i}", host=int_to_ip4(ep.address.dip), port=ep.address.dport
-            ).start())
+            ep_host, ep_port = int_to_ip4(ep.address.dip), ep.address.dport
+            try:
+                stub = EchoStub(f"stub-{i}", host=ep_host, port=ep_port)
+            except OSError as exc:
+                print(f"cannot start stub on {ep_host}:{ep_port}: {exc}",
+                      file=sys.stderr)
+                return EXIT_RUNTIME
+            stubs.append(stub.start())
         try:
             proxy = LiveProxy(config, listen_host=host, listen_port=port)
         except OSError as exc:
@@ -200,6 +205,8 @@ def cmd_live(args) -> int:
             return EXIT_RUNTIME
         proxy.start()
         print(f"listening on {proxy.listen_host}:{proxy.port}", flush=True)
+        for name, lport in list(proxy.ports.items())[1:]:
+            print(f"listener {name} on {proxy.listen_host}:{lport}", flush=True)
 
         if args.pid_file:
             with open(args.pid_file, "w") as fh:

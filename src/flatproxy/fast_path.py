@@ -16,8 +16,9 @@ parser builds each request from its head, and the deparser forwards the
 message bytes untouched.  Frames and messages leave through one
 disposition, which counts the outcome and keeps nothing: VQ egress, a drop
 counted by reason or the slow-path handoff.
-Per-flow FIFO holds by construction: one caller runs a flow's frames, and
-each live client has its own thread.
+Per-flow FIFO holds by construction: one thread runs the data plane -- the
+caller's in-process, live mode's loop thread -- and it runs a flow's frames
+and messages in order.
 """
 
 from __future__ import annotations

@@ -290,21 +290,18 @@ class QueueTable:
 
     def __init__(self):
         self._map = {}
-        self._lock = threading.Lock()
 
     def lookup(self, key: FlowKey):
         return self._map.get(key)
 
     def bind(self, key: FlowKey, queue_id: int):
-        with self._lock:
-            existing = self._map.get(key)
-            if existing is not None and existing != queue_id:
-                raise ValueError(f"flow {key} already bound to queue {existing}")
-            self._map[key] = queue_id
+        existing = self._map.get(key)
+        if existing is not None and existing != queue_id:
+            raise ValueError(f"flow {key} already bound to queue {existing}")
+        self._map[key] = queue_id
 
     def remove(self, key: FlowKey):
-        with self._lock:
-            self._map.pop(key, None)
+        self._map.pop(key, None)
 
     def __len__(self):
         return len(self._map)

@@ -25,8 +25,7 @@ nothing and stops after any parser or step that leaves a terminal verdict.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -142,17 +141,19 @@ def set_verdict(verdict, reason=None):
 
 @dataclass
 class ExecContext:
+    """A path's counters.  The data plane runs on one thread -- the
+    caller's in-process, the loop thread's in live mode -- so a bump is a
+    plain dict increment; another thread may take a `snapshot`, which is
+    copied in one step and so falls between two bumps."""
+
     counters: dict
-    _lock: "threading.Lock" = field(default_factory=lambda: threading.Lock())
 
     def bump(self, name, n=1):
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + n
+        counters = self.counters
+        counters[name] = counters.get(name, 0) + n
 
     def snapshot(self) -> dict:
-        """A copy of the counters, taken between bumps."""
-        with self._lock:
-            return dict(self.counters)
+        return dict(self.counters)
 
 
 class Ppm:

@@ -25,7 +25,6 @@ one it keeps.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -377,7 +376,6 @@ class MeshRuntime:
         self.vqs: dict[int, object] = {}  # vq id -> VirtQueue or LiveQueue
         self.stubs: dict[int, object] = {}
         self.slow = ExecContext(counters={})  # the slow path's counters
-        self._lock = threading.RLock()
 
         self.chain = self.compile(config.chain if config else DEFAULT_CHAIN_NODES)
         self.fast_path = FastPath(
@@ -422,19 +420,17 @@ class MeshRuntime:
     def _record(self, key: FlowKey) -> ConnRecord:
         """The flow's record, made active as of now if it has none; called
         wherever a flow starts to hold something."""
-        with self._lock:
-            rec = self.conns.get(key)
-            if rec is None:
-                rec = self.conns[key] = ConnRecord(last_active=self.clock())
-            return rec
+        rec = self.conns.get(key)
+        if rec is None:
+            rec = self.conns[key] = ConnRecord(last_active=self.clock())
+        return rec
 
     def _connect(self, endpoint: Endpoint, meta: Metadata) -> int:
         """The router's connector: the transport connector builds the
         queue, then the flow's record takes the endpoint and its LB count."""
         qid = self._connector(endpoint, meta)
-        with self._lock:
-            self._record(meta.flow).endpoint = endpoint
-            endpoint.active_conns += 1
+        self._record(meta.flow).endpoint = endpoint
+        endpoint.active_conns += 1
         return qid
 
     def _default_connect(self, endpoint: Endpoint, meta: Metadata) -> int:
@@ -469,10 +465,9 @@ class MeshRuntime:
         """The one path that releases a flow: its record and the LB count
         the record holds on its endpoint, queue binding, L4 entry, queue
         (closed), stub and TOE state."""
-        with self._lock:
-            rec = self.conns.pop(key, None)
-            if rec is not None and rec.endpoint is not None:
-                rec.endpoint.active_conns -= 1
+        rec = self.conns.pop(key, None)
+        if rec is not None and rec.endpoint is not None:
+            rec.endpoint.active_conns -= 1
         qid = self.queue_table.lookup(key)
         self.queue_table.remove(key)
         self.conn_controller.uninstall(self.l4_table, key)  # live flows have none

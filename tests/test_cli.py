@@ -166,6 +166,26 @@ def test_live_port_taken_closes_its_socket_and_stops_the_stubs(tmp_path, capsys)
         probe.bind(("127.0.0.1", stub_port))
 
 
+def test_live_stub_port_taken_reports_and_stops_the_stubs(tmp_path, capsys):
+    """A spawned stub whose port is taken exits 1 with a message, not a
+    traceback, and the stub started before it is stopped."""
+    free_port = _free_port()
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen(1)
+        port = held.getsockname()[1]
+        cfg = tmp_path / "live.yaml"
+        cfg.write_text(config_text(endpoint_ports=(free_port, port),
+                                   dip="127.0.0.1"))
+        code, _, err = run_cli(["live", "--config", str(cfg), "--listen",
+                                "127.0.0.1:0", "--spawn-stubs", "2"], capsys)
+    assert code == 1
+    assert f"cannot start stub on 127.0.0.1:{port}:" in err
+    gc.collect()
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", free_port))
+
+
 # -- reload ------------------------------------------------------------------
 
 def test_reload_bad_pidfile(capsys):

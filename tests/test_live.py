@@ -1,11 +1,13 @@
+import gc
 import io
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
-from flatproxy.l7 import MalformedHttp
+from flatproxy.l7 import MalformedHttp, parse_request_bytes
 from flatproxy.live import EchoStub, HttpReader, LiveProxy
 from flatproxy.slow_path import load_config
 from flatproxy.vq import MAX_DESCRIPTOR_BYTES
@@ -180,3 +182,299 @@ def test_live_bad_upstream_response_gets_502():
         done.set()
         proxy.stop()
         upstream.close()
+
+
+def _ok(body):
+    return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+
+
+class BatchUpstream:
+    """An HTTP upstream that answers nothing on its one connection until it
+    has read `n` requests, then answers each, and each after them, with 200
+    and the request's body.  `seen` counts the requests read."""
+
+    def __init__(self, n):
+        self.n = n
+        self.seen = 0
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.port = self.sock.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        try:
+            conn, _ = self.sock.accept()
+        except OSError:
+            return
+        with conn:
+            reader = HttpReader(conn.recv)
+            held = []
+            try:
+                while data := reader.read():
+                    self.seen += 1
+                    held.append(_ok(parse_request_bytes(data, reader.head)[1]))
+                    if self.seen >= self.n:
+                        conn.sendall(b"".join(held))
+                        held = []
+            except OSError:
+                return
+
+    def close(self):
+        self.sock.close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+def _serve(*ports, **kw):
+    cfg = load_config(config_text(endpoint_ports=ports, dip="127.0.0.1", **kw))
+    return LiveProxy(cfg, listen_port=0).start()
+
+
+def _wait(cond, timeout=5):
+    deadline = time.monotonic() + timeout
+    while not cond() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert cond()
+
+
+def test_live_pipelined_requests_are_answered_in_order_several_upstream():
+    # the upstream answers only once all three are in, so the proxy must
+    # have sent them without waiting for an answer
+    up = BatchUpstream(3)
+    proxy = _serve(up.port)
+    try:
+        with socket.create_connection(("127.0.0.1", proxy.port),
+                                      timeout=5) as s:
+            bodies = [b"r0", b"r1", b"r2"]
+            s.sendall(b"".join(make_request(b"/svc/a", method=b"POST", body=b)
+                               for b in bodies))
+            reader = HttpReader(s.recv)
+            assert [reader.read() for _ in bodies] == [_ok(b) for b in bodies]
+        assert proxy.delivered == 3
+    finally:
+        proxy.stop()
+        up.close()
+
+
+def test_live_local_reply_waits_for_the_replies_before_it():
+    up = BatchUpstream(2)
+    proxy = _serve(up.port)
+    try:
+        with socket.create_connection(("127.0.0.1", proxy.port),
+                                      timeout=5) as s:
+            s.sendall(make_request(b"/svc/a", method=b"POST", body=b"r0")
+                      + make_request(b"/admin/x")
+                      + make_request(b"/svc/a", method=b"POST", body=b"r1"))
+            reader = HttpReader(s.recv)
+            assert reader.read() == _ok(b"r0")
+            assert reader.read().startswith(b"HTTP/1.1 403")
+            assert reader.read() == _ok(b"r1")
+    finally:
+        proxy.stop()
+        up.close()
+
+
+def test_live_slow_upstream_does_not_stall_another_connection():
+    slow = BatchUpstream(2)
+    stub = EchoStub("stub-0").start()
+    # round robin: the first flow goes to `slow`, the second to the stub
+    proxy = _serve(slow.port, stub.port)
+    try:
+        with socket.create_connection(("127.0.0.1", proxy.port),
+                                      timeout=5) as a:
+            a.sendall(make_request(b"/svc/a", method=b"POST", body=b"a0"))
+            _wait(lambda: slow.seen == 1)
+            with socket.create_connection(("127.0.0.1", proxy.port),
+                                          timeout=5) as b:
+                b.sendall(make_request(b"/svc/a", method=b"POST", body=b"b0"))
+                assert HttpReader(b.recv).read().endswith(b"\r\n\r\nb0")
+            a.sendall(make_request(b"/svc/a", method=b"POST", body=b"a1"))
+            reader = HttpReader(a.recv)
+            assert [reader.read(), reader.read()] == [_ok(b"a0"), _ok(b"a1")]
+    finally:
+        proxy.stop()
+        stub.stop()
+        slow.close()
+
+
+def test_live_client_gone_mid_pipeline_releases_its_flow():
+    up = BatchUpstream(3)
+    proxy = _serve(up.port)
+    try:
+        with socket.create_connection(("127.0.0.1", proxy.port),
+                                      timeout=5) as s:
+            s.sendall(make_request(b"/svc/a") * 2)
+            _wait(lambda: up.seen == 2)
+            assert len(proxy.runtime.conns) == 1
+        _wait(lambda: not proxy.runtime.conns)
+        assert proxy.runtime.vqs == {}
+        endpoints = [e for c in proxy.runtime.config.clusters
+                     for e in c.endpoints]
+        assert [e.active_conns for e in endpoints] == [0]
+    finally:
+        proxy.stop()
+        up.close()
+
+
+def test_live_counts_every_request_of_concurrent_clients():
+    stubs = [EchoStub(f"stub-{i}").start() for i in range(2)]
+    proxy = _serve(*(s.port for s in stubs))
+    paths = [b"/svc/a", b"/admin/x", b"/nowhere"]
+    errors = []
+
+    def client():
+        try:
+            with socket.create_connection(("127.0.0.1", proxy.port),
+                                          timeout=10) as s:
+                reader = HttpReader(s.recv)
+                for i in range(150):
+                    s.sendall(make_request(paths[i % 3]))
+                    reader.read()
+        except OSError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads) and errors == []
+    finally:
+        sys.setswitchinterval(interval)
+        proxy.stop()
+        for s in stubs:
+            s.stop()
+    c = proxy.runtime.stats_snapshot()["fast_path"]
+    assert c["msg_submitted"] == 600 == (
+        c["msg_egress"] + c["msg_dropped"] + c.get("msg_slow_path", 0))
+    assert c["msg_egress"] == proxy.delivered == 200
+    assert sum(s.hits for s in stubs) == 200
+
+
+def test_live_reload_applies_on_the_loop_between_requests():
+    stub = EchoStub("stub-0").start()
+    proxy = _serve(stub.port)
+    stop_busy = threading.Event()
+    errors = []
+
+    def busy():
+        try:
+            with socket.create_connection(("127.0.0.1", proxy.port),
+                                          timeout=5) as s:
+                reader = HttpReader(s.recv)
+                while not stop_busy.is_set():
+                    s.sendall(make_request(b"/svc/a"))
+                    assert reader.read().startswith(b"HTTP/1.1 200")
+        except (OSError, AssertionError) as exc:
+            errors.append(exc)
+
+    t = threading.Thread(target=busy)
+    t.start()
+    try:
+        with socket.create_connection(("127.0.0.1", proxy.port),
+                                      timeout=5) as s:
+            reader = HttpReader(s.recv)
+            s.sendall(make_request(b"/new/x"))
+            assert reader.read().startswith(b"HTTP/1.1 404")
+            routes_epoch = proxy.runtime.route_table.epoch
+            wider = load_config(config_text(endpoint_ports=(stub.port,),
+                                            dip="127.0.0.1", path_pattern="/"))
+            proxy.reload(wider)
+            # applied by the time reload returns
+            assert proxy.runtime.config is wider
+            assert proxy.runtime.route_table.epoch == routes_epoch + 1
+            s.sendall(make_request(b"/new/x"))
+            assert reader.read().startswith(b"HTTP/1.1 200")
+    finally:
+        stop_busy.set()
+        t.join(timeout=10)
+        proxy.stop()
+        stub.stop()
+    assert not t.is_alive() and errors == []
+
+
+def test_live_serves_every_listener_with_its_own_routes():
+    stubs = {name: EchoStub(f"stub-{name}").start() for name in ("web", "api")}
+    cfg = load_config(f"""
+listeners:
+  - {{name: web, dip: 127.0.0.1, dport: 8080}}
+  - {{name: api, dip: 127.0.0.1, dport: 8081}}
+routes:
+  - listener: web
+    path_matchers: [{{kind: PREFIX, pattern: /svc/}}]
+    cluster: web-backend
+  - listener: api
+    path_matchers: [{{kind: PREFIX, pattern: /api/}}]
+    cluster: api-backend
+clusters:
+  - ref: web-backend
+    endpoints: [{{address: 127.0.0.1, port: {stubs["web"].port}}}]
+  - ref: api-backend
+    endpoints: [{{address: 127.0.0.1, port: {stubs["api"].port}}}]
+""")
+    proxy = LiveProxy(cfg, listen_port=0).start()
+    try:
+        assert set(proxy.ports) == {"web", "api"}
+        assert proxy.port == proxy.ports["web"] != proxy.ports["api"]
+        answers = {}
+        # both listeners' connections open at once
+        with socket.create_connection(("127.0.0.1", proxy.ports["web"]),
+                                      timeout=5) as w, \
+                socket.create_connection(("127.0.0.1", proxy.ports["api"]),
+                                         timeout=5) as a:
+            for name, s in (("web", w), ("api", a)):
+                reader = HttpReader(s.recv)
+                for path in (b"/svc/x", b"/api/x"):
+                    s.sendall(make_request(path))
+                    answers[name, path] = reader.read()
+        assert answers["web", b"/svc/x"].startswith(b"HTTP/1.1 200")
+        assert b"X-Stub: stub-web" in answers["web", b"/svc/x"]
+        assert answers["web", b"/api/x"].startswith(b"HTTP/1.1 404")
+        assert answers["api", b"/api/x"].startswith(b"HTTP/1.1 200")
+        assert b"X-Stub: stub-api" in answers["api", b"/api/x"]
+        assert answers["api", b"/svc/x"].startswith(b"HTTP/1.1 404")
+    finally:
+        proxy.stop()
+        for s in stubs.values():
+            s.stop()
+
+
+def test_live_stop_ends_the_loop_and_closes_every_socket(proxy):
+    with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as s:
+        s.sendall(make_request(b"/svc/a"))
+        assert HttpReader(s.recv).read().startswith(b"HTTP/1.1 200")
+        (lq,) = proxy.runtime.vqs.values()
+        proxy.stop()
+        assert not proxy._thread.is_alive()
+        assert lq.sock.fileno() == -1
+        assert proxy.runtime.vqs == {} and proxy.runtime.conns == {}
+        assert s.recv(1) == b""  # the client's connection was closed
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", proxy.port), timeout=5).close()
+    # a socket left open would be finalised here, as a ResourceWarning
+    gc.collect()
+
+
+def test_live_pipeline_larger_than_the_socket_buffers_completes(proxy):
+    # megabytes each way to a client that reads nothing at first: the proxy
+    # must wait for its socket to take its replies, and read no more of the
+    # client's requests meanwhile
+    bodies = [bytes([65 + i % 26]) * 60_000 for i in range(120)]
+    with socket.socket() as s:
+        s.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        s.settimeout(10)
+        s.connect(("127.0.0.1", proxy.port))
+        sender = threading.Thread(target=s.sendall, args=(b"".join(
+            make_request(b"/svc/a", method=b"POST", body=b) for b in bodies),))
+        sender.start()
+        _wait(lambda: any(c.writing for c in list(proxy._clients.values())))
+        reader = HttpReader(s.recv)
+        for b in bodies:
+            resp = reader.read()
+            assert resp.startswith(b"HTTP/1.1 200") and resp.endswith(b)
+        sender.join(timeout=10)
+        assert not sender.is_alive()
+    assert proxy.delivered == 120
