@@ -7,13 +7,13 @@ keeps the epochs of those three tables on its TOE state, and its later
 frames skip the traversal until one of the tables is written;
 `close_flow` drops the epochs with the TOE state.  A flow forwarded at L4
 short-circuits to its virtualization queue and is classified on every
-frame.  The ToeEngine collects an L7 flow's segments and cuts HTTP
-messages off them, each framed once and joined once: `frame_http` splits a
-message's header block as soon as it is in, and the message leaves with
-that head once its length is held.  `ingress` runs the messages at once,
-in order, through `FastPath.message`, the L7 entry live mode shares; the
-parser builds each request from its head, and the deparser forwards the
-message bytes untouched.  Frames and messages leave through one
+frame.  The ToeEngine feeds an L7 flow's in-order bytes to its
+`l7.HttpReader`, the one reader live mode uses too, which frames and joins
+each HTTP message once and hands it on with its head, split as soon as the
+header block is in.  `ingress` runs the messages at once, in order,
+through `FastPath.message`, the L7 entry live mode shares; the parser
+builds each request from its head, and the deparser forwards the message
+bytes untouched.  Frames and messages leave through one
 disposition, which counts the outcome and keeps nothing: VQ egress, a drop
 counted by reason or the slow-path handoff.
 Per-flow FIFO holds by construction: one thread runs the data plane -- the
@@ -34,9 +34,9 @@ from .core import (
     Verdict,
 )
 from .l7 import (
+    HttpReader,
     QueueTable,
     filter_apply,
-    frame_http,
     http_deparse,
     http_parse,
     route,
@@ -272,15 +272,10 @@ class _ToeConn:
     """One flow's TOE state, released by `ToeEngine.close`."""
 
     next_seq: int = 0
-    # the in-order bytes not yet delivered, as they arrived, `held` bytes
-    # in all; joined once a whole message is in
-    chunks: list = field(default_factory=list)
-    held: int = 0
+    # the in-order bytes not yet delivered as messages
+    reader: HttpReader = field(default_factory=HttpReader)
     reorder: dict = field(default_factory=dict)
     duplicates: int = 0
-    # `frame_http`'s result for the message at the head of `chunks` once
-    # its header block is in and the rest is not; None otherwise
-    need: Optional[tuple] = None
     # the (l2_fwd, l3_proto, l4_flows) epochs the flow was last classified
     # on by a traversal that ended in to_l7; plain ints, never snapshots
     epochs: Optional[tuple] = None
@@ -324,58 +319,30 @@ class ToeEngine:
                 raise OutOfWindow(f"reorder buffer full for {key}")
             conn.reorder[seg.seq] = seg.payload
             return []
+        reader = conn.reader
         chunk = seg.payload
         while True:
-            if chunk:
-                conn.chunks.append(chunk)
-            conn.held += len(chunk)
+            reader.feed(chunk)
             conn.next_seq += len(chunk)
             if conn.next_seq not in conn.reorder:
                 break
             chunk = conn.reorder.pop(conn.next_seq)
-        return self._frame_messages(conn, seg.meta)
-
-    def _frame_messages(self, conn: _ToeConn, meta: Metadata) -> list:
-        """Cut each whole message off the bytes `conn` holds.  A message is
-        framed once, its head waiting in `conn.need` until that many bytes
-        are held, and its segments are joined once."""
+        if reader.need is not None and reader.held < reader.need[0]:
+            return []  # the message's head is in, its length is not yet
         out = []
-        while conn.held:
-            head = conn.need
-            if head is None:
-                try:
-                    head = frame_http(_joined(conn))
-                except MalformedHttp as exc:
-                    # deliver the bad header block alone, so the stream
-                    # stays framed; the parser raises the slow-path verdict
-                    out.append(_cut(conn, meta, exc.end, None))
-                    continue
-                if head is None:
-                    break
-            if conn.held < head[0]:
-                conn.need = head
+        while reader.held:
+            try:
+                msg = reader.take()
+            except MalformedHttp as exc:
+                # deliver the bad header block alone, so the stream stays
+                # framed; the parser raises the slow-path verdict
+                msg = reader.cut(exc.end), None
+            if msg is None:
                 break
-            conn.need = None
-            out.append(_cut(conn, meta, head[0], head))
+            out.append(TrafficUnit(
+                kind=UnitKind.MESSAGE, payload=msg[0], head=msg[1],
+                meta=Metadata(flow=key, conn_id=seg.meta.conn_id)))
         return out
-
-
-def _joined(conn: _ToeConn) -> bytes:
-    """The bytes `conn` holds, as one chunk."""
-    if len(conn.chunks) > 1:
-        conn.chunks = [b"".join(conn.chunks)]
-    return conn.chunks[0]
-
-
-def _cut(conn: _ToeConn, meta: Metadata, end: int, head) -> TrafficUnit:
-    """The MESSAGE unit of the first `end` bytes `conn` holds."""
-    data = _joined(conn)
-    rest = data[end:]
-    conn.chunks = [rest] if rest else []
-    conn.held = len(rest)
-    return TrafficUnit(
-        kind=UnitKind.MESSAGE, payload=data[:end], head=head,
-        meta=Metadata(flow=meta.flow, conn_id=meta.conn_id))
 
 
 # ---------------------------------------------------------------------------

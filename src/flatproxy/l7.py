@@ -5,7 +5,9 @@ An HTTP message's header block is split once, by `frame_http` when it
 frames the message; the parser reads the request line and the Host header
 from that head, checking every header line, and the deparser forwards the
 framed bytes untouched -- header fields are extracted, the payload passes
-through.
+through.  `HttpReader` is the one reader that cuts whole messages off a
+byte stream by that rule: the TOE's per-flow reassembly, and in live mode
+each client, upstream and echo stub connection, use it.
 
 The router follows the hash-lookup routing flow: listener lookup on the
 (dip, dport) pair, path match, then a 4-tuple queue lookup; only a queue
@@ -15,7 +17,6 @@ the flow is pinned to its queue for life.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -120,6 +121,67 @@ def split_head(block: bytes):
         elif name == b"transfer-encoding":
             raise MalformedHttp("transfer-encoding not supported")
     return lines[0], fields, length or 0
+
+
+class HttpReader:
+    """Cuts whole messages off an HTTP/1.1 byte stream by `frame_http`,
+    each framed once and joined once: the bytes not yet taken are kept in
+    `chunks` as they arrived, `held` in all, and the head of the message at
+    their front waits in `need` until that many bytes are held.  `feed`
+    adds bytes and `take` cuts a message; `read` pulls from `recv(n)`, a
+    blocking socket's recv, until it has one, and leaves its head in
+    `head`."""
+
+    def __init__(self, recv=None):
+        self._recv = recv
+        self.chunks = []
+        self.held = 0
+        self.need = None
+        self.head = None
+
+    def feed(self, data: bytes):
+        if data:
+            self.chunks.append(data)
+            self.held += len(data)
+
+    def take(self):
+        """The next whole message held and its head, or None.  Raises
+        MalformedHttp, with `end` set, on a message `frame_http` rejects;
+        `cut(exc.end)` then drops the block that cannot be framed."""
+        head = self.need
+        if head is None:
+            chunks = self.chunks
+            if len(chunks) > 1:
+                self.chunks = chunks = [b"".join(chunks)]
+            head = frame_http(chunks[0]) if chunks else None
+            if head is None:
+                return None
+        if self.held < head[0]:
+            self.need = head
+            return None
+        self.need = None
+        return self.cut(head[0]), head
+
+    def cut(self, end: int) -> bytes:
+        """The first `end` bytes held, taken off the stream."""
+        data = b"".join(self.chunks)  # the one chunk itself, if one
+        rest = data[end:]
+        self.chunks = [rest] if rest else []
+        self.held = len(rest)
+        return data[:end]
+
+    def read(self) -> bytes:
+        """The next message; b'' on clean EOF.  Raises MalformedHttp on a
+        message `frame_http` rejects or a stream that ends mid-message."""
+        while (msg := self.take()) is None:
+            data = self._recv(MAX_DESCRIPTOR_BYTES)
+            if not data:
+                if self.held:
+                    raise MalformedHttp("connection closed mid-message")
+                return b""
+            self.feed(data)
+        data, self.head = msg
+        return data
 
 
 def parse_request(data: bytes, head: Optional[tuple] = None) -> HttpMessage:
@@ -244,14 +306,15 @@ class LbPolicy(Enum):
 
 @dataclass
 class Cluster:
-    """Endpoint set plus the mutable balancing state."""
+    """Endpoint set plus the mutable balancing state.  It compares by
+    `ref`, `endpoints` and `policy` only, so a reload that leaves a cluster
+    equal keeps the table's Cluster, and its balancing state, in place."""
 
     ref: str
     endpoints: list
     policy: LbPolicy = LbPolicy.ROUND_ROBIN
-    rr_cursor: int = 0
-    _wrr_current: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    rr_cursor: int = field(default=0, compare=False)
+    _wrr_current: dict = field(default_factory=dict, compare=False)
 
     def selectable(self):
         return [e for e in self.endpoints if e.selectable]
@@ -259,18 +322,17 @@ class Cluster:
 
 def load_balance(cluster: Cluster, meta: Metadata = None) -> Endpoint:
     """Pick the next endpoint under the cluster's policy."""
-    with cluster._lock:
-        live = cluster.selectable()
-        if not live:
-            raise NoHealthyEndpoint(cluster.ref)
-        if cluster.policy is LbPolicy.ROUND_ROBIN:
-            choice = live[cluster.rr_cursor % len(live)]
-            cluster.rr_cursor = (cluster.rr_cursor + 1) % len(live)
-            return choice
-        if cluster.policy is LbPolicy.WEIGHTED_RR:
-            return _smooth_wrr(cluster, live)
-        # LEAST_CONN; ties broken by endpoint id order
-        return min(live, key=lambda e: (e.active_conns, e.id))
+    live = cluster.selectable()
+    if not live:
+        raise NoHealthyEndpoint(cluster.ref)
+    if cluster.policy is LbPolicy.ROUND_ROBIN:
+        choice = live[cluster.rr_cursor % len(live)]
+        cluster.rr_cursor = (cluster.rr_cursor + 1) % len(live)
+        return choice
+    if cluster.policy is LbPolicy.WEIGHTED_RR:
+        return _smooth_wrr(cluster, live)
+    # LEAST_CONN; ties broken by endpoint id order
+    return min(live, key=lambda e: (e.active_conns, e.id))
 
 
 def _smooth_wrr(cluster: Cluster, live) -> Endpoint:

@@ -2,14 +2,16 @@
 
 One thread runs the proxy: a `selectors` loop over non-blocking sockets,
 namely one listening socket per configured listener, the clients they
-accept and each client's upstream connection.  Each client connection is
-one flow, with the `dip`/`dport` of the listener that accepted it.  Its
-requests, framed by `l7.frame_http`, go in order and with their heads to
-`FastPath.message` -- the entry `FastPath.ingress` runs each reassembled
-message through -- so live traffic shares the chain, counters, VQ egress
-and slow path, and only the loop thread ever runs them.  Accepting a
-connection installs nothing in the L4 table: the requests arrive as
-MESSAGE units, which the toe PPM passes through without a lookup.
+accept and each client's upstream connection.  The echo stub runs on a
+loop of the same kind, and every one of these sockets is read by an
+`l7.HttpReader`, the reader the TOE uses.  Each client connection is one
+flow, with the `dip`/`dport` of the listener that accepted it.  Its
+requests go in order and with their heads to `FastPath.message` -- the
+entry `FastPath.ingress` runs each reassembled message through -- so live
+traffic shares the chain, counters, VQ egress and slow path, and only the
+loop thread ever runs them.  Accepting a connection installs nothing in
+the L4 table: the requests arrive as MESSAGE units, which the toe PPM
+passes through without a lookup.
 
 A route's upstream connection is a LiveQueue in `runtime.vqs`, with the
 VirtQueue tx-deliver / rx-collect surface; the flow's record holds it until
@@ -27,7 +29,6 @@ import itertools
 import logging
 import selectors
 import socket
-import socketserver
 import threading
 from collections import deque
 from concurrent.futures import Future
@@ -44,7 +45,7 @@ from .core import (
     ip4_to_int,
     next_conn_id,
 )
-from .l7 import ConnectFailure, MalformedHttp, frame_http, parse_request_bytes
+from .l7 import ConnectFailure, HttpReader, MalformedHttp, parse_request_bytes
 from .slow_path import MeshConfig, MeshRuntime, http_status
 
 log = logging.getLogger(__name__)
@@ -53,103 +54,136 @@ _RECV_BYTES = 64 * 1024
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
 
-class HttpReader:
-    """Frames `frame_http` messages off a byte stream, keeping bytes past a
-    message for the next, so pipelining works.  The loop `feed`s it what a
-    socket brought in and `take`s whole messages; `read` pulls from
-    `recv(n)`, a blocking socket's recv, until it has one.  `head` is the
-    `frame_http` head of the message `read` returned last."""
+class _End:
+    """A connected socket on the loop: the reader of what it sends, the
+    bytes `out` not yet written to it, and whether the loop waits to."""
 
-    def __init__(self, recv=None):
-        self._recv = recv
-        self._buf = b""
-        self._need = None  # the head of the message at the front, once framed
-        self.head = None
-
-    def feed(self, data: bytes):
-        self._buf += data
-
-    def take(self):
-        """The next whole message held and its head, or None.  Raises
-        MalformedHttp on a message `frame_http` rejects."""
-        head = self._need
-        if head is None:
-            head = self._need = frame_http(self._buf)
-            if head is None:
-                return None
-        if len(self._buf) < head[0]:
-            return None
-        self._need = None
-        data, self._buf = self._buf[:head[0]], self._buf[head[0]:]
-        return data, head
-
-    def read(self) -> bytes:
-        """The next message; b'' on clean EOF.  Raises MalformedHttp on a
-        message `frame_http` rejects or a stream that ends mid-message."""
-        while (msg := self.take()) is None:
-            chunk = self._recv(_RECV_BYTES)
-            if not chunk:
-                if self._buf:
-                    raise MalformedHttp("connection closed mid-message")
-                return b""
-            self._buf += chunk
-        data, self.head = msg
-        return data
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.reader = HttpReader()
+        self.out = bytearray()
+        self.writing = False
 
 
-class EchoStub:
-    """HTTP/1.1 echo server; answers 200 with the request body and an
-    X-Stub header naming itself.  Counts requests served."""
+class _Loop:
+    """A `selectors` loop over non-blocking sockets on a thread of its own,
+    which the proxy and the echo stub both run on.  A socket's data is
+    `(handler, arg)`: each event calls `handler(arg, mask)`, and `_close(arg)`
+    if that raises on an open `_End`.  `_turned` runs after each batch of
+    events and once the loop has gone."""
 
-    def __init__(self, stub_id: str, host: str = "127.0.0.1", port: int = 0):
-        self.stub_id = stub_id
-        self.hits = 0
-        self._lock = threading.Lock()
-        stub = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                # each response is one write: with Nagle on, a response to
-                # a pipelined request waits for the ACK of the one before
-                self.request.setsockopt(socket.IPPROTO_TCP,
-                                        socket.TCP_NODELAY, 1)
-                reader = HttpReader(self.request.recv)
-                try:
-                    while data := reader.read():
-                        _msg, body = parse_request_bytes(data, reader.head)
-                        with stub._lock:
-                            stub.hits += 1
-                        resp = (
-                            b"HTTP/1.1 200 OK\r\n"
-                            b"X-Stub: " + stub.stub_id.encode() + b"\r\n"
-                            b"Content-Length: " + str(len(body)).encode()
-                            + b"\r\n\r\n" + body
-                        )
-                        self.request.sendall(resp)
-                except (MalformedHttp, OSError):
-                    return
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self.server = Server((host, port), Handler)
-        self.port = self.server.server_address[1]
-        self.host = host
-        self._thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True
-        )
+    def __init__(self, name: str):
+        self._sel = selectors.DefaultSelector()
+        self._stopping = False
+        self._thread = threading.Thread(target=self._serve, daemon=True,
+                                        name=name)
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
+        self._sel.register(self._wake_r, _READ, (self._woken, None))
 
     def start(self):
         self._thread.start()
         return self
 
+    def _serve(self):
+        try:
+            while not self._stopping:
+                for key, mask in self._sel.select():
+                    handler, arg = key.data
+                    try:
+                        handler(arg, mask)
+                    except Exception:
+                        # one connection's fault must not stop the others
+                        log.exception("%s failed", handler.__qualname__)
+                        if isinstance(arg, _End) and arg.sock.fileno() >= 0:
+                            self._close(arg)
+                self._turned()
+        finally:
+            self._close_all()
+            self._turned()
+
+    def _turned(self):
+        pass
+
+    def _watch(self, end: _End, busy, data):
+        """Wait on `end` for `busy` while its `out` holds bytes, and to read
+        once it holds none."""
+        if bool(end.out) is not end.writing:
+            end.writing = not end.writing
+            self._sel.modify(end.sock, busy if end.writing else _READ, data)
+
+    def _close_all(self):
+        """Close every socket still registered, then the loop's own."""
+        for key in list(self._sel.get_map().values()):
+            key.fileobj.close()
+        self._wake_w.close()
+        self._sel.close()
+
+    def _woken(self, _arg, _mask):
+        self._wake_r.recv(4096)
+
+    def _wake(self):
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # full, so a wakeup is pending anyway; or closed
+            pass
+
     def stop(self):
-        self.server.shutdown()
-        self.server.server_close()
+        """Returns once the loop has gone and every socket it opened is
+        closed."""
+        self._stopping = True
+        if self._thread.ident is None:  # never started
+            self._close_all()
+        else:
+            self._wake()
+            self._thread.join()
 
 
-class LiveQueue:
+class EchoStub(_Loop):
+    """HTTP/1.1 echo server on a loop of its own; answers 200 with the
+    request body and an X-Stub header naming itself.  Counts requests
+    served.  A connection is not read while its answers wait unwritten."""
+
+    def __init__(self, stub_id: str, host: str = "127.0.0.1", port: int = 0):
+        lsock = _listen(host, port, False)
+        super().__init__(f"flatproxy-stub-{stub_id}")
+        self._sel.register(lsock, _READ, (self._accept, lsock))
+        self.stub_id = stub_id
+        self.hits = 0
+        self.host = host
+        self.port = lsock.getsockname()[1]
+        self._ok = b"HTTP/1.1 200 OK\r\nX-Stub: %s\r\n" % stub_id.encode()
+
+    def _accept(self, lsock, _mask):
+        for sock, _peer in _accepted(lsock):
+            self._sel.register(sock, _READ, (self._echo, _End(sock)))
+
+    def _echo(self, end: _End, mask):
+        if mask & _READ:
+            data = _recv(end.sock)
+            if data == b"":
+                return self._close(end)
+            end.reader.feed(data)
+            try:
+                while msg := end.reader.take():
+                    body = parse_request_bytes(*msg)[1]
+                    self.hits += 1
+                    end.out += b"%sContent-Length: %d\r\n\r\n%s" % (
+                        self._ok, len(body), body)
+            except MalformedHttp:  # answer what came before it, then close
+                _send(end.sock, end.out)
+                return self._close(end)
+        if _send(end.sock, end.out):
+            self._watch(end, _WRITE, (self._echo, end))
+        else:
+            self._close(end)
+
+    def _close(self, end: _End):
+        self._sel.unregister(end.sock)
+        end.sock.close()
+
+
+class LiveQueue(_End):
     """Socket-backed stand-in for a VirtQueue, same transfer surface, owned
     by the loop thread.  `tx_deliver` queues a request in `out` for the loop
     to write; `rx_collect` returns the next whole response the loop has
@@ -158,11 +192,8 @@ class LiveQueue:
     _ids = itertools.count(10_000)
 
     def __init__(self, sock: socket.socket):
+        super().__init__(sock)
         self.id = next(LiveQueue._ids)
-        self.sock = sock
-        self.reader = HttpReader()
-        self.out = bytearray()
-        self.writing = False  # whether the loop waits to write `out`
 
     def tx_deliver(self, data: bytes):
         """Never raises RingFull: what the socket has not taken waits."""
@@ -179,25 +210,21 @@ class LiveQueue:
             pass
 
 
-class _Client:
+class _Client(_End):
     """One accepted connection, one flow.  `replies` holds its replies in
     request order -- None for a request outstanding upstream, the bytes of
-    a local reply that waits for the ones before it -- and `out` the bytes
-    not yet written to it."""
+    a local reply that waits for the ones before it."""
 
     def __init__(self, sock: socket.socket, flow: FlowKey):
-        self.sock = sock
+        super().__init__(sock)
         self.flow = flow
         self.conn_id = next_conn_id()
-        self.reader = HttpReader()
         self.replies = deque()
-        self.out = bytearray()
-        self.writing = False  # whether the loop waits to write `out`
         self.upstream = None  # its LiveQueue, once routed
         self.closing = False  # takes no more requests; closed once answered
 
 
-class LiveProxy:
+class LiveProxy(_Loop):
     """Serves every configured listener over real TCP, on one loop thread.
     `ports` maps each listener's name to its port, `port` is the first
     one's.  The first listener binds `listen_port` if it is given; any
@@ -210,24 +237,16 @@ class LiveProxy:
         if not config.listeners:
             raise ValueError("live mode needs at least one listener")
         self.runtime = MeshRuntime(config=config, connector=self._connect)
+        super().__init__("flatproxy-live")
         self.listen_host = listen_host
         self.delivered = 0
         self.ports = {}
-        self._sel = selectors.DefaultSelector()
         self._clients: dict[FlowKey, _Client] = {}
         self._inbox = deque()  # (config, Future): reloads for the loop
-        self._stopping = False
-        self._thread = None
-        self._listeners = []
-        self._wake_r, self._wake_w = socket.socketpair()
         try:
-            self._wake_r.setblocking(False)
-            self._wake_w.setblocking(False)
-            self._sel.register(self._wake_r, _READ, (self._woken, None))
             for i, ldef in enumerate(config.listeners):
                 fixed = listen_port if i == 0 else 0
                 sock = _listen(listen_host, fixed or ldef.dport, not fixed)
-                self._listeners.append(sock)
                 self._sel.register(sock, _READ, (self._accept, (sock, ldef)))
                 self.ports[ldef.name] = sock.getsockname()[1]
         except OSError:
@@ -253,40 +272,9 @@ class LiveProxy:
         return lq.id
 
     # -- the loop ----------------------------------------------------------
-    def start(self):
-        self._thread = threading.Thread(target=self._serve, daemon=True,
-                                        name="flatproxy-live")
-        self._thread.start()
-        return self
-
-    def _serve(self):
-        try:
-            while not self._stopping:
-                for key, mask in self._sel.select():
-                    handler, arg = key.data
-                    try:
-                        handler(arg, mask)
-                    except Exception:
-                        # one connection's fault must not stop the others
-                        log.exception("live: %s failed", handler.__name__)
-                        if isinstance(arg, _Client) and arg.sock.fileno() >= 0:
-                            self._close(arg)
-                self._apply_inbox()
-        finally:
-            self._close_all()
-            self._apply_inbox()
-
     def _accept(self, listener, _mask):
         lsock, ldef = listener
-        while True:
-            try:
-                sock, peer = lsock.accept()
-            except OSError:  # none left to accept, or the accept failed
-                return
-            sock.setblocking(False)
-            # each response is one small write; with Nagle on, a pipelined
-            # client waits for the ACK of the previous one
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for sock, peer in _accepted(lsock):
             flow = FlowKey(
                 sip=ip4_to_int(peer[0]), sport=peer[1],
                 dip=ldef.dip, dport=ldef.dport, proto=Proto.TCP,
@@ -302,8 +290,7 @@ class LiveProxy:
             if data is None:
                 return
             if not data:  # the client has gone: what it awaits is dropped
-                self._close(c)
-                return
+                return self._close(c)
             if not c.closing:
                 c.reader.feed(data)
                 self._requests(c)
@@ -398,13 +385,6 @@ class LiveProxy:
         else:
             self._watch(c, _WRITE, (self._client_event, c))
 
-    def _watch(self, end, busy, data):
-        """Wait on `end` (a _Client or LiveQueue) for `busy` while its `out`
-        holds bytes, and to read once it holds none."""
-        if bool(end.out) is not end.writing:
-            end.writing = not end.writing
-            self._sel.modify(end.sock, busy if end.writing else _READ, data)
-
     def _close(self, c: _Client):
         """Close a client and release its flow, upstream included."""
         del self._clients[c.flow]
@@ -417,25 +397,11 @@ class LiveProxy:
     def _close_all(self):
         for c in list(self._clients.values()):
             self._close(c)
-        for sock in self._listeners + [self._wake_r, self._wake_w]:
-            sock.close()
-        self._sel.close()
+        super()._close_all()
 
     # -- control -----------------------------------------------------------
-    def _woken(self, _arg, _mask):
-        try:
-            while self._wake_r.recv(4096):
-                pass
-        except BlockingIOError:
-            pass
-
-    def _wake(self):
-        try:
-            self._wake_w.send(b"\0")
-        except OSError:  # full, so a wakeup is pending anyway; or closed
-            pass
-
-    def _apply_inbox(self):
+    def _turned(self):
+        """Apply the reloads handed to the loop."""
         while self._inbox:
             config, done = self._inbox.popleft()
             try:
@@ -448,12 +414,12 @@ class LiveProxy:
         table epochs `distribute` returns once it is applied."""
         done = Future()
         self._inbox.append((config, done))
-        if self._thread is None or self._stopping:
+        if self._thread.ident is None or self._stopping:
             # no loop, or one on its way out: once it has gone, this thread
             # is the only one that touches the runtime
-            if self._thread is not None:
+            if self._thread.ident is not None:
                 self._thread.join()
-            self._apply_inbox()
+            self._turned()
         else:
             self._wake()
         return done.result()
@@ -462,16 +428,6 @@ class LiveProxy:
         snap = self.runtime.stats_snapshot()
         snap["live_delivered"] = self.delivered
         return snap
-
-    def stop(self):
-        """Returns once the loop has gone and every socket it opened is
-        closed."""
-        self._stopping = True
-        if self._thread is None:
-            self._close_all()
-        else:
-            self._wake()
-            self._thread.join()
 
 
 def _listen(host: str, port: int, fallback: bool) -> socket.socket:
@@ -492,6 +448,20 @@ def _listen(host: str, port: int, fallback: bool) -> socket.socket:
         sock.close()
         raise
     return sock
+
+
+def _accepted(lsock: socket.socket):
+    """Each connection `lsock` has waiting, with its peer, non-blocking and
+    with TCP_NODELAY set: each response is one small write, and with Nagle
+    on a pipelining client waits for the ACK of the one before."""
+    while True:
+        try:
+            sock, peer = lsock.accept()
+        except OSError:  # none left to accept, or the accept failed
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        yield sock, peer
 
 
 def _recv(sock: socket.socket):

@@ -9,8 +9,7 @@ and listener tables, and the message controller owns the L7 rule tables.
 Each table refuses a write from any controller but its owner.  A rule
 table is published whole, and a reload keeps the version of every table
 whose entries it leaves equal, so it moves no epoch that established
-flows were classified on.  (A `Cluster` holds a lock and compares equal
-only to itself, so a config loaded again republishes the cluster table.)
+flows were classified on, and keeps each equal cluster's balancing state.
 The per-flow L4 table is written one entry at a time.
 
 The slow path itself handles first packets: it installs the flow's L4

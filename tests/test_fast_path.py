@@ -492,9 +492,9 @@ def test_publish_between_frames_forces_a_traversal(runtime, monkeypatch, table):
                                     "config_loaded_again"])
 def test_unchanged_reload_keeps_the_classification(runtime, monkeypatch, reload):
     """Publishing the entries a table already holds, or distributing a
-    config equal to the current one, moves no L2-L4 epoch: the flow's next
-    frame is not classified again.  Only the cluster table, whose Clusters
-    compare equal only to themselves, moves for a config loaded again."""
+    config equal to the current one, or loading the same config again,
+    moves no table's epoch: the flow's next frame is not classified
+    again."""
     calls = count_l2_l4_matches(runtime, monkeypatch)
     flow = make_flow(sport=48715)
     raw = make_request(b"/svc/a")
@@ -509,8 +509,7 @@ def test_unchanged_reload_keeps_the_classification(runtime, monkeypatch, reload)
     else:
         runtime.distribute(load_config(config_text()))
     after = runtime.stats_snapshot()["table_epochs"]
-    moved = {"clusters"} if reload == "config_loaded_again" else set()
-    assert {n for n in before if before[n] != after[n]} == moved
+    assert {n for n in before if before[n] != after[n]} == set()
     calls.clear()
     assert runtime.fast_path.ingress(frame(raw, flow=flow, seq=len(raw))) == "l7"
     assert calls == []
@@ -663,8 +662,7 @@ def test_toe_frames_each_message_once(monkeypatch):
         splits.append(len(block))
         return real_split(block)
 
-    for module in (fast_path, l7, live):
-        monkeypatch.setattr(module, "frame_http", counting_frame)
+    monkeypatch.setattr(l7, "frame_http", counting_frame)
     monkeypatch.setattr(l7, "split_head", counting_split)
 
     def posts(n):
@@ -679,7 +677,7 @@ def test_toe_frames_each_message_once(monkeypatch):
         seq += len(raw)
     assert [m.payload for m in out] == sent
     assert len(framed) == len(splits) == 3
-    assert toe.connections[make_flow()].need is None
+    assert toe.connections[make_flow()].reader.need is None
 
     framed.clear()
     splits.clear()

@@ -1,7 +1,10 @@
 import itertools
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from flatproxy import l7
 
 from flatproxy.core import (
     Endpoint,
@@ -17,6 +20,7 @@ from flatproxy.l7 import (
     Cluster,
     Decision,
     FilterRule,
+    HttpReader,
     LbPolicy,
     MalformedHttp,
     MatchKind,
@@ -93,6 +97,59 @@ def test_frame_http_gives_the_length_once_the_header_block_is_complete():
         data = (raw + b"GET / HTTP/1.1\r\n")[:cut]
         assert frame_http(data)[0] == len(raw)
     assert frame_http(raw[:head + 3])[0] > len(raw[:head + 3])
+
+
+_BAD_LENGTH = b"POST /svc/bad HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(0, 8 * 1024), min_size=1, max_size=4),
+       bad_at=st.none() | st.integers(0, 4),
+       split=st.sampled_from(["anywhere", "bytes", "terminators"]),
+       data=st.data())
+def test_http_reader_takes_each_message_of_any_split_once(sizes, bad_at,
+                                                          split, data):
+    """A pipeline of valid requests, split anywhere -- inside a header
+    terminator, or into 1-byte chunks -- comes out as exactly those
+    messages, in order, each framed whole with its header block split once;
+    a bad Content-Length block in the middle is cut off by `cut(exc.end)`
+    and the request after it is still taken."""
+    sent = [make_request(b"/svc/%d" % i, method=b"POST",
+                         body=bytes([65 + i]) * n) for i, n in enumerate(sizes)]
+    blocks = list(sent)
+    if bad_at is not None:
+        blocks.insert(min(bad_at, len(sent)), _BAD_LENGTH)
+    stream = b"".join(blocks)
+    if split == "bytes":
+        cuts = range(1, len(stream))
+    else:
+        cuts = set(data.draw(st.lists(st.integers(1, len(stream) - 1),
+                                      max_size=12)))
+        if split == "terminators":
+            start = 0
+            while (at := stream.find(b"\r\n\r\n", start)) >= 0:
+                cuts |= {at + data.draw(st.integers(1, 3))}
+                start = at + 4
+        cuts = sorted(cuts)
+    bounds = [0, *cuts, len(stream)]
+    reader, got, dropped = HttpReader(), [], []
+    with mock.patch.object(l7, "split_head", wraps=l7.split_head) as spy:
+        for a, b in zip(bounds, bounds[1:]):
+            reader.feed(stream[a:b])
+            while True:
+                try:
+                    msg = reader.take()
+                except MalformedHttp as exc:
+                    dropped.append(reader.cut(exc.end))
+                    continue
+                if msg is None:
+                    break
+                got.append(msg)
+    assert [m for m, _head in got] == sent
+    assert all(head[0] == len(m) for m, head in got)
+    assert dropped == ([] if bad_at is None else [_BAD_LENGTH])
+    assert spy.call_count == len(blocks)
+    assert reader.held == 0 and reader.need is None and reader.take() is None
 
 
 def test_parse_rejects_incomplete_body():

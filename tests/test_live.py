@@ -1,5 +1,6 @@
 import gc
 import io
+import os
 import socket
 import sys
 import threading
@@ -40,16 +41,16 @@ def test_read_http_message_rejects_bad_content_length():
 
 
 def test_http_reader_waits_for_the_whole_body_and_frames_it_once(monkeypatch):
-    from flatproxy import live
+    from flatproxy import l7
 
     framed = []
-    real = live.frame_http
+    real = l7.frame_http
 
     def counting(data):
         framed.append(len(data))
         return real(data)
 
-    monkeypatch.setattr(live, "frame_http", counting)
+    monkeypatch.setattr(l7, "frame_http", counting)
     raw = make_request(b"/svc/a", method=b"POST", body=b"x" * 5000)
     chunks = [raw[i:i + 700] for i in range(0, len(raw), 700)]
     reader = HttpReader(lambda n: chunks.pop(0) if chunks else b"")
@@ -454,6 +455,39 @@ def test_live_stop_ends_the_loop_and_closes_every_socket(proxy):
         assert s.recv(1) == b""  # the client's connection was closed
     with pytest.raises(ConnectionRefusedError):
         socket.create_connection(("127.0.0.1", proxy.port), timeout=5).close()
+    # a socket left open would be finalised here, as a ResourceWarning
+    gc.collect()
+
+
+def _open_sockets():
+    links = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            links.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # the fd that listed the directory, closed since
+            pass
+    return sum(link.startswith("socket:") for link in links)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open sockets through /proc")
+def test_stub_stop_is_prompt_and_closes_every_socket():
+    gc.collect()
+    before = _open_sockets()
+    stub = EchoStub("stub-0").start()
+    with socket.create_connection(("127.0.0.1", stub.port), timeout=5) as s:
+        s.sendall(make_request(b"/svc/a", method=b"POST", body=b"hi"))
+        assert HttpReader(s.recv).read().endswith(b"X-Stub: stub-0\r\n"
+                                                  b"Content-Length: 2\r\n\r\nhi")
+        started = time.monotonic()
+        stub.stop()
+        assert time.monotonic() - started < 0.25
+        assert not stub._thread.is_alive()
+        assert s.recv(1) == b""  # the stub closed its end
+    assert stub.hits == 1
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", stub.port), timeout=5).close()
+    assert _open_sockets() <= before
     # a socket left open would be finalised here, as a ResourceWarning
     gc.collect()
 

@@ -611,6 +611,48 @@ def test_least_conn_counts_drop_when_flows_close():
     rt.shutdown()
 
 
+def open_flows(rt, sports):
+    """Open one flow per source port with a GET; the endpoint ids they
+    were balanced to."""
+    raw = make_request(b"/svc/a")
+    picks = []
+    for sport in sports:
+        flow = make_flow(sport=sport)
+        rt.fast_path.ingress(make_frame(raw, flow))
+        picks.append(rt.conns[flow].endpoint.id)
+    return picks
+
+
+def test_round_robin_continues_across_an_unchanged_reload():
+    rt, _now = clocked_runtime()
+    assert open_flows(rt, range(48100, 48103)) == [
+        "backend-0", "backend-1", "backend-0"]
+    epochs = rt.stats_snapshot()["table_epochs"]
+    rt.distribute(load_config(config_text()))
+    assert rt.stats_snapshot()["table_epochs"] == epochs
+    assert open_flows(rt, range(48103, 48105)) == ["backend-1", "backend-0"]
+    rt.shutdown()
+
+
+def test_least_conn_counts_survive_an_unchanged_reload():
+    """With 4 flows open at 2/2, the same config loaded again keeps the
+    counts, so the next two flows go one to each endpoint, and closing
+    every flow brings both back to 0."""
+    text = config_text(policy="LEAST_CONN")
+    rt, now = clocked_runtime(text)
+    assert open_flows(rt, range(48200, 48204)) == ["backend-0", "backend-1"] * 2
+    rt.distribute(load_config(text))
+    (cluster,) = rt.cluster_table.current.entries.values()
+    assert [e.active_conns for e in cluster.endpoints] == [2, 2]
+    assert sorted(open_flows(rt, range(48204, 48206))) == [
+        "backend-0", "backend-1"]
+    assert [e.active_conns for e in cluster.endpoints] == [3, 3]
+    now[0] = IDLE_TIMEOUT_NS + 1
+    rt.expire_idle()
+    assert_released(rt, cluster.endpoints)
+    rt.shutdown()
+
+
 def test_flow_resumed_after_expiry_is_held_then_released():
     """A flow resuming mid-stream after expiry looks like a swapped first
     pair: its segments wait in the reorder buffer, those past it are dropped
