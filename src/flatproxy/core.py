@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import struct
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Optional
@@ -180,14 +180,15 @@ class TrafficUnit:
         self.kind = kind
 
 
-@dataclass
+@dataclass(frozen=True)
 class Endpoint:
+    """An upstream host, as configured.  Its balancing state is kept by
+    address in its cluster's `l7.LbState`."""
+
     id: str
     address: FlowKey  # destination half only (sip/sport zero)
     weight: int = 1
     healthy: bool = True
-    # open flows routed here; MeshRuntime keeps it, LEAST_CONN reads it
-    active_conns: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if self.weight < 0:

@@ -188,20 +188,24 @@ def make_router(
     route_table: MatchTable,
     cluster_table: MatchTable,
     queues: QueueTable,
+    lb: dict,
     connector: Callable,
 ) -> Ppm:
+    """The router, over the live `lb` map (cluster ref -> LbState)."""
+
     def route_step(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
-        result = route(
+        endpoint = route(
             unit.meta,
             snaps[listener_table.name].entries,
             snaps[route_table.name].entries,
             queues,
             snaps[cluster_table.name].entries,
+            lb,
             connector,
         )
-        if result.lb_called:
+        if endpoint is not None:
             ctx.bump("load_balance_calls")
-            ctx.bump(f"endpoint.{result.endpoint.id}")
+            ctx.bump(f"endpoint.{endpoint.id}")
 
     def matcher(unit, snaps):
         return "route"
@@ -244,6 +248,7 @@ def standard_registry(
     route_table: MatchTable,
     cluster_table: MatchTable,
     queues: QueueTable,
+    lb: dict,
     connector: Callable,
 ) -> dict:
     """The standard PPMs by id, over the given tables."""
@@ -254,7 +259,7 @@ def standard_registry(
         "http_parser": make_http_parser(),
         "filter": make_filter(filter_table),
         "router": make_router(
-            listener_table, route_table, cluster_table, queues, connector
+            listener_table, route_table, cluster_table, queues, lb, connector
         ),
         "http_deparser": make_http_deparser(),
     }

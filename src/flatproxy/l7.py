@@ -12,7 +12,11 @@ each client, upstream and echo stub connection, use it.
 The router follows the hash-lookup routing flow: listener lookup on the
 (dip, dport) pair, path match, then a 4-tuple queue lookup; only a queue
 miss triggers load balancing and connection establishment, after which
-the flow is pinned to its queue for life.
+the flow is pinned to its queue for life.  A `Cluster` and its
+`Endpoint`s are frozen config, as the cluster table publishes them; what
+balancing changes is each cluster's `LbState`, which the runtime owns and
+keeps by endpoint address, so it outlives any reload that keeps the
+address.
 """
 
 from __future__ import annotations
@@ -304,46 +308,58 @@ class LbPolicy(Enum):
     LEAST_CONN = "least_conn"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cluster:
-    """Endpoint set plus the mutable balancing state.  It compares by
-    `ref`, `endpoints` and `policy` only, so a reload that leaves a cluster
-    equal keeps the table's Cluster, and its balancing state, in place."""
+    """A cluster as configured: a plain value, published as it is."""
 
     ref: str
-    endpoints: list
+    endpoints: tuple
     policy: LbPolicy = LbPolicy.ROUND_ROBIN
-    rr_cursor: int = field(default=0, compare=False)
-    _wrr_current: dict = field(default_factory=dict, compare=False)
-
-    def selectable(self):
-        return [e for e in self.endpoints if e.selectable]
 
 
-def load_balance(cluster: Cluster, meta: Metadata = None) -> Endpoint:
+@dataclass
+class LbState:
+    """A cluster's balancing state, kept by the runtime across reloads:
+    the round-robin cursor, and per endpoint address the smooth-WRR
+    current weight and the count of open flows balanced there.  An
+    address that holds no flow has no count."""
+
+    cursor: int = 0
+    current: dict = field(default_factory=dict)
+    conns: dict = field(default_factory=dict)
+
+    def open(self, endpoint: Endpoint):
+        self.conns[endpoint.address] = self.conns.get(endpoint.address, 0) + 1
+
+    def close(self, endpoint: Endpoint):
+        left = self.conns.pop(endpoint.address) - 1
+        if left:
+            self.conns[endpoint.address] = left
+
+
+def load_balance(cluster: Cluster, state: LbState) -> Endpoint:
     """Pick the next endpoint under the cluster's policy."""
-    live = cluster.selectable()
+    live = [e for e in cluster.endpoints if e.selectable]
     if not live:
         raise NoHealthyEndpoint(cluster.ref)
     if cluster.policy is LbPolicy.ROUND_ROBIN:
-        choice = live[cluster.rr_cursor % len(live)]
-        cluster.rr_cursor = (cluster.rr_cursor + 1) % len(live)
+        choice = live[state.cursor % len(live)]
+        state.cursor = (state.cursor + 1) % len(live)
         return choice
     if cluster.policy is LbPolicy.WEIGHTED_RR:
-        return _smooth_wrr(cluster, live)
+        return _smooth_wrr(state, live)
     # LEAST_CONN; ties broken by endpoint id order
-    return min(live, key=lambda e: (e.active_conns, e.id))
+    conns = state.conns
+    return min(live, key=lambda e: (conns.get(e.address, 0), e.id))
 
 
-def _smooth_wrr(cluster: Cluster, live) -> Endpoint:
-    total = sum(e.weight for e in live)
-    best = None
-    for e in live:
-        cur = cluster._wrr_current.get(e.id, 0) + e.weight
-        cluster._wrr_current[e.id] = cur
-        if best is None or cur > cluster._wrr_current[best.id]:
-            best = e
-    cluster._wrr_current[best.id] -= total
+def _smooth_wrr(state: LbState, live) -> Endpoint:
+    # weights only for the endpoints that can be picked now
+    prev = state.current
+    current = state.current = {
+        e.address: prev.get(e.address, 0) + e.weight for e in live}
+    best = max(live, key=lambda e: current[e.address])  # first of equals
+    current[best.address] -= sum(e.weight for e in live)
     return best
 
 
@@ -369,62 +385,57 @@ class QueueTable:
         return len(self._map)
 
 
-@dataclass
-class RouteResult:
-    meta: Metadata
-    endpoint: Optional[Endpoint] = None
-    lb_called: bool = False
-
-
 def route(
     meta: Metadata,
     listeners: dict,
     routes: dict,
     queues: QueueTable,
     clusters: dict,
+    lb: dict,
     connector: Callable,
-) -> RouteResult:
+) -> Optional[Endpoint]:
     """HTTP routing: listener hash lookup, path match, queue lookup with
-    lazy connection establishment.
+    lazy connection establishment.  Returns the endpoint load balancing
+    picked, or None when the flow's queue was found or no pick was made.
 
     listeners: listener FlowKey -> listener name
     routes:    listener FlowKey -> list[RouteRule]
     clusters:  cluster ref -> Cluster
-    connector: (endpoint, meta) -> queue id, on a queue miss
+    lb:        cluster ref -> LbState
+    connector: (endpoint, meta, state) -> queue id, on a queue miss
     """
-    result = RouteResult(meta)
     lkey = meta.flow.listener_key
     if lkey not in listeners:
         meta.reset_transient()
         meta.set_verdict(Verdict.DROP, "no_listener")
-        return result
+        return None
     rule = _match_route(routes.get(lkey, ()), meta.http.url_path)
     if rule is None:
         meta.reset_transient()
         meta.set_verdict(Verdict.DROP, "no_route")
-        return result
+        return None
     ckey = meta.flow
     queue_id = queues.lookup(ckey)
+    endpoint = None
     if queue_id is None:
         cluster = clusters.get(rule.cluster)
         if cluster is None:
             meta.set_verdict(Verdict.TO_SLOW_PATH, f"unknown_cluster:{rule.cluster}")
-            return result
+            return None
+        state = lb[rule.cluster]
         try:
-            endpoint = load_balance(cluster, meta)
+            endpoint = load_balance(cluster, state)
         except NoHealthyEndpoint:
             meta.set_verdict(Verdict.TO_SLOW_PATH, "no_healthy_endpoint")
-            return result
-        result.lb_called = True
-        result.endpoint = endpoint
+            return None
         try:
-            queue_id = connector(endpoint, meta)
+            queue_id = connector(endpoint, meta, state)
         except ConnectFailure:
             meta.set_verdict(Verdict.TO_SLOW_PATH, "connect_failure")
-            return result
+            return endpoint
         queues.bind(ckey, queue_id)
     meta.bind_queue(queue_id)
-    return result
+    return endpoint
 
 
 def _match_route(rules, path: bytes):

@@ -11,11 +11,12 @@ function, `traverse`, runs every chain over its nodes: the compiled L7
 chain, the fast path's vswitch/l3/toe pass and a PPM applied on its own.
 A traversal takes one snapshot of every table at its start and hands it
 to every matcher and action.  A rule table is published whole, as a new
-copy of its entries, so no traversal ever sees a half-applied update; a
-publish of the entries it already holds keeps its version.  The per-flow
-L4 table is a `FlowTable`, written one entry at a time in place: a
-snapshot of it is consistent per entry, which is what its one lookup per
-traversal needs.  A table checks every write against its one owner.
+copy of its entries, which are frozen values (the router's balancing
+state lives outside the tables), so no traversal ever sees a half-applied
+update; a publish of the entries it already holds keeps its version.  The
+per-flow L4 table is a `FlowTable`, written one entry at a time in place:
+a snapshot of it is consistent per entry, which is what its one lookup
+per traversal needs.  A table checks every write against its one owner.
 
 A chain is an ordered list of PPM ids, none repeated.  Every PPM names
 its matcher, `matcher(unit, snaps) -> action_ref`, and gives each action
@@ -63,8 +64,8 @@ def layers_adjacent(a: Layer, b: Layer) -> bool:
 @dataclass(frozen=True)
 class TableEpoch:
     """One published version of a table: its epoch and entries.  A rule
-    table's entries never change once published; a `FlowTable`'s current
-    entries are written in place."""
+    table's entries never change once published, and are immutable
+    values; a `FlowTable`'s current entries are written in place."""
 
     epoch: int
     entries: dict  # key tuple -> action ref (or arbitrary rule object)
@@ -75,15 +76,16 @@ class Table:
 
     Lookups read `self.current` once and keep using that snapshot; Python
     attribute assignment is atomic, so readers are wait-free with respect
-    to writes.  Once a controller owns the table, a write from any other
-    controller is refused here.
+    to writes.  A table built with an owner refuses a write that names
+    any other writer.
     """
 
-    def __init__(self, name: str, default: str = DEFAULT_ACTION):
+    def __init__(self, name: str, default: str = DEFAULT_ACTION,
+                 owner: Optional[str] = None):
         self.name = name
         self.default = default
         self.current = TableEpoch(epoch=0, entries={})
-        self.owner: Optional[str] = None
+        self.owner = owner
 
     @property
     def epoch(self) -> int:

@@ -192,9 +192,9 @@ class Metrics:
     request_size: int = 0
     unstable: bool = False
     last_delivery_ns: float = 0.0
-    # `latencies` in order, sorted again only once more have been recorded
-    _sorted: list = field(default_factory=list, init=False, repr=False,
-                          compare=False)
+    # `latencies` in order, sorted again only once more have been recorded;
+    # not a field, so neither equality nor repr sees it
+    _sorted = ()
 
     def record(self, latency_ns: float):
         self.delivered += 1

@@ -2,20 +2,24 @@
 
 Config comes from local YAML files (standing in for a cloud control
 center), parsed by libyaml's C parser where PyYAML has it, and gets
-validated into a MeshConfig -- its chain against the standard PPMs'
-layers, `STANDARD_LAYERS` -- and is distributed layer-wise: the OVS
-controller owns the L2 table, the connection controller owns the L3/L4
-and listener tables, and the message controller owns the L7 rule tables.
-Each table refuses a write from any controller but its owner.  A rule
+validated into a MeshConfig of frozen values -- its chain against the
+standard PPMs' layers, `STANDARD_LAYERS` -- and is distributed
+layer-wise: the OVS controller ("ovs") owns the L2 table, the connection
+controller ("connection") the L3/L4 and listener tables, and the message
+controller ("message") the L7 rule tables.  Each table is built with its
+owner's name and refuses a write that names any other writer.  A rule
 table is published whole, and a reload keeps the version of every table
 whose entries it leaves equal, so it moves no epoch that established
-flows were classified on, and keeps each equal cluster's balancing state.
-The per-flow L4 table is written one entry at a time.
+flows were classified on.  The per-flow L4 table is written one entry at
+a time.
+Balancing state is not config: `MeshRuntime.lb` holds each cluster's
+`LbState`, kept across every reload, changed or not, and dropped with the
+cluster ref; a flow still open keeps its state through its record.
 
 The slow path itself handles first packets: it installs the flow's L4
 entry and TOE state, each in O(1), and reinjects the triggering unit into
 the fast path.  A flow has a connection record exactly while it holds
-something -- an L4 entry, TOE state, a queue or an endpoint's LB count --
+something -- an L4 entry, TOE state, a queue or an LB count --
 and `close_flow`, called on idle expiry and on a live client's
 disconnect, releases all of it.  Records are kept in order of last
 activity, so idle expiry visits only the flows it closes and the first
@@ -50,6 +54,7 @@ from .l7 import (
     Decision,
     FilterRule,
     LbPolicy,
+    LbState,
     MatchKind,
     PathMatcher,
     QueueTable,
@@ -60,7 +65,6 @@ from .match_action import (
     FlowTable,
     MatchActionError,
     MatchTable,
-    Table,
     check_chain,
     compile_chain,
 )
@@ -164,75 +168,51 @@ def load_config(source) -> MeshConfig:
         raise ParseError("config document must be a mapping", line=1)
     _reject_unknown(doc, _TOP_FIELDS, "config root")
 
-    listeners = [_parse_listener(d) for d in doc.get("listeners", [])]
-    filters = [_parse_filter(d) for d in doc.get("filters", [])]
-    clusters = [_parse_cluster(d) for d in doc.get("clusters", [])]
-    by_name = {l.name: l for l in listeners}
-    cluster_refs = {c.ref for c in clusters}
-    routes = []
-    for d in doc.get("routes", []):
-        _reject_unknown(d, _ROUTE_FIELDS, "route")
-        lname = d.get("listener")
-        if lname not in by_name:
-            raise ParseError(f"route references unknown listener {lname!r}",
-                             field_name="listener")
-        cref = d.get("cluster")
-        if cref not in cluster_refs:
-            raise DanglingClusterRef(cref)
-        matchers = []
-        for m in d.get("path_matchers", []):
-            _reject_unknown(m, _MATCHER_FIELDS, "path matcher")
-            try:
-                kind = MatchKind[m["kind"].upper()]
-            except KeyError:
-                raise ParseError(f"bad matcher kind {m.get('kind')!r}",
-                                 field_name="kind")
-            matchers.append(PathMatcher(kind=kind, pattern=str(m["pattern"]).encode()))
-        if not matchers:
-            raise ParseError("route needs at least one path matcher",
-                             field_name="path_matchers")
-        routes.append(
-            RouteRule(listener=by_name[lname].key, path_matchers=tuple(matchers),
-                      cluster=cref)
-        )
-
-    chain_doc = doc.get("chain") or {"nodes": list(DEFAULT_CHAIN_NODES)}
-    _reject_unknown(chain_doc, _CHAIN_FIELDS, "chain")
-    cfg = MeshConfig(
+    # what a malformed entry raises while its section is parsed becomes a
+    # ParseError that names the section
+    section = "listeners"
+    try:
+        listeners = [_parse_listener(d) for d in doc.get("listeners", [])]
+        section = "filters"
+        filters = [_parse_filter(d) for d in doc.get("filters", [])]
+        section = "clusters"
+        clusters = [_parse_cluster(d) for d in doc.get("clusters", [])]
+        by_name = {l.name: l for l in listeners}
+        cluster_refs = {c.ref for c in clusters}
+        section = "routes"
+        routes = [_parse_route(d, by_name, cluster_refs)
+                  for d in doc.get("routes", [])]
+        section = "chain"
+        chain_doc = doc.get("chain") or {"nodes": list(DEFAULT_CHAIN_NODES)}
+        _reject_unknown(chain_doc, _CHAIN_FIELDS, "chain")
+        chain = list(chain_doc.get("nodes", []))
+        check_chain(chain, STANDARD_LAYERS)
+    except MatchActionError as exc:
+        raise InvalidChain(str(exc)) from exc
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"bad {section}: {exc!r}", field_name=section) from exc
+    return MeshConfig(
         listeners=listeners,
         filters=filters,
         routes=routes,
         clusters=clusters,
-        chain=list(chain_doc.get("nodes", [])),
+        chain=chain,
         cost_profile=doc.get("cost_profile"),
     )
-    try:
-        check_chain(cfg.chain, STANDARD_LAYERS)
-    except MatchActionError as exc:
-        raise InvalidChain(str(exc)) from exc
-    return cfg
 
 
 def _parse_listener(d) -> ListenerDef:
     _reject_unknown(d, _LISTENER_FIELDS, "listener")
-    try:
-        return ListenerDef(
-            name=str(d["name"]), dip=ip4_to_int(d["dip"]), dport=int(d["dport"])
-        )
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"bad listener: {exc}", field_name="listeners")
+    return ListenerDef(
+        name=str(d["name"]), dip=ip4_to_int(d["dip"]), dport=int(d["dport"])
+    )
 
 
 def _parse_filter(d) -> FilterRule:
     _reject_unknown(d, _FILTER_FIELDS, "filter")
-    try:
-        decision = Decision[d["decision"].upper()]
-    except KeyError:
-        raise ParseError(f"bad filter decision {d.get('decision')!r}",
-                         field_name="decision")
     enc = lambda v: str(v).encode() if v is not None else None
     return FilterRule(
-        decision=decision,
+        decision=Decision[d["decision"].upper()],
         method=enc(d.get("method")),
         host=enc(d.get("host")),
         path_prefix=enc(d.get("path_prefix")),
@@ -240,12 +220,30 @@ def _parse_filter(d) -> FilterRule:
     )
 
 
+def _parse_route(d, by_name: dict, cluster_refs: set) -> RouteRule:
+    _reject_unknown(d, _ROUTE_FIELDS, "route")
+    lname = d.get("listener")
+    if lname not in by_name:
+        raise ParseError(f"route references unknown listener {lname!r}",
+                         field_name="listener")
+    cref = d.get("cluster")
+    if cref not in cluster_refs:
+        raise DanglingClusterRef(cref)
+    matchers = []
+    for m in d.get("path_matchers", []):
+        _reject_unknown(m, _MATCHER_FIELDS, "path matcher")
+        matchers.append(PathMatcher(kind=MatchKind[m["kind"].upper()],
+                                    pattern=str(m["pattern"]).encode()))
+    if not matchers:
+        raise ParseError("route needs at least one path matcher",
+                         field_name="path_matchers")
+    return RouteRule(listener=by_name[lname].key, path_matchers=tuple(matchers),
+                     cluster=cref)
+
+
 def _parse_cluster(d) -> Cluster:
     _reject_unknown(d, _CLUSTER_FIELDS, "cluster")
-    try:
-        policy = LbPolicy[d.get("policy", "ROUND_ROBIN").upper()]
-    except KeyError:
-        raise ParseError(f"bad policy {d.get('policy')!r}", field_name="policy")
+    ref = str(d["ref"])
     endpoints = []
     for i, e in enumerate(d.get("endpoints", [])):
         _reject_unknown(e, _ENDPOINT_FIELDS, "endpoint")
@@ -253,15 +251,13 @@ def _parse_cluster(d) -> Cluster:
             sip=0, sport=0, dip=ip4_to_int(e["address"]), dport=int(e["port"]),
             proto=Proto.TCP,
         )
-        endpoints.append(
-            Endpoint(
-                id=f"{d['ref']}-{i}",
-                address=addr,
-                weight=int(e.get("weight", 1)),
-                healthy=bool(e.get("healthy", True)),
-            )
-        )
-    return Cluster(ref=str(d["ref"]), endpoints=endpoints, policy=policy)
+        endpoints.append(Endpoint(id=f"{ref}-{i}", address=addr,
+                                  weight=int(e.get("weight", 1)),
+                                  healthy=bool(e.get("healthy", True))))
+    if len({e.address for e in endpoints}) < len(endpoints):
+        raise ValueError(f"cluster {ref!r} lists an endpoint address twice")
+    return Cluster(ref=ref, endpoints=tuple(endpoints),
+                   policy=LbPolicy[d.get("policy", "ROUND_ROBIN").upper()])
 
 
 # ---------------------------------------------------------------------------
@@ -286,43 +282,14 @@ def http_status(verdict: Verdict, reason: Optional[str]) -> int:
 
 @dataclass
 class ConnRecord:
-    """An open flow: the endpoint whose LB count it holds (None until it
-    routes) and when it was last active.  A record is in `MeshRuntime.conns`
-    exactly while its flow is open, in order of `last_active`; `close_flow`
-    removes it."""
+    """An open flow: the endpoint it was balanced to and the `LbState`
+    whose count it holds there (both None until it routes), and when it
+    was last active.  A record is in `MeshRuntime.conns` exactly while its
+    flow is open, in order of `last_active`; `close_flow` removes it."""
 
     endpoint: Optional[Endpoint] = None
+    lb: Optional[LbState] = None
     last_active: int = 0
-
-
-# ---------------------------------------------------------------------------
-# Controllers
-
-@dataclass
-class Controller:
-    """A layer's controller: it writes only the tables it owns, which each
-    table checks on every write."""
-
-    name: str
-
-    def own(self, table: Table):
-        if table.owner is not None and table.owner != self.name:
-            raise MatchActionError(
-                f"table {table.name} already owned by {table.owner}"
-            )
-        table.owner = self.name
-
-    def publish(self, table: MatchTable, entries: dict) -> int:
-        """Publish a rule table's entries whole; returns its epoch."""
-        return table.publish(entries, writer=self.name)
-
-    def install(self, table: FlowTable, key, value):
-        """Write one entry of a per-flow table."""
-        table.install(key, value, writer=self.name)
-
-    def uninstall(self, table: FlowTable, key):
-        """Remove one entry of a per-flow table, if it has one."""
-        table.uninstall(key, writer=self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -343,28 +310,22 @@ class MeshRuntime:
         self.queue_table = QueueTable()
         self.clock = clock or (lambda: time.monotonic_ns())
 
-        self.l2_table = MatchTable("l2_fwd", default="forward")
-        self.l3_table = MatchTable("l3_proto", default="forward")
-        self.l4_table = FlowTable("l4_flows")
-        self.listener_table = MatchTable("listeners")
-        self.filter_table = MatchTable("filters")
-        self.route_table = MatchTable("routes")
-        self.cluster_table = MatchTable("clusters")
-
-        self.ovs_controller = Controller("ovs")
-        self.conn_controller = Controller("connection")
-        self.msg_controller = Controller("message")
-        self.ovs_controller.own(self.l2_table)
-        for t in (self.l3_table, self.l4_table, self.listener_table):
-            self.conn_controller.own(t)
-        for t in (self.filter_table, self.route_table, self.cluster_table):
-            self.msg_controller.own(t)
+        self.l2_table = MatchTable("l2_fwd", default="forward", owner="ovs")
+        self.l3_table = MatchTable("l3_proto", default="forward",
+                                   owner="connection")
+        self.l4_table = FlowTable("l4_flows", owner="connection")
+        self.listener_table = MatchTable("listeners", owner="connection")
+        self.filter_table = MatchTable("filters", owner="message")
+        self.route_table = MatchTable("routes", owner="message")
+        self.cluster_table = MatchTable("clusters", owner="message")
+        # cluster ref -> LbState; the router reads this very dict
+        self.lb: dict[str, LbState] = {}
 
         self._connector = connector or self._default_connect
         self.registry = standard_registry(
             self.l2_table, self.l3_table, self.l4_table, self.listener_table,
             self.filter_table, self.route_table, self.cluster_table,
-            self.queue_table,
+            self.queue_table, self.lb,
             connector=self._connect,
         )
 
@@ -395,25 +356,32 @@ class MeshRuntime:
         """Publish each rule table whole from `config`, by its owning
         controller; returns the epoch each table is at.  A table whose
         entries did not change keeps its epoch, so flows keep their
-        classification across a reload that leaves L2-L3 alone."""
+        classification across a reload that leaves L2-L3 alone.  Each
+        cluster ref keeps its `LbState`; the states of refs `config` lacks
+        are dropped."""
         self.config = config
+        refs = {c.ref for c in config.clusters}
+        for ref in self.lb.keys() - refs:
+            del self.lb[ref]
+        for ref in refs:
+            self.lb.setdefault(ref, LbState())
         # explicit rules first, then a catch-all ALLOW so a request the
         # config says nothing about is forwarded rather than stranded
         rules = tuple(config.filters) + (FilterRule(decision=Decision.ALLOW),)
         routes = {}
         for r in config.routes:
             routes[r.listener] = routes.get(r.listener, ()) + (r,)
-        ovs, conn, msg = (self.ovs_controller, self.conn_controller,
-                          self.msg_controller)
         published = (
-            (ovs, self.l2_table, {l.dip: "forward" for l in config.listeners}),
-            (conn, self.l3_table, {Proto.TCP: "forward", Proto.UDP: "forward"}),
-            (conn, self.listener_table, {l.key: l.name for l in config.listeners}),
-            (msg, self.filter_table, {"rules": rules}),
-            (msg, self.route_table, routes),
-            (msg, self.cluster_table, {c.ref: c for c in config.clusters}),
+            ("ovs", self.l2_table, {l.dip: "forward" for l in config.listeners}),
+            ("connection", self.l3_table,
+             {Proto.TCP: "forward", Proto.UDP: "forward"}),
+            ("connection", self.listener_table,
+             {l.key: l.name for l in config.listeners}),
+            ("message", self.filter_table, {"rules": rules}),
+            ("message", self.route_table, routes),
+            ("message", self.cluster_table, {c.ref: c for c in config.clusters}),
         )
-        return {t.name: c.publish(t, entries) for c, t, entries in published}
+        return {t.name: t.publish(entries, writer=w) for w, t, entries in published}
 
     # -- connection management --------------------------------------------
     def _record(self, key: FlowKey) -> ConnRecord:
@@ -424,12 +392,14 @@ class MeshRuntime:
             rec = self.conns[key] = ConnRecord(last_active=self.clock())
         return rec
 
-    def _connect(self, endpoint: Endpoint, meta: Metadata) -> int:
+    def _connect(self, endpoint: Endpoint, meta: Metadata, lb: LbState) -> int:
         """The router's connector: the transport connector builds the
-        queue, then the flow's record takes the endpoint and its LB count."""
+        queue, then the flow's record takes the endpoint and a count on it
+        in its cluster's `lb`."""
         qid = self._connector(endpoint, meta)
-        self._record(meta.flow).endpoint = endpoint
-        endpoint.active_conns += 1
+        rec = self._record(meta.flow)
+        rec.endpoint, rec.lb = endpoint, lb
+        lb.open(endpoint)
         return qid
 
     def _default_connect(self, endpoint: Endpoint, meta: Metadata) -> int:
@@ -462,14 +432,15 @@ class MeshRuntime:
 
     def close_flow(self, key: FlowKey):
         """The one path that releases a flow: its record and the LB count
-        the record holds on its endpoint, queue binding, L4 entry, queue
-        (closed), stub and TOE state."""
+        the record holds, queue binding, L4 entry, queue (closed), stub and
+        TOE state."""
         rec = self.conns.pop(key, None)
         if rec is not None and rec.endpoint is not None:
-            rec.endpoint.active_conns -= 1
+            rec.lb.close(rec.endpoint)
         qid = self.queue_table.lookup(key)
         self.queue_table.remove(key)
-        self.conn_controller.uninstall(self.l4_table, key)  # live flows have none
+        # live flows have none
+        self.l4_table.uninstall(key, writer="connection")
         q = self.vqs.pop(qid, None)
         if q is not None:
             q.close()
@@ -512,7 +483,7 @@ class MeshRuntime:
             self.slow.bump("dropped")
             return "dropped"
         self._record(key)
-        self.conn_controller.install(self.l4_table, key, "l7")
+        self.l4_table.install(key, "l7", writer="connection")
         # open the TOE state with the entry, as close_flow closes both, so a
         # first segment that arrives out of order waits for the ones before it
         self.fast_path.toe.open(key)

@@ -41,9 +41,10 @@ def example_config_path():
 
 def config_text(endpoint_ports=(9001, 9002), policy="ROUND_ROBIN",
                 dip="10.0.0.2", dport=8080, filters=True,
-                path_pattern="/svc/", endpoint_host="127.0.0.1"):
+                path_pattern="/svc/", endpoint_host="127.0.0.1", unhealthy=()):
     eps = "\n".join(
         f"      - address: {endpoint_host}\n        port: {p}\n        weight: 1"
+        + ("\n        healthy: false" if p in unhealthy else "")
         for p in endpoint_ports
     )
     filt = (

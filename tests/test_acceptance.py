@@ -21,6 +21,7 @@ from flatproxy.core import (
 from flatproxy.l7 import (
     Cluster,
     LbPolicy,
+    LbState,
     MatchKind,
     PathMatcher,
     QueueTable,
@@ -199,7 +200,7 @@ def _random_route_env(rng):
             )
             for j in range(rng.randrange(1, 4))
         ]
-        clusters[f"c{c}"] = Cluster(ref=f"c{c}", endpoints=eps,
+        clusters[f"c{c}"] = Cluster(ref=f"c{c}", endpoints=tuple(eps),
                                     policy=LbPolicy.ROUND_ROBIN)
     routes = {}
     all_rules = []
@@ -227,6 +228,7 @@ def test_criterion_06_routing_oracle(announce):
             listeners, routes, clusters, all_rules = _random_route_env(rng)
             counter = itertools.count(1)
             queues = QueueTable()
+            lb = {ref_: LbState() for ref_ in clusters}
             ref = _RefRouter(
                 list(listeners.items()),
                 all_rules,
@@ -247,16 +249,16 @@ def test_criterion_06_routing_oracle(announce):
                 from flatproxy.l7 import http_parse
 
                 http_parse(unit)
-                got = route(meta, listeners, routes, queues, clusters,
-                            connector=lambda ep, m: next(counter))
-                verdict, reason, qid, eid, lb = ref.route(flow, path)
+                got = route(meta, listeners, routes, queues, clusters, lb,
+                            connector=lambda ep, m, state: next(counter))
+                verdict, reason, qid, eid, lb_called = ref.route(flow, path)
                 assert meta.verdict.value == verdict, (flow, path)
                 if reason is not None:
                     assert meta.verdict_reason == reason
                 assert meta.queue == qid
-                assert got.lb_called == lb
+                assert (got is not None) == lb_called
                 if eid is not None:
-                    assert got.endpoint.id == eid
+                    assert got.id == eid
                 checked += 1
 
 

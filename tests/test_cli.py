@@ -44,6 +44,29 @@ def test_validate_bad_config(tmp_path, capsys):
     assert "invalid config" in err
 
 
+MALFORMED_ENTRIES = [  # (the section named, the document)
+    ("clusters", config_text().replace("  - ref: backend\n    policy:",
+                                       "  - policy:")),  # no ref
+    ("clusters", config_text().replace("        port: 9001\n", "")),  # no port
+    ("clusters", config_text(endpoint_host="999.0.0.1")),
+    ("clusters", config_text().replace("weight: 1", "weight: -1", 1)),
+    ("clusters", config_text(endpoint_ports=(99999,))),
+    ("clusters", config_text(endpoint_ports=(9001, 9001))),  # one address twice
+    ("filters", config_text().replace("decision: DENY", "decision: 3")),
+    ("listeners", "listeners: 5\n"),
+    ("chain", config_text() + "chain: 5\n"),
+]
+
+
+@pytest.mark.parametrize("section, doc", MALFORMED_ENTRIES)
+def test_validate_malformed_entry_exits_2(tmp_path, capsys, section, doc):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(doc)
+    code, _, err = run_cli(["validate", "--config", str(bad)], capsys)
+    assert code == 2
+    assert "invalid config" in err and f"bad {section}" in err
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run_cli(["validate", "--config", "/nonexistent.yaml"], capsys)
     assert code == 2

@@ -192,7 +192,7 @@ def test_l4_forward_short_circuits_to_vq(runtime):
     q = VirtQueue(tenant="t")
     q.bind(stub)
     runtime.vqs[q.id] = q
-    runtime.conn_controller.install(runtime.l4_table, flow, ("forward_vq", q.id))
+    runtime.l4_table.install(flow, ("forward_vq", q.id), writer="connection")
     unit = frame(b"opaque-l4-bytes", flow=flow)
     disp = runtime.fast_path.ingress(unit)
     assert disp == "vq"
@@ -346,10 +346,9 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
     def publish(unit, ctx, snaps):
         if republish == "deny_all_filters":
             rules = (FilterRule(decision=Decision.DENY),)
-            runtime.msg_controller.publish(runtime.filter_table,
-                                           {"rules": rules})
+            runtime.filter_table.publish({"rules": rules}, writer="message")
         else:
-            runtime.msg_controller.publish(runtime.route_table, {})
+            runtime.route_table.publish({}, writer="message")
 
     runtime.registry["publisher"] = Ppm(
         id="publisher", layer=Layer.L7, matcher=lambda unit, snaps: "publish",
@@ -358,7 +357,7 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
     chain = runtime.compile(["toe", "http_parser", "publisher",
                              "filter", "router", "http_deparser"])
     flow = make_flow(sport=48000)
-    runtime.conn_controller.install(runtime.l4_table, flow, "l7")
+    runtime.l4_table.install(flow, "l7", writer="connection")
     first = chain.execute(make_message(make_request(b"/svc/a"), flow=flow))
     assert first.meta.verdict is Verdict.DELIVER
     assert first.meta.verdict_reason == "deparsed"
@@ -382,8 +381,8 @@ def test_l2_l4_traversal_keeps_snapshot_from_its_start(runtime, monkeypatch):
 
     def lookup(key, snap=None):
         if not published:
-            published.append(runtime.conn_controller.publish(
-                runtime.l3_table, {Proto.TCP: "to_slow_path"}))
+            published.append(runtime.l3_table.publish(
+                {Proto.TCP: "to_slow_path"}, writer="connection"))
         return l2_lookup(key, snap)
 
     monkeypatch.setattr(runtime.l2_table, "lookup", lookup)
@@ -537,7 +536,7 @@ def test_l4_entry_replaced_by_forward_vq_delivers_at_l4(runtime, monkeypatch):
     stub, q = ServiceStub(tenant="t"), VirtQueue(tenant="t")
     q.bind(stub)
     runtime.vqs[q.id] = q
-    runtime.conn_controller.install(runtime.l4_table, flow, ("forward_vq", q.id))
+    runtime.l4_table.install(flow, ("forward_vq", q.id), writer="connection")
     for i, payload in enumerate((b"opaque-1", b"opaque-2")):
         calls.clear()
         unit = frame(payload, flow=flow, seq=len(raw) + 8 * i)
@@ -610,17 +609,17 @@ def test_reused_classification_equals_a_traversal(steps):
             fp.ingress(frame(raw, flow=flows[sport], seq=seqs[sport]))
             seqs[sport] += len(raw)
         elif kind == "l2":
-            rt.ovs_controller.publish(rt.l2_table,
-                                      {flows[FLOW_SPORTS[0]].dip: step[1]})
+            rt.l2_table.publish({flows[FLOW_SPORTS[0]].dip: step[1]},
+                                writer="ovs")
         elif kind == "l3":
-            rt.conn_controller.publish(rt.l3_table, {Proto.TCP: step[1]})
+            rt.l3_table.publish({Proto.TCP: step[1]}, writer="connection")
         elif kind == "l4":
             flow = flows[step[1]]
             if step[2] == "remove":
-                rt.conn_controller.uninstall(rt.l4_table, flow)
+                rt.l4_table.uninstall(flow, writer="connection")
             else:
                 entry = "l7" if step[2] == "l7" else ("forward_vq", 999)
-                rt.conn_controller.install(rt.l4_table, flow, entry)
+                rt.l4_table.install(flow, entry, writer="connection")
         elif kind == "close":
             rt.close_flow(flows[step[1]])
             assert flows[step[1]] not in fp.toe.connections

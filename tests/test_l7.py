@@ -22,6 +22,7 @@ from flatproxy.l7 import (
     FilterRule,
     HttpReader,
     LbPolicy,
+    LbState,
     MalformedHttp,
     MatchKind,
     NoHealthyEndpoint,
@@ -243,30 +244,33 @@ def test_filter_no_rules_goes_slow_path():
 # -- load balancing ----------------------------------------------------------
 
 def test_round_robin_cycles():
-    cluster = Cluster(ref="c", endpoints=[make_endpoint(i) for i in range(3)])
-    picks = [load_balance(cluster).id for _ in range(6)]
+    cluster = Cluster(ref="c", endpoints=tuple(make_endpoint(i) for i in range(3)))
+    state = LbState()
+    picks = [load_balance(cluster, state).id for _ in range(6)]
     assert picks == ["ep-0", "ep-1", "ep-2", "ep-0", "ep-1", "ep-2"]
 
 
 def test_round_robin_skips_unhealthy():
-    eps = [make_endpoint(0), make_endpoint(1, healthy=False), make_endpoint(2)]
+    eps = (make_endpoint(0), make_endpoint(1, healthy=False), make_endpoint(2))
     cluster = Cluster(ref="c", endpoints=eps)
-    picks = {load_balance(cluster).id for _ in range(10)}
+    state = LbState()
+    picks = {load_balance(cluster, state).id for _ in range(10)}
     assert picks == {"ep-0", "ep-2"}
 
 
 def test_no_healthy_endpoint_raises():
-    cluster = Cluster(ref="c", endpoints=[make_endpoint(0, healthy=False),
-                                          make_endpoint(1, weight=0)])
+    cluster = Cluster(ref="c", endpoints=(make_endpoint(0, healthy=False),
+                                          make_endpoint(1, weight=0)))
     with pytest.raises(NoHealthyEndpoint):
-        load_balance(cluster)
+        load_balance(cluster, LbState())
 
 
 def test_weighted_rr_matches_smooth_reference():
     """Independent smooth weighted-round-robin reference implementation."""
     weights = {"ep-0": 5, "ep-1": 1, "ep-2": 1}
-    eps = [make_endpoint(i, weight=w) for i, w in enumerate(weights.values())]
+    eps = tuple(make_endpoint(i, weight=w) for i, w in enumerate(weights.values()))
     cluster = Cluster(ref="c", endpoints=eps, policy=LbPolicy.WEIGHTED_RR)
+    state = LbState()
 
     # ties go to the first endpoint in list order, same as max() over an
     # insertion-ordered dict
@@ -280,7 +284,7 @@ def test_weighted_rr_matches_smooth_reference():
         current[best] -= total
         expected.append(best)
 
-    got = [load_balance(cluster).id for _ in range(21)]
+    got = [load_balance(cluster, state).id for _ in range(21)]
     assert got == expected
     # proportionality over full cycles
     assert got.count("ep-0") == 15
@@ -288,28 +292,42 @@ def test_weighted_rr_matches_smooth_reference():
     assert got.count("ep-2") == 3
 
 
+def test_weighted_rr_keeps_weights_only_for_endpoints_it_can_pick():
+    eps = tuple(make_endpoint(i, weight=2) for i in range(3))
+    state = LbState()
+    load_balance(Cluster("c", eps, LbPolicy.WEIGHTED_RR), state)
+    assert set(state.current) == {e.address for e in eps}
+    fewer = (eps[0], make_endpoint(1, weight=0), make_endpoint(2, healthy=False))
+    assert load_balance(Cluster("c", fewer, LbPolicy.WEIGHTED_RR), state) is eps[0]
+    assert set(state.current) == {eps[0].address}
+
+
 def test_least_conn_prefers_idle_and_breaks_ties_by_id():
-    eps = [make_endpoint(i) for i in range(3)]
+    eps = tuple(make_endpoint(i) for i in range(3))
     cluster = Cluster(ref="c", endpoints=eps, policy=LbPolicy.LEAST_CONN)
-    first = load_balance(cluster)
+    state = LbState()
+    first = load_balance(cluster, state)
     assert first.id == "ep-0"  # all zero, lowest id
-    eps[0].active_conns += 1
-    assert load_balance(cluster).id == "ep-1"
-    eps[1].active_conns += 1
-    assert load_balance(cluster).id == "ep-2"
-    eps[0].active_conns -= 1
-    assert load_balance(cluster).id == "ep-0"
+    state.open(eps[0])
+    assert load_balance(cluster, state).id == "ep-1"
+    state.open(eps[1])
+    assert load_balance(cluster, state).id == "ep-2"
+    state.close(eps[0])
+    assert load_balance(cluster, state).id == "ep-0"
+    # a count that falls to 0 is dropped
+    assert state.conns == {eps[1].address: 1}
 
 
 # -- routing -----------------------------------------------------------------
 
-def make_route_env(n_endpoints=2, policy=LbPolicy.ROUND_ROBIN):
+def make_route_env(n_endpoints=2, policy=LbPolicy.ROUND_ROBIN, healthy=True):
     # made apart, as a config's listener and route keys are
     listeners = {make_listener_key("10.0.0.2", 8080): "web"}
     lkey = make_listener_key("10.0.0.2", 8080)
     cluster = Cluster(
         ref="backend",
-        endpoints=[make_endpoint(i) for i in range(n_endpoints)],
+        endpoints=tuple(make_endpoint(i, healthy=healthy)
+                        for i in range(n_endpoints)),
         policy=policy,
     )
     routes = {lkey: (
@@ -320,33 +338,33 @@ def make_route_env(n_endpoints=2, policy=LbPolicy.ROUND_ROBIN):
             cluster="backend",
         ),
     )}
-    return listeners, routes, QueueTable(), {"backend": cluster}
+    return (listeners, routes, QueueTable(), {"backend": cluster},
+            {"backend": LbState()})
 
 
 _queue_ids = itertools.count(1)
 
 
 def routed(path=b"/svc/a", flow=None, env=None, connector=None):
-    listeners, routes, queues, clusters = env
+    listeners, routes, queues, clusters, lb = env
     meta = parsed_meta(make_request(path), flow=flow or make_flow())
-    connector = connector or (lambda ep, m: next(_queue_ids))
-    return route(meta, listeners, routes, queues, clusters, connector), meta
+    connector = connector or (lambda ep, m, state: next(_queue_ids))
+    return route(meta, listeners, routes, queues, clusters, lb, connector), meta
 
 
 def test_route_happy_path_binds_queue():
     env = make_route_env()
-    result, meta = routed(env=env)
+    endpoint, meta = routed(env=env)
     assert meta.verdict is Verdict.CONTINUE
     assert meta.queue is not None
-    assert result.lb_called
-    assert result.endpoint.id == "ep-0"
+    assert endpoint.id == "ep-0"
 
 
 def test_route_reuses_queue_without_lb():
     env = make_route_env()
-    r1, m1 = routed(env=env)
-    r2, m2 = routed(path=b"/svc/other", env=env)  # same 4-tuple
-    assert not r2.lb_called
+    e1, m1 = routed(env=env)
+    e2, m2 = routed(path=b"/svc/other", env=env)  # same 4-tuple
+    assert e1 is not None and e2 is None  # balanced once
     assert m2.queue == m1.queue
 
 
@@ -390,9 +408,7 @@ def test_route_makes_a_flows_listener_key_once():
 
 
 def test_route_no_healthy_endpoint_to_slow_path():
-    env = make_route_env()
-    for ep in env[3]["backend"].endpoints:
-        ep.healthy = False
+    env = make_route_env(healthy=False)
     _, meta = routed(env=env)
     assert meta.verdict is Verdict.TO_SLOW_PATH
     assert meta.verdict_reason == "no_healthy_endpoint"
@@ -403,7 +419,7 @@ def test_route_connect_failure_to_slow_path():
 
     env = make_route_env()
 
-    def bad_connector(endpoint, meta):
+    def bad_connector(endpoint, meta, state):
         raise ConnectFailure("refused")
 
     _, meta = routed(env=env, connector=bad_connector)
@@ -425,8 +441,8 @@ def test_route_hundred_flows_round_robin_balance():
     env = make_route_env(n_endpoints=4)
     counts = {}
     for i in range(100):
-        result, meta = routed(flow=make_flow(sport=50000 + i), env=env)
-        counts[result.endpoint.id] = counts.get(result.endpoint.id, 0) + 1
+        endpoint, meta = routed(flow=make_flow(sport=50000 + i), env=env)
+        counts[endpoint.id] = counts.get(endpoint.id, 0) + 1
     assert counts == {"ep-0": 25, "ep-1": 25, "ep-2": 25, "ep-3": 25}
 
 

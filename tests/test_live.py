@@ -128,8 +128,7 @@ def test_live_client_close_releases_upstream(proxy):
     assert lq.sock.fileno() == -1
     # the flow's record and its endpoint's LB count go with it
     assert proxy.runtime.conns == {}
-    endpoints = [e for c in proxy.runtime.config.clusters for e in c.endpoints]
-    assert [e.active_conns for e in endpoints] == [0]
+    assert [s.conns for s in proxy.runtime.lb.values()] == [{}]
     # live flows are never installed in the L4 table, nor removed from it
     assert proxy.runtime.l4_table.epoch == 0
 
@@ -309,9 +308,7 @@ def test_live_client_gone_mid_pipeline_releases_its_flow():
             assert len(proxy.runtime.conns) == 1
         _wait(lambda: not proxy.runtime.conns)
         assert proxy.runtime.vqs == {}
-        endpoints = [e for c in proxy.runtime.config.clusters
-                     for e in c.endpoints]
-        assert [e.active_conns for e in endpoints] == [0]
+        assert [s.conns for s in proxy.runtime.lb.values()] == [{}]
     finally:
         proxy.stop()
         up.close()

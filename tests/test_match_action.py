@@ -84,8 +84,7 @@ def test_publish_remove_absent_key_is_noop():
 
 
 def test_publish_owner_enforced():
-    t = MatchTable("t")
-    t.owner = "alice"
+    t = MatchTable("t", owner="alice")
     t.publish({"x": 1}, writer="alice")
     with pytest.raises(MatchActionError):
         t.publish({"y": 2}, writer="bob")

@@ -1,4 +1,6 @@
 import io
+from collections import Counter
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 import yaml
@@ -17,7 +19,6 @@ from flatproxy.fast_path import REORDER_BUFFER_SEGMENTS
 from flatproxy.l7 import ConnectFailure, Decision, LbPolicy, MatchKind
 from flatproxy.slow_path import (
     ConfigError,
-    Controller,
     DanglingClusterRef,
     IDLE_TIMEOUT_NS,
     InvalidChain,
@@ -25,7 +26,7 @@ from flatproxy.slow_path import (
     ParseError,
     load_config,
 )
-from flatproxy.match_action import MatchActionError, MatchTable
+from flatproxy.match_action import MatchActionError
 from flatproxy.vq import VqState
 from conftest import config_text, make_flow, make_request
 
@@ -145,10 +146,9 @@ def test_loader_is_libyaml_where_built():
 @pytest.mark.parametrize("path", ["configs/http_routing.yaml",
                                   "perfbench/mesh.yaml"])
 def test_c_and_python_loaders_give_equal_configs(monkeypatch, path):
-    # repr, not ==: a Cluster's lock compares by identity
     c = load_with(monkeypatch, yaml.CSafeLoader, path)
     py = load_with(monkeypatch, yaml.SafeLoader, path)
-    assert repr(c) == repr(py)
+    assert c == py
     assert c.listeners and c.routes and c.clusters
 
 
@@ -202,20 +202,7 @@ def test_missing_chain_defaults():
                          "http_deparser"]
 
 
-# -- controllers and ownership -----------------------------------------------
-
-def test_controller_ownership_exclusive():
-    t = MatchTable("t")
-    a = Controller("a")
-    b = Controller("b")
-    a.own(t)
-    with pytest.raises(MatchActionError):
-        b.own(t)
-    with pytest.raises(MatchActionError):
-        b.publish(t, {"x": 1})
-    a.publish(t, {"x": 1})
-    assert t.lookup("x") == 1
-
+# -- table ownership ---------------------------------------------------------
 
 def test_runtime_table_ownership_layout():
     rt = MeshRuntime(config=None)
@@ -224,6 +211,8 @@ def test_runtime_table_ownership_layout():
         assert t.owner == "connection"
     for t in (rt.filter_table, rt.route_table, rt.cluster_table):
         assert t.owner == "message"
+    with pytest.raises(MatchActionError):
+        rt.cluster_table.publish({}, writer="connection")
     rt.shutdown()
 
 
@@ -310,10 +299,7 @@ def test_no_route_dropped_with_reason(runtime):
 
 
 def test_no_healthy_endpoint_503(runtime):
-    for c in runtime.config.clusters:
-        for e in c.endpoints:
-            e.healthy = False
-    runtime.distribute(runtime.config)
+    runtime.distribute(load_config(config_text(unhealthy=(9001, 9002))))
     flow = make_flow(sport=42000)
     runtime.fast_path.ingress(make_frame(make_request(b"/svc/a"), flow, conn_id=3))
     slow = runtime.stats_snapshot()["slow_path"]
@@ -339,7 +325,7 @@ def test_connect_failure_answered_502():
 
 
 def test_unknown_cluster_answered_502(runtime):
-    runtime.msg_controller.publish(runtime.cluster_table, {})
+    runtime.cluster_table.publish({}, writer="message")
     runtime.fast_path.ingress(make_frame(make_request(b"/svc/a"), make_flow(sport=42200)))
     assert_answered_502(runtime, "unknown_cluster")
 
@@ -364,9 +350,7 @@ def test_every_handoff_has_one_disposition(runtime):
     runtime.fast_path.ingress(make_frame(make_request(), make_flow(dport=7777)))
     runtime.fast_path.ingress(make_frame(make_request(), make_flow(sport=44001)))
     runtime.fast_path.ingress(make_frame(MALFORMED, make_flow(sport=44002)))
-    for e in endpoints_of(runtime.config):
-        e.healthy = False
-    runtime.distribute(runtime.config)
+    runtime.distribute(load_config(config_text(unhealthy=(9001, 9002))))
     runtime.fast_path.ingress(make_frame(make_request(), make_flow(sport=44003)))
     slow = runtime.stats_snapshot()["slow_path"]
     handoffs = sum(v for k, v in slow.items() if k.startswith("reason."))
@@ -403,7 +387,7 @@ def test_expire_idle_closes_and_uninstalls(runtime):
     q = runtime.vqs[qid]
     runtime.expire_idle(now=now)
     assert flow not in runtime.conns
-    assert rec.endpoint.active_conns == 0
+    assert rec.lb is runtime.lb["backend"] and rec.lb.conns == {}
     assert runtime.l4_table.lookup(flow) == runtime.l4_table.default
     assert runtime.queue_table.lookup(flow) is None
     # the flow's queue, stub and TOE state are released too
@@ -434,11 +418,11 @@ def test_idle_expiry_counts_from_last_activity():
     rt.expire_idle(now=90 * 1_000_000_000)
     assert flow in rt.conns
     assert rt.queue_table.lookup(flow) is not None
-    endpoint = rt.conns[flow].endpoint
+    assert rt.lb["backend"].conns == {rt.conns[flow].endpoint.address: 1}
     rt.expire_idle(now=60 * 1_000_000_000 + IDLE_TIMEOUT_NS + 1)
     assert flow not in rt.conns
     assert rt.queue_table.lookup(flow) is None
-    assert endpoint.active_conns == 0
+    assert rt.lb["backend"].conns == {}
     rt.shutdown()
 
 
@@ -536,20 +520,17 @@ def clocked_runtime(text=None):
     return rt, now
 
 
-def endpoints_of(*configs):
-    return [e for cfg in configs for c in cfg.clusters for e in c.endpoints]
-
-
-def assert_released(rt, endpoints):
+def assert_released(rt, *states):
     """Nothing a flow takes is left: records, tables, queues, TOE state,
-    buffers and LB counts."""
+    buffers and LB counts, in `rt.lb` and in the `states` given."""
     assert rt.conns == {}
     assert rt.vqs == {} and rt.stubs == {}
     assert len(rt.queue_table) == 0
     assert rt.l4_table.current.entries == {}
     assert rt.fast_path.toe.connections == {}
     assert len(rt.buffer_pool) == 0
-    assert [e.active_conns for e in endpoints] == [0] * len(endpoints)
+    assert [s.conns for s in (*rt.lb.values(), *states)] == [{}] * (
+        len(rt.lb) + len(states))
 
 
 def test_each_new_flow_makes_one_record(monkeypatch):
@@ -567,7 +548,7 @@ def test_each_new_flow_makes_one_record(monkeypatch):
             make_frame(make_request(b"/svc/a"), make_flow(sport=46000 + i)))
     assert len(made) == len(rt.conns) == 100
     assert all(rec.endpoint is not None for rec in rt.conns.values())
-    assert sum(e.active_conns for e in endpoints_of(rt.config)) == 100
+    assert sum(rt.lb["backend"].conns.values()) == 100
     rt.shutdown()
 
 
@@ -582,7 +563,7 @@ def test_flows_that_never_connect_are_released_on_expiry():
     assert rt.vqs == {}
     now[0] = IDLE_TIMEOUT_NS + 1
     rt.expire_idle()
-    assert_released(rt, endpoints_of(rt.config))
+    assert_released(rt)
     rt.shutdown()
 
 
@@ -607,7 +588,7 @@ def test_least_conn_counts_drop_when_flows_close():
     assert set(rt.conns) == {flows["B"], flows["D"]}
     now[0] = 10 * IDLE_TIMEOUT_NS
     rt.expire_idle()
-    assert_released(rt, endpoints_of(rt.config))
+    assert_released(rt)
     rt.shutdown()
 
 
@@ -641,15 +622,66 @@ def test_least_conn_counts_survive_an_unchanged_reload():
     text = config_text(policy="LEAST_CONN")
     rt, now = clocked_runtime(text)
     assert open_flows(rt, range(48200, 48204)) == ["backend-0", "backend-1"] * 2
+    state = rt.lb["backend"]
     rt.distribute(load_config(text))
     (cluster,) = rt.cluster_table.current.entries.values()
-    assert [e.active_conns for e in cluster.endpoints] == [2, 2]
+    # the config the runtime holds is the config the table routes with
+    assert rt.config.clusters == [cluster] and rt.lb == {"backend": state}
+    assert [state.conns[e.address] for e in cluster.endpoints] == [2, 2]
     assert sorted(open_flows(rt, range(48204, 48206))) == [
         "backend-0", "backend-1"]
-    assert [e.active_conns for e in cluster.endpoints] == [3, 3]
+    assert [state.conns[e.address] for e in cluster.endpoints] == [3, 3]
     now[0] = IDLE_TIMEOUT_NS + 1
     rt.expire_idle()
-    assert_released(rt, cluster.endpoints)
+    assert_released(rt)
+    rt.shutdown()
+
+
+def test_least_conn_counts_survive_a_changed_reload():
+    """4 flows open while backend-1 is unhealthy all go to backend-0; a
+    reload that makes backend-1 healthy keeps backend-0's count, as its
+    address is unchanged, so the next 4 flows all go to backend-1."""
+    rt, now = clocked_runtime(config_text(policy="LEAST_CONN",
+                                          unhealthy=(9002,)))
+    assert open_flows(rt, range(48300, 48304)) == ["backend-0"] * 4
+    rt.distribute(load_config(config_text(policy="LEAST_CONN")))
+    assert rt.stats_snapshot()["table_epochs"]["clusters"] == 2
+    assert open_flows(rt, range(48304, 48308)) == ["backend-1"] * 4
+    (cluster,) = rt.cluster_table.current.entries.values()
+    assert [rt.lb["backend"].conns[e.address] for e in cluster.endpoints] == [
+        4, 4]
+    now[0] = IDLE_TIMEOUT_NS + 1
+    rt.expire_idle()
+    assert_released(rt)
+    rt.shutdown()
+
+
+def test_published_clusters_are_frozen(runtime):
+    """The cluster table holds config only: no field of a Cluster or an
+    Endpoint it publishes can be assigned, before or after traffic."""
+    open_flows(runtime, range(48400, 48403))
+    for cluster in runtime.cluster_table.current.entries.values():
+        for obj in (cluster, *cluster.endpoints):
+            for f in fields(obj):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
+
+
+def test_reload_that_drops_a_cluster_drops_its_state():
+    """A reload whose config lacks a cluster ref drops that ref's LbState
+    from the runtime; the flows pinned to the dropped cluster keep it
+    through their records, and closing them leaves no count behind."""
+    rt, _now = clocked_runtime()
+    open_flows(rt, range(48500, 48503))
+    dropped = rt.lb["backend"]
+    assert sum(dropped.conns.values()) == 3
+    rt.distribute(load_config(config_text().replace("backend", "other")))
+    assert set(rt.lb) == {"other"}
+    assert open_flows(rt, [48503]) == ["other-0"]
+    assert {rec.lb is dropped for rec in rt.conns.values()} == {True, False}
+    for flow in list(rt.conns):
+        rt.close_flow(flow)
+    assert_released(rt, dropped)
     rt.shutdown()
 
 
@@ -676,7 +708,7 @@ def test_flow_resumed_after_expiry_is_held_then_released():
     assert flow in rt.conns
     now[0] = 2 * IDLE_TIMEOUT_NS + 2
     rt.expire_idle()
-    assert_released(rt, endpoints_of(rt.config))
+    assert_released(rt)
     rt.shutdown()
 
 
@@ -686,7 +718,9 @@ _STEPS = st.one_of(
               st.sampled_from(sorted(REQUESTS))),
     st.tuples(st.just("expire"), st.sampled_from([1, 30, 61])),
     st.tuples(st.just("close"), st.integers(0, len(_FLOWS) - 1)),
-    st.tuples(st.just("reload"), st.booleans()),
+    # an equal config loaded again, an endpoint dropped, one added
+    st.tuples(st.just("reload"),
+              st.sampled_from([(9001, 9002), (9001,), (9001, 9002, 9003)])),
 )
 
 
@@ -694,10 +728,10 @@ _STEPS = st.one_of(
 @given(steps=st.lists(_STEPS, max_size=40))
 def test_flow_lifecycle_property(steps):
     """Over any sequence of sends, expiries, closes and reloads, only open
-    flows hold state, each endpoint's count is the records routed to it,
-    and expiry past every timeout releases everything."""
+    flows hold state, the open counts in `rt.lb` are the records routed,
+    per endpoint address, and expiry past every timeout releases
+    everything."""
     rt, now = clocked_runtime()
-    configs = [rt.config]
     seqs = [0] * len(_FLOWS)
     for step in steps:
         if step[0] == "send":
@@ -711,9 +745,7 @@ def test_flow_lifecycle_property(steps):
             rt.close_flow(_FLOWS[step[1]])
             seqs[step[1]] = 0  # the client opens the 4-tuple afresh
         else:
-            if step[1]:  # fresh Endpoint objects; old flows keep theirs
-                configs.append(load_config(config_text()))
-            rt.distribute(configs[-1])
+            rt.distribute(load_config(config_text(endpoint_ports=step[1])))
         for flow in _FLOWS:
             if flow not in rt.conns:
                 assert rt.queue_table.lookup(flow) is None
@@ -721,9 +753,12 @@ def test_flow_lifecycle_property(steps):
                 assert flow not in rt.fast_path.toe.connections
         assert len(rt.vqs) == len(rt.stubs) == len(rt.queue_table)
         assert len(rt.buffer_pool) == 0
-        assert sum(e.active_conns for e in endpoints_of(*configs)) == sum(
-            rec.endpoint is not None for rec in rt.conns.values())
+        routed = [rec for rec in rt.conns.values() if rec.endpoint is not None]
+        assert sum(n for s in rt.lb.values() for n in s.conns.values()) == len(
+            routed)
+        assert rt.lb["backend"].conns == Counter(
+            rec.endpoint.address for rec in routed)
     now[0] += IDLE_TIMEOUT_NS + 1
     rt.expire_idle()
-    assert_released(rt, endpoints_of(*configs))
+    assert_released(rt)
     rt.shutdown()
