@@ -12,6 +12,7 @@ import os
 import signal
 import sys
 import time
+from pathlib import Path
 
 from .core import int_to_ip4
 from .live import EchoStub, LiveProxy
@@ -77,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
 
     p = sub.add_parser("sim", help="run the mode-comparison simulator")
-    p.add_argument("--config", default=None)
     p.add_argument("--modes", type=_mode_list, default=list(Mode))
     p.add_argument("--layer", choices=["l4", "l7"], default="l4")
     p.add_argument("--rate", type=_float_list, default=[1.0])
@@ -121,7 +121,7 @@ def _write(path, text: str) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        load_config(args.config)
+        load_config(Path(args.config))
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -133,12 +133,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    if args.config is not None:
-        try:
-            load_config(args.config)
-        except ConfigError as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
     for rate in args.rate:
         if rate <= 0:
             print("rates must be positive", file=sys.stderr)
@@ -181,7 +175,7 @@ def cmd_sim(args) -> int:
 
 def cmd_live(args) -> int:
     try:
-        config = load_config(args.config)
+        config = load_config(Path(args.config))
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -214,7 +208,7 @@ def cmd_live(args) -> int:
 
         def on_hup(_sig, _frame):
             try:
-                proxy.reload(load_config(args.config))
+                proxy.reload(load_config(Path(args.config)))
                 log.info("config reloaded")
             except ConfigError as exc:
                 log.error("reload failed: %s", exc)

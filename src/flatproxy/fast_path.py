@@ -2,20 +2,20 @@
 
 `FastPath.ingress` applies the vswitch, l3 and toe PPMs to each L2 frame on
 one snapshot of their tables; the toe PPM is the one place a flow is
-classified.  Like an exact-match flow cache, a flow classified `to_l7`
+classified.  A flow's L4 entry, of the one kind `"l7"`, and its TOE state
+are opened together by the slow path and released together by
+`close_flow`.  Like an exact-match flow cache, a flow classified `to_l7`
 keeps the epochs of those three tables on its TOE state, and its later
-frames skip the traversal until one of the tables is written;
-`close_flow` drops the epochs with the TOE state.  A flow forwarded at L4
-short-circuits to its virtualization queue and is classified on every
-frame.  The ToeEngine feeds an L7 flow's in-order bytes to its
-`l7.HttpReader`, the one reader live mode uses too, which frames and joins
-each HTTP message once and hands it on with its head, split as soon as the
-header block is in.  `ingress` runs the messages at once, in order,
-through `FastPath.message`, the L7 entry live mode shares; the parser
-builds each request from its head, and the deparser forwards the message
-bytes untouched.  Frames and messages leave through one
-disposition, which counts the outcome and keeps nothing: VQ egress, a drop
-counted by reason or the slow-path handoff.
+frames skip the traversal until one of the tables is written.  The
+ToeEngine feeds a flow's in-order bytes to its `l7.HttpReader`, the one
+reader live mode uses too, which frames and joins each HTTP message once
+and hands it on with its head, split as soon as the header block is in.
+`ingress` runs the messages at once, in order, through `FastPath.message`,
+the L7 entry live mode shares; the parser builds each request from its
+head, and the deparser forwards the message bytes untouched.  Frames and
+messages leave through one disposition, which counts the outcome and
+keeps nothing: a message's VQ egress, a drop counted by reason or the
+slow-path handoff.
 Per-flow FIFO holds by construction: one thread runs the data plane -- the
 caller's in-process, live mode's loop thread -- and it runs a flow's frames
 and messages in order.
@@ -116,23 +116,18 @@ def make_l3(l3_table: MatchTable) -> Ppm:
 
 def make_toe(l4_table: FlowTable) -> Ppm:
     """TOE as a PPM, the one place a flow is classified by its L4 entry:
-    `"l7"` goes on to HTTP reassembly (`to_l7`), `("forward_vq", q)` binds
-    queue q and delivers the segment as it is, and a miss goes to the slow
-    path as `new_connection`.  MESSAGE units, already framed, pass
-    through without a lookup.  Reassembly lives in ToeEngine, which the fast
-    path drives because one segment may yield zero or many messages.
+    the one kind of entry, `"l7"`, goes on to HTTP reassembly (`to_l7`),
+    and a miss goes to the slow path as `new_connection`.  MESSAGE units,
+    already framed, pass through without a lookup.  Reassembly lives in
+    ToeEngine, which the fast path drives because one segment may yield
+    zero or many messages.
     """
 
     def matcher(unit, snaps):
         if unit.kind is UnitKind.MESSAGE:
             return "to_l7"
         entry = l4_table.lookup(unit.meta.flow, snaps.get(l4_table.name))
-        if entry == l4_table.default:
-            return entry
-        if entry == "l7":
-            return "to_l7"
-        unit.meta.bind_queue(entry[1])  # ("forward_vq", q)
-        return "forward_vq"
+        return "to_l7" if entry == "l7" else entry
 
     return Ppm(
         id="toe",
@@ -141,7 +136,6 @@ def make_toe(l4_table: FlowTable) -> Ppm:
         matcher=matcher,
         actions={
             "to_l7": [],
-            "forward_vq": [set_verdict(Verdict.DELIVER, "l4_forward")],
             DEFAULT_ACTION: [set_verdict(Verdict.TO_SLOW_PATH, "new_connection")],
         },
     )
@@ -290,12 +284,12 @@ class ToeEngine:
     """In-order exactly-once byte delivery with HTTP message framing.
 
     Reliable by construction (no retransmit timers); out-of-window
-    segments beyond the reorder buffer are dropped.
+    segments beyond the reorder buffer are dropped.  The slow path opens a
+    flow's state (`open`) as it installs the flow's L4 entry.
     """
 
-    def __init__(self, reorder_limit: int = REORDER_BUFFER_SEGMENTS):
+    def __init__(self):
         self.connections: dict[FlowKey, _ToeConn] = {}
-        self.reorder_limit = reorder_limit
 
     def open(self, key: FlowKey):
         self.connections.setdefault(key, _ToeConn())
@@ -304,23 +298,15 @@ class ToeEngine:
         self.connections.pop(key, None)
 
     def deliver(self, seg: TrafficUnit) -> list:
-        """Feed one SEGMENT; returns completed MESSAGE units (possibly
-        none).  Unknown connection: seq 0 implicitly opens, anything else
-        goes to the slow path."""
+        """Feed one SEGMENT of an opened flow; returns completed MESSAGE
+        units (possibly none)."""
         key = seg.meta.flow
-        conn = self.connections.get(key)
-        if conn is None:
-            if seg.seq == 0:
-                conn = _ToeConn()
-                self.connections[key] = conn
-            else:
-                seg.meta.set_verdict(Verdict.TO_SLOW_PATH, "connection_unknown")
-                return []
+        conn = self.connections[key]
         if seg.seq < conn.next_seq or seg.seq in conn.reorder:
             conn.duplicates += 1
             return []
         if seg.seq > conn.next_seq:
-            if len(conn.reorder) >= self.reorder_limit:
+            if len(conn.reorder) >= REORDER_BUFFER_SEGMENTS:
                 raise OutOfWindow(f"reorder buffer full for {key}")
             conn.reorder[seg.seq] = seg.payload
             return []
@@ -384,8 +370,9 @@ class FastPath:
         """Run one L2 frame through the vswitch, l3 and toe PPMs, on one
         snapshot of their tables taken here -- or, for a flow classified
         to_l7 on the tables' current epochs, reuse that -- then TOE
-        reassembly; returns the disposition:
-        'l7' | 'vq' | 'slow_path' | 'dropped' | 'buffered'."""
+        reassembly; returns the disposition: 'l7' (messages went to the L7
+        chain), 'buffered' (none completed yet), 'slow_path' (a miss) or
+        'dropped'.  A frame is never delivered at L4."""
         if unit.kind is not UnitKind.FRAME:
             raise ValueError("ingress takes FRAME units")
         self.ctx.bump("ingress")
@@ -408,10 +395,7 @@ class FastPath:
             messages = self.toe.deliver(unit)
         except OutOfWindow:
             unit.meta.set_verdict(Verdict.DROP, "out_of_window")
-        if unit.meta.verdict is not Verdict.CONTINUE:
             return self._dispose(unit)
-        if conn is None:  # deliver opened the flow's TOE state
-            conn = self.toe.connections[flow]
         conn.epochs = epochs
         for msg in messages:
             self.message(msg)

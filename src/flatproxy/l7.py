@@ -396,7 +396,8 @@ def route(
 ) -> Optional[Endpoint]:
     """HTTP routing: listener hash lookup, path match, queue lookup with
     lazy connection establishment.  Returns the endpoint load balancing
-    picked, or None when the flow's queue was found or no pick was made.
+    picked and connected to, or None when the flow's queue was found or no
+    connection was opened.
 
     listeners: listener FlowKey -> listener name
     routes:    listener FlowKey -> list[RouteRule]
@@ -431,8 +432,9 @@ def route(
         try:
             queue_id = connector(endpoint, meta, state)
         except ConnectFailure:
+            # the round-robin cursor has moved on, as Envoy's does
             meta.set_verdict(Verdict.TO_SLOW_PATH, "connect_failure")
-            return endpoint
+            return None
         queues.bind(ckey, queue_id)
     meta.bind_queue(queue_id)
     return endpoint

@@ -77,7 +77,7 @@ class Table:
     Lookups read `self.current` once and keep using that snapshot; Python
     attribute assignment is atomic, so readers are wait-free with respect
     to writes.  A table built with an owner refuses a write that names
-    any other writer.
+    any other writer, or none.
     """
 
     def __init__(self, name: str, default: str = DEFAULT_ACTION,
@@ -96,7 +96,7 @@ class Table:
         return snap.entries.get(key, self.default)
 
     def _check_writer(self, writer: Optional[str]):
-        if self.owner is not None and writer is not None and writer != self.owner:
+        if self.owner is not None and writer != self.owner:
             raise MatchActionError(
                 f"table {self.name} owned by {self.owner}, write from {writer}"
             )

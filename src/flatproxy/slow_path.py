@@ -7,11 +7,11 @@ standard PPMs' layers, `STANDARD_LAYERS` -- and is distributed
 layer-wise: the OVS controller ("ovs") owns the L2 table, the connection
 controller ("connection") the L3/L4 and listener tables, and the message
 controller ("message") the L7 rule tables.  Each table is built with its
-owner's name and refuses a write that names any other writer.  A rule
-table is published whole, and a reload keeps the version of every table
-whose entries it leaves equal, so it moves no epoch that established
-flows were classified on.  The per-flow L4 table is written one entry at
-a time.
+owner's name and refuses a write that names another writer or none.  A
+rule table is published whole, and a reload keeps the version of every
+table whose entries it leaves equal, so it moves no epoch that
+established flows were classified on.  The per-flow L4 table is written
+one entry at a time.
 Balancing state is not config: `MeshRuntime.lb` holds each cluster's
 `LbState`, kept across every reload, changed or not, and dropped with the
 cluster ref; a flow still open keeps its state through its record.
@@ -147,20 +147,13 @@ def _reject_unknown(mapping, allowed, where):
 
 
 def load_config(source) -> MeshConfig:
-    """Parse and validate a config document (path, bytes, or str)."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, Path):
-        text = source.read_text()
-    elif isinstance(source, bytes):
-        text = source.decode()
-    elif isinstance(source, str) and "\n" not in source:
-        with open(source) as fh:
-            text = fh.read()
-    else:
-        text = source
+    """Parse and validate a config document: a `Path` is read as a file,
+    and anything else -- YAML text, bytes or a stream -- goes to the YAML
+    parser as it is."""
+    if isinstance(source, Path):
+        source = source.read_text()
     try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
+        doc = yaml.load(source, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ParseError(str(exc), line=(mark.line + 1) if mark else None)
@@ -187,6 +180,10 @@ def load_config(source) -> MeshConfig:
         _reject_unknown(chain_doc, _CHAIN_FIELDS, "chain")
         chain = list(chain_doc.get("nodes", []))
         check_chain(chain, STANDARD_LAYERS)
+        # the filter, router and deparser read the request the parser made
+        parsed_at = chain.index("http_parser") if "http_parser" in chain else None
+        if {"filter", "router", "http_deparser"} & set(chain[:parsed_at]):
+            raise InvalidChain(f"chain {chain} reads a request before http_parser")
     except MatchActionError as exc:
         raise InvalidChain(str(exc)) from exc
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -413,8 +410,9 @@ class MeshRuntime:
         return q.id
 
     def _vq_egress(self, unit: TrafficUnit) -> bool:
-        """Never blocks: returns False when a full TX ring lost the unit,
-        which the fast path counts as `dropped.ring_full`.  Egress is the
+        """Deliver a message the router bound to a queue in `vqs`.  Never
+        blocks: returns False when a full TX ring lost the unit, which the
+        fast path counts as `msg_dropped.ring_full`.  Egress is the
         activity `expire_idle` measures a flow's idle time from: it moves
         the flow's record to the end of `conns`."""
         flow = unit.meta.flow
@@ -422,12 +420,10 @@ class MeshRuntime:
         if rec is not None:
             rec.last_active = self.clock()
             self.conns.move_to_end(flow)
-        q = self.vqs.get(unit.meta.queue)
-        if q is not None and unit.payload:
-            try:
-                q.tx_deliver(unit.payload)
-            except RingFull:
-                return False
+        try:
+            self.vqs[unit.meta.queue].tx_deliver(unit.payload)
+        except RingFull:
+            return False
         return True
 
     def close_flow(self, key: FlowKey):

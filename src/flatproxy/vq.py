@@ -102,19 +102,13 @@ _queue_ids = itertools.count(1)
 class VirtQueue:
     """One proxy-side user, one stub-side user; queues never share rings."""
 
-    def __init__(
-        self,
-        tenant: str,
-        capacity: int = DEFAULT_RING_CAPACITY,
-        max_descriptor: int = MAX_DESCRIPTOR_BYTES,
-    ):
+    def __init__(self, tenant: str, capacity: int = DEFAULT_RING_CAPACITY):
         self.id = next(_queue_ids)
         self.tenant = tenant
         self.rx_ring = _Ring(capacity)  # service -> proxy
         self.tx_ring = _Ring(capacity)  # proxy -> service
         self.bound_mem = None  # {"rx_addr": .., "tx_addr": ..}
         self.state = VqState.UNBOUND
-        self.max_descriptor = max_descriptor
         self._stub = None
         self.host_doorbells = 0  # must stay 0 on the TX path
         self.dma_copies = 0
@@ -160,8 +154,8 @@ class VirtQueue:
         self._check_bound()
         if not data:
             raise ValueError("empty delivery")
-        if len(data) > self.max_descriptor:
-            raise ValueError(f"descriptor exceeds {self.max_descriptor} bytes")
+        if len(data) > MAX_DESCRIPTOR_BYTES:
+            raise ValueError(f"descriptor exceeds {MAX_DESCRIPTOR_BYTES} bytes")
         if not self.tx_ring.push(data):
             raise RingFull(self.id)
         self._stub.events += 1

@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from flatproxy.core import FlowKey, Metadata, Proto, TrafficUnit, UnitKind
 
 
-EXAMPLE_CONFIG = "configs/http_routing.yaml"
+EXAMPLE_CONFIG = Path("configs/http_routing.yaml")
 
 
 def make_flow(sip="1.1.1.1", sport=40000, dip="10.0.0.2", dport=8080):

@@ -105,6 +105,13 @@ def test_sim_rejects_bad_mode(capsys):
     assert exc.value.code == 2
 
 
+def test_sim_rejects_config_flag(capsys):
+    """The simulator reads no config, so `sim` takes no --config."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--config", "x"])
+    assert exc.value.code == 2
+
+
 def test_sim_rejects_nonpositive_rate(capsys):
     code, _, err = run_cli(["sim", "--rate", "0"], capsys)
     assert code == 2

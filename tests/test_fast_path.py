@@ -20,7 +20,7 @@ from flatproxy.match_action import (
     traverse,
 )
 from flatproxy.slow_path import IDLE_TIMEOUT_NS, MeshRuntime, load_config
-from flatproxy.vq import DEFAULT_RING_CAPACITY, ServiceStub, VirtQueue
+from flatproxy.vq import DEFAULT_RING_CAPACITY
 from conftest import config_text, make_flow, make_message, make_request
 
 
@@ -46,6 +46,7 @@ def frame(payload, flow=None, conn_id=1, seq=0):
 
 def test_toe_in_order_single_message():
     toe = ToeEngine()
+    toe.open(make_flow())
     raw = make_request(body=b"hi")
     msgs = toe.deliver(seg(raw, 0))
     assert len(msgs) == 1
@@ -55,6 +56,7 @@ def test_toe_in_order_single_message():
 
 def test_toe_split_across_segments():
     toe = ToeEngine()
+    toe.open(make_flow())
     raw = make_request(body=b"0123456789")
     a, b = raw[:10], raw[10:]
     assert toe.deliver(seg(a, 0)) == []
@@ -77,6 +79,7 @@ def test_toe_reorder_then_release():
 
 def test_toe_duplicate_counted_once():
     toe = ToeEngine()
+    toe.open(make_flow())
     raw = make_request()
     msgs = toe.deliver(seg(raw, 0))
     assert len(msgs) == 1
@@ -87,22 +90,26 @@ def test_toe_duplicate_counted_once():
 
 def test_toe_two_messages_one_segment():
     toe = ToeEngine()
+    toe.open(make_flow())
     r1 = make_request(b"/a")
     r2 = make_request(b"/b", body=b"zz")
     msgs = toe.deliver(seg(r1 + r2, 0))
     assert [m.payload for m in msgs] == [r1, r2]
 
 
-def test_toe_unknown_conn_nonzero_seq_slow_path():
+def test_toe_deliver_needs_an_opened_flow():
+    """TOE state has one opener, `open`, which the slow path calls with the
+    flow's L4 entry: a segment of a flow never opened finds no state, and
+    delivering it opens none."""
     toe = ToeEngine()
-    s = seg(b"x", 100)
-    assert toe.deliver(s) == []
-    assert s.meta.verdict is Verdict.TO_SLOW_PATH
-    assert s.meta.verdict_reason == "connection_unknown"
+    with pytest.raises(KeyError):
+        toe.deliver(seg(make_request(), 0))
+    assert toe.connections == {}
 
 
-def test_toe_reorder_overflow_raises():
-    toe = ToeEngine(reorder_limit=4)
+def test_toe_reorder_overflow_raises(monkeypatch):
+    monkeypatch.setattr(fast_path, "REORDER_BUFFER_SEGMENTS", 4)
+    toe = ToeEngine()
     toe.open(make_flow())
     for i in range(4):
         toe.deliver(seg(b"x", 10 + i))
@@ -134,6 +141,7 @@ def test_toe_bad_content_length_keeps_stream_framed():
     request on the stream is still framed whole, and the parser sends the
     bad one to the slow path."""
     toe = ToeEngine()
+    toe.open(make_flow())
     bad = b"POST /svc/a HTTP/1.1\r\nHost: x\r\nContent-Length: -3\r\n\r\n"
     good = make_request(b"/svc/b", body=b"zz")
     msgs = toe.deliver(seg(bad + good, 0))
@@ -182,24 +190,6 @@ def test_established_flow_skips_slow_path(runtime):
     assert disp == "l7"
     after = runtime.stats_snapshot()["slow_path"].get("installed", 0)
     assert after == before
-
-
-def test_l4_forward_short_circuits_to_vq(runtime):
-    from flatproxy.vq import DEFAULT_RING_CAPACITY, ServiceStub, VirtQueue
-
-    flow = make_flow(sport=45000)
-    stub = ServiceStub(tenant="t")
-    q = VirtQueue(tenant="t")
-    q.bind(stub)
-    runtime.vqs[q.id] = q
-    runtime.l4_table.install(flow, ("forward_vq", q.id), writer="connection")
-    unit = frame(b"opaque-l4-bytes", flow=flow)
-    disp = runtime.fast_path.ingress(unit)
-    assert disp == "vq"
-    assert unit.meta.queue == q.id
-    assert q.stub_fetch(stub) == b"opaque-l4-bytes"
-    # never run through the L7 chain
-    assert runtime.fast_path.counters().get("msg_submitted", 0) == 0
 
 
 def test_filtered_request_dropped(runtime):
@@ -471,13 +461,15 @@ def test_publish_between_frames_forces_a_traversal(runtime, monkeypatch, table):
     raw = make_request(b"/svc/a")
     runtime.fast_path.ingress(frame(raw, flow=flow))
     if table == "l4_table":
-        runtime.l4_table.install(make_flow(sport=48711), "l7")
+        runtime.l4_table.install(make_flow(sport=48711), "l7",
+                                 writer="connection")
     else:
         # entries that differ from the current ones, and still forward
         entries = {"l2_table": {flow.dip: "forward", flow.dip + 1: "forward"},
                    "l3_table": {Proto.TCP: "forward"}}[table]
+        writer = {"l2_table": "ovs", "l3_table": "connection"}[table]
         epoch = getattr(runtime, table).epoch
-        assert getattr(runtime, table).publish(entries) == epoch + 1
+        assert getattr(runtime, table).publish(entries, writer) == epoch + 1
     calls.clear()
     assert runtime.fast_path.ingress(frame(raw, flow=flow, seq=len(raw))) == "l7"
     assert calls == ["vswitch", "l3", "toe"]
@@ -500,9 +492,9 @@ def test_unchanged_reload_keeps_the_classification(runtime, monkeypatch, reload)
     runtime.fast_path.ingress(frame(raw, flow=flow))
     before = runtime.stats_snapshot()["table_epochs"]
     if reload == "equal_entries":
-        for name in ("l2_table", "l3_table"):
+        for name, writer in (("l2_table", "ovs"), ("l3_table", "connection")):
             table = getattr(runtime, name)
-            table.publish(dict(table.current.entries))
+            table.publish(dict(table.current.entries), writer)
     elif reload == "same_config":
         runtime.distribute(runtime.config)
     else:
@@ -528,35 +520,17 @@ def test_closed_flow_is_a_new_connection_again(runtime):
     assert runtime.vqs[qid].stub_fetch(runtime.stubs[qid]) == raw
 
 
-def test_l4_entry_replaced_by_forward_vq_delivers_at_l4(runtime, monkeypatch):
-    calls = count_l2_l4_matches(runtime, monkeypatch)
-    flow = make_flow(sport=48730)
-    raw = make_request(b"/svc/a")
-    runtime.fast_path.ingress(frame(raw, flow=flow))
-    stub, q = ServiceStub(tenant="t"), VirtQueue(tenant="t")
-    q.bind(stub)
-    runtime.vqs[q.id] = q
-    runtime.l4_table.install(flow, ("forward_vq", q.id), writer="connection")
-    for i, payload in enumerate((b"opaque-1", b"opaque-2")):
-        calls.clear()
-        unit = frame(payload, flow=flow, seq=len(raw) + 8 * i)
-        assert runtime.fast_path.ingress(unit) == "vq"
-        # an L4 forward is classified afresh on every frame
-        assert calls == ["vswitch", "l3", "toe"]
-        assert unit.meta.verdict is Verdict.DELIVER
-        assert unit.meta.verdict_reason == "l4_forward"
-        assert unit.meta.queue == q.id
-        assert q.stub_fetch(stub) == payload
-
-
-FLOW_SPORTS = (48800, 48801)
-FRAME_STEP = st.tuples(st.just("frame"), st.sampled_from(FLOW_SPORTS))
+FLOW_SPORTS = (48800, 48801, 48802)
+# (frame, sport, whether the request's two halves arrive swapped)
+FRAME_STEP = st.tuples(st.just("frame"), st.sampled_from(FLOW_SPORTS),
+                       st.booleans())
+RELOADS = {"equal": config_text(), "changed_filters": config_text(filters=False),
+           "listener_dropped": config_text(dport=8081)}
 STEPS = st.one_of(
     FRAME_STEP, FRAME_STEP, FRAME_STEP,  # mostly frames
     st.tuples(st.just("l2"), st.sampled_from(["forward", "to_slow_path"])),
     st.tuples(st.just("l3"), st.sampled_from(["forward", "to_slow_path"])),
-    st.tuples(st.just("l4"), st.sampled_from(FLOW_SPORTS),
-              st.sampled_from(["l7", "forward_vq", "remove"])),
+    st.tuples(st.just("reload"), st.sampled_from(sorted(RELOADS))),
     st.tuples(st.just("close"), st.sampled_from(FLOW_SPORTS)),
     st.tuples(st.just("expire"), st.booleans()),
 )
@@ -565,10 +539,12 @@ STEPS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(STEPS, max_size=40))
 def test_reused_classification_equals_a_traversal(steps):
-    """Frames interleaved with publishes to the three L2-L4 tables,
+    """Frames, some with their halves swapped, interleaved with publishes to
+    the L2 and L3 tables, reloads that keep, change or drop the listener,
     close_flow and expire_idle.  Every frame ingress sees -- the reinjected
     ones too -- is classified as a traversal of a copy of it on the same
-    snapshot classifies it: same kind, verdict and queue."""
+    snapshot classifies it: same kind, verdict and queue.  After every step
+    the flows with TOE state are exactly the flows with an L4 entry."""
     now = [0]
     rt = MeshRuntime(config=load_config(config_text()), clock=lambda: now[0])
     fp = rt.fast_path
@@ -605,21 +581,18 @@ def test_reused_classification_equals_a_traversal(steps):
             sport = step[1]
             if flows[sport] not in fp.toe.connections:
                 seqs[sport] = 0  # a new connection on the same 5-tuple
-            raw = make_request(b"/svc/%d" % seqs[sport])
-            fp.ingress(frame(raw, flow=flows[sport], seq=seqs[sport]))
+            raw, seq = make_request(b"/svc/%d" % seqs[sport]), seqs[sport]
+            halves = [(seq, raw[:9]), (seq + 9, raw[9:])]
+            for off, chunk in halves[::-1] if step[2] else halves:
+                fp.ingress(frame(chunk, flow=flows[sport], seq=off))
             seqs[sport] += len(raw)
         elif kind == "l2":
             rt.l2_table.publish({flows[FLOW_SPORTS[0]].dip: step[1]},
                                 writer="ovs")
         elif kind == "l3":
             rt.l3_table.publish({Proto.TCP: step[1]}, writer="connection")
-        elif kind == "l4":
-            flow = flows[step[1]]
-            if step[2] == "remove":
-                rt.l4_table.uninstall(flow, writer="connection")
-            else:
-                entry = "l7" if step[2] == "l7" else ("forward_vq", 999)
-                rt.l4_table.install(flow, entry, writer="connection")
+        elif kind == "reload":
+            rt.distribute(load_config(RELOADS[step[1]]))
         elif kind == "close":
             rt.close_flow(flows[step[1]])
             assert flows[step[1]] not in fp.toe.connections
@@ -629,6 +602,7 @@ def test_reused_classification_equals_a_traversal(steps):
             rt.expire_idle()
         for conn in fp.toe.connections.values():
             assert conn.epochs is None or all(type(e) is int for e in conn.epochs)
+        assert set(fp.toe.connections) == set(rt.l4_table.current.entries)
     for flow in flows.values():
         rt.close_flow(flow)
     assert fp.toe.connections == {}
@@ -669,6 +643,7 @@ def test_toe_frames_each_message_once(monkeypatch):
                              body=bytes([i]) * (32 * 1024)) for i in range(n)]
 
     toe = ToeEngine()
+    toe.open(make_flow())
     sent, out, seq = posts(3), [], 0
     for raw in sent:
         for off, chunk in segments_of(raw, seq):

@@ -1,6 +1,7 @@
 import io
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import pytest
 import yaml
@@ -53,6 +54,13 @@ def test_load_config_accepts_text_bytes_and_file():
     for source in (text, text.encode(), io.StringIO(text)):
         cfg = load_config(source)
         assert cfg.listeners[0].name == "web"
+
+
+def test_one_line_yaml_text_loads():
+    """YAML text is parsed as it is, however short: it is never taken for
+    a file name."""
+    cfg = load_config("listeners: []")
+    assert cfg.listeners == [] and cfg.routes == []
 
 
 def test_unknown_top_level_field_rejected():
@@ -122,6 +130,16 @@ def test_chain_edges_field_rejected():
     assert exc.value.field_name == "edges"
 
 
+@pytest.mark.parametrize("nodes", ["[toe, router, http_deparser]",
+                                   "[toe, filter, http_parser, router]"])
+def test_chain_that_reads_a_request_before_the_parser_rejected(nodes):
+    """The filter, router and deparser read the request the parser made:
+    a chain that runs one of them without `http_parser` ahead of it would
+    fail on every message, so it is refused."""
+    with pytest.raises(InvalidChain):
+        load_config(config_text() + f"chain:\n  nodes: {nodes}\n")
+
+
 def test_repeated_chain_node_rejected():
     bad = config_text() + "chain:\n  nodes: [toe, http_parser, toe]\n"
     with pytest.raises(InvalidChain):
@@ -143,8 +161,8 @@ def test_loader_is_libyaml_where_built():
 
 
 @needs_libyaml
-@pytest.mark.parametrize("path", ["configs/http_routing.yaml",
-                                  "perfbench/mesh.yaml"])
+@pytest.mark.parametrize("path", [Path("configs/http_routing.yaml"),
+                                  Path("perfbench/mesh.yaml")], ids=str)
 def test_c_and_python_loaders_give_equal_configs(monkeypatch, path):
     c = load_with(monkeypatch, yaml.CSafeLoader, path)
     py = load_with(monkeypatch, yaml.SafeLoader, path)
@@ -213,6 +231,17 @@ def test_runtime_table_ownership_layout():
         assert t.owner == "message"
     with pytest.raises(MatchActionError):
         rt.cluster_table.publish({}, writer="connection")
+    rt.shutdown()
+
+
+def test_owned_table_refuses_a_write_that_names_no_writer():
+    rt = MeshRuntime(config=load_config(config_text()))
+    epoch = rt.cluster_table.epoch
+    with pytest.raises(MatchActionError):
+        rt.cluster_table.publish({})
+    with pytest.raises(MatchActionError):
+        rt.l4_table.install(make_flow(), "l7")
+    assert rt.cluster_table.epoch == epoch and rt.l4_table.epoch == 0
     rt.shutdown()
 
 
@@ -321,6 +350,10 @@ def test_connect_failure_answered_502():
     rt = MeshRuntime(config=load_config(config_text()), connector=refuse)
     rt.fast_path.ingress(make_frame(make_request(b"/svc/a"), make_flow(sport=42100)))
     assert_answered_502(rt, "connect_failure")
+    # no connection opened, so none is counted
+    snap = rt.stats_snapshot()
+    assert snap["endpoint_assignments"] == {}
+    assert "load_balance_calls" not in snap["fast_path"]
     rt.shutdown()
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatproxy.vq import (
+    MAX_DESCRIPTOR_BYTES,
     AlreadyBoundElsewhere,
     QueueClosed,
     RingFull,
@@ -90,7 +91,7 @@ def test_tx_rejects_empty_and_oversized():
     with pytest.raises(ValueError):
         q.tx_deliver(b"")
     with pytest.raises(ValueError):
-        q.tx_deliver(b"x" * (q.max_descriptor + 1))
+        q.tx_deliver(b"x" * (MAX_DESCRIPTOR_BYTES + 1))
 
 
 def test_tx_ring_full_backpressure_nonblocking():
