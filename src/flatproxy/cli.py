@@ -40,12 +40,33 @@ def _setup_logging():
     )
 
 
+def _positive(kind, text: str):
+    """`text` as a `kind` greater than 0; argparse exits 2 with a usage
+    message on anything else."""
+    value = kind(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
+    return value
+
+
+def _positive_list(kind, text: str) -> list:
+    """One or more comma-separated positive `kind` values."""
+    values = [_positive(kind, x) for x in text.split(",") if x]
+    if not values:
+        raise argparse.ArgumentTypeError("needs one or more values")
+    return values
+
+
 def _int_list(text: str):
-    return [int(x) for x in text.split(",") if x]
+    return _positive_list(int, text)
 
 
 def _float_list(text: str):
-    return [float(x) for x in text.split(",") if x]
+    return _positive_list(float, text)
+
+
+def _duration(text: str):
+    return _positive(float, text)
 
 
 def _mode_list(text: str):
@@ -83,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=_float_list, default=[1.0])
     p.add_argument("--connections", type=_int_list, default=[1])
     p.add_argument("--cores", type=_int_list, default=[2])
-    p.add_argument("--duration", type=float, default=1.0)
+    p.add_argument("--duration", type=_duration, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
@@ -133,10 +154,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    for rate in args.rate:
-        if rate <= 0:
-            print("rates must be positive", file=sys.stderr)
-            return EXIT_CONFIG
     rows = compare_modes(
         layer=args.layer,
         rates=args.rate,
@@ -179,6 +196,9 @@ def cmd_live(args) -> int:
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"cannot read config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     host, port = args.listen
     stubs = []
     try:
@@ -210,7 +230,8 @@ def cmd_live(args) -> int:
             try:
                 proxy.reload(load_config(Path(args.config)))
                 log.info("config reloaded")
-            except ConfigError as exc:
+            except (ConfigError, OSError) as exc:
+                # the running rules stay in place
                 log.error("reload failed: %s", exc)
 
         signal.signal(signal.SIGHUP, on_hup)

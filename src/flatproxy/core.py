@@ -22,10 +22,11 @@ class Proto(Enum):
 
 
 class UnitKind(Enum):
-    """Traffic category; only ever advances upward on ingress."""
+    """Traffic category, by the layer it is processed at: a frame the
+    fast path takes in, the TCP segment it becomes once its flow is known,
+    and a framed HTTP message."""
 
     FRAME = 2
-    PACKET = 3
     SEGMENT = 4
     MESSAGE = 7
 
@@ -171,13 +172,6 @@ class TrafficUnit:
     # a MESSAGE framed on arrival: `l7.frame_http(payload)`, which the
     # parser builds the request from instead of framing it again
     head: Optional[tuple] = None
-
-    def advance(self, kind: UnitKind):
-        """Kind only moves upward within ingress processing; the UnitKind
-        values are in ingress order."""
-        if kind._value_ < self.kind._value_:
-            raise ValueError(f"cannot demote {self.kind} to {kind}")
-        self.kind = kind
 
 
 @dataclass(frozen=True)

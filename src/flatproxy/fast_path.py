@@ -1,21 +1,19 @@
 """Hierarchical data plane.
 
-`FastPath.ingress` applies the vswitch, l3 and toe PPMs to each L2 frame on
-one snapshot of their tables; the toe PPM is the one place a flow is
-classified.  A flow's L4 entry, of the one kind `"l7"`, and its TOE state
-are opened together by the slow path and released together by
-`close_flow`.  Like an exact-match flow cache, a flow classified `to_l7`
-keeps the epochs of those three tables on its TOE state, and its later
-frames skip the traversal until one of the tables is written.  The
-ToeEngine feeds a flow's in-order bytes to its `l7.HttpReader`, the one
-reader live mode uses too, which frames and joins each HTTP message once
-and hands it on with its head, split as soon as the header block is in.
-`ingress` runs the messages at once, in order, through `FastPath.message`,
-the L7 entry live mode shares; the parser builds each request from its
-head, and the deparser forwards the message bytes untouched.  Frames and
-messages leave through one disposition, which counts the outcome and
-keeps nothing: a message's VQ egress, a drop counted by reason or the
-slow-path handoff.
+A flow's TOE state is its classification.  `FastPath.ingress` looks each
+L2 frame's flow up in the ToeEngine once: a flow with TOE state has its
+frame reassembled as a TCP segment, and any other frame goes to the slow
+path as `new_connection`, which opens the state and reinjects the frame.
+A flow's TOE state is opened by the slow path and released by
+`close_flow`.  The ToeEngine feeds a flow's in-order bytes to its
+`l7.HttpReader`, the one reader live mode uses too, which frames and joins
+each HTTP message once and hands it on with its head, split as soon as the
+header block is in.  `ingress` runs the messages at once, in order,
+through `FastPath.message`, the L7 entry live mode shares; the parser
+builds each request from its head, and the deparser forwards the message
+bytes untouched.  Frames and messages leave through one disposition,
+which counts the outcome and keeps nothing: a message's VQ egress, a drop
+counted by reason or the slow-path handoff.
 Per-flow FIFO holds by construction: one thread runs the data plane -- the
 caller's in-process, live mode's loop thread -- and it runs a flow's frames
 and messages in order.
@@ -24,7 +22,7 @@ and messages in order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from .core import (
     FlowKey,
@@ -46,12 +44,9 @@ from .match_action import (
     DEFAULT_ACTION,
     ExecContext,
     ExecutableChain,
-    FlowTable,
     Layer,
     MatchTable,
     Ppm,
-    set_verdict,
-    traverse,
 )
 
 REORDER_BUFFER_SEGMENTS = 64
@@ -64,8 +59,6 @@ REORDER_BUFFER_SEGMENTS = 64
 # from here, and a config's chain is checked against it before any table
 # exists
 STANDARD_LAYERS = {
-    "vswitch": Layer.L2,
-    "l3": Layer.L3,
     "toe": Layer.L4,
     "http_parser": Layer.L7,
     "filter": Layer.L7,
@@ -74,70 +67,16 @@ STANDARD_LAYERS = {
 }
 
 
-def make_l2_vswitch(l2_table: MatchTable) -> Ppm:
-    """Destination-based forwarding; VLAN tags pass through untouched."""
-
-    def parser(unit: TrafficUnit, ctx: ExecContext):
-        if unit.kind is UnitKind.FRAME:
-            unit.advance(UnitKind.PACKET)
-
-    def matcher(unit, snaps):
-        snap = snaps.get(l2_table.name)
-        return l2_table.lookup(unit.meta.flow.dip, snap)
-
-    return Ppm(
-        id="vswitch",
-        layer=STANDARD_LAYERS["vswitch"],
-        parser=parser,
-        tables=[l2_table],
-        matcher=matcher,
-        actions={"forward": []},
-    )
-
-
-def make_l3(l3_table: MatchTable) -> Ppm:
-    def parser(unit: TrafficUnit, ctx: ExecContext):
-        if unit.kind is UnitKind.PACKET:
-            unit.advance(UnitKind.SEGMENT)
-
-    def matcher(unit, snaps):
-        snap = snaps.get(l3_table.name)
-        return l3_table.lookup(unit.meta.flow.proto, snap)
-
-    return Ppm(
-        id="l3",
-        layer=STANDARD_LAYERS["l3"],
-        parser=parser,
-        tables=[l3_table],
-        matcher=matcher,
-        actions={"forward": []},
-    )
-
-
-def make_toe(l4_table: FlowTable) -> Ppm:
-    """TOE as a PPM, the one place a flow is classified by its L4 entry:
-    the one kind of entry, `"l7"`, goes on to HTTP reassembly (`to_l7`),
-    and a miss goes to the slow path as `new_connection`.  MESSAGE units,
-    already framed, pass through without a lookup.  Reassembly lives in
-    ToeEngine, which the fast path drives because one segment may yield
-    zero or many messages.
+def make_toe() -> Ppm:
+    """The TOE's node in the L7 chain, which passes each framed MESSAGE
+    unit on.  Reassembly lives in ToeEngine, which `FastPath.ingress`
+    drives because one segment may yield zero or many messages.
     """
-
-    def matcher(unit, snaps):
-        if unit.kind is UnitKind.MESSAGE:
-            return "to_l7"
-        entry = l4_table.lookup(unit.meta.flow, snaps.get(l4_table.name))
-        return "to_l7" if entry == "l7" else entry
-
     return Ppm(
         id="toe",
         layer=STANDARD_LAYERS["toe"],
-        tables=[l4_table],
-        matcher=matcher,
-        actions={
-            "to_l7": [],
-            DEFAULT_ACTION: [set_verdict(Verdict.TO_SLOW_PATH, "new_connection")],
-        },
+        matcher=lambda unit, snaps: "to_l7",
+        actions={"to_l7": []},
     )
 
 
@@ -234,9 +173,6 @@ def make_http_deparser() -> Ppm:
 
 
 def standard_registry(
-    l2_table: MatchTable,
-    l3_table: MatchTable,
-    l4_table: FlowTable,
     listener_table: MatchTable,
     filter_table: MatchTable,
     route_table: MatchTable,
@@ -247,9 +183,7 @@ def standard_registry(
 ) -> dict:
     """The standard PPMs by id, over the given tables."""
     return {
-        "vswitch": make_l2_vswitch(l2_table),
-        "l3": make_l3(l3_table),
-        "toe": make_toe(l4_table),
+        "toe": make_toe(),
         "http_parser": make_http_parser(),
         "filter": make_filter(filter_table),
         "router": make_router(
@@ -275,17 +209,15 @@ class _ToeConn:
     reader: HttpReader = field(default_factory=HttpReader)
     reorder: dict = field(default_factory=dict)
     duplicates: int = 0
-    # the (l2_fwd, l3_proto, l4_flows) epochs the flow was last classified
-    # on by a traversal that ended in to_l7; plain ints, never snapshots
-    epochs: Optional[tuple] = None
 
 
 class ToeEngine:
     """In-order exactly-once byte delivery with HTTP message framing.
 
     Reliable by construction (no retransmit timers); out-of-window
-    segments beyond the reorder buffer are dropped.  The slow path opens a
-    flow's state (`open`) as it installs the flow's L4 entry.
+    segments beyond the reorder buffer are dropped.  `connections` holds
+    exactly the flows the fast path reassembles: the slow path opens a
+    flow's state (`open`) on its first frame, and `close_flow` releases it.
     """
 
     def __init__(self):
@@ -340,8 +272,8 @@ class ToeEngine:
 # Fast path assembly
 
 class FastPath:
-    """The full ingress data plane: the registry's vswitch, l3 and toe PPMs,
-    TOE reassembly, the L7 chain run inline on each framed message (from the
+    """The full ingress data plane: classification by TOE state, TOE
+    reassembly, the L7 chain run inline on each framed message (from the
     TOE, or live mode's `message` calls), and one disposition.  It keeps
     nothing of a message: `counters()` is the record of what happened.
     `vq_egress(unit)` returns whether the unit's queue took it."""
@@ -349,16 +281,12 @@ class FastPath:
     def __init__(
         self,
         l7_chain: ExecutableChain,
-        registry: dict,
         slow_path_handoff: Callable,
         vq_egress: Callable,
     ):
         self.ctx = ExecContext(counters={})
         self.chain = l7_chain
         self.toe = ToeEngine()
-        l2_l4 = tuple(registry[pid] for pid in ("vswitch", "l3", "toe"))
-        self._l2_l4 = tuple(ppm.node for ppm in l2_l4)
-        self._l2_l4_tables = tuple(t for ppm in l2_l4 for t in ppm.tables)
         self.slow_path_handoff = slow_path_handoff
         self.vq_egress = vq_egress
 
@@ -367,36 +295,24 @@ class FastPath:
 
     # ingress ---------------------------------------------------------------
     def ingress(self, unit: TrafficUnit) -> str:
-        """Run one L2 frame through the vswitch, l3 and toe PPMs, on one
-        snapshot of their tables taken here -- or, for a flow classified
-        to_l7 on the tables' current epochs, reuse that -- then TOE
-        reassembly; returns the disposition: 'l7' (messages went to the L7
-        chain), 'buffered' (none completed yet), 'slow_path' (a miss) or
-        'dropped'.  A frame is never delivered at L4."""
+        """Classify one L2 frame by one lookup of its flow's TOE state: a
+        frame of a flow without any goes to the slow path as
+        `new_connection`, any other is reassembled as a SEGMENT.  Returns
+        the disposition: 'l7' (messages went to the L7 chain), 'buffered'
+        (none completed yet), 'slow_path' or 'dropped'.  A frame is never
+        delivered at L4."""
         if unit.kind is not UnitKind.FRAME:
             raise ValueError("ingress takes FRAME units")
         self.ctx.bump("ingress")
-        l2, l3, l4 = self._l2_l4_tables
-        s2, s3, s4 = l2.current, l3.current, l4.current
-        epochs = (s2.epoch, s3.epoch, s4.epoch)
-        flow = unit.meta.flow
-        conn = self.toe.connections.get(flow)
-        if conn is not None and conn.epochs == epochs:
-            # classified to_l7 on these very table versions: reuse that
-            unit.kind = UnitKind.SEGMENT
-        else:
-            snaps = {l2.name: s2, l3.name: s3, l4.name: s4}
-            traverse(self._l2_l4, unit, self.ctx, snaps)
-            if unit.meta.verdict is not Verdict.CONTINUE:
-                return self._dispose(unit)
-
-        # to_l7: reassemble, then run each completed message in order
+        if unit.meta.flow not in self.toe.connections:
+            unit.meta.set_verdict(Verdict.TO_SLOW_PATH, "new_connection")
+            return self._dispose(unit)
+        unit.kind = UnitKind.SEGMENT
         try:
             messages = self.toe.deliver(unit)
         except OutOfWindow:
             unit.meta.set_verdict(Verdict.DROP, "out_of_window")
             return self._dispose(unit)
-        conn.epochs = epochs
         for msg in messages:
             self.message(msg)
         if messages:

@@ -9,9 +9,9 @@ flow, with the `dip`/`dport` of the listener that accepted it.  Its
 requests go in order and with their heads to `FastPath.message` -- the
 entry `FastPath.ingress` runs each reassembled message through -- so live
 traffic shares the chain, counters, VQ egress and slow path, and only the
-loop thread ever runs them.  Accepting a connection installs nothing in
-the L4 table: the requests arrive as MESSAGE units, which the toe PPM
-passes through without a lookup.
+loop thread ever runs them.  Accepting a connection opens no TOE state:
+the requests arrive framed, as MESSAGE units, which the toe PPM passes
+on.
 
 A route's upstream connection is a LiveQueue in `runtime.vqs`, with the
 VirtQueue tx-deliver / rx-collect surface; the flow's record holds it until

@@ -8,15 +8,13 @@ same or an adjacent network layer.  Each PPM is built once into an
 immutable node tuple, `Ppm.node`: `(id, parser or None, matcher,
 {action_ref: steps})`; a compiled chain is a tuple of them.  One
 function, `traverse`, runs every chain over its nodes: the compiled L7
-chain, the fast path's vswitch/l3/toe pass and a PPM applied on its own.
-A traversal takes one snapshot of every table at its start and hands it
-to every matcher and action.  A rule table is published whole, as a new
-copy of its entries, which are frozen values (the router's balancing
-state lives outside the tables), so no traversal ever sees a half-applied
-update; a publish of the entries it already holds keeps its version.  The
-per-flow L4 table is a `FlowTable`, written one entry at a time in place:
-a snapshot of it is consistent per entry, which is what its one lookup
-per traversal needs.  A table checks every write against its one owner.
+chain and a PPM applied on its own.  A traversal takes one snapshot of
+every table at its start and hands it to every matcher and action.  A
+rule table is published whole, as a new copy of its entries, which are
+frozen values (the router's balancing state lives outside the tables), so
+no traversal ever sees a half-applied update; a publish of the entries it
+already holds keeps its version.  A table checks every write against its
+one owner.
 
 A chain is an ordered list of PPM ids, none repeated.  Every PPM names
 its matcher, `matcher(unit, snaps) -> action_ref`, and gives each action
@@ -63,16 +61,16 @@ def layers_adjacent(a: Layer, b: Layer) -> bool:
 
 @dataclass(frozen=True)
 class TableEpoch:
-    """One published version of a table: its epoch and entries.  A rule
-    table's entries never change once published, and are immutable
-    values; a `FlowTable`'s current entries are written in place."""
+    """One published version of a table: its epoch and its entries, which
+    never change once published and are immutable values."""
 
     epoch: int
     entries: dict  # key tuple -> action ref (or arbitrary rule object)
 
 
-class Table:
-    """An exact-match table's current version and its single owner.
+class MatchTable:
+    """An exact-match rule table: its current version, published whole and
+    copy-on-write, and its single owner.
 
     Lookups read `self.current` once and keep using that snapshot; Python
     attribute assignment is atomic, so readers are wait-free with respect
@@ -95,46 +93,17 @@ class Table:
         snap = snap or self.current
         return snap.entries.get(key, self.default)
 
-    def _check_writer(self, writer: Optional[str]):
+    def publish(self, entries: dict, writer: str = None) -> int:
+        """Publish a copy of `entries` as a new version, unless they equal
+        the current ones; returns the epoch now current."""
         if self.owner is not None and writer != self.owner:
             raise MatchActionError(
                 f"table {self.name} owned by {self.owner}, write from {writer}"
             )
-
-
-class MatchTable(Table):
-    """Exact-match rule table, published whole and copy-on-write."""
-
-    def publish(self, entries: dict, writer: str = None) -> int:
-        """Publish a copy of `entries` as a new version, unless they equal
-        the current ones; returns the epoch now current."""
-        self._check_writer(writer)
         if entries != self.current.entries:
             self.current = TableEpoch(epoch=self.current.epoch + 1,
                                       entries=dict(entries))
         return self.current.epoch
-
-
-class FlowTable(Table):
-    """A per-flow exact-match cache.  `install` and `uninstall` write one
-    entry in place, in O(1), and bump the epoch; the current snapshot
-    shares the written entries, so it is consistent per entry, not per
-    table."""
-
-    def install(self, key, value, writer: str = None):
-        """Write `key`'s entry in place."""
-        self._check_writer(writer)
-        entries = self.current.entries
-        entries[key] = value
-        self.current = TableEpoch(epoch=self.current.epoch + 1, entries=entries)
-
-    def uninstall(self, key, writer: str = None):
-        """Remove `key`'s entry in place, if it has one."""
-        self._check_writer(writer)
-        entries = self.current.entries
-        if entries.pop(key, None) is not None:
-            self.current = TableEpoch(epoch=self.current.epoch + 1,
-                                      entries=entries)
 
 
 def set_verdict(verdict, reason=None):

@@ -4,26 +4,23 @@ Config comes from local YAML files (standing in for a cloud control
 center), parsed by libyaml's C parser where PyYAML has it, and gets
 validated into a MeshConfig of frozen values -- its chain against the
 standard PPMs' layers, `STANDARD_LAYERS` -- and is distributed
-layer-wise: the OVS controller ("ovs") owns the L2 table, the connection
-controller ("connection") the L3/L4 and listener tables, and the message
-controller ("message") the L7 rule tables.  Each table is built with its
-owner's name and refuses a write that names another writer or none.  A
-rule table is published whole, and a reload keeps the version of every
-table whose entries it leaves equal, so it moves no epoch that
-established flows were classified on.  The per-flow L4 table is written
-one entry at a time.
+layer-wise: the connection controller ("connection") owns the listener
+table, and the message controller ("message") the L7 rule tables.  Each
+table is built with its owner's name and refuses a write that names
+another writer or none.  A rule table is published whole, and a reload
+keeps the version of every table whose entries it leaves equal.
 Balancing state is not config: `MeshRuntime.lb` holds each cluster's
 `LbState`, kept across every reload, changed or not, and dropped with the
 cluster ref; a flow still open keeps its state through its record.
 
-The slow path itself handles first packets: it installs the flow's L4
-entry and TOE state, each in O(1), and reinjects the triggering unit into
-the fast path.  A flow has a connection record exactly while it holds
-something -- an L4 entry, TOE state, a queue or an LB count --
-and `close_flow`, called on idle expiry and on a live client's
-disconnect, releases all of it.  Records are kept in order of last
-activity, so idle expiry visits only the flows it closes and the first
-one it keeps.
+The slow path itself handles first packets: it opens the flow's TOE
+state, in O(1), which is what classifies the flow's later frames, and
+reinjects the triggering unit into the fast path.  A flow has a
+connection record exactly while it holds something -- TOE state, a queue
+or an LB count -- and `close_flow`, called on idle expiry and on a live
+client's disconnect, releases all of it.  Records are kept in order of
+last activity, so idle expiry visits only the flows it closes and the
+first one it keeps.
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ from .l7 import (
 )
 from .match_action import (
     ExecContext,
-    FlowTable,
     MatchActionError,
     MatchTable,
     check_chain,
@@ -307,10 +303,6 @@ class MeshRuntime:
         self.queue_table = QueueTable()
         self.clock = clock or (lambda: time.monotonic_ns())
 
-        self.l2_table = MatchTable("l2_fwd", default="forward", owner="ovs")
-        self.l3_table = MatchTable("l3_proto", default="forward",
-                                   owner="connection")
-        self.l4_table = FlowTable("l4_flows", owner="connection")
         self.listener_table = MatchTable("listeners", owner="connection")
         self.filter_table = MatchTable("filters", owner="message")
         self.route_table = MatchTable("routes", owner="message")
@@ -320,9 +312,8 @@ class MeshRuntime:
 
         self._connector = connector or self._default_connect
         self.registry = standard_registry(
-            self.l2_table, self.l3_table, self.l4_table, self.listener_table,
-            self.filter_table, self.route_table, self.cluster_table,
-            self.queue_table, self.lb,
+            self.listener_table, self.filter_table, self.route_table,
+            self.cluster_table, self.queue_table, self.lb,
             connector=self._connect,
         )
 
@@ -337,7 +328,6 @@ class MeshRuntime:
         self.chain = self.compile(config.chain if config else DEFAULT_CHAIN_NODES)
         self.fast_path = FastPath(
             l7_chain=self.chain,
-            registry=self.registry,
             slow_path_handoff=self.handle_slow_path,
             vq_egress=self._vq_egress,
         )
@@ -352,10 +342,8 @@ class MeshRuntime:
     def distribute(self, config: MeshConfig) -> dict:
         """Publish each rule table whole from `config`, by its owning
         controller; returns the epoch each table is at.  A table whose
-        entries did not change keeps its epoch, so flows keep their
-        classification across a reload that leaves L2-L3 alone.  Each
-        cluster ref keeps its `LbState`; the states of refs `config` lacks
-        are dropped."""
+        entries did not change keeps its epoch.  Each cluster ref keeps its
+        `LbState`; the states of refs `config` lacks are dropped."""
         self.config = config
         refs = {c.ref for c in config.clusters}
         for ref in self.lb.keys() - refs:
@@ -369,9 +357,6 @@ class MeshRuntime:
         for r in config.routes:
             routes[r.listener] = routes.get(r.listener, ()) + (r,)
         published = (
-            ("ovs", self.l2_table, {l.dip: "forward" for l in config.listeners}),
-            ("connection", self.l3_table,
-             {Proto.TCP: "forward", Proto.UDP: "forward"}),
             ("connection", self.listener_table,
              {l.key: l.name for l in config.listeners}),
             ("message", self.filter_table, {"rules": rules}),
@@ -428,15 +413,13 @@ class MeshRuntime:
 
     def close_flow(self, key: FlowKey):
         """The one path that releases a flow: its record and the LB count
-        the record holds, queue binding, L4 entry, queue (closed), stub and
-        TOE state."""
+        the record holds, queue binding, queue (closed), stub and TOE
+        state."""
         rec = self.conns.pop(key, None)
         if rec is not None and rec.endpoint is not None:
             rec.lb.close(rec.endpoint)
         qid = self.queue_table.lookup(key)
         self.queue_table.remove(key)
-        # live flows have none
-        self.l4_table.uninstall(key, writer="connection")
         q = self.vqs.pop(qid, None)
         if q is not None:
             q.close()
@@ -464,7 +447,8 @@ class MeshRuntime:
 
     def _handle_new_connection(self, unit: TrafficUnit) -> str:
         """First packet of a flow to a published listener: make its record,
-        install its L4 entry and TOE state, and reinject the frame.
+        open its TOE state, which classifies its later frames, and reinject
+        the frame.
 
         The TOE state opens at seq 0.  A flow that resumes after expiry, its
         first segment now at seq > 0, cannot be told from a first pair that
@@ -479,9 +463,8 @@ class MeshRuntime:
             self.slow.bump("dropped")
             return "dropped"
         self._record(key)
-        self.l4_table.install(key, "l7", writer="connection")
-        # open the TOE state with the entry, as close_flow closes both, so a
-        # first segment that arrives out of order waits for the ones before it
+        # a first segment that arrives out of order waits in the reorder
+        # buffer for the ones before it
         self.fast_path.toe.open(key)
         self.slow.bump("installed")
         # reinjection preserves the original unit bytes; the unit re-enters
@@ -516,8 +499,8 @@ class MeshRuntime:
         epochs = {
             t.name: t.epoch
             for t in (
-                self.l2_table, self.l3_table, self.l4_table, self.listener_table,
-                self.filter_table, self.route_table, self.cluster_table,
+                self.listener_table, self.filter_table, self.route_table,
+                self.cluster_table,
             )
         }
         endpoints = {

@@ -1,6 +1,7 @@
 import csv
 import gc
 import os
+import select
 import signal
 import socket
 import subprocess
@@ -113,8 +114,23 @@ def test_sim_rejects_config_flag(capsys):
 
 
 def test_sim_rejects_nonpositive_rate(capsys):
-    code, _, err = run_cli(["sim", "--rate", "0"], capsys)
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", "--rate", "0"])
+    assert exc.value.code == 2
+    assert "--rate: not a positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rate", ""), ("--connections", ""), ("--cores", ""), ("--cores", "0"),
+    ("--connections", "0"), ("--duration", "0"), ("--duration", "-1"),
+])
+def test_sim_rejects_empty_or_nonpositive_inputs(capsys, flag, value):
+    """Each of these once crashed the simulator or made it print figures
+    for nothing; argparse refuses them with a usage message."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_sim_deterministic_output_files(tmp_path, capsys):
@@ -223,6 +239,15 @@ def test_reload_bad_pidfile(capsys):
     assert code == 1
 
 
+# -- live --------------------------------------------------------------------
+
+def test_live_missing_config_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["live", "--config", str(tmp_path / "missing.yaml")], capsys)
+    assert code == 2
+    assert "cannot read config" in err
+
+
 # -- live subprocess ---------------------------------------------------------
 
 def _child_env():
@@ -298,9 +323,20 @@ def test_live_subprocess_with_sighup_reload(tmp_path):
         assert rc == 0
         status, _, _ = _http_get("127.0.0.1", port)
         assert status.startswith(b"HTTP/1.1 200")
+
+        # a reload that cannot read its file is logged, and the running
+        # rules stay in place
+        cfg.unlink()
+        os.kill(int(pid_file.read_text()), signal.SIGHUP)
+        ready, _, _ = select.select([proc.stderr], [], [], 10)
+        assert ready
+        assert "reload failed" in proc.stderr.readline()
+        status, _, _ = _http_get("127.0.0.1", port)
+        assert status.startswith(b"HTTP/1.1 200")
     finally:
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=10)
+    assert proc.returncode == 0, err
     assert "delivered:" in out
 
 

@@ -152,14 +152,6 @@ def test_queue_binding_stable():
         meta.bind_queue(8)
 
 
-def test_unit_kind_only_advances():
-    unit = TrafficUnit(kind=UnitKind.FRAME, meta=Metadata(flow=make_flow()))
-    unit.advance(UnitKind.PACKET)
-    unit.advance(UnitKind.MESSAGE)
-    with pytest.raises(ValueError):
-        unit.advance(UnitKind.SEGMENT)
-
-
 def test_endpoint_weight_validation():
     from flatproxy.core import Endpoint
 

@@ -6,19 +6,13 @@ from hypothesis import given, settings, strategies as st
 from flatproxy import fast_path, l7, live
 from flatproxy.core import (
     Metadata,
-    Proto,
     TrafficUnit,
     UnitKind,
     Verdict,
 )
 from flatproxy.fast_path import OutOfWindow, ToeEngine
 from flatproxy.l7 import Decision, FilterRule, frame_http, http_parse
-from flatproxy.match_action import (
-    ExecContext,
-    Layer,
-    Ppm,
-    traverse,
-)
+from flatproxy.match_action import Layer, Ppm
 from flatproxy.slow_path import IDLE_TIMEOUT_NS, MeshRuntime, load_config
 from flatproxy.vq import DEFAULT_RING_CAPACITY
 from conftest import config_text, make_flow, make_message, make_request
@@ -347,7 +341,6 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
     chain = runtime.compile(["toe", "http_parser", "publisher",
                              "filter", "router", "http_deparser"])
     flow = make_flow(sport=48000)
-    runtime.l4_table.install(flow, "l7", writer="connection")
     first = chain.execute(make_message(make_request(b"/svc/a"), flow=flow))
     assert first.meta.verdict is Verdict.DELIVER
     assert first.meta.verdict_reason == "deparsed"
@@ -356,37 +349,6 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
     assert second.meta.verdict is Verdict.DROP
     assert second.meta.verdict_reason == (
         "filter" if republish == "deny_all_filters" else "no_route")
-
-
-def test_l2_l4_traversal_keeps_snapshot_from_its_start(runtime, monkeypatch):
-    """The vswitch step publishes l3_proto's TCP entry as to_slow_path
-    mid-traversal.  The l3 step of that frame still matches on the
-    snapshot its traversal started with, so the frame goes on to the toe
-    step and to the slow path as a new connection; the reinjected frame
-    sees the new entry.  (l4_flows is written in place, so a snapshot of
-    it is consistent per entry only.)"""
-    flow = make_flow(sport=48500)
-    l2_lookup = runtime.l2_table.lookup
-    published = []
-
-    def lookup(key, snap=None):
-        if not published:
-            published.append(runtime.l3_table.publish(
-                {Proto.TCP: "to_slow_path"}, writer="connection"))
-        return l2_lookup(key, snap)
-
-    monkeypatch.setattr(runtime.l2_table, "lookup", lookup)
-    raw = make_request(b"/svc/a")
-    unit = frame(raw, flow=flow)
-    assert runtime.fast_path.ingress(unit) == "slow_path"
-    assert published
-    assert unit.meta.verdict is Verdict.TO_SLOW_PATH
-    assert unit.meta.verdict_reason == "new_connection"
-    slow = runtime.stats_snapshot()["slow_path"]
-    assert slow["reason.new_connection"] == 1
-    assert slow["reinjected"] == 1
-    # the reinjected frame's l3 step matched the new entry
-    assert slow["reason.unknown"] == slow["dropped"] == 1
 
 
 # -- hot path ----------------------------------------------------------------
@@ -414,96 +376,29 @@ def test_hot_path_bypasses_ppm_apply(runtime, monkeypatch):
     assert [q.stub_fetch(stub) for _ in range(3)] == [first, second, third]
 
 
-# -- classification reuse ----------------------------------------------------
-
-def count_l2_l4_matches(runtime, monkeypatch) -> list:
-    """Wrap the fast path's vswitch, l3 and toe matchers; returns the list
-    each match appends its ppm id to."""
-    calls = []
-
-    def counted(node):
-        pid, parser, matcher, programs = node
-
-        def matcher_(unit, snaps):
-            calls.append(pid)
-            return matcher(unit, snaps)
-
-        return pid, parser, matcher_, programs
-
-    monkeypatch.setattr(runtime.fast_path, "_l2_l4",
-                        tuple(counted(n) for n in runtime.fast_path._l2_l4))
-    return calls
-
-
-def test_established_flow_reuses_its_classification(runtime, monkeypatch):
-    calls = count_l2_l4_matches(runtime, monkeypatch)
-    flow = make_flow(sport=48700)
-    first, second = make_request(b"/svc/a"), make_request(b"/svc/b")
-    assert runtime.fast_path.ingress(frame(first, flow=flow)) == "slow_path"
-    # the miss, then the reinjected frame's traversal
-    assert calls == ["vswitch", "l3", "toe"] * 2
-    calls.clear()
-    unit = frame(second, flow=flow, seq=len(first))
-    assert runtime.fast_path.ingress(unit) == "l7"
-    assert calls == []
-    assert unit.kind is UnitKind.SEGMENT
-    qid = runtime.queue_table.lookup(flow)
-    q, stub = runtime.vqs[qid], runtime.stubs[qid]
-    assert [q.stub_fetch(stub), q.stub_fetch(stub)] == [first, second]
-
-
-@pytest.mark.parametrize("table", ["l2_table", "l3_table", "l4_table"])
-def test_publish_between_frames_forces_a_traversal(runtime, monkeypatch, table):
-    """A write that changes one of the L2-L4 tables moves its epoch, so the
-    flow's next frame is classified again, once."""
-    calls = count_l2_l4_matches(runtime, monkeypatch)
-    flow = make_flow(sport=48710)
-    raw = make_request(b"/svc/a")
-    runtime.fast_path.ingress(frame(raw, flow=flow))
-    if table == "l4_table":
-        runtime.l4_table.install(make_flow(sport=48711), "l7",
-                                 writer="connection")
-    else:
-        # entries that differ from the current ones, and still forward
-        entries = {"l2_table": {flow.dip: "forward", flow.dip + 1: "forward"},
-                   "l3_table": {Proto.TCP: "forward"}}[table]
-        writer = {"l2_table": "ovs", "l3_table": "connection"}[table]
-        epoch = getattr(runtime, table).epoch
-        assert getattr(runtime, table).publish(entries, writer) == epoch + 1
-    calls.clear()
-    assert runtime.fast_path.ingress(frame(raw, flow=flow, seq=len(raw))) == "l7"
-    assert calls == ["vswitch", "l3", "toe"]
-    calls.clear()
-    assert runtime.fast_path.ingress(
-        frame(raw, flow=flow, seq=2 * len(raw))) == "l7"
-    assert calls == []
-
+# -- classification ----------------------------------------------------------
 
 @pytest.mark.parametrize("reload", ["equal_entries", "same_config",
                                     "config_loaded_again"])
-def test_unchanged_reload_keeps_the_classification(runtime, monkeypatch, reload):
-    """Publishing the entries a table already holds, or distributing a
+def test_unchanged_reload_keeps_the_classification(runtime, reload):
+    """Publishing the entries a rule table already holds, or distributing a
     config equal to the current one, or loading the same config again,
-    moves no table's epoch: the flow's next frame is not classified
-    again."""
-    calls = count_l2_l4_matches(runtime, monkeypatch)
+    moves no table's epoch, and the flow's next frame goes on to L7."""
     flow = make_flow(sport=48715)
     raw = make_request(b"/svc/a")
     runtime.fast_path.ingress(frame(raw, flow=flow))
     before = runtime.stats_snapshot()["table_epochs"]
     if reload == "equal_entries":
-        for name, writer in (("l2_table", "ovs"), ("l3_table", "connection")):
-            table = getattr(runtime, name)
-            table.publish(dict(table.current.entries), writer)
+        for table in (runtime.listener_table, runtime.filter_table,
+                      runtime.route_table, runtime.cluster_table):
+            table.publish(dict(table.current.entries), table.owner)
     elif reload == "same_config":
         runtime.distribute(runtime.config)
     else:
         runtime.distribute(load_config(config_text()))
     after = runtime.stats_snapshot()["table_epochs"]
     assert {n for n in before if before[n] != after[n]} == set()
-    calls.clear()
     assert runtime.fast_path.ingress(frame(raw, flow=flow, seq=len(raw))) == "l7"
-    assert calls == []
 
 
 def test_closed_flow_is_a_new_connection_again(runtime):
@@ -528,8 +423,6 @@ RELOADS = {"equal": config_text(), "changed_filters": config_text(filters=False)
            "listener_dropped": config_text(dport=8081)}
 STEPS = st.one_of(
     FRAME_STEP, FRAME_STEP, FRAME_STEP,  # mostly frames
-    st.tuples(st.just("l2"), st.sampled_from(["forward", "to_slow_path"])),
-    st.tuples(st.just("l3"), st.sampled_from(["forward", "to_slow_path"])),
     st.tuples(st.just("reload"), st.sampled_from(sorted(RELOADS))),
     st.tuples(st.just("close"), st.sampled_from(FLOW_SPORTS)),
     st.tuples(st.just("expire"), st.booleans()),
@@ -539,41 +432,24 @@ STEPS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(STEPS, max_size=40))
 def test_reused_classification_equals_a_traversal(steps):
-    """Frames, some with their halves swapped, interleaved with publishes to
-    the L2 and L3 tables, reloads that keep, change or drop the listener,
-    close_flow and expire_idle.  Every frame ingress sees -- the reinjected
-    ones too -- is classified as a traversal of a copy of it on the same
-    snapshot classifies it: same kind, verdict and queue.  After every step
-    the flows with TOE state are exactly the flows with an L4 entry."""
+    """Frames, some with their halves swapped, interleaved with reloads
+    that keep, change or drop the listener, close_flow and expire_idle.
+    Every frame ingress sees -- the reinjected ones too -- goes to the slow
+    path exactly when its flow had no TOE state before the call.  After
+    every step only flows with a connection record have TOE state."""
     now = [0]
     rt = MeshRuntime(config=load_config(config_text()), clock=lambda: now[0])
     fp = rt.fast_path
     flows = {sport: make_flow(sport=sport) for sport in FLOW_SPORTS}
     seqs = dict.fromkeys(FLOW_SPORTS, 0)
-    classified = []
-    deliver = fp.toe.deliver
-
-    def recording_deliver(seg):
-        classified.append((seg, (seg.kind, seg.meta.verdict, seg.meta.queue)))
-        return deliver(seg)
-
     ingress = fp.ingress
 
     def checked_ingress(unit):
-        copy = TrafficUnit(kind=unit.kind, payload=unit.payload, seq=unit.seq,
-                           meta=Metadata(flow=unit.meta.flow))
-        snaps = {t.name: t.current for t in fp._l2_l4_tables}
-        traverse(fp._l2_l4, copy, ExecContext(counters={}), snaps)
-        expected = (copy.kind, copy.meta.verdict, copy.meta.queue)
-        n = len(classified)
+        new = unit.meta.flow not in fp.toe.connections
         disposition = ingress(unit)
-        # a to_l7 frame is checked as deliver got it, before any TOE verdict
-        seen = [c for seg, c in classified[n:] if seg is unit]
-        got = seen[0] if seen else (unit.kind, unit.meta.verdict, unit.meta.queue)
-        assert got == expected
+        assert (disposition == "slow_path") == new
         return disposition
 
-    fp.toe.deliver = recording_deliver
     fp.ingress = checked_ingress
     for step in steps:
         kind = step[0]
@@ -586,11 +462,6 @@ def test_reused_classification_equals_a_traversal(steps):
             for off, chunk in halves[::-1] if step[2] else halves:
                 fp.ingress(frame(chunk, flow=flows[sport], seq=off))
             seqs[sport] += len(raw)
-        elif kind == "l2":
-            rt.l2_table.publish({flows[FLOW_SPORTS[0]].dip: step[1]},
-                                writer="ovs")
-        elif kind == "l3":
-            rt.l3_table.publish({Proto.TCP: step[1]}, writer="connection")
         elif kind == "reload":
             rt.distribute(load_config(RELOADS[step[1]]))
         elif kind == "close":
@@ -600,9 +471,7 @@ def test_reused_classification_equals_a_traversal(steps):
             if step[1]:
                 now[0] += IDLE_TIMEOUT_NS + 1
             rt.expire_idle()
-        for conn in fp.toe.connections.values():
-            assert conn.epochs is None or all(type(e) is int for e in conn.epochs)
-        assert set(fp.toe.connections) == set(rt.l4_table.current.entries)
+        assert set(fp.toe.connections) <= set(rt.conns)
     for flow in flows.values():
         rt.close_flow(flow)
     assert fp.toe.connections == {}

@@ -5,7 +5,6 @@ import pytest
 from flatproxy.core import Metadata, TrafficUnit, UnitKind, Verdict
 from flatproxy.match_action import (
     ExecContext,
-    FlowTable,
     Layer,
     LayerAdjacencyViolation,
     MatchActionError,
@@ -113,29 +112,6 @@ def test_lookup_consistency_under_republish():
         assert t.lookup("b", snap) == "v1"
     cur = t.current
     assert t.lookup("a", cur) == t.lookup("b", cur)
-
-
-def test_flow_table_writes_one_entry_in_place():
-    """install/uninstall touch one entry of the live entries, no copy, and
-    bump the epoch; a per-flow table has no whole-table publish."""
-    t = FlowTable("flows")
-    t.owner = "conn"
-    entries = t.current.entries
-    t.install("f1", "l7", writer="conn")
-    t.install("f2", "l7", writer="conn")
-    assert t.current.entries is entries
-    assert t.epoch == 2 and t.lookup("f1") == t.lookup("f2") == "l7"
-    t.install("f1", "l7", writer="conn")  # the same value again is a write
-    assert t.epoch == 3
-    t.uninstall("f1", writer="conn")
-    assert t.lookup("f1") == t.default and t.lookup("f2") == "l7"
-    assert t.epoch == 4
-    t.uninstall("ghost", writer="conn")  # no entry: nothing written
-    assert t.epoch == 4
-    with pytest.raises(MatchActionError):
-        t.install("f3", "l7", writer="bob")
-    assert "f3" not in t.current.entries
-    assert not hasattr(t, "publish")
 
 
 # -- PPM application ---------------------------------------------------------

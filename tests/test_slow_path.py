@@ -13,7 +13,6 @@ from flatproxy.core import (
     TrafficUnit,
     UnitKind,
     Verdict,
-    ip4_to_int,
     make_listener_key,
 )
 from flatproxy.fast_path import REORDER_BUFFER_SEGMENTS
@@ -196,16 +195,13 @@ def test_c_and_python_loaders_report_the_same_line(monkeypatch, doc):
 @pytest.mark.parametrize("nodes", [
     "[toe, http_parser, toe]",   # a repeated id
     "[toe, warp_drive]",         # an unknown id
-    "[vswitch, toe]",            # a layer jump, L2 -> L4
-    "[l3, router]",              # a layer jump, L3 -> L7
 ])
 def test_chain_checked_against_standard_layers(nodes):
     with pytest.raises(InvalidChain):
         load_config(config_text() + f"chain:\n  nodes: {nodes}\n")
-    every = "[vswitch, l3, toe, http_parser, filter, router, http_deparser]"
+    every = "[toe, http_parser, filter, router, http_deparser]"
     assert load_config(config_text() + f"chain:\n  nodes: {every}\n").chain == [
-        "vswitch", "l3", "toe", "http_parser", "filter", "router",
-        "http_deparser"]
+        "toe", "http_parser", "filter", "router", "http_deparser"]
 
 
 def test_config_error_is_common_base():
@@ -224,9 +220,7 @@ def test_missing_chain_defaults():
 
 def test_runtime_table_ownership_layout():
     rt = MeshRuntime(config=None)
-    assert rt.l2_table.owner == "ovs"
-    for t in (rt.l3_table, rt.l4_table, rt.listener_table):
-        assert t.owner == "connection"
+    assert rt.listener_table.owner == "connection"
     for t in (rt.filter_table, rt.route_table, rt.cluster_table):
         assert t.owner == "message"
     with pytest.raises(MatchActionError):
@@ -239,9 +233,7 @@ def test_owned_table_refuses_a_write_that_names_no_writer():
     epoch = rt.cluster_table.epoch
     with pytest.raises(MatchActionError):
         rt.cluster_table.publish({})
-    with pytest.raises(MatchActionError):
-        rt.l4_table.install(make_flow(), "l7")
-    assert rt.cluster_table.epoch == epoch and rt.l4_table.epoch == 0
+    assert rt.cluster_table.epoch == epoch
     rt.shutdown()
 
 
@@ -275,9 +267,6 @@ def test_redistribute_removes_stale_entries():
     assert rt.listener_table.lookup(old_key) == rt.listener_table.default
     assert rt.listener_table.lookup(make_listener_key("10.0.0.3", 9090)) == "web"
     assert epochs["listeners"] == 2
-    # the old listener's dip is gone from l2_fwd, not only added to
-    assert rt.l2_table.current.entries == {ip4_to_int("10.0.0.3"): "forward"}
-    assert epochs["l2_fwd"] == 2
     rt.shutdown()
 
 
@@ -302,7 +291,7 @@ def runtime():
 def test_new_connection_installs_and_reinjects(runtime):
     flow = make_flow()
     runtime.fast_path.ingress(make_frame(make_request(b"/svc/a"), flow))
-    assert runtime.l4_table.lookup(flow) != runtime.l4_table.default
+    assert flow in runtime.fast_path.toe.connections
     assert runtime.conns[flow].endpoint is not None
     snap = runtime.stats_snapshot()
     assert snap["slow_path"]["reinjected"] == 1
@@ -421,7 +410,6 @@ def test_expire_idle_closes_and_uninstalls(runtime):
     runtime.expire_idle(now=now)
     assert flow not in runtime.conns
     assert rec.lb is runtime.lb["backend"] and rec.lb.conns == {}
-    assert runtime.l4_table.lookup(flow) == runtime.l4_table.default
     assert runtime.queue_table.lookup(flow) is None
     # the flow's queue, stub and TOE state are released too
     assert qid not in runtime.vqs
@@ -488,9 +476,9 @@ def test_expire_idle_closes_exactly_the_idle_and_keeps_order(case):
     rt.expire_idle(now=IDLE_TIMEOUT_NS + 1)
     assert list(rt.conns) == [flows[i] for i in active]
     for i in idle:
-        assert flows[i] not in rt.l4_table.current.entries
+        assert flows[i] not in rt.fast_path.toe.connections
         assert rt.queue_table.lookup(flows[i]) is None
-    assert len(rt.l4_table.current.entries) == len(rt.vqs) == n - k
+    assert len(rt.fast_path.toe.connections) == len(rt.vqs) == n - k
     rt.shutdown()
 
 
@@ -530,7 +518,6 @@ def test_stats_snapshot_shape(runtime):
     assert sum(snap["endpoint_assignments"].values()) == 4
     # round robin over two endpoints
     assert sorted(snap["endpoint_assignments"].values()) == [2, 2]
-    assert snap["table_epochs"]["l4_flows"] >= 4
 
 
 # -- flow lifecycle ----------------------------------------------------------
@@ -559,7 +546,6 @@ def assert_released(rt, *states):
     assert rt.conns == {}
     assert rt.vqs == {} and rt.stubs == {}
     assert len(rt.queue_table) == 0
-    assert rt.l4_table.current.entries == {}
     assert rt.fast_path.toe.connections == {}
     assert len(rt.buffer_pool) == 0
     assert [s.conns for s in (*rt.lb.values(), *states)] == [{}] * (
@@ -591,8 +577,7 @@ def test_flows_that_never_connect_are_released_on_expiry():
     for i in range(99):
         rt.fast_path.ingress(make_frame(REQUESTS[kinds[i % 3]],
                                         make_flow(sport=47000 + i)))
-    assert len(rt.conns) == len(rt.l4_table.current.entries) == 99
-    assert len(rt.fast_path.toe.connections) == 99
+    assert len(rt.conns) == len(rt.fast_path.toe.connections) == 99
     assert rt.vqs == {}
     now[0] = IDLE_TIMEOUT_NS + 1
     rt.expire_idle()
@@ -782,7 +767,6 @@ def test_flow_lifecycle_property(steps):
         for flow in _FLOWS:
             if flow not in rt.conns:
                 assert rt.queue_table.lookup(flow) is None
-                assert flow not in rt.l4_table.current.entries
                 assert flow not in rt.fast_path.toe.connections
         assert len(rt.vqs) == len(rt.stubs) == len(rt.queue_table)
         assert len(rt.buffer_pool) == 0
