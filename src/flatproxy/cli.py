@@ -177,9 +177,13 @@ def cmd_sim(args) -> int:
         envoy = saturation_rps(Mode.ENVOY, args.layer, topo, conns)
         e_rows = [r for r in rows if r["mode"] == Mode.ENVOY.value]
         f_rows = [r for r in rows if r["mode"] == Mode.FLATPROXY.value]
-        lat_red = 1 - (
-            sum(r["mean_ns"] for r in f_rows) / sum(r["mean_ns"] for r in e_rows)
-        )
+        e_lat = sum(r["mean_ns"] for r in e_rows)
+        f_lat = sum(r["mean_ns"] for r in f_rows)
+        # a mode that completed no request has no latency to compare
+        if not (e_lat and f_lat):
+            print("headline: none, a mode completed no request")
+            return EXIT_OK
+        lat_red = 1 - f_lat / e_lat
         cpu_e = sum(r["cpu_cost_ns"] for r in e_rows)
         cpu_f = max(1.0, sum(r["cpu_cost_ns"] for r in f_rows))
         print(

@@ -8,7 +8,8 @@ A flow's TOE state is opened by the slow path and released by
 `close_flow`.  The ToeEngine feeds a flow's in-order bytes to its
 `l7.HttpReader`, the one reader live mode uses too, which frames and joins
 each HTTP message once and hands it on with its head, split as soon as the
-header block is in.  `ingress` runs the messages at once, in order,
+header block is in; a segment that is exactly one whole message is framed
+and handed on as it came.  `ingress` runs the messages at once, in order,
 through `FastPath.message`, the L7 entry live mode shares; the parser
 builds each request from its head, and the deparser forwards the message
 bytes untouched.  Frames and messages leave through one disposition,
@@ -41,7 +42,6 @@ from .l7 import (
     MalformedHttp,
 )
 from .match_action import (
-    DEFAULT_ACTION,
     ExecContext,
     ExecutableChain,
     Layer,
@@ -69,30 +69,31 @@ STANDARD_LAYERS = {
 
 def make_toe() -> Ppm:
     """The TOE's node in the L7 chain, which passes each framed MESSAGE
-    unit on.  Reassembly lives in ToeEngine, which `FastPath.ingress`
-    drives because one segment may yield zero or many messages.
+    unit on, so it compiles to no step.  Reassembly lives in ToeEngine,
+    which `FastPath.ingress` drives because one segment may yield zero or
+    many messages.
     """
     return Ppm(
         id="toe",
         layer=STANDARD_LAYERS["toe"],
-        matcher=lambda unit, snaps: "to_l7",
+        action="to_l7",
         actions={"to_l7": []},
     )
 
 
 def make_http_parser() -> Ppm:
-    def parser(unit: TrafficUnit, ctx: ExecContext):
+    """The parser: `http_parse` either sets `meta.http` or sends the unit
+    to the slow path, so it needs no match of its own."""
+
+    def parser(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
         if unit.meta.http is None:
             http_parse(unit)
-
-    def matcher(unit, snaps):
-        return "parsed" if unit.meta.http is not None else DEFAULT_ACTION
 
     return Ppm(
         id="http_parser",
         layer=STANDARD_LAYERS["http_parser"],
         parser=parser,
-        matcher=matcher,
+        action="parsed",
         actions={"parsed": []},
     )
 
@@ -104,14 +105,11 @@ def make_filter(filter_table: MatchTable) -> Ppm:
         if verdict is not Verdict.CONTINUE:
             unit.meta.set_verdict(verdict, "filter")
 
-    def matcher(unit, snaps):
-        return "evaluate"
-
     return Ppm(
         id="filter",
         layer=STANDARD_LAYERS["filter"],
         tables=[filter_table],
-        matcher=matcher,
+        action="evaluate",
         actions={"evaluate": [evaluate]},
     )
 
@@ -140,20 +138,23 @@ def make_router(
             ctx.bump("load_balance_calls")
             ctx.bump(f"endpoint.{endpoint.id}")
 
-    def matcher(unit, snaps):
-        return "route"
-
     return Ppm(
         id="router",
         layer=STANDARD_LAYERS["router"],
         tables=[listener_table, route_table, cluster_table],
-        matcher=matcher,
+        action="route",
         actions={"route": [route_step]},
     )
 
 
 def make_http_deparser() -> Ppm:
+    """The deparser: a message no router bound to a queue goes to the
+    slow path, with no reason."""
+
     def deparse(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
+        if unit.meta.queue is None:
+            unit.meta.set_verdict(Verdict.TO_SLOW_PATH)
+            return
         try:
             unit.payload = http_deparse(unit.meta)
         except MalformedHttp:
@@ -161,13 +162,10 @@ def make_http_deparser() -> Ppm:
             return
         unit.meta.set_verdict(Verdict.DELIVER, "deparsed")
 
-    def matcher(unit, snaps):
-        return "deparse" if unit.meta.queue is not None else DEFAULT_ACTION
-
     return Ppm(
         id="http_deparser",
         layer=STANDARD_LAYERS["http_deparser"],
-        matcher=matcher,
+        action="deparse",
         actions={"deparse": [deparse]},
     )
 
@@ -242,29 +240,26 @@ class ToeEngine:
                 raise OutOfWindow(f"reorder buffer full for {key}")
             conn.reorder[seg.seq] = seg.payload
             return []
-        reader = conn.reader
-        chunk = seg.payload
-        while True:
-            reader.feed(chunk)
-            conn.next_seq += len(chunk)
-            if conn.next_seq not in conn.reorder:
-                break
-            chunk = conn.reorder.pop(conn.next_seq)
-        if reader.need is not None and reader.held < reader.need[0]:
-            return []  # the message's head is in, its length is not yet
+        reader, reorder = conn.reader, conn.reorder
+        meta = seg.meta
         out = []
-        while reader.held:
-            try:
-                msg = reader.take()
-            except MalformedHttp as exc:
-                # deliver the bad header block alone, so the stream stays
-                # framed; the parser raises the slow-path verdict
-                msg = reader.cut(exc.end), None
-            if msg is None:
-                break
-            out.append(TrafficUnit(
-                kind=UnitKind.MESSAGE, payload=msg[0], head=msg[1],
-                meta=Metadata(flow=key, conn_id=seg.meta.conn_id)))
+        chunk = seg.payload
+        while chunk is not None:  # this segment, then any it lets through
+            conn.next_seq += len(chunk)
+            while chunk or reader.held:
+                try:
+                    msg = reader.take(chunk)
+                except MalformedHttp as exc:
+                    # deliver the bad header block alone, so the stream
+                    # stays framed; the parser raises the slow-path verdict
+                    msg = reader.cut(exc.end), None
+                chunk = b""
+                if msg is None:
+                    break
+                out.append(TrafficUnit(
+                    kind=UnitKind.MESSAGE, payload=msg[0], head=msg[1],
+                    meta=Metadata(flow=key, conn_id=meta.conn_id)))
+            chunk = reorder.pop(conn.next_seq, None) if reorder else None
         return out
 
 

@@ -131,10 +131,9 @@ class HttpReader:
     """Cuts whole messages off an HTTP/1.1 byte stream by `frame_http`,
     each framed once and joined once: the bytes not yet taken are kept in
     `chunks` as they arrived, `held` in all, and the head of the message at
-    their front waits in `need` until that many bytes are held.  `feed`
-    adds bytes and `take` cuts a message; `read` pulls from `recv(n)`, a
-    blocking socket's recv, until it has one, and leaves its head in
-    `head`."""
+    their front waits in `need` until that many bytes are held.  `take`
+    adds bytes and cuts a message; `read` pulls from `recv(n)`, a blocking
+    socket's recv, until it has one, and leaves its head in `head`."""
 
     def __init__(self, recv=None):
         self._recv = recv
@@ -143,15 +142,32 @@ class HttpReader:
         self.need = None
         self.head = None
 
-    def feed(self, data: bytes):
+    def take(self, data: bytes = b""):
+        """Add `data`, then return the next whole message held and its
+        head, or None.  When nothing was held and `data` is exactly one
+        whole message, that is `data` itself, never kept, joined or cut.
+        Raises MalformedHttp, with `end` set, on a message `frame_http`
+        rejects; `cut(exc.end)` then drops the block that cannot be
+        framed."""
         if data:
-            self.chunks.append(data)
-            self.held += len(data)
-
-    def take(self):
-        """The next whole message held and its head, or None.  Raises
-        MalformedHttp, with `end` set, on a message `frame_http` rejects;
-        `cut(exc.end)` then drops the block that cannot be framed."""
+            if not self.held:
+                # nothing held: frame `data` as it came, once
+                try:
+                    head = frame_http(data)
+                except MalformedHttp:
+                    self.chunks.append(data)
+                    self.held = len(data)
+                    raise
+                if head is not None and head[0] == len(data):
+                    return data, head
+                self.chunks.append(data)
+                self.held = len(data)
+                if head is None:
+                    return None
+                self.need = head
+            else:
+                self.chunks.append(data)
+                self.held += len(data)
         head = self.need
         if head is None:
             chunks = self.chunks
@@ -177,13 +193,14 @@ class HttpReader:
     def read(self) -> bytes:
         """The next message; b'' on clean EOF.  Raises MalformedHttp on a
         message `frame_http` rejects or a stream that ends mid-message."""
-        while (msg := self.take()) is None:
+        msg = self.take()
+        while msg is None:
             data = self._recv(MAX_DESCRIPTOR_BYTES)
             if not data:
                 if self.held:
                     raise MalformedHttp("connection closed mid-message")
                 return b""
-            self.feed(data)
+            msg = self.take(data)
         data, self.head = msg
         return data
 

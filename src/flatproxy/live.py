@@ -163,9 +163,9 @@ class EchoStub(_Loop):
             data = _recv(end.sock)
             if data == b"":
                 return self._close(end)
-            end.reader.feed(data)
             try:
-                while msg := end.reader.take():
+                while msg := end.reader.take(data):
+                    data = b""
                     body = parse_request_bytes(*msg)[1]
                     self.hits += 1
                     end.out += b"%sContent-Length: %d\r\n\r\n%s" % (
@@ -199,8 +199,10 @@ class LiveQueue(_End):
         """Never raises RingFull: what the socket has not taken waits."""
         self.out += data
 
-    def rx_collect(self):
-        msg = self.reader.take()
+    def rx_collect(self, data: bytes = b""):
+        """Add `data`, read off the socket, and return the next whole
+        response held, or None."""
+        msg = self.reader.take(data)
         return msg and msg[0]
 
     def close(self):
@@ -292,16 +294,16 @@ class LiveProxy(_Loop):
             if not data:  # the client has gone: what it awaits is dropped
                 return self._close(c)
             if not c.closing:
-                c.reader.feed(data)
-                self._requests(c)
+                self._requests(c, data)
         self._settle(c)
 
-    def _requests(self, c: _Client):
-        """Run each whole request `c` has sent through the data path, in
-        order, and queue its reply."""
+    def _requests(self, c: _Client, data: bytes):
+        """Run each whole request `c` has sent, now with `data`, through
+        the data path, in order, and queue its reply."""
         while True:
             try:
-                msg = c.reader.take()
+                msg = c.reader.take(data)
+                data = b""
             except MalformedHttp as exc:
                 # the stream cannot be framed past this point
                 self._reply(c, _error_response(400, f"malformed_http:{exc}"))
@@ -335,17 +337,17 @@ class LiveProxy(_Loop):
             data = _recv(up.sock)
             if data is None:
                 return
-            up.reader.feed(data)
-            if not data or not self._relay(c, up):
+            if not data or not self._relay(c, up, data):
                 self._upstream_failed(c)
         self._settle(c)
 
-    def _relay(self, c: _Client, up: LiveQueue) -> bool:
+    def _relay(self, c: _Client, up: LiveQueue, data: bytes) -> bool:
         """Answer `c`'s oldest outstanding requests with the whole responses
-        `up` holds; False on one that cannot be framed or that no request
-        awaits."""
+        `up` holds, now with `data`; False on one that cannot be framed or
+        that no request awaits."""
         try:
-            while (resp := up.rx_collect()) is not None:
+            while (resp := up.rx_collect(data)) is not None:
+                data = b""
                 if not c.replies:
                     return False
                 c.replies.popleft()

@@ -1,25 +1,27 @@
 """Extended match-action engine.
 
-A processing module (PPM) is <parser, match, action>: one parser, one
-match and the steps of the one action it picks.  The paper's
-<parser, (match, action)*> is written as consecutive PPMs in one layer, as
-filter -> router -> http_deparser are.  PPMs wire only to modules in the
-same or an adjacent network layer.  Each PPM is built once into an
-immutable node tuple, `Ppm.node`: `(id, parser or None, matcher,
-{action_ref: steps})`; a compiled chain is a tuple of them.  One
-function, `traverse`, runs every chain over its nodes: the compiled L7
-chain and a PPM applied on its own.  A traversal takes one snapshot of
-every table at its start and hands it to every matcher and action.  A
-rule table is published whole, as a new copy of its entries, which are
-frozen values (the router's balancing state lives outside the tables), so
-no traversal ever sees a half-applied update; a publish of the entries it
-already holds keeps its version.  A table checks every write against its
-one owner.
+A processing module (PPM) is <parser, match, action>: an optional parser,
+then either a matcher that picks one of its actions or the one action it
+always runs.  The paper's <parser, (match, action)*> is written as
+consecutive PPMs, as filter -> router -> http_deparser are.  A parser and
+every action step are steps, `step(unit, ctx, snaps)`, and each PPM is
+compiled once, at construction, into a flat tuple of them, `Ppm.steps`:
+its parser, then the steps of its one action, inlined, or, for a PPM with
+a matcher, one dispatch step that runs the steps of the action the
+matcher picks.  A chain is an ordered list of PPM ids, none repeated; its
+compiled form is the concatenation of their steps.  One function,
+`traverse`, runs every step tuple -- a chain's, a dispatched action's and
+a PPM applied on its own -- and stops after any step that leaves a
+terminal verdict; it records nothing.
 
-A chain is an ordered list of PPM ids, none repeated.  Every PPM names
-its matcher, `matcher(unit, snaps) -> action_ref`, and gives each action
-as a plain list of steps, `step(unit, ctx, snaps)`.  A traversal records
-nothing and stops after any parser or step that leaves a terminal verdict.
+A traversal runs on one snapshot of every table its chain reads, a dict
+taken at its start that nothing changes.  A rule table is published
+whole, as a new copy of its entries, which are frozen values (the
+router's balancing state lives outside the tables), so no traversal ever
+sees a half-applied update; a publish of the entries it already holds
+keeps its version.  Every publish that makes a new version moves one
+module-wide count, and a chain takes its snapshot again only when that
+count has moved.  A table checks every write against its one owner.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ from typing import Callable, Optional
 from .core import TrafficUnit, Verdict
 
 DEFAULT_ACTION = "to_slow_path"
+_CONTINUE = Verdict.CONTINUE
+
+# new table versions published so far, by every table in the process: a
+# chain whose snapshot was taken at this count still holds every table's
+# current version.  A publish to a table the chain does not read only
+# makes it take the same versions again.
+_published = 0
 
 
 class MatchActionError(Exception):
@@ -41,22 +50,9 @@ class UnknownPpm(MatchActionError):
     pass
 
 
-class LayerAdjacencyViolation(MatchActionError):
-    pass
-
-
 class Layer(Enum):
-    L2 = 2
-    L3 = 3
     L4 = 4
     L7 = 7
-
-
-_LAYER_RANK = {Layer.L2: 0, Layer.L3: 1, Layer.L4: 2, Layer.L7: 3}
-
-
-def layers_adjacent(a: Layer, b: Layer) -> bool:
-    return abs(_LAYER_RANK[a] - _LAYER_RANK[b]) <= 1
 
 
 @dataclass(frozen=True)
@@ -96,6 +92,7 @@ class MatchTable:
     def publish(self, entries: dict, writer: str = None) -> int:
         """Publish a copy of `entries` as a new version, unless they equal
         the current ones; returns the epoch now current."""
+        global _published
         if self.owner is not None and writer != self.owner:
             raise MatchActionError(
                 f"table {self.name} owned by {self.owner}, write from {writer}"
@@ -103,6 +100,9 @@ class MatchTable:
         if entries != self.current.entries:
             self.current = TableEpoch(epoch=self.current.epoch + 1,
                                       entries=dict(entries))
+            # counted once the version is current: a chain that sees the
+            # count move takes a snapshot that holds it
+            _published += 1
         return self.current.epoch
 
 
@@ -128,92 +128,110 @@ class ExecContext:
 
 
 class Ppm:
-    """Protocol processing module: an optional parser, a required matcher
-    `matcher(unit, snaps) -> action_ref` over the snapshots of `tables`,
-    and `actions`, `{action_ref: [steps]}`.  DEFAULT_ACTION, unless given,
-    sends the unit to the slow path."""
+    """Protocol processing module: an optional `parser` step, the
+    snapshots of `tables`, and `actions`, `{action_ref: [steps]}`, of
+    which either `matcher(unit, snaps) -> action_ref` picks one per unit,
+    or the constant `action` names the one always run -- never both.
+    DEFAULT_ACTION, unless given, sends a unit to the slow path.  `steps`
+    is the PPM compiled: its parser, then the constant action's steps or
+    one step that dispatches on the matcher."""
 
     def __init__(
         self,
         id: str,
         layer: Layer,
-        parser: Callable[[TrafficUnit, ExecContext], None] = None,
+        parser: Callable = None,
         tables: list = None,
         actions: dict = None,
         matcher: Callable = None,
+        action: str = None,
     ):
-        if matcher is None:
-            raise MatchActionError(f"ppm {id} needs a matcher")
+        if (matcher is None) == (action is None):
+            raise MatchActionError(
+                f"ppm {id} needs either a matcher or one constant action")
         self.id = id
         self.layer = layer
         self.tables = tables or []
         programs = {ref: tuple(steps) for ref, steps in (actions or {}).items()}
-        programs.setdefault(DEFAULT_ACTION, (set_verdict(Verdict.TO_SLOW_PATH),))
-        self.node = (id, parser, matcher, programs)
+        if action is not None:
+            if action not in programs:
+                raise MatchActionError(f"ppm {id}: unknown action {action!r}")
+            body = programs[action]
+        else:
+            programs.setdefault(DEFAULT_ACTION,
+                                (set_verdict(Verdict.TO_SLOW_PATH),))
+            body = (_dispatch(id, matcher, programs),)
+        self.steps = (parser,) + body if parser is not None else body
 
     def apply(self, unit: TrafficUnit, ctx: ExecContext, snaps: dict = None):
-        """Traverse this PPM alone, by default on a snapshot of its own
-        tables."""
+        """Traverse this PPM alone, as a one-PPM chain, by default on a
+        snapshot of its own tables."""
         if snaps is None:
             snaps = {t.name: t.current for t in self.tables}
-        traverse((self.node,), unit, ctx, snaps)
+        traverse(self.steps, unit, ctx, snaps)
 
 
-def traverse(nodes, unit: TrafficUnit, ctx: ExecContext, snaps: dict):
-    """Run `unit` through `nodes`, on the table snapshots `snaps`: each
-    node's parser, then its matcher, then the steps of the action it
-    picked.  The traversal stops after any parser or step that leaves a
-    terminal verdict."""
-    meta = unit.meta
-    for pid, parser, matcher, programs in nodes:
-        if parser is not None:
-            parser(unit, ctx)
-            if meta.verdict is not Verdict.CONTINUE:
-                return
+def _dispatch(pid: str, matcher: Callable, programs: dict):
+    """The step that runs the steps of the action `matcher` picks."""
+
+    def dispatch(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
         ref = matcher(unit, snaps)
         steps = programs.get(ref)
         if steps is None:
             raise MatchActionError(f"ppm {pid}: unknown action {ref!r}")
-        for step in steps:
-            step(unit, ctx, snaps)
-            if meta.verdict is not Verdict.CONTINUE:
-                return
+        traverse(steps, unit, ctx, snaps)
+
+    return dispatch
+
+
+def traverse(steps, unit: TrafficUnit, ctx: ExecContext, snaps: dict):
+    """Run `unit` through `steps`, on the table snapshots `snaps`,
+    stopping after any step that leaves a terminal verdict."""
+    meta = unit.meta
+    for step in steps:
+        step(unit, ctx, snaps)
+        if meta.verdict is not _CONTINUE:
+            return
 
 
 class ExecutableChain:
-    """Immutable traversal order over registered PPMs."""
+    """Immutable traversal order over registered PPMs, compiled into one
+    flat tuple of steps."""
 
     def __init__(self, order: list, registry: dict):
         self.order = list(order)
-        self.nodes = tuple(registry[pid].node for pid in self.order)
+        self.steps = tuple(
+            step for pid in self.order for step in registry[pid].steps)
         tables = {t.name: t for pid in self.order for t in registry[pid].tables}
         self._tables = tuple(tables.values())
+        self._snaps = None
+        self._taken_at = -1  # the publish count `_snaps` was taken at
 
     def execute(self, unit: TrafficUnit, ctx: ExecContext = None):
-        """Traverse the chain on one snapshot of every table taken here;
+        """Traverse the chain on one snapshot of every table it reads,
+        taken again only when a table has published since the last one;
         returns the unit."""
-        snaps = {t.name: t.current for t in self._tables}
-        traverse(self.nodes, unit, ctx or ExecContext(counters={}), snaps)
+        snaps = self._snaps
+        if self._taken_at != _published:
+            self._taken_at = _published
+            # a new dict: a traversal still running keeps the one it began
+            snaps = self._snaps = {t.name: t.current for t in self._tables}
+        traverse(self.steps, unit, ctx or ExecContext(counters={}), snaps)
         return unit
 
 
-def check_chain(nodes: list, layers: dict):
-    """Check that every id in `nodes` has a layer in `layers`
-    (`{ppm id: Layer}`), that none repeats and that each consecutive pair
-    sits in the same or adjacent layers."""
+def check_chain(nodes: list, known) -> None:
+    """Check that every id in `nodes` is in `known` (the ids of the PPMs
+    a chain may name) and that none repeats."""
     for pid in nodes:
-        if pid not in layers:
+        if pid not in known:
             raise UnknownPpm(pid)
     if len(set(nodes)) != len(nodes):
         raise MatchActionError(f"chain {list(nodes)} repeats a ppm id")
-    for src, dst in zip(nodes, nodes[1:]):
-        a, b = layers[src], layers[dst]
-        if not layers_adjacent(a, b):
-            raise LayerAdjacencyViolation(f"{src}({a.name}) -> {dst}({b.name})")
 
 
 def compile_chain(nodes: list, registry: dict) -> ExecutableChain:
     """Check `nodes` against the registry's PPMs (`check_chain`); return
     the executable chain in that order."""
-    check_chain(nodes, {pid: ppm.layer for pid, ppm in registry.items()})
+    check_chain(nodes, registry)
     return ExecutableChain(nodes, registry)

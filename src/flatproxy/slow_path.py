@@ -3,7 +3,7 @@
 Config comes from local YAML files (standing in for a cloud control
 center), parsed by libyaml's C parser where PyYAML has it, and gets
 validated into a MeshConfig of frozen values -- its chain against the
-standard PPMs' layers, `STANDARD_LAYERS` -- and is distributed
+standard PPM ids, `STANDARD_LAYERS` -- and is distributed
 layer-wise: the connection controller ("connection") owns the listener
 table, and the message controller ("message") the L7 rule tables.  Each
 table is built with its owner's name and refuses a write that names

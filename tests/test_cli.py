@@ -100,6 +100,17 @@ def test_sim_stdout_and_summary(capsys):
     assert "flatproxy: mean latency" in out
 
 
+def test_sim_with_no_completed_request_prints_no_ratio(capsys):
+    """At the default 1 request/s, 10 ms of simulated time completes no
+    request in any mode: the run still succeeds, with no headline ratio
+    (it once died dividing by a latency sum of 0)."""
+    code, out, _ = run_cli(["sim", "--duration", "0.01", "--cores", "1"],
+                           capsys)
+    assert code == 0
+    assert "headline: none, a mode completed no request" in out
+    assert "latency reduction" not in out
+
+
 def test_sim_rejects_bad_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sim", "--modes", "warp"])

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,13 @@ from flatproxy.core import (
 )
 from flatproxy.fast_path import OutOfWindow, ToeEngine
 from flatproxy.l7 import Decision, FilterRule, frame_http, http_parse
-from flatproxy.match_action import Layer, Ppm
+from flatproxy.match_action import (
+    ExecContext,
+    Layer,
+    MatchTable,
+    Ppm,
+    compile_chain,
+)
 from flatproxy.slow_path import IDLE_TIMEOUT_NS, MeshRuntime, load_config
 from flatproxy.vq import DEFAULT_RING_CAPACITY
 from conftest import config_text, make_flow, make_message, make_request
@@ -351,7 +358,147 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
         "filter" if republish == "deny_all_filters" else "no_route")
 
 
+def spy_ppm(seen):
+    """A PPM that records the snapshot dict each traversal hands it."""
+    return Ppm(id="spy", layer=Layer.L7, action="look",
+               actions={"look": [lambda unit, ctx, snaps: seen.append(snaps)]})
+
+
+def test_distribute_is_seen_by_the_next_message(runtime):
+    """The chain takes its snapshot again once a table publishes: a deny
+    rule a reload adds drops the very next message."""
+    flow = make_flow(sport=48010)
+    first = runtime.fast_path.message(make_message(make_request(b"/svc/b"),
+                                                  flow=flow))
+    assert first.meta.verdict is Verdict.DELIVER
+    runtime.distribute(load_config(config_text().replace("/admin", "/svc/b")))
+    second = runtime.fast_path.message(
+        make_message(make_request(b"/svc/b"), flow=flow, conn_id=2))
+    assert second.meta.verdict is Verdict.DROP
+    assert second.meta.verdict_reason == "filter"
+
+
+def test_unchanged_reload_keeps_the_snapshot(runtime):
+    """A reload that changes nothing keeps every epoch, and traversals go on
+    with the one snapshot dict; a reload that changes a table gives the
+    next traversal a new dict holding the new version."""
+    seen = []
+    runtime.registry["spy"] = spy_ppm(seen)
+    chain = runtime.compile(["toe", "http_parser", "spy", "filter", "router",
+                             "http_deparser"])
+    flow = make_flow(sport=48020)
+    chain.execute(make_message(make_request(b"/svc/a"), flow=flow))
+    epochs = runtime.stats_snapshot()["table_epochs"]
+    assert runtime.distribute(load_config(config_text())) == epochs
+    chain.execute(make_message(make_request(b"/svc/a"), flow=flow, conn_id=2))
+    assert seen[1] is seen[0]
+    assert {n: s.epoch for n, s in seen[1].items()} == epochs
+    after = runtime.distribute(
+        load_config(config_text().replace("/admin", "/svc/b")))
+    assert after == dict(epochs, filters=epochs["filters"] + 1)
+    chain.execute(make_message(make_request(b"/svc/a"), flow=flow, conn_id=3))
+    assert seen[2] is not seen[1]
+    assert {n: s.epoch for n, s in seen[2].items()} == after
+    assert seen[1]["filters"].epoch == epochs["filters"]
+
+
+# -- compiled chain against each PPM applied in turn -------------------------
+
+def hand_built_ppms():
+    """Matcher PPMs as a test would build them: a parser and a match on the
+    path, and a match on a rule table keyed by method."""
+    methods = MatchTable("methods", default="pass")
+    methods.publish({b"DELETE": "deny"})
+
+    def count(name):
+        return lambda unit, ctx, snaps: ctx.bump(name)
+
+    def deny(unit, ctx, snaps):
+        unit.meta.set_verdict(Verdict.DROP, "method")
+
+    return {
+        "tag": Ppm(
+            id="tag", layer=Layer.L7, parser=count("tag.parsed"),
+            matcher=lambda unit, snaps: (
+                "mark" if unit.meta.http.url_path == b"/svc/a" else "pass"),
+            actions={"mark": [count("tag.marked")], "pass": []},
+        ),
+        "gate": Ppm(
+            id="gate", layer=Layer.L7, tables=[methods],
+            matcher=lambda unit, snaps: methods.lookup(
+                unit.meta.http.method, snaps["methods"]),
+            actions={"deny": [count("gate.denied"), deny], "pass": []},
+        ),
+    }
+
+
+STANDARD = ["toe", "http_parser", "filter", "router", "http_deparser"]
+WITH_MATCHERS = ["toe", "http_parser", "tag", "gate", "filter", "router",
+                 "http_deparser"]
+
+
+@pytest.mark.parametrize("nodes, raw", [
+    (STANDARD, make_request(b"/svc/a", body=b"payload")),
+    (STANDARD, make_request(b"/admin/x")),
+    (STANDARD, make_request(b"/nowhere")),
+    (STANDARD, b"BOGUS\r\nHost: x\r\n\r\n"),
+    (WITH_MATCHERS, make_request(b"/svc/a")),
+    (WITH_MATCHERS, make_request(b"/svc/b")),
+    (WITH_MATCHERS, make_request(b"/svc/b", method=b"DELETE")),
+    (["toe", "http_parser", "filter", "http_deparser"],
+     make_request(b"/svc/a")),
+], ids=["standard", "denied", "no_route", "malformed", "matchers_mark",
+        "matchers_pass", "matchers_deny", "no_router"])
+def test_compiled_chain_equals_each_ppm_applied_in_turn(nodes, raw):
+    """The compiled chain gives the verdict, reason, counters and payload
+    that running each PPM's `Ppm.apply` in turn gives, until one leaves a
+    terminal verdict; each side runs on its own runtime."""
+    outcomes = []
+    for compiled in (True, False):
+        rt = MeshRuntime(config=load_config(config_text()))
+        registry = dict(rt.registry, **hand_built_ppms())
+        unit = make_message(raw, flow=make_flow(sport=48030))
+        ctx = ExecContext(counters={})
+        if compiled:
+            compile_chain(nodes, registry).execute(unit, ctx)
+        else:
+            for pid in nodes:
+                if unit.meta.verdict is not Verdict.CONTINUE:
+                    break
+                registry[pid].apply(unit, ctx)
+        outcomes.append((unit.meta.verdict, unit.meta.verdict_reason,
+                         ctx.counters, unit.payload,
+                         rt.queue_table.lookup(unit.meta.flow) is not None))
+        rt.shutdown()
+    assert outcomes[0] == outcomes[1]
+
+
+def test_chain_without_router_hands_the_message_to_the_slow_path():
+    """With no router, the deparser finds no queue: the message goes to the
+    slow path with no reason, which counts it `reason.unknown` and drops
+    it."""
+    nodes = "[toe, http_parser, filter, http_deparser]"
+    rt = MeshRuntime(config=load_config(
+        config_text() + f"chain:\n  nodes: {nodes}\n"))
+    unit = rt.fast_path.message(make_message(make_request(b"/svc/a")))
+    assert unit.meta.verdict is Verdict.TO_SLOW_PATH
+    assert unit.meta.verdict_reason is None
+    assert rt.fast_path.counters()["msg_slow_path"] == 1
+    assert rt.stats_snapshot()["slow_path"] == {"reason.unknown": 1,
+                                                "dropped": 1}
+
+
 # -- hot path ----------------------------------------------------------------
+
+def test_standard_chain_is_one_flat_step_list(runtime):
+    """`toe` compiles to no step and each L7 PPM to one, so a message runs
+    through four steps, with no matcher call."""
+    assert runtime.registry["toe"].steps == ()
+    assert runtime.chain.steps == tuple(
+        step for pid in ("http_parser", "filter", "router", "http_deparser")
+        for step in runtime.registry[pid].steps)
+    assert len(runtime.chain.steps) == 4
+
 
 def test_hot_path_bypasses_ppm_apply(runtime, monkeypatch):
     """Frames and messages run on the compiled node tuples; `Ppm.apply`,
@@ -564,6 +711,85 @@ def test_toe_frames_each_message_once(monkeypatch):
             got.append(data)
         assert got == msgs
     rt.shutdown()
+
+
+_BAD_HEAD = b"POST /svc/bad HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(bodies=st.lists(st.integers(0, 3000), min_size=1, max_size=5),
+       bad_at=st.none() | st.integers(0, 5),
+       split=st.sampled_from(["per_message", "several", "mid_line",
+                              "anywhere"]),
+       data=st.data())
+def test_toe_and_reader_cut_any_split_alike(bodies, bad_at, split, data):
+    """A pipelined request stream, with a malformed head among the requests
+    or not, is cut into segments: one message each, several each, each
+    head cut mid-line, or anywhere.  A ToeEngine fed those segments and a
+    bare `HttpReader` fed the same bytes hand on the same messages with the
+    same heads -- the malformed block alone, with none -- and each frames
+    every block once."""
+    sent = [make_request(b"/svc/%d" % i, method=b"POST" if n else b"GET",
+                         body=bytes([65 + i]) * n)
+            for i, n in enumerate(bodies)]
+    blocks = list(sent)
+    if bad_at is not None:
+        blocks.insert(min(bad_at, len(sent)), _BAD_HEAD)
+    stream = b"".join(blocks)
+    starts = [sum(map(len, blocks[:i])) for i in range(len(blocks))]
+    if split == "per_message":
+        cuts = starts[1:]
+    elif split == "several":
+        cuts = sorted(data.draw(st.sets(st.sampled_from(starts[1:]))))\
+            if starts[1:] else []
+    elif split == "mid_line":
+        # inside each head's Host line, and at each block's start
+        cuts = sorted(set(starts[1:]) | {
+            at + blocks[i].index(b"\r\n") + 4 for i, at in enumerate(starts)})
+    else:
+        cuts = sorted(set(data.draw(st.lists(
+            st.integers(1, len(stream) - 1), max_size=12))))
+    bounds = [0, *cuts, len(stream)]
+    segments = [(a, stream[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    framed = []
+    real_frame = l7.frame_http
+
+    def counting_frame(data):
+        try:
+            head = real_frame(data)
+        except l7.MalformedHttp:
+            framed.append(None)
+            raise
+        if head is not None:
+            framed.append(head)
+        return head
+
+    with mock.patch.object(l7, "frame_http", counting_frame):
+        toe = ToeEngine()
+        toe.open(make_flow())
+        by_toe = [(m.payload, m.head) for off, chunk in segments
+                  for m in toe.deliver(seg(chunk, off))]
+        toe_framed = len(framed)
+        framed.clear()
+        reader, by_reader = l7.HttpReader(), []
+        for _off, chunk in segments:
+            while chunk or reader.held:
+                try:
+                    msg = reader.take(chunk)
+                except l7.MalformedHttp as exc:
+                    msg = reader.cut(exc.end), None
+                chunk = b""
+                if msg is None:
+                    break
+                by_reader.append(msg)
+    assert by_toe == by_reader
+    assert [m for m, _head in by_toe] == blocks
+    assert [head is None for _m, head in by_toe] == [
+        b is _BAD_HEAD for b in blocks]
+    assert all(head[0] == len(m) for m, head in by_toe if head is not None)
+    assert toe_framed == len(framed) == len(blocks)
+    assert toe.connections[make_flow()].reader.held == 0
 
 
 @pytest.mark.parametrize("with_head", [False, True])

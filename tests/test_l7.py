@@ -136,13 +136,15 @@ def test_http_reader_takes_each_message_of_any_split_once(sizes, bad_at,
     reader, got, dropped = HttpReader(), [], []
     with mock.patch.object(l7, "split_head", wraps=l7.split_head) as spy:
         for a, b in zip(bounds, bounds[1:]):
-            reader.feed(stream[a:b])
+            chunk = stream[a:b]
             while True:
                 try:
-                    msg = reader.take()
+                    msg = reader.take(chunk)
                 except MalformedHttp as exc:
                     dropped.append(reader.cut(exc.end))
+                    chunk = b""
                     continue
+                chunk = b""
                 if msg is None:
                     break
                 got.append(msg)

@@ -6,7 +6,6 @@ from flatproxy.core import Metadata, TrafficUnit, UnitKind, Verdict
 from flatproxy.match_action import (
     ExecContext,
     Layer,
-    LayerAdjacencyViolation,
     MatchActionError,
     MatchTable,
     Ppm,
@@ -149,6 +148,29 @@ def test_ppm_requires_table_or_matcher():
     # a table is no longer enough: every PPM names its matcher
     with pytest.raises(MatchActionError):
         Ppm(id="p", layer=Layer.L4, tables=[MatchTable("t")])
+    # or one constant action it has, never both
+    with pytest.raises(MatchActionError):
+        Ppm(id="p", layer=Layer.L4, matcher=lambda unit, snaps: "go",
+            action="go", actions={"go": []})
+    with pytest.raises(MatchActionError, match="unknown action"):
+        Ppm(id="p", layer=Layer.L4, action="go", actions={})
+
+
+def test_constant_action_compiles_to_its_parser_and_steps():
+    """A constant-action PPM is its parser and its action's steps, inlined;
+    a matcher PPM is its parser and one dispatch step."""
+    parse = inc_counter("parsed")
+    steps = [inc_counter("a"), inc_counter("b")]
+    p = Ppm(id="p", layer=Layer.L7, parser=parse, action="go",
+            actions={"go": steps, "other": [inc_counter("other")]})
+    assert p.steps == (parse, *steps)
+    assert Ppm(id="q", layer=Layer.L7, action="go", actions={"go": []}).steps == ()
+    m = Ppm(id="m", layer=Layer.L7, parser=parse,
+            matcher=lambda unit, snaps: "go", actions={"go": steps})
+    assert len(m.steps) == 2 and m.steps[0] is parse
+    ctx = ExecContext(counters={})
+    m.apply(make_unit(), ctx)
+    assert ctx.counters == {"parsed": 1, "a": 1, "b": 1}
 
 
 def test_terminal_verdict_stops_program():
@@ -172,32 +194,24 @@ def test_terminal_verdict_stops_program():
 
 def layered_registry():
     return {
-        "l2": passthrough_ppm("l2", Layer.L2),
-        "l3": passthrough_ppm("l3", Layer.L3),
         "l4": passthrough_ppm("l4", Layer.L4),
         "l7a": passthrough_ppm("l7a", Layer.L7),
         "l7b": passthrough_ppm("l7b", Layer.L7),
+        "l7c": passthrough_ppm("l7c", Layer.L7),
+        "l7d": passthrough_ppm("l7d", Layer.L7),
     }
 
 
 def test_compile_linear_chain_order():
     reg = layered_registry()
-    chain = compile_chain(["l2", "l3", "l4", "l7a", "l7b"], reg)
-    assert chain.order == ["l2", "l3", "l4", "l7a", "l7b"]
+    chain = compile_chain(["l4", "l7a", "l7b", "l7c", "l7d"], reg)
+    assert chain.order == ["l4", "l7a", "l7b", "l7c", "l7d"]
 
 
 def test_compile_rejects_unknown_node():
     reg = layered_registry()
     with pytest.raises(UnknownPpm):
-        compile_chain(["l2", "nope"], reg)
-
-
-def test_compile_rejects_layer_skip():
-    reg = layered_registry()
-    with pytest.raises(LayerAdjacencyViolation):
-        compile_chain(["l2", "l4"], reg)
-    with pytest.raises(LayerAdjacencyViolation):
-        compile_chain(["l4", "l2"], reg)
+        compile_chain(["l4", "nope"], reg)
 
 
 def test_same_layer_wiring_allowed():
@@ -211,7 +225,7 @@ def test_compile_rejects_cycle():
     way left to write a cycle -- is refused, adjacent or not."""
     reg = layered_registry()
     for nodes in (["l7a", "l7b", "l7a"], ["l4", "l4", "l7a"],
-                  ["l2", "l3", "l2"]):
+                  ["l4", "l7c", "l4"]):
         with pytest.raises(MatchActionError, match="repeats"):
             compile_chain(nodes, reg)
 
@@ -256,7 +270,7 @@ def test_chain_equals_sequential_application():
     hand in order, across randomized payload/metadata and a randomly
     placed terminal node; so are the counters each PPM's action bumps."""
     rng = random.Random(42)
-    nodes = ["l2", "l3", "l4", "l7a", "l7b"]
+    nodes = ["l4", "l7a", "l7b", "l7c", "l7d"]
     for _ in range(50):
         stop = rng.choice(nodes + [None])
         verdict = rng.choice([Verdict.DROP, Verdict.DELIVER, Verdict.TO_SLOW_PATH])
