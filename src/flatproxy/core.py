@@ -23,11 +23,10 @@ class Proto(Enum):
 
 class UnitKind(Enum):
     """Traffic category, by the layer it is processed at: a frame the
-    fast path takes in, the TCP segment it becomes once its flow is known,
-    and a framed HTTP message."""
+    fast path takes in, reassembled as a TCP segment once its flow is
+    known, and a framed HTTP message."""
 
     FRAME = 2
-    SEGMENT = 4
     MESSAGE = 7
 
 
@@ -36,11 +35,6 @@ class Verdict(Enum):
     DROP = "drop"
     TO_SLOW_PATH = "to_slow_path"
     DELIVER = "deliver"
-
-
-#: Verdicts that end a chain traversal.  CONTINUE may transition to any of
-#: these; none of these ever transitions back.
-TERMINAL_VERDICTS = frozenset({Verdict.DROP, Verdict.TO_SLOW_PATH, Verdict.DELIVER})
 
 
 def ip4_to_int(addr) -> int:
@@ -140,8 +134,9 @@ class Metadata:
     verdict_reason: Optional[str] = None
 
     def set_verdict(self, verdict: Verdict, reason: str = None):
-        """Verdict transitions are monotone: terminal verdicts stick."""
-        if self.verdict in TERMINAL_VERDICTS and verdict != self.verdict:
+        """Verdict transitions are monotone: CONTINUE may become any
+        verdict, and every other verdict is terminal and sticks."""
+        if self.verdict is not Verdict.CONTINUE and verdict is not self.verdict:
             raise ValueError(
                 f"verdict {self.verdict} is terminal, cannot become {verdict}"
             )
@@ -168,7 +163,7 @@ class TrafficUnit:
     kind: UnitKind
     meta: Metadata
     payload: bytes = b""
-    seq: int = 0  # L4 sequence offset, meaningful for SEGMENT only
+    seq: int = 0  # TCP sequence offset of a FRAME's payload
     # a MESSAGE framed on arrival: `l7.frame_http(payload)`, which the
     # parser builds the request from instead of framing it again
     head: Optional[tuple] = None

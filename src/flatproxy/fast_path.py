@@ -44,7 +44,6 @@ from .l7 import (
 from .match_action import (
     ExecContext,
     ExecutableChain,
-    Layer,
     MatchTable,
     Ppm,
 )
@@ -55,47 +54,29 @@ REORDER_BUFFER_SEGMENTS = 64
 # ---------------------------------------------------------------------------
 # PPM factories for the standard HTTP routing chain
 
-# the layer of each standard PPM, by id: the factories below take theirs
-# from here, and a config's chain is checked against it before any table
-# exists
-STANDARD_LAYERS = {
-    "toe": Layer.L4,
-    "http_parser": Layer.L7,
-    "filter": Layer.L7,
-    "router": Layer.L7,
-    "http_deparser": Layer.L7,
-}
+# the standard PPM ids, in the default chain's order: a config's chain is
+# checked against these before any table exists
+STANDARD_CHAIN = ("toe", "http_parser", "filter", "router", "http_deparser")
 
 
 def make_toe() -> Ppm:
-    """The TOE's node in the L7 chain, which passes each framed MESSAGE
-    unit on, so it compiles to no step.  Reassembly lives in ToeEngine,
-    which `FastPath.ingress` drives because one segment may yield zero or
-    many messages.
+    """The TOE's node in the L7 chain: no step, so each framed MESSAGE
+    unit passes it at no cost.  Reassembly lives in ToeEngine, which
+    `FastPath.ingress` drives because one segment may yield zero or many
+    messages.
     """
-    return Ppm(
-        id="toe",
-        layer=STANDARD_LAYERS["toe"],
-        action="to_l7",
-        actions={"to_l7": []},
-    )
+    return Ppm("toe")
 
 
 def make_http_parser() -> Ppm:
-    """The parser: `http_parse` either sets `meta.http` or sends the unit
-    to the slow path, so it needs no match of its own."""
+    """The parser, the PPM's one step: `http_parse` either sets
+    `meta.http` or sends the unit to the slow path."""
 
     def parser(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
         if unit.meta.http is None:
             http_parse(unit)
 
-    return Ppm(
-        id="http_parser",
-        layer=STANDARD_LAYERS["http_parser"],
-        parser=parser,
-        action="parsed",
-        actions={"parsed": []},
-    )
+    return Ppm("http_parser", steps=[parser])
 
 
 def make_filter(filter_table: MatchTable) -> Ppm:
@@ -105,13 +86,7 @@ def make_filter(filter_table: MatchTable) -> Ppm:
         if verdict is not Verdict.CONTINUE:
             unit.meta.set_verdict(verdict, "filter")
 
-    return Ppm(
-        id="filter",
-        layer=STANDARD_LAYERS["filter"],
-        tables=[filter_table],
-        action="evaluate",
-        actions={"evaluate": [evaluate]},
-    )
+    return Ppm("filter", steps=[evaluate], tables=[filter_table])
 
 
 def make_router(
@@ -138,13 +113,8 @@ def make_router(
             ctx.bump("load_balance_calls")
             ctx.bump(f"endpoint.{endpoint.id}")
 
-    return Ppm(
-        id="router",
-        layer=STANDARD_LAYERS["router"],
-        tables=[listener_table, route_table, cluster_table],
-        action="route",
-        actions={"route": [route_step]},
-    )
+    return Ppm("router", steps=[route_step],
+               tables=[listener_table, route_table, cluster_table])
 
 
 def make_http_deparser() -> Ppm:
@@ -162,12 +132,7 @@ def make_http_deparser() -> Ppm:
             return
         unit.meta.set_verdict(Verdict.DELIVER, "deparsed")
 
-    return Ppm(
-        id="http_deparser",
-        layer=STANDARD_LAYERS["http_deparser"],
-        action="deparse",
-        actions={"deparse": [deparse]},
-    )
+    return Ppm("http_deparser", steps=[deparse])
 
 
 def standard_registry(
@@ -228,8 +193,8 @@ class ToeEngine:
         self.connections.pop(key, None)
 
     def deliver(self, seg: TrafficUnit) -> list:
-        """Feed one SEGMENT of an opened flow; returns completed MESSAGE
-        units (possibly none)."""
+        """Feed one frame of an opened flow, a TCP segment at `seg.seq`;
+        returns completed MESSAGE units (possibly none)."""
         key = seg.meta.flow
         conn = self.connections[key]
         if seg.seq < conn.next_seq or seg.seq in conn.reorder:
@@ -292,7 +257,7 @@ class FastPath:
     def ingress(self, unit: TrafficUnit) -> str:
         """Classify one L2 frame by one lookup of its flow's TOE state: a
         frame of a flow without any goes to the slow path as
-        `new_connection`, any other is reassembled as a SEGMENT.  Returns
+        `new_connection`, any other is reassembled as a TCP segment.  Returns
         the disposition: 'l7' (messages went to the L7 chain), 'buffered'
         (none completed yet), 'slow_path' or 'dropped'.  A frame is never
         delivered at L4."""
@@ -302,7 +267,6 @@ class FastPath:
         if unit.meta.flow not in self.toe.connections:
             unit.meta.set_verdict(Verdict.TO_SLOW_PATH, "new_connection")
             return self._dispose(unit)
-        unit.kind = UnitKind.SEGMENT
         try:
             messages = self.toe.deliver(unit)
         except OutOfWindow:

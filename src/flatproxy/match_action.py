@@ -1,18 +1,14 @@
 """Extended match-action engine.
 
-A processing module (PPM) is <parser, match, action>: an optional parser,
-then either a matcher that picks one of its actions or the one action it
-always runs.  The paper's <parser, (match, action)*> is written as
-consecutive PPMs, as filter -> router -> http_deparser are.  A parser and
-every action step are steps, `step(unit, ctx, snaps)`, and each PPM is
-compiled once, at construction, into a flat tuple of them, `Ppm.steps`:
-its parser, then the steps of its one action, inlined, or, for a PPM with
-a matcher, one dispatch step that runs the steps of the action the
-matcher picks.  A chain is an ordered list of PPM ids, none repeated; its
-compiled form is the concatenation of their steps.  One function,
-`traverse`, runs every step tuple -- a chain's, a dispatched action's and
-a PPM applied on its own -- and stops after any step that leaves a
-terminal verdict; it records nothing.
+A processing module (PPM) is its steps, `step(unit, ctx, snaps)`, run in
+order: its parser first, if it has one, then the steps that match and
+act.  The paper's <parser, (match, action)*> is written as consecutive
+PPMs, as filter -> router -> http_deparser are, and a PPM matches inside
+its own step, against the traversal's snapshot of its tables.  A chain is
+an ordered list of PPM ids, none repeated; its compiled form is the
+concatenation of their steps.  One function, `traverse`, runs every step
+tuple -- a chain's and a PPM applied on its own -- and stops after any
+step that leaves a terminal verdict; it records nothing.
 
 A traversal runs on one snapshot of every table its chain reads, a dict
 taken at its start that nothing changes.  A rule table is published
@@ -27,12 +23,9 @@ count has moved.  A table checks every write against its one owner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Optional
 
 from .core import TrafficUnit, Verdict
 
-DEFAULT_ACTION = "to_slow_path"
 _CONTINUE = Verdict.CONTINUE
 
 # new table versions published so far, by every table in the process: a
@@ -50,34 +43,27 @@ class UnknownPpm(MatchActionError):
     pass
 
 
-class Layer(Enum):
-    L4 = 4
-    L7 = 7
-
-
 @dataclass(frozen=True)
 class TableEpoch:
     """One published version of a table: its epoch and its entries, which
     never change once published and are immutable values."""
 
     epoch: int
-    entries: dict  # key tuple -> action ref (or arbitrary rule object)
+    entries: dict  # key -> rule object
 
 
 class MatchTable:
     """An exact-match rule table: its current version, published whole and
     copy-on-write, and its single owner.
 
-    Lookups read `self.current` once and keep using that snapshot; Python
-    attribute assignment is atomic, so readers are wait-free with respect
-    to writes.  A table built with an owner refuses a write that names
-    any other writer, or none.
+    A reader takes `self.current` once and keeps using that snapshot;
+    Python attribute assignment is atomic, so readers are wait-free with
+    respect to writes.  A write that names any writer but the owner is
+    refused.
     """
 
-    def __init__(self, name: str, default: str = DEFAULT_ACTION,
-                 owner: Optional[str] = None):
+    def __init__(self, name: str, owner: str):
         self.name = name
-        self.default = default
         self.current = TableEpoch(epoch=0, entries={})
         self.owner = owner
 
@@ -85,15 +71,11 @@ class MatchTable:
     def epoch(self) -> int:
         return self.current.epoch
 
-    def lookup(self, key, snap: TableEpoch = None):
-        snap = snap or self.current
-        return snap.entries.get(key, self.default)
-
-    def publish(self, entries: dict, writer: str = None) -> int:
+    def publish(self, entries: dict, writer: str) -> int:
         """Publish a copy of `entries` as a new version, unless they equal
         the current ones; returns the epoch now current."""
         global _published
-        if self.owner is not None and writer != self.owner:
+        if writer != self.owner:
             raise MatchActionError(
                 f"table {self.name} owned by {self.owner}, write from {writer}"
             )
@@ -104,10 +86,6 @@ class MatchTable:
             # count move takes a snapshot that holds it
             _published += 1
         return self.current.epoch
-
-
-def set_verdict(verdict, reason=None):
-    return lambda unit, ctx, snaps: unit.meta.set_verdict(verdict, reason)
 
 
 @dataclass
@@ -128,40 +106,15 @@ class ExecContext:
 
 
 class Ppm:
-    """Protocol processing module: an optional `parser` step, the
-    snapshots of `tables`, and `actions`, `{action_ref: [steps]}`, of
-    which either `matcher(unit, snaps) -> action_ref` picks one per unit,
-    or the constant `action` names the one always run -- never both.
-    DEFAULT_ACTION, unless given, sends a unit to the slow path.  `steps`
-    is the PPM compiled: its parser, then the constant action's steps or
-    one step that dispatches on the matcher."""
+    """Protocol processing module: its `steps`, parser first, and the
+    `tables` they read.  A step that matches reads its table through the
+    traversal's snapshot, `snaps[table.name].entries`, and acts on what it
+    finds in the same step."""
 
-    def __init__(
-        self,
-        id: str,
-        layer: Layer,
-        parser: Callable = None,
-        tables: list = None,
-        actions: dict = None,
-        matcher: Callable = None,
-        action: str = None,
-    ):
-        if (matcher is None) == (action is None):
-            raise MatchActionError(
-                f"ppm {id} needs either a matcher or one constant action")
+    def __init__(self, id: str, steps=(), tables=()):
         self.id = id
-        self.layer = layer
-        self.tables = tables or []
-        programs = {ref: tuple(steps) for ref, steps in (actions or {}).items()}
-        if action is not None:
-            if action not in programs:
-                raise MatchActionError(f"ppm {id}: unknown action {action!r}")
-            body = programs[action]
-        else:
-            programs.setdefault(DEFAULT_ACTION,
-                                (set_verdict(Verdict.TO_SLOW_PATH),))
-            body = (_dispatch(id, matcher, programs),)
-        self.steps = (parser,) + body if parser is not None else body
+        self.steps = tuple(steps)
+        self.tables = tuple(tables)
 
     def apply(self, unit: TrafficUnit, ctx: ExecContext, snaps: dict = None):
         """Traverse this PPM alone, as a one-PPM chain, by default on a
@@ -169,19 +122,6 @@ class Ppm:
         if snaps is None:
             snaps = {t.name: t.current for t in self.tables}
         traverse(self.steps, unit, ctx, snaps)
-
-
-def _dispatch(pid: str, matcher: Callable, programs: dict):
-    """The step that runs the steps of the action `matcher` picks."""
-
-    def dispatch(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
-        ref = matcher(unit, snaps)
-        steps = programs.get(ref)
-        if steps is None:
-            raise MatchActionError(f"ppm {pid}: unknown action {ref!r}")
-        traverse(steps, unit, ctx, snaps)
-
-    return dispatch
 
 
 def traverse(steps, unit: TrafficUnit, ctx: ExecContext, snaps: dict):
@@ -207,7 +147,7 @@ class ExecutableChain:
         self._snaps = None
         self._taken_at = -1  # the publish count `_snaps` was taken at
 
-    def execute(self, unit: TrafficUnit, ctx: ExecContext = None):
+    def execute(self, unit: TrafficUnit, ctx: ExecContext):
         """Traverse the chain on one snapshot of every table it reads,
         taken again only when a table has published since the last one;
         returns the unit."""
@@ -216,7 +156,7 @@ class ExecutableChain:
             self._taken_at = _published
             # a new dict: a traversal still running keeps the one it began
             snaps = self._snaps = {t.name: t.current for t in self._tables}
-        traverse(self.steps, unit, ctx or ExecContext(counters={}), snaps)
+        traverse(self.steps, unit, ctx, snaps)
         return unit
 
 

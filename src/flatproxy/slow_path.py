@@ -3,7 +3,7 @@
 Config comes from local YAML files (standing in for a cloud control
 center), parsed by libyaml's C parser where PyYAML has it, and gets
 validated into a MeshConfig of frozen values -- its chain against the
-standard PPM ids, `STANDARD_LAYERS` -- and is distributed
+standard PPM ids, `fast_path.STANDARD_CHAIN` -- and is distributed
 layer-wise: the connection controller ("connection") owns the listener
 table, and the message controller ("message") the L7 rule tables.  Each
 table is built with its owner's name and refuses a write that names
@@ -45,7 +45,7 @@ from .core import (
     ip4_to_int,
     make_listener_key,
 )
-from .fast_path import STANDARD_LAYERS, FastPath, standard_registry
+from .fast_path import STANDARD_CHAIN, FastPath, standard_registry
 from .l7 import (
     Cluster,
     Decision,
@@ -121,8 +121,6 @@ class MeshConfig:
     cost_profile: Optional[str] = None
 
 
-DEFAULT_CHAIN_NODES = ["toe", "http_parser", "filter", "router", "http_deparser"]
-
 _TOP_FIELDS = {"listeners", "filters", "routes", "clusters", "chain", "cost_profile"}
 _LISTENER_FIELDS = {"name", "dip", "dport"}
 _FILTER_FIELDS = {"decision", "method", "host", "path_prefix", "sip"}
@@ -172,10 +170,10 @@ def load_config(source) -> MeshConfig:
         routes = [_parse_route(d, by_name, cluster_refs)
                   for d in doc.get("routes", [])]
         section = "chain"
-        chain_doc = doc.get("chain") or {"nodes": list(DEFAULT_CHAIN_NODES)}
+        chain_doc = doc.get("chain") or {"nodes": list(STANDARD_CHAIN)}
         _reject_unknown(chain_doc, _CHAIN_FIELDS, "chain")
         chain = list(chain_doc.get("nodes", []))
-        check_chain(chain, STANDARD_LAYERS)
+        check_chain(chain, STANDARD_CHAIN)
         # the filter, router and deparser read the request the parser made
         parsed_at = chain.index("http_parser") if "http_parser" in chain else None
         if {"filter", "router", "http_deparser"} & set(chain[:parsed_at]):
@@ -325,7 +323,7 @@ class MeshRuntime:
         self.stubs: dict[int, object] = {}
         self.slow = ExecContext(counters={})  # the slow path's counters
 
-        self.chain = self.compile(config.chain if config else DEFAULT_CHAIN_NODES)
+        self.chain = self.compile(config.chain if config else STANDARD_CHAIN)
         self.fast_path = FastPath(
             l7_chain=self.chain,
             slow_path_handoff=self.handle_slow_path,

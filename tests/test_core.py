@@ -129,12 +129,24 @@ def test_flow_key_range_validation(fields):
         FlowKey(*fields)
 
 
-def test_verdict_terminal_sticks():
+TERMINAL = (Verdict.DROP, Verdict.TO_SLOW_PATH, Verdict.DELIVER)
+
+
+@pytest.mark.parametrize("terminal, then", [
+    (t, v) for t in TERMINAL for v in Verdict
+], ids=lambda v: v.name)
+def test_verdict_terminal_sticks(terminal, then):
+    """A terminal verdict refuses every other verdict, CONTINUE included;
+    restating it is fine and keeps the first reason unless given one."""
     meta = Metadata(flow=make_flow())
-    meta.set_verdict(Verdict.DROP, "x")
-    with pytest.raises(ValueError):
-        meta.set_verdict(Verdict.DELIVER)
-    meta.set_verdict(Verdict.DROP)  # idempotent restatement is fine
+    meta.set_verdict(terminal, "x")
+    if then is terminal:
+        meta.set_verdict(then)  # idempotent restatement is fine
+    else:
+        with pytest.raises(ValueError):
+            meta.set_verdict(then)
+    assert meta.verdict is terminal
+    assert meta.verdict_reason == "x"
 
 
 def test_verdict_continue_may_become_anything():

@@ -15,7 +15,6 @@ from flatproxy.fast_path import OutOfWindow, ToeEngine
 from flatproxy.l7 import Decision, FilterRule, frame_http, http_parse
 from flatproxy.match_action import (
     ExecContext,
-    Layer,
     MatchTable,
     Ppm,
     compile_chain,
@@ -27,7 +26,7 @@ from conftest import config_text, make_flow, make_message, make_request
 
 def seg(payload, seq, flow=None, conn_id=1):
     return TrafficUnit(
-        kind=UnitKind.SEGMENT,
+        kind=UnitKind.FRAME,
         meta=Metadata(flow=flow or make_flow(), conn_id=conn_id),
         payload=payload,
         seq=seq,
@@ -341,18 +340,16 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
         else:
             runtime.route_table.publish({}, writer="message")
 
-    runtime.registry["publisher"] = Ppm(
-        id="publisher", layer=Layer.L7, matcher=lambda unit, snaps: "publish",
-        actions={"publish": [publish]},
-    )
+    runtime.registry["publisher"] = Ppm("publisher", steps=[publish])
     chain = runtime.compile(["toe", "http_parser", "publisher",
                              "filter", "router", "http_deparser"])
     flow = make_flow(sport=48000)
-    first = chain.execute(make_message(make_request(b"/svc/a"), flow=flow))
+    ctx = ExecContext(counters={})
+    first = chain.execute(make_message(make_request(b"/svc/a"), flow=flow), ctx)
     assert first.meta.verdict is Verdict.DELIVER
     assert first.meta.verdict_reason == "deparsed"
     second = chain.execute(
-        make_message(make_request(b"/svc/a"), flow=flow, conn_id=2))
+        make_message(make_request(b"/svc/a"), flow=flow, conn_id=2), ctx)
     assert second.meta.verdict is Verdict.DROP
     assert second.meta.verdict_reason == (
         "filter" if republish == "deny_all_filters" else "no_route")
@@ -360,8 +357,7 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
 
 def spy_ppm(seen):
     """A PPM that records the snapshot dict each traversal hands it."""
-    return Ppm(id="spy", layer=Layer.L7, action="look",
-               actions={"look": [lambda unit, ctx, snaps: seen.append(snaps)]})
+    return Ppm("spy", steps=[lambda unit, ctx, snaps: seen.append(snaps)])
 
 
 def test_distribute_is_seen_by_the_next_message(runtime):
@@ -387,16 +383,19 @@ def test_unchanged_reload_keeps_the_snapshot(runtime):
     chain = runtime.compile(["toe", "http_parser", "spy", "filter", "router",
                              "http_deparser"])
     flow = make_flow(sport=48020)
-    chain.execute(make_message(make_request(b"/svc/a"), flow=flow))
+    ctx = ExecContext(counters={})
+    chain.execute(make_message(make_request(b"/svc/a"), flow=flow), ctx)
     epochs = runtime.stats_snapshot()["table_epochs"]
     assert runtime.distribute(load_config(config_text())) == epochs
-    chain.execute(make_message(make_request(b"/svc/a"), flow=flow, conn_id=2))
+    chain.execute(make_message(make_request(b"/svc/a"), flow=flow, conn_id=2),
+                  ctx)
     assert seen[1] is seen[0]
     assert {n: s.epoch for n, s in seen[1].items()} == epochs
     after = runtime.distribute(
         load_config(config_text().replace("/admin", "/svc/b")))
     assert after == dict(epochs, filters=epochs["filters"] + 1)
-    chain.execute(make_message(make_request(b"/svc/a"), flow=flow, conn_id=3))
+    chain.execute(make_message(make_request(b"/svc/a"), flow=flow, conn_id=3),
+                  ctx)
     assert seen[2] is not seen[1]
     assert {n: s.epoch for n, s in seen[2].items()} == after
     assert seen[1]["filters"].epoch == epochs["filters"]
@@ -405,30 +404,27 @@ def test_unchanged_reload_keeps_the_snapshot(runtime):
 # -- compiled chain against each PPM applied in turn -------------------------
 
 def hand_built_ppms():
-    """Matcher PPMs as a test would build them: a parser and a match on the
-    path, and a match on a rule table keyed by method."""
-    methods = MatchTable("methods", default="pass")
-    methods.publish({b"DELETE": "deny"})
+    """PPMs as a test would build them: a parser and a match on the path,
+    and a match on a rule table keyed by method, read through the
+    traversal's snapshot."""
+    methods = MatchTable("methods", owner="test")
+    methods.publish({b"DELETE": "deny"}, writer="test")
 
-    def count(name):
-        return lambda unit, ctx, snaps: ctx.bump(name)
+    def parse(unit, ctx, snaps):
+        ctx.bump("tag.parsed")
 
-    def deny(unit, ctx, snaps):
-        unit.meta.set_verdict(Verdict.DROP, "method")
+    def mark(unit, ctx, snaps):
+        if unit.meta.http.url_path == b"/svc/a":
+            ctx.bump("tag.marked")
+
+    def gate(unit, ctx, snaps):
+        if snaps["methods"].entries.get(unit.meta.http.method) == "deny":
+            ctx.bump("gate.denied")
+            unit.meta.set_verdict(Verdict.DROP, "method")
 
     return {
-        "tag": Ppm(
-            id="tag", layer=Layer.L7, parser=count("tag.parsed"),
-            matcher=lambda unit, snaps: (
-                "mark" if unit.meta.http.url_path == b"/svc/a" else "pass"),
-            actions={"mark": [count("tag.marked")], "pass": []},
-        ),
-        "gate": Ppm(
-            id="gate", layer=Layer.L7, tables=[methods],
-            matcher=lambda unit, snaps: methods.lookup(
-                unit.meta.http.method, snaps["methods"]),
-            actions={"deny": [count("gate.denied"), deny], "pass": []},
-        ),
+        "tag": Ppm("tag", steps=[parse, mark]),
+        "gate": Ppm("gate", steps=[gate], tables=[methods]),
     }
 
 
@@ -491,8 +487,8 @@ def test_chain_without_router_hands_the_message_to_the_slow_path():
 # -- hot path ----------------------------------------------------------------
 
 def test_standard_chain_is_one_flat_step_list(runtime):
-    """`toe` compiles to no step and each L7 PPM to one, so a message runs
-    through four steps, with no matcher call."""
+    """`toe` has no step and each L7 PPM one, so a message runs through
+    four steps."""
     assert runtime.registry["toe"].steps == ()
     assert runtime.chain.steps == tuple(
         step for pid in ("http_parser", "filter", "router", "http_deparser")

@@ -5,35 +5,45 @@ import pytest
 from flatproxy.core import Metadata, TrafficUnit, UnitKind, Verdict
 from flatproxy.match_action import (
     ExecContext,
-    Layer,
     MatchActionError,
     MatchTable,
     Ppm,
     TableEpoch,
     UnknownPpm,
     compile_chain,
-    set_verdict,
 )
 from conftest import make_flow
 
+WRITER = "owner"
+
+
+def table(name="t"):
+    return MatchTable(name, owner=WRITER)
+
 
 def inc_counter(name):
-    """A step that counts `name` each time its action runs."""
+    """A step that counts `name` each time it runs."""
     return lambda unit, ctx, snaps: ctx.bump(name)
 
 
-def lookup(table, key=lambda unit: ()):
-    """A matcher that looks `key(unit)` up in the traversal's snapshot of
-    `table`."""
-    return lambda unit, snaps: table.lookup(key(unit), snaps.get(table.name))
+def set_verdict(verdict, reason):
+    return lambda unit, ctx, snaps: unit.meta.set_verdict(verdict, reason)
 
 
-def passthrough_ppm(pid, layer, counter=None):
-    table = MatchTable(f"{pid}_t", default="go")
-    return Ppm(
-        id=pid, layer=layer, tables=[table], matcher=lookup(table),
-        actions={"go": [inc_counter(counter or pid)]},
-    )
+def on_miss(t, step):
+    """A step that matches the unit's conn id against the traversal's
+    snapshot of table `t` and runs `step` when it finds no entry."""
+
+    def match(unit, ctx, snaps):
+        if unit.meta.conn_id not in snaps[t.name].entries:
+            step(unit, ctx, snaps)
+
+    return match
+
+
+def passthrough_ppm(pid):
+    t = table(f"{pid}_t")
+    return Ppm(pid, steps=[on_miss(t, inc_counter(pid))], tables=[t])
 
 
 def make_unit():
@@ -43,41 +53,41 @@ def make_unit():
 # -- table publication -------------------------------------------------------
 
 def test_publish_bumps_epoch_atomically():
-    t = MatchTable("t")
+    t = table()
     assert t.epoch == 0
     snap0 = t.current
-    e1 = t.publish({"a": 1, "b": 2})
+    e1 = t.publish({"a": 1, "b": 2}, WRITER)
     assert e1 == 1
-    assert t.lookup("a") == 1
+    assert t.current.entries["a"] == 1
     # the old snapshot still answers with old state
-    assert t.lookup("a", snap0) == t.default
+    assert "a" not in snap0.entries
     assert snap0.entries == {}
 
 
 def test_publish_remove_and_delta():
     """A publish replaces the entries whole: a key it leaves out is gone."""
-    t = MatchTable("t")
-    t.publish({"a": 1, "b": 2})
-    assert t.publish({"b": 2, "c": 3}) == 2
-    assert t.lookup("a") == t.default
-    assert t.lookup("b") == 2
-    assert t.lookup("c") == 3
+    t = table()
+    t.publish({"a": 1, "b": 2}, WRITER)
+    assert t.publish({"b": 2, "c": 3}, WRITER) == 2
+    assert "a" not in t.current.entries
+    assert t.current.entries["b"] == 2
+    assert t.current.entries["c"] == 3
 
 
 def test_publish_remove_absent_key_is_noop():
     """Entries equal to the current ones keep the version; what is
     published is a copy of the caller's dict."""
-    t = MatchTable("t")
+    t = table()
     entries = {"a": 1}
-    assert t.publish(entries) == 1
+    assert t.publish(entries, WRITER) == 1
     snap = t.current
     assert snap.entries == entries and snap.entries is not entries
     entries["b"] = 2
-    assert t.lookup("b") == t.default
-    assert t.publish({"a": 1}) == 1
+    assert "b" not in t.current.entries
+    assert t.publish({"a": 1}, WRITER) == 1
     assert t.current is snap
-    assert t.publish(entries) == 2
-    assert t.publish({}) == 3
+    assert t.publish(entries, WRITER) == 2
+    assert t.publish({}, WRITER) == 3
     assert t.current.entries == {}
 
 
@@ -90,8 +100,8 @@ def test_publish_owner_enforced():
 
 
 def test_snapshot_is_immutable_type():
-    t = MatchTable("t")
-    t.publish({"x": 1})
+    t = table()
+    t.publish({"x": 1}, WRITER)
     snap = t.current
     assert isinstance(snap, TableEpoch)
     with pytest.raises(Exception):
@@ -101,28 +111,31 @@ def test_snapshot_is_immutable_type():
 def test_lookup_consistency_under_republish():
     """A traversal that took a snapshot never sees a mixed state, no
     matter how many publishes land mid-traversal."""
-    t = MatchTable("t")
-    t.publish({"a": "v1", "b": "v1"})
+    t = table()
+    t.publish({"a": "v1", "b": "v1"}, WRITER)
     snap = t.current
     for i in range(100):
-        t.publish({"a": f"v{i+2}", "b": f"v{i+2}"})
+        t.publish({"a": f"v{i+2}", "b": f"v{i+2}"}, WRITER)
         # the held snapshot keeps answering from one coherent version
-        assert t.lookup("a", snap) == "v1"
-        assert t.lookup("b", snap) == "v1"
+        assert snap.entries["a"] == "v1"
+        assert snap.entries["b"] == "v1"
     cur = t.current
-    assert t.lookup("a", cur) == t.lookup("b", cur)
+    assert cur.entries["a"] == cur.entries["b"]
 
 
 # -- PPM application ---------------------------------------------------------
 
 def test_ppm_runs_matched_program():
-    t = MatchTable("t")
-    t.publish({7: "hit"})
-    p = Ppm(
-        id="p", layer=Layer.L7, tables=[t],
-        matcher=lookup(t, lambda unit: unit.meta.conn_id),
-        actions={"hit": [inc_counter("hits")]},
-    )
+    """A step matches against the traversal's snapshot of its table and
+    acts on the entry it finds."""
+    t = table()
+    t.publish({7: "hit"}, WRITER)
+
+    def match(unit, ctx, snaps):
+        if snaps[t.name].entries.get(unit.meta.conn_id) == "hit":
+            ctx.bump("hits")
+
+    p = Ppm("p", steps=[match], tables=[t])
     unit = make_unit()
     unit.meta.conn_id = 7
     ctx = ExecContext(counters={})
@@ -131,91 +144,53 @@ def test_ppm_runs_matched_program():
     assert unit.meta.verdict is Verdict.CONTINUE
 
 
-def test_ppm_default_action_is_slow_path():
-    t = MatchTable("t")
-    p = Ppm(id="p", layer=Layer.L7, tables=[t],
-            matcher=lookup(t, lambda unit: unit.meta.conn_id), actions={})
-    unit = make_unit()
-    ctx = ExecContext(counters={})
-    p.apply(unit, ctx)
-    assert unit.meta.verdict is Verdict.TO_SLOW_PATH
-    assert ctx.counters == {}
-
-
-def test_ppm_requires_table_or_matcher():
-    with pytest.raises(MatchActionError):
-        Ppm(id="p", layer=Layer.L4)
-    # a table is no longer enough: every PPM names its matcher
-    with pytest.raises(MatchActionError):
-        Ppm(id="p", layer=Layer.L4, tables=[MatchTable("t")])
-    # or one constant action it has, never both
-    with pytest.raises(MatchActionError):
-        Ppm(id="p", layer=Layer.L4, matcher=lambda unit, snaps: "go",
-            action="go", actions={"go": []})
-    with pytest.raises(MatchActionError, match="unknown action"):
-        Ppm(id="p", layer=Layer.L4, action="go", actions={})
-
-
 def test_constant_action_compiles_to_its_parser_and_steps():
-    """A constant-action PPM is its parser and its action's steps, inlined;
-    a matcher PPM is its parser and one dispatch step."""
+    """A PPM is its steps, parser first, as one tuple; applied alone it
+    runs them in turn."""
     parse = inc_counter("parsed")
     steps = [inc_counter("a"), inc_counter("b")]
-    p = Ppm(id="p", layer=Layer.L7, parser=parse, action="go",
-            actions={"go": steps, "other": [inc_counter("other")]})
+    p = Ppm("p", steps=[parse, *steps])
     assert p.steps == (parse, *steps)
-    assert Ppm(id="q", layer=Layer.L7, action="go", actions={"go": []}).steps == ()
-    m = Ppm(id="m", layer=Layer.L7, parser=parse,
-            matcher=lambda unit, snaps: "go", actions={"go": steps})
-    assert len(m.steps) == 2 and m.steps[0] is parse
+    assert Ppm("q").steps == () and Ppm("q").tables == ()
     ctx = ExecContext(counters={})
-    m.apply(make_unit(), ctx)
+    p.apply(make_unit(), ctx)
     assert ctx.counters == {"parsed": 1, "a": 1, "b": 1}
 
 
 def test_terminal_verdict_stops_program():
-    t = MatchTable("t", default="go")
-    p = Ppm(
-        id="p", layer=Layer.L7, tables=[t], matcher=lookup(t),
-        actions={"go": [
-            set_verdict(Verdict.DROP, "x"), inc_counter("after"),
-        ]},
-    )
+    t = table()
+    p = Ppm("p", tables=[t], steps=[
+        on_miss(t, set_verdict(Verdict.DROP, "x")), inc_counter("after"),
+    ])
     unit = make_unit()
     ctx = ExecContext(counters={})
     p.apply(unit, ctx)
-    # a program stops after any step that leaves a terminal verdict, so
-    # the counter step after set_verdict never runs
+    # a PPM stops after any step that leaves a terminal verdict, so the
+    # counter step after the drop never runs
     assert unit.meta.verdict is Verdict.DROP
     assert "after" not in ctx.counters
 
 
 # -- chain compilation -------------------------------------------------------
 
-def layered_registry():
-    return {
-        "l4": passthrough_ppm("l4", Layer.L4),
-        "l7a": passthrough_ppm("l7a", Layer.L7),
-        "l7b": passthrough_ppm("l7b", Layer.L7),
-        "l7c": passthrough_ppm("l7c", Layer.L7),
-        "l7d": passthrough_ppm("l7d", Layer.L7),
-    }
+def passthrough_registry():
+    return {pid: passthrough_ppm(pid) for pid in ("l4", "l7a", "l7b", "l7c", "l7d")}
 
 
 def test_compile_linear_chain_order():
-    reg = layered_registry()
+    reg = passthrough_registry()
     chain = compile_chain(["l4", "l7a", "l7b", "l7c", "l7d"], reg)
     assert chain.order == ["l4", "l7a", "l7b", "l7c", "l7d"]
 
 
 def test_compile_rejects_unknown_node():
-    reg = layered_registry()
+    reg = passthrough_registry()
     with pytest.raises(UnknownPpm):
         compile_chain(["l4", "nope"], reg)
 
 
 def test_same_layer_wiring_allowed():
-    reg = layered_registry()
+    reg = passthrough_registry()
     chain = compile_chain(["l7a", "l7b"], reg)
     assert chain.order == ["l7a", "l7b"]
 
@@ -223,7 +198,7 @@ def test_same_layer_wiring_allowed():
 def test_compile_rejects_cycle():
     """A chain is a list run once in order, so a repeated id -- the only
     way left to write a cycle -- is refused, adjacent or not."""
-    reg = layered_registry()
+    reg = passthrough_registry()
     for nodes in (["l7a", "l7b", "l7a"], ["l4", "l4", "l7a"],
                   ["l4", "l7c", "l4"]):
         with pytest.raises(MatchActionError, match="repeats"):
@@ -234,19 +209,17 @@ def test_empty_chain_is_identity():
     chain = compile_chain([], {})
     unit = make_unit()
     unit.payload = b"untouched"
-    out = chain.execute(unit)
+    out = chain.execute(unit, ExecContext(counters={}))
     assert out is unit
     assert out.payload == b"untouched"
     assert out.meta.verdict is Verdict.CONTINUE
 
 
 def test_execute_trace_and_stop_on_terminal():
-    reg = layered_registry()
-    t = MatchTable("drop_t", default="kill")
-    reg["l7drop"] = Ppm(
-        id="l7drop", layer=Layer.L7, tables=[t], matcher=lookup(t),
-        actions={"kill": [set_verdict(Verdict.DROP, "x")]},
-    )
+    reg = passthrough_registry()
+    t = table("drop_t")
+    reg["l7drop"] = Ppm("l7drop", tables=[t],
+                        steps=[on_miss(t, set_verdict(Verdict.DROP, "x"))])
     chain = compile_chain(["l7a", "l7drop", "l7b"], reg)
     ctx = ExecContext(counters={})
     unit = chain.execute(make_unit(), ctx)
@@ -256,34 +229,24 @@ def test_execute_trace_and_stop_on_terminal():
     assert ctx.counters == {"l7a": 1}
 
 
-def test_chain_unknown_action_raises():
-    reg = layered_registry()
-    t = MatchTable("bad_t", default="missing")
-    reg["bad"] = Ppm(id="bad", layer=Layer.L7, tables=[t], matcher=lookup(t))
-    chain = compile_chain(["l7a", "bad"], reg)
-    with pytest.raises(MatchActionError):
-        chain.execute(make_unit())
-
-
 def test_chain_equals_sequential_application():
     """Chain execution is byte-for-byte the same as applying each PPM by
     hand in order, across randomized payload/metadata and a randomly
-    placed terminal node; so are the counters each PPM's action bumps."""
+    placed terminal node; so are the counters each PPM's steps bump."""
     rng = random.Random(42)
     nodes = ["l4", "l7a", "l7b", "l7c", "l7d"]
     for _ in range(50):
         stop = rng.choice(nodes + [None])
         verdict = rng.choice([Verdict.DROP, Verdict.DELIVER, Verdict.TO_SLOW_PATH])
-        reg_a = layered_registry()
-        reg_b = layered_registry()
+        reg_a = passthrough_registry()
+        reg_b = passthrough_registry()
         if stop is not None:
             for reg in (reg_a, reg_b):
-                t = MatchTable(f"{stop}_t", default="stop")
-                reg[stop] = Ppm(
-                    id=stop, layer=reg[stop].layer, tables=[t], matcher=lookup(t),
-                    actions={"stop": [
-                        inc_counter(stop), set_verdict(verdict, "stopped")]},
-                )
+                t = table(f"{stop}_t")
+                reg[stop] = Ppm(stop, tables=[t], steps=[
+                    on_miss(t, inc_counter(stop)),
+                    set_verdict(verdict, "stopped"),
+                ])
         chain = compile_chain(nodes, reg_a)
         unit_a = make_unit()
         unit_b = make_unit()

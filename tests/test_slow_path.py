@@ -15,7 +15,7 @@ from flatproxy.core import (
     Verdict,
     make_listener_key,
 )
-from flatproxy.fast_path import REORDER_BUFFER_SEGMENTS
+from flatproxy.fast_path import REORDER_BUFFER_SEGMENTS, STANDARD_CHAIN
 from flatproxy.l7 import ConnectFailure, Decision, LbPolicy, MatchKind
 from flatproxy.slow_path import (
     ConfigError,
@@ -216,6 +216,14 @@ def test_missing_chain_defaults():
                          "http_deparser"]
 
 
+def test_standard_chain_names_every_registered_ppm():
+    """One tuple is both the ids a chain may name and the default chain."""
+    rt = MeshRuntime()
+    assert set(rt.registry) == set(STANDARD_CHAIN)
+    rt.shutdown()
+    assert load_config(config_text()).chain == list(STANDARD_CHAIN)
+
+
 # -- table ownership ---------------------------------------------------------
 
 def test_runtime_table_ownership_layout():
@@ -232,7 +240,7 @@ def test_owned_table_refuses_a_write_that_names_no_writer():
     rt = MeshRuntime(config=load_config(config_text()))
     epoch = rt.cluster_table.epoch
     with pytest.raises(MatchActionError):
-        rt.cluster_table.publish({})
+        rt.cluster_table.publish({}, None)
     assert rt.cluster_table.epoch == epoch
     rt.shutdown()
 
@@ -246,7 +254,7 @@ def test_distribute_returns_epochs_and_installs_rules():
     assert epochs["listeners"] == 1
     assert epochs["filters"] == 1
     lkey = make_listener_key("10.0.0.2", 8080)
-    assert rt.listener_table.lookup(lkey) == "web"
+    assert rt.listener_table.current.entries[lkey] == "web"
     # one interned key: the listener and route tables hold the same object
     (listener_key,), (route_key,) = (rt.listener_table.current.entries,
                                      rt.route_table.current.entries)
@@ -264,8 +272,9 @@ def test_redistribute_removes_stale_entries():
     old_key = make_listener_key("10.0.0.2", 8080)
     cfg2 = load_config(config_text(dip="10.0.0.3", dport=9090))
     epochs = rt.distribute(cfg2)
-    assert rt.listener_table.lookup(old_key) == rt.listener_table.default
-    assert rt.listener_table.lookup(make_listener_key("10.0.0.3", 9090)) == "web"
+    entries = rt.listener_table.current.entries
+    assert old_key not in entries
+    assert entries[make_listener_key("10.0.0.3", 9090)] == "web"
     assert epochs["listeners"] == 2
     rt.shutdown()
 
