@@ -49,6 +49,14 @@ def _positive(kind, text: str):
     return value
 
 
+def _not_negative(kind, text: str):
+    """`text` as a finite `kind` of 0 or more, refused as `_positive` does."""
+    value = kind(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"not a finite number >= 0: {text!r}")
+    return value
+
+
 def _positive_list(kind, text: str) -> list:
     """One or more comma-separated positive `kind` values."""
     values = [_positive(kind, x) for x in text.split(",") if x]
@@ -67,6 +75,14 @@ def _float_list(text: str):
 
 def _duration(text: str):
     return _positive(float, text)
+
+
+def _run_for(text: str):
+    return _not_negative(float, text)
+
+
+def _stub_count(text: str):
+    return _not_negative(int, text)
 
 
 def _mode_list(text: str):
@@ -111,9 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("live", help="serve the configured proxy over TCP")
     p.add_argument("--config", required=True)
     p.add_argument("--listen", type=_host_port, default="127.0.0.1:0")
-    p.add_argument("--duration", type=float, default=0.0,
+    p.add_argument("--duration", type=_run_for, default=0.0,
                    help="seconds to run; 0 = until interrupted")
-    p.add_argument("--spawn-stubs", type=int, default=0,
+    p.add_argument("--spawn-stubs", type=_stub_count, default=0,
                    help="spawn echo stubs on the configured endpoints")
     p.add_argument("--pid-file", default=None)
 

@@ -164,8 +164,8 @@ class TrafficUnit:
     meta: Metadata
     payload: bytes = b""
     seq: int = 0  # TCP sequence offset of a FRAME's payload
-    # a MESSAGE framed on arrival: `l7.frame_http(payload)`, which the
-    # parser builds the request from instead of framing it again
+    # a MESSAGE framed on arrival: `l7.frame_http(payload)`, its header
+    # block read once, which the parser builds the request from
     head: Optional[tuple] = None
 
 

@@ -7,9 +7,9 @@ path as `new_connection`, which opens the state and reinjects the frame.
 A flow's TOE state is opened by the slow path and released by
 `close_flow`.  The ToeEngine feeds a flow's in-order bytes to its
 `l7.HttpReader`, the one reader live mode uses too, which frames and joins
-each HTTP message once and hands it on with its head, split as soon as the
-header block is in; a segment that is exactly one whole message is framed
-and handed on as it came.  `ingress` runs the messages at once, in order,
+each HTTP message once and hands it on with its head, read in one pass as
+soon as the header block is in; a segment that is exactly one whole
+message is framed and handed on as it came.  `ingress` runs the messages at once, in order,
 through `FastPath.message`, the L7 entry live mode shares; the parser
 builds each request from its head, and the deparser forwards the message
 bytes untouched.  Frames and messages leave through one disposition,
@@ -125,11 +125,7 @@ def make_http_deparser() -> Ppm:
         if unit.meta.queue is None:
             unit.meta.set_verdict(Verdict.TO_SLOW_PATH)
             return
-        try:
-            unit.payload = http_deparse(unit.meta)
-        except MalformedHttp:
-            unit.meta.set_verdict(Verdict.TO_SLOW_PATH, "deparse_failed")
-            return
+        unit.payload = http_deparse(unit.meta)
         unit.meta.set_verdict(Verdict.DELIVER, "deparsed")
 
     return Ppm("http_deparser", steps=[deparse])

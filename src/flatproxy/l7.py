@@ -1,9 +1,10 @@
 """Application-layer functions: HTTP parse/deparse, filtering, routing
 and load balancing.
 
-An HTTP message's header block is split once, by `frame_http` when it
-frames the message; the parser reads the request line and the Host header
-from that head, checking every header line, and the deparser forwards the
+An HTTP message's header block is read once, in one pass over its lines,
+by `frame_http` when it frames the message: that pass finds the
+Content-Length, the Host and the first bad header line, and the parser
+builds the request from the head it returns; the deparser forwards the
 framed bytes untouched -- header fields are extracted, the payload passes
 through.  `HttpReader` is the one reader that cuts whole messages off a
 byte stream by that rule: the TOE's per-flow reassembly, and in live mode
@@ -37,11 +38,13 @@ from .vq import MAX_DESCRIPTOR_BYTES
 
 
 class MalformedHttp(Exception):
-    """An HTTP message that cannot be parsed or framed.  `end`, set by
-    `frame_http`, is where the unframeable message's header block ends (or
-    the whole buffer, when it has none)."""
+    """An HTTP message that cannot be parsed or framed.  `end`, given
+    where `frame_http` raises it, is where the unframeable message's header
+    block ends (or the whole buffer, when it has none)."""
 
-    end = None
+    def __init__(self, message: str, end: Optional[int] = None):
+        super().__init__(message)
+        self.end = end
 
 
 class NoHealthyEndpoint(Exception):
@@ -76,55 +79,47 @@ def http_parse(unit: TrafficUnit) -> Metadata:
 
 def frame_http(data: bytes) -> Optional[tuple]:
     """The one HTTP/1.1 framing rule (RFC 9112 section 6.3), for requests
-    and responses alike: once the header block of the message at the start
-    of `data` is in, the message's head `(length, body_at, start_line,
-    fields)` -- header block plus Content-Length body, where the body
-    starts, and what `split_head` found -- else None.  The message is whole
-    once `len(data)` reaches that length; a caller that keeps the head need
-    neither frame nor split the message again.  Raises MalformedHttp, with
-    `end` set, for a message larger than MAX_DESCRIPTOR_BYTES (or no header
-    terminator within that many bytes) and for what `split_head` refuses.
-    """
+    and responses alike, in one pass over the header lines: once the header
+    block of the message at the start of `data` is in, its head `(length,
+    body_at, start_line, host, bad_line)` -- header block plus
+    Content-Length body, where the body starts, the start line, the last
+    Host (b'' if none) and the first line with no colon or no name (None if
+    none) -- else None.  The message is whole once `len(data)` reaches that
+    length.  Raises MalformedHttp, with `end` set, for a message over
+    MAX_DESCRIPTOR_BYTES (or no header terminator within that many), a bad
+    or conflicting Content-Length, or any Transfer-Encoding."""
     head_end = data.find(_CRLF + _CRLF)
-    end = head_end + 4 if head_end >= 0 else len(data)
-    try:
-        if head_end < 0:
-            if end < MAX_DESCRIPTOR_BYTES:
-                return None
-            raise MalformedHttp(
-                f"no header terminator within {MAX_DESCRIPTOR_BYTES} bytes")
-        start, fields, length = split_head(data[:head_end])
-        if end + length > MAX_DESCRIPTOR_BYTES:
-            raise MalformedHttp(f"message exceeds {MAX_DESCRIPTOR_BYTES} bytes")
-    except MalformedHttp as exc:
-        exc.end = end
-        raise
-    return end + length, end, start, fields
-
-
-def split_head(block: bytes):
-    """A header block (less its blank line), split once: the start line,
-    each header line's `(name, colon, value)` partition at its first colon
-    (`colon` empty if it has none), and the Content-Length (0 without one).
-    Raises MalformedHttp for a bad or conflicting Content-Length, or any
-    Transfer-Encoding, which is not supported."""
-    lines = block.split(_CRLF)
-    fields = []
+    if head_end < 0:
+        if len(data) < MAX_DESCRIPTOR_BYTES:
+            return None
+        raise MalformedHttp(
+            f"no header terminator within {MAX_DESCRIPTOR_BYTES} bytes",
+            len(data))
+    end = head_end + 4
+    lines = data[:head_end].split(_CRLF)
     length = None
+    host = b""
+    bad_line = None
     for line in lines[1:]:
-        field = line.partition(b":")
-        fields.append(field)
-        name = field[0].strip().lower()
-        if name == b"content-length":
+        name, colon, value = line.partition(b":")
+        if (not colon or not name) and bad_line is None:
+            bad_line = line
+        name = name.strip().lower()
+        if name == b"host":
+            host = value.strip()
+        elif name == b"content-length":
             # a non-negative decimal; "+3", "-3" and "1_0" are not
-            if not field[2].strip().isdigit():
-                raise MalformedHttp("bad content-length")
-            if length is not None and length != int(field[2]):
-                raise MalformedHttp("conflicting content-length")
-            length = int(field[2])
+            if not value.strip().isdigit():
+                raise MalformedHttp("bad content-length", end)
+            if length is not None and length != int(value):
+                raise MalformedHttp("conflicting content-length", end)
+            length = int(value)
         elif name == b"transfer-encoding":
-            raise MalformedHttp("transfer-encoding not supported")
-    return lines[0], fields, length or 0
+            raise MalformedHttp("transfer-encoding not supported", end)
+    length = end + (length or 0)
+    if length > MAX_DESCRIPTOR_BYTES:
+        raise MalformedHttp(f"message exceeds {MAX_DESCRIPTOR_BYTES} bytes", end)
+    return length, end, lines[0], host, bad_line
 
 
 class HttpReader:
@@ -207,40 +202,28 @@ class HttpReader:
 
 def parse_request(data: bytes, head: Optional[tuple] = None) -> HttpMessage:
     """The request `data` holds, exactly, built from `head`, its
-    `frame_http` head (framed here when None).  Raises MalformedHttp for a
-    message cut short or followed by more bytes, a bad request line or a
-    bad header line."""
+    `frame_http` head (framed here when None), with no second pass over its
+    header lines.  Raises MalformedHttp for a message cut short or followed
+    by more bytes, a bad request line or a bad header line."""
     if head is None:
         head = frame_http(data)
     if head is None or head[0] > len(data):
         raise MalformedHttp("incomplete message")
-    length, body_at, start, fields = head
+    length, body_at, start, host, bad_line = head
     if length < len(data):
         raise MalformedHttp("bytes past the end of the message")
     parts = start.split(b" ")
     if len(parts) != 3 or not parts[0] or not parts[2].startswith(b"HTTP/"):
         raise MalformedHttp("bad request line")
-    host = b""
-    for name, colon, value in fields:
-        if not colon or not name:
-            raise MalformedHttp(f"bad header line {name + colon + value!r}")
-        if name.strip().lower() == b"host":
-            host = value.strip()
+    if bad_line is not None:
+        raise MalformedHttp(f"bad header line {bad_line!r}")
     return HttpMessage(method=parts[0], url_path=parts[1], host=host, raw=data,
                        body_at=body_at)
-
-
-def parse_request_bytes(data: bytes, head: Optional[tuple] = None):
-    """`parse_request`, returning (HttpMessage, body bytes)."""
-    msg = parse_request(data, head)
-    return msg, data[msg.body_at:]
 
 
 def http_deparse(meta: Metadata) -> bytes:
     """The request bytes for the bound queue: the message exactly as it
     arrived."""
-    if meta.http is None:
-        raise MalformedHttp("no http metadata to deparse")
     return meta.http.raw
 
 

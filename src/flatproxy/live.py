@@ -45,7 +45,7 @@ from .core import (
     ip4_to_int,
     next_conn_id,
 )
-from .l7 import ConnectFailure, HttpReader, MalformedHttp, parse_request_bytes
+from .l7 import ConnectFailure, HttpReader, MalformedHttp, parse_request
 from .slow_path import MeshConfig, MeshRuntime, http_status
 
 log = logging.getLogger(__name__)
@@ -166,7 +166,7 @@ class EchoStub(_Loop):
             try:
                 while msg := end.reader.take(data):
                     data = b""
-                    body = parse_request_bytes(*msg)[1]
+                    body = msg[0][parse_request(*msg).body_at:]
                     self.hits += 1
                     end.out += b"%sContent-Length: %d\r\n\r\n%s" % (
                         self._ok, len(body), body)
@@ -293,22 +293,21 @@ class LiveProxy(_Loop):
                 return
             if not data:  # the client has gone: what it awaits is dropped
                 return self._close(c)
-            if not c.closing:
-                self._requests(c, data)
+            self._requests(c, data)
         self._settle(c)
 
     def _requests(self, c: _Client, data: bytes):
         """Run each whole request `c` has sent, now with `data`, through
-        the data path, in order, and queue its reply."""
-        while True:
+        the data path, in order, and queue its reply; none once `c` is
+        closing.  A block that cannot be framed goes through alone, with no
+        head, as the TOE's does, and `c` takes nothing after it."""
+        while not c.closing:
             try:
                 msg = c.reader.take(data)
-                data = b""
             except MalformedHttp as exc:
-                # the stream cannot be framed past this point
-                self._reply(c, _error_response(400, f"malformed_http:{exc}"))
+                msg = c.reader.cut(exc.end), None
                 c.closing = True
-                return
+            data = b""
             if msg is None:
                 return
             meta = self.runtime.fast_path.message(TrafficUnit(

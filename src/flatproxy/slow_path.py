@@ -194,9 +194,11 @@ def load_config(source) -> MeshConfig:
 
 def _parse_listener(d) -> ListenerDef:
     _reject_unknown(d, _LISTENER_FIELDS, "listener")
-    return ListenerDef(
+    listener = ListenerDef(
         name=str(d["name"]), dip=ip4_to_int(d["dip"]), dport=int(d["dport"])
     )
+    listener.key  # a key refuses a port outside 16 bits
+    return listener
 
 
 def _parse_filter(d) -> FilterRule:
@@ -256,8 +258,7 @@ def _parse_cluster(d) -> Cluster:
 
 _STATUS_BY_REASON = {"no_listener": 404, "no_route": 404,
                      "no_healthy_endpoint": 503, "malformed_http": 400,
-                     "connect_failure": 502, "unknown_cluster": 502,
-                     "deparse_failed": 502}
+                     "connect_failure": 502, "unknown_cluster": 502}
 
 
 def http_status(verdict: Verdict, reason: Optional[str]) -> int:

@@ -68,6 +68,19 @@ def test_validate_malformed_entry_exits_2(tmp_path, capsys, section, doc):
     assert "invalid config" in err and f"bad {section}" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "live"])
+@pytest.mark.parametrize("dport", [70000, -5])
+def test_listener_port_out_of_range_exits_2(tmp_path, capsys, command, dport):
+    """A listener port that no socket can have is refused when the config
+    is read, by `live` as by `validate`, even with no route to it."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(f"listeners:\n  - name: web\n    dip: 10.0.0.2\n"
+                   f"    dport: {dport}\n")
+    code, _, err = run_cli([command, "--config", str(bad)], capsys)
+    assert code == 2
+    assert "invalid config" in err and "bad listeners" in err
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run_cli(["validate", "--config", "/nonexistent.yaml"], capsys)
     assert code == 2
@@ -200,6 +213,22 @@ def test_live_rejects_bad_listen_port(config_file, capsys):
             main(["live", "--config", config_file, "--listen", listen])
         assert exc.value.code == 2
         assert "bad port" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--spawn-stubs", "-1"), ("--duration", "-1"), ("--duration", "nan"),
+    ("--duration", "inf"),
+])
+def test_live_rejects_negative_or_unbounded_inputs(tmp_path, capsys, flag,
+                                                   value):
+    """`--spawn-stubs -1` once spawned a stub on every endpoint but the
+    last, `--duration -1` or `nan` ran until interrupted and `inf` died in
+    `time.sleep`; argparse refuses each with a usage message, before the
+    config is read."""
+    with pytest.raises(SystemExit) as exc:
+        main(["live", "--config", str(tmp_path / "missing.yaml"), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_live_port_taken_closes_its_socket_and_stops_the_stubs(tmp_path, capsys):

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from flatproxy.l7 import MalformedHttp, parse_request_bytes
+from flatproxy.l7 import MalformedHttp, parse_request
 from flatproxy.live import EchoStub, HttpReader, LiveProxy
 from flatproxy.slow_path import load_config
 from flatproxy.vq import MAX_DESCRIPTOR_BYTES
@@ -81,6 +81,24 @@ def test_live_bad_content_length_gets_400(proxy):
                                       timeout=5) as s:
             s.sendall(raw)
             assert s.makefile("rb").readline().startswith(b"HTTP/1.1 400")
+
+
+def test_live_unframeable_block_is_answered_and_counted_as_in_the_toe(proxy):
+    """A block that cannot be framed runs through the data path once, as
+    the TOE delivers one, and is answered from its verdict: one 400, none
+    for the request pipelined behind it, then EOF."""
+    with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as s:
+        s.sendall(bad_length_request(b"abc") + make_request(b"/svc/a"))
+        reader = HttpReader(s.recv)
+        body = b"malformed_http:bad content-length\n"
+        assert reader.read() == (b"HTTP/1.1 400 Bad Request\r\n"
+                                 b"Content-Length: %d\r\n\r\n" % len(body)
+                                 + body)
+        assert reader.read() == b""
+    snap = proxy.runtime.stats_snapshot()
+    assert snap["fast_path"]["msg_submitted"] == 1
+    slow = snap["slow_path"]
+    assert slow["reason.malformed_http"] == slow["status.400"] == 1
 
 
 def test_live_parser_reject_gets_400_and_keeps_serving(proxy):
@@ -212,7 +230,8 @@ class BatchUpstream:
             try:
                 while data := reader.read():
                     self.seen += 1
-                    held.append(_ok(parse_request_bytes(data, reader.head)[1]))
+                    body_at = parse_request(data, reader.head).body_at
+                    held.append(_ok(data[body_at:]))
                     if self.seen >= self.n:
                         conn.sendall(b"".join(held))
                         held = []

@@ -12,7 +12,6 @@ from flatproxy.core import (
     Metadata,
     TrafficUnit,
     UnitKind,
-    Verdict,
     make_listener_key,
 )
 from flatproxy.fast_path import REORDER_BUFFER_SEGMENTS, STANDARD_CHAIN
@@ -359,13 +358,6 @@ def test_unknown_cluster_answered_502(runtime):
     runtime.cluster_table.publish({}, writer="message")
     runtime.fast_path.ingress(make_frame(make_request(b"/svc/a"), make_flow(sport=42200)))
     assert_answered_502(runtime, "unknown_cluster")
-
-
-def test_deparse_failed_answered_502(runtime):
-    unit = make_frame(make_request(b"/svc/a"), make_flow(sport=42300))
-    unit.meta.set_verdict(Verdict.TO_SLOW_PATH, "deparse_failed")
-    assert runtime.handle_slow_path(unit, "deparse_failed") == "responded"
-    assert_answered_502(runtime, "deparse_failed")
 
 
 def test_slow_path_frame_for_unconfigured_listener_dropped(runtime):
