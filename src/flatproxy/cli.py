@@ -41,10 +41,10 @@ def _setup_logging():
 
 
 def _positive(kind, text: str):
-    """`text` as a `kind` greater than 0; argparse exits 2 with a usage
-    message on anything else."""
+    """`text` as a finite `kind` greater than 0; argparse exits 2 with a
+    usage message on anything else."""
     value = kind(text)
-    if not value > 0:
+    if not 0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"not a positive number: {text!r}")
     return value
 
@@ -156,14 +156,24 @@ def _write(path, text: str) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
+def _read_config(path: str, report):
+    """The config in the file `path`, or None once `report(what, exc)` has
+    been told why not: it is not valid, or it cannot be read."""
     try:
-        load_config(Path(args.config))
+        return load_config(Path(path))
     except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        report("invalid config", exc)
     except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
+        report("cannot read config", exc)
+    return None
+
+
+def _to_stderr(what: str, exc: Exception):
+    print(f"{what}: {exc}", file=sys.stderr)
+
+
+def cmd_validate(args) -> int:
+    if _read_config(args.config, _to_stderr) is None:
         return EXIT_CONFIG
     print("config ok")
     return EXIT_OK
@@ -211,13 +221,8 @@ def cmd_sim(args) -> int:
 
 
 def cmd_live(args) -> int:
-    try:
-        config = load_config(Path(args.config))
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
+    config = _read_config(args.config, _to_stderr)
+    if config is None:
         return EXIT_CONFIG
     host, port = args.listen
     stubs = []
@@ -247,12 +252,13 @@ def cmd_live(args) -> int:
                 fh.write(str(os.getpid()))
 
         def on_hup(_sig, _frame):
-            try:
-                proxy.reload(load_config(Path(args.config)))
+            # a config that is not valid or cannot be read is logged, and
+            # the running rules stay in place
+            new = _read_config(
+                args.config, lambda _what, exc: log.error("reload failed: %s", exc))
+            if new is not None:
+                proxy.reload(new)
                 log.info("config reloaded")
-            except (ConfigError, OSError) as exc:
-                # the running rules stay in place
-                log.error("reload failed: %s", exc)
 
         signal.signal(signal.SIGHUP, on_hup)
 

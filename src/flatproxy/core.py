@@ -32,8 +32,7 @@ class UnitKind(Enum):
 
 class Verdict(Enum):
     CONTINUE = "continue"
-    DROP = "drop"
-    TO_SLOW_PATH = "to_slow_path"
+    DROP = "drop"  # with a reason; counted at the disposition
     DELIVER = "deliver"
 
 

@@ -2,8 +2,8 @@
 
 A flow's TOE state is its classification.  `FastPath.ingress` looks each
 L2 frame's flow up in the ToeEngine once: a flow with TOE state has its
-frame reassembled as a TCP segment, and any other frame goes to the slow
-path as `new_connection`, which opens the state and reinjects the frame.
+frame reassembled as a TCP segment, and any other frame is a first packet,
+which goes to the slow path; that opens the state and reinjects the frame.
 A flow's TOE state is opened by the slow path and released by
 `close_flow`.  The ToeEngine feeds a flow's in-order bytes to its
 `l7.HttpReader`, the one reader live mode uses too, which frames and joins
@@ -12,9 +12,9 @@ soon as the header block is in; a segment that is exactly one whole
 message is framed and handed on as it came.  `ingress` runs the messages at once, in order,
 through `FastPath.message`, the L7 entry live mode shares; the parser
 builds each request from its head, and the deparser forwards the message
-bytes untouched.  Frames and messages leave through one disposition,
-which counts the outcome and keeps nothing: a message's VQ egress, a drop
-counted by reason or the slow-path handoff.
+bytes untouched.  Every message leaves through one disposition, which
+counts the outcome and keeps nothing: its VQ egress, or a drop counted by
+reason and by the HTTP status `http_status` gives that reason.
 Per-flow FIFO holds by construction: one thread runs the data plane -- the
 caller's in-process, live mode's loop thread -- and it runs a flow's frames
 and messages in order.
@@ -70,7 +70,7 @@ def make_toe() -> Ppm:
 
 def make_http_parser() -> Ppm:
     """The parser, the PPM's one step: `http_parse` either sets
-    `meta.http` or sends the unit to the slow path."""
+    `meta.http` or drops the unit as `malformed_http`."""
 
     def parser(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
         if unit.meta.http is None:
@@ -118,12 +118,12 @@ def make_router(
 
 
 def make_http_deparser() -> Ppm:
-    """The deparser: a message no router bound to a queue goes to the
-    slow path, with no reason."""
+    """The deparser: a message no router bound to a queue is dropped as
+    `no_queue`."""
 
     def deparse(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
         if unit.meta.queue is None:
-            unit.meta.set_verdict(Verdict.TO_SLOW_PATH)
+            unit.meta.set_verdict(Verdict.DROP, "no_queue")
             return
         unit.payload = http_deparse(unit.meta)
         unit.meta.set_verdict(Verdict.DELIVER, "deparsed")
@@ -156,7 +156,9 @@ def standard_registry(
 # TOE reassembly
 
 class OutOfWindow(Exception):
-    pass
+    """A segment the TOE refuses.  Its one argument is the drop reason:
+    'duplicate' for bytes already delivered or held, 'out_of_window' past
+    a full reorder buffer."""
 
 
 @dataclass
@@ -167,16 +169,16 @@ class _ToeConn:
     # the in-order bytes not yet delivered as messages
     reader: HttpReader = field(default_factory=HttpReader)
     reorder: dict = field(default_factory=dict)
-    duplicates: int = 0
 
 
 class ToeEngine:
     """In-order exactly-once byte delivery with HTTP message framing.
 
-    Reliable by construction (no retransmit timers); out-of-window
-    segments beyond the reorder buffer are dropped.  `connections` holds
-    exactly the flows the fast path reassembles: the slow path opens a
-    flow's state (`open`) on its first frame, and `close_flow` releases it.
+    Reliable by construction (no retransmit timers); a duplicate segment,
+    and one past a full reorder buffer, is refused with `OutOfWindow`.
+    `connections` holds exactly the flows the fast path reassembles: the
+    slow path opens a flow's state (`open`) on its first frame, and
+    `close_flow` releases it.
     """
 
     def __init__(self):
@@ -194,11 +196,10 @@ class ToeEngine:
         key = seg.meta.flow
         conn = self.connections[key]
         if seg.seq < conn.next_seq or seg.seq in conn.reorder:
-            conn.duplicates += 1
-            return []
+            raise OutOfWindow("duplicate")
         if seg.seq > conn.next_seq:
             if len(conn.reorder) >= REORDER_BUFFER_SEGMENTS:
-                raise OutOfWindow(f"reorder buffer full for {key}")
+                raise OutOfWindow("out_of_window")
             conn.reorder[seg.seq] = seg.payload
             return []
         reader, reorder = conn.reader, conn.reorder
@@ -212,7 +213,7 @@ class ToeEngine:
                     msg = reader.take(chunk)
                 except MalformedHttp as exc:
                     # deliver the bad header block alone, so the stream
-                    # stays framed; the parser raises the slow-path verdict
+                    # stays framed; the parser drops it
                     msg = reader.cut(exc.end), None
                 chunk = b""
                 if msg is None:
@@ -225,6 +226,22 @@ class ToeEngine:
 
 
 # ---------------------------------------------------------------------------
+# HTTP status of a dropped message, by each drop reason the data path gives
+# a message (its part before any ':')
+
+_STATUS_BY_REASON = {"filter": 403, "no_listener": 404, "no_route": 404,
+                     "malformed_http": 400, "no_healthy_endpoint": 503,
+                     "ring_full": 503, "connect_failure": 502,
+                     "unknown_cluster": 502, "no_queue": 502}
+
+
+def http_status(reason: str) -> int:
+    """The one status rule, for live replies and the `status.<code>`
+    counters: the HTTP status of a message dropped for `reason`."""
+    return _STATUS_BY_REASON[reason.partition(":")[0]]
+
+
+# ---------------------------------------------------------------------------
 # Fast path assembly
 
 class FastPath:
@@ -232,7 +249,8 @@ class FastPath:
     reassembly, the L7 chain run inline on each framed message (from the
     TOE, or live mode's `message` calls), and one disposition.  It keeps
     nothing of a message: `counters()` is the record of what happened.
-    `vq_egress(unit)` returns whether the unit's queue took it."""
+    `vq_egress(unit)` returns whether the unit's queue took it;
+    `slow_path_handoff(frame)` takes each first packet."""
 
     def __init__(
         self,
@@ -252,28 +270,32 @@ class FastPath:
     # ingress ---------------------------------------------------------------
     def ingress(self, unit: TrafficUnit) -> str:
         """Classify one L2 frame by one lookup of its flow's TOE state: a
-        frame of a flow without any goes to the slow path as
-        `new_connection`, any other is reassembled as a TCP segment.  Returns
-        the disposition: 'l7' (messages went to the L7 chain), 'buffered'
-        (none completed yet), 'slow_path' or 'dropped'.  A frame is never
-        delivered at L4."""
+        frame of a flow without any is a first packet, handed to the slow
+        path, and any other is reassembled as a TCP segment.  Returns the
+        disposition: 'l7' (messages went to the L7 chain), 'buffered'
+        (none completed yet), 'slow_path' or 'dropped' (a segment the TOE
+        refused, counted by reason).  A frame is never delivered at L4."""
         if unit.kind is not UnitKind.FRAME:
             raise ValueError("ingress takes FRAME units")
-        self.ctx.bump("ingress")
+        ctx = self.ctx
+        ctx.bump("ingress")
         if unit.meta.flow not in self.toe.connections:
-            unit.meta.set_verdict(Verdict.TO_SLOW_PATH, "new_connection")
-            return self._dispose(unit)
+            ctx.bump("slow_path")
+            self.slow_path_handoff(unit)
+            return "slow_path"
         try:
             messages = self.toe.deliver(unit)
-        except OutOfWindow:
-            unit.meta.set_verdict(Verdict.DROP, "out_of_window")
-            return self._dispose(unit)
+        except OutOfWindow as exc:
+            unit.meta.set_verdict(Verdict.DROP, exc.args[0])
+            ctx.bump("dropped")
+            ctx.bump(f"dropped.{exc.args[0]}")
+            return "dropped"
         for msg in messages:
             self.message(msg)
         if messages:
-            self.ctx.bump("egress")
+            ctx.bump("egress")
             return "l7"
-        self.ctx.bump("buffered")
+        ctx.bump("buffered")
         return "buffered"
 
     def message(self, msg: TrafficUnit):
@@ -281,31 +303,26 @@ class FastPath:
         chain and dispose of the unit.  Returns the unit."""
         self.ctx.bump("msg_submitted")
         unit = self.chain.execute(msg, self.ctx)
-        self._dispose(unit, "msg_")
+        self._dispose(unit)
         return unit
 
-    def _dispose(self, unit: TrafficUnit, prefix: str = "") -> str:
-        """The one exit from the data plane, for frames (`prefix` '') and
-        messages ('msg_'): send DELIVER to VQ egress and count it `egress`
-        once the queue took it, count DROP -- and a DELIVER that a full TX
-        ring lost -- in all and by reason (`dropped.<reason>`), and hand any
-        other verdict to the slow path.
-        Returns 'vq' | 'dropped' | 'slow_path'."""
+    def _dispose(self, unit: TrafficUnit):
+        """The one exit for messages: send DELIVER to VQ egress and count it
+        `msg_egress` once the queue took it; count a DROP -- and a DELIVER
+        that a full TX ring lost, as `ring_full` -- as `msg_dropped`, by
+        reason and by its `http_status`."""
         meta = unit.meta
         if meta.verdict is Verdict.DELIVER:
             if self.vq_egress(unit):
-                self.ctx.bump(prefix + "egress")
-                return "vq"
+                self.ctx.bump("msg_egress")
+                return
             reason = "ring_full"
-        elif meta.verdict is Verdict.DROP:
-            reason = meta.verdict_reason or "unknown"
         else:
-            self.ctx.bump(prefix + "slow_path")
-            self.slow_path_handoff(unit, meta.verdict_reason)
-            return "slow_path"
-        self.ctx.bump(prefix + "dropped")
-        self.ctx.bump(f"{prefix}dropped.{reason}")
-        return "dropped"
+            # the reason before any ':', so no input bytes name a counter
+            reason = meta.verdict_reason.partition(":")[0]
+        self.ctx.bump("msg_dropped")
+        self.ctx.bump(f"msg_dropped.{reason}")
+        self.ctx.bump(f"status.{http_status(reason)}")
 
     def results(self):
         """Always empty: nothing is kept per message.  It remains only for

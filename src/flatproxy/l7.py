@@ -64,8 +64,8 @@ _CRLF = b"\r\n"
 def http_parse(unit: TrafficUnit) -> Metadata:
     """Parse an HTTP/1.1 request message into `meta.http`, from the head
     `frame_http` gave when the unit was framed (`unit.head`), else framing
-    it here.  On malformed input the verdict becomes TO_SLOW_PATH (the slow
-    path decides drop vs. 400) and metadata is otherwise untouched.
+    it here.  Malformed input is dropped as `malformed_http:<what>`, and
+    metadata is otherwise untouched.
     """
     meta = unit.meta
     # a head is used once, so a parsed unit holds no header fields twice
@@ -73,7 +73,7 @@ def http_parse(unit: TrafficUnit) -> Metadata:
     try:
         meta.http = parse_request(unit.payload, head)
     except MalformedHttp as exc:
-        meta.set_verdict(Verdict.TO_SLOW_PATH, f"malformed_http:{exc}")
+        meta.set_verdict(Verdict.DROP, f"malformed_http:{exc}")
     return meta
 
 
@@ -263,13 +263,13 @@ class FilterRule:
 
 
 def filter_apply(meta: Metadata, rules) -> Verdict:
-    """First matching rule decides; no rule at all -> slow path."""
+    """First matching rule decides; a request no rule matches is allowed."""
     for rule in rules:
         if rule.matches(meta):
-            if rule.decision is Decision.ALLOW:
-                return Verdict.CONTINUE
-            return Verdict.DROP
-    return Verdict.TO_SLOW_PATH
+            if rule.decision is Decision.DENY:
+                return Verdict.DROP
+            break
+    return Verdict.CONTINUE
 
 
 # ---------------------------------------------------------------------------
@@ -421,19 +421,19 @@ def route(
     if queue_id is None:
         cluster = clusters.get(rule.cluster)
         if cluster is None:
-            meta.set_verdict(Verdict.TO_SLOW_PATH, f"unknown_cluster:{rule.cluster}")
+            meta.set_verdict(Verdict.DROP, f"unknown_cluster:{rule.cluster}")
             return None
         state = lb[rule.cluster]
         try:
             endpoint = load_balance(cluster, state)
         except NoHealthyEndpoint:
-            meta.set_verdict(Verdict.TO_SLOW_PATH, "no_healthy_endpoint")
+            meta.set_verdict(Verdict.DROP, "no_healthy_endpoint")
             return None
         try:
             queue_id = connector(endpoint, meta, state)
         except ConnectFailure:
             # the round-robin cursor has moved on, as Envoy's does
-            meta.set_verdict(Verdict.TO_SLOW_PATH, "connect_failure")
+            meta.set_verdict(Verdict.DROP, "connect_failure")
             return None
         queues.bind(ckey, queue_id)
     meta.bind_queue(queue_id)

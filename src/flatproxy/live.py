@@ -8,8 +8,8 @@ loop of the same kind, and every one of these sockets is read by an
 flow, with the `dip`/`dport` of the listener that accepted it.  Its
 requests go in order and with their heads to `FastPath.message` -- the
 entry `FastPath.ingress` runs each reassembled message through -- so live
-traffic shares the chain, counters, VQ egress and slow path, and only the
-loop thread ever runs them.  Accepting a connection opens no TOE state:
+traffic shares the chain, counters and VQ egress, and only the loop
+thread ever runs them.  Accepting a connection opens no TOE state:
 the requests arrive framed, as MESSAGE units, which the toe PPM passes
 on.
 
@@ -17,7 +17,8 @@ A route's upstream connection is a LiveQueue in `runtime.vqs`, with the
 VirtQueue tx-deliver / rx-collect surface; the flow's record holds it until
 the client goes and `close_flow` runs.  A client's requests pipeline
 upstream, and its replies keep a FIFO in request order, each entry either
-outstanding upstream or a reply built locally (400, 403, 404, 502...), so
+outstanding upstream or a local reply to a dropped request, with the
+status `http_status` gives its reason (400, 403, 404, 502...), so
 per-flow FIFO holds by construction.  A config reload is handed to the
 loop and applied between events.  A client that closes its side is closed
 at once and its flow released; replies still owed to it are dropped.
@@ -45,8 +46,9 @@ from .core import (
     ip4_to_int,
     next_conn_id,
 )
+from .fast_path import http_status
 from .l7 import ConnectFailure, HttpReader, MalformedHttp, parse_request
-from .slow_path import MeshConfig, MeshRuntime, http_status
+from .slow_path import MeshConfig, MeshRuntime
 
 log = logging.getLogger(__name__)
 
@@ -319,8 +321,7 @@ class LiveProxy(_Loop):
                 c.replies.append(None)
             else:
                 reason = meta.verdict_reason
-                self._reply(c, _error_response(http_status(meta.verdict, reason),
-                                               reason or "unhandled"))
+                self._reply(c, _error_response(http_status(reason), reason))
 
     def _reply(self, c: _Client, data: bytes):
         if c.replies:

@@ -13,9 +13,10 @@ Balancing state is not config: `MeshRuntime.lb` holds each cluster's
 `LbState`, kept across every reload, changed or not, and dropped with the
 cluster ref; a flow still open keeps its state through its record.
 
-The slow path itself handles first packets: it opens the flow's TOE
-state, in O(1), which is what classifies the flow's later frames, and
-reinjects the triggering unit into the fast path.  A flow has a
+The slow path handles first packets only: it opens the flow's TOE state,
+in O(1), which is what classifies the flow's later frames, and reinjects
+the frame into the fast path.  Every message the chain refuses is a drop
+that the fast path counts with its HTTP status.  A flow has a
 connection record exactly while it holds something -- TOE state, a queue
 or an LB count -- and `close_flow`, called on idle expiry and on a live
 client's disconnect, releases all of it.  Records are kept in order of
@@ -41,7 +42,6 @@ from .core import (
     Proto,
     TrafficUnit,
     UnitKind,
-    Verdict,
     ip4_to_int,
     make_listener_key,
 )
@@ -174,10 +174,13 @@ def load_config(source) -> MeshConfig:
         _reject_unknown(chain_doc, _CHAIN_FIELDS, "chain")
         chain = list(chain_doc.get("nodes", []))
         check_chain(chain, STANDARD_CHAIN)
-        # the filter, router and deparser read the request the parser made
+        # the filter, router and deparser read the request the parser made,
+        # and the deparser, last, delivers or drops every message
         parsed_at = chain.index("http_parser") if "http_parser" in chain else None
         if {"filter", "router", "http_deparser"} & set(chain[:parsed_at]):
             raise InvalidChain(f"chain {chain} reads a request before http_parser")
+        if chain[-1:] != ["http_deparser"]:
+            raise InvalidChain(f"chain {chain} does not end with http_deparser")
     except MatchActionError as exc:
         raise InvalidChain(str(exc)) from exc
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -251,22 +254,6 @@ def _parse_cluster(d) -> Cluster:
         raise ValueError(f"cluster {ref!r} lists an endpoint address twice")
     return Cluster(ref=ref, endpoints=tuple(endpoints),
                    policy=LbPolicy[d.get("policy", "ROUND_ROBIN").upper()])
-
-
-# ---------------------------------------------------------------------------
-# HTTP status of a verdict
-
-_STATUS_BY_REASON = {"no_listener": 404, "no_route": 404,
-                     "no_healthy_endpoint": 503, "malformed_http": 400,
-                     "connect_failure": 502, "unknown_cluster": 502}
-
-
-def http_status(verdict: Verdict, reason: Optional[str]) -> int:
-    """The one verdict -> HTTP status rule, for live replies and the slow
-    path's `status.<code>` counters: a known reason has its own status, any
-    other drop is 403 (filtered) and anything else 502."""
-    default = 403 if verdict is Verdict.DROP else 502
-    return _STATUS_BY_REASON.get((reason or "").split(":")[0], default)
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +336,13 @@ class MeshRuntime:
             del self.lb[ref]
         for ref in refs:
             self.lb.setdefault(ref, LbState())
-        # explicit rules first, then a catch-all ALLOW so a request the
-        # config says nothing about is forwarded rather than stranded
-        rules = tuple(config.filters) + (FilterRule(decision=Decision.ALLOW),)
         routes = {}
         for r in config.routes:
             routes[r.listener] = routes.get(r.listener, ()) + (r,)
         published = (
             ("connection", self.listener_table,
              {l.key: l.name for l in config.listeners}),
-            ("message", self.filter_table, {"rules": rules}),
+            ("message", self.filter_table, {"rules": tuple(config.filters)}),
             ("message", self.route_table, routes),
             ("message", self.cluster_table, {c.ref: c for c in config.clusters}),
         )
@@ -426,28 +410,11 @@ class MeshRuntime:
         self.fast_path.toe.close(key)
 
     # -- slow path ---------------------------------------------------------
-    def handle_slow_path(self, unit: TrafficUnit, reason) -> str:
-        """Dispose of a unit the fast path could not process.  A unit whose
-        reason has its own HTTP status gets that reply, counted under
-        `status.<code>` and `responded`; any other is dropped.
-
-        Returns the disposition: 'reinjected' | 'responded' | 'dropped'.
-        """
-        reason = (reason or "unknown").split(":")[0]
-        self.slow.bump(f"reason.{reason}")
-        if reason == "new_connection":
-            return self._handle_new_connection(unit)
-        if reason in _STATUS_BY_REASON:
-            self.slow.bump(f"status.{http_status(unit.meta.verdict, reason)}")
-            self.slow.bump("responded")
-            return "responded"
-        self.slow.bump("dropped")
-        return "dropped"
-
-    def _handle_new_connection(self, unit: TrafficUnit) -> str:
-        """First packet of a flow to a published listener: make its record,
-        open its TOE state, which classifies its later frames, and reinject
-        the frame.
+    def handle_slow_path(self, unit: TrafficUnit) -> str:
+        """First packet of a flow: to a published listener, make the flow's
+        record, open its TOE state, which classifies its later frames, and
+        reinject the frame; to any other, drop it.  Returns 'reinjected' or
+        'dropped'.
 
         The TOE state opens at seq 0.  A flow that resumes after expiry, its
         first segment now at seq > 0, cannot be told from a first pair that
@@ -458,8 +425,8 @@ class MeshRuntime:
         """
         key = unit.meta.flow
         if key.listener_key not in self.listener_table.current.entries:
-            self.slow.bump("drop.no_listener")
             self.slow.bump("dropped")
+            self.slow.bump("dropped.no_listener")
             return "dropped"
         self._record(key)
         # a first segment that arrives out of order waits in the reorder

@@ -173,7 +173,7 @@ class _RefRouter:
             return ("continue", None, self.queues[flow], None, False)
         live = [eid for eid, ok in self.clusters[rule.cluster] if ok]
         if not live:
-            return ("to_slow_path", "no_healthy_endpoint", None, None, False)
+            return ("drop", "no_healthy_endpoint", None, None, False)
         eid = live[self.cursors[rule.cluster] % len(live)]
         self.cursors[rule.cluster] = (self.cursors[rule.cluster] + 1) % len(live)
         qid = next(self.next_queue)
@@ -306,7 +306,7 @@ def test_criterion_07_chain_monolith_and_workers(announce):
         assert (Verdict.DELIVER, "deparsed") in reached
         assert (Verdict.DROP, "filter") in reached
         assert (Verdict.DROP, "no_route") in reached
-        assert (Verdict.TO_SLOW_PATH, "malformed_http") in reached
+        assert (Verdict.DROP, "malformed_http") in reached
         rt_a.shutdown()
         rt_b.shutdown()
 

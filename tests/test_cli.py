@@ -157,6 +157,19 @@ def test_sim_rejects_empty_or_nonpositive_inputs(capsys, flag, value):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--duration", "inf"), ("--rate", "inf"), ("--rate", "1,inf"),
+    ("--duration", "nan"),
+])
+def test_sim_rejects_non_finite_inputs(capsys, flag, value):
+    """An infinite duration once died with an OverflowError and an infinite
+    rate with a ZeroDivisionError; both are refused with a usage message."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
 def test_sim_deterministic_output_files(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sim", "--layer", "l7", "--rate", "500", "--duration", "0.02",

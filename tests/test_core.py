@@ -129,7 +129,7 @@ def test_flow_key_range_validation(fields):
         FlowKey(*fields)
 
 
-TERMINAL = (Verdict.DROP, Verdict.TO_SLOW_PATH, Verdict.DELIVER)
+TERMINAL = (Verdict.DROP, Verdict.DELIVER)
 
 
 @pytest.mark.parametrize("terminal, then", [
@@ -150,7 +150,7 @@ def test_verdict_terminal_sticks(terminal, then):
 
 
 def test_verdict_continue_may_become_anything():
-    for v in (Verdict.DROP, Verdict.TO_SLOW_PATH, Verdict.DELIVER):
+    for v in TERMINAL:
         meta = Metadata(flow=make_flow())
         meta.set_verdict(v)
         assert meta.verdict is v

@@ -78,14 +78,27 @@ def test_toe_reorder_then_release():
 
 
 def test_toe_duplicate_counted_once():
+    """A duplicate segment is refused as `duplicate`, whether its bytes
+    were delivered or wait in the reorder buffer; the fast path counts it
+    once, as a drop by that reason."""
     toe = ToeEngine()
     toe.open(make_flow())
     raw = make_request()
     msgs = toe.deliver(seg(raw, 0))
     assert len(msgs) == 1
-    assert toe.deliver(seg(raw, 0)) == []
-    key = make_flow()
-    assert toe.connections[key].duplicates == 1
+    assert toe.deliver(seg(raw, 2 * len(raw))) == []  # held for reordering
+    for seq in (0, 2 * len(raw)):  # delivered, and held
+        with pytest.raises(OutOfWindow) as exc:
+            toe.deliver(seg(raw, seq))
+        assert exc.value.args == ("duplicate",)
+
+    rt = MeshRuntime(config=load_config(config_text()))
+    assert rt.fast_path.ingress(frame(raw)) == "slow_path"
+    assert rt.fast_path.ingress(frame(raw)) == "dropped"
+    c = rt.fast_path.counters()
+    assert c["dropped"] == c["dropped.duplicate"] == 1
+    assert "buffered" not in c and c["msg_egress"] == 1
+    rt.shutdown()
 
 
 def test_toe_two_messages_one_segment():
@@ -138,8 +151,8 @@ def test_toe_randomized_permutations_reassemble_exactly():
 
 def test_toe_bad_content_length_keeps_stream_framed():
     """A negative Content-Length frames the header block alone: the next
-    request on the stream is still framed whole, and the parser sends the
-    bad one to the slow path."""
+    request on the stream is still framed whole, and the parser drops the
+    bad one."""
     toe = ToeEngine()
     toe.open(make_flow())
     bad = b"POST /svc/a HTTP/1.1\r\nHost: x\r\nContent-Length: -3\r\n\r\n"
@@ -147,7 +160,7 @@ def test_toe_bad_content_length_keeps_stream_framed():
     msgs = toe.deliver(seg(bad + good, 0))
     assert [m.payload for m in msgs] == [bad, good]
     http_parse(msgs[0])
-    assert msgs[0].meta.verdict is Verdict.TO_SLOW_PATH
+    assert msgs[0].meta.verdict is Verdict.DROP
     assert msgs[0].meta.verdict_reason == "malformed_http:bad content-length"
 
 
@@ -252,14 +265,15 @@ def test_unit_conservation(runtime):
             + c.get("slow_path", 0) + c.get("buffered", 0)
         )
         assert c.get("msg_submitted", 0) == (
-            c.get("msg_egress", 0) + c.get("msg_dropped", 0)
-            + c.get("msg_slow_path", 0)
-        )
-        # every drop is counted under its reason
+            c.get("msg_egress", 0) + c.get("msg_dropped", 0))
+        # every drop is counted under its reason, and a message's also
+        # under its status
         for prefix in ("dropped", "msg_dropped"):
             by_reason = {k: v for k, v in c.items()
                          if k.startswith(prefix + ".")}
             assert sum(by_reason.values()) == c.get(prefix, 0)
+        assert sum(v for k, v in c.items() if k.startswith("status.")) == (
+            c.get("msg_dropped", 0))
         return c
 
     rng = random.Random(3)
@@ -290,6 +304,67 @@ def test_unit_conservation(runtime):
     assert c["msg_egress"] == fetched
 
 
+def _refused(rt, reason):
+    """Make `rt` refuse the next message for `reason`; returns its flow.
+    Messages sent before it, to fill a TX ring, are delivered."""
+    flow = make_flow(sport=47300)
+    if reason == "no_listener":
+        return make_flow(dport=9999)
+    if reason == "no_healthy_endpoint":
+        rt.distribute(load_config(config_text(unhealthy=(9001, 9002))))
+    elif reason == "unknown_cluster":
+        rt.cluster_table.publish({}, writer="message")
+    elif reason == "connect_failure":
+        def refuse(endpoint, meta):
+            raise l7.ConnectFailure("refused")
+        rt._connector = refuse
+    elif reason == "no_queue":
+        rt.fast_path.chain = rt.compile(["toe", "http_parser", "filter",
+                                         "http_deparser"])
+    elif reason == "ring_full":
+        for i in range(DEFAULT_RING_CAPACITY):
+            rt.fast_path.message(make_message(make_request(), flow, conn_id=i))
+    return flow
+
+
+REFUSALS = {  # reason -> (request, the status it is answered with)
+    "filter": (make_request(b"/admin/x"), 403),
+    "no_listener": (make_request(), 404),
+    "no_route": (make_request(b"/nowhere"), 404),
+    "malformed_http": (b"BOGUS\r\nHost: x\r\n\r\n", 400),
+    "no_healthy_endpoint": (make_request(), 503),
+    "ring_full": (make_request(), 503),
+    "connect_failure": (make_request(), 502),
+    "unknown_cluster": (make_request(), 502),
+    "no_queue": (make_request(), 502),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(REFUSALS))
+def test_every_refusal_is_one_drop_counted_with_its_status(runtime, reason):
+    """Each way the data path refuses a message is one DROP, counted once
+    under `msg_dropped.<reason>` and once under the status `http_status`
+    gives it -- the status live mode answers with -- and never handed to
+    the slow path."""
+    raw, status = REFUSALS[reason]
+    flow = _refused(runtime, reason)
+    before = runtime.fast_path.counters()
+    unit = runtime.fast_path.message(make_message(raw, flow, conn_id=999))
+    c = runtime.fast_path.counters()
+    assert fast_path.http_status(reason) == status
+    if reason != "ring_full":  # a full ring loses a message it delivered
+        assert unit.meta.verdict is Verdict.DROP
+        assert unit.meta.verdict_reason.partition(":")[0] == reason
+    added = {k: v - before.get(k, 0) for k, v in c.items()
+             if v != before.get(k, 0)}
+    assert added == {"msg_submitted": 1, "msg_dropped": 1,
+                     f"msg_dropped.{reason}": 1, f"status.{status}": 1}
+    assert c["msg_submitted"] == c.get("msg_egress", 0) + c["msg_dropped"]
+    assert sum(v for k, v in c.items() if k.startswith("status.")) == (
+        c["msg_dropped"])
+    assert runtime.stats_snapshot()["slow_path"] == {}
+
+
 def test_first_segments_swapped_still_delivered(runtime):
     """A new flow whose second segment arrives first: the slow path opens
     the flow's TOE state when it installs the L4 entry, so the reinjected
@@ -308,13 +383,13 @@ def test_first_segments_swapped_still_delivered(runtime):
 
 def test_oversize_message_goes_to_slow_path(runtime):
     """A message larger than a VQ descriptor is refused by the framer, so
-    it never reaches tx_deliver."""
+    it never reaches tx_deliver: it is dropped as `malformed_http`, a 400,
+    and the slow path sees only the flow's first packet."""
     raw = make_request(b"/svc/a", method=b"POST", body=b"x" * (70 * 1024))
     runtime.fast_path.ingress(frame(raw))
     c = runtime.fast_path.counters()
-    assert c["msg_submitted"] == c["msg_slow_path"] > 0
-    assert runtime.stats_snapshot()["slow_path"]["reason.malformed_http"] == (
-        c["msg_slow_path"])
+    assert c["msg_submitted"] == c["msg_dropped.malformed_http"] > 0
+    assert c["status.400"] == c["msg_submitted"]
     assert c.get("msg_egress", 0) == 0
 
 
@@ -470,18 +545,18 @@ def test_compiled_chain_equals_each_ppm_applied_in_turn(nodes, raw):
 
 
 def test_chain_without_router_hands_the_message_to_the_slow_path():
-    """With no router, the deparser finds no queue: the message goes to the
-    slow path with no reason, which counts it `reason.unknown` and drops
-    it."""
+    """With no router, the deparser finds no queue: the slow path takes
+    first packets only, so the message is dropped as `no_queue`, a 502,
+    and the slow path counts nothing."""
     nodes = "[toe, http_parser, filter, http_deparser]"
     rt = MeshRuntime(config=load_config(
         config_text() + f"chain:\n  nodes: {nodes}\n"))
     unit = rt.fast_path.message(make_message(make_request(b"/svc/a")))
-    assert unit.meta.verdict is Verdict.TO_SLOW_PATH
-    assert unit.meta.verdict_reason is None
-    assert rt.fast_path.counters()["msg_slow_path"] == 1
-    assert rt.stats_snapshot()["slow_path"] == {"reason.unknown": 1,
-                                                "dropped": 1}
+    assert unit.meta.verdict is Verdict.DROP
+    assert unit.meta.verdict_reason == "no_queue"
+    c = rt.fast_path.counters()
+    assert c["msg_dropped.no_queue"] == c["status.502"] == 1
+    assert rt.stats_snapshot()["slow_path"] == {}
 
 
 # -- hot path ----------------------------------------------------------------
@@ -552,8 +627,8 @@ def test_closed_flow_is_a_new_connection_again(runtime):
     assert flow not in runtime.fast_path.toe.connections
     unit = frame(raw, flow=flow)
     assert runtime.fast_path.ingress(unit) == "slow_path"
-    assert unit.meta.verdict_reason == "new_connection"
-    assert runtime.stats_snapshot()["slow_path"]["reason.new_connection"] == 2
+    assert runtime.fast_path.counters()["slow_path"] == 2
+    assert runtime.stats_snapshot()["slow_path"]["installed"] == 2
     qid = runtime.queue_table.lookup(flow)
     assert runtime.vqs[qid].stub_fetch(runtime.stubs[qid]) == raw
 
@@ -805,9 +880,9 @@ def test_message_is_forwarded_only_as_the_filter_saw_it(runtime, case,
     unit = runtime.fast_path.message(TrafficUnit(
         kind=UnitKind.MESSAGE, meta=Metadata(flow=flow), payload=payload,
         head=frame_http(framed) if with_head else None))
-    assert unit.meta.verdict is Verdict.TO_SLOW_PATH
+    assert unit.meta.verdict is Verdict.DROP
     assert unit.meta.verdict_reason.startswith("malformed_http:")
-    assert runtime.stats_snapshot()["slow_path"]["status.400"] == 1
+    assert runtime.fast_path.counters()["status.400"] == 1
     assert runtime.fast_path.counters().get("msg_egress", 0) == 0
     assert runtime.queue_table.lookup(flow) is None
     assert all(q.tx_ring.occupied == 0 for q in runtime.vqs.values())
@@ -832,8 +907,12 @@ def test_toe_reordered_and_duplicate_segments_reassemble_exactly():
         arrived += window
     toe = ToeEngine()
     toe.open(make_flow())
-    out = []
+    out, duplicates = [], 0
     for off, chunk in arrived:
-        out.extend(toe.deliver(seg(chunk, off)))
+        try:
+            out.extend(toe.deliver(seg(chunk, off)))
+        except OutOfWindow as exc:
+            assert exc.args == ("duplicate",)
+            duplicates += 1
     assert [m.payload for m in out] == sent
-    assert toe.connections[make_flow()].duplicates == len(arrived) - len(segs)
+    assert duplicates == len(arrived) - len(segs)

@@ -299,11 +299,13 @@ def test_one_pass_head_reads_as_the_two_pass_head(start, good, bad, off_by,
 
 
 def test_parse_malformed_goes_to_slow_path_not_exception():
+    """Malformed input is a verdict, not an exception: the slow path takes
+    first packets only, so the parser drops it as `malformed_http`."""
     unit = TrafficUnit(
         kind=UnitKind.MESSAGE, meta=Metadata(flow=make_flow()), payload=b"junk"
     )
     http_parse(unit)
-    assert unit.meta.verdict is Verdict.TO_SLOW_PATH
+    assert unit.meta.verdict is Verdict.DROP
     assert unit.meta.verdict_reason.startswith("malformed_http")
     assert unit.meta.http is None
 
@@ -374,8 +376,12 @@ def test_filter_sip_predicate():
 
 
 def test_filter_no_rules_goes_slow_path():
+    """The slow path takes first packets only: a request no rule matches,
+    which it once took, is allowed by the filter itself."""
     meta = parsed_meta(make_request())
-    assert filter_apply(meta, []) is Verdict.TO_SLOW_PATH
+    assert filter_apply(meta, []) is Verdict.CONTINUE
+    deny_admin = [FilterRule(decision=Decision.DENY, path_prefix=b"/admin")]
+    assert filter_apply(meta, deny_admin) is Verdict.CONTINUE
 
 
 # -- load balancing ----------------------------------------------------------
@@ -545,9 +551,11 @@ def test_route_makes_a_flows_listener_key_once():
 
 
 def test_route_no_healthy_endpoint_to_slow_path():
+    """Dropped by the router with its reason: the slow path takes first
+    packets only."""
     env = make_route_env(healthy=False)
     _, meta = routed(env=env)
-    assert meta.verdict is Verdict.TO_SLOW_PATH
+    assert meta.verdict is Verdict.DROP
     assert meta.verdict_reason == "no_healthy_endpoint"
 
 
@@ -560,7 +568,7 @@ def test_route_connect_failure_to_slow_path():
         raise ConnectFailure("refused")
 
     _, meta = routed(env=env, connector=bad_connector)
-    assert meta.verdict is Verdict.TO_SLOW_PATH
+    assert meta.verdict is Verdict.DROP
     assert meta.verdict_reason == "connect_failure"
     assert meta.queue is None
 

@@ -95,10 +95,9 @@ def test_live_unframeable_block_is_answered_and_counted_as_in_the_toe(proxy):
                                  b"Content-Length: %d\r\n\r\n" % len(body)
                                  + body)
         assert reader.read() == b""
-    snap = proxy.runtime.stats_snapshot()
-    assert snap["fast_path"]["msg_submitted"] == 1
-    slow = snap["slow_path"]
-    assert slow["reason.malformed_http"] == slow["status.400"] == 1
+    c = proxy.runtime.stats_snapshot()["fast_path"]
+    assert c["msg_submitted"] == 1
+    assert c["msg_dropped.malformed_http"] == c["status.400"] == 1
 
 
 def test_live_parser_reject_gets_400_and_keeps_serving(proxy):
@@ -123,13 +122,34 @@ def test_live_traffic_counts_in_fast_path(proxy):
     c = proxy.runtime.stats_snapshot()["fast_path"]
     # the message half of test_unit_conservation's identity
     assert c["msg_submitted"] == 1000 == (
-        c.get("msg_egress", 0) + c.get("msg_dropped", 0)
-        + c.get("msg_slow_path", 0)
-    )
+        c.get("msg_egress", 0) + c.get("msg_dropped", 0))
     assert c["msg_egress"] == proxy.delivered == 334
+    assert c["status.403"] == c["status.404"] == 333
     # nothing is kept per request
     assert proxy.runtime.fast_path.results() == []
-    assert proxy.runtime.stats_snapshot()["slow_path"].get("responded", 0) == 0
+    assert proxy.runtime.stats_snapshot()["slow_path"] == {}
+
+
+def test_live_counted_statuses_are_the_replies_the_client_read(proxy):
+    """A mix of requests answered 200, 400, 403 and 404 on one connection
+    each: the `status.<code>` counters hold exactly the error codes the
+    clients read, and every refused request is counted once."""
+    requests = [make_request(b"/svc/a"), make_request(b"/admin/x"),
+                make_request(b"/nowhere"), b"BOGUS\r\nHost: x\r\n\r\n",
+                make_request(b"/admin/y"), make_request(b"/svc/b")]
+    read = {}
+    for raw in requests:
+        with socket.create_connection(("127.0.0.1", proxy.port),
+                                      timeout=5) as s:
+            s.sendall(raw)
+            code = int(HttpReader(s.recv).read().split(b" ", 2)[1])
+            read[code] = read.get(code, 0) + 1
+    assert read == {200: 2, 400: 1, 403: 2, 404: 1}
+    c = proxy.runtime.stats_snapshot()["fast_path"]
+    counted = {int(k[len("status."):]): v for k, v in c.items()
+               if k.startswith("status.")}
+    assert counted == {code: n for code, n in read.items() if code != 200}
+    assert c["msg_dropped"] == sum(counted.values())
 
 
 def test_live_client_close_releases_upstream(proxy):
@@ -171,7 +191,8 @@ def test_live_unreachable_upstream_gets_502():
             s.sendall(make_request(b"/svc/a"))
             assert s.makefile("rb").readline().startswith(b"HTTP/1.1 502")
         c = proxy.runtime.fast_path.counters()
-        assert c["msg_submitted"] == c["msg_slow_path"] == 1
+        assert c["msg_submitted"] == c["msg_dropped.connect_failure"] == 1
+        assert c["status.502"] == 1
     finally:
         proxy.stop()
 
@@ -365,8 +386,7 @@ def test_live_counts_every_request_of_concurrent_clients():
         for s in stubs:
             s.stop()
     c = proxy.runtime.stats_snapshot()["fast_path"]
-    assert c["msg_submitted"] == 600 == (
-        c["msg_egress"] + c["msg_dropped"] + c.get("msg_slow_path", 0))
+    assert c["msg_submitted"] == 600 == c["msg_egress"] + c["msg_dropped"]
     assert c["msg_egress"] == proxy.delivered == 200
     assert sum(s.hits for s in stubs) == 200
 

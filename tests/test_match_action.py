@@ -237,7 +237,7 @@ def test_chain_equals_sequential_application():
     nodes = ["l4", "l7a", "l7b", "l7c", "l7d"]
     for _ in range(50):
         stop = rng.choice(nodes + [None])
-        verdict = rng.choice([Verdict.DROP, Verdict.DELIVER, Verdict.TO_SLOW_PATH])
+        verdict = rng.choice([Verdict.DROP, Verdict.DELIVER])
         reg_a = passthrough_registry()
         reg_b = passthrough_registry()
         if stop is not None:

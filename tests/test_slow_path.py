@@ -27,7 +27,7 @@ from flatproxy.slow_path import (
 )
 from flatproxy.match_action import MatchActionError
 from flatproxy.vq import VqState
-from conftest import config_text, make_flow, make_request
+from conftest import config_text, make_flow, make_message, make_request
 
 
 # -- config parsing ----------------------------------------------------------
@@ -135,6 +135,15 @@ def test_chain_that_reads_a_request_before_the_parser_rejected(nodes):
     a chain that runs one of them without `http_parser` ahead of it would
     fail on every message, so it is refused."""
     with pytest.raises(InvalidChain):
+        load_config(config_text() + f"chain:\n  nodes: {nodes}\n")
+
+
+@pytest.mark.parametrize("nodes", ["[toe, http_parser, filter, router]",
+                                   "[toe, http_parser, http_deparser, filter]"])
+def test_chain_that_does_not_end_with_the_deparser_rejected(nodes):
+    """The deparser, last, delivers or drops every message, so a message
+    never leaves the chain without a verdict and its reason."""
+    with pytest.raises(InvalidChain, match="http_deparser"):
         load_config(config_text() + f"chain:\n  nodes: {nodes}\n")
 
 
@@ -258,11 +267,11 @@ def test_distribute_returns_epochs_and_installs_rules():
     (listener_key,), (route_key,) = (rt.listener_table.current.entries,
                                      rt.route_table.current.entries)
     assert listener_key is route_key is lkey
+    # the configured rules alone: a request none matches is allowed by
+    # `filter_apply`, not by an appended catch-all rule
     rules = rt.filter_table.current.entries["rules"]
-    # explicit rules first, catch-all ALLOW last
-    assert rules[0].decision is Decision.DENY
-    assert rules[-1].decision is Decision.ALLOW
-    assert rules[-1].path_prefix is None
+    assert rules == tuple(cfg.filters)
+    assert [r.decision for r in rules] == [Decision.DENY]
     rt.shutdown()
 
 
@@ -306,38 +315,34 @@ def test_new_connection_installs_and_reinjects(runtime):
     assert snap["fast_path"]["msg_egress"] == 1
 
 
+def assert_refused(rt, reason, status):
+    """One message dropped for `reason`, counted once with its HTTP status
+    by the fast path; the slow path saw only the first packet."""
+    c = rt.fast_path.counters()
+    assert c["msg_dropped"] == c[f"msg_dropped.{reason}"] == 1
+    assert c[f"status.{status}"] == 1
+    assert not rt.stats_snapshot()["slow_path"].get("dropped")
+
+
 def test_unknown_listener_404(runtime):
+    """A message on a flow whose listener is not published is dropped as
+    `no_listener` and counted with its 404."""
     flow = make_flow(dport=9999)
-    disp = runtime.handle_slow_path(
-        make_frame(make_request(), flow, conn_id=5), "no_listener"
-    )
-    assert disp == "responded"
-    slow = runtime.stats_snapshot()["slow_path"]
-    assert slow["status.404"] == slow["reason.no_listener"] == 1
-    assert slow["responded"] == 1
+    runtime.fast_path.message(make_message(make_request(), flow, conn_id=5))
+    assert_refused(runtime, "no_listener", 404)
 
 
 def test_no_route_dropped_with_reason(runtime):
     flow = make_flow(sport=41234)
     runtime.fast_path.ingress(make_frame(make_request(b"/missing"), flow, conn_id=9))
-    c = runtime.fast_path.counters()
-    assert c["msg_dropped.no_route"] == c["msg_dropped"] == 1
+    assert_refused(runtime, "no_route", 404)
 
 
 def test_no_healthy_endpoint_503(runtime):
     runtime.distribute(load_config(config_text(unhealthy=(9001, 9002))))
     flow = make_flow(sport=42000)
     runtime.fast_path.ingress(make_frame(make_request(b"/svc/a"), flow, conn_id=3))
-    slow = runtime.stats_snapshot()["slow_path"]
-    assert slow["status.503"] == slow["reason.no_healthy_endpoint"] == 1
-    assert slow["responded"] == 1
-
-
-def assert_answered_502(rt, reason):
-    slow = rt.stats_snapshot()["slow_path"]
-    assert slow[f"reason.{reason}"] == 1
-    assert slow["status.502"] == slow["responded"] == 1
-    assert "dropped" not in slow
+    assert_refused(runtime, "no_healthy_endpoint", 503)
 
 
 def test_connect_failure_answered_502():
@@ -346,7 +351,7 @@ def test_connect_failure_answered_502():
 
     rt = MeshRuntime(config=load_config(config_text()), connector=refuse)
     rt.fast_path.ingress(make_frame(make_request(b"/svc/a"), make_flow(sport=42100)))
-    assert_answered_502(rt, "connect_failure")
+    assert_refused(rt, "connect_failure", 502)
     # no connection opened, so none is counted
     snap = rt.stats_snapshot()
     assert snap["endpoint_assignments"] == {}
@@ -357,39 +362,70 @@ def test_connect_failure_answered_502():
 def test_unknown_cluster_answered_502(runtime):
     runtime.cluster_table.publish({}, writer="message")
     runtime.fast_path.ingress(make_frame(make_request(b"/svc/a"), make_flow(sport=42200)))
-    assert_answered_502(runtime, "unknown_cluster")
+    assert_refused(runtime, "unknown_cluster", 502)
 
 
 def test_slow_path_frame_for_unconfigured_listener_dropped(runtime):
     flow = make_flow(dport=7777)
-    disp = runtime.handle_slow_path(make_frame(b"x", flow), "new_connection")
+    disp = runtime.handle_slow_path(make_frame(b"x", flow))
     assert disp == "dropped"
     assert flow not in runtime.conns
+    assert flow not in runtime.fast_path.toe.connections
+    slow = runtime.stats_snapshot()["slow_path"]
+    assert slow == {"dropped": 1, "dropped.no_listener": 1}
 
 
 def test_every_handoff_has_one_disposition(runtime):
-    """Each unit handed to the slow path is counted once by reason and once
-    by disposition: reinjected, responded or dropped."""
+    """The slow path takes first packets only, and each one once: every
+    frame the fast path hands it is reinjected or dropped.  A refused
+    message is no handoff."""
     runtime.fast_path.ingress(make_frame(make_request(), make_flow(dport=7777)))
     runtime.fast_path.ingress(make_frame(make_request(), make_flow(sport=44001)))
     runtime.fast_path.ingress(make_frame(MALFORMED, make_flow(sport=44002)))
     runtime.distribute(load_config(config_text(unhealthy=(9001, 9002))))
     runtime.fast_path.ingress(make_frame(make_request(), make_flow(sport=44003)))
+    c = runtime.fast_path.counters()
     slow = runtime.stats_snapshot()["slow_path"]
-    handoffs = sum(v for k, v in slow.items() if k.startswith("reason."))
-    assert handoffs == 6
-    assert handoffs == sum(slow.get(k, 0)
-                           for k in ("reinjected", "responded", "dropped"))
+    assert c["slow_path"] == 4
+    assert c["slow_path"] == slow["reinjected"] + slow["dropped"]
+    assert slow["installed"] == slow["reinjected"] == 3
+    assert c["msg_dropped"] == 2  # the malformed one and the unhealthy one
 
 
 def test_malformed_request_answered_400(runtime):
     runtime.fast_path.ingress(make_frame(MALFORMED, make_flow(sport=44010)))
-    slow = runtime.stats_snapshot()["slow_path"]
-    assert slow["reason.malformed_http"] == 1
-    assert slow["status.400"] == slow["responded"] == 1
-    assert "dropped" not in slow
-    handoffs = sum(v for k, v in slow.items() if k.startswith("reason."))
-    assert handoffs == slow["reinjected"] + slow["responded"]
+    assert_refused(runtime, "malformed_http", 400)
+
+
+@pytest.mark.parametrize("line", [
+    b"<script>alert(1)</script>",
+    b"\xff\xfe\x00 \x1b[2J\r",
+    b": empty name",
+], ids=["markup", "control_bytes", "empty_name"])
+def test_hostile_header_line_counts_only_its_reason(runtime, line):
+    """A bad header line's bytes may go into the verdict reason, but a
+    counter is named by the reason before its ':' -- the input names none."""
+    raw = b"GET /svc/a HTTP/1.1\r\nHost: x\r\n" + line + b"\r\n\r\n"
+    unit = runtime.fast_path.message(make_message(raw, make_flow(sport=44020)))
+    assert unit.meta.verdict_reason.startswith("malformed_http:bad header line")
+    assert runtime.fast_path.counters() == {
+        "msg_submitted": 1, "msg_dropped": 1, "msg_dropped.malformed_http": 1,
+        "status.400": 1}
+
+
+def test_filtered_and_unrouted_requests_are_counted_with_their_status(runtime):
+    """New flows to a denied path, an unrouted one and a routed one: the
+    403 and the 404 are counted, as live mode answers them, and the slow
+    path holds only the three first packets it installed."""
+    for sport, path in ((44030, b"/nowhere"), (44031, b"/admin/x"),
+                        (44032, b"/svc/a")):
+        runtime.fast_path.ingress(
+            make_frame(make_request(path), make_flow(sport=sport)))
+    c = runtime.fast_path.counters()
+    assert c["status.403"] == c["status.404"] == 1
+    assert c["msg_egress"] == 1
+    assert runtime.stats_snapshot()["slow_path"] == {"installed": 3,
+                                                     "reinjected": 3}
 
 
 def test_connection_end_to_end_uses_vq(runtime):
