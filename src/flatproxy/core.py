@@ -150,12 +150,6 @@ class Metadata:
             )
         self.queue = queue_id
 
-    def reset_transient(self):
-        """Clear routing scratch state at the end of a traversal (the
-        'initial metadata' step of the routing algorithm): the parsed
-        request, and with it the message bytes it holds."""
-        self.http = None
-
 
 @dataclass
 class TrafficUnit:

@@ -3,14 +3,18 @@
 A flow's TOE state is its classification.  `FastPath.ingress` looks each
 L2 frame's flow up in the ToeEngine once: a flow with TOE state has its
 frame reassembled as a TCP segment, and any other frame is a first packet,
-which goes to the slow path; that opens the state and reinjects the frame.
-A flow's TOE state is opened by the slow path and released by
-`close_flow`.  The ToeEngine feeds a flow's in-order bytes to its
-`l7.HttpReader`, the one reader live mode uses too, which frames and joins
-each HTTP message once and hands it on with its head, read in one pass as
-soon as the header block is in; a segment that is exactly one whole
-message is framed and handed on as it came.  `ingress` runs the messages at once, in order,
-through `FastPath.message`, the L7 entry live mode shares; the parser
+which the slow path's handoff takes in the same call.  The handoff opens
+the flow's state, if a listener takes the flow, and the frame goes on to
+reassembly as any other does; a first packet no listener takes is dropped
+as `no_listener`, counted where a refused segment is.  So each frame is
+one `ingress` call with one outcome.  A flow's TOE state is opened by the
+slow path and released by `close_flow`.  The ToeEngine feeds a flow's
+in-order bytes to its `l7.HttpReader`, the one reader live mode uses too,
+which frames and joins each HTTP message once and hands it on with its
+head, read in one pass as soon as the header block is in; a segment that
+is exactly one whole message is framed and handed on as it came.
+`ingress` runs the messages at once, in order, through `FastPath.message`,
+the L7 entry live mode shares; the parser
 builds each request from its head, and the deparser forwards the message
 bytes untouched.  Every message leaves through one disposition, which
 counts the outcome and keeps nothing: its VQ egress, or a drop counted by
@@ -22,6 +26,7 @@ and messages in order.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,12 +46,7 @@ from .l7 import (
     route,
     MalformedHttp,
 )
-from .match_action import (
-    ExecContext,
-    ExecutableChain,
-    MatchTable,
-    Ppm,
-)
+from .match_action import ExecutableChain, MatchTable, Ppm
 
 REORDER_BUFFER_SEGMENTS = 64
 
@@ -72,7 +72,7 @@ def make_http_parser() -> Ppm:
     """The parser, the PPM's one step: `http_parse` either sets
     `meta.http` or drops the unit as `malformed_http`."""
 
-    def parser(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
+    def parser(unit: TrafficUnit, ctx: dict, snaps: dict):
         if unit.meta.http is None:
             http_parse(unit)
 
@@ -80,7 +80,7 @@ def make_http_parser() -> Ppm:
 
 
 def make_filter(filter_table: MatchTable) -> Ppm:
-    def evaluate(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
+    def evaluate(unit: TrafficUnit, ctx: dict, snaps: dict):
         rules = snaps[filter_table.name].entries.get("rules", ())
         verdict = filter_apply(unit.meta, rules)
         if verdict is not Verdict.CONTINUE:
@@ -99,7 +99,7 @@ def make_router(
 ) -> Ppm:
     """The router, over the live `lb` map (cluster ref -> LbState)."""
 
-    def route_step(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
+    def route_step(unit: TrafficUnit, ctx: dict, snaps: dict):
         endpoint = route(
             unit.meta,
             snaps[listener_table.name].entries,
@@ -110,8 +110,8 @@ def make_router(
             connector,
         )
         if endpoint is not None:
-            ctx.bump("load_balance_calls")
-            ctx.bump(f"endpoint.{endpoint.id}")
+            ctx["load_balance_calls"] += 1
+            ctx[f"endpoint.{endpoint.id}"] += 1
 
     return Ppm("router", steps=[route_step],
                tables=[listener_table, route_table, cluster_table])
@@ -121,7 +121,7 @@ def make_http_deparser() -> Ppm:
     """The deparser: a message no router bound to a queue is dropped as
     `no_queue`."""
 
-    def deparse(unit: TrafficUnit, ctx: ExecContext, snaps: dict):
+    def deparse(unit: TrafficUnit, ctx: dict, snaps: dict):
         if unit.meta.queue is None:
             unit.meta.set_verdict(Verdict.DROP, "no_queue")
             return
@@ -250,7 +250,8 @@ class FastPath:
     TOE, or live mode's `message` calls), and one disposition.  It keeps
     nothing of a message: `counters()` is the record of what happened.
     `vq_egress(unit)` returns whether the unit's queue took it;
-    `slow_path_handoff(frame)` takes each first packet."""
+    `slow_path_handoff(frame)` takes each first packet and returns whether
+    it opened the frame's flow."""
 
     def __init__(
         self,
@@ -258,50 +259,61 @@ class FastPath:
         slow_path_handoff: Callable,
         vq_egress: Callable,
     ):
-        self.ctx = ExecContext(counters={})
+        # the one counter dict: the data plane runs on one thread -- the
+        # caller's in-process, the loop thread's in live mode -- so a count
+        # is a plain increment, and `counters()` copies the dict in one
+        # step, between two of them
+        self.ctx = defaultdict(int)
         self.chain = l7_chain
         self.toe = ToeEngine()
         self.slow_path_handoff = slow_path_handoff
         self.vq_egress = vq_egress
 
     def counters(self) -> dict:
-        return self.ctx.snapshot()
+        return dict(self.ctx)
 
     # ingress ---------------------------------------------------------------
     def ingress(self, unit: TrafficUnit) -> str:
         """Classify one L2 frame by one lookup of its flow's TOE state: a
-        frame of a flow without any is a first packet, handed to the slow
-        path, and any other is reassembled as a TCP segment.  Returns the
-        disposition: 'l7' (messages went to the L7 chain), 'buffered'
-        (none completed yet), 'slow_path' or 'dropped' (a segment the TOE
-        refused, counted by reason).  A frame is never delivered at L4."""
+        frame of a flow without any is a first packet, counted `slow_path`,
+        whose flow the slow path opens, or not, in this call; the frame of
+        an open flow is reassembled as a TCP segment.  Returns the frame's
+        outcome: 'l7' (messages went to the L7 chain), 'buffered' (none
+        completed yet) or 'dropped' (counted by reason).  A frame is never
+        delivered at L4."""
         if unit.kind is not UnitKind.FRAME:
             raise ValueError("ingress takes FRAME units")
         ctx = self.ctx
-        ctx.bump("ingress")
+        ctx["ingress"] += 1
         if unit.meta.flow not in self.toe.connections:
-            ctx.bump("slow_path")
-            self.slow_path_handoff(unit)
-            return "slow_path"
+            ctx["slow_path"] += 1
+            if not self.slow_path_handoff(unit):
+                return self._drop(unit, "no_listener")
         try:
             messages = self.toe.deliver(unit)
         except OutOfWindow as exc:
-            unit.meta.set_verdict(Verdict.DROP, exc.args[0])
-            ctx.bump("dropped")
-            ctx.bump(f"dropped.{exc.args[0]}")
-            return "dropped"
+            return self._drop(unit, exc.args[0])
         for msg in messages:
             self.message(msg)
         if messages:
-            ctx.bump("egress")
+            ctx["egress"] += 1
             return "l7"
-        ctx.bump("buffered")
+        ctx["buffered"] += 1
         return "buffered"
+
+    def _drop(self, unit: TrafficUnit, reason: str) -> str:
+        """The one exit for a refused frame: a first packet no listener
+        takes, or a segment the TOE refuses, counted by reason."""
+        unit.meta.set_verdict(Verdict.DROP, reason)
+        ctx = self.ctx
+        ctx["dropped"] += 1
+        ctx[f"dropped.{reason}"] += 1
+        return "dropped"
 
     def message(self, msg: TrafficUnit):
         """The one L7 message entry, for `ingress` and live mode: run the
         chain and dispose of the unit.  Returns the unit."""
-        self.ctx.bump("msg_submitted")
+        self.ctx["msg_submitted"] += 1
         unit = self.chain.execute(msg, self.ctx)
         self._dispose(unit)
         return unit
@@ -312,17 +324,18 @@ class FastPath:
         that a full TX ring lost, as `ring_full` -- as `msg_dropped`, by
         reason and by its `http_status`."""
         meta = unit.meta
+        ctx = self.ctx
         if meta.verdict is Verdict.DELIVER:
             if self.vq_egress(unit):
-                self.ctx.bump("msg_egress")
+                ctx["msg_egress"] += 1
                 return
             reason = "ring_full"
         else:
             # the reason before any ':', so no input bytes name a counter
             reason = meta.verdict_reason.partition(":")[0]
-        self.ctx.bump("msg_dropped")
-        self.ctx.bump(f"msg_dropped.{reason}")
-        self.ctx.bump(f"status.{http_status(reason)}")
+        ctx["msg_dropped"] += 1
+        ctx[f"msg_dropped.{reason}"] += 1
+        ctx[f"status.{http_status(reason)}"] += 1
 
     def results(self):
         """Always empty: nothing is kept per message.  It remains only for

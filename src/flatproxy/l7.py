@@ -407,12 +407,10 @@ def route(
     """
     lkey = meta.flow.listener_key
     if lkey not in listeners:
-        meta.reset_transient()
         meta.set_verdict(Verdict.DROP, "no_listener")
         return None
     rule = _match_route(routes.get(lkey, ()), meta.http.url_path)
     if rule is None:
-        meta.reset_transient()
         meta.set_verdict(Verdict.DROP, "no_route")
         return None
     ckey = meta.flow

@@ -320,7 +320,8 @@ class LiveProxy(_Loop):
             if meta.verdict is Verdict.DELIVER:
                 c.replies.append(None)
             else:
-                reason = meta.verdict_reason
+                # the reason before any ':', so no input bytes reach the body
+                reason = meta.verdict_reason.partition(":")[0]
                 self._reply(c, _error_response(http_status(reason), reason))
 
     def _reply(self, c: _Client, data: bytes):

@@ -8,7 +8,9 @@ its own step, against the traversal's snapshot of its tables.  A chain is
 an ordered list of PPM ids, none repeated; its compiled form is the
 concatenation of their steps.  One function, `traverse`, runs every step
 tuple -- a chain's and a PPM applied on its own -- and stops after any
-step that leaves a terminal verdict; it records nothing.
+step that leaves a terminal verdict; it records nothing.  A step's `ctx`
+is its path's one counter dict, a `collections.defaultdict(int)` it
+counts in with `ctx[name] += 1`.
 
 A traversal runs on one snapshot of every table its chain reads, a dict
 taken at its start that nothing changes.  A rule table is published
@@ -88,23 +90,6 @@ class MatchTable:
         return self.current.epoch
 
 
-@dataclass
-class ExecContext:
-    """A path's counters.  The data plane runs on one thread -- the
-    caller's in-process, the loop thread's in live mode -- so a bump is a
-    plain dict increment; another thread may take a `snapshot`, which is
-    copied in one step and so falls between two bumps."""
-
-    counters: dict
-
-    def bump(self, name, n=1):
-        counters = self.counters
-        counters[name] = counters.get(name, 0) + n
-
-    def snapshot(self) -> dict:
-        return dict(self.counters)
-
-
 class Ppm:
     """Protocol processing module: its `steps`, parser first, and the
     `tables` they read.  A step that matches reads its table through the
@@ -116,7 +101,7 @@ class Ppm:
         self.steps = tuple(steps)
         self.tables = tuple(tables)
 
-    def apply(self, unit: TrafficUnit, ctx: ExecContext, snaps: dict = None):
+    def apply(self, unit: TrafficUnit, ctx: dict, snaps: dict = None):
         """Traverse this PPM alone, as a one-PPM chain, by default on a
         snapshot of its own tables."""
         if snaps is None:
@@ -124,7 +109,7 @@ class Ppm:
         traverse(self.steps, unit, ctx, snaps)
 
 
-def traverse(steps, unit: TrafficUnit, ctx: ExecContext, snaps: dict):
+def traverse(steps, unit: TrafficUnit, ctx: dict, snaps: dict):
     """Run `unit` through `steps`, on the table snapshots `snaps`,
     stopping after any step that leaves a terminal verdict."""
     meta = unit.meta
@@ -147,7 +132,7 @@ class ExecutableChain:
         self._snaps = None
         self._taken_at = -1  # the publish count `_snaps` was taken at
 
-    def execute(self, unit: TrafficUnit, ctx: ExecContext):
+    def execute(self, unit: TrafficUnit, ctx: dict):
         """Traverse the chain on one snapshot of every table it reads,
         taken again only when a table has published since the last one;
         returns the unit."""

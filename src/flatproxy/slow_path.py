@@ -13,9 +13,11 @@ Balancing state is not config: `MeshRuntime.lb` holds each cluster's
 `LbState`, kept across every reload, changed or not, and dropped with the
 cluster ref; a flow still open keeps its state through its record.
 
-The slow path handles first packets only: it opens the flow's TOE state,
-in O(1), which is what classifies the flow's later frames, and reinjects
-the frame into the fast path.  Every message the chain refuses is a drop
+The slow path handles first packets only, inside the fast path's
+`ingress` call: it opens the flow's TOE state, in O(1), which is what
+classifies the flow's later frames, and says whether it did; the fast path
+goes on with the frame and counts its outcome.  The slow path counts
+nothing of its own.  Every message the chain refuses is a drop
 that the fast path counts with its HTTP status.  A flow has a
 connection record exactly while it holds something -- TOE state, a queue
 or an LB count -- and `close_flow`, called on idle expiry and on a live
@@ -41,7 +43,6 @@ from .core import (
     Metadata,
     Proto,
     TrafficUnit,
-    UnitKind,
     ip4_to_int,
     make_listener_key,
 )
@@ -58,7 +59,6 @@ from .l7 import (
     RouteRule,
 )
 from .match_action import (
-    ExecContext,
     MatchActionError,
     MatchTable,
     check_chain,
@@ -309,7 +309,6 @@ class MeshRuntime:
         self.conns: OrderedDict[FlowKey, ConnRecord] = OrderedDict()
         self.vqs: dict[int, object] = {}  # vq id -> VirtQueue or LiveQueue
         self.stubs: dict[int, object] = {}
-        self.slow = ExecContext(counters={})  # the slow path's counters
 
         self.chain = self.compile(config.chain if config else STANDARD_CHAIN)
         self.fast_path = FastPath(
@@ -410,11 +409,12 @@ class MeshRuntime:
         self.fast_path.toe.close(key)
 
     # -- slow path ---------------------------------------------------------
-    def handle_slow_path(self, unit: TrafficUnit) -> str:
-        """First packet of a flow: to a published listener, make the flow's
-        record, open its TOE state, which classifies its later frames, and
-        reinject the frame; to any other, drop it.  Returns 'reinjected' or
-        'dropped'.
+    def handle_slow_path(self, unit: TrafficUnit) -> bool:
+        """First packet of a flow, taken inside `FastPath.ingress`: to a
+        published listener, make the flow's record and open its TOE state,
+        which classifies its later frames, and return True, so the fast
+        path goes on to reassemble the frame; to any other, return False,
+        and the fast path drops it as `no_listener`.
 
         The TOE state opens at seq 0.  A flow that resumes after expiry, its
         first segment now at seq > 0, cannot be told from a first pair that
@@ -425,25 +425,10 @@ class MeshRuntime:
         """
         key = unit.meta.flow
         if key.listener_key not in self.listener_table.current.entries:
-            self.slow.bump("dropped")
-            self.slow.bump("dropped.no_listener")
-            return "dropped"
+            return False
         self._record(key)
-        # a first segment that arrives out of order waits in the reorder
-        # buffer for the ones before it
         self.fast_path.toe.open(key)
-        self.slow.bump("installed")
-        # reinjection preserves the original unit bytes; the unit re-enters
-        # at L2 as a fresh frame
-        fresh = TrafficUnit(
-            kind=UnitKind.FRAME,
-            meta=Metadata(flow=unit.meta.flow, conn_id=unit.meta.conn_id),
-            payload=unit.payload,
-            seq=unit.seq,
-        )
-        self.fast_path.ingress(fresh)
-        self.slow.bump("reinjected")
-        return "reinjected"
+        return True
 
     def expire_idle(self, now: int = None):
         """Close every flow idle for longer than IDLE_TIMEOUT_NS: the
@@ -459,8 +444,9 @@ class MeshRuntime:
 
     # -- statistics --------------------------------------------------------
     def stats_snapshot(self) -> dict:
-        """Point-in-time counters document; each path's counters are
-        copied whole, between two of its bumps."""
+        """Point-in-time counters document, at schema `version` 1; the
+        fast path's one counter dict is copied whole, between two of its
+        counts."""
         fast = self.fast_path.counters()
         epochs = {
             t.name: t.epoch
@@ -474,8 +460,8 @@ class MeshRuntime:
             if k.startswith("endpoint.")
         }
         return {
+            "version": 1,
             "fast_path": fast,
-            "slow_path": self.slow.snapshot(),
             "table_epochs": epochs,
             "endpoint_assignments": endpoints,
             "connections": {"open": len(self.conns)},

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 from unittest import mock
 
 import pytest
@@ -13,12 +14,7 @@ from flatproxy.core import (
 )
 from flatproxy.fast_path import OutOfWindow, ToeEngine
 from flatproxy.l7 import Decision, FilterRule, frame_http, http_parse
-from flatproxy.match_action import (
-    ExecContext,
-    MatchTable,
-    Ppm,
-    compile_chain,
-)
+from flatproxy.match_action import MatchTable, Ppm, compile_chain
 from flatproxy.slow_path import IDLE_TIMEOUT_NS, MeshRuntime, load_config
 from flatproxy.vq import DEFAULT_RING_CAPACITY
 from conftest import config_text, make_flow, make_message, make_request
@@ -93,7 +89,7 @@ def test_toe_duplicate_counted_once():
         assert exc.value.args == ("duplicate",)
 
     rt = MeshRuntime(config=load_config(config_text()))
-    assert rt.fast_path.ingress(frame(raw)) == "slow_path"
+    assert rt.fast_path.ingress(frame(raw)) == "l7"
     assert rt.fast_path.ingress(frame(raw)) == "dropped"
     c = rt.fast_path.counters()
     assert c["dropped"] == c["dropped.duplicate"] == 1
@@ -184,12 +180,11 @@ def test_ingress_requires_frame(runtime):
 def test_first_packet_slow_path_then_delivery(runtime):
     raw = make_request(b"/svc/a")
     disp = runtime.fast_path.ingress(frame(raw))
-    # the slow path installs the flow and reinjects; the reinjected unit
-    # travels the whole pipeline to delivery
-    assert disp == "slow_path"
+    # the slow path opens the flow within the one ingress call, and the
+    # frame goes on through the whole pipeline to delivery
+    assert disp == "l7"
     snap = runtime.stats_snapshot()
-    assert snap["slow_path"]["installed"] == 1
-    assert snap["slow_path"]["reinjected"] == 1
+    assert snap["fast_path"]["ingress"] == snap["fast_path"]["slow_path"] == 1
     assert snap["fast_path"]["msg_egress"] == 1
     qid = runtime.queue_table.lookup(make_flow())
     assert runtime.vqs[qid].stub_fetch(runtime.stubs[qid]) == raw
@@ -198,11 +193,10 @@ def test_first_packet_slow_path_then_delivery(runtime):
 def test_established_flow_skips_slow_path(runtime):
     raw = make_request(b"/svc/a")
     runtime.fast_path.ingress(frame(raw))
-    before = runtime.stats_snapshot()["slow_path"].get("installed", 0)
+    before = runtime.fast_path.counters()["slow_path"]
     disp = runtime.fast_path.ingress(frame(raw, conn_id=2, seq=len(raw)))
     assert disp == "l7"
-    after = runtime.stats_snapshot()["slow_path"].get("installed", 0)
-    assert after == before
+    assert runtime.fast_path.counters()["slow_path"] == before
 
 
 def test_filtered_request_dropped(runtime):
@@ -216,7 +210,7 @@ def test_filtered_request_dropped(runtime):
 def test_partial_message_buffers(runtime):
     raw = make_request(b"/svc/a", body=b"0123456789")
     flow = make_flow(sport=46000)
-    runtime.fast_path.ingress(frame(raw[:20], flow=flow))  # installs + reinjects
+    runtime.fast_path.ingress(frame(raw[:20], flow=flow))  # opens the flow
     disp = runtime.fast_path.ingress(frame(raw[20:], flow=flow, seq=20))
     assert disp == "l7"
     counters = runtime.fast_path.counters()
@@ -261,8 +255,7 @@ def test_unit_conservation(runtime):
     def conserved():
         c = runtime.fast_path.counters()
         assert c["ingress"] == (
-            c.get("egress", 0) + c.get("dropped", 0)
-            + c.get("slow_path", 0) + c.get("buffered", 0)
+            c.get("egress", 0) + c.get("dropped", 0) + c.get("buffered", 0)
         )
         assert c.get("msg_submitted", 0) == (
             c.get("msg_egress", 0) + c.get("msg_dropped", 0))
@@ -302,6 +295,38 @@ def test_unit_conservation(runtime):
             pass
         fetched += stub.fetched
     assert c["msg_egress"] == fetched
+
+
+def test_each_frame_is_one_ingress_with_one_outcome(runtime):
+    """A first packet to the listener, that flow's later segments -- one
+    out of order, one a duplicate -- and a first packet to an unknown
+    listener: each frame is one `ingress` call with one outcome, the
+    outcomes sum to the frames offered, and `slow_path` counts the first
+    packets."""
+    flow = make_flow(sport=46700)
+    first = make_request(b"/svc/a")
+    second = make_request(b"/svc/b", method=b"POST", body=b"0123456789")
+    third = make_request(b"/svc/c")
+    at2, at3 = len(first), len(first) + len(second)
+    frames = [
+        (frame(first, flow=flow), "l7"),
+        (frame(second[20:], flow=flow, seq=at2 + 20), "buffered"),
+        (frame(second[:20], flow=flow, seq=at2), "l7"),
+        (frame(second[:20], flow=flow, seq=at2), "dropped"),
+        (frame(third, flow=flow, seq=at3), "l7"),
+        (frame(make_request(), flow=make_flow(dport=9999)), "dropped"),
+    ]
+    assert [runtime.fast_path.ingress(u) for u, _ in frames] == [
+        outcome for _, outcome in frames]
+    c = runtime.fast_path.counters()
+    assert c["ingress"] == len(frames) == (
+        c["egress"] + c["buffered"] + c["dropped"])
+    assert c["slow_path"] == 2
+    assert c["dropped.no_listener"] == c["dropped.duplicate"] == 1
+    assert c["msg_egress"] == 3
+    qid = runtime.queue_table.lookup(flow)
+    assert [runtime.vqs[qid].stub_fetch(runtime.stubs[qid])
+            for _ in range(3)] == [first, second, third]
 
 
 def _refused(rt, reason):
@@ -362,13 +387,13 @@ def test_every_refusal_is_one_drop_counted_with_its_status(runtime, reason):
     assert c["msg_submitted"] == c.get("msg_egress", 0) + c["msg_dropped"]
     assert sum(v for k, v in c.items() if k.startswith("status.")) == (
         c["msg_dropped"])
-    assert runtime.stats_snapshot()["slow_path"] == {}
+    assert "slow_path" not in c
 
 
 def test_first_segments_swapped_still_delivered(runtime):
     """A new flow whose second segment arrives first: the slow path opens
-    the flow's TOE state when it installs the L4 entry, so the reinjected
-    segment waits for the first one instead of being dropped."""
+    the flow's TOE state on its first packet, so that segment waits in the
+    reorder buffer for the first one instead of being dropped."""
     flow = make_flow(sport=46500)
     raw = make_request(b"/svc/a", method=b"POST", body=bytes(range(256)) * 4)
     cuts = [0, len(raw) // 3, 2 * len(raw) // 3, len(raw)]
@@ -419,7 +444,7 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
     chain = runtime.compile(["toe", "http_parser", "publisher",
                              "filter", "router", "http_deparser"])
     flow = make_flow(sport=48000)
-    ctx = ExecContext(counters={})
+    ctx = defaultdict(int)
     first = chain.execute(make_message(make_request(b"/svc/a"), flow=flow), ctx)
     assert first.meta.verdict is Verdict.DELIVER
     assert first.meta.verdict_reason == "deparsed"
@@ -458,7 +483,7 @@ def test_unchanged_reload_keeps_the_snapshot(runtime):
     chain = runtime.compile(["toe", "http_parser", "spy", "filter", "router",
                              "http_deparser"])
     flow = make_flow(sport=48020)
-    ctx = ExecContext(counters={})
+    ctx = defaultdict(int)
     chain.execute(make_message(make_request(b"/svc/a"), flow=flow), ctx)
     epochs = runtime.stats_snapshot()["table_epochs"]
     assert runtime.distribute(load_config(config_text())) == epochs
@@ -486,15 +511,15 @@ def hand_built_ppms():
     methods.publish({b"DELETE": "deny"}, writer="test")
 
     def parse(unit, ctx, snaps):
-        ctx.bump("tag.parsed")
+        ctx["tag.parsed"] += 1
 
     def mark(unit, ctx, snaps):
         if unit.meta.http.url_path == b"/svc/a":
-            ctx.bump("tag.marked")
+            ctx["tag.marked"] += 1
 
     def gate(unit, ctx, snaps):
         if snaps["methods"].entries.get(unit.meta.http.method) == "deny":
-            ctx.bump("gate.denied")
+            ctx["gate.denied"] += 1
             unit.meta.set_verdict(Verdict.DROP, "method")
 
     return {
@@ -529,7 +554,7 @@ def test_compiled_chain_equals_each_ppm_applied_in_turn(nodes, raw):
         rt = MeshRuntime(config=load_config(config_text()))
         registry = dict(rt.registry, **hand_built_ppms())
         unit = make_message(raw, flow=make_flow(sport=48030))
-        ctx = ExecContext(counters={})
+        ctx = defaultdict(int)
         if compiled:
             compile_chain(nodes, registry).execute(unit, ctx)
         else:
@@ -538,7 +563,7 @@ def test_compiled_chain_equals_each_ppm_applied_in_turn(nodes, raw):
                     break
                 registry[pid].apply(unit, ctx)
         outcomes.append((unit.meta.verdict, unit.meta.verdict_reason,
-                         ctx.counters, unit.payload,
+                         ctx, unit.payload,
                          rt.queue_table.lookup(unit.meta.flow) is not None))
         rt.shutdown()
     assert outcomes[0] == outcomes[1]
@@ -556,7 +581,7 @@ def test_chain_without_router_hands_the_message_to_the_slow_path():
     assert unit.meta.verdict_reason == "no_queue"
     c = rt.fast_path.counters()
     assert c["msg_dropped.no_queue"] == c["status.502"] == 1
-    assert rt.stats_snapshot()["slow_path"] == {}
+    assert "slow_path" not in c
 
 
 # -- hot path ----------------------------------------------------------------
@@ -582,7 +607,7 @@ def test_hot_path_bypasses_ppm_apply(runtime, monkeypatch):
     flow = make_flow(sport=48600)
     first = make_request(b"/svc/a", extra_headers=(b"X-Req: 1",))
     second = make_request(b"/svc/b", extra_headers=(b"X-Req: 2",))
-    assert runtime.fast_path.ingress(frame(first, flow=flow)) == "slow_path"
+    assert runtime.fast_path.ingress(frame(first, flow=flow)) == "l7"
     assert runtime.fast_path.ingress(
         frame(second, flow=flow, seq=len(first))) == "l7"
     third = make_request(b"/svc/c", extra_headers=(b"X-Req: 3",))
@@ -626,9 +651,8 @@ def test_closed_flow_is_a_new_connection_again(runtime):
     runtime.close_flow(flow)
     assert flow not in runtime.fast_path.toe.connections
     unit = frame(raw, flow=flow)
-    assert runtime.fast_path.ingress(unit) == "slow_path"
+    assert runtime.fast_path.ingress(unit) == "l7"
     assert runtime.fast_path.counters()["slow_path"] == 2
-    assert runtime.stats_snapshot()["slow_path"]["installed"] == 2
     qid = runtime.queue_table.lookup(flow)
     assert runtime.vqs[qid].stub_fetch(runtime.stubs[qid]) == raw
 
@@ -652,9 +676,10 @@ STEPS = st.one_of(
 def test_reused_classification_equals_a_traversal(steps):
     """Frames, some with their halves swapped, interleaved with reloads
     that keep, change or drop the listener, close_flow and expire_idle.
-    Every frame ingress sees -- the reinjected ones too -- goes to the slow
-    path exactly when its flow had no TOE state before the call.  After
-    every step only flows with a connection record have TOE state."""
+    Every frame is one ingress call with one outcome, and is counted
+    `slow_path` exactly when its flow had no TOE state before the call.
+    After every step only flows with a connection record have TOE
+    state."""
     now = [0]
     rt = MeshRuntime(config=load_config(config_text()), clock=lambda: now[0])
     fp = rt.fast_path
@@ -664,8 +689,12 @@ def test_reused_classification_equals_a_traversal(steps):
 
     def checked_ingress(unit):
         new = unit.meta.flow not in fp.toe.connections
+        before = fp.counters()
         disposition = ingress(unit)
-        assert (disposition == "slow_path") == new
+        after = fp.counters()
+        assert disposition in ("l7", "buffered", "dropped")
+        assert after["ingress"] - before.get("ingress", 0) == 1
+        assert after.get("slow_path", 0) - before.get("slow_path", 0) == new
         return disposition
 
     fp.ingress = checked_ingress

@@ -523,7 +523,6 @@ def test_route_no_listener_drops_and_resets():
     _, meta = routed(flow=make_flow(dport=9999), env=env)
     assert meta.verdict is Verdict.DROP
     assert meta.verdict_reason == "no_listener"
-    assert meta.http is None  # transient state cleared
     assert meta.queue is None
 
 

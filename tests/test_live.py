@@ -90,7 +90,7 @@ def test_live_unframeable_block_is_answered_and_counted_as_in_the_toe(proxy):
     with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as s:
         s.sendall(bad_length_request(b"abc") + make_request(b"/svc/a"))
         reader = HttpReader(s.recv)
-        body = b"malformed_http:bad content-length\n"
+        body = b"malformed_http\n"
         assert reader.read() == (b"HTTP/1.1 400 Bad Request\r\n"
                                  b"Content-Length: %d\r\n\r\n" % len(body)
                                  + body)
@@ -98,6 +98,18 @@ def test_live_unframeable_block_is_answered_and_counted_as_in_the_toe(proxy):
     c = proxy.runtime.stats_snapshot()["fast_path"]
     assert c["msg_submitted"] == 1
     assert c["msg_dropped.malformed_http"] == c["status.400"] == 1
+
+
+def test_live_error_reply_echoes_none_of_the_request(proxy):
+    """A refused request's reply body is the drop reason's part before any
+    ':', so a bad header line's bytes are never sent back to the client."""
+    raw = b"GET /svc/a HTTP/1.1\r\nHost: x\r\n<script>alert(1)</script>\r\n\r\n"
+    with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as s:
+        s.sendall(raw)
+        reply = HttpReader(s.recv).read()
+    assert reply == (b"HTTP/1.1 400 Bad Request\r\nContent-Length: 15\r\n\r\n"
+                     b"malformed_http\n")
+    assert b"script" not in reply
 
 
 def test_live_parser_reject_gets_400_and_keeps_serving(proxy):
@@ -127,7 +139,8 @@ def test_live_traffic_counts_in_fast_path(proxy):
     assert c["status.403"] == c["status.404"] == 333
     # nothing is kept per request
     assert proxy.runtime.fast_path.results() == []
-    assert proxy.runtime.stats_snapshot()["slow_path"] == {}
+    # live flows arrive framed: no frame reaches the slow path
+    assert "slow_path" not in c
 
 
 def test_live_counted_statuses_are_the_replies_the_client_read(proxy):

@@ -1,10 +1,10 @@
 import random
+from collections import defaultdict
 
 import pytest
 
 from flatproxy.core import Metadata, TrafficUnit, UnitKind, Verdict
 from flatproxy.match_action import (
-    ExecContext,
     MatchActionError,
     MatchTable,
     Ppm,
@@ -23,7 +23,11 @@ def table(name="t"):
 
 def inc_counter(name):
     """A step that counts `name` each time it runs."""
-    return lambda unit, ctx, snaps: ctx.bump(name)
+
+    def step(unit, ctx, snaps):
+        ctx[name] += 1
+
+    return step
 
 
 def set_verdict(verdict, reason):
@@ -133,14 +137,14 @@ def test_ppm_runs_matched_program():
 
     def match(unit, ctx, snaps):
         if snaps[t.name].entries.get(unit.meta.conn_id) == "hit":
-            ctx.bump("hits")
+            ctx["hits"] += 1
 
     p = Ppm("p", steps=[match], tables=[t])
     unit = make_unit()
     unit.meta.conn_id = 7
-    ctx = ExecContext(counters={})
+    ctx = defaultdict(int)
     assert p.apply(unit, ctx) is None
-    assert ctx.counters == {"hits": 1}
+    assert ctx == {"hits": 1}
     assert unit.meta.verdict is Verdict.CONTINUE
 
 
@@ -152,9 +156,9 @@ def test_constant_action_compiles_to_its_parser_and_steps():
     p = Ppm("p", steps=[parse, *steps])
     assert p.steps == (parse, *steps)
     assert Ppm("q").steps == () and Ppm("q").tables == ()
-    ctx = ExecContext(counters={})
+    ctx = defaultdict(int)
     p.apply(make_unit(), ctx)
-    assert ctx.counters == {"parsed": 1, "a": 1, "b": 1}
+    assert ctx == {"parsed": 1, "a": 1, "b": 1}
 
 
 def test_terminal_verdict_stops_program():
@@ -163,12 +167,12 @@ def test_terminal_verdict_stops_program():
         on_miss(t, set_verdict(Verdict.DROP, "x")), inc_counter("after"),
     ])
     unit = make_unit()
-    ctx = ExecContext(counters={})
+    ctx = defaultdict(int)
     p.apply(unit, ctx)
     # a PPM stops after any step that leaves a terminal verdict, so the
     # counter step after the drop never runs
     assert unit.meta.verdict is Verdict.DROP
-    assert "after" not in ctx.counters
+    assert "after" not in ctx
 
 
 # -- chain compilation -------------------------------------------------------
@@ -209,7 +213,7 @@ def test_empty_chain_is_identity():
     chain = compile_chain([], {})
     unit = make_unit()
     unit.payload = b"untouched"
-    out = chain.execute(unit, ExecContext(counters={}))
+    out = chain.execute(unit, defaultdict(int))
     assert out is unit
     assert out.payload == b"untouched"
     assert out.meta.verdict is Verdict.CONTINUE
@@ -221,12 +225,12 @@ def test_execute_trace_and_stop_on_terminal():
     reg["l7drop"] = Ppm("l7drop", tables=[t],
                         steps=[on_miss(t, set_verdict(Verdict.DROP, "x"))])
     chain = compile_chain(["l7a", "l7drop", "l7b"], reg)
-    ctx = ExecContext(counters={})
+    ctx = defaultdict(int)
     unit = chain.execute(make_unit(), ctx)
     assert unit.meta.verdict is Verdict.DROP
     assert unit.meta.verdict_reason == "x"
     # l7a ran, l7b after the drop did not
-    assert ctx.counters == {"l7a": 1}
+    assert ctx == {"l7a": 1}
 
 
 def test_chain_equals_sequential_application():
@@ -252,8 +256,8 @@ def test_chain_equals_sequential_application():
         unit_b = make_unit()
         payload = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))
         unit_a.payload = unit_b.payload = payload
-        ctx_a = ExecContext(counters={})
-        ctx_b = ExecContext(counters={})
+        ctx_a = defaultdict(int)
+        ctx_b = defaultdict(int)
         chain.execute(unit_a, ctx_a)
         for pid in nodes:
             if unit_b.meta.verdict is not Verdict.CONTINUE:
@@ -262,4 +266,4 @@ def test_chain_equals_sequential_application():
         assert unit_a.payload == unit_b.payload
         assert unit_a.meta.verdict == unit_b.meta.verdict
         assert unit_a.meta.verdict_reason == unit_b.meta.verdict_reason
-        assert ctx_a.counters == ctx_b.counters
+        assert ctx_a == ctx_b

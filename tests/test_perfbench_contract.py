@@ -25,11 +25,13 @@ tracer = Tracer()
 install(tracer)
 rounds = {}
 for name in ("small_keepalive", "bulk_segmented"):
+    handoffs = tracer.calls("slow_path.handle")
     rnd = inproc.GENERATORS[name](random.Random(1))
     inproc.drive_round(rnd, tracer)
     c = rnd.check
     rounds[name] = {"correct": c.correct, "failed": c.failed,
-                    "delivered": c.delivered}
+                    "delivered": c.delivered,
+                    "handoffs": tracer.calls("slow_path.handle") - handoffs}
 print(json.dumps({
     "rounds": rounds,
     "probe": inproc.first_swap_probe(random.Random(1)),
@@ -91,6 +93,8 @@ def test_perfbench_drives_the_program():
     out = run_script(SCRIPT)
     for name, r in out["rounds"].items():
         assert r["correct"] and r["failed"] == 0 and r["delivered"] > 0, name
+    # the first-packet handler keeps the name the tracer patches
+    assert out["rounds"]["small_keepalive"]["handoffs"] > 0
     assert out["probe"]["correct"]
     assert out["probe"]["lost_flows"] == 0
     assert all(n > 0 for n in out["calls"].values()), out["calls"]

@@ -305,23 +305,37 @@ def runtime():
     rt.shutdown()
 
 
-def test_new_connection_installs_and_reinjects(runtime):
+def test_new_connection_opens_and_delivers_in_one_ingress(runtime, monkeypatch):
+    """A first packet is one `ingress` call: the slow path opens the flow
+    once, counting nothing of its own, and the frame goes on to delivery in
+    the same call."""
+    calls = []
+    real = runtime.fast_path.ingress
+
+    def counting_ingress(unit):
+        calls.append(unit)
+        return real(unit)
+
+    monkeypatch.setattr(runtime.fast_path, "ingress", counting_ingress)
     flow = make_flow()
-    runtime.fast_path.ingress(make_frame(make_request(b"/svc/a"), flow))
+    assert runtime.fast_path.ingress(
+        make_frame(make_request(b"/svc/a"), flow)) == "l7"
+    assert len(calls) == 1
     assert flow in runtime.fast_path.toe.connections
     assert runtime.conns[flow].endpoint is not None
     snap = runtime.stats_snapshot()
-    assert snap["slow_path"]["reinjected"] == 1
+    assert "slow_path" not in snap
+    assert snap["fast_path"]["ingress"] == snap["fast_path"]["slow_path"] == 1
     assert snap["fast_path"]["msg_egress"] == 1
 
 
 def assert_refused(rt, reason, status):
     """One message dropped for `reason`, counted once with its HTTP status
-    by the fast path; the slow path saw only the first packet."""
+    by the fast path; no frame was dropped."""
     c = rt.fast_path.counters()
     assert c["msg_dropped"] == c[f"msg_dropped.{reason}"] == 1
     assert c[f"status.{status}"] == 1
-    assert not rt.stats_snapshot()["slow_path"].get("dropped")
+    assert "dropped" not in c
 
 
 def test_unknown_listener_404(runtime):
@@ -366,29 +380,35 @@ def test_unknown_cluster_answered_502(runtime):
 
 
 def test_slow_path_frame_for_unconfigured_listener_dropped(runtime):
+    """The slow path opens no flow to an unpublished listener and counts
+    nothing; the fast path drops the frame as `no_listener`, where it
+    counts a refused segment."""
     flow = make_flow(dport=7777)
-    disp = runtime.handle_slow_path(make_frame(b"x", flow))
-    assert disp == "dropped"
+    assert runtime.handle_slow_path(make_frame(b"x", flow)) is False
     assert flow not in runtime.conns
     assert flow not in runtime.fast_path.toe.connections
-    slow = runtime.stats_snapshot()["slow_path"]
-    assert slow == {"dropped": 1, "dropped.no_listener": 1}
+    assert runtime.fast_path.counters() == {}
+    unit = make_frame(b"x", flow)
+    assert runtime.fast_path.ingress(unit) == "dropped"
+    assert unit.meta.verdict_reason == "no_listener"
+    assert flow not in runtime.conns
+    assert runtime.fast_path.counters() == {
+        "ingress": 1, "slow_path": 1, "dropped": 1, "dropped.no_listener": 1}
 
 
 def test_every_handoff_has_one_disposition(runtime):
     """The slow path takes first packets only, and each one once: every
-    frame the fast path hands it is reinjected or dropped.  A refused
-    message is no handoff."""
+    frame the fast path hands it opens its flow or is dropped as
+    `no_listener`.  A refused message is no handoff."""
     runtime.fast_path.ingress(make_frame(make_request(), make_flow(dport=7777)))
     runtime.fast_path.ingress(make_frame(make_request(), make_flow(sport=44001)))
     runtime.fast_path.ingress(make_frame(MALFORMED, make_flow(sport=44002)))
     runtime.distribute(load_config(config_text(unhealthy=(9001, 9002))))
     runtime.fast_path.ingress(make_frame(make_request(), make_flow(sport=44003)))
     c = runtime.fast_path.counters()
-    slow = runtime.stats_snapshot()["slow_path"]
-    assert c["slow_path"] == 4
-    assert c["slow_path"] == slow["reinjected"] + slow["dropped"]
-    assert slow["installed"] == slow["reinjected"] == 3
+    assert c["ingress"] == c["slow_path"] == 4
+    assert c["dropped"] == c["dropped.no_listener"] == 1
+    assert len(runtime.fast_path.toe.connections) == 3
     assert c["msg_dropped"] == 2  # the malformed one and the unhealthy one
 
 
@@ -415,8 +435,8 @@ def test_hostile_header_line_counts_only_its_reason(runtime, line):
 
 def test_filtered_and_unrouted_requests_are_counted_with_their_status(runtime):
     """New flows to a denied path, an unrouted one and a routed one: the
-    403 and the 404 are counted, as live mode answers them, and the slow
-    path holds only the three first packets it installed."""
+    403 and the 404 are counted, as live mode answers them, and the three
+    first packets are counted once each, as `slow_path`."""
     for sport, path in ((44030, b"/nowhere"), (44031, b"/admin/x"),
                         (44032, b"/svc/a")):
         runtime.fast_path.ingress(
@@ -424,8 +444,8 @@ def test_filtered_and_unrouted_requests_are_counted_with_their_status(runtime):
     c = runtime.fast_path.counters()
     assert c["status.403"] == c["status.404"] == 1
     assert c["msg_egress"] == 1
-    assert runtime.stats_snapshot()["slow_path"] == {"installed": 3,
-                                                     "reinjected": 3}
+    assert c["ingress"] == c["slow_path"] == 3
+    assert "dropped" not in c
 
 
 def test_connection_end_to_end_uses_vq(runtime):
@@ -549,8 +569,9 @@ def test_stats_snapshot_shape(runtime):
             make_frame(make_request(b"/svc/a"), make_flow(sport=45000 + i))
         )
     snap = runtime.stats_snapshot()
-    assert set(snap) == {"fast_path", "slow_path", "table_epochs",
+    assert set(snap) == {"version", "fast_path", "table_epochs",
                          "endpoint_assignments", "connections"}
+    assert snap["version"] == 1
     assert snap["connections"].get("open", 0) == 4
     assert sum(snap["endpoint_assignments"].values()) == 4
     # round robin over two endpoints
