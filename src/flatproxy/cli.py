@@ -277,8 +277,8 @@ def cmd_live(args) -> int:
     finally:
         for stub in stubs:
             stub.stop()
-    snap = proxy.stats()
-    print(f"delivered: {snap['live_delivered']}")
+    snap = proxy.runtime.stats_snapshot()
+    print(f"delivered: {snap['fast_path'].get('resp_egress', 0)}")
     for ep, n in sorted(snap["endpoint_assignments"].items()):
         print(f"endpoint {ep}: {n} connections")
     return EXIT_OK

@@ -36,6 +36,9 @@ class Verdict(Enum):
     DELIVER = "deliver"
 
 
+_CONTINUE = Verdict.CONTINUE
+
+
 def ip4_to_int(addr) -> int:
     """Accepts dotted-quad strings or ints; returns a 32-bit address."""
     if isinstance(addr, int):
@@ -114,13 +117,6 @@ class HttpMessage:
     body_at: int = 0  # where the body starts in `raw`
 
 
-_conn_ids = itertools.count(1)
-
-
-def next_conn_id() -> int:
-    return next(_conn_ids)
-
-
 @dataclass
 class Metadata:
     """Per-unit descriptor threaded through every processing module."""
@@ -135,7 +131,7 @@ class Metadata:
     def set_verdict(self, verdict: Verdict, reason: str = None):
         """Verdict transitions are monotone: CONTINUE may become any
         verdict, and every other verdict is terminal and sticks."""
-        if self.verdict is not Verdict.CONTINUE and verdict is not self.verdict:
+        if self.verdict is not _CONTINUE and verdict is not self.verdict:
             raise ValueError(
                 f"verdict {self.verdict} is terminal, cannot become {verdict}"
             )

@@ -12,7 +12,8 @@ slow path and released by `close_flow`.  The ToeEngine feeds a flow's
 in-order bytes to its `l7.HttpReader`, the one reader live mode uses too,
 which frames and joins each HTTP message once and hands it on with its
 head, read in one pass as soon as the header block is in; a segment that
-is exactly one whole message is framed and handed on as it came.
+is exactly one whole message is framed and handed on as it came, and a
+block that cannot be framed is cut off and handed on alone, with no head.
 `ingress` runs the messages at once, in order, through `FastPath.message`,
 the L7 entry live mode shares; the parser
 builds each request from its head, and the deparser forwards the message
@@ -44,11 +45,13 @@ from .l7 import (
     http_deparse,
     http_parse,
     route,
-    MalformedHttp,
 )
 from .match_action import ExecutableChain, MatchTable, Ppm
 
 REORDER_BUFFER_SEGMENTS = 64
+
+_FRAME, _MESSAGE = UnitKind.FRAME, UnitKind.MESSAGE
+_CONTINUE, _DROP, _DELIVER = Verdict.CONTINUE, Verdict.DROP, Verdict.DELIVER
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +86,7 @@ def make_filter(filter_table: MatchTable) -> Ppm:
     def evaluate(unit: TrafficUnit, ctx: dict, snaps: dict):
         rules = snaps[filter_table.name].entries.get("rules", ())
         verdict = filter_apply(unit.meta, rules)
-        if verdict is not Verdict.CONTINUE:
+        if verdict is not _CONTINUE:
             unit.meta.set_verdict(verdict, "filter")
 
     return Ppm("filter", steps=[evaluate], tables=[filter_table])
@@ -123,10 +126,10 @@ def make_http_deparser() -> Ppm:
 
     def deparse(unit: TrafficUnit, ctx: dict, snaps: dict):
         if unit.meta.queue is None:
-            unit.meta.set_verdict(Verdict.DROP, "no_queue")
+            unit.meta.set_verdict(_DROP, "no_queue")
             return
         unit.payload = http_deparse(unit.meta)
-        unit.meta.set_verdict(Verdict.DELIVER, "deparsed")
+        unit.meta.set_verdict(_DELIVER, "deparsed")
 
     return Ppm("http_deparser", steps=[deparse])
 
@@ -192,7 +195,9 @@ class ToeEngine:
 
     def deliver(self, seg: TrafficUnit) -> list:
         """Feed one frame of an opened flow, a TCP segment at `seg.seq`;
-        returns completed MESSAGE units (possibly none)."""
+        returns a MESSAGE unit for each message its reader cut, in order
+        (possibly none) -- a block that cannot be framed with no head, so
+        the parser drops it."""
         key = seg.meta.flow
         conn = self.connections[key]
         if seg.seq < conn.next_seq or seg.seq in conn.reorder:
@@ -203,24 +208,15 @@ class ToeEngine:
             conn.reorder[seg.seq] = seg.payload
             return []
         reader, reorder = conn.reader, conn.reorder
-        meta = seg.meta
+        conn_id = seg.meta.conn_id
         out = []
         chunk = seg.payload
         while chunk is not None:  # this segment, then any it lets through
             conn.next_seq += len(chunk)
-            while chunk or reader.held:
-                try:
-                    msg = reader.take(chunk)
-                except MalformedHttp as exc:
-                    # deliver the bad header block alone, so the stream
-                    # stays framed; the parser drops it
-                    msg = reader.cut(exc.end), None
-                chunk = b""
-                if msg is None:
-                    break
+            for payload, head in reader.take(chunk):
                 out.append(TrafficUnit(
-                    kind=UnitKind.MESSAGE, payload=msg[0], head=msg[1],
-                    meta=Metadata(flow=key, conn_id=meta.conn_id)))
+                    kind=_MESSAGE, payload=payload, head=head,
+                    meta=Metadata(flow=key, conn_id=conn_id)))
             chunk = reorder.pop(conn.next_seq, None) if reorder else None
         return out
 
@@ -281,7 +277,7 @@ class FastPath:
         outcome: 'l7' (messages went to the L7 chain), 'buffered' (none
         completed yet) or 'dropped' (counted by reason).  A frame is never
         delivered at L4."""
-        if unit.kind is not UnitKind.FRAME:
+        if unit.kind is not _FRAME:
             raise ValueError("ingress takes FRAME units")
         ctx = self.ctx
         ctx["ingress"] += 1
@@ -304,7 +300,7 @@ class FastPath:
     def _drop(self, unit: TrafficUnit, reason: str) -> str:
         """The one exit for a refused frame: a first packet no listener
         takes, or a segment the TOE refuses, counted by reason."""
-        unit.meta.set_verdict(Verdict.DROP, reason)
+        unit.meta.set_verdict(_DROP, reason)
         ctx = self.ctx
         ctx["dropped"] += 1
         ctx[f"dropped.{reason}"] += 1
@@ -325,7 +321,7 @@ class FastPath:
         reason and by its `http_status`."""
         meta = unit.meta
         ctx = self.ctx
-        if meta.verdict is Verdict.DELIVER:
+        if meta.verdict is _DELIVER:
             if self.vq_egress(unit):
                 ctx["msg_egress"] += 1
                 return

@@ -126,78 +126,77 @@ class HttpReader:
     """Cuts whole messages off an HTTP/1.1 byte stream by `frame_http`,
     each framed once and joined once: the bytes not yet taken are kept in
     `chunks` as they arrived, `held` in all, and the head of the message at
-    their front waits in `need` until that many bytes are held.  `take`
-    adds bytes and cuts a message; `read` pulls from `recv(n)`, a blocking
-    socket's recv, until it has one, and leaves its head in `head`."""
+    their front waits in `need` until that many bytes are held.  A block
+    `frame_http` refuses is cut off alone -- its header block, or all that
+    is held when it has none -- and framing goes on after it, so the stream
+    stays framed and no caller sees `MalformedHttp`."""
 
-    def __init__(self, recv=None):
-        self._recv = recv
+    def __init__(self):
         self.chunks = []
         self.held = 0
         self.need = None
-        self.head = None
 
-    def take(self, data: bytes = b""):
-        """Add `data`, then return the next whole message held and its
-        head, or None.  When nothing was held and `data` is exactly one
-        whole message, that is `data` itself, never kept, joined or cut.
-        Raises MalformedHttp, with `end` set, on a message `frame_http`
-        rejects; `cut(exc.end)` then drops the block that cannot be
-        framed."""
-        if data:
-            if not self.held:
-                # nothing held: frame `data` as it came, once
-                try:
-                    head = frame_http(data)
-                except MalformedHttp:
-                    self.chunks.append(data)
-                    self.held = len(data)
-                    raise
-                if head is not None and head[0] == len(data):
-                    return data, head
+    def take(self, data: bytes):
+        """Add `data`, then return every whole message held, in order, as
+        `(bytes, head)` pairs, a refused block's head None; empty when
+        none is whole.  When nothing was held and `data` is exactly one
+        whole message, that is `data` itself, never kept, joined or cut."""
+        if self.held:
+            self.chunks.append(data)
+            self.held += len(data)
+            head = self.need
+            if head is not None and self.held < head[0]:
+                return ()  # the body is still coming
+        elif not data:
+            return ()
+        else:
+            # nothing held: frame `data` as it came, once
+            try:
+                head = frame_http(data)
+            except MalformedHttp as exc:
                 self.chunks.append(data)
                 self.held = len(data)
-                if head is None:
-                    return None
+                return self._drain(None, [(self._cut(exc.end), None)])
+            if head is not None and head[0] == len(data):
+                return ((data, head),)
+            self.chunks.append(data)
+            self.held = len(data)
+            if head is None or head[0] > len(data):
                 self.need = head
-            else:
-                self.chunks.append(data)
-                self.held += len(data)
-        head = self.need
-        if head is None:
-            chunks = self.chunks
-            if len(chunks) > 1:
-                self.chunks = chunks = [b"".join(chunks)]
-            head = frame_http(chunks[0]) if chunks else None
-            if head is None:
-                return None
-        if self.held < head[0]:
-            self.need = head
-            return None
-        self.need = None
-        return self.cut(head[0]), head
+                return ()
+        return self._drain(head, [])
 
-    def cut(self, end: int) -> bytes:
+    def _drain(self, head, out: list) -> list:
+        """Append to `out` each whole message held, `head` that of the one
+        at the front (None if not framed yet), and return it."""
+        while True:
+            if head is None:
+                chunks = self.chunks
+                if not chunks:
+                    break
+                if len(chunks) > 1:
+                    self.chunks = chunks = [b"".join(chunks)]
+                try:
+                    head = frame_http(chunks[0])
+                except MalformedHttp as exc:
+                    out.append((self._cut(exc.end), None))
+                    continue
+                if head is None:
+                    break
+            if self.held < head[0]:
+                break
+            out.append((self._cut(head[0]), head))
+            head = None
+        self.need = head
+        return out
+
+    def _cut(self, end: int) -> bytes:
         """The first `end` bytes held, taken off the stream."""
         data = b"".join(self.chunks)  # the one chunk itself, if one
         rest = data[end:]
         self.chunks = [rest] if rest else []
         self.held = len(rest)
         return data[:end]
-
-    def read(self) -> bytes:
-        """The next message; b'' on clean EOF.  Raises MalformedHttp on a
-        message `frame_http` rejects or a stream that ends mid-message."""
-        msg = self.take()
-        while msg is None:
-            data = self._recv(MAX_DESCRIPTOR_BYTES)
-            if not data:
-                if self.held:
-                    raise MalformedHttp("connection closed mid-message")
-                return b""
-            msg = self.take(data)
-        data, self.head = msg
-        return data
 
 
 def parse_request(data: bytes, head: Optional[tuple] = None) -> HttpMessage:
@@ -262,14 +261,20 @@ class FilterRule:
         return True
 
 
+# Enum members read per message, bound once: a member read is an
+# attribute lookup through the Enum's metaclass
+_DENY = Decision.DENY
+_DROP, _CONTINUE = Verdict.DROP, Verdict.CONTINUE
+
+
 def filter_apply(meta: Metadata, rules) -> Verdict:
     """First matching rule decides; a request no rule matches is allowed."""
     for rule in rules:
         if rule.matches(meta):
-            if rule.decision is Decision.DENY:
-                return Verdict.DROP
+            if rule.decision is _DENY:
+                return _DROP
             break
-    return Verdict.CONTINUE
+    return _CONTINUE
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +283,9 @@ def filter_apply(meta: Metadata, rules) -> Verdict:
 class MatchKind(Enum):
     EXACT = "exact"
     PREFIX = "prefix"
+
+
+_EXACT = MatchKind.EXACT
 
 
 @dataclass(frozen=True)
@@ -290,7 +298,7 @@ class PathMatcher:
             raise ValueError("empty path pattern")
 
     def matches(self, path: bytes) -> bool:
-        if self.kind is MatchKind.EXACT:
+        if self.kind is _EXACT:
             return path == self.pattern
         return path.startswith(self.pattern)
 

@@ -13,15 +13,17 @@ thread ever runs them.  Accepting a connection opens no TOE state:
 the requests arrive framed, as MESSAGE units, which the toe PPM passes
 on.
 
-A route's upstream connection is a LiveQueue in `runtime.vqs`, with the
-VirtQueue tx-deliver / rx-collect surface; the flow's record holds it until
-the client goes and `close_flow` runs.  A client's requests pipeline
-upstream, and its replies keep a FIFO in request order, each entry either
-outstanding upstream or a local reply to a dropped request, with the
-status `http_status` gives its reason (400, 403, 404, 502...), so
-per-flow FIFO holds by construction.  A config reload is handed to the
-loop and applied between events.  A client that closes its side is closed
-at once and its flow released; replies still owed to it are dropped.
+A route's upstream connection is a LiveQueue in `runtime.vqs`; the flow's
+record holds it until the client goes and `close_flow` runs.  A client's
+requests pipeline upstream, and its replies keep a FIFO in request order,
+each entry either outstanding upstream or a local reply to a dropped
+request, with the status `http_status` gives its reason (400, 403, 404,
+502...), so per-flow FIFO holds by construction.  Each response relayed
+from upstream is counted `resp_egress`, and each 502 for a request a
+failed upstream left unanswered `upstream_failed`, in the fast path's
+counters.  A config reload is handed to the loop and applied between
+events.  A client that closes its side is closed at once and its flow
+released; replies still owed to it are dropped.
 """
 
 from __future__ import annotations
@@ -44,16 +46,16 @@ from .core import (
     Verdict,
     int_to_ip4,
     ip4_to_int,
-    next_conn_id,
 )
 from .fast_path import http_status
-from .l7 import ConnectFailure, HttpReader, MalformedHttp, parse_request
+from .l7 import ConnectFailure, HttpReader
 from .slow_path import MeshConfig, MeshRuntime
 
 log = logging.getLogger(__name__)
 
 _RECV_BYTES = 64 * 1024
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+_MESSAGE, _DELIVER = UnitKind.MESSAGE, Verdict.DELIVER
 
 
 class _End:
@@ -165,16 +167,14 @@ class EchoStub(_Loop):
             data = _recv(end.sock)
             if data == b"":
                 return self._close(end)
-            try:
-                while msg := end.reader.take(data):
-                    data = b""
-                    body = msg[0][parse_request(*msg).body_at:]
-                    self.hits += 1
-                    end.out += b"%sContent-Length: %d\r\n\r\n%s" % (
-                        self._ok, len(body), body)
-            except MalformedHttp:  # answer what came before it, then close
-                _send(end.sock, end.out)
-                return self._close(end)
+            for msg, head in end.reader.take(data or b""):
+                if head is None:  # answer what came before it, then close
+                    _send(end.sock, end.out)
+                    return self._close(end)
+                body = msg[head[1]:]  # from the head's body_at
+                self.hits += 1
+                end.out += b"%sContent-Length: %d\r\n\r\n%s" % (
+                    self._ok, len(body), body)
         if _send(end.sock, end.out):
             self._watch(end, _WRITE, (self._echo, end))
         else:
@@ -186,10 +186,11 @@ class EchoStub(_Loop):
 
 
 class LiveQueue(_End):
-    """Socket-backed stand-in for a VirtQueue, same transfer surface, owned
-    by the loop thread.  `tx_deliver` queues a request in `out` for the loop
-    to write; `rx_collect` returns the next whole response the loop has
-    read off the socket, or None."""
+    """Socket-backed stand-in for a VirtQueue, owned by the loop thread.
+    `tx_deliver` queues a request in `out` for the loop to write, as
+    `VirtQueue.tx_deliver` takes one; `rx_collect`, unlike the VirtQueue's,
+    takes the bytes the loop has read off the socket and returns every
+    whole response they complete."""
 
     _ids = itertools.count(10_000)
 
@@ -201,11 +202,10 @@ class LiveQueue(_End):
         """Never raises RingFull: what the socket has not taken waits."""
         self.out += data
 
-    def rx_collect(self, data: bytes = b""):
-        """Add `data`, read off the socket, and return the next whole
-        response held, or None."""
-        msg = self.reader.take(data)
-        return msg and msg[0]
+    def rx_collect(self, data: bytes):
+        """Add `data`, read off the socket, and return each whole response
+        held, in order, as `HttpReader.take` does."""
+        return self.reader.take(data)
 
     def close(self):
         try:
@@ -222,7 +222,6 @@ class _Client(_End):
     def __init__(self, sock: socket.socket, flow: FlowKey):
         super().__init__(sock)
         self.flow = flow
-        self.conn_id = next_conn_id()
         self.replies = deque()
         self.upstream = None  # its LiveQueue, once routed
         self.closing = False  # takes no more requests; closed once answered
@@ -243,7 +242,6 @@ class LiveProxy(_Loop):
         self.runtime = MeshRuntime(config=config, connector=self._connect)
         super().__init__("flatproxy-live")
         self.listen_host = listen_host
-        self.delivered = 0
         self.ports = {}
         self._clients: dict[FlowKey, _Client] = {}
         self._inbox = deque()  # (config, Future): reloads for the loop
@@ -303,26 +301,21 @@ class LiveProxy(_Loop):
         the data path, in order, and queue its reply; none once `c` is
         closing.  A block that cannot be framed goes through alone, with no
         head, as the TOE's does, and `c` takes nothing after it."""
-        while not c.closing:
-            try:
-                msg = c.reader.take(data)
-            except MalformedHttp as exc:
-                msg = c.reader.cut(exc.end), None
-                c.closing = True
-            data = b""
-            if msg is None:
-                return
-            meta = self.runtime.fast_path.message(TrafficUnit(
-                kind=UnitKind.MESSAGE,
-                meta=Metadata(flow=c.flow, conn_id=c.conn_id),
-                payload=msg[0], head=msg[1],
-            )).meta
-            if meta.verdict is Verdict.DELIVER:
+        if c.closing:
+            return
+        message = self.runtime.fast_path.message
+        for msg, head in c.reader.take(data):
+            meta = message(TrafficUnit(kind=_MESSAGE, payload=msg, head=head,
+                                       meta=Metadata(flow=c.flow))).meta
+            if meta.verdict is _DELIVER:
                 c.replies.append(None)
             else:
                 # the reason before any ':', so no input bytes reach the body
                 reason = meta.verdict_reason.partition(":")[0]
                 self._reply(c, _error_response(http_status(reason), reason))
+            if head is None:
+                c.closing = True
+                return
 
     def _reply(self, c: _Client, data: bytes):
         if c.replies:
@@ -344,31 +337,33 @@ class LiveProxy(_Loop):
 
     def _relay(self, c: _Client, up: LiveQueue, data: bytes) -> bool:
         """Answer `c`'s oldest outstanding requests with the whole responses
-        `up` holds, now with `data`; False on one that cannot be framed or
-        that no request awaits."""
-        try:
-            while (resp := up.rx_collect(data)) is not None:
-                data = b""
-                if not c.replies:
-                    return False
-                c.replies.popleft()
-                # counted before it is written, so the count is visible by
-                # the time the client has read the response
-                self.delivered += 1
-                c.out += resp
-                while c.replies and c.replies[0] is not None:
-                    c.out += c.replies.popleft()
-        except MalformedHttp:
-            return False
+        `up` holds, now with `data`, each counted `resp_egress`; False on
+        one that cannot be framed or that no request awaits."""
+        ctx = self.runtime.fast_path.ctx
+        for resp, head in up.rx_collect(data):
+            if head is None or not c.replies:
+                return False
+            c.replies.popleft()
+            # counted before it is written, so the count is visible by the
+            # time the client has read the response
+            ctx["resp_egress"] += 1
+            c.out += resp
+            while c.replies and c.replies[0] is not None:
+                c.out += c.replies.popleft()
         return True
 
     def _upstream_failed(self, c: _Client):
         """The upstream closed or sent what cannot be relayed: each request
-        still outstanding on it gets a 502, and `c` takes no more."""
+        still outstanding on it gets a 502, counted `upstream_failed`, and
+        `c` takes no more."""
         self._sel.unregister(c.upstream.sock)
         c.upstream = None
+        ctx = self.runtime.fast_path.ctx
         for r in c.replies:
-            c.out += _BAD_GATEWAY if r is None else r
+            if r is None:
+                ctx["upstream_failed"] += 1
+                r = _BAD_GATEWAY
+            c.out += r
         c.replies.clear()
         c.closing = True
 
@@ -427,10 +422,10 @@ class LiveProxy(_Loop):
             self._wake()
         return done.result()
 
-    def stats(self) -> dict:
-        snap = self.runtime.stats_snapshot()
-        snap["live_delivered"] = self.delivered
-        return snap
+    @property
+    def delivered(self) -> int:
+        """The responses relayed to clients: the `resp_egress` count."""
+        return self.runtime.fast_path.ctx.get("resp_egress", 0)
 
 
 def _listen(host: str, port: int, fallback: bool) -> socket.socket:

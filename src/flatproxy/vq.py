@@ -45,6 +45,9 @@ class VqState(Enum):
     CLOSED = "closed"
 
 
+_UNBOUND, _BOUND, _CLOSED = VqState.UNBOUND, VqState.BOUND, VqState.CLOSED
+
+
 class _Ring:
     """Bounded descriptor ring with slot accounting."""
 
@@ -108,7 +111,7 @@ class VirtQueue:
         self.rx_ring = _Ring(capacity)  # service -> proxy
         self.tx_ring = _Ring(capacity)  # proxy -> service
         self.bound_mem = None  # {"rx_addr": .., "tx_addr": ..}
-        self.state = VqState.UNBOUND
+        self.state = _UNBOUND
         self._stub = None
         self.host_doorbells = 0  # must stay 0 on the TX path
         self.dma_copies = 0
@@ -117,7 +120,7 @@ class VirtQueue:
     def bind(self, stub: ServiceStub) -> "VirtQueue":
         """Binding handshake: the stub allocates its RX/TX blocks and the
         queue records their addresses; idempotent for the same stub."""
-        if self.state is VqState.CLOSED:
+        if self.state is _CLOSED:
             raise QueueClosed(self.id)
         if stub.tenant != self.tenant:
             raise TenantMismatch(
@@ -129,16 +132,16 @@ class VirtQueue:
             raise AlreadyBoundElsewhere(self.id)
         self._stub = stub
         self.bound_mem = {"rx_addr": stub.rx_addr, "tx_addr": stub.tx_addr}
-        self.state = VqState.BOUND
+        self.state = _BOUND
         return self
 
     def close(self):
-        self.state = VqState.CLOSED
+        self.state = _CLOSED
 
     def _check_bound(self):
-        if self.state is VqState.CLOSED:
-            raise QueueClosed(self.id)
-        if self.state is not VqState.BOUND:
+        if self.state is not _BOUND:
+            if self.state is _CLOSED:
+                raise QueueClosed(self.id)
             raise VqError(f"queue {self.id} not bound")
 
     def _check_stub(self, stub: ServiceStub):

@@ -1,8 +1,11 @@
+from collections import deque
 from pathlib import Path
 
 import pytest
 
 from flatproxy.core import FlowKey, Metadata, Proto, TrafficUnit, UnitKind
+from flatproxy.l7 import HttpReader, MalformedHttp
+from flatproxy.vq import MAX_DESCRIPTOR_BYTES
 
 
 EXAMPLE_CONFIG = Path("configs/http_routing.yaml")
@@ -34,6 +37,33 @@ def make_message(payload, flow=None, conn_id=1):
         meta=Metadata(flow=flow, conn_id=conn_id),
         payload=payload,
     )
+
+
+class MessageReader:
+    """A blocking client's reader: `read()` pulls from `recv(n)`, a
+    blocking socket's recv, until `l7.HttpReader` has cut a message, and
+    returns it, leaving its head in `head`; b'' on clean EOF.  Raises
+    MalformedHttp on a block the reader could not frame or a stream that
+    ends mid-message."""
+
+    def __init__(self, recv):
+        self._recv = recv
+        self._reader = HttpReader()
+        self._taken = deque()
+        self.head = None
+
+    def read(self) -> bytes:
+        while not self._taken:
+            data = self._recv(MAX_DESCRIPTOR_BYTES)
+            if not data:
+                if self._reader.held:
+                    raise MalformedHttp("connection closed mid-message")
+                return b""
+            self._taken.extend(self._reader.take(data))
+        data, self.head = self._taken.popleft()
+        if self.head is None:
+            raise MalformedHttp(f"cannot be framed: {data[:40]!r}")
+        return data
 
 
 @pytest.fixture

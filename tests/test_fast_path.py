@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatproxy import fast_path, l7, live
+from flatproxy import fast_path, l7
 from flatproxy.core import (
     Metadata,
     TrafficUnit,
@@ -791,12 +791,10 @@ def test_toe_frames_each_message_once(monkeypatch):
     pipelined = make_flow(sport=47102)
     sent[pipelined] = [make_request(b"/svc/p/%d" % i, body=b"x" * i)
                        for i in range(4)]
-    chunks = [b"".join(sent[pipelined])]
-    reader = live.HttpReader(lambda n: chunks.pop(0) if chunks else b"")
-    while data := reader.read():
+    for data, head in l7.HttpReader().take(b"".join(sent[pipelined])):
         unit = fp.message(TrafficUnit(
             kind=UnitKind.MESSAGE, meta=Metadata(flow=pipelined),
-            payload=data, head=reader.head))
+            payload=data, head=head))
         assert unit.meta.verdict is Verdict.DELIVER
     assert len(framed) == len(splits) == 11
     # a parsed unit keeps no head, so it holds no header fields twice
@@ -870,17 +868,9 @@ def test_toe_and_reader_cut_any_split_alike(bodies, bad_at, split, data):
                   for m in toe.deliver(seg(chunk, off))]
         toe_framed = len(framed)
         framed.clear()
-        reader, by_reader = l7.HttpReader(), []
-        for _off, chunk in segments:
-            while chunk or reader.held:
-                try:
-                    msg = reader.take(chunk)
-                except l7.MalformedHttp as exc:
-                    msg = reader.cut(exc.end), None
-                chunk = b""
-                if msg is None:
-                    break
-                by_reader.append(msg)
+        reader = l7.HttpReader()
+        by_reader = [msg for _off, chunk in segments
+                     for msg in reader.take(chunk)]
     assert by_toe == by_reader
     assert [m for m, _head in by_toe] == blocks
     assert [head is None for _m, head in by_toe] == [

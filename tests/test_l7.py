@@ -115,8 +115,8 @@ def test_http_reader_takes_each_message_of_any_split_once(sizes, bad_at,
     """A pipeline of valid requests, split anywhere -- inside a header
     terminator, or into 1-byte chunks -- comes out as exactly those
     messages, in order, each framed whole with its header block split once;
-    a bad Content-Length block in the middle is cut off by `cut(exc.end)`
-    and the request after it is still taken."""
+    a bad Content-Length block in the middle is cut off alone, with no
+    head, and the request after it is still taken."""
     sent = [make_request(b"/svc/%d" % i, method=b"POST",
                          body=bytes([65 + i]) * n) for i, n in enumerate(sizes)]
     blocks = list(sent)
@@ -138,25 +138,18 @@ def test_http_reader_takes_each_message_of_any_split_once(sizes, bad_at,
     reader, got, dropped = HttpReader(), [], []
     with mock.patch.object(l7, "frame_http", wraps=l7.frame_http) as spy:
         for a, b in zip(bounds, bounds[1:]):
-            chunk = stream[a:b]
-            while True:
-                try:
-                    msg = reader.take(chunk)
-                except MalformedHttp as exc:
-                    dropped.append(reader.cut(exc.end))
-                    chunk = b""
-                    continue
-                chunk = b""
-                if msg is None:
-                    break
-                got.append(msg)
+            for msg, head in reader.take(stream[a:b]):
+                if head is None:
+                    dropped.append(msg)
+                else:
+                    got.append((msg, head))
     assert [m for m, _head in got] == sent
     assert all(head[0] == len(m) for m, head in got)
     assert dropped == ([] if bad_at is None else [_BAD_LENGTH])
     # the header block is read once: one framing finds its terminator
     assert sum(b"\r\n\r\n" in call.args[0]
                for call in spy.call_args_list) == len(blocks)
-    assert reader.held == 0 and reader.need is None and reader.take() is None
+    assert reader.held == 0 and reader.need is None and not reader.take(b"")
 
 
 def test_parse_rejects_incomplete_body():

@@ -1,5 +1,4 @@
 import gc
-import io
 import os
 import socket
 import sys
@@ -8,11 +7,11 @@ import time
 
 import pytest
 
-from flatproxy.l7 import MalformedHttp, parse_request
-from flatproxy.live import EchoStub, HttpReader, LiveProxy
+from flatproxy.l7 import HttpReader, frame_http, parse_request
+from flatproxy.live import EchoStub, LiveProxy
 from flatproxy.slow_path import load_config
 from flatproxy.vq import MAX_DESCRIPTOR_BYTES
-from conftest import config_text, make_request
+from conftest import MessageReader, config_text, make_request
 
 
 def bad_length_request(value):
@@ -35,9 +34,28 @@ BAD_FRAMING = [
 
 
 def test_read_http_message_rejects_bad_content_length():
+    """Each refused block comes back alone, with no head, and a good request
+    sent after it is still framed."""
+    good = make_request(b"/svc/a")
     for raw in [bad_length_request(v) for v in (b"+3", b"1_0", b"")] + BAD_FRAMING:
-        with pytest.raises(MalformedHttp):
-            HttpReader(io.BytesIO(raw + b"abcdef").read).read()
+        reader = HttpReader()
+        assert list(reader.take(raw)) == [(raw, None)]
+        assert list(reader.take(good)) == [(good, frame_http(good))]
+        assert reader.held == 0
+
+
+def test_http_reader_returns_every_block_one_take_completes():
+    """One `take` of a good message, a refused block and a second good
+    message returns three pairs, in order, the middle one headless; one of
+    exactly one whole message returns those very bytes."""
+    first, second = make_request(b"/svc/a"), make_request(b"/svc/b", body=b"x")
+    bad = bad_length_request(b"abc")
+    reader = HttpReader()
+    assert list(reader.take(first + bad + second)) == [
+        (first, frame_http(first)), (bad, None), (second, frame_http(second))]
+    assert reader.held == 0 and reader.need is None
+    ((data, _head),) = reader.take(first)
+    assert data is first and reader.held == 0
 
 
 def test_http_reader_waits_for_the_whole_body_and_frames_it_once(monkeypatch):
@@ -53,14 +71,15 @@ def test_http_reader_waits_for_the_whole_body_and_frames_it_once(monkeypatch):
     monkeypatch.setattr(l7, "frame_http", counting)
     raw = make_request(b"/svc/a", method=b"POST", body=b"x" * 5000)
     chunks = [raw[i:i + 700] for i in range(0, len(raw), 700)]
-    reader = HttpReader(lambda n: chunks.pop(0) if chunks else b"")
-    assert reader.read() == raw
-    assert reader.read() == b""
+    reader = HttpReader()
+    got = [msg for chunk in chunks for msg in reader.take(chunk)]
+    assert [data for data, _head in got] == [raw]
+    assert reader.held == 0
     # framed once the header block is in, not again per chunk
     assert [n for n in framed if n] == [700]
-    short = HttpReader(io.BytesIO(raw[:-1]).read)
-    with pytest.raises(MalformedHttp, match="mid-message"):
-        short.read()
+    # a message cut short is held, not handed on
+    short = HttpReader()
+    assert not short.take(raw[:-1]) and short.held == len(raw) - 1
 
 
 @pytest.fixture
@@ -89,7 +108,7 @@ def test_live_unframeable_block_is_answered_and_counted_as_in_the_toe(proxy):
     for the request pipelined behind it, then EOF."""
     with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as s:
         s.sendall(bad_length_request(b"abc") + make_request(b"/svc/a"))
-        reader = HttpReader(s.recv)
+        reader = MessageReader(s.recv)
         body = b"malformed_http\n"
         assert reader.read() == (b"HTTP/1.1 400 Bad Request\r\n"
                                  b"Content-Length: %d\r\n\r\n" % len(body)
@@ -106,7 +125,7 @@ def test_live_error_reply_echoes_none_of_the_request(proxy):
     raw = b"GET /svc/a HTTP/1.1\r\nHost: x\r\n<script>alert(1)</script>\r\n\r\n"
     with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as s:
         s.sendall(raw)
-        reply = HttpReader(s.recv).read()
+        reply = MessageReader(s.recv).read()
     assert reply == (b"HTTP/1.1 400 Bad Request\r\nContent-Length: 15\r\n\r\n"
                      b"malformed_http\n")
     assert b"script" not in reply
@@ -114,7 +133,7 @@ def test_live_error_reply_echoes_none_of_the_request(proxy):
 
 def test_live_parser_reject_gets_400_and_keeps_serving(proxy):
     with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as s:
-        reader = HttpReader(s.recv)
+        reader = MessageReader(s.recv)
         s.sendall(b"BOGUS\r\nHost: x\r\n\r\n")
         assert reader.read().startswith(b"HTTP/1.1 400")
         s.sendall(make_request(b"/svc/a"))
@@ -126,7 +145,7 @@ def test_live_traffic_counts_in_fast_path(proxy):
               b"/nowhere": b"HTTP/1.1 404"}
     paths = list(status)
     with socket.create_connection(("127.0.0.1", proxy.port), timeout=10) as s:
-        reader = HttpReader(s.recv)
+        reader = MessageReader(s.recv)
         for i in range(1000):
             path = paths[i % len(paths)]
             s.sendall(make_request(path))
@@ -135,7 +154,7 @@ def test_live_traffic_counts_in_fast_path(proxy):
     # the message half of test_unit_conservation's identity
     assert c["msg_submitted"] == 1000 == (
         c.get("msg_egress", 0) + c.get("msg_dropped", 0))
-    assert c["msg_egress"] == proxy.delivered == 334
+    assert c["msg_egress"] == proxy.delivered == c["resp_egress"] == 334
     assert c["status.403"] == c["status.404"] == 333
     # nothing is kept per request
     assert proxy.runtime.fast_path.results() == []
@@ -155,7 +174,7 @@ def test_live_counted_statuses_are_the_replies_the_client_read(proxy):
         with socket.create_connection(("127.0.0.1", proxy.port),
                                       timeout=5) as s:
             s.sendall(raw)
-            code = int(HttpReader(s.recv).read().split(b" ", 2)[1])
+            code = int(MessageReader(s.recv).read().split(b" ", 2)[1])
             read[code] = read.get(code, 0) + 1
     assert read == {200: 2, 400: 1, 403: 2, 404: 1}
     c = proxy.runtime.stats_snapshot()["fast_path"]
@@ -168,7 +187,7 @@ def test_live_counted_statuses_are_the_replies_the_client_read(proxy):
 def test_live_client_close_releases_upstream(proxy):
     with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as s:
         s.sendall(make_request(b"/svc/a"))
-        assert HttpReader(s.recv).read().startswith(b"HTTP/1.1 200")
+        assert MessageReader(s.recv).read().startswith(b"HTTP/1.1 200")
         (lq,) = proxy.runtime.vqs.values()
         assert proxy.runtime.stats_snapshot()["connections"] == {"open": 1}
         # live flows arrive framed: accepting one opens no TOE state
@@ -230,9 +249,50 @@ def test_live_bad_upstream_response_gets_502():
                                       timeout=5) as s:
             s.sendall(make_request(b"/svc/a"))
             assert s.makefile("rb").readline().startswith(b"HTTP/1.1 502")
+        c = proxy.runtime.fast_path.counters()
+        assert c["upstream_failed"] == 1
+        assert proxy.delivered == c.get("resp_egress", 0) == 0
+        # the request was counted when it went upstream
+        assert c["msg_submitted"] == c["msg_egress"] == 1
+        assert "msg_dropped" not in c and "status.502" not in c
     finally:
         done.set()
         proxy.stop()
+        upstream.close()
+
+
+def test_live_upstream_closed_with_requests_outstanding_gets_502s():
+    """An upstream that closes with two pipelined requests unanswered: the
+    client reads a 502 for each, each counted `upstream_failed`, and the
+    message identity still holds."""
+    upstream = socket.create_server(("127.0.0.1", 0))
+
+    def read_two_then_close():
+        conn, _ = upstream.accept()
+        with conn:
+            seen = b""
+            while seen.count(b"\r\n\r\n") < 2:
+                seen += conn.recv(65536)
+
+    server = threading.Thread(target=read_two_then_close, daemon=True)
+    server.start()
+    proxy = _serve(upstream.getsockname()[1])
+    try:
+        with socket.create_connection(("127.0.0.1", proxy.port),
+                                      timeout=5) as s:
+            s.sendall(make_request(b"/svc/a") * 2)
+            reader = MessageReader(s.recv)
+            assert [reader.read().split(b" ", 2)[1] for _ in range(2)] == [
+                b"502", b"502"]
+            assert reader.read() == b""
+        c = proxy.runtime.fast_path.counters()
+        assert c["upstream_failed"] == 2
+        assert proxy.delivered == c.get("resp_egress", 0) == 0
+        assert c["msg_submitted"] == c["msg_egress"] + c.get("msg_dropped", 0)
+        assert not any(k.startswith("status.") for k in c)
+    finally:
+        proxy.stop()
+        server.join(timeout=5)
         upstream.close()
 
 
@@ -259,7 +319,7 @@ class BatchUpstream:
         except OSError:
             return
         with conn:
-            reader = HttpReader(conn.recv)
+            reader = MessageReader(conn.recv)
             held = []
             try:
                 while data := reader.read():
@@ -301,7 +361,7 @@ def test_live_pipelined_requests_are_answered_in_order_several_upstream():
             bodies = [b"r0", b"r1", b"r2"]
             s.sendall(b"".join(make_request(b"/svc/a", method=b"POST", body=b)
                                for b in bodies))
-            reader = HttpReader(s.recv)
+            reader = MessageReader(s.recv)
             assert [reader.read() for _ in bodies] == [_ok(b) for b in bodies]
         assert proxy.delivered == 3
     finally:
@@ -318,7 +378,7 @@ def test_live_local_reply_waits_for_the_replies_before_it():
             s.sendall(make_request(b"/svc/a", method=b"POST", body=b"r0")
                       + make_request(b"/admin/x")
                       + make_request(b"/svc/a", method=b"POST", body=b"r1"))
-            reader = HttpReader(s.recv)
+            reader = MessageReader(s.recv)
             assert reader.read() == _ok(b"r0")
             assert reader.read().startswith(b"HTTP/1.1 403")
             assert reader.read() == _ok(b"r1")
@@ -340,9 +400,9 @@ def test_live_slow_upstream_does_not_stall_another_connection():
             with socket.create_connection(("127.0.0.1", proxy.port),
                                           timeout=5) as b:
                 b.sendall(make_request(b"/svc/a", method=b"POST", body=b"b0"))
-                assert HttpReader(b.recv).read().endswith(b"\r\n\r\nb0")
+                assert MessageReader(b.recv).read().endswith(b"\r\n\r\nb0")
             a.sendall(make_request(b"/svc/a", method=b"POST", body=b"a1"))
-            reader = HttpReader(a.recv)
+            reader = MessageReader(a.recv)
             assert [reader.read(), reader.read()] == [_ok(b"a0"), _ok(b"a1")]
     finally:
         proxy.stop()
@@ -377,7 +437,7 @@ def test_live_counts_every_request_of_concurrent_clients():
         try:
             with socket.create_connection(("127.0.0.1", proxy.port),
                                           timeout=10) as s:
-                reader = HttpReader(s.recv)
+                reader = MessageReader(s.recv)
                 for i in range(150):
                     s.sendall(make_request(paths[i % 3]))
                     reader.read()
@@ -414,7 +474,7 @@ def test_live_reload_applies_on_the_loop_between_requests():
         try:
             with socket.create_connection(("127.0.0.1", proxy.port),
                                           timeout=5) as s:
-                reader = HttpReader(s.recv)
+                reader = MessageReader(s.recv)
                 while not stop_busy.is_set():
                     s.sendall(make_request(b"/svc/a"))
                     assert reader.read().startswith(b"HTTP/1.1 200")
@@ -426,7 +486,7 @@ def test_live_reload_applies_on_the_loop_between_requests():
     try:
         with socket.create_connection(("127.0.0.1", proxy.port),
                                       timeout=5) as s:
-            reader = HttpReader(s.recv)
+            reader = MessageReader(s.recv)
             s.sendall(make_request(b"/new/x"))
             assert reader.read().startswith(b"HTTP/1.1 404")
             routes_epoch = proxy.runtime.route_table.epoch
@@ -476,7 +536,7 @@ clusters:
                 socket.create_connection(("127.0.0.1", proxy.ports["api"]),
                                          timeout=5) as a:
             for name, s in (("web", w), ("api", a)):
-                reader = HttpReader(s.recv)
+                reader = MessageReader(s.recv)
                 for path in (b"/svc/x", b"/api/x"):
                     s.sendall(make_request(path))
                     answers[name, path] = reader.read()
@@ -495,7 +555,7 @@ clusters:
 def test_live_stop_ends_the_loop_and_closes_every_socket(proxy):
     with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as s:
         s.sendall(make_request(b"/svc/a"))
-        assert HttpReader(s.recv).read().startswith(b"HTTP/1.1 200")
+        assert MessageReader(s.recv).read().startswith(b"HTTP/1.1 200")
         (lq,) = proxy.runtime.vqs.values()
         proxy.stop()
         assert not proxy._thread.is_alive()
@@ -518,6 +578,22 @@ def _open_sockets():
     return sum(link.startswith("socket:") for link in links)
 
 
+def test_stub_answers_what_came_before_a_block_it_cannot_frame():
+    stub = EchoStub("stub-0").start()
+    try:
+        with socket.create_connection(("127.0.0.1", stub.port),
+                                      timeout=5) as s:
+            s.sendall(make_request(b"/svc/a", method=b"POST", body=b"hi")
+                      + bad_length_request(b"abc")
+                      + make_request(b"/svc/a", method=b"POST", body=b"no"))
+            reader = MessageReader(s.recv)
+            assert reader.read().endswith(b"\r\n\r\nhi")
+            assert reader.read() == b""
+        assert stub.hits == 1
+    finally:
+        stub.stop()
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="counts open sockets through /proc")
 def test_stub_stop_is_prompt_and_closes_every_socket():
@@ -526,7 +602,7 @@ def test_stub_stop_is_prompt_and_closes_every_socket():
     stub = EchoStub("stub-0").start()
     with socket.create_connection(("127.0.0.1", stub.port), timeout=5) as s:
         s.sendall(make_request(b"/svc/a", method=b"POST", body=b"hi"))
-        assert HttpReader(s.recv).read().endswith(b"X-Stub: stub-0\r\n"
+        assert MessageReader(s.recv).read().endswith(b"X-Stub: stub-0\r\n"
                                                   b"Content-Length: 2\r\n\r\nhi")
         started = time.monotonic()
         stub.stop()
@@ -554,7 +630,7 @@ def test_live_pipeline_larger_than_the_socket_buffers_completes(proxy):
             make_request(b"/svc/a", method=b"POST", body=b) for b in bodies),))
         sender.start()
         _wait(lambda: any(c.writing for c in list(proxy._clients.values())))
-        reader = HttpReader(s.recv)
+        reader = MessageReader(s.recv)
         for b in bodies:
             resp = reader.read()
             assert resp.startswith(b"HTTP/1.1 200") and resp.endswith(b)
