@@ -3,6 +3,7 @@
 from .core import (
     Endpoint,
     FlowKey,
+    Message,
     Metadata,
     Proto,
     TrafficUnit,

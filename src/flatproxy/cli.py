@@ -317,6 +317,9 @@ def cmd_reload(args) -> int:
     try:
         with open(args.pid_file) as fh:
             pid = int(fh.read().strip())
+        # 0 and a negative pid signal a process group, -1 every process
+        if pid <= 0:
+            raise ValueError(f"not a process id: {pid}")
         os.kill(pid, signal.SIGHUP)
     except (OSError, ValueError) as exc:
         print(f"reload failed: {exc}", file=sys.stderr)

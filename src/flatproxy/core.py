@@ -1,8 +1,10 @@
 """Core domain types shared by every processing module.
 
-Everything that moves through the proxy is a TrafficUnit carrying a
-Metadata descriptor.  Metadata for a given connection is owned by exactly
-one stage at a time; stages hand units off, they never share them.
+Two things move through the proxy.  An L2 frame is a TrafficUnit carrying
+a Metadata descriptor, its flow and its verdict.  A framed HTTP message is
+one `Message`, which holds its bytes, its head, the request fields the
+parser reads from it, its queue and its verdict.  Each is owned by exactly
+one stage at a time; stages hand them off, they never share them.
 """
 
 from __future__ import annotations
@@ -22,12 +24,10 @@ class Proto(Enum):
 
 
 class UnitKind(Enum):
-    """Traffic category, by the layer it is processed at: a frame the
-    fast path takes in, reassembled as a TCP segment once its flow is
-    known, and a framed HTTP message."""
+    """Traffic category of a TrafficUnit: a frame the fast path takes in,
+    reassembled as a TCP segment once its flow is known."""
 
     FRAME = 2
-    MESSAGE = 7
 
 
 class Verdict(Enum):
@@ -105,46 +105,28 @@ def make_listener_key(dip, dport: int, proto: Proto = Proto.TCP) -> FlowKey:
     return lkey
 
 
-@dataclass
-class HttpMessage:
-    """The request fields a PPM reads, and the message bytes they were
-    parsed from, which the deparser forwards as they are."""
-
-    method: bytes = b""
-    url_path: bytes = b""
-    host: bytes = b""
-    raw: bytes = b""  # the whole framed message as it arrived
-    body_at: int = 0  # where the body starts in `raw`
+def _set_verdict(self, verdict: Verdict, reason: str = None):
+    """Verdict transitions are monotone: CONTINUE may become any verdict,
+    and every other verdict is terminal and sticks."""
+    if self.verdict is not _CONTINUE and verdict is not self.verdict:
+        raise ValueError(
+            f"verdict {self.verdict} is terminal, cannot become {verdict}"
+        )
+    self.verdict = verdict
+    if reason is not None:
+        self.verdict_reason = reason
 
 
 @dataclass
 class Metadata:
-    """Per-unit descriptor threaded through every processing module."""
+    """A frame's descriptor: its flow and its verdict."""
 
     flow: FlowKey
     conn_id: int = 0
-    http: Optional[HttpMessage] = None
-    queue: Optional[int] = None
     verdict: Verdict = Verdict.CONTINUE
     verdict_reason: Optional[str] = None
 
-    def set_verdict(self, verdict: Verdict, reason: str = None):
-        """Verdict transitions are monotone: CONTINUE may become any
-        verdict, and every other verdict is terminal and sticks."""
-        if self.verdict is not _CONTINUE and verdict is not self.verdict:
-            raise ValueError(
-                f"verdict {self.verdict} is terminal, cannot become {verdict}"
-            )
-        self.verdict = verdict
-        if reason is not None:
-            self.verdict_reason = reason
-
-    def bind_queue(self, queue_id: int):
-        if self.queue is not None and self.queue != queue_id:
-            raise ValueError(
-                f"conn {self.conn_id} already bound to queue {self.queue}"
-            )
-        self.queue = queue_id
+    set_verdict = _set_verdict
 
 
 @dataclass
@@ -153,9 +135,30 @@ class TrafficUnit:
     meta: Metadata
     payload: bytes = b""
     seq: int = 0  # TCP sequence offset of a FRAME's payload
-    # a MESSAGE framed on arrival: `l7.frame_http(payload)`, its header
-    # block read once, which the parser builds the request from
-    head: Optional[tuple] = None
+
+
+class Message:
+    """One framed HTTP message, one object: its flow and bytes, the head
+    `l7.frame_http` read when it was framed (None for a block that could
+    not be), the request fields the parser sets -- `method` stays None
+    until it has -- the queue the router binds, and its verdict.  It has
+    no `__dict__`, so a misspelt field is an AttributeError."""
+
+    __slots__ = ("flow", "payload", "head", "method", "url_path", "host",
+                 "body_at", "queue", "verdict", "verdict_reason")
+
+    def __init__(self, flow: FlowKey, payload: bytes, head: tuple = None):
+        self.flow = flow
+        self.payload = payload  # as it arrived, which the deparser forwards
+        self.head = head
+        self.method = None
+        self.url_path = self.host = b""
+        self.body_at = 0  # where the body starts in `payload`
+        self.queue = None
+        self.verdict = _CONTINUE
+        self.verdict_reason = None
+
+    set_verdict = _set_verdict
 
 
 @dataclass(frozen=True)

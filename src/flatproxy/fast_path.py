@@ -14,12 +14,13 @@ which frames and joins each HTTP message once and hands it on with its
 head, read in one pass as soon as the header block is in; a segment that
 is exactly one whole message is framed and handed on as it came, and a
 block that cannot be framed is cut off and handed on alone, with no head.
+Each message is one `core.Message`, which every L7 step reads and sets.
 `ingress` runs the messages at once, in order, through `FastPath.message`,
-the L7 entry live mode shares; the parser
-builds each request from its head, and the deparser forwards the message
-bytes untouched.  Every message leaves through one disposition, which
-counts the outcome and keeps nothing: its VQ egress, or a drop counted by
-reason and by the HTTP status `http_status` gives that reason.
+the L7 entry live mode shares; the parser sets each request's fields from
+its head, and the deparser forwards the message bytes untouched.  Every
+message leaves through one disposition, which counts the outcome and keeps
+nothing: its VQ egress, or a drop counted by reason and by the HTTP status
+`http_status` gives that reason.
 Per-flow FIFO holds by construction: one thread runs the data plane -- the
 caller's in-process, live mode's loop thread -- and it runs a flow's frames
 and messages in order.
@@ -31,13 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import (
-    FlowKey,
-    Metadata,
-    TrafficUnit,
-    UnitKind,
-    Verdict,
-)
+from .core import FlowKey, Message, TrafficUnit, Verdict
 from .l7 import (
     HttpReader,
     QueueTable,
@@ -50,7 +45,6 @@ from .match_action import ExecutableChain, MatchTable, Ppm
 
 REORDER_BUFFER_SEGMENTS = 64
 
-_FRAME, _MESSAGE = UnitKind.FRAME, UnitKind.MESSAGE
 _CONTINUE, _DROP, _DELIVER = Verdict.CONTINUE, Verdict.DROP, Verdict.DELIVER
 
 
@@ -63,8 +57,8 @@ STANDARD_CHAIN = ("toe", "http_parser", "filter", "router", "http_deparser")
 
 
 def make_toe() -> Ppm:
-    """The TOE's node in the L7 chain: no step, so each framed MESSAGE
-    unit passes it at no cost.  Reassembly lives in ToeEngine, which
+    """The TOE's node in the L7 chain: no step, so each framed message
+    passes it at no cost.  Reassembly lives in ToeEngine, which
     `FastPath.ingress` drives because one segment may yield zero or many
     messages.
     """
@@ -72,22 +66,22 @@ def make_toe() -> Ppm:
 
 
 def make_http_parser() -> Ppm:
-    """The parser, the PPM's one step: `http_parse` either sets
-    `meta.http` or drops the unit as `malformed_http`."""
+    """The parser, the PPM's one step: `http_parse` either sets the
+    message's request fields or drops it as `malformed_http`."""
 
-    def parser(unit: TrafficUnit, ctx: dict, snaps: dict):
-        if unit.meta.http is None:
-            http_parse(unit)
+    def parser(msg: Message, ctx: dict, snaps: dict):
+        if msg.method is None:
+            http_parse(msg)
 
     return Ppm("http_parser", steps=[parser])
 
 
 def make_filter(filter_table: MatchTable) -> Ppm:
-    def evaluate(unit: TrafficUnit, ctx: dict, snaps: dict):
+    def evaluate(msg: Message, ctx: dict, snaps: dict):
         rules = snaps[filter_table.name].entries.get("rules", ())
-        verdict = filter_apply(unit.meta, rules)
+        verdict = filter_apply(msg, rules)
         if verdict is not _CONTINUE:
-            unit.meta.set_verdict(verdict, "filter")
+            msg.set_verdict(verdict, "filter")
 
     return Ppm("filter", steps=[evaluate], tables=[filter_table])
 
@@ -102,9 +96,9 @@ def make_router(
 ) -> Ppm:
     """The router, over the live `lb` map (cluster ref -> LbState)."""
 
-    def route_step(unit: TrafficUnit, ctx: dict, snaps: dict):
+    def route_step(msg: Message, ctx: dict, snaps: dict):
         endpoint = route(
-            unit.meta,
+            msg,
             snaps[listener_table.name].entries,
             snaps[route_table.name].entries,
             queues,
@@ -124,12 +118,12 @@ def make_http_deparser() -> Ppm:
     """The deparser: a message no router bound to a queue is dropped as
     `no_queue`."""
 
-    def deparse(unit: TrafficUnit, ctx: dict, snaps: dict):
-        if unit.meta.queue is None:
-            unit.meta.set_verdict(_DROP, "no_queue")
+    def deparse(msg: Message, ctx: dict, snaps: dict):
+        if msg.queue is None:
+            msg.set_verdict(_DROP, "no_queue")
             return
-        unit.payload = http_deparse(unit.meta)
-        unit.meta.set_verdict(_DELIVER, "deparsed")
+        msg.payload = http_deparse(msg)
+        msg.set_verdict(_DELIVER, "deparsed")
 
     return Ppm("http_deparser", steps=[deparse])
 
@@ -195,9 +189,9 @@ class ToeEngine:
 
     def deliver(self, seg: TrafficUnit) -> list:
         """Feed one frame of an opened flow, a TCP segment at `seg.seq`;
-        returns a MESSAGE unit for each message its reader cut, in order
-        (possibly none) -- a block that cannot be framed with no head, so
-        the parser drops it."""
+        returns a `Message` of the frame's flow for each message its reader
+        cut, in order (possibly none) -- a block that cannot be framed with
+        no head, so the parser drops it."""
         key = seg.meta.flow
         conn = self.connections[key]
         if seg.seq < conn.next_seq or seg.seq in conn.reorder:
@@ -208,15 +202,12 @@ class ToeEngine:
             conn.reorder[seg.seq] = seg.payload
             return []
         reader, reorder = conn.reader, conn.reorder
-        conn_id = seg.meta.conn_id
         out = []
         chunk = seg.payload
         while chunk is not None:  # this segment, then any it lets through
             conn.next_seq += len(chunk)
             for payload, head in reader.take(chunk):
-                out.append(TrafficUnit(
-                    kind=_MESSAGE, payload=payload, head=head,
-                    meta=Metadata(flow=key, conn_id=conn_id)))
+                out.append(Message(key, payload, head))
             chunk = reorder.pop(conn.next_seq, None) if reorder else None
         return out
 
@@ -245,7 +236,7 @@ class FastPath:
     reassembly, the L7 chain run inline on each framed message (from the
     TOE, or live mode's `message` calls), and one disposition.  It keeps
     nothing of a message: `counters()` is the record of what happened.
-    `vq_egress(unit)` returns whether the unit's queue took it;
+    `vq_egress(msg)` returns whether the message's queue took it;
     `slow_path_handoff(frame)` takes each first packet and returns whether
     it opened the frame's flow."""
 
@@ -277,8 +268,6 @@ class FastPath:
         outcome: 'l7' (messages went to the L7 chain), 'buffered' (none
         completed yet) or 'dropped' (counted by reason).  A frame is never
         delivered at L4."""
-        if unit.kind is not _FRAME:
-            raise ValueError("ingress takes FRAME units")
         ctx = self.ctx
         ctx["ingress"] += 1
         if unit.meta.flow not in self.toe.connections:
@@ -306,29 +295,28 @@ class FastPath:
         ctx[f"dropped.{reason}"] += 1
         return "dropped"
 
-    def message(self, msg: TrafficUnit):
+    def message(self, msg: Message) -> Message:
         """The one L7 message entry, for `ingress` and live mode: run the
-        chain and dispose of the unit.  Returns the unit."""
+        chain and dispose of the message.  Returns it."""
         self.ctx["msg_submitted"] += 1
-        unit = self.chain.execute(msg, self.ctx)
-        self._dispose(unit)
-        return unit
+        self.chain.execute(msg, self.ctx)
+        self._dispose(msg)
+        return msg
 
-    def _dispose(self, unit: TrafficUnit):
+    def _dispose(self, msg: Message):
         """The one exit for messages: send DELIVER to VQ egress and count it
         `msg_egress` once the queue took it; count a DROP -- and a DELIVER
         that a full TX ring lost, as `ring_full` -- as `msg_dropped`, by
         reason and by its `http_status`."""
-        meta = unit.meta
         ctx = self.ctx
-        if meta.verdict is _DELIVER:
-            if self.vq_egress(unit):
+        if msg.verdict is _DELIVER:
+            if self.vq_egress(msg):
                 ctx["msg_egress"] += 1
                 return
             reason = "ring_full"
         else:
             # the reason before any ':', so no input bytes name a counter
-            reason = meta.verdict_reason.partition(":")[0]
+            reason = msg.verdict_reason.partition(":")[0]
         ctx["msg_dropped"] += 1
         ctx[f"msg_dropped.{reason}"] += 1
         ctx[f"status.{http_status(reason)}"] += 1

@@ -4,11 +4,13 @@ and load balancing.
 An HTTP message's header block is read once, in one pass over its lines,
 by `frame_http` when it frames the message: that pass finds the
 Content-Length, the Host and the first bad header line, and the parser
-builds the request from the head it returns; the deparser forwards the
-framed bytes untouched -- header fields are extracted, the payload passes
-through.  `HttpReader` is the one reader that cuts whole messages off a
-byte stream by that rule: the TOE's per-flow reassembly, and in live mode
-each client, upstream and echo stub connection, use it.
+sets the request fields of the message's one `core.Message` from the head
+it returns; the filter, router and deparser read them there, and the
+deparser forwards the framed bytes untouched -- header fields are
+extracted, the payload passes through.  `HttpReader` is the one reader
+that cuts whole messages off a byte stream by that rule: the TOE's
+per-flow reassembly, and in live mode each client, upstream and echo stub
+connection, use it.
 
 The router follows the hash-lookup routing flow: listener lookup on the
 (dip, dport) pair, path match, then a 4-tuple queue lookup; only a queue
@@ -26,14 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .core import (
-    Endpoint,
-    FlowKey,
-    HttpMessage,
-    Metadata,
-    TrafficUnit,
-    Verdict,
-)
+from .core import Endpoint, FlowKey, Message, Verdict
 from .vq import MAX_DESCRIPTOR_BYTES
 
 
@@ -59,22 +54,22 @@ class ConnectFailure(Exception):
 # HTTP/1.1 parse / deparse
 
 _CRLF = b"\r\n"
+_LENGTH_DIGITS = len(str(MAX_DESCRIPTOR_BYTES))
 
 
-def http_parse(unit: TrafficUnit) -> Metadata:
-    """Parse an HTTP/1.1 request message into `meta.http`, from the head
-    `frame_http` gave when the unit was framed (`unit.head`), else framing
-    it here.  Malformed input is dropped as `malformed_http:<what>`, and
-    metadata is otherwise untouched.
+def http_parse(msg: Message) -> Message:
+    """Set `msg`'s request fields from the head `frame_http` gave when it
+    was framed (`msg.head`), else framing it here.  Malformed input is
+    dropped as `malformed_http:<what>`, and `msg` is otherwise untouched.
     """
-    meta = unit.meta
-    # a head is used once, so a parsed unit holds no header fields twice
-    head, unit.head = unit.head, None
+    # a head is used once, so a parsed message holds no header fields twice
+    head, msg.head = msg.head, None
     try:
-        meta.http = parse_request(unit.payload, head)
+        msg.method, msg.url_path, msg.host, msg.body_at = parse_request(
+            msg.payload, head)
     except MalformedHttp as exc:
-        meta.set_verdict(Verdict.DROP, f"malformed_http:{exc}")
-    return meta
+        msg.set_verdict(_DROP, f"malformed_http:{exc}")
+    return msg
 
 
 def frame_http(data: bytes) -> Optional[tuple]:
@@ -86,8 +81,8 @@ def frame_http(data: bytes) -> Optional[tuple]:
     Host (b'' if none) and the first line with no colon or no name (None if
     none) -- else None.  The message is whole once `len(data)` reaches that
     length.  Raises MalformedHttp, with `end` set, for a message over
-    MAX_DESCRIPTOR_BYTES (or no header terminator within that many), a bad
-    or conflicting Content-Length, or any Transfer-Encoding."""
+    MAX_DESCRIPTOR_BYTES (or no header terminator within that many), a bad,
+    over-long or conflicting Content-Length, or any Transfer-Encoding."""
     head_end = data.find(_CRLF + _CRLF)
     if head_end < 0:
         if len(data) < MAX_DESCRIPTOR_BYTES:
@@ -109,11 +104,19 @@ def frame_http(data: bytes) -> Optional[tuple]:
             host = value.strip()
         elif name == b"content-length":
             # a non-negative decimal; "+3", "-3" and "1_0" are not
-            if not value.strip().isdigit():
+            value = value.strip()
+            if not value.isdigit():
                 raise MalformedHttp("bad content-length", end)
-            if length is not None and length != int(value):
+            # leading zeros are legal; past them, a value with more digits
+            # than MAX_DESCRIPTOR_BYTES exceeds it, whatever they are (and
+            # `int` refuses a string of over 4,300 digits)
+            value = value.lstrip(b"0")
+            if len(value) > _LENGTH_DIGITS:
+                raise MalformedHttp("content-length too large", end)
+            value = int(value or b"0")
+            if length is not None and length != value:
                 raise MalformedHttp("conflicting content-length", end)
-            length = int(value)
+            length = value
         elif name == b"transfer-encoding":
             raise MalformedHttp("transfer-encoding not supported", end)
     length = end + (length or 0)
@@ -199,11 +202,12 @@ class HttpReader:
         return data[:end]
 
 
-def parse_request(data: bytes, head: Optional[tuple] = None) -> HttpMessage:
-    """The request `data` holds, exactly, built from `head`, its
-    `frame_http` head (framed here when None), with no second pass over its
-    header lines.  Raises MalformedHttp for a message cut short or followed
-    by more bytes, a bad request line or a bad header line."""
+def parse_request(data: bytes, head: Optional[tuple] = None) -> tuple:
+    """The request `data` holds, exactly, as `(method, url_path, host,
+    body_at)`, built from `head`, its `frame_http` head (framed here when
+    None), with no second pass over its header lines.  Raises MalformedHttp
+    for a message cut short or followed by more bytes, a bad request line
+    or a bad header line."""
     if head is None:
         head = frame_http(data)
     if head is None or head[0] > len(data):
@@ -216,14 +220,13 @@ def parse_request(data: bytes, head: Optional[tuple] = None) -> HttpMessage:
         raise MalformedHttp("bad request line")
     if bad_line is not None:
         raise MalformedHttp(f"bad header line {bad_line!r}")
-    return HttpMessage(method=parts[0], url_path=parts[1], host=host, raw=data,
-                       body_at=body_at)
+    return parts[0], parts[1], host, body_at
 
 
-def http_deparse(meta: Metadata) -> bytes:
+def http_deparse(msg: Message) -> bytes:
     """The request bytes for the bound queue: the message exactly as it
     arrived."""
-    return meta.http.raw
+    return msg.payload
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +247,18 @@ class FilterRule:
     path_prefix: Optional[bytes] = None
     sip: Optional[int] = None
 
-    def matches(self, meta: Metadata) -> bool:
-        http = meta.http
-        if http is None:
+    def matches(self, msg: Message) -> bool:
+        if msg.method is None:  # not parsed
             return False
-        if self.method is not None and http.method != self.method:
+        if self.method is not None and msg.method != self.method:
             return False
-        if self.host is not None and http.host != self.host:
+        if self.host is not None and msg.host != self.host:
             return False
-        if self.path_prefix is not None and not http.url_path.startswith(
+        if self.path_prefix is not None and not msg.url_path.startswith(
             self.path_prefix
         ):
             return False
-        if self.sip is not None and meta.flow.sip != self.sip:
+        if self.sip is not None and msg.flow.sip != self.sip:
             return False
         return True
 
@@ -267,10 +269,10 @@ _DENY = Decision.DENY
 _DROP, _CONTINUE = Verdict.DROP, Verdict.CONTINUE
 
 
-def filter_apply(meta: Metadata, rules) -> Verdict:
+def filter_apply(msg: Message, rules) -> Verdict:
     """First matching rule decides; a request no rule matches is allowed."""
     for rule in rules:
-        if rule.matches(meta):
+        if rule.matches(msg):
             if rule.decision is _DENY:
                 return _DROP
             break
@@ -394,7 +396,7 @@ class QueueTable:
 
 
 def route(
-    meta: Metadata,
+    msg: Message,
     listeners: dict,
     routes: dict,
     queues: QueueTable,
@@ -411,38 +413,43 @@ def route(
     routes:    listener FlowKey -> list[RouteRule]
     clusters:  cluster ref -> Cluster
     lb:        cluster ref -> LbState
-    connector: (endpoint, meta, state) -> queue id, on a queue miss
+    connector: (endpoint, msg, state) -> queue id, on a queue miss
+
+    A message is bound to one queue: routing one already bound to another
+    raises ValueError.
     """
-    lkey = meta.flow.listener_key
+    flow = msg.flow
+    lkey = flow.listener_key
     if lkey not in listeners:
-        meta.set_verdict(Verdict.DROP, "no_listener")
+        msg.set_verdict(_DROP, "no_listener")
         return None
-    rule = _match_route(routes.get(lkey, ()), meta.http.url_path)
+    rule = _match_route(routes.get(lkey, ()), msg.url_path)
     if rule is None:
-        meta.set_verdict(Verdict.DROP, "no_route")
+        msg.set_verdict(_DROP, "no_route")
         return None
-    ckey = meta.flow
-    queue_id = queues.lookup(ckey)
+    queue_id = queues.lookup(flow)
     endpoint = None
     if queue_id is None:
         cluster = clusters.get(rule.cluster)
         if cluster is None:
-            meta.set_verdict(Verdict.DROP, f"unknown_cluster:{rule.cluster}")
+            msg.set_verdict(_DROP, f"unknown_cluster:{rule.cluster}")
             return None
         state = lb[rule.cluster]
         try:
             endpoint = load_balance(cluster, state)
         except NoHealthyEndpoint:
-            meta.set_verdict(Verdict.DROP, "no_healthy_endpoint")
+            msg.set_verdict(_DROP, "no_healthy_endpoint")
             return None
         try:
-            queue_id = connector(endpoint, meta, state)
+            queue_id = connector(endpoint, msg, state)
         except ConnectFailure:
             # the round-robin cursor has moved on, as Envoy's does
-            meta.set_verdict(Verdict.DROP, "connect_failure")
+            msg.set_verdict(_DROP, "connect_failure")
             return None
-        queues.bind(ckey, queue_id)
-    meta.bind_queue(queue_id)
+        queues.bind(flow, queue_id)
+    if msg.queue is not None and msg.queue != queue_id:
+        raise ValueError(f"message of {flow} already bound to queue {msg.queue}")
+    msg.queue = queue_id
     return endpoint
 
 

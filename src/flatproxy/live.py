@@ -9,9 +9,9 @@ flow, with the `dip`/`dport` of the listener that accepted it.  Its
 requests go in order and with their heads to `FastPath.message` -- the
 entry `FastPath.ingress` runs each reassembled message through -- so live
 traffic shares the chain, counters and VQ egress, and only the loop
-thread ever runs them.  Accepting a connection opens no TOE state:
-the requests arrive framed, as MESSAGE units, which the toe PPM passes
-on.
+thread ever runs them.  Accepting a connection opens no TOE state: each
+request arrives framed, and goes in as one `core.Message`, as the TOE's
+messages do.
 
 A route's upstream connection is a LiveQueue in `runtime.vqs`; the flow's
 record holds it until the client goes and `close_flow` runs.  A client's
@@ -37,16 +37,7 @@ from collections import deque
 from concurrent.futures import Future
 from http import HTTPStatus
 
-from .core import (
-    FlowKey,
-    Metadata,
-    Proto,
-    TrafficUnit,
-    UnitKind,
-    Verdict,
-    int_to_ip4,
-    ip4_to_int,
-)
+from .core import FlowKey, Message, Proto, Verdict, int_to_ip4, ip4_to_int
 from .fast_path import http_status
 from .l7 import ConnectFailure, HttpReader
 from .slow_path import MeshConfig, MeshRuntime
@@ -55,7 +46,7 @@ log = logging.getLogger(__name__)
 
 _RECV_BYTES = 64 * 1024
 _READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
-_MESSAGE, _DELIVER = UnitKind.MESSAGE, Verdict.DELIVER
+_DELIVER = Verdict.DELIVER
 
 
 class _End:
@@ -257,7 +248,7 @@ class LiveProxy(_Loop):
         self.port = self.ports[config.listeners[0].name]
 
     # -- connection establishment toward endpoints -------------------------
-    def _connect(self, endpoint, meta) -> int:
+    def _connect(self, endpoint, msg: Message) -> int:
         """A blocking connect: loopback endpoints connect or refuse at once."""
         addr = (int_to_ip4(endpoint.address.dip), endpoint.address.dport)
         try:
@@ -268,7 +259,7 @@ class LiveProxy(_Loop):
         sock.setblocking(False)
         lq = LiveQueue(sock)
         self.runtime.vqs[lq.id] = lq
-        c = self._clients[meta.flow]
+        c = self._clients[msg.flow]
         c.upstream = lq
         self._sel.register(sock, _READ, (self._upstream_event, c))
         return lq.id
@@ -304,14 +295,13 @@ class LiveProxy(_Loop):
         if c.closing:
             return
         message = self.runtime.fast_path.message
-        for msg, head in c.reader.take(data):
-            meta = message(TrafficUnit(kind=_MESSAGE, payload=msg, head=head,
-                                       meta=Metadata(flow=c.flow))).meta
-            if meta.verdict is _DELIVER:
+        for raw, head in c.reader.take(data):
+            msg = message(Message(c.flow, raw, head))
+            if msg.verdict is _DELIVER:
                 c.replies.append(None)
             else:
                 # the reason before any ':', so no input bytes reach the body
-                reason = meta.verdict_reason.partition(":")[0]
+                reason = msg.verdict_reason.partition(":")[0]
                 self._reply(c, _error_response(http_status(reason), reason))
             if head is None:
                 c.closing = True

@@ -1,16 +1,16 @@
 """Extended match-action engine.
 
-A processing module (PPM) is its steps, `step(unit, ctx, snaps)`, run in
-order: its parser first, if it has one, then the steps that match and
-act.  The paper's <parser, (match, action)*> is written as consecutive
-PPMs, as filter -> router -> http_deparser are, and a PPM matches inside
-its own step, against the traversal's snapshot of its tables.  A chain is
-an ordered list of PPM ids, none repeated; its compiled form is the
-concatenation of their steps.  One function, `traverse`, runs every step
-tuple -- a chain's and a PPM applied on its own -- and stops after any
-step that leaves a terminal verdict; it records nothing.  A step's `ctx`
-is its path's one counter dict, a `collections.defaultdict(int)` it
-counts in with `ctx[name] += 1`.
+A processing module (PPM) is its steps, `step(msg, ctx, snaps)`, run in
+order on one `core.Message`: its parser first, if it has one, then the
+steps that match and act.  The paper's <parser, (match, action)*> is
+written as consecutive PPMs, as filter -> router -> http_deparser are, and
+a PPM matches inside its own step, against the traversal's snapshot of its
+tables.  A chain is an ordered list of PPM ids, none repeated; its
+compiled form is the concatenation of their steps.  One function,
+`traverse`, runs every step tuple -- a chain's and a PPM applied on its own
+-- and stops after any step that leaves a terminal verdict; it records
+nothing.  A step's `ctx` is its path's one counter dict, a
+`collections.defaultdict(int)` it counts in with `ctx[name] += 1`.
 
 A traversal runs on one snapshot of every table its chain reads, a dict
 taken at its start that nothing changes.  A rule table is published
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import TrafficUnit, Verdict
+from .core import Message, Verdict
 
 _CONTINUE = Verdict.CONTINUE
 
@@ -101,21 +101,20 @@ class Ppm:
         self.steps = tuple(steps)
         self.tables = tuple(tables)
 
-    def apply(self, unit: TrafficUnit, ctx: dict, snaps: dict = None):
+    def apply(self, msg: Message, ctx: dict, snaps: dict = None):
         """Traverse this PPM alone, as a one-PPM chain, by default on a
         snapshot of its own tables."""
         if snaps is None:
             snaps = {t.name: t.current for t in self.tables}
-        traverse(self.steps, unit, ctx, snaps)
+        traverse(self.steps, msg, ctx, snaps)
 
 
-def traverse(steps, unit: TrafficUnit, ctx: dict, snaps: dict):
-    """Run `unit` through `steps`, on the table snapshots `snaps`,
+def traverse(steps, msg: Message, ctx: dict, snaps: dict):
+    """Run `msg` through `steps`, on the table snapshots `snaps`,
     stopping after any step that leaves a terminal verdict."""
-    meta = unit.meta
     for step in steps:
-        step(unit, ctx, snaps)
-        if meta.verdict is not _CONTINUE:
+        step(msg, ctx, snaps)
+        if msg.verdict is not _CONTINUE:
             return
 
 
@@ -132,17 +131,17 @@ class ExecutableChain:
         self._snaps = None
         self._taken_at = -1  # the publish count `_snaps` was taken at
 
-    def execute(self, unit: TrafficUnit, ctx: dict):
+    def execute(self, msg: Message, ctx: dict):
         """Traverse the chain on one snapshot of every table it reads,
         taken again only when a table has published since the last one;
-        returns the unit."""
+        returns the message."""
         snaps = self._snaps
         if self._taken_at != _published:
             self._taken_at = _published
             # a new dict: a traversal still running keeps the one it began
             snaps = self._snaps = {t.name: t.current for t in self._tables}
-        traverse(self.steps, unit, ctx, snaps)
-        return unit
+        traverse(self.steps, msg, ctx, snaps)
+        return msg
 
 
 def check_chain(nodes: list, known) -> None:

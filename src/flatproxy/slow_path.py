@@ -40,7 +40,7 @@ from .core import (
     BufferPool,
     Endpoint,
     FlowKey,
-    Metadata,
+    Message,
     Proto,
     TrafficUnit,
     ip4_to_int,
@@ -356,17 +356,17 @@ class MeshRuntime:
             rec = self.conns[key] = ConnRecord(last_active=self.clock())
         return rec
 
-    def _connect(self, endpoint: Endpoint, meta: Metadata, lb: LbState) -> int:
+    def _connect(self, endpoint: Endpoint, msg: Message, lb: LbState) -> int:
         """The router's connector: the transport connector builds the
         queue, then the flow's record takes the endpoint and a count on it
         in its cluster's `lb`."""
-        qid = self._connector(endpoint, meta)
-        rec = self._record(meta.flow)
+        qid = self._connector(endpoint, msg)
+        rec = self._record(msg.flow)
         rec.endpoint, rec.lb = endpoint, lb
         lb.open(endpoint)
         return qid
 
-    def _default_connect(self, endpoint: Endpoint, meta: Metadata) -> int:
+    def _default_connect(self, endpoint: Endpoint, msg: Message) -> int:
         """The in-process transport connector: a VirtQueue bound to a fresh
         ServiceStub, registered in `vqs` and `stubs`."""
         stub = ServiceStub(tenant=f"svc:{endpoint.id}")
@@ -376,19 +376,19 @@ class MeshRuntime:
         self.stubs[q.id] = stub
         return q.id
 
-    def _vq_egress(self, unit: TrafficUnit) -> bool:
+    def _vq_egress(self, msg: Message) -> bool:
         """Deliver a message the router bound to a queue in `vqs`.  Never
-        blocks: returns False when a full TX ring lost the unit, which the
-        fast path counts as `msg_dropped.ring_full`.  Egress is the
+        blocks: returns False when a full TX ring lost the message, which
+        the fast path counts as `msg_dropped.ring_full`.  Egress is the
         activity `expire_idle` measures a flow's idle time from: it moves
         the flow's record to the end of `conns`."""
-        flow = unit.meta.flow
+        flow = msg.flow
         rec = self.conns.get(flow)
         if rec is not None:
             rec.last_active = self.clock()
             self.conns.move_to_end(flow)
         try:
-            self.vqs[unit.meta.queue].tx_deliver(unit.payload)
+            self.vqs[msg.queue].tx_deliver(msg.payload)
         except RingFull:
             return False
         return True

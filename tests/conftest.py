@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from flatproxy.core import FlowKey, Metadata, Proto, TrafficUnit, UnitKind
+from flatproxy.core import FlowKey, Message, Proto
 from flatproxy.l7 import HttpReader, MalformedHttp
 from flatproxy.vq import MAX_DESCRIPTOR_BYTES
 
@@ -30,13 +30,8 @@ def make_request(path=b"/svc/a", host=b"x", body=b"", method=b"GET",
     return b"\r\n".join(lines) + b"\r\n\r\n" + body
 
 
-def make_message(payload, flow=None, conn_id=1):
-    flow = flow or make_flow()
-    return TrafficUnit(
-        kind=UnitKind.MESSAGE,
-        meta=Metadata(flow=flow, conn_id=conn_id),
-        payload=payload,
-    )
+def make_message(payload, flow=None):
+    return Message(flow or make_flow(), payload)
 
 
 class MessageReader:

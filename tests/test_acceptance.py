@@ -11,10 +11,8 @@ import pytest
 
 from flatproxy.core import (
     FlowKey,
-    Metadata,
+    Message,
     Proto,
-    TrafficUnit,
-    UnitKind,
     Verdict,
     make_listener_key,
 )
@@ -243,19 +241,17 @@ def test_criterion_06_routing_oracle(announce):
                 )
                 path = rng.choice([b"/a", b"/a/b", b"/a/bc", b"/x", b"/zzz",
                                    b"/admin/x"])
-                meta = Metadata(flow=flow)
-                unit = TrafficUnit(kind=UnitKind.MESSAGE, meta=meta,
-                                   payload=make_request(path))
+                msg = Message(flow, make_request(path))
                 from flatproxy.l7 import http_parse
 
-                http_parse(unit)
-                got = route(meta, listeners, routes, queues, clusters, lb,
+                http_parse(msg)
+                got = route(msg, listeners, routes, queues, clusters, lb,
                             connector=lambda ep, m, state: next(counter))
                 verdict, reason, qid, eid, lb_called = ref.route(flow, path)
-                assert meta.verdict.value == verdict, (flow, path)
+                assert msg.verdict.value == verdict, (flow, path)
                 if reason is not None:
-                    assert meta.verdict_reason == reason
-                assert meta.queue == qid
+                    assert msg.verdict_reason == reason
+                assert msg.queue == qid
                 assert (got is not None) == lb_called
                 if eid is not None:
                     assert got.id == eid
@@ -279,11 +275,7 @@ def test_criterion_07_chain_monolith_and_workers(announce):
         flows = [make_flow(sport=30000 + i % 64) for i in range(1000)]
 
         def msg(i):
-            return TrafficUnit(
-                kind=UnitKind.MESSAGE,
-                meta=Metadata(flow=flows[i], conn_id=i),
-                payload=payloads[i],
-            )
+            return Message(flows[i], payloads[i])
 
         # chain vs sequential application on twin runtimes
         rt_a = MeshRuntime(config=load_config(config_text()))
@@ -294,13 +286,13 @@ def test_criterion_07_chain_monolith_and_workers(announce):
             ua, ub = msg(i), msg(i)
             rt_a.chain.execute(ua, rt_a.fast_path.ctx)
             for pid in order:
-                if ub.meta.verdict is not Verdict.CONTINUE:
+                if ub.verdict is not Verdict.CONTINUE:
                     break
                 rt_b.registry[pid].apply(ub, rt_b.fast_path.ctx)
             assert ua.payload == ub.payload, i
-            assert ua.meta.verdict == ub.meta.verdict, i
-            assert ua.meta.verdict_reason == ub.meta.verdict_reason, i
-            reached.add((ua.meta.verdict, (ua.meta.verdict_reason or "").split(":")[0]))
+            assert ua.verdict == ub.verdict, i
+            assert ua.verdict_reason == ub.verdict_reason, i
+            reached.add((ua.verdict, (ua.verdict_reason or "").split(":")[0]))
         # the messages get past the toe node: parser, filter, router and
         # deparser each decide some of them
         assert (Verdict.DELIVER, "deparsed") in reached
@@ -319,16 +311,16 @@ def test_criterion_07_chain_monolith_and_workers(announce):
             for i in range(1000):
                 shards[hash(flows[i]) % n].append(i)
             rt = MeshRuntime(config=load_config(config_text()))
-            results = [rt.fast_path.message(msg(i))
+            results = [(i, rt.fast_path.message(msg(i)))
                        for turn in itertools.zip_longest(*shards)
                        for i in turn if i is not None]
             multiset = sorted(
-                (u.meta.flow.sport, u.payload, u.meta.verdict.value)
-                for u in results
+                (u.flow.sport, u.payload, u.verdict.value)
+                for _i, u in results
             )
             per_flow = {}
-            for u in results:
-                per_flow.setdefault(u.meta.flow.sport, []).append(u.meta.conn_id)
+            for i, u in results:
+                per_flow.setdefault(u.flow.sport, []).append(i)
             outcomes[n] = (multiset, per_flow)
             rt.shutdown()
         assert outcomes[1][0] == outcomes[2][0] == outcomes[8][0]

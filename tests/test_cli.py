@@ -292,6 +292,21 @@ def test_reload_bad_pidfile(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("pid", ["0", "-1", "-4242"])
+def test_reload_refuses_a_pid_that_names_a_group(pid, tmp_path, capsys,
+                                                 monkeypatch):
+    """A pid file holding 0 or a negative number would signal a process
+    group, or every process: `reload` refuses it and sends nothing."""
+    sent = []
+    monkeypatch.setattr(os, "kill", lambda *a: sent.append(a))
+    pid_file = tmp_path / "flatproxy.pid"
+    pid_file.write_text(pid + "\n")
+    code, _, err = run_cli(["reload", "--pid-file", str(pid_file)], capsys)
+    assert code == 1
+    assert "reload failed" in err
+    assert sent == []
+
+
 # -- live --------------------------------------------------------------------
 
 def test_live_missing_config_exits_2(tmp_path, capsys):

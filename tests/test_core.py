@@ -7,10 +7,9 @@ from hypothesis import given, strategies as st
 
 from flatproxy.core import (
     FlowKey,
+    Message,
     Metadata,
     Proto,
-    TrafficUnit,
-    UnitKind,
     Verdict,
     BufferPool,
     int_to_ip4,
@@ -137,31 +136,58 @@ TERMINAL = (Verdict.DROP, Verdict.DELIVER)
 ], ids=lambda v: v.name)
 def test_verdict_terminal_sticks(terminal, then):
     """A terminal verdict refuses every other verdict, CONTINUE included;
-    restating it is fine and keeps the first reason unless given one."""
-    meta = Metadata(flow=make_flow())
-    meta.set_verdict(terminal, "x")
-    if then is terminal:
-        meta.set_verdict(then)  # idempotent restatement is fine
-    else:
-        with pytest.raises(ValueError):
-            meta.set_verdict(then)
-    assert meta.verdict is terminal
-    assert meta.verdict_reason == "x"
+    restating it is fine and keeps the first reason unless given one.  A
+    frame's Metadata and a Message keep the one rule."""
+    for meta in (Metadata(flow=make_flow()), Message(make_flow(), b"")):
+        meta.set_verdict(terminal, "x")
+        if then is terminal:
+            meta.set_verdict(then)  # idempotent restatement is fine
+        else:
+            with pytest.raises(ValueError):
+                meta.set_verdict(then)
+        assert meta.verdict is terminal
+        assert meta.verdict_reason == "x"
 
 
 def test_verdict_continue_may_become_anything():
     for v in TERMINAL:
-        meta = Metadata(flow=make_flow())
-        meta.set_verdict(v)
-        assert meta.verdict is v
+        for meta in (Metadata(flow=make_flow()), Message(make_flow(), b"")):
+            assert meta.verdict is Verdict.CONTINUE
+            meta.set_verdict(v)
+            assert meta.verdict is v
+
+
+def test_message_is_one_slotted_object():
+    """A Message has no `__dict__`: a misspelt field write raises instead
+    of passing silently."""
+    msg = Message(make_flow(), b"GET / HTTP/1.1\r\n\r\n")
+    assert not hasattr(msg, "__dict__")
+    with pytest.raises(AttributeError):
+        msg.verdcit = Verdict.DROP
+    assert msg.verdict is Verdict.CONTINUE and msg.verdict_reason is None
+    assert msg.head is None and msg.queue is None and msg.method is None
 
 
 def test_queue_binding_stable():
-    meta = Metadata(flow=make_flow())
-    meta.bind_queue(7)
-    meta.bind_queue(7)
+    """The router binds a message to one queue: routing it again to the
+    same queue is fine, and to another one is refused."""
+    from flatproxy.l7 import (
+        MatchKind, PathMatcher, QueueTable, RouteRule, http_parse, route)
+
+    flow = make_flow()
+    listeners = {flow.listener_key: "web"}
+    routes = {flow.listener_key: (
+        RouteRule(flow.listener_key, (PathMatcher(MatchKind.PREFIX, b"/"),),
+                  "c"),)}
+    queues = QueueTable()
+    queues.bind(flow, 7)
+    msg = http_parse(Message(flow, b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"))
+    route(msg, listeners, routes, queues, {}, {}, None)
+    route(msg, listeners, routes, queues, {}, {}, None)
+    assert msg.queue == 7
+    msg.queue = 8
     with pytest.raises(ValueError):
-        meta.bind_queue(8)
+        route(msg, listeners, routes, queues, {}, {}, None)
 
 
 def test_endpoint_weight_validation():

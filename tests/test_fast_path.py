@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from flatproxy import fast_path, l7
 from flatproxy.core import (
+    Message,
     Metadata,
     TrafficUnit,
     UnitKind,
@@ -47,7 +48,29 @@ def test_toe_in_order_single_message():
     msgs = toe.deliver(seg(raw, 0))
     assert len(msgs) == 1
     assert msgs[0].payload == raw
-    assert msgs[0].kind is UnitKind.MESSAGE
+    assert type(msgs[0]) is Message
+
+
+def test_toe_hands_on_one_message_object_per_message():
+    """Each message the TOE cuts is one `Message` of the frame's flow; a
+    segment that is exactly one whole message is handed on as that very
+    bytes object, neither copied nor joined."""
+    flow = make_flow(sport=40500)
+    toe = ToeEngine()
+    toe.open(flow)
+    raw = make_request(body=b"hi")
+    (msg,) = toe.deliver(seg(raw, 0, flow=flow))
+    assert msg.payload is raw
+    assert msg.flow is flow
+    assert msg.head == frame_http(raw)
+    assert msg.verdict is Verdict.CONTINUE and msg.queue is None
+    assert msg.method is None  # not parsed yet
+    pipelined = make_request(b"/svc/b") + make_request(b"/svc/c")
+    msgs = toe.deliver(seg(pipelined, len(raw), flow=flow))
+    assert [m.payload for m in msgs] == [make_request(b"/svc/b"),
+                                         make_request(b"/svc/c")]
+    assert all(m.flow is flow for m in msgs)
+    assert msgs[0] is not msgs[1]
 
 
 def test_toe_split_across_segments():
@@ -156,8 +179,8 @@ def test_toe_bad_content_length_keeps_stream_framed():
     msgs = toe.deliver(seg(bad + good, 0))
     assert [m.payload for m in msgs] == [bad, good]
     http_parse(msgs[0])
-    assert msgs[0].meta.verdict is Verdict.DROP
-    assert msgs[0].meta.verdict_reason == "malformed_http:bad content-length"
+    assert msgs[0].verdict is Verdict.DROP
+    assert msgs[0].verdict_reason == "malformed_http:bad content-length"
 
 
 # -- full fast path ----------------------------------------------------------
@@ -170,11 +193,32 @@ def runtime():
     rt.shutdown()
 
 
-def test_ingress_requires_frame(runtime):
-    with pytest.raises(ValueError):
-        runtime.fast_path.ingress(
-            TrafficUnit(kind=UnitKind.MESSAGE, meta=Metadata(flow=make_flow()))
-        )
+def _overlong_length(digits):
+    return (b"POST /svc/a HTTP/1.1\r\nHost: x\r\nContent-Length: " + digits
+            + b"\r\n\r\n")
+
+
+def test_overlong_content_length_is_one_counted_400(runtime):
+    """A Content-Length of thousands of digits -- past what `int` takes from
+    a string -- is a malformed request, dropped as `malformed_http` (400)
+    inside its one `ingress` call, and the request behind it is delivered;
+    one with leading zeros is a legal length, however many zeros."""
+    flow = make_flow(sport=40600)
+    good = make_request(b"/svc/b")
+    bad = _overlong_length(b"9" * 5000)
+    assert runtime.fast_path.ingress(frame(bad + good, flow=flow)) == "l7"
+    zeros = _overlong_length(b"0" * 5000 + b"5") + b"hello"
+    assert runtime.fast_path.ingress(
+        frame(zeros, flow=flow, seq=len(bad + good))) == "l7"
+    c = runtime.fast_path.counters()
+    assert c["ingress"] == c["egress"] + c.get("buffered", 0) + c.get(
+        "dropped", 0) == 2
+    assert c["msg_submitted"] == 3
+    assert c["msg_dropped"] == c["msg_dropped.malformed_http"] == 1
+    assert c["status.400"] == 1 and c["msg_egress"] == 2
+    qid = runtime.queue_table.lookup(flow)
+    q, stub = runtime.vqs[qid], runtime.stubs[qid]
+    assert [q.stub_fetch(stub) for _ in range(2)] == [good, zeros]
 
 
 def test_first_packet_slow_path_then_delivery(runtime):
@@ -340,7 +384,7 @@ def _refused(rt, reason):
     elif reason == "unknown_cluster":
         rt.cluster_table.publish({}, writer="message")
     elif reason == "connect_failure":
-        def refuse(endpoint, meta):
+        def refuse(endpoint, msg):
             raise l7.ConnectFailure("refused")
         rt._connector = refuse
     elif reason == "no_queue":
@@ -348,7 +392,7 @@ def _refused(rt, reason):
                                          "http_deparser"])
     elif reason == "ring_full":
         for i in range(DEFAULT_RING_CAPACITY):
-            rt.fast_path.message(make_message(make_request(), flow, conn_id=i))
+            rt.fast_path.message(make_message(make_request(), flow))
     return flow
 
 
@@ -374,12 +418,12 @@ def test_every_refusal_is_one_drop_counted_with_its_status(runtime, reason):
     raw, status = REFUSALS[reason]
     flow = _refused(runtime, reason)
     before = runtime.fast_path.counters()
-    unit = runtime.fast_path.message(make_message(raw, flow, conn_id=999))
+    unit = runtime.fast_path.message(make_message(raw, flow))
     c = runtime.fast_path.counters()
     assert fast_path.http_status(reason) == status
     if reason != "ring_full":  # a full ring loses a message it delivered
-        assert unit.meta.verdict is Verdict.DROP
-        assert unit.meta.verdict_reason.partition(":")[0] == reason
+        assert unit.verdict is Verdict.DROP
+        assert unit.verdict_reason.partition(":")[0] == reason
     added = {k: v - before.get(k, 0) for k, v in c.items()
              if v != before.get(k, 0)}
     assert added == {"msg_submitted": 1, "msg_dropped": 1,
@@ -446,12 +490,12 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
     flow = make_flow(sport=48000)
     ctx = defaultdict(int)
     first = chain.execute(make_message(make_request(b"/svc/a"), flow=flow), ctx)
-    assert first.meta.verdict is Verdict.DELIVER
-    assert first.meta.verdict_reason == "deparsed"
+    assert first.verdict is Verdict.DELIVER
+    assert first.verdict_reason == "deparsed"
     second = chain.execute(
-        make_message(make_request(b"/svc/a"), flow=flow, conn_id=2), ctx)
-    assert second.meta.verdict is Verdict.DROP
-    assert second.meta.verdict_reason == (
+        make_message(make_request(b"/svc/a"), flow=flow), ctx)
+    assert second.verdict is Verdict.DROP
+    assert second.verdict_reason == (
         "filter" if republish == "deny_all_filters" else "no_route")
 
 
@@ -466,12 +510,12 @@ def test_distribute_is_seen_by_the_next_message(runtime):
     flow = make_flow(sport=48010)
     first = runtime.fast_path.message(make_message(make_request(b"/svc/b"),
                                                   flow=flow))
-    assert first.meta.verdict is Verdict.DELIVER
+    assert first.verdict is Verdict.DELIVER
     runtime.distribute(load_config(config_text().replace("/admin", "/svc/b")))
     second = runtime.fast_path.message(
-        make_message(make_request(b"/svc/b"), flow=flow, conn_id=2))
-    assert second.meta.verdict is Verdict.DROP
-    assert second.meta.verdict_reason == "filter"
+        make_message(make_request(b"/svc/b"), flow=flow))
+    assert second.verdict is Verdict.DROP
+    assert second.verdict_reason == "filter"
 
 
 def test_unchanged_reload_keeps_the_snapshot(runtime):
@@ -487,14 +531,14 @@ def test_unchanged_reload_keeps_the_snapshot(runtime):
     chain.execute(make_message(make_request(b"/svc/a"), flow=flow), ctx)
     epochs = runtime.stats_snapshot()["table_epochs"]
     assert runtime.distribute(load_config(config_text())) == epochs
-    chain.execute(make_message(make_request(b"/svc/a"), flow=flow, conn_id=2),
+    chain.execute(make_message(make_request(b"/svc/a"), flow=flow),
                   ctx)
     assert seen[1] is seen[0]
     assert {n: s.epoch for n, s in seen[1].items()} == epochs
     after = runtime.distribute(
         load_config(config_text().replace("/admin", "/svc/b")))
     assert after == dict(epochs, filters=epochs["filters"] + 1)
-    chain.execute(make_message(make_request(b"/svc/a"), flow=flow, conn_id=3),
+    chain.execute(make_message(make_request(b"/svc/a"), flow=flow),
                   ctx)
     assert seen[2] is not seen[1]
     assert {n: s.epoch for n, s in seen[2].items()} == after
@@ -514,13 +558,13 @@ def hand_built_ppms():
         ctx["tag.parsed"] += 1
 
     def mark(unit, ctx, snaps):
-        if unit.meta.http.url_path == b"/svc/a":
+        if unit.url_path == b"/svc/a":
             ctx["tag.marked"] += 1
 
     def gate(unit, ctx, snaps):
-        if snaps["methods"].entries.get(unit.meta.http.method) == "deny":
+        if snaps["methods"].entries.get(unit.method) == "deny":
             ctx["gate.denied"] += 1
-            unit.meta.set_verdict(Verdict.DROP, "method")
+            unit.set_verdict(Verdict.DROP, "method")
 
     return {
         "tag": Ppm("tag", steps=[parse, mark]),
@@ -559,12 +603,12 @@ def test_compiled_chain_equals_each_ppm_applied_in_turn(nodes, raw):
             compile_chain(nodes, registry).execute(unit, ctx)
         else:
             for pid in nodes:
-                if unit.meta.verdict is not Verdict.CONTINUE:
+                if unit.verdict is not Verdict.CONTINUE:
                     break
                 registry[pid].apply(unit, ctx)
-        outcomes.append((unit.meta.verdict, unit.meta.verdict_reason,
+        outcomes.append((unit.verdict, unit.verdict_reason,
                          ctx, unit.payload,
-                         rt.queue_table.lookup(unit.meta.flow) is not None))
+                         rt.queue_table.lookup(unit.flow) is not None))
         rt.shutdown()
     assert outcomes[0] == outcomes[1]
 
@@ -577,8 +621,8 @@ def test_chain_without_router_hands_the_message_to_the_slow_path():
     rt = MeshRuntime(config=load_config(
         config_text() + f"chain:\n  nodes: {nodes}\n"))
     unit = rt.fast_path.message(make_message(make_request(b"/svc/a")))
-    assert unit.meta.verdict is Verdict.DROP
-    assert unit.meta.verdict_reason == "no_queue"
+    assert unit.verdict is Verdict.DROP
+    assert unit.verdict_reason == "no_queue"
     c = rt.fast_path.counters()
     assert c["msg_dropped.no_queue"] == c["status.502"] == 1
     assert "slow_path" not in c
@@ -612,8 +656,8 @@ def test_hot_path_bypasses_ppm_apply(runtime, monkeypatch):
         frame(second, flow=flow, seq=len(first))) == "l7"
     third = make_request(b"/svc/c", extra_headers=(b"X-Req: 3",))
     unit = runtime.fast_path.message(make_message(third, flow=flow))
-    assert unit.meta.verdict is Verdict.DELIVER
-    assert unit.meta.verdict_reason == "deparsed"
+    assert unit.verdict is Verdict.DELIVER
+    assert unit.verdict_reason == "deparsed"
     qid = runtime.queue_table.lookup(flow)
     q, stub = runtime.vqs[qid], runtime.stubs[qid]
     assert [q.stub_fetch(stub) for _ in range(3)] == [first, second, third]
@@ -792,10 +836,8 @@ def test_toe_frames_each_message_once(monkeypatch):
     sent[pipelined] = [make_request(b"/svc/p/%d" % i, body=b"x" * i)
                        for i in range(4)]
     for data, head in l7.HttpReader().take(b"".join(sent[pipelined])):
-        unit = fp.message(TrafficUnit(
-            kind=UnitKind.MESSAGE, meta=Metadata(flow=pipelined),
-            payload=data, head=head))
-        assert unit.meta.verdict is Verdict.DELIVER
+        unit = fp.message(Message(pipelined, data, head))
+        assert unit.verdict is Verdict.DELIVER
     assert len(framed) == len(splits) == 11
     # a parsed unit keeps no head, so it holds no header fields twice
     assert len(units) == 11 and all(u.head is None for u in units)
@@ -884,8 +926,8 @@ def test_toe_and_reader_cut_any_split_alike(bodies, bad_at, split, data):
 @pytest.mark.parametrize("case", ["smuggled", "truncated"])
 def test_message_is_forwarded_only_as_the_filter_saw_it(runtime, case,
                                                         with_head):
-    """Pass-through never forwards bytes the filter did not see: a MESSAGE
-    unit holding an allowed GET and a denied one behind it, or a request
+    """Pass-through never forwards bytes the filter did not see: a message
+    holding an allowed GET and a denied one behind it, or a request
     cut short, is refused whole as a 400 -- with no head, or with the head
     of the allowed GET (the whole request when cut short) -- and no
     service receives either request."""
@@ -896,11 +938,10 @@ def test_message_is_forwarded_only_as_the_filter_saw_it(runtime, case,
         framed = make_request(b"/svc/a", method=b"POST", body=b"0123456789")
         payload = framed[:-3]
     flow = make_flow(sport=47200)
-    unit = runtime.fast_path.message(TrafficUnit(
-        kind=UnitKind.MESSAGE, meta=Metadata(flow=flow), payload=payload,
-        head=frame_http(framed) if with_head else None))
-    assert unit.meta.verdict is Verdict.DROP
-    assert unit.meta.verdict_reason.startswith("malformed_http:")
+    unit = runtime.fast_path.message(Message(
+        flow, payload, frame_http(framed) if with_head else None))
+    assert unit.verdict is Verdict.DROP
+    assert unit.verdict_reason.startswith("malformed_http:")
     assert runtime.fast_path.counters()["status.400"] == 1
     assert runtime.fast_path.counters().get("msg_egress", 0) == 0
     assert runtime.queue_table.lookup(flow) is None

@@ -9,10 +9,8 @@ from flatproxy import l7
 from flatproxy.core import (
     Endpoint,
     FlowKey,
-    Metadata,
+    Message,
     Proto,
-    TrafficUnit,
-    UnitKind,
     Verdict,
     make_listener_key,
 )
@@ -46,24 +44,19 @@ def make_endpoint(i, weight=1, healthy=True):
     return Endpoint(id=f"ep-{i}", address=addr, weight=weight, healthy=healthy)
 
 
-def parsed_meta(payload, flow=None):
-    unit = TrafficUnit(
-        kind=UnitKind.MESSAGE, meta=Metadata(flow=flow or make_flow()),
-        payload=payload,
-    )
-    http_parse(unit)
-    return unit.meta
+def parsed_message(payload, flow=None):
+    return http_parse(Message(flow or make_flow(), payload))
 
 
 # -- parse / deparse ---------------------------------------------------------
 
 def test_parse_basic_request():
     raw = make_request(b"/svc/a", host=b"api", body=b"xy")
-    msg = parse_request(raw)
-    body = raw[msg.body_at:]
-    assert msg.method == b"GET"
-    assert msg.url_path == b"/svc/a"
-    assert msg.host == b"api"
+    method, url_path, host, body_at = parse_request(raw)
+    body = raw[body_at:]
+    assert method == b"GET"
+    assert url_path == b"/svc/a"
+    assert host == b"api"
     assert body == b"xy"
 
 
@@ -152,12 +145,31 @@ def test_http_reader_takes_each_message_of_any_split_once(sizes, bad_at,
     assert reader.held == 0 and reader.need is None and not reader.take(b"")
 
 
+def test_frame_http_refuses_a_content_length_too_long_for_any_message():
+    """Leading zeros are legal; past them, a value with more digits than
+    MAX_DESCRIPTOR_BYTES has is refused, `end` set, however many digits it
+    has -- `int` itself refuses a string of over 4,300."""
+    def request(digits):
+        return b"POST / HTTP/1.1\r\nContent-Length: " + digits + b"\r\n\r\n"
+
+    for digits in (b"9" * 5000, b"1" + b"0" * 5000, b"0" * 5000 + b"100000"):
+        raw = request(digits)
+        with pytest.raises(MalformedHttp, match="content-length too large") \
+                as exc:
+            frame_http(raw)
+        assert exc.value.end == len(raw)
+    for digits, length in ((b"0" * 5000 + b"5", 5), (b"0" * 5000, 0),
+                           (b"007", 7)):
+        raw = request(digits)
+        assert frame_http(raw)[:2] == (len(raw) + length, len(raw))
+
+
 def test_parse_rejects_incomplete_body():
     raw = make_request(b"/svc/a", method=b"POST", body=b"0123456789")
     for cut in (len(raw) - 10, len(raw) - 1):
         with pytest.raises(MalformedHttp, match="incomplete"):
             parse_request(raw[:cut])
-    assert raw[parse_request(raw).body_at:] == b"0123456789"
+    assert raw[parse_request(raw)[3]:] == b"0123456789"
 
 
 # The two-pass reading the one-pass `frame_http` replaced, kept as the
@@ -235,9 +247,11 @@ def _read(frame, parse, data):
 
 
 def _one_pass_parse(data, head):
-    msg = parse_request(data, head)
-    assert msg.raw is data
-    return (msg.method, msg.url_path, msg.host, msg.body_at)
+    fields = parse_request(data, head)
+    msg = http_parse(Message(make_flow(), data, head))
+    assert msg.payload is data
+    assert (msg.method, msg.url_path, msg.host, msg.body_at) == fields
+    return fields
 
 
 _TOKEN = st.text(alphabet="HhOoSsTtXx- ", max_size=8).map(str.encode)
@@ -294,20 +308,18 @@ def test_one_pass_head_reads_as_the_two_pass_head(start, good, bad, off_by,
 def test_parse_malformed_goes_to_slow_path_not_exception():
     """Malformed input is a verdict, not an exception: the slow path takes
     first packets only, so the parser drops it as `malformed_http`."""
-    unit = TrafficUnit(
-        kind=UnitKind.MESSAGE, meta=Metadata(flow=make_flow()), payload=b"junk"
-    )
+    unit = Message(make_flow(), b"junk")
     http_parse(unit)
-    assert unit.meta.verdict is Verdict.DROP
-    assert unit.meta.verdict_reason.startswith("malformed_http")
-    assert unit.meta.http is None
+    assert unit.verdict is Verdict.DROP
+    assert unit.verdict_reason.startswith("malformed_http")
+    assert unit.method is None
 
 
 def test_deparse_roundtrip_exact():
     raw = make_request(b"/svc/a", host=b"api", body=b"hello",
                        extra_headers=(b"X-Trace: abc",))
-    meta = parsed_meta(raw)
-    assert http_deparse(meta) == raw
+    msg = parsed_message(raw)
+    assert http_deparse(msg) == raw
 
 
 _token = st.binary(min_size=1, max_size=12).filter(
@@ -327,54 +339,54 @@ def test_parse_deparse_roundtrip_property(path, headers, body):
     lines += [n + b": " + v for n, v in headers]
     lines.append(b"Content-Length: " + str(len(body)).encode())
     raw = b"\r\n".join(lines) + b"\r\n\r\n" + body
-    meta = parsed_meta(raw)
-    assert meta.verdict is Verdict.CONTINUE
-    assert http_deparse(meta) == raw
+    msg = parsed_message(raw)
+    assert msg.verdict is Verdict.CONTINUE
+    assert http_deparse(msg) == raw
 
 
 @pytest.mark.parametrize("length", [b"Content-Length:5",
                                     b"Content-Length: 005"])
 def test_deparse_forwards_the_message_untouched(length):
     raw = b"POST /svc/a HTTP/1.1\r\nHost: api\r\n" + length + b"\r\n\r\nhello"
-    meta = parsed_meta(raw)
-    assert meta.verdict is Verdict.CONTINUE
-    assert http_deparse(meta) is raw
+    msg = parsed_message(raw)
+    assert msg.verdict is Verdict.CONTINUE
+    assert http_deparse(msg) is raw
 
 
 # -- filtering ---------------------------------------------------------------
 
 def test_filter_first_match_wins():
-    meta = parsed_meta(make_request(b"/admin/x"))
+    msg = parsed_message(make_request(b"/admin/x"))
     rules = [
         FilterRule(decision=Decision.DENY, path_prefix=b"/admin"),
         FilterRule(decision=Decision.ALLOW),
     ]
-    assert filter_apply(meta, rules) is Verdict.DROP
+    assert filter_apply(msg, rules) is Verdict.DROP
     # same rules reversed: allow wins first
-    assert filter_apply(meta, list(reversed(rules))) is Verdict.CONTINUE
+    assert filter_apply(msg, list(reversed(rules))) is Verdict.CONTINUE
 
 
 def test_filter_predicates_are_conjunctive():
-    meta = parsed_meta(make_request(b"/a", host=b"h", method=b"POST"))
+    msg = parsed_message(make_request(b"/a", host=b"h", method=b"POST"))
     rule = FilterRule(decision=Decision.DENY, method=b"POST", host=b"other")
-    assert not rule.matches(meta)
+    assert not rule.matches(msg)
     rule = FilterRule(decision=Decision.DENY, method=b"POST", host=b"h")
-    assert rule.matches(meta)
+    assert rule.matches(msg)
 
 
 def test_filter_sip_predicate():
-    meta = parsed_meta(make_request(), flow=make_flow(sip="9.9.9.9"))
-    assert FilterRule(decision=Decision.DENY, sip=0x09090909).matches(meta)
-    assert not FilterRule(decision=Decision.DENY, sip=0x01010101).matches(meta)
+    msg = parsed_message(make_request(), flow=make_flow(sip="9.9.9.9"))
+    assert FilterRule(decision=Decision.DENY, sip=0x09090909).matches(msg)
+    assert not FilterRule(decision=Decision.DENY, sip=0x01010101).matches(msg)
 
 
 def test_filter_no_rules_goes_slow_path():
     """The slow path takes first packets only: a request no rule matches,
     which it once took, is allowed by the filter itself."""
-    meta = parsed_meta(make_request())
-    assert filter_apply(meta, []) is Verdict.CONTINUE
+    msg = parsed_message(make_request())
+    assert filter_apply(msg, []) is Verdict.CONTINUE
     deny_admin = [FilterRule(decision=Decision.DENY, path_prefix=b"/admin")]
-    assert filter_apply(meta, deny_admin) is Verdict.CONTINUE
+    assert filter_apply(msg, deny_admin) is Verdict.CONTINUE
 
 
 # -- load balancing ----------------------------------------------------------
@@ -483,16 +495,16 @@ _queue_ids = itertools.count(1)
 
 def routed(path=b"/svc/a", flow=None, env=None, connector=None):
     listeners, routes, queues, clusters, lb = env
-    meta = parsed_meta(make_request(path), flow=flow or make_flow())
+    msg = parsed_message(make_request(path), flow=flow or make_flow())
     connector = connector or (lambda ep, m, state: next(_queue_ids))
-    return route(meta, listeners, routes, queues, clusters, lb, connector), meta
+    return route(msg, listeners, routes, queues, clusters, lb, connector), msg
 
 
 def test_route_happy_path_binds_queue():
     env = make_route_env()
-    endpoint, meta = routed(env=env)
-    assert meta.verdict is Verdict.CONTINUE
-    assert meta.queue is not None
+    endpoint, msg = routed(env=env)
+    assert msg.verdict is Verdict.CONTINUE
+    assert msg.queue is not None
     assert endpoint.id == "ep-0"
 
 
@@ -513,17 +525,17 @@ def test_route_distinct_flows_get_distinct_queues():
 
 def test_route_no_listener_drops_and_resets():
     env = make_route_env()
-    _, meta = routed(flow=make_flow(dport=9999), env=env)
-    assert meta.verdict is Verdict.DROP
-    assert meta.verdict_reason == "no_listener"
-    assert meta.queue is None
+    _, msg = routed(flow=make_flow(dport=9999), env=env)
+    assert msg.verdict is Verdict.DROP
+    assert msg.verdict_reason == "no_listener"
+    assert msg.queue is None
 
 
 def test_route_no_route_drops():
     env = make_route_env()
-    _, meta = routed(path=b"/other", env=env)
-    assert meta.verdict is Verdict.DROP
-    assert meta.verdict_reason == "no_route"
+    _, msg = routed(path=b"/other", env=env)
+    assert msg.verdict is Verdict.DROP
+    assert msg.verdict_reason == "no_route"
 
 
 def test_route_makes_a_flows_listener_key_once():
@@ -538,17 +550,17 @@ def test_route_makes_a_flows_listener_key_once():
             routed(path=path, flow=flow, env=env)
         assert flow.listener_key is lkey
     assert rkey is lkey and env[1][rkey][0].listener is lkey
-    _, meta = routed(flow=make_flow(sport=40100, dport=9999), env=env)
-    assert meta.verdict_reason == "no_listener"
+    _, msg = routed(flow=make_flow(sport=40100, dport=9999), env=env)
+    assert msg.verdict_reason == "no_listener"
 
 
 def test_route_no_healthy_endpoint_to_slow_path():
     """Dropped by the router with its reason: the slow path takes first
     packets only."""
     env = make_route_env(healthy=False)
-    _, meta = routed(env=env)
-    assert meta.verdict is Verdict.DROP
-    assert meta.verdict_reason == "no_healthy_endpoint"
+    _, msg = routed(env=env)
+    assert msg.verdict is Verdict.DROP
+    assert msg.verdict_reason == "no_healthy_endpoint"
 
 
 def test_route_connect_failure_to_slow_path():
@@ -556,13 +568,13 @@ def test_route_connect_failure_to_slow_path():
 
     env = make_route_env()
 
-    def bad_connector(endpoint, meta, state):
+    def bad_connector(endpoint, msg, state):
         raise ConnectFailure("refused")
 
-    _, meta = routed(env=env, connector=bad_connector)
-    assert meta.verdict is Verdict.DROP
-    assert meta.verdict_reason == "connect_failure"
-    assert meta.queue is None
+    _, msg = routed(env=env, connector=bad_connector)
+    assert msg.verdict is Verdict.DROP
+    assert msg.verdict_reason == "connect_failure"
+    assert msg.queue is None
 
 
 def test_route_exact_beats_miss_prefix_order():
@@ -578,7 +590,7 @@ def test_route_hundred_flows_round_robin_balance():
     env = make_route_env(n_endpoints=4)
     counts = {}
     for i in range(100):
-        endpoint, meta = routed(flow=make_flow(sport=50000 + i), env=env)
+        endpoint, msg = routed(flow=make_flow(sport=50000 + i), env=env)
         counts[endpoint.id] = counts.get(endpoint.id, 0) + 1
     assert counts == {"ep-0": 25, "ep-1": 25, "ep-2": 25, "ep-3": 25}
 

@@ -102,6 +102,23 @@ def test_live_bad_content_length_gets_400(proxy):
             assert s.makefile("rb").readline().startswith(b"HTTP/1.1 400")
 
 
+def test_live_overlong_content_length_gets_400_and_keeps_serving(proxy):
+    """A Content-Length of thousands of digits gets a 400, counted, and no
+    crash of the client's handler; a length with thousands of leading
+    zeros is legal and served."""
+    with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as s:
+        s.sendall(bad_length_request(b"0" * 5000 + b"5") + b"hello")
+        reader = MessageReader(s.recv)
+        reply = reader.read()
+        assert reply.startswith(b"HTTP/1.1 200") and reply.endswith(b"hello")
+        s.sendall(bad_length_request(b"9" * 5000))
+        assert reader.read().startswith(b"HTTP/1.1 400")
+        assert reader.read() == b""
+    c = proxy.runtime.stats_snapshot()["fast_path"]
+    assert c["msg_submitted"] == 2 and c["msg_egress"] == 1
+    assert c["msg_dropped.malformed_http"] == c["status.400"] == 1
+
+
 def test_live_unframeable_block_is_answered_and_counted_as_in_the_toe(proxy):
     """A block that cannot be framed runs through the data path once, as
     the TOE delivers one, and is answered from its verdict: one 400, none
@@ -324,7 +341,7 @@ class BatchUpstream:
             try:
                 while data := reader.read():
                     self.seen += 1
-                    body_at = parse_request(data, reader.head).body_at
+                    body_at = parse_request(data, reader.head)[3]
                     held.append(_ok(data[body_at:]))
                     if self.seen >= self.n:
                         conn.sendall(b"".join(held))

@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import pytest
 
-from flatproxy.core import Metadata, TrafficUnit, UnitKind, Verdict
+from flatproxy.core import Message, Verdict
 from flatproxy.match_action import (
     MatchActionError,
     MatchTable,
@@ -31,15 +31,15 @@ def inc_counter(name):
 
 
 def set_verdict(verdict, reason):
-    return lambda unit, ctx, snaps: unit.meta.set_verdict(verdict, reason)
+    return lambda unit, ctx, snaps: unit.set_verdict(verdict, reason)
 
 
 def on_miss(t, step):
-    """A step that matches the unit's conn id against the traversal's
+    """A step that matches the unit's queue id against the traversal's
     snapshot of table `t` and runs `step` when it finds no entry."""
 
     def match(unit, ctx, snaps):
-        if unit.meta.conn_id not in snaps[t.name].entries:
+        if unit.queue not in snaps[t.name].entries:
             step(unit, ctx, snaps)
 
     return match
@@ -51,7 +51,7 @@ def passthrough_ppm(pid):
 
 
 def make_unit():
-    return TrafficUnit(kind=UnitKind.MESSAGE, meta=Metadata(flow=make_flow()))
+    return Message(make_flow(), b"")
 
 
 # -- table publication -------------------------------------------------------
@@ -136,16 +136,16 @@ def test_ppm_runs_matched_program():
     t.publish({7: "hit"}, WRITER)
 
     def match(unit, ctx, snaps):
-        if snaps[t.name].entries.get(unit.meta.conn_id) == "hit":
+        if snaps[t.name].entries.get(unit.queue) == "hit":
             ctx["hits"] += 1
 
     p = Ppm("p", steps=[match], tables=[t])
     unit = make_unit()
-    unit.meta.conn_id = 7
+    unit.queue = 7
     ctx = defaultdict(int)
     assert p.apply(unit, ctx) is None
     assert ctx == {"hits": 1}
-    assert unit.meta.verdict is Verdict.CONTINUE
+    assert unit.verdict is Verdict.CONTINUE
 
 
 def test_constant_action_compiles_to_its_parser_and_steps():
@@ -171,7 +171,7 @@ def test_terminal_verdict_stops_program():
     p.apply(unit, ctx)
     # a PPM stops after any step that leaves a terminal verdict, so the
     # counter step after the drop never runs
-    assert unit.meta.verdict is Verdict.DROP
+    assert unit.verdict is Verdict.DROP
     assert "after" not in ctx
 
 
@@ -216,7 +216,7 @@ def test_empty_chain_is_identity():
     out = chain.execute(unit, defaultdict(int))
     assert out is unit
     assert out.payload == b"untouched"
-    assert out.meta.verdict is Verdict.CONTINUE
+    assert out.verdict is Verdict.CONTINUE
 
 
 def test_execute_trace_and_stop_on_terminal():
@@ -227,8 +227,8 @@ def test_execute_trace_and_stop_on_terminal():
     chain = compile_chain(["l7a", "l7drop", "l7b"], reg)
     ctx = defaultdict(int)
     unit = chain.execute(make_unit(), ctx)
-    assert unit.meta.verdict is Verdict.DROP
-    assert unit.meta.verdict_reason == "x"
+    assert unit.verdict is Verdict.DROP
+    assert unit.verdict_reason == "x"
     # l7a ran, l7b after the drop did not
     assert ctx == {"l7a": 1}
 
@@ -260,10 +260,10 @@ def test_chain_equals_sequential_application():
         ctx_b = defaultdict(int)
         chain.execute(unit_a, ctx_a)
         for pid in nodes:
-            if unit_b.meta.verdict is not Verdict.CONTINUE:
+            if unit_b.verdict is not Verdict.CONTINUE:
                 break
             reg_b[pid].apply(unit_b, ctx_b)
         assert unit_a.payload == unit_b.payload
-        assert unit_a.meta.verdict == unit_b.meta.verdict
-        assert unit_a.meta.verdict_reason == unit_b.meta.verdict_reason
+        assert unit_a.verdict == unit_b.verdict
+        assert unit_a.verdict_reason == unit_b.verdict_reason
         assert ctx_a == ctx_b

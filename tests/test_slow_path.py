@@ -342,7 +342,7 @@ def test_unknown_listener_404(runtime):
     """A message on a flow whose listener is not published is dropped as
     `no_listener` and counted with its 404."""
     flow = make_flow(dport=9999)
-    runtime.fast_path.message(make_message(make_request(), flow, conn_id=5))
+    runtime.fast_path.message(make_message(make_request(), flow))
     assert_refused(runtime, "no_listener", 404)
 
 
@@ -360,7 +360,7 @@ def test_no_healthy_endpoint_503(runtime):
 
 
 def test_connect_failure_answered_502():
-    def refuse(endpoint, meta):
+    def refuse(endpoint, msg):
         raise ConnectFailure("refused")
 
     rt = MeshRuntime(config=load_config(config_text()), connector=refuse)
@@ -427,7 +427,7 @@ def test_hostile_header_line_counts_only_its_reason(runtime, line):
     counter is named by the reason before its ':' -- the input names none."""
     raw = b"GET /svc/a HTTP/1.1\r\nHost: x\r\n" + line + b"\r\n\r\n"
     unit = runtime.fast_path.message(make_message(raw, make_flow(sport=44020)))
-    assert unit.meta.verdict_reason.startswith("malformed_http:bad header line")
+    assert unit.verdict_reason.startswith("malformed_http:bad header line")
     assert runtime.fast_path.counters() == {
         "msg_submitted": 1, "msg_dropped": 1, "msg_dropped.malformed_http": 1,
         "status.400": 1}
