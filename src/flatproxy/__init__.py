@@ -9,7 +9,6 @@ from .core import (
     TrafficUnit,
     UnitKind,
     Verdict,
-    make_listener_key,
 )
 from .match_action import MatchTable, Ppm, compile_chain
 from .slow_path import MeshConfig, MeshRuntime, load_config

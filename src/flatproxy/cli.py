@@ -229,7 +229,8 @@ def cmd_live(args) -> int:
     try:
         endpoints = [e for c in config.clusters for e in c.endpoints]
         for i, ep in enumerate(endpoints[: args.spawn_stubs]):
-            ep_host, ep_port = int_to_ip4(ep.address.dip), ep.address.dport
+            ip, ep_port = ep.address
+            ep_host = int_to_ip4(ip)
             try:
                 stub = EchoStub(f"stub-{i}", host=ep_host, port=ep_port)
             except OSError as exc:
@@ -243,13 +244,6 @@ def cmd_live(args) -> int:
             print(f"cannot bind {host}:{port}: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
         proxy.start()
-        print(f"listening on {proxy.listen_host}:{proxy.port}", flush=True)
-        for name, lport in list(proxy.ports.items())[1:]:
-            print(f"listener {name} on {proxy.listen_host}:{lport}", flush=True)
-
-        if args.pid_file:
-            with open(args.pid_file, "w") as fh:
-                fh.write(str(os.getpid()))
 
         def on_hup(_sig, _frame):
             # a config that is not valid or cannot be read is logged, and
@@ -260,9 +254,22 @@ def cmd_live(args) -> int:
                 proxy.reload(new)
                 log.info("config reloaded")
 
+        # installed before the pid file names this process to `reload`
         signal.signal(signal.SIGHUP, on_hup)
-
+        pid_written = False
         try:
+            if args.pid_file:
+                try:
+                    with open(args.pid_file, "w") as fh:
+                        fh.write(str(os.getpid()))
+                except OSError as exc:
+                    print(f"cannot write pid file {args.pid_file}: {exc}",
+                          file=sys.stderr)
+                    return EXIT_RUNTIME
+                pid_written = True
+            print(f"listening on {proxy.listen_host}:{proxy.port}", flush=True)
+            for name, lport in list(proxy.ports.items())[1:]:
+                print(f"listener {name} on {proxy.listen_host}:{lport}", flush=True)
             if args.duration > 0:
                 time.sleep(args.duration)
             else:
@@ -272,7 +279,7 @@ def cmd_live(args) -> int:
             pass
         finally:
             proxy.stop()
-            if args.pid_file and os.path.exists(args.pid_file):
+            if pid_written and os.path.exists(args.pid_file):
                 os.unlink(args.pid_file)
     finally:
         for stub in stubs:

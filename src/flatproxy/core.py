@@ -5,20 +5,22 @@ a Metadata descriptor, its flow and its verdict.  A framed HTTP message is
 one `Message`, which holds its bytes, its head, the request fields the
 parser reads from it, its queue and its verdict.  Each is owned by exactly
 one stage at a time; stages hand them off, they never share them.
+
+A flow is named by its `FlowKey`, a tuple, so every table keyed by flow
+hashes and compares it in C.  A listener or an endpoint is named by a
+plain `(ip, port)` pair: a 32-bit address and a 16-bit port.
 """
 
 from __future__ import annotations
 
+import ipaddress
 import itertools
-import struct
-import weakref
 from dataclasses import dataclass
-from enum import Enum
-from functools import cached_property
-from typing import Optional
+from enum import Enum, IntEnum
+from typing import NamedTuple, Optional
 
 
-class Proto(Enum):
+class Proto(IntEnum):
     TCP = 6
     UDP = 17
 
@@ -40,69 +42,42 @@ _CONTINUE = Verdict.CONTINUE
 
 
 def ip4_to_int(addr) -> int:
-    """Accepts dotted-quad strings or ints; returns a 32-bit address."""
-    if isinstance(addr, int):
-        if not 0 <= addr <= 0xFFFFFFFF:
-            raise ValueError(f"address out of 32-bit range: {addr}")
+    """A 32-bit address from an int (not a bool) in range, or from a
+    dotted-quad string as `ipaddress.IPv4Address` reads it; ValueError on
+    anything else.  Bytes are refused: IPv4Address would read four of them
+    as a packed address."""
+    if isinstance(addr, str):
+        return int(ipaddress.IPv4Address(addr))
+    if type(addr) is int and 0 <= addr <= 0xFFFFFFFF:
         return addr
-    parts = addr.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"not an IPv4 address: {addr!r}")
-    return struct.unpack(">I", bytes(int(p) for p in parts))[0]
+    raise ValueError(f"not an IPv4 address: {addr!r}")
 
 
 def int_to_ip4(value: int) -> str:
-    return ".".join(str(b) for b in struct.pack(">I", value))
+    return str(ipaddress.IPv4Address(value))
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """Five-tuple flow identity; hashable, field-wise equality.
-
-    A listener (2-tuple) key uses sip=0, sport=0 as a wildcard source.
-    """
-
+class _FlowFields(NamedTuple):
     sip: int
     sport: int
     dip: int
     dport: int
     proto: Proto = Proto.TCP
 
-    def __post_init__(self):
-        if not 0 <= self.sip <= 0xFFFFFFFF or not 0 <= self.dip <= 0xFFFFFFFF:
+
+class FlowKey(_FlowFields):
+    """A flow's five-tuple.  It is a tuple, so it hashes and compares in
+    C, and a key equals the plain tuple of its fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, sip: int, sport: int, dip: int, dport: int,
+                proto: Proto = Proto.TCP):
+        if not 0 <= sip <= 0xFFFFFFFF or not 0 <= dip <= 0xFFFFFFFF:
             raise ValueError("addresses must fit in 32 bits")
-        if not 0 <= self.sport <= 0xFFFF or not 0 <= self.dport <= 0xFFFF:
+        if not 0 <= sport <= 0xFFFF or not 0 <= dport <= 0xFFFF:
             raise ValueError("ports must fit in 16 bits")
-        # hashed on every table lookup: hash once, on proto's `_value_`
-        # (Enum.__hash__ and `.value` run as Python code)
-        object.__setattr__(self, "_hash", hash(
-            (self.sip, self.sport, self.dip, self.dport, self.proto._value_)))
-
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def listener_key(self) -> "FlowKey":
-        """The interned wildcard-source key of this flow's listener, kept
-        after first use: the router looks it up for every message."""
-        return make_listener_key(self.dip, self.dport, self.proto)
-
-
-# (dip, dport, proto) -> the one listener key for it; an entry goes with
-# the last table, rule or flow that holds its key
-_listener_keys = weakref.WeakValueDictionary()
-
-
-def make_listener_key(dip, dport: int, proto: Proto = Proto.TCP) -> FlowKey:
-    """The wildcard-source key used for listener lookup, interned: the
-    listener and route tables hold the very object each flow to that
-    listener looks up, so a lookup matches by identity."""
-    ident = (ip4_to_int(dip), dport, proto)
-    lkey = _listener_keys.get(ident)
-    if lkey is None:
-        lkey = _listener_keys[ident] = FlowKey(
-            sip=0, sport=0, dip=ident[0], dport=dport, proto=proto)
-    return lkey
+        return tuple.__new__(cls, (sip, sport, dip, dport, proto))
 
 
 def _set_verdict(self, verdict: Verdict, reason: str = None):
@@ -167,7 +142,7 @@ class Endpoint:
     address in its cluster's `l7.LbState`."""
 
     id: str
-    address: FlowKey  # destination half only (sip/sport zero)
+    address: tuple  # (ip, port): its 32-bit address and its port
     weight: int = 1
     healthy: bool = True
 

@@ -307,7 +307,7 @@ class PathMatcher:
 
 @dataclass(frozen=True)
 class RouteRule:
-    listener: FlowKey  # wildcard-source key
+    listener: tuple  # its listener's (dip, dport)
     path_matchers: tuple
     cluster: str
 
@@ -409,8 +409,8 @@ def route(
     picked and connected to, or None when the flow's queue was found or no
     connection was opened.
 
-    listeners: listener FlowKey -> listener name
-    routes:    listener FlowKey -> list[RouteRule]
+    listeners: (dip, dport) -> listener name
+    routes:    (dip, dport) -> list[RouteRule]
     clusters:  cluster ref -> Cluster
     lb:        cluster ref -> LbState
     connector: (endpoint, msg, state) -> queue id, on a queue miss
@@ -419,7 +419,7 @@ def route(
     raises ValueError.
     """
     flow = msg.flow
-    lkey = flow.listener_key
+    lkey = (flow.dip, flow.dport)
     if lkey not in listeners:
         msg.set_verdict(_DROP, "no_listener")
         return None

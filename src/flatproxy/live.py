@@ -37,7 +37,7 @@ from collections import deque
 from concurrent.futures import Future
 from http import HTTPStatus
 
-from .core import FlowKey, Message, Proto, Verdict, int_to_ip4, ip4_to_int
+from .core import FlowKey, Message, Verdict, int_to_ip4, ip4_to_int
 from .fast_path import http_status
 from .l7 import ConnectFailure, HttpReader
 from .slow_path import MeshConfig, MeshRuntime
@@ -250,9 +250,9 @@ class LiveProxy(_Loop):
     # -- connection establishment toward endpoints -------------------------
     def _connect(self, endpoint, msg: Message) -> int:
         """A blocking connect: loopback endpoints connect or refuse at once."""
-        addr = (int_to_ip4(endpoint.address.dip), endpoint.address.dport)
+        ip, port = endpoint.address
         try:
-            sock = socket.create_connection(addr, timeout=10)
+            sock = socket.create_connection((int_to_ip4(ip), port), timeout=10)
         except OSError as exc:
             raise ConnectFailure(str(exc)) from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -268,10 +268,8 @@ class LiveProxy(_Loop):
     def _accept(self, listener, _mask):
         lsock, ldef = listener
         for sock, peer in _accepted(lsock):
-            flow = FlowKey(
-                sip=ip4_to_int(peer[0]), sport=peer[1],
-                dip=ldef.dip, dport=ldef.dport, proto=Proto.TCP,
-            )
+            flow = FlowKey(sip=ip4_to_int(peer[0]), sport=peer[1],
+                           dip=ldef.dip, dport=ldef.dport)
             c = self._clients[flow] = _Client(sock, flow)
             self._sel.register(sock, _READ, (self._client_event, c))
 

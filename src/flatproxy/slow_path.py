@@ -41,10 +41,8 @@ from .core import (
     Endpoint,
     FlowKey,
     Message,
-    Proto,
     TrafficUnit,
     ip4_to_int,
-    make_listener_key,
 )
 from .fast_path import STANDARD_CHAIN, FastPath, standard_registry
 from .l7 import (
@@ -107,8 +105,8 @@ class ListenerDef:
     dport: int
 
     @property
-    def key(self) -> FlowKey:
-        return make_listener_key(self.dip, self.dport)
+    def key(self) -> tuple:
+        return (self.dip, self.dport)  # its listener and route entries' key
 
 
 @dataclass
@@ -195,13 +193,18 @@ def load_config(source) -> MeshConfig:
     )
 
 
+def _port(value) -> int:
+    """A configured port: an int (not a bool, not a float) in 16 bits."""
+    if type(value) is not int or not 0 <= value <= 0xFFFF:
+        raise ValueError(f"not a 16-bit port: {value!r}")
+    return value
+
+
 def _parse_listener(d) -> ListenerDef:
     _reject_unknown(d, _LISTENER_FIELDS, "listener")
-    listener = ListenerDef(
-        name=str(d["name"]), dip=ip4_to_int(d["dip"]), dport=int(d["dport"])
+    return ListenerDef(
+        name=str(d["name"]), dip=ip4_to_int(d["dip"]), dport=_port(d["dport"])
     )
-    listener.key  # a key refuses a port outside 16 bits
-    return listener
 
 
 def _parse_filter(d) -> FilterRule:
@@ -243,10 +246,7 @@ def _parse_cluster(d) -> Cluster:
     endpoints = []
     for i, e in enumerate(d.get("endpoints", [])):
         _reject_unknown(e, _ENDPOINT_FIELDS, "endpoint")
-        addr = FlowKey(
-            sip=0, sport=0, dip=ip4_to_int(e["address"]), dport=int(e["port"]),
-            proto=Proto.TCP,
-        )
+        addr = (ip4_to_int(e["address"]), _port(e["port"]))
         endpoints.append(Endpoint(id=f"{ref}-{i}", address=addr,
                                   weight=int(e.get("weight", 1)),
                                   healthy=bool(e.get("healthy", True))))
@@ -287,7 +287,7 @@ class MeshRuntime:
         # length as the core.buffers_held gauge
         self.buffer_pool = BufferPool()
         self.queue_table = QueueTable()
-        self.clock = clock or (lambda: time.monotonic_ns())
+        self.clock = clock or time.monotonic_ns
 
         self.listener_table = MatchTable("listeners", owner="connection")
         self.filter_table = MatchTable("filters", owner="message")
@@ -424,7 +424,7 @@ class MeshRuntime:
         releases it like any other idle flow.
         """
         key = unit.meta.flow
-        if key.listener_key not in self.listener_table.current.entries:
+        if (key.dip, key.dport) not in self.listener_table.current.entries:
             return False
         self._record(key)
         self.fast_path.toe.open(key)

@@ -14,7 +14,7 @@ from flatproxy.core import (
     Message,
     Proto,
     Verdict,
-    make_listener_key,
+    ip4_to_int,
 )
 from flatproxy.l7 import (
     Cluster,
@@ -147,7 +147,7 @@ class _RefRouter:
     """Independent linear-scan reference for the routing flow."""
 
     def __init__(self, listeners, routes, clusters):
-        self.listeners = listeners      # list[(FlowKey, name)]
+        self.listeners = listeners      # list[((dip, dport), name)]
         self.routes = routes            # list[RouteRule] in priority order
         self.clusters = clusters        # ref -> list of (endpoint_id, selectable)
         self.cursors = {ref: 0 for ref in clusters}
@@ -155,7 +155,7 @@ class _RefRouter:
         self.next_queue = itertools.count(1)
 
     def route(self, flow, path):
-        lkey = FlowKey(0, 0, flow.dip, flow.dport, flow.proto)
+        lkey = (flow.dip, flow.dport)
         if not any(k == lkey for k, _ in self.listeners):
             return ("drop", "no_listener", None, None, False)
         rule = None
@@ -185,7 +185,7 @@ def _random_route_env(rng):
     listeners = {}
     names = []
     for i in range(rng.randrange(1, 4)):
-        key = make_listener_key(f"10.0.0.{i + 1}", 8000 + i)
+        key = (ip4_to_int(f"10.0.0.{i + 1}"), 8000 + i)
         listeners[key] = f"lst-{i}"
         names.append(key)
     clusters = {}
@@ -193,7 +193,7 @@ def _random_route_env(rng):
         eps = [
             Endpoint(
                 id=f"c{c}e{j}",
-                address=FlowKey(0, 0, 0x7F000001, 9000 + j, Proto.TCP),
+                address=(0x7F000001, 9000 + j),
                 healthy=rng.random() > 0.2,
             )
             for j in range(rng.randrange(1, 4))

@@ -6,6 +6,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -56,6 +57,19 @@ MALFORMED_ENTRIES = [  # (the section named, the document)
     ("filters", config_text().replace("decision: DENY", "decision: 3")),
     ("listeners", "listeners: 5\n"),
     ("chain", config_text() + "chain: 5\n"),
+    # an address or port that was read loosely (10.0.0.2_0 as 10.0.0.20,
+    # true as 1, 9001.9 as 9001) or that is not a YAML int
+    ("listeners", config_text(dip="10.0.0.2_0")),
+    ("listeners", config_text(dip="01.0.0.2")),
+    ("listeners", config_text(dip="true")),
+    ("listeners", config_text(dport="8080.0")),
+    ("listeners", config_text(dport="true")),
+    ("listeners", config_text(dport="'8080'")),
+    ("filters", config_text().replace("path_prefix: /admin", "sip: 1.1.1.1_1")),
+    ("clusters", config_text(endpoint_host="127.0.0.1_0")),
+    ("clusters", config_text(endpoint_host="false")),
+    ("clusters", config_text(endpoint_ports=("9001.9",))),
+    ("clusters", config_text(endpoint_ports=("false",))),
 ]
 
 
@@ -283,6 +297,23 @@ def test_live_stub_port_taken_reports_and_stops_the_stubs(tmp_path, capsys):
     gc.collect()
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", free_port))
+
+
+def test_live_unwritable_pid_file_exits_1_and_stops_the_proxy(
+        config_file, tmp_path, capsys, monkeypatch):
+    """A pid file that cannot be written exits 1 with a message, not a
+    traceback, with the proxy's loop stopped; the SIGHUP handler is in
+    place before, so a `reload` can never kill the process."""
+    installed = []
+    monkeypatch.setattr(signal, "signal", lambda sig, _h: installed.append(sig))
+    pid_file = tmp_path / "nope" / "dir" / "pid"
+    code, out, err = run_cli(["live", "--config", config_file, "--pid-file",
+                              str(pid_file), "--duration", "30"], capsys)
+    assert code == 1
+    assert f"cannot write pid file {pid_file}" in err
+    assert "listening on" not in out
+    assert installed == [signal.SIGHUP]
+    assert not [t for t in threading.enumerate() if t.name == "flatproxy-live"]
 
 
 # -- reload ------------------------------------------------------------------

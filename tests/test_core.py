@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 
 import pytest
@@ -14,39 +13,8 @@ from flatproxy.core import (
     BufferPool,
     int_to_ip4,
     ip4_to_int,
-    make_listener_key,
 )
 from conftest import make_flow
-
-
-def test_make_listener_key_wildcard_source():
-    key = make_listener_key("10.0.0.2", 8080)
-    assert key == FlowKey(0, 0, ip4_to_int("10.0.0.2"), 8080, Proto.TCP)
-    assert key.sip == key.sport == 0
-
-
-def test_make_listener_key_deterministic():
-    a = make_listener_key("10.0.0.2", 8080)
-    b = make_listener_key(ip4_to_int("10.0.0.2"), 8080)
-    assert a is b  # interned while a key is held
-    assert hash(a) == hash(b)
-
-
-def test_make_listener_key_distinct_ports():
-    assert make_listener_key("10.0.0.2", 8080) != make_listener_key("10.0.0.2", 8081)
-
-
-def test_flow_key_listener_key_is_kept():
-    key = make_flow()
-    lkey = key.listener_key
-    assert lkey is make_listener_key("10.0.0.2", 8080)
-    assert key.listener_key is lkey
-    # keeping it changes neither equality, hash nor repr
-    fresh = make_flow()
-    assert key == fresh and hash(key) == hash(fresh)
-    assert repr(key) == repr(fresh)
-    assert pickle.loads(pickle.dumps(key)) == fresh
-    assert make_flow(dport=8081).listener_key != lkey
 
 
 def test_make_conn_key_verbatim():
@@ -93,6 +61,18 @@ def test_flow_key_hash_matches_equality():
     assert b in {a}
 
 
+def test_flow_key_hashes_and_compares_in_c():
+    """A key is a tuple: every table lookup hashes and compares it with
+    tuple's own C slots, its proto with int's."""
+    assert FlowKey.__hash__ is tuple.__hash__
+    assert FlowKey.__eq__ is tuple.__eq__
+    assert Proto.__hash__ is int.__hash__
+    key = FlowKey(0x01010101, 40000, 0x0A000002, 8080)
+    plain = (0x01010101, 40000, 0x0A000002, 8080, Proto.TCP)
+    assert key == plain and hash(key) == hash(plain)
+    assert {plain: "flow"}[key] == "flow"
+
+
 def test_flow_key_proto_distinguishes():
     tcp = FlowKey(0x01010101, 53, 0x0A000002, 53, Proto.TCP)
     udp = FlowKey(0x01010101, 53, 0x0A000002, 53, Proto.UDP)
@@ -102,10 +82,9 @@ def test_flow_key_proto_distinguishes():
 
 def test_flow_key_frozen_fields_and_repr():
     key = make_flow()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         key.sport = 1
-    assert [f.name for f in dataclasses.fields(key)] == [
-        "sip", "sport", "dip", "dport", "proto"]
+    assert FlowKey._fields == ("sip", "sport", "dip", "dport", "proto")
     assert repr(FlowKey(1, 2, 3, 4)) == (
         "FlowKey(sip=1, sport=2, dip=3, dport=4, proto=<Proto.TCP: 6>)")
 
@@ -175,10 +154,10 @@ def test_queue_binding_stable():
         MatchKind, PathMatcher, QueueTable, RouteRule, http_parse, route)
 
     flow = make_flow()
-    listeners = {flow.listener_key: "web"}
-    routes = {flow.listener_key: (
-        RouteRule(flow.listener_key, (PathMatcher(MatchKind.PREFIX, b"/"),),
-                  "c"),)}
+    lkey = (flow.dip, flow.dport)
+    listeners = {lkey: "web"}
+    routes = {lkey: (
+        RouteRule(lkey, (PathMatcher(MatchKind.PREFIX, b"/"),), "c"),)}
     queues = QueueTable()
     queues.bind(flow, 7)
     msg = http_parse(Message(flow, b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"))
@@ -194,14 +173,19 @@ def test_endpoint_weight_validation():
     from flatproxy.core import Endpoint
 
     with pytest.raises(ValueError):
-        Endpoint(id="e", address=make_flow(), weight=-1)
+        Endpoint(id="e", address=(0x7F000001, 9001), weight=-1)
 
 
 def test_ip_roundtrip():
     for addr in ("0.0.0.0", "10.0.0.2", "255.255.255.255"):
         assert int_to_ip4(ip4_to_int(addr)) == addr
-    with pytest.raises(ValueError):
-        ip4_to_int("not-an-ip")
+    # an address is an int in 32 bits that is not a bool, or a dotted quad
+    # of plain decimal octets: no octet is read loosely
+    for bad in ("not-an-ip", "10.0.0.2_0", "1_0.0.0.1", " 10.0.0.1",
+                "+10.0.0.1", "01.0.0.1", "\uff11\uff10.0.0.1", "10.0.0", True,
+                False, -1, 2**32, 10.5, None, b"\x0a\x00\x00\x02"):
+        with pytest.raises(ValueError):
+            ip4_to_int(bad)
 
 
 def test_buffer_pool():

@@ -6,14 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from flatproxy import l7
 
-from flatproxy.core import (
-    Endpoint,
-    FlowKey,
-    Message,
-    Proto,
-    Verdict,
-    make_listener_key,
-)
+from flatproxy.core import Endpoint, Message, Verdict, ip4_to_int
 from flatproxy.l7 import (
     Cluster,
     Decision,
@@ -40,8 +33,8 @@ from conftest import make_flow, make_request
 
 
 def make_endpoint(i, weight=1, healthy=True):
-    addr = FlowKey(sip=0, sport=0, dip=0x7F000001, dport=9000 + i, proto=Proto.TCP)
-    return Endpoint(id=f"ep-{i}", address=addr, weight=weight, healthy=healthy)
+    return Endpoint(id=f"ep-{i}", address=(0x7F000001, 9000 + i), weight=weight,
+                    healthy=healthy)
 
 
 def parsed_message(payload, flow=None):
@@ -469,9 +462,8 @@ def test_least_conn_prefers_idle_and_breaks_ties_by_id():
 # -- routing -----------------------------------------------------------------
 
 def make_route_env(n_endpoints=2, policy=LbPolicy.ROUND_ROBIN, healthy=True):
-    # made apart, as a config's listener and route keys are
-    listeners = {make_listener_key("10.0.0.2", 8080): "web"}
-    lkey = make_listener_key("10.0.0.2", 8080)
+    lkey = (ip4_to_int("10.0.0.2"), 8080)
+    listeners = {lkey: "web"}
     cluster = Cluster(
         ref="backend",
         endpoints=tuple(make_endpoint(i, healthy=healthy)
@@ -536,22 +528,6 @@ def test_route_no_route_drops():
     _, msg = routed(path=b"/other", env=env)
     assert msg.verdict is Verdict.DROP
     assert msg.verdict_reason == "no_route"
-
-
-def test_route_makes_a_flows_listener_key_once():
-    """The listener table's key, the route table's key and every flow's
-    `listener_key` are one object, so the router's lookups match by
-    identity."""
-    env = make_route_env()
-    (lkey,), (rkey,) = env[0], env[1]
-    flows = make_flow(sport=40100), make_flow(sport=40101)
-    for flow in flows:
-        for path in (b"/svc/a", b"/svc/b", b"/other"):
-            routed(path=path, flow=flow, env=env)
-        assert flow.listener_key is lkey
-    assert rkey is lkey and env[1][rkey][0].listener is lkey
-    _, msg = routed(flow=make_flow(sport=40100, dport=9999), env=env)
-    assert msg.verdict_reason == "no_listener"
 
 
 def test_route_no_healthy_endpoint_to_slow_path():

@@ -12,7 +12,7 @@ from flatproxy.core import (
     Metadata,
     TrafficUnit,
     UnitKind,
-    make_listener_key,
+    ip4_to_int,
 )
 from flatproxy.fast_path import REORDER_BUFFER_SEGMENTS, STANDARD_CHAIN
 from flatproxy.l7 import ConnectFailure, Decision, LbPolicy, MatchKind
@@ -261,12 +261,12 @@ def test_distribute_returns_epochs_and_installs_rules():
     epochs = rt.distribute(cfg)
     assert epochs["listeners"] == 1
     assert epochs["filters"] == 1
-    lkey = make_listener_key("10.0.0.2", 8080)
+    lkey = (ip4_to_int("10.0.0.2"), 8080)
     assert rt.listener_table.current.entries[lkey] == "web"
-    # one interned key: the listener and route tables hold the same object
+    # the listener and route tables are keyed by the same (dip, dport)
     (listener_key,), (route_key,) = (rt.listener_table.current.entries,
                                      rt.route_table.current.entries)
-    assert listener_key is route_key is lkey
+    assert listener_key == route_key == lkey
     # the configured rules alone: a request none matches is allowed by
     # `filter_apply`, not by an appended catch-all rule
     rules = rt.filter_table.current.entries["rules"]
@@ -277,12 +277,12 @@ def test_distribute_returns_epochs_and_installs_rules():
 
 def test_redistribute_removes_stale_entries():
     rt = MeshRuntime(config=load_config(config_text()))
-    old_key = make_listener_key("10.0.0.2", 8080)
+    old_key = (ip4_to_int("10.0.0.2"), 8080)
     cfg2 = load_config(config_text(dip="10.0.0.3", dport=9090))
     epochs = rt.distribute(cfg2)
     entries = rt.listener_table.current.entries
     assert old_key not in entries
-    assert entries[make_listener_key("10.0.0.3", 9090)] == "web"
+    assert entries[(ip4_to_int("10.0.0.3"), 9090)] == "web"
     assert epochs["listeners"] == 2
     rt.shutdown()
 
