@@ -7,7 +7,8 @@ which the slow path's handoff takes in the same call.  The handoff opens
 the flow's state, if a listener takes the flow, and the frame goes on to
 reassembly as any other does; a first packet no listener takes is dropped
 as `no_listener`, counted where a refused segment is.  So each frame is
-one `ingress` call with one outcome.  A flow's TOE state is opened by the
+one `ingress` call with one outcome, and `counters()` derives the
+`ingress` count from the outcomes.  A flow's TOE state is opened by the
 slow path and released by `close_flow`.  The ToeEngine feeds a flow's
 in-order bytes to its `l7.HttpReader`, the one reader live mode uses too,
 which frames and joins each HTTP message once and hands it on with its
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import FlowKey, Message, TrafficUnit, Verdict
 from .l7 import (
@@ -187,29 +188,31 @@ class ToeEngine:
     def close(self, key: FlowKey):
         self.connections.pop(key, None)
 
-    def deliver(self, seg: TrafficUnit) -> list:
+    def deliver(self, seg: TrafficUnit) -> Sequence[Message]:
         """Feed one frame of an opened flow, a TCP segment at `seg.seq`;
-        returns a `Message` of the frame's flow for each message its reader
-        cut, in order (possibly none) -- a block that cannot be framed with
-        no head, so the parser drops it."""
+        returns a list with a `Message` of the frame's flow for each
+        message its reader cut, in order, or `()` when it cut none -- a
+        block that cannot be framed with no head, so the parser drops it.
+        A segment ahead of `next_seq` is held; an in-order one goes to the
+        reader, then any held segments it lets through."""
         key = seg.meta.flow
         conn = self.connections[key]
-        if seg.seq < conn.next_seq or seg.seq in conn.reorder:
-            raise OutOfWindow("duplicate")
-        if seg.seq > conn.next_seq:
+        if seg.seq != conn.next_seq:
+            if seg.seq < conn.next_seq or seg.seq in conn.reorder:
+                raise OutOfWindow("duplicate")
             if len(conn.reorder) >= REORDER_BUFFER_SEGMENTS:
                 raise OutOfWindow("out_of_window")
             conn.reorder[seg.seq] = seg.payload
-            return []
-        reader, reorder = conn.reader, conn.reorder
-        out = []
-        chunk = seg.payload
-        while chunk is not None:  # this segment, then any it lets through
-            conn.next_seq += len(chunk)
-            for payload, head in reader.take(chunk):
-                out.append(Message(key, payload, head))
-            chunk = reorder.pop(conn.next_seq, None) if reorder else None
-        return out
+            return ()
+        conn.next_seq += len(seg.payload)
+        cut = conn.reader.take(seg.payload)
+        reorder = conn.reorder
+        if reorder:
+            cut = list(cut)
+            while (chunk := reorder.pop(conn.next_seq, None)) is not None:
+                conn.next_seq += len(chunk)
+                cut += conn.reader.take(chunk)
+        return [Message(key, data, head) for data, head in cut] if cut else ()
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +260,12 @@ class FastPath:
         self.vq_egress = vq_egress
 
     def counters(self) -> dict:
-        return dict(self.ctx)
+        """The counter dict, copied, with `ingress` the outcomes' sum if any."""
+        c = dict(self.ctx)
+        frames = c.get("egress", 0) + c.get("buffered", 0) + c.get("dropped", 0)
+        if frames:
+            c["ingress"] = frames
+        return c
 
     # ingress ---------------------------------------------------------------
     def ingress(self, unit: TrafficUnit) -> str:
@@ -266,10 +274,9 @@ class FastPath:
         whose flow the slow path opens, or not, in this call; the frame of
         an open flow is reassembled as a TCP segment.  Returns the frame's
         outcome: 'l7' (messages went to the L7 chain), 'buffered' (none
-        completed yet) or 'dropped' (counted by reason).  A frame is never
-        delivered at L4."""
+        completed yet) or 'dropped' (counted by reason), each counted once.
+        A frame is never delivered at L4."""
         ctx = self.ctx
-        ctx["ingress"] += 1
         if unit.meta.flow not in self.toe.connections:
             ctx["slow_path"] += 1
             if not self.slow_path_handoff(unit):

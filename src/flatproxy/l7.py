@@ -194,12 +194,18 @@ class HttpReader:
         return out
 
     def _cut(self, end: int) -> bytes:
-        """The first `end` bytes held, taken off the stream."""
-        data = b"".join(self.chunks)  # the one chunk itself, if one
-        rest = data[end:]
+        """The first `end` bytes held, taken off the stream and joined once.
+        `end` falls within the last chunk -- `take` cuts a message in the
+        call whose chunk completes it -- and that chunk's tail stays held."""
+        chunks = self.chunks
+        last = chunks[-1]
+        at = end - self.held + len(last)  # where `end` falls in the last
+        chunks[-1] = last[:at]
+        data = b"".join(chunks)  # the one chunk itself, if one
+        rest = last[at:]
         self.chunks = [rest] if rest else []
         self.held = len(rest)
-        return data[:end]
+        return data
 
 
 def parse_request(data: bytes, head: Optional[tuple] = None) -> tuple:
@@ -378,9 +384,7 @@ class QueueTable:
 
     def __init__(self):
         self._map = {}
-
-    def lookup(self, key: FlowKey):
-        return self._map.get(key)
+        self.lookup = self._map.get  # key -> queue id, or None
 
     def bind(self, key: FlowKey, queue_id: int):
         existing = self._map.get(key)

@@ -247,9 +247,11 @@ def _parse_cluster(d) -> Cluster:
     for i, e in enumerate(d.get("endpoints", [])):
         _reject_unknown(e, _ENDPOINT_FIELDS, "endpoint")
         addr = (ip4_to_int(e["address"]), _port(e["port"]))
+        weight, healthy = e.get("weight", 1), e.get("healthy", True)
+        if type(weight) is not int or type(healthy) is not bool:
+            raise ValueError(f"endpoint weight {weight!r}, healthy {healthy!r}")
         endpoints.append(Endpoint(id=f"{ref}-{i}", address=addr,
-                                  weight=int(e.get("weight", 1)),
-                                  healthy=bool(e.get("healthy", True))))
+                                  weight=weight, healthy=healthy))
     if len({e.address for e in endpoints}) < len(endpoints):
         raise ValueError(f"cluster {ref!r} lists an endpoint address twice")
     return Cluster(ref=ref, endpoints=tuple(endpoints),

@@ -5,7 +5,8 @@ standing in for DMA, and logical tenant isolation.  The TX path raises a
 single readiness event per delivered message and never touches a host
 doorbell; the RX path releases its ring slot only after the proxy fetch.
 Rings never block: a write to a full ring raises RingFull, and a read of
-an empty one returns None.
+an empty one returns None.  A ring is a `deque`, and each transfer checks
+state, stub and capacity in its own body: one Python call per transfer.
 """
 
 from __future__ import annotations
@@ -48,27 +49,19 @@ class VqState(Enum):
 _UNBOUND, _BOUND, _CLOSED = VqState.UNBOUND, VqState.BOUND, VqState.CLOSED
 
 
-class _Ring:
-    """Bounded descriptor ring with slot accounting."""
+class _Ring(deque):
+    """Bounded descriptor ring, oldest descriptor first: the queue appends
+    only below `capacity` and pops from the left."""
+
+    __slots__ = ("capacity",)
 
     def __init__(self, capacity: int):
+        super().__init__()
         self.capacity = capacity
-        self._slots = deque()
 
     @property
     def occupied(self) -> int:
-        return len(self._slots)
-
-    def push(self, data: bytes) -> bool:
-        """Append `data`; False, with nothing appended, if the ring is full."""
-        if len(self._slots) >= self.capacity:
-            return False
-        self._slots.append(data)
-        return True
-
-    def pop(self):
-        """The oldest descriptor, or None if the ring is empty."""
-        return self._slots.popleft() if self._slots else None
+        return len(self)
 
 
 @dataclass(frozen=True)
@@ -76,8 +69,7 @@ class MemoryBlockAddr:
     """Opaque handle for a socket-memory block, labelled with the tenant
     that owns it.  The handle checks nothing itself: access is checked at
     the queue, where `bind` refuses a stub of another tenant and every
-    stub-side transfer refuses a stub the queue is not bound to
-    (`_check_stub`)."""
+    stub-side transfer refuses a stub the queue is not bound to."""
 
     addr: int
     owner: str
@@ -138,55 +130,59 @@ class VirtQueue:
     def close(self):
         self.state = _CLOSED
 
-    def _check_bound(self):
+    def _refusal(self, stub: ServiceStub = None) -> VqError:
+        """What a transfer refused by the queue's state, else `stub`'s, raises."""
+        if self.state is _CLOSED:
+            return QueueClosed(self.id)
         if self.state is not _BOUND:
-            if self.state is _CLOSED:
-                raise QueueClosed(self.id)
-            raise VqError(f"queue {self.id} not bound")
-
-    def _check_stub(self, stub: ServiceStub):
-        if stub is not self._stub:
-            raise TenantMismatch(
-                f"stub of tenant {stub.tenant} is not bound to queue {self.id}"
-            )
+            return VqError(f"queue {self.id} not bound")
+        return TenantMismatch(
+            f"stub of tenant {stub.tenant} is not bound to queue {self.id}"
+        )
 
     # -- transmitting path (proxy -> service) ------------------------------
     def tx_deliver(self, data: bytes):
         """Data lands in the TX ring and one readiness event fires; no
         host doorbell.  A full ring raises RingFull and delivers nothing."""
-        self._check_bound()
+        if self.state is not _BOUND:
+            raise self._refusal()
         if not data:
             raise ValueError("empty delivery")
         if len(data) > MAX_DESCRIPTOR_BYTES:
             raise ValueError(f"descriptor exceeds {MAX_DESCRIPTOR_BYTES} bytes")
-        if not self.tx_ring.push(data):
+        ring = self.tx_ring
+        if len(ring) >= ring.capacity:
             raise RingFull(self.id)
+        ring.append(data)
         self._stub.events += 1
 
     def stub_fetch(self, stub: ServiceStub):
         """The service consumes one delivered message; this is the DMA
         copy into socket memory plus the TX slot release."""
-        self._check_bound()
-        self._check_stub(stub)
-        data = self.tx_ring.pop()
-        if data is None:
+        if self.state is not _BOUND or stub is not self._stub:
+            raise self._refusal(stub)
+        ring = self.tx_ring
+        if not ring:
             return None
         self.dma_copies += 1
         stub.fetched += 1
-        return data
+        return ring.popleft()
 
     # -- receiving path (service -> proxy) ---------------------------------
     def stub_write(self, stub: ServiceStub, data: bytes):
         """The service writes into its TX buffer; the free address returns
         synchronously, the driver kicks the DMA, and the bytes land in the
         proxy-facing RX ring.  A full ring raises RingFull."""
-        self._check_bound()
-        self._check_stub(stub)
-        if not self.rx_ring.push(data):
+        if self.state is not _BOUND or stub is not self._stub:
+            raise self._refusal(stub)
+        ring = self.rx_ring
+        if len(ring) >= ring.capacity:
             raise RingFull(self.id)
+        ring.append(data)
         self.dma_copies += 1
 
     def rx_collect(self):
         """Proxy fetch plus RX slot release; None when nothing pending."""
-        self._check_bound()
-        return self.rx_ring.pop()
+        if self.state is not _BOUND:
+            raise self._refusal()
+        return self.rx_ring.popleft() if self.rx_ring else None

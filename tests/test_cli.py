@@ -70,6 +70,13 @@ MALFORMED_ENTRIES = [  # (the section named, the document)
     ("clusters", config_text(endpoint_host="false")),
     ("clusters", config_text(endpoint_ports=("9001.9",))),
     ("clusters", config_text(endpoint_ports=("false",))),
+    # an endpoint weight or health that was read loosely (1.9 as 1, the
+    # string 'false' as healthy)
+    ("clusters", config_text().replace("weight: 1", "weight: 1.9", 1)),
+    ("clusters", config_text().replace("weight: 1", "weight: true", 1)),
+    ("clusters", config_text().replace("weight: 1", "weight: '1'", 1)),
+    ("clusters", config_text(unhealthy=(9001,)).replace("false", "'false'")),
+    ("clusters", config_text(unhealthy=(9001,)).replace("false", "0")),
 ]
 
 

@@ -94,15 +94,17 @@ _BAD_LENGTH = b"POST /svc/bad HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n
 @settings(max_examples=60, deadline=None)
 @given(sizes=st.lists(st.integers(0, 8 * 1024), min_size=1, max_size=4),
        bad_at=st.none() | st.integers(0, 4),
-       split=st.sampled_from(["anywhere", "bytes", "terminators"]),
+       split=st.sampled_from(["anywhere", "bytes", "terminators",
+                              "message_ends"]),
        data=st.data())
 def test_http_reader_takes_each_message_of_any_split_once(sizes, bad_at,
                                                           split, data):
     """A pipeline of valid requests, split anywhere -- inside a header
-    terminator, or into 1-byte chunks -- comes out as exactly those
-    messages, in order, each framed whole with its header block split once;
-    a bad Content-Length block in the middle is cut off alone, with no
-    head, and the request after it is still taken."""
+    terminator, around each message's end, or into 1-byte chunks -- comes
+    out as exactly those messages, in order, each framed whole with its
+    header block split once; a bad Content-Length block in the middle is
+    cut off alone, with no head, and the request after it is still
+    taken."""
     sent = [make_request(b"/svc/%d" % i, method=b"POST",
                          body=bytes([65 + i]) * n) for i, n in enumerate(sizes)]
     blocks = list(sent)
@@ -119,6 +121,15 @@ def test_http_reader_takes_each_message_of_any_split_once(sizes, bad_at,
             while (at := stream.find(b"\r\n\r\n", start)) >= 0:
                 cuts |= {at + data.draw(st.integers(1, 3))}
                 start = at + 4
+        elif split == "message_ends":
+            # each message ends at a chunk's end, 1-3 bytes into the next
+            # chunk, or 1-3 bytes before its chunk's end
+            end = 0
+            for block in blocks:
+                end += len(block)
+                cuts |= {end - data.draw(st.integers(1, 3)), end,
+                         end + data.draw(st.integers(1, 3))}
+            cuts = {c for c in cuts if 0 < c < len(stream)}
         cuts = sorted(cuts)
     bounds = [0, *cuts, len(stream)]
     reader, got, dropped = HttpReader(), [], []

@@ -21,17 +21,28 @@ import json, random
 import inproc
 from tracing import Tracer, install
 
+# each round builds one runtime; keep it to read its counters
+runtimes = []
+class Runtime(inproc.MeshRuntime):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        runtimes.append(self)
+inproc.MeshRuntime = Runtime
+
 tracer = Tracer()
 install(tracer)
 rounds = {}
+SPANS = ("slow_path.handle", "fast_path.ingress", "fast_path.toe_deliver")
 for name in ("small_keepalive", "bulk_segmented"):
-    handoffs = tracer.calls("slow_path.handle")
+    before = {n: tracer.calls(n) for n in SPANS}
     rnd = inproc.GENERATORS[name](random.Random(1))
     inproc.drive_round(rnd, tracer)
     c = rnd.check
     rounds[name] = {"correct": c.correct, "failed": c.failed,
                     "delivered": c.delivered,
-                    "handoffs": tracer.calls("slow_path.handle") - handoffs}
+                    "no_listener": runtimes[-1].fast_path.counters().get(
+                        "dropped.no_listener", 0),
+                    **{n: tracer.calls(n) - before[n] for n in SPANS}}
 print(json.dumps({
     "rounds": rounds,
     "probe": inproc.first_swap_probe(random.Random(1)),
@@ -94,7 +105,12 @@ def test_perfbench_drives_the_program():
     for name, r in out["rounds"].items():
         assert r["correct"] and r["failed"] == 0 and r["delivered"] > 0, name
     # the first-packet handler keeps the name the tracer patches
-    assert out["rounds"]["small_keepalive"]["handoffs"] > 0
+    assert out["rounds"]["small_keepalive"]["slow_path.handle"] > 0
+    # the traced TOE span sees every frame a listener took, in-order or
+    # not, so the per-layer `toe` metric covers them all
+    for name, r in out["rounds"].items():
+        assert r["fast_path.toe_deliver"] == (
+            r["fast_path.ingress"] - r["no_listener"]) > 0, (name, r)
     assert out["probe"]["correct"]
     assert out["probe"]["lost_flows"] == 0
     assert all(n > 0 for n in out["calls"].values()), out["calls"]

@@ -67,6 +67,40 @@ def test_closed_queue_refuses_everything():
         q.bind(stub)
 
 
+# each transfer, given its queue and the stub it claims to be
+TRANSFERS = {
+    "tx_deliver": lambda q, stub: q.tx_deliver(b"x"),
+    "stub_fetch": lambda q, stub: q.stub_fetch(stub),
+    "stub_write": lambda q, stub: q.stub_write(stub, b"x"),
+    "rx_collect": lambda q, stub: q.rx_collect(),
+}
+
+
+@pytest.mark.parametrize("transfer", list(TRANSFERS))
+def test_every_transfer_refuses_by_state_then_stub(transfer):
+    """An unbound queue refuses each transfer with a plain VqError, a
+    closed one with QueueClosed even for its own stub, and a bound one
+    refuses a stub-side transfer by a stub it is not bound to, of its
+    tenant or another, with TenantMismatch; a refused transfer moves
+    nothing."""
+    run = TRANSFERS[transfer]
+    with pytest.raises(VqError) as exc:
+        run(VirtQueue(tenant="t"), ServiceStub(tenant="t"))
+    assert type(exc.value) is VqError
+    q, stub = bound_pair()
+    q.tx_deliver(b"m")
+    q.stub_write(stub, b"r")
+    if transfer in ("stub_fetch", "stub_write"):
+        for tenant in ("t", "u"):
+            with pytest.raises(TenantMismatch):
+                run(q, ServiceStub(tenant=tenant))
+    q.close()
+    with pytest.raises(QueueClosed):
+        run(q, stub)
+    assert q.tx_ring.occupied == q.rx_ring.occupied == 1
+    assert (stub.events, stub.fetched, q.dma_copies) == (1, 0, 1)
+
+
 # -- TX path (proxy -> service) ----------------------------------------------
 
 def test_tx_deliver_byte_exact_fifo():
