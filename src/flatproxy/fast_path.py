@@ -10,18 +10,21 @@ as `no_listener`, counted where a refused segment is.  So each frame is
 one `ingress` call with one outcome, and `counters()` derives the
 `ingress` count from the outcomes.  A flow's TOE state is opened by the
 slow path and released by `close_flow`.  The ToeEngine feeds a flow's
-in-order bytes to its `l7.HttpReader`, the one reader live mode uses too,
-which frames and joins each HTTP message once and hands it on with its
-head, read in one pass as soon as the header block is in; a segment that
-is exactly one whole message is framed and handed on as it came, and a
-block that cannot be framed is cut off and handed on alone, with no head.
-Each message is one `core.Message`, which every L7 step reads and sets.
-`ingress` runs the messages at once, in order, through `FastPath.message`,
-the L7 entry live mode shares; the parser sets each request's fields from
-its head, and the deparser forwards the message bytes untouched.  Every
-message leaves through one disposition, which counts the outcome and keeps
-nothing: its VQ egress, or a drop counted by reason and by the HTTP status
-`http_status` gives that reason.
+in-order bytes -- those of a segment that overlaps what was delivered
+included, past it -- to its `l7.HttpReader`, the one reader live mode uses
+too, which frames and joins each HTTP message once and hands it on with
+its head, read in one pass as soon as the header block is in; a segment
+that is exactly one whole message is framed and handed on as it came, and
+a block that cannot be framed is cut off and handed on alone, with no
+head.  Each message is one `core.Message`, which every L7 step reads and
+sets.  `ingress` runs the messages at once, in order, through
+`FastPath.message`, the L7 entry live mode shares.  The standard chain's
+steps are the `l7` functions themselves: the parser sets each request's
+fields from its head, and the deparser forwards the message bytes
+untouched.  `FastPath.message` is also the one disposition, which counts
+the outcome and keeps nothing: its VQ egress, or a drop counted by reason
+and by the HTTP status `http_status` gives that reason; `counters()`
+derives `msg_submitted` from the two.
 Per-flow FIFO holds by construction: one thread runs the data plane -- the
 caller's in-process, live mode's loop thread -- and it runs a flow's frames
 and messages in order.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from .core import FlowKey, Message, TrafficUnit, Verdict
@@ -46,87 +50,15 @@ from .match_action import ExecutableChain, MatchTable, Ppm
 
 REORDER_BUFFER_SEGMENTS = 64
 
-_CONTINUE, _DROP, _DELIVER = Verdict.CONTINUE, Verdict.DROP, Verdict.DELIVER
+_DROP, _DELIVER = Verdict.DROP, Verdict.DELIVER
 
 
 # ---------------------------------------------------------------------------
-# PPM factories for the standard HTTP routing chain
+# The standard HTTP routing chain
 
 # the standard PPM ids, in the default chain's order: a config's chain is
 # checked against these before any table exists
 STANDARD_CHAIN = ("toe", "http_parser", "filter", "router", "http_deparser")
-
-
-def make_toe() -> Ppm:
-    """The TOE's node in the L7 chain: no step, so each framed message
-    passes it at no cost.  Reassembly lives in ToeEngine, which
-    `FastPath.ingress` drives because one segment may yield zero or many
-    messages.
-    """
-    return Ppm("toe")
-
-
-def make_http_parser() -> Ppm:
-    """The parser, the PPM's one step: `http_parse` either sets the
-    message's request fields or drops it as `malformed_http`."""
-
-    def parser(msg: Message, ctx: dict, snaps: dict):
-        if msg.method is None:
-            http_parse(msg)
-
-    return Ppm("http_parser", steps=[parser])
-
-
-def make_filter(filter_table: MatchTable) -> Ppm:
-    def evaluate(msg: Message, ctx: dict, snaps: dict):
-        rules = snaps[filter_table.name].entries.get("rules", ())
-        verdict = filter_apply(msg, rules)
-        if verdict is not _CONTINUE:
-            msg.set_verdict(verdict, "filter")
-
-    return Ppm("filter", steps=[evaluate], tables=[filter_table])
-
-
-def make_router(
-    listener_table: MatchTable,
-    route_table: MatchTable,
-    cluster_table: MatchTable,
-    queues: QueueTable,
-    lb: dict,
-    connector: Callable,
-) -> Ppm:
-    """The router, over the live `lb` map (cluster ref -> LbState)."""
-
-    def route_step(msg: Message, ctx: dict, snaps: dict):
-        endpoint = route(
-            msg,
-            snaps[listener_table.name].entries,
-            snaps[route_table.name].entries,
-            queues,
-            snaps[cluster_table.name].entries,
-            lb,
-            connector,
-        )
-        if endpoint is not None:
-            ctx["load_balance_calls"] += 1
-            ctx[f"endpoint.{endpoint.id}"] += 1
-
-    return Ppm("router", steps=[route_step],
-               tables=[listener_table, route_table, cluster_table])
-
-
-def make_http_deparser() -> Ppm:
-    """The deparser: a message no router bound to a queue is dropped as
-    `no_queue`."""
-
-    def deparse(msg: Message, ctx: dict, snaps: dict):
-        if msg.queue is None:
-            msg.set_verdict(_DROP, "no_queue")
-            return
-        msg.payload = http_deparse(msg)
-        msg.set_verdict(_DELIVER, "deparsed")
-
-    return Ppm("http_deparser", steps=[deparse])
 
 
 def standard_registry(
@@ -138,15 +70,25 @@ def standard_registry(
     lb: dict,
     connector: Callable,
 ) -> dict:
-    """The standard PPMs by id, over the given tables."""
+    """The standard PPMs by id, over the given tables, which are named as
+    the `l7` steps read them from a traversal's snapshot: "listeners",
+    "filters", "routes" and "clusters".  Each L7 PPM's one step is its
+    `l7` function, looked up in this module's globals as the registry is
+    built; the router's binds its queue table, the live `lb` map (cluster
+    ref -> LbState) and `connector`.  The parser drops a malformed message
+    as `malformed_http` and the deparser one no router bound to a queue as
+    `no_queue`.  `toe` has no step, so each framed message passes it at no
+    cost: reassembly lives in ToeEngine, which `FastPath.ingress` drives
+    because one segment may yield zero or many messages."""
     return {
-        "toe": make_toe(),
-        "http_parser": make_http_parser(),
-        "filter": make_filter(filter_table),
-        "router": make_router(
-            listener_table, route_table, cluster_table, queues, lb, connector
-        ),
-        "http_deparser": make_http_deparser(),
+        "toe": Ppm("toe"),
+        "http_parser": Ppm("http_parser", steps=[http_parse]),
+        "filter": Ppm("filter", steps=[filter_apply], tables=[filter_table]),
+        "router": Ppm(
+            "router",
+            steps=[partial(route, queues, lb, connector)],
+            tables=[listener_table, route_table, cluster_table]),
+        "http_deparser": Ppm("http_deparser", steps=[http_deparse]),
     }
 
 
@@ -155,8 +97,9 @@ def standard_registry(
 
 class OutOfWindow(Exception):
     """A segment the TOE refuses.  Its one argument is the drop reason:
-    'duplicate' for bytes already delivered or held, 'out_of_window' past
-    a full reorder buffer."""
+    'duplicate' for a segment with no byte past those already delivered,
+    or none past a segment held at its seq; 'out_of_window' past a full
+    reorder buffer."""
 
 
 @dataclass
@@ -193,26 +136,46 @@ class ToeEngine:
         returns a list with a `Message` of the frame's flow for each
         message its reader cut, in order, or `()` when it cut none -- a
         block that cannot be framed with no head, so the parser drops it.
-        A segment ahead of `next_seq` is held; an in-order one goes to the
-        reader, then any held segments it lets through."""
+        A segment ahead of `next_seq` is held, unless one as long is held
+        at its seq; a segment that starts behind `next_seq` but ends past
+        it goes on as its bytes past `next_seq`.  An in-order segment goes
+        to the reader, then the held segments it lets through: each held
+        segment the stream has reached is taken off the buffer, and its
+        bytes past `next_seq`, if any, go to the reader too."""
         key = seg.meta.flow
         conn = self.connections[key]
+        payload = seg.payload
         if seg.seq != conn.next_seq:
-            if seg.seq < conn.next_seq or seg.seq in conn.reorder:
-                raise OutOfWindow("duplicate")
-            if len(conn.reorder) >= REORDER_BUFFER_SEGMENTS:
-                raise OutOfWindow("out_of_window")
-            conn.reorder[seg.seq] = seg.payload
-            return ()
-        conn.next_seq += len(seg.payload)
-        cut = conn.reader.take(seg.payload)
+            behind = conn.next_seq - seg.seq
+            if behind > 0:
+                if behind >= len(payload):
+                    raise OutOfWindow("duplicate")
+                payload = payload[behind:]
+            else:
+                held = conn.reorder.get(seg.seq)
+                if held is not None and len(held) >= len(payload):
+                    raise OutOfWindow("duplicate")
+                if held is None and len(conn.reorder) >= REORDER_BUFFER_SEGMENTS:
+                    raise OutOfWindow("out_of_window")
+                conn.reorder[seg.seq] = payload
+                return ()
+        conn.next_seq += len(payload)
+        cut = conn.reader.take(payload)
         reorder = conn.reorder
         if reorder:
             cut = list(cut)
-            while (chunk := reorder.pop(conn.next_seq, None)) is not None:
-                conn.next_seq += len(chunk)
-                cut += conn.reader.take(chunk)
-        return [Message(key, data, head) for data, head in cut] if cut else ()
+            while reorder and (seq := min(reorder)) <= conn.next_seq:
+                chunk = reorder.pop(seq)
+                behind = conn.next_seq - seq
+                if behind < len(chunk):
+                    conn.next_seq += len(chunk) - behind
+                    cut += conn.reader.take(chunk[behind:])
+        if not cut:
+            return ()
+        messages = []
+        for data, head in cut:
+            messages.append(Message(key, data, head))
+        return messages
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +223,15 @@ class FastPath:
         self.vq_egress = vq_egress
 
     def counters(self) -> dict:
-        """The counter dict, copied, with `ingress` the outcomes' sum if any."""
+        """The counter dict, copied, with `ingress` the frames' outcomes'
+        sum and `msg_submitted` the messages', each if any."""
         c = dict(self.ctx)
         frames = c.get("egress", 0) + c.get("buffered", 0) + c.get("dropped", 0)
         if frames:
             c["ingress"] = frames
+        messages = c.get("msg_egress", 0) + c.get("msg_dropped", 0)
+        if messages:
+            c["msg_submitted"] = messages
         return c
 
     # ingress ---------------------------------------------------------------
@@ -303,23 +270,18 @@ class FastPath:
         return "dropped"
 
     def message(self, msg: Message) -> Message:
-        """The one L7 message entry, for `ingress` and live mode: run the
-        chain and dispose of the message.  Returns it."""
-        self.ctx["msg_submitted"] += 1
-        self.chain.execute(msg, self.ctx)
-        self._dispose(msg)
-        return msg
-
-    def _dispose(self, msg: Message):
-        """The one exit for messages: send DELIVER to VQ egress and count it
-        `msg_egress` once the queue took it; count a DROP -- and a DELIVER
-        that a full TX ring lost, as `ring_full` -- as `msg_dropped`, by
-        reason and by its `http_status`."""
+        """The one L7 message entry, for `ingress` and live mode, and the
+        one disposition: run the chain, then send DELIVER to VQ egress and
+        count it `msg_egress` once the queue took it; count a DROP -- and a
+        DELIVER that a full TX ring lost, as `ring_full` -- as
+        `msg_dropped`, by reason and by its `http_status`.  Returns the
+        message."""
         ctx = self.ctx
+        self.chain.execute(msg, ctx)
         if msg.verdict is _DELIVER:
             if self.vq_egress(msg):
                 ctx["msg_egress"] += 1
-                return
+                return msg
             reason = "ring_full"
         else:
             # the reason before any ':', so no input bytes name a counter
@@ -327,6 +289,7 @@ class FastPath:
         ctx["msg_dropped"] += 1
         ctx[f"msg_dropped.{reason}"] += 1
         ctx[f"status.{http_status(reason)}"] += 1
+        return msg
 
     def results(self):
         """Always empty: nothing is kept per message.  It remains only for

@@ -1,6 +1,15 @@
 """Application-layer functions: HTTP parse/deparse, filtering, routing
 and load balancing.
 
+`http_parse`, `filter_apply`, `route` and `http_deparse` are the steps of
+the standard L7 PPMs, which the chain runs directly: each takes the step
+signature `(msg, ctx, snaps)` -- `route` once its queue table, balancing
+states and connector are bound ahead of them -- reads any table it needs
+from the traversal's snapshot `snaps`, table name to published entries
+(the filter reads "filters", the router "listeners", "routes" and
+"clusters"), and sets the message's verdict through its monotone
+`set_verdict`.
+
 An HTTP message's header block is read once, in one pass over its lines,
 by `frame_http` when it frames the message: that pass finds the
 Content-Length, the Host and the first bad header line, and the parser
@@ -24,8 +33,10 @@ address.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional
 
 from .core import Endpoint, FlowKey, Message, Verdict
@@ -57,11 +68,11 @@ _CRLF = b"\r\n"
 _LENGTH_DIGITS = len(str(MAX_DESCRIPTOR_BYTES))
 
 
-def http_parse(msg: Message) -> Message:
-    """Set `msg`'s request fields from the head `frame_http` gave when it
-    was framed (`msg.head`), else framing it here.  Malformed input is
-    dropped as `malformed_http:<what>`, and `msg` is otherwise untouched.
-    """
+def http_parse(msg: Message, ctx: dict, snaps: dict):
+    """The parser's step: set `msg`'s request fields from the head
+    `frame_http` gave when it was framed (`msg.head`), else framing it
+    here.  Malformed input is dropped as `malformed_http:<what>`, and `msg`
+    is otherwise untouched.  It reads no table."""
     # a head is used once, so a parsed message holds no header fields twice
     head, msg.head = msg.head, None
     try:
@@ -69,7 +80,6 @@ def http_parse(msg: Message) -> Message:
             msg.payload, head)
     except MalformedHttp as exc:
         msg.set_verdict(_DROP, f"malformed_http:{exc}")
-    return msg
 
 
 def frame_http(data: bytes) -> Optional[tuple]:
@@ -229,10 +239,15 @@ def parse_request(data: bytes, head: Optional[tuple] = None) -> tuple:
     return parts[0], parts[1], host, body_at
 
 
-def http_deparse(msg: Message) -> bytes:
-    """The request bytes for the bound queue: the message exactly as it
-    arrived."""
-    return msg.payload
+def http_deparse(msg: Message, ctx: dict, snaps: dict):
+    """The deparser's step: a message the router bound to a queue is
+    delivered as its bytes exactly as they arrived, `msg.payload`
+    untouched; one no router bound is dropped as `no_queue`.  It reads no
+    table."""
+    if msg.queue is None:
+        msg.set_verdict(_DROP, "no_queue")
+    else:
+        msg.set_verdict(_DELIVER, "deparsed")
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +287,18 @@ class FilterRule:
 # Enum members read per message, bound once: a member read is an
 # attribute lookup through the Enum's metaclass
 _DENY = Decision.DENY
-_DROP, _CONTINUE = Verdict.DROP, Verdict.CONTINUE
+_DROP, _DELIVER = Verdict.DROP, Verdict.DELIVER
 
 
-def filter_apply(msg: Message, rules) -> Verdict:
-    """First matching rule decides; a request no rule matches is allowed."""
-    for rule in rules:
+def filter_apply(msg: Message, ctx: dict, snaps: dict):
+    """The filter's step, over the rules `snaps["filters"]["rules"]`: the
+    first rule that matches decides, and a DENY drops the message as
+    `filter`; a request no rule matches is allowed."""
+    for rule in snaps["filters"].get("rules", ()):
         if rule.matches(msg):
             if rule.decision is _DENY:
-                return _DROP
-            break
-    return _CONTINUE
+                msg.set_verdict(_DROP, "filter")
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +309,22 @@ class MatchKind(Enum):
     PREFIX = "prefix"
 
 
-_EXACT = MatchKind.EXACT
-
-
 @dataclass(frozen=True)
 class PathMatcher:
+    """The one path rule: `matches(path)` is whether `path` equals the
+    pattern (EXACT) or starts with it (PREFIX).  It is bound once, here, to
+    a C callable, so a match costs the router no Python frame."""
+
     kind: MatchKind
     pattern: bytes
 
     def __post_init__(self):
         if not self.pattern:
             raise ValueError("empty path pattern")
-
-    def matches(self, path: bytes) -> bool:
-        if self.kind is _EXACT:
-            return path == self.pattern
-        return path.startswith(self.pattern)
+        object.__setattr__(
+            self, "matches",
+            partial(operator.eq, self.pattern) if self.kind is MatchKind.EXACT
+            else operator.methodcaller("startswith", self.pattern))
 
 
 @dataclass(frozen=True)
@@ -400,41 +416,50 @@ class QueueTable:
 
 
 def route(
-    msg: Message,
-    listeners: dict,
-    routes: dict,
     queues: QueueTable,
-    clusters: dict,
     lb: dict,
     connector: Callable,
+    msg: Message,
+    ctx: dict,
+    snaps: dict,
 ) -> Optional[Endpoint]:
-    """HTTP routing: listener hash lookup, path match, queue lookup with
+    """The router's step, once `functools.partial` has bound its first
+    three arguments: listener hash lookup, path match, queue lookup with
     lazy connection establishment.  Returns the endpoint load balancing
-    picked and connected to, or None when the flow's queue was found or no
-    connection was opened.
+    picked and connected to, counted `load_balance_calls` and
+    `endpoint.<id>` in `ctx`, or None when the flow's queue was found or
+    no connection was opened.  It reads its tables from `snaps`:
 
-    listeners: (dip, dport) -> listener name
-    routes:    (dip, dport) -> list[RouteRule]
-    clusters:  cluster ref -> Cluster
-    lb:        cluster ref -> LbState
-    connector: (endpoint, msg, state) -> queue id, on a queue miss
+    snaps["listeners"]: (dip, dport) -> listener name
+    snaps["routes"]:    (dip, dport) -> list[RouteRule], in priority order
+    snaps["clusters"]:  cluster ref -> Cluster
+    lb:                 cluster ref -> LbState
+    connector:          (endpoint, msg, state) -> queue id, on a queue miss
 
     A message is bound to one queue: routing one already bound to another
     raises ValueError.
     """
     flow = msg.flow
     lkey = (flow.dip, flow.dport)
-    if lkey not in listeners:
+    if lkey not in snaps["listeners"]:
         msg.set_verdict(_DROP, "no_listener")
         return None
-    rule = _match_route(routes.get(lkey, ()), msg.url_path)
-    if rule is None:
+    # the first rule with a path matcher that matches
+    path = msg.url_path
+    for rule in snaps["routes"].get(lkey, ()):
+        for matcher in rule.path_matchers:
+            if matcher.matches(path):
+                break
+        else:
+            continue
+        break
+    else:
         msg.set_verdict(_DROP, "no_route")
         return None
     queue_id = queues.lookup(flow)
     endpoint = None
     if queue_id is None:
-        cluster = clusters.get(rule.cluster)
+        cluster = snaps["clusters"].get(rule.cluster)
         if cluster is None:
             msg.set_verdict(_DROP, f"unknown_cluster:{rule.cluster}")
             return None
@@ -454,12 +479,7 @@ def route(
     if msg.queue is not None and msg.queue != queue_id:
         raise ValueError(f"message of {flow} already bound to queue {msg.queue}")
     msg.queue = queue_id
+    if endpoint is not None:
+        ctx["load_balance_calls"] += 1
+        ctx[f"endpoint.{endpoint.id}"] += 1
     return endpoint
-
-
-def _match_route(rules, path: bytes):
-    for rule in rules:
-        for matcher in rule.path_matchers:
-            if matcher.matches(path):
-                return rule
-    return None

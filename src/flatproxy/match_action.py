@@ -1,16 +1,20 @@
 """Extended match-action engine.
 
-A processing module (PPM) is its steps, `step(msg, ctx, snaps)`, run in
-order on one `core.Message`: its parser first, if it has one, then the
-steps that match and act.  The paper's <parser, (match, action)*> is
-written as consecutive PPMs, as filter -> router -> http_deparser are, and
-a PPM matches inside its own step, against the traversal's snapshot of its
-tables.  A chain is an ordered list of PPM ids, none repeated; its
-compiled form is the concatenation of their steps.  One function,
-`traverse`, runs every step tuple -- a chain's and a PPM applied on its own
--- and stops after any step that leaves a terminal verdict; it records
-nothing.  A step's `ctx` is its path's one counter dict, a
-`collections.defaultdict(int)` it counts in with `ctx[name] += 1`.
+A processing module (PPM) is its steps, run in order on one
+`core.Message`: its parser first, if it has one, then the steps that match
+and act.  The paper's <parser, (match, action)*> is written as consecutive
+PPMs, as filter -> router -> http_deparser are, and a PPM matches inside
+its own step.  A step is any callable `step(msg, ctx, snaps)`; each
+standard L7 PPM's one step is its `l7` function itself.  `msg` is the
+message, which the step reads and sets, its verdict through the monotone
+`set_verdict`; `ctx` is its path's one counter dict, a
+`collections.defaultdict(int)` it counts in with `ctx[name] += 1`; and
+`snaps` is the traversal's snapshot, which maps the name of each table the
+chain reads to that table's published entries.  A chain is an ordered
+list of PPM ids, none repeated; its compiled form is the concatenation of
+their steps.  `ExecutableChain.execute` holds the one step loop -- a PPM
+applied on its own runs through it as a one-PPM chain -- and stops after
+any step that leaves a terminal verdict; it records nothing.
 
 A traversal runs on one snapshot of every table its chain reads, a dict
 taken at its start that nothing changes.  A rule table is published
@@ -92,30 +96,19 @@ class MatchTable:
 
 class Ppm:
     """Protocol processing module: its `steps`, parser first, and the
-    `tables` they read.  A step that matches reads its table through the
-    traversal's snapshot, `snaps[table.name].entries`, and acts on what it
-    finds in the same step."""
+    `tables` they read.  A step that matches reads its table's entries
+    through the traversal's snapshot, `snaps[table.name]`, and acts on
+    what it finds in the same step."""
 
     def __init__(self, id: str, steps=(), tables=()):
         self.id = id
         self.steps = tuple(steps)
         self.tables = tuple(tables)
 
-    def apply(self, msg: Message, ctx: dict, snaps: dict = None):
-        """Traverse this PPM alone, as a one-PPM chain, by default on a
-        snapshot of its own tables."""
-        if snaps is None:
-            snaps = {t.name: t.current for t in self.tables}
-        traverse(self.steps, msg, ctx, snaps)
-
-
-def traverse(steps, msg: Message, ctx: dict, snaps: dict):
-    """Run `msg` through `steps`, on the table snapshots `snaps`,
-    stopping after any step that leaves a terminal verdict."""
-    for step in steps:
-        step(msg, ctx, snaps)
-        if msg.verdict is not _CONTINUE:
-            return
+    def apply(self, msg: Message, ctx: dict):
+        """Run this PPM alone, as a one-PPM chain, on a snapshot of its
+        own tables."""
+        ExecutableChain([self.id], {self.id: self}).execute(msg, ctx)
 
 
 class ExecutableChain:
@@ -132,15 +125,20 @@ class ExecutableChain:
         self._taken_at = -1  # the publish count `_snaps` was taken at
 
     def execute(self, msg: Message, ctx: dict):
-        """Traverse the chain on one snapshot of every table it reads,
-        taken again only when a table has published since the last one;
-        returns the message."""
+        """Run `msg` through the chain's steps, on one snapshot of every
+        table it reads -- taken again only when a table has published since
+        the last one -- stopping after any step that leaves a terminal
+        verdict; returns the message."""
         snaps = self._snaps
         if self._taken_at != _published:
             self._taken_at = _published
             # a new dict: a traversal still running keeps the one it began
-            snaps = self._snaps = {t.name: t.current for t in self._tables}
-        traverse(self.steps, msg, ctx, snaps)
+            snaps = self._snaps = {
+                t.name: t.current.entries for t in self._tables}
+        for step in self.steps:
+            step(msg, ctx, snaps)
+            if msg.verdict is not _CONTINUE:
+                break
         return msg
 
 

@@ -5,6 +5,7 @@ import random
 import socket
 import threading
 import time
+from collections import defaultdict
 from contextlib import contextmanager
 
 import pytest
@@ -227,6 +228,8 @@ def test_criterion_06_routing_oracle(announce):
             counter = itertools.count(1)
             queues = QueueTable()
             lb = {ref_: LbState() for ref_ in clusters}
+            snaps = {"listeners": listeners, "routes": routes,
+                     "clusters": clusters}
             ref = _RefRouter(
                 list(listeners.items()),
                 all_rules,
@@ -244,9 +247,9 @@ def test_criterion_06_routing_oracle(announce):
                 msg = Message(flow, make_request(path))
                 from flatproxy.l7 import http_parse
 
-                http_parse(msg)
-                got = route(msg, listeners, routes, queues, clusters, lb,
-                            connector=lambda ep, m, state: next(counter))
+                http_parse(msg, {}, {})
+                got = route(queues, lb, lambda ep, m, state: next(counter),
+                            msg, defaultdict(int), snaps)
                 verdict, reason, qid, eid, lb_called = ref.route(flow, path)
                 assert msg.verdict.value == verdict, (flow, path)
                 if reason is not None:

@@ -160,13 +160,16 @@ def test_queue_binding_stable():
         RouteRule(lkey, (PathMatcher(MatchKind.PREFIX, b"/"),), "c"),)}
     queues = QueueTable()
     queues.bind(flow, 7)
-    msg = http_parse(Message(flow, b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"))
-    route(msg, listeners, routes, queues, {}, {}, None)
-    route(msg, listeners, routes, queues, {}, {}, None)
+    msg = Message(flow, b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+    http_parse(msg, {}, {})
+    snaps = {"listeners": listeners, "routes": routes, "clusters": {}}
+    ctx = {}
+    route(queues, {}, None, msg, ctx, snaps)
+    route(queues, {}, None, msg, ctx, snaps)
     assert msg.queue == 7
     msg.queue = 8
     with pytest.raises(ValueError):
-        route(msg, listeners, routes, queues, {}, {}, None)
+        route(queues, {}, None, msg, ctx, snaps)
 
 
 def test_endpoint_weight_validation():

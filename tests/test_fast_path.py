@@ -1,5 +1,6 @@
 import random
-from collections import defaultdict
+import sys
+from collections import Counter, defaultdict
 from unittest import mock
 
 import pytest
@@ -149,6 +150,122 @@ def test_toe_reorder_overflow_raises(monkeypatch):
         toe.deliver(seg(b"x", 100))
 
 
+def _post49():
+    raw = make_request(b"/a", method=b"POST", body=b"h")
+    assert len(raw) == 49
+    return raw
+
+
+def test_toe_overlapping_segment_delivers_its_new_bytes():
+    """A segment that starts behind `next_seq` but ends past it, such as a
+    retransmission cut at other boundaries, goes on as its bytes past
+    `next_seq`; one that ends at or before `next_seq` is a duplicate."""
+    raw = _post49()
+    toe = ToeEngine()
+    flow = make_flow()
+    toe.open(flow)
+    assert toe.deliver(seg(raw[:20], 0)) == ()
+    for seq, end in ((0, 20), (10, 20), (5, 15)):
+        with pytest.raises(OutOfWindow, match="duplicate"):
+            toe.deliver(seg(raw[seq:end], seq))
+    msgs = toe.deliver(seg(raw[10:], 10))
+    assert [m.payload for m in msgs] == [raw]
+    assert toe.connections[flow].next_seq == 49
+
+
+def test_toe_drops_held_segments_the_stream_has_passed():
+    """Draining takes off every held segment the stream has reached: one
+    that ends at or before `next_seq` is dropped, and one that straddles
+    it goes on as its bytes past it, so no slot stays held behind the
+    stream."""
+    raw = _post49()
+    toe = ToeEngine()
+    flow = make_flow()
+    toe.open(flow)
+    assert toe.deliver(seg(raw[30:], 30)) == ()
+    assert toe.deliver(seg(raw[25:], 25)) == ()
+    msgs = toe.deliver(seg(raw[:25], 0))
+    assert [m.payload for m in msgs] == [raw]
+    conn = toe.connections[flow]
+    assert conn.reorder == {} and conn.next_seq == 49
+    # held behind a segment that overlaps them: trimmed, or dropped whole
+    toe.open(flow2 := make_flow(sport=40999))
+    for seq, end in ((30, 40), (35, 49), (20, 28)):
+        assert toe.deliver(seg(raw[seq:end], seq, flow=flow2)) == ()
+    msgs = toe.deliver(seg(raw[:32], 0, flow=flow2))
+    assert [m.payload for m in msgs] == [raw]
+    conn = toe.connections[flow2]
+    assert conn.reorder == {} and conn.next_seq == 49
+
+
+def test_toe_longer_segment_replaces_a_held_one_at_its_seq():
+    """A segment ahead of `next_seq` at the seq of a held one is a
+    duplicate unless it is longer: then it is held instead, so its bytes
+    past the shorter one are not lost."""
+    raw = _post49()
+    toe = ToeEngine()
+    flow = make_flow()
+    toe.open(flow)
+    assert toe.deliver(seg(raw[30:35], 30)) == ()
+    with pytest.raises(OutOfWindow, match="duplicate"):
+        toe.deliver(seg(raw[30:33], 30))
+    assert toe.deliver(seg(raw[30:], 30)) == ()
+    msgs = toe.deliver(seg(raw[:30], 0))
+    assert [m.payload for m in msgs] == [raw]
+    assert toe.connections[flow].reorder == {}
+
+
+@st.composite
+def segmented_streams(draw):
+    """A pipelined stream of requests, and segments of it to send in
+    order: a segmentation of the whole stream, segments over random byte
+    ranges that overlap it, and copies of some of its segments, shuffled,
+    fewer than REORDER_BUFFER_SEGMENTS in all."""
+    sizes = draw(st.lists(st.integers(0, 120), min_size=1, max_size=4))
+    raws = [make_request(b"/svc/m%d" % i, method=b"POST" if n else b"GET",
+                         body=bytes(range(n)))
+            for i, n in enumerate(sizes)]
+    stream = b"".join(raws)
+    n = len(stream)
+    cuts = sorted(set(draw(st.lists(st.integers(1, n - 1), max_size=12))))
+    bounds = [0, *cuts, n]
+    segs = [(a, b) for a, b in zip(bounds, bounds[1:])]
+    segs += [(a, min(n, a + length)) for a, length in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(1, n)), max_size=10))]
+    segs += draw(st.lists(st.sampled_from(segs[:len(bounds) - 1]),
+                          max_size=5))
+    order = draw(st.permutations(segs))
+    return raws, [(a, stream[a:b]) for a, b in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(segmented_streams())
+def test_toe_any_segmentation_delivers_each_message_once(case):
+    """Whatever the segmentation, overlaps, duplicates and order (within
+    the reorder buffer), each message reaches the service once, in order
+    and byte-exact, the reorder buffer ends empty, and each frame is
+    counted under exactly one outcome."""
+    raws, segments = case
+    assert len(segments) < fast_path.REORDER_BUFFER_SEGMENTS
+    rt = MeshRuntime(config=load_config(config_text()))
+    flow = make_flow(sport=40777)
+    for seq, chunk in segments:
+        rt.fast_path.ingress(frame(chunk, flow=flow, seq=seq))
+    qid = rt.queue_table.lookup(flow)
+    q, stub = rt.vqs[qid], rt.stubs[qid]
+    got = []
+    while (data := q.stub_fetch(stub)) is not None:
+        got.append(data)
+    assert got == raws
+    conn = rt.fast_path.toe.connections[flow]
+    assert conn.reorder == {} and conn.next_seq == sum(map(len, raws))
+    c = rt.fast_path.counters()
+    assert c["ingress"] == c.get("egress", 0) + c.get("buffered", 0) + c.get(
+        "dropped", 0) == len(segments)
+    assert c["msg_egress"] == c["msg_submitted"] == len(raws)
+    rt.shutdown()
+
+
 def test_toe_randomized_permutations_reassemble_exactly():
     rng = random.Random(7)
     for trial in range(30):
@@ -178,7 +295,7 @@ def test_toe_bad_content_length_keeps_stream_framed():
     good = make_request(b"/svc/b", body=b"zz")
     msgs = toe.deliver(seg(bad + good, 0))
     assert [m.payload for m in msgs] == [bad, good]
-    http_parse(msgs[0])
+    http_parse(msgs[0], {}, {})
     assert msgs[0].verdict is Verdict.DROP
     assert msgs[0].verdict_reason == "malformed_http:bad content-length"
 
@@ -529,21 +646,30 @@ def test_unchanged_reload_keeps_the_snapshot(runtime):
                              "http_deparser"])
     flow = make_flow(sport=48020)
     ctx = defaultdict(int)
+    tables = {t.name: t for t in (
+        runtime.listener_table, runtime.filter_table, runtime.route_table,
+        runtime.cluster_table)}
     chain.execute(make_message(make_request(b"/svc/a"), flow=flow), ctx)
     epochs = runtime.stats_snapshot()["table_epochs"]
+    versions = {n: t.current for n, t in tables.items()}
+    assert {n: v.epoch for n, v in versions.items()} == epochs
     assert runtime.distribute(load_config(config_text())) == epochs
     chain.execute(make_message(make_request(b"/svc/a"), flow=flow),
                   ctx)
     assert seen[1] is seen[0]
-    assert {n: s.epoch for n, s in seen[1].items()} == epochs
+    # the snapshot holds each table's entries of the versions at `epochs`
+    assert seen[1] == {n: v.entries for n, v in versions.items()}
+    assert all(seen[1][n] is v.entries for n, v in versions.items())
     after = runtime.distribute(
         load_config(config_text().replace("/admin", "/svc/b")))
     assert after == dict(epochs, filters=epochs["filters"] + 1)
     chain.execute(make_message(make_request(b"/svc/a"), flow=flow),
                   ctx)
     assert seen[2] is not seen[1]
-    assert {n: s.epoch for n, s in seen[2].items()} == after
-    assert seen[1]["filters"].epoch == epochs["filters"]
+    assert {n: t.epoch for n, t in tables.items()} == after
+    assert all(seen[2][n] is t.current.entries for n, t in tables.items())
+    assert seen[1]["filters"] is versions["filters"].entries
+    assert seen[2]["filters"] is not seen[1]["filters"]
 
 
 # -- compiled chain against each PPM applied in turn -------------------------
@@ -563,7 +689,7 @@ def hand_built_ppms():
             ctx["tag.marked"] += 1
 
     def gate(unit, ctx, snaps):
-        if snaps["methods"].entries.get(unit.method) == "deny":
+        if snaps["methods"].get(unit.method) == "deny":
             ctx["gate.denied"] += 1
             unit.set_verdict(Verdict.DROP, "method")
 
@@ -632,13 +758,17 @@ def test_chain_without_router_hands_the_message_to_the_slow_path():
 # -- hot path ----------------------------------------------------------------
 
 def test_standard_chain_is_one_flat_step_list(runtime):
-    """`toe` has no step and each L7 PPM one, so a message runs through
-    four steps."""
+    """`toe` has no step and each L7 PPM one, its `l7` function itself, so
+    a message runs through four steps and no adapter frame."""
     assert runtime.registry["toe"].steps == ()
     assert runtime.chain.steps == tuple(
         step for pid in ("http_parser", "filter", "router", "http_deparser")
         for step in runtime.registry[pid].steps)
-    assert len(runtime.chain.steps) == 4
+    parse, filter_, route, deparse = runtime.chain.steps
+    assert (parse, filter_, deparse) == (
+        l7.http_parse, l7.filter_apply, l7.http_deparse)
+    assert route.func is l7.route and not route.keywords
+    assert route.args == (runtime.queue_table, runtime.lb, runtime._connect)
 
 
 def test_hot_path_bypasses_ppm_apply(runtime, monkeypatch):
@@ -662,6 +792,40 @@ def test_hot_path_bypasses_ppm_apply(runtime, monkeypatch):
     qid = runtime.queue_table.lookup(flow)
     q, stub = runtime.vqs[qid], runtime.stubs[qid]
     assert [q.stub_fetch(stub) for _ in range(3)] == [first, second, third]
+
+
+KEEPALIVE_CALL_BUDGET = 16
+
+
+def test_keepalive_get_call_budget(runtime):
+    """A keep-alive GET of an open flow makes at most
+    KEEPALIVE_CALL_BUDGET Python-level calls through `FastPath.ingress`,
+    its VQ egress included, counted as `sys.setprofile` "call" events: one
+    frame per layer and per L7 step, so an adapter layer added between
+    them fails here."""
+    flow = make_flow(sport=48650)
+    raw = make_request(b"/svc/b")
+    ingress = runtime.fast_path.ingress
+    qid = None
+    calls = Counter()
+
+    def count(frame_, event, arg):
+        if event == "call":
+            calls[frame_.f_code.co_qualname] += 1
+
+    n = 50
+    for i in range(n + 3):
+        unit = frame(raw, flow=flow, seq=i * len(raw))
+        if i >= 3:  # once the flow is open and its queue bound
+            sys.setprofile(count)
+        try:
+            assert ingress(unit) == "l7"
+        finally:
+            sys.setprofile(None)
+        qid = runtime.queue_table.lookup(flow)
+        assert runtime.vqs[qid].stub_fetch(runtime.stubs[qid]) == raw
+    assert sum(calls.values()) <= KEEPALIVE_CALL_BUDGET * n, {
+        name: c / n for name, c in calls.most_common()}
 
 
 # -- classification ----------------------------------------------------------

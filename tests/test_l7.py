@@ -1,4 +1,5 @@
 import itertools
+from collections import defaultdict
 from unittest import mock
 
 import pytest
@@ -38,7 +39,25 @@ def make_endpoint(i, weight=1, healthy=True):
 
 
 def parsed_message(payload, flow=None):
-    return http_parse(Message(flow or make_flow(), payload))
+    msg = Message(flow or make_flow(), payload)
+    http_parse(msg, {}, {})
+    return msg
+
+
+def deparsed(msg, queue=1):
+    """The bytes the deparser's step delivers for `msg`, bound to `queue`."""
+    msg.queue = queue
+    http_deparse(msg, {}, {})
+    assert msg.verdict is Verdict.DELIVER and msg.verdict_reason == "deparsed"
+    return msg.payload
+
+
+def filtered(msg, rules):
+    """The verdict the filter's step leaves on `msg` under `rules`."""
+    filter_apply(msg, {}, {"filters": {"rules": tuple(rules)}})
+    assert msg.verdict_reason == (
+        "filter" if msg.verdict is Verdict.DROP else None)
+    return msg.verdict
 
 
 # -- parse / deparse ---------------------------------------------------------
@@ -252,7 +271,8 @@ def _read(frame, parse, data):
 
 def _one_pass_parse(data, head):
     fields = parse_request(data, head)
-    msg = http_parse(Message(make_flow(), data, head))
+    msg = Message(make_flow(), data, head)
+    http_parse(msg, {}, {})
     assert msg.payload is data
     assert (msg.method, msg.url_path, msg.host, msg.body_at) == fields
     return fields
@@ -313,7 +333,7 @@ def test_parse_malformed_goes_to_slow_path_not_exception():
     """Malformed input is a verdict, not an exception: the slow path takes
     first packets only, so the parser drops it as `malformed_http`."""
     unit = Message(make_flow(), b"junk")
-    http_parse(unit)
+    http_parse(unit, {}, {})
     assert unit.verdict is Verdict.DROP
     assert unit.verdict_reason.startswith("malformed_http")
     assert unit.method is None
@@ -323,7 +343,7 @@ def test_deparse_roundtrip_exact():
     raw = make_request(b"/svc/a", host=b"api", body=b"hello",
                        extra_headers=(b"X-Trace: abc",))
     msg = parsed_message(raw)
-    assert http_deparse(msg) == raw
+    assert deparsed(msg) == raw
 
 
 _token = st.binary(min_size=1, max_size=12).filter(
@@ -345,7 +365,7 @@ def test_parse_deparse_roundtrip_property(path, headers, body):
     raw = b"\r\n".join(lines) + b"\r\n\r\n" + body
     msg = parsed_message(raw)
     assert msg.verdict is Verdict.CONTINUE
-    assert http_deparse(msg) == raw
+    assert deparsed(msg) == raw
 
 
 @pytest.mark.parametrize("length", [b"Content-Length:5",
@@ -354,20 +374,20 @@ def test_deparse_forwards_the_message_untouched(length):
     raw = b"POST /svc/a HTTP/1.1\r\nHost: api\r\n" + length + b"\r\n\r\nhello"
     msg = parsed_message(raw)
     assert msg.verdict is Verdict.CONTINUE
-    assert http_deparse(msg) is raw
+    assert deparsed(msg) is raw
 
 
 # -- filtering ---------------------------------------------------------------
 
 def test_filter_first_match_wins():
-    msg = parsed_message(make_request(b"/admin/x"))
+    raw = make_request(b"/admin/x")
     rules = [
         FilterRule(decision=Decision.DENY, path_prefix=b"/admin"),
         FilterRule(decision=Decision.ALLOW),
     ]
-    assert filter_apply(msg, rules) is Verdict.DROP
+    assert filtered(parsed_message(raw), rules) is Verdict.DROP
     # same rules reversed: allow wins first
-    assert filter_apply(msg, list(reversed(rules))) is Verdict.CONTINUE
+    assert filtered(parsed_message(raw), reversed(rules)) is Verdict.CONTINUE
 
 
 def test_filter_predicates_are_conjunctive():
@@ -388,9 +408,9 @@ def test_filter_no_rules_goes_slow_path():
     """The slow path takes first packets only: a request no rule matches,
     which it once took, is allowed by the filter itself."""
     msg = parsed_message(make_request())
-    assert filter_apply(msg, []) is Verdict.CONTINUE
+    assert filtered(msg, []) is Verdict.CONTINUE
     deny_admin = [FilterRule(decision=Decision.DENY, path_prefix=b"/admin")]
-    assert filter_apply(msg, deny_admin) is Verdict.CONTINUE
+    assert filtered(msg, deny_admin) is Verdict.CONTINUE
 
 
 # -- load balancing ----------------------------------------------------------
@@ -500,7 +520,8 @@ def routed(path=b"/svc/a", flow=None, env=None, connector=None):
     listeners, routes, queues, clusters, lb = env
     msg = parsed_message(make_request(path), flow=flow or make_flow())
     connector = connector or (lambda ep, m, state: next(_queue_ids))
-    return route(msg, listeners, routes, queues, clusters, lb, connector), msg
+    snaps = {"listeners": listeners, "routes": routes, "clusters": clusters}
+    return route(queues, lb, connector, msg, defaultdict(int), snaps), msg
 
 
 def test_route_happy_path_binds_queue():

@@ -39,7 +39,7 @@ def on_miss(t, step):
     snapshot of table `t` and runs `step` when it finds no entry."""
 
     def match(unit, ctx, snaps):
-        if unit.queue not in snaps[t.name].entries:
+        if unit.queue not in snaps[t.name]:
             step(unit, ctx, snaps)
 
     return match
@@ -136,7 +136,7 @@ def test_ppm_runs_matched_program():
     t.publish({7: "hit"}, WRITER)
 
     def match(unit, ctx, snaps):
-        if snaps[t.name].entries.get(unit.queue) == "hit":
+        if snaps[t.name].get(unit.queue) == "hit":
             ctx["hits"] += 1
 
     p = Ppm("p", steps=[match], tables=[t])

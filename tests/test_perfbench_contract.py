@@ -32,7 +32,9 @@ inproc.MeshRuntime = Runtime
 tracer = Tracer()
 install(tracer)
 rounds = {}
-SPANS = ("slow_path.handle", "fast_path.ingress", "fast_path.toe_deliver")
+SPANS = ("slow_path.handle", "fast_path.ingress", "fast_path.toe_deliver",
+         "match_action.chain_execute", "l7.http_parse", "l7.filter_apply",
+         "l7.route", "l7.http_deparse")
 for name in ("small_keepalive", "bulk_segmented"):
     before = {n: tracer.calls(n) for n in SPANS}
     rnd = inproc.GENERATORS[name](random.Random(1))
@@ -114,6 +116,12 @@ def test_perfbench_drives_the_program():
     assert out["probe"]["correct"]
     assert out["probe"]["lost_flows"] == 0
     assert all(n > 0 for n in out["calls"].values()), out["calls"]
+    # each standard L7 step runs under the name the tracer wraps: every
+    # message the chain saw was parsed, and the filter, router and
+    # deparser each saw no more messages than the step before them
+    r = out["rounds"]["small_keepalive"]
+    assert r["l7.http_parse"] == r["match_action.chain_execute"] > 0, r
+    assert r["l7.filter_apply"] >= r["l7.route"] >= r["l7.http_deparse"] > 0, r
 
 
 def test_perfbench_traces_the_simulator_sweep():
