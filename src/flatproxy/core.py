@@ -3,8 +3,10 @@
 Two things move through the proxy.  An L2 frame is a TrafficUnit carrying
 a Metadata descriptor, its flow and its verdict.  A framed HTTP message is
 one `Message`, which holds its bytes, its head, the request fields the
-parser reads from it, its queue and its verdict.  Each is owned by exactly
-one stage at a time; stages hand them off, they never share them.
+parser reads from it, its flow's record, its queue and its verdict.  Each
+is owned by exactly one stage at a time; stages hand them off, they never
+share them.  A flow's state is one `Conn` record, which the slow path
+builds in one step and every later frame and message of the flow reaches.
 
 A flow is named by its `FlowKey`, a tuple, so every table keyed by flow
 hashes and compares it in C.  A listener or an endpoint is named by a
@@ -112,20 +114,42 @@ class TrafficUnit:
     seq: int = 0  # TCP sequence offset of a FRAME's payload
 
 
+class Conn:
+    """One open flow's record, the whole of its state: the TOE's
+    `next_seq`, `reader` (an `l7.HttpReader`) and `reorder` buffer (seq ->
+    held payload); once the router has connected it, its `queue`, the
+    `endpoint` load balancing picked and the `l7.LbState` whose count it
+    holds there; and when it was `last_active`.  The slow path builds it
+    in one step, and `close_flow` releases all it holds."""
+
+    __slots__ = ("next_seq", "reader", "reorder", "queue", "endpoint", "lb",
+                 "last_active")
+
+    def __init__(self, reader, last_active: int = 0):
+        self.next_seq = 0
+        self.reader = reader
+        self.reorder = {}
+        self.queue = self.endpoint = self.lb = None
+        self.last_active = last_active
+
+
 class Message:
     """One framed HTTP message, one object: its flow and bytes, the head
     `l7.frame_http` read when it was framed (None for a block that could
-    not be), the request fields the parser sets -- `method` stays None
+    not be), its flow's `Conn` record, which the router reads the flow's
+    queue from, the request fields the parser sets -- `method` stays None
     until it has -- the queue the router binds, and its verdict.  It has
     no `__dict__`, so a misspelt field is an AttributeError."""
 
-    __slots__ = ("flow", "payload", "head", "method", "url_path", "host",
-                 "body_at", "queue", "verdict", "verdict_reason")
+    __slots__ = ("flow", "payload", "head", "conn", "method", "url_path",
+                 "host", "body_at", "queue", "verdict", "verdict_reason")
 
-    def __init__(self, flow: FlowKey, payload: bytes, head: tuple = None):
+    def __init__(self, flow: FlowKey, payload: bytes, head: tuple = None,
+                 conn: Conn = None):
         self.flow = flow
         self.payload = payload  # as it arrived, which the deparser forwards
         self.head = head
+        self.conn = conn
         self.method = None
         self.url_path = self.host = b""
         self.body_at = 0  # where the body starts in `payload`

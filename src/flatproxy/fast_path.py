@@ -1,19 +1,25 @@
 """Hierarchical data plane.
 
-A flow's TOE state is its classification.  `FastPath.ingress` looks each
-L2 frame's flow up in the ToeEngine once: a flow with TOE state has its
-frame reassembled as a TCP segment, and any other frame is a first packet,
-which the slow path's handoff takes in the same call.  The handoff opens
-the flow's state, if a listener takes the flow, and the frame goes on to
-reassembly as any other does; a first packet no listener takes is dropped
-as `no_listener`, counted where a refused segment is.  So each frame is
-one `ingress` call with one outcome, and `counters()` derives the
-`ingress` count from the outcomes.  A flow's TOE state is opened by the
-slow path and released by `close_flow`.  The ToeEngine feeds a flow's
-in-order bytes -- those of a segment that overlaps what was delivered
-included, past it -- to its `l7.HttpReader`, the one reader live mode uses
-too, which frames and joins each HTTP message once and hands it on with
-its head, read in one pass as soon as the header block is in; a segment
+A flow's record is its classification.  Each open flow has one
+`core.Conn` record, in the one map `ToeEngine.connections`, which is also
+the runtime's `conns`, and `FastPath.ingress` looks each L2 frame's flow
+up there once, through the map's bound `get`: the frame of a flow with a
+record is reassembled as a TCP segment, and any other frame is a first
+packet, which the slow path's handoff takes in the same call.  The handoff
+builds the flow's record, if a listener takes the flow, and the frame goes
+on to reassembly with it as any other does; a first packet no listener
+takes is dropped as `no_listener`, counted where a refused segment is.  So
+each frame is one `ingress` call with one outcome, and `counters()`
+derives the `ingress` count from the outcomes.  A record is built by the
+slow path and released by `close_flow`.  The frame's record goes to the
+ToeEngine with it, which keeps its TOE state there and hands the record on
+with each message it cuts, so no later step looks the flow's state up:
+egress only moves the record to the end of the activity order.  The
+ToeEngine feeds a flow's in-order bytes -- those of a segment that
+overlaps what was delivered included, past it -- to its record's
+`l7.HttpReader`, the one reader live mode uses too, which frames and
+joins each HTTP message once and hands it on with its head, read in one
+pass as soon as the header block is in; a segment
 that is exactly one whole message is framed and handed on as it came, and
 a block that cannot be framed is cut off and handed on alone, with no
 head.  Each message is one `core.Message`, which every L7 step reads and
@@ -32,20 +38,12 @@ and messages in order.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import OrderedDict, defaultdict
 from functools import partial
 from typing import Callable, Sequence
 
-from .core import FlowKey, Message, TrafficUnit, Verdict
-from .l7 import (
-    HttpReader,
-    QueueTable,
-    filter_apply,
-    http_deparse,
-    http_parse,
-    route,
-)
+from .core import Conn, FlowKey, Message, TrafficUnit, Verdict
+from .l7 import filter_apply, http_deparse, http_parse, route
 from .match_action import ExecutableChain, MatchTable, Ppm
 
 REORDER_BUFFER_SEGMENTS = 64
@@ -66,7 +64,6 @@ def standard_registry(
     filter_table: MatchTable,
     route_table: MatchTable,
     cluster_table: MatchTable,
-    queues: QueueTable,
     lb: dict,
     connector: Callable,
 ) -> dict:
@@ -74,9 +71,9 @@ def standard_registry(
     the `l7` steps read them from a traversal's snapshot: "listeners",
     "filters", "routes" and "clusters".  Each L7 PPM's one step is its
     `l7` function, looked up in this module's globals as the registry is
-    built; the router's binds its queue table, the live `lb` map (cluster
-    ref -> LbState) and `connector`.  The parser drops a malformed message
-    as `malformed_http` and the deparser one no router bound to a queue as
+    built; the router's binds the live `lb` map (cluster ref -> LbState)
+    and `connector`.  The parser drops a malformed message as
+    `malformed_http` and the deparser one no router bound to a queue as
     `no_queue`.  `toe` has no step, so each framed message passes it at no
     cost: reassembly lives in ToeEngine, which `FastPath.ingress` drives
     because one segment may yield zero or many messages."""
@@ -86,7 +83,7 @@ def standard_registry(
         "filter": Ppm("filter", steps=[filter_apply], tables=[filter_table]),
         "router": Ppm(
             "router",
-            steps=[partial(route, queues, lb, connector)],
+            steps=[partial(route, lb, connector)],
             tables=[listener_table, route_table, cluster_table]),
         "http_deparser": Ppm("http_deparser", steps=[http_deparse]),
     }
@@ -102,48 +99,33 @@ class OutOfWindow(Exception):
     reorder buffer."""
 
 
-@dataclass
-class _ToeConn:
-    """One flow's TOE state, released by `ToeEngine.close`."""
-
-    next_seq: int = 0
-    # the in-order bytes not yet delivered as messages
-    reader: HttpReader = field(default_factory=HttpReader)
-    reorder: dict = field(default_factory=dict)
-
-
 class ToeEngine:
     """In-order exactly-once byte delivery with HTTP message framing.
 
     Reliable by construction (no retransmit timers); a duplicate segment,
     and one past a full reorder buffer, is refused with `OutOfWindow`.
-    `connections` holds exactly the flows the fast path reassembles: the
-    slow path opens a flow's state (`open`) on its first frame, and
-    `close_flow` releases it.
+    `connections` maps each open flow to its `core.Conn` record, oldest
+    activity first: the slow path builds a flow's record on its first
+    frame, or as live mode accepts it, and `close_flow` releases it.  The
+    TOE keeps a flow's state in its record's `next_seq`, `reader` and
+    `reorder`, and reads no map itself: `deliver` is given the record.
     """
 
     def __init__(self):
-        self.connections: dict[FlowKey, _ToeConn] = {}
+        self.connections: OrderedDict[FlowKey, Conn] = OrderedDict()
 
-    def open(self, key: FlowKey):
-        self.connections.setdefault(key, _ToeConn())
-
-    def close(self, key: FlowKey):
-        self.connections.pop(key, None)
-
-    def deliver(self, seg: TrafficUnit) -> Sequence[Message]:
-        """Feed one frame of an opened flow, a TCP segment at `seg.seq`;
-        returns a list with a `Message` of the frame's flow for each
-        message its reader cut, in order, or `()` when it cut none -- a
-        block that cannot be framed with no head, so the parser drops it.
+    def deliver(self, seg: TrafficUnit, conn: Conn) -> Sequence[Message]:
+        """Feed one frame of an open flow, a TCP segment at `seg.seq`, to
+        the flow's record `conn`; returns a list with a `Message` of the
+        frame's flow and record for each message its reader cut, in order,
+        or `()` when it cut none -- a block that cannot be framed with no
+        head, so the parser drops it.
         A segment ahead of `next_seq` is held, unless one as long is held
         at its seq; a segment that starts behind `next_seq` but ends past
         it goes on as its bytes past `next_seq`.  An in-order segment goes
         to the reader, then the held segments it lets through: each held
         segment the stream has reached is taken off the buffer, and its
         bytes past `next_seq`, if any, go to the reader too."""
-        key = seg.meta.flow
-        conn = self.connections[key]
         payload = seg.payload
         if seg.seq != conn.next_seq:
             behind = conn.next_seq - seg.seq
@@ -172,9 +154,10 @@ class ToeEngine:
                     cut += conn.reader.take(chunk[behind:])
         if not cut:
             return ()
+        key = seg.meta.flow
         messages = []
         for data, head in cut:
-            messages.append(Message(key, data, head))
+            messages.append(Message(key, data, head, conn))
         return messages
 
 
@@ -203,8 +186,8 @@ class FastPath:
     TOE, or live mode's `message` calls), and one disposition.  It keeps
     nothing of a message: `counters()` is the record of what happened.
     `vq_egress(msg)` returns whether the message's queue took it;
-    `slow_path_handoff(frame)` takes each first packet and returns whether
-    it opened the frame's flow."""
+    `slow_path_handoff(frame)` takes each first packet and returns the
+    record it built for the frame's flow, or None."""
 
     def __init__(
         self,
@@ -219,6 +202,8 @@ class FastPath:
         self.ctx = defaultdict(int)
         self.chain = l7_chain
         self.toe = ToeEngine()
+        # the one flow-keyed lookup of a frame
+        self._conn_of = self.toe.connections.get
         self.slow_path_handoff = slow_path_handoff
         self.vq_egress = vq_egress
 
@@ -236,20 +221,22 @@ class FastPath:
 
     # ingress ---------------------------------------------------------------
     def ingress(self, unit: TrafficUnit) -> str:
-        """Classify one L2 frame by one lookup of its flow's TOE state: a
-        frame of a flow without any is a first packet, counted `slow_path`,
-        whose flow the slow path opens, or not, in this call; the frame of
-        an open flow is reassembled as a TCP segment.  Returns the frame's
-        outcome: 'l7' (messages went to the L7 chain), 'buffered' (none
-        completed yet) or 'dropped' (counted by reason), each counted once.
-        A frame is never delivered at L4."""
+        """Classify one L2 frame by one lookup of its flow's record: a
+        frame of a flow without one is a first packet, counted `slow_path`,
+        for whose flow the slow path builds one, or not, in this call; the
+        frame of an open flow is reassembled as a TCP segment, with its
+        record.  Returns the frame's outcome: 'l7' (messages went to the L7
+        chain), 'buffered' (none completed yet) or 'dropped' (counted by
+        reason), each counted once.  A frame is never delivered at L4."""
         ctx = self.ctx
-        if unit.meta.flow not in self.toe.connections:
+        conn = self._conn_of(unit.meta.flow)
+        if conn is None:
             ctx["slow_path"] += 1
-            if not self.slow_path_handoff(unit):
+            conn = self.slow_path_handoff(unit)
+            if conn is None:
                 return self._drop(unit, "no_listener")
         try:
-            messages = self.toe.deliver(unit)
+            messages = self.toe.deliver(unit, conn)
         except OutOfWindow as exc:
             return self._drop(unit, exc.args[0])
         for msg in messages:

@@ -22,9 +22,10 @@ per-flow reassembly, and in live mode each client, upstream and echo stub
 connection, use it.
 
 The router follows the hash-lookup routing flow: listener lookup on the
-(dip, dport) pair, path match, then a 4-tuple queue lookup; only a queue
-miss triggers load balancing and connection establishment, after which
-the flow is pinned to its queue for life.  A `Cluster` and its
+(dip, dport) pair, path match, then the queue of the flow's record, which
+the message carries, looked up by its 4-tuple once, as its frame came in;
+only a queue miss triggers load balancing and connection establishment,
+after which the flow is pinned to its queue for life.  A `Cluster` and its
 `Endpoint`s are frozen config, as the cluster table publishes them; what
 balancing changes is each cluster's `LbState`, which the runtime owns and
 keeps by endpoint address, so it outlives any reload that keeps the
@@ -39,7 +40,7 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Optional
 
-from .core import Endpoint, FlowKey, Message, Verdict
+from .core import Endpoint, Message, Verdict
 from .vq import MAX_DESCRIPTOR_BYTES
 
 
@@ -87,9 +88,10 @@ def frame_http(data: bytes) -> Optional[tuple]:
     and responses alike, in one pass over the header lines: once the header
     block of the message at the start of `data` is in, its head `(length,
     body_at, start_line, host, bad_line)` -- header block plus
-    Content-Length body, where the body starts, the start line, the last
-    Host (b'' if none) and the first line with no colon or no name (None if
-    none) -- else None.  The message is whole once `len(data)` reaches that
+    Content-Length body, where the body starts, the start line, the Host
+    (b'' if none) and the first line a request may not have (None if none):
+    one with no colon or no name, or a second Host line (RFC 9112 section
+    3.2) -- else None.  The message is whole once `len(data)` reaches that
     length.  Raises MalformedHttp, with `end` set, for a message over
     MAX_DESCRIPTOR_BYTES (or no header terminator within that many), a bad,
     over-long or conflicting Content-Length, or any Transfer-Encoding."""
@@ -102,15 +104,15 @@ def frame_http(data: bytes) -> Optional[tuple]:
             len(data))
     end = head_end + 4
     lines = data[:head_end].split(_CRLF)
-    length = None
-    host = b""
-    bad_line = None
+    length = host = bad_line = None
     for line in lines[1:]:
         name, colon, value = line.partition(b":")
         if (not colon or not name) and bad_line is None:
             bad_line = line
         name = name.strip().lower()
         if name == b"host":
+            if host is not None and bad_line is None:
+                bad_line = line
             host = value.strip()
         elif name == b"content-length":
             # a non-negative decimal; "+3", "-3" and "1_0" are not
@@ -132,7 +134,7 @@ def frame_http(data: bytes) -> Optional[tuple]:
     length = end + (length or 0)
     if length > MAX_DESCRIPTOR_BYTES:
         raise MalformedHttp(f"message exceeds {MAX_DESCRIPTOR_BYTES} bytes", end)
-    return length, end, lines[0], host, bad_line
+    return length, end, lines[0], host or b"", bad_line
 
 
 class HttpReader:
@@ -142,12 +144,13 @@ class HttpReader:
     their front waits in `need` until that many bytes are held.  A block
     `frame_http` refuses is cut off alone -- its header block, or all that
     is held when it has none -- and framing goes on after it, so the stream
-    stays framed and no caller sees `MalformedHttp`."""
+    stays framed and no caller sees `MalformedHttp`.  A new reader holds
+    nothing: it starts from these class defaults, with no Python
+    `__init__` to run."""
 
-    def __init__(self):
-        self.chunks = []
-        self.held = 0
-        self.need = None
+    chunks = ()
+    held = 0
+    need = None
 
     def take(self, data: bytes):
         """Add `data`, then return every whole message held, in order, as
@@ -167,12 +170,12 @@ class HttpReader:
             try:
                 head = frame_http(data)
             except MalformedHttp as exc:
-                self.chunks.append(data)
+                self.chunks = [data]
                 self.held = len(data)
                 return self._drain(None, [(self._cut(exc.end), None)])
             if head is not None and head[0] == len(data):
                 return ((data, head),)
-            self.chunks.append(data)
+            self.chunks = [data]
             self.held = len(data)
             if head is None or head[0] > len(data):
                 self.need = head
@@ -342,11 +345,18 @@ class LbPolicy(Enum):
 
 @dataclass(frozen=True)
 class Cluster:
-    """A cluster as configured: a plain value, published as it is."""
+    """A cluster as configured: a plain value, published as it is.
+    `selectable` is the endpoints that can be picked, by
+    `Endpoint.selectable`, found once as the cluster is built."""
 
     ref: str
     endpoints: tuple
     policy: LbPolicy = LbPolicy.ROUND_ROBIN
+    selectable: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "selectable", tuple(
+            e for e in self.endpoints if e.selectable))
 
 
 @dataclass
@@ -370,8 +380,9 @@ class LbState:
 
 
 def load_balance(cluster: Cluster, state: LbState) -> Endpoint:
-    """Pick the next endpoint under the cluster's policy."""
-    live = [e for e in cluster.endpoints if e.selectable]
+    """Pick the next endpoint under the cluster's policy, of those it can
+    pick."""
+    live = cluster.selectable
     if not live:
         raise NoHealthyEndpoint(cluster.ref)
     if cluster.policy is LbPolicy.ROUND_ROBIN:
@@ -395,28 +406,17 @@ def _smooth_wrr(state: LbState, live) -> Endpoint:
     return best
 
 
-class QueueTable:
-    """4-tuple flow -> virtualization queue binding; one queue per flow."""
+class QueueTable(dict):
+    """4-tuple flow -> the id of its virtualization queue, for each flow
+    connected: the runtime writes it as a flow connects and as it closes,
+    and no message step reads it.  `lookup` is its bound `dict.get`."""
 
     def __init__(self):
-        self._map = {}
-        self.lookup = self._map.get  # key -> queue id, or None
-
-    def bind(self, key: FlowKey, queue_id: int):
-        existing = self._map.get(key)
-        if existing is not None and existing != queue_id:
-            raise ValueError(f"flow {key} already bound to queue {existing}")
-        self._map[key] = queue_id
-
-    def remove(self, key: FlowKey):
-        self._map.pop(key, None)
-
-    def __len__(self):
-        return len(self._map)
+        super().__init__()
+        self.lookup = self.get  # key -> queue id, or None
 
 
 def route(
-    queues: QueueTable,
     lb: dict,
     connector: Callable,
     msg: Message,
@@ -424,20 +424,23 @@ def route(
     snaps: dict,
 ) -> Optional[Endpoint]:
     """The router's step, once `functools.partial` has bound its first
-    three arguments: listener hash lookup, path match, queue lookup with
-    lazy connection establishment.  Returns the endpoint load balancing
-    picked and connected to, counted `load_balance_calls` and
-    `endpoint.<id>` in `ctx`, or None when the flow's queue was found or
-    no connection was opened.  It reads its tables from `snaps`:
+    two arguments: listener hash lookup, path match, then the queue of the
+    flow's record, `msg.conn`, with lazy connection establishment.  Returns
+    the endpoint load balancing picked and connected to, counted
+    `load_balance_calls` and `endpoint.<id>` in `ctx`, or None when the
+    flow's queue was found or no connection was opened.  It reads its
+    tables from `snaps`:
 
     snaps["listeners"]: (dip, dport) -> listener name
     snaps["routes"]:    (dip, dport) -> list[RouteRule], in priority order
     snaps["clusters"]:  cluster ref -> Cluster
     lb:                 cluster ref -> LbState
-    connector:          (endpoint, msg, state) -> queue id, on a queue miss
+    connector:          (endpoint, msg) -> queue, on a queue miss
 
-    A message is bound to one queue: routing one already bound to another
-    raises ValueError.
+    A queue miss pins the record to the queue the connector returns, with
+    the endpoint and a count on it in the cluster's state, which
+    `close_flow` gives back.  A message is bound to one queue: routing one
+    already bound to another raises ValueError.
     """
     flow = msg.flow
     lkey = (flow.dip, flow.dport)
@@ -456,9 +459,10 @@ def route(
     else:
         msg.set_verdict(_DROP, "no_route")
         return None
-    queue_id = queues.lookup(flow)
+    conn = msg.conn
+    queue = conn.queue
     endpoint = None
-    if queue_id is None:
+    if queue is None:
         cluster = snaps["clusters"].get(rule.cluster)
         if cluster is None:
             msg.set_verdict(_DROP, f"unknown_cluster:{rule.cluster}")
@@ -470,15 +474,16 @@ def route(
             msg.set_verdict(_DROP, "no_healthy_endpoint")
             return None
         try:
-            queue_id = connector(endpoint, msg, state)
+            queue = connector(endpoint, msg)
         except ConnectFailure:
             # the round-robin cursor has moved on, as Envoy's does
             msg.set_verdict(_DROP, "connect_failure")
             return None
-        queues.bind(flow, queue_id)
-    if msg.queue is not None and msg.queue != queue_id:
+        conn.queue, conn.endpoint, conn.lb = queue, endpoint, state
+        state.open(endpoint)
+    if msg.queue is not None and msg.queue != queue:
         raise ValueError(f"message of {flow} already bound to queue {msg.queue}")
-    msg.queue = queue_id
+    msg.queue = queue
     if endpoint is not None:
         ctx["load_balance_calls"] += 1
         ctx[f"endpoint.{endpoint.id}"] += 1

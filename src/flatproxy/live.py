@@ -9,18 +9,20 @@ flow, with the `dip`/`dport` of the listener that accepted it.  Its
 requests go in order and with their heads to `FastPath.message` -- the
 entry `FastPath.ingress` runs each reassembled message through -- so live
 traffic shares the chain, counters and VQ egress, and only the loop
-thread ever runs them.  Accepting a connection opens no TOE state: each
-request arrives framed, and goes in as one `core.Message`, as the TOE's
-messages do.
+thread ever runs them.  Accepting a connection builds the flow's one
+record, `MeshRuntime.open_flow`, which the client holds and whose reader
+reads its requests; the kernel has reassembled them, so the TOE never
+does: each request arrives framed, and goes in as one `core.Message` with
+the record, as the TOE's messages do.
 
-A route's upstream connection is a LiveQueue in `runtime.vqs`; the flow's
-record holds it until the client goes and `close_flow` runs.  A client's
-requests pipeline upstream, and its replies keep a FIFO in request order,
-each entry either outstanding upstream or a local reply to a dropped
-request, with the status `http_status` gives its reason (400, 403, 404,
-502...), so per-flow FIFO holds by construction.  Each response relayed
-from upstream is counted `resp_egress`, and each 502 for a request a
-failed upstream left unanswered `upstream_failed`, in the fast path's
+A route's upstream connection is a LiveQueue, the record's queue, kept in
+`runtime.vqs`; the record holds it until the client goes and `close_flow`
+runs.  A client's requests pipeline upstream, and its replies keep a FIFO
+in request order, each entry either outstanding upstream or a local reply
+to a dropped request, with the status `http_status` gives its reason (400,
+403, 404, 502...), so per-flow FIFO holds by construction.  Each response
+relayed from upstream is counted `resp_egress`, and each 502 for a request
+a failed upstream left unanswered `upstream_failed`, in the fast path's
 counters.  A config reload is handed to the loop and applied between
 events.  A client that closes its side is closed at once and its flow
 released; replies still owed to it are dropped.
@@ -37,7 +39,7 @@ from collections import deque
 from concurrent.futures import Future
 from http import HTTPStatus
 
-from .core import FlowKey, Message, Verdict, int_to_ip4, ip4_to_int
+from .core import Conn, FlowKey, Message, Verdict, int_to_ip4, ip4_to_int
 from .fast_path import http_status
 from .l7 import ConnectFailure, HttpReader
 from .slow_path import MeshConfig, MeshRuntime
@@ -53,9 +55,9 @@ class _End:
     """A connected socket on the loop: the reader of what it sends, the
     bytes `out` not yet written to it, and whether the loop waits to."""
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, reader: HttpReader = None):
         self.sock = sock
-        self.reader = HttpReader()
+        self.reader = reader or HttpReader()
         self.out = bytearray()
         self.writing = False
 
@@ -206,16 +208,24 @@ class LiveQueue(_End):
 
 
 class _Client(_End):
-    """One accepted connection, one flow.  `replies` holds its replies in
-    request order -- None for a request outstanding upstream, the bytes of
-    a local reply that waits for the ones before it."""
+    """One accepted connection, one flow, and `conn`, the flow's record,
+    whose reader is the client's and whose queue is its upstream LiveQueue
+    once routed.  `replies` holds its replies in request order -- None for
+    a request outstanding upstream, the bytes of a local reply that waits
+    for the ones before it."""
 
-    def __init__(self, sock: socket.socket, flow: FlowKey):
-        super().__init__(sock)
+    def __init__(self, sock: socket.socket, flow: FlowKey, conn: Conn):
+        super().__init__(sock, conn.reader)
         self.flow = flow
+        self.conn = conn
         self.replies = deque()
-        self.upstream = None  # its LiveQueue, once routed
         self.closing = False  # takes no more requests; closed once answered
+
+    @property
+    def upstream(self):
+        """The record's queue while its socket is open, else None."""
+        up = self.conn.queue
+        return up if up is not None and up.sock.fileno() >= 0 else None
 
 
 class LiveProxy(_Loop):
@@ -248,7 +258,7 @@ class LiveProxy(_Loop):
         self.port = self.ports[config.listeners[0].name]
 
     # -- connection establishment toward endpoints -------------------------
-    def _connect(self, endpoint, msg: Message) -> int:
+    def _connect(self, endpoint, msg: Message) -> LiveQueue:
         """A blocking connect: loopback endpoints connect or refuse at once."""
         ip, port = endpoint.address
         try:
@@ -258,11 +268,9 @@ class LiveProxy(_Loop):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setblocking(False)
         lq = LiveQueue(sock)
-        self.runtime.vqs[lq.id] = lq
-        c = self._clients[msg.flow]
-        c.upstream = lq
-        self._sel.register(sock, _READ, (self._upstream_event, c))
-        return lq.id
+        self._sel.register(sock, _READ, (self._upstream_event,
+                                         self._clients[msg.flow]))
+        return lq
 
     # -- the loop ----------------------------------------------------------
     def _accept(self, listener, _mask):
@@ -270,7 +278,8 @@ class LiveProxy(_Loop):
         for sock, peer in _accepted(lsock):
             flow = FlowKey(sip=ip4_to_int(peer[0]), sport=peer[1],
                            dip=ldef.dip, dport=ldef.dport)
-            c = self._clients[flow] = _Client(sock, flow)
+            c = self._clients[flow] = _Client(
+                sock, flow, self.runtime.open_flow(flow))
             self._sel.register(sock, _READ, (self._client_event, c))
 
     def _client_event(self, c: _Client, mask):
@@ -294,7 +303,7 @@ class LiveProxy(_Loop):
             return
         message = self.runtime.fast_path.message
         for raw, head in c.reader.take(data):
-            msg = message(Message(c.flow, raw, head))
+            msg = message(Message(c.flow, raw, head, c.conn))
             if msg.verdict is _DELIVER:
                 c.replies.append(None)
             else:
@@ -341,11 +350,13 @@ class LiveProxy(_Loop):
         return True
 
     def _upstream_failed(self, c: _Client):
-        """The upstream closed or sent what cannot be relayed: each request
+        """The upstream closed or sent what cannot be relayed: it is closed,
+        though it stays the record's queue until `close_flow`, each request
         still outstanding on it gets a 502, counted `upstream_failed`, and
         `c` takes no more."""
-        self._sel.unregister(c.upstream.sock)
-        c.upstream = None
+        up = c.upstream
+        self._sel.unregister(up.sock)
+        up.close()
         ctx = self.runtime.fast_path.ctx
         for r in c.replies:
             if r is None:
@@ -376,8 +387,9 @@ class LiveProxy(_Loop):
         del self._clients[c.flow]
         self._sel.unregister(c.sock)
         c.sock.close()
-        if c.upstream is not None:
-            self._sel.unregister(c.upstream.sock)
+        up = c.upstream
+        if up is not None:
+            self._sel.unregister(up.sock)
         self.runtime.close_flow(c.flow)
 
     def _close_all(self):

@@ -14,16 +14,17 @@ Balancing state is not config: `MeshRuntime.lb` holds each cluster's
 cluster ref; a flow still open keeps its state through its record.
 
 The slow path handles first packets only, inside the fast path's
-`ingress` call: it opens the flow's TOE state, in O(1), which is what
-classifies the flow's later frames, and says whether it did; the fast path
-goes on with the frame and counts its outcome.  The slow path counts
-nothing of its own.  Every message the chain refuses is a drop
-that the fast path counts with its HTTP status.  A flow has a
-connection record exactly while it holds something -- TOE state, a queue
-or an LB count -- and `close_flow`, called on idle expiry and on a live
-client's disconnect, releases all of it.  Records are kept in order of
-last activity, so idle expiry visits only the flows it closes and the
-first one it keeps.
+`ingress` call: it builds the flow's one record, a `core.Conn`, in one
+step and in O(1), which is what classifies the flow's later frames, and
+returns it; the fast path goes on with the frame and counts its outcome.
+In live mode each accepted client's record is built as it is accepted.
+The slow path counts nothing of its own.  Every message the chain refuses
+is a drop that the fast path counts with its HTTP status.  The router
+fills in the record's queue, endpoint and LB count when the flow connects,
+and `close_flow`, called on idle expiry and on a live client's disconnect,
+releases all the record holds, in one place.  Records are kept in one
+map, `conns`, which is the TOE's, in order of last activity, so idle
+expiry visits only the flows it closes and the first one it keeps.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import yaml
 
 from .core import (
     BufferPool,
+    Conn,
     Endpoint,
     FlowKey,
     Message,
@@ -49,6 +51,7 @@ from .l7 import (
     Cluster,
     Decision,
     FilterRule,
+    HttpReader,
     LbPolicy,
     LbState,
     MatchKind,
@@ -259,21 +262,6 @@ def _parse_cluster(d) -> Cluster:
 
 
 # ---------------------------------------------------------------------------
-# Connection records
-
-@dataclass
-class ConnRecord:
-    """An open flow: the endpoint it was balanced to and the `LbState`
-    whose count it holds there (both None until it routes), and when it
-    was last active.  A record is in `MeshRuntime.conns` exactly while its
-    flow is open, in order of `last_active`; `close_flow` removes it."""
-
-    endpoint: Optional[Endpoint] = None
-    lb: Optional[LbState] = None
-    last_active: int = 0
-
-
-# ---------------------------------------------------------------------------
 # Runtime: tables + PPMs + fast path + control plane
 
 class MeshRuntime:
@@ -301,14 +289,10 @@ class MeshRuntime:
         self._connector = connector or self._default_connect
         self.registry = standard_registry(
             self.listener_table, self.filter_table, self.route_table,
-            self.cluster_table, self.queue_table, self.lb,
-            connector=self._connect,
+            self.cluster_table, self.lb, connector=self._connect,
         )
 
         self.config = config
-        # oldest activity first: a new record goes to the end, and so does
-        # a record on each egress
-        self.conns: OrderedDict[FlowKey, ConnRecord] = OrderedDict()
         self.vqs: dict[int, object] = {}  # vq id -> VirtQueue or LiveQueue
         self.stubs: dict[int, object] = {}
 
@@ -318,6 +302,9 @@ class MeshRuntime:
             slow_path_handoff=self.handle_slow_path,
             vq_egress=self._vq_egress,
         )
+        # flow -> its record, the TOE's very map, oldest activity first: a
+        # new record goes to the end, and so does a record on each egress
+        self.conns: OrderedDict[FlowKey, Conn] = self.fast_path.toe.connections
         if config is not None:
             self.distribute(config)
 
@@ -350,73 +337,65 @@ class MeshRuntime:
         return {t.name: t.publish(entries, writer=w) for w, t, entries in published}
 
     # -- connection management --------------------------------------------
-    def _record(self, key: FlowKey) -> ConnRecord:
-        """The flow's record, made active as of now if it has none; called
-        wherever a flow starts to hold something."""
-        rec = self.conns.get(key)
-        if rec is None:
-            rec = self.conns[key] = ConnRecord(last_active=self.clock())
-        return rec
+    def open_flow(self, key: FlowKey) -> Conn:
+        """Build `key`'s record in one step, active as of now, and keep it
+        in `conns`: a first packet's, and a live client's as it is
+        accepted."""
+        conn = self.conns[key] = Conn(HttpReader(), self.clock())
+        return conn
 
-    def _connect(self, endpoint: Endpoint, msg: Message, lb: LbState) -> int:
+    def _connect(self, endpoint: Endpoint, msg: Message):
         """The router's connector: the transport connector builds the
-        queue, then the flow's record takes the endpoint and a count on it
-        in its cluster's `lb`."""
-        qid = self._connector(endpoint, msg)
-        rec = self._record(msg.flow)
-        rec.endpoint, rec.lb = endpoint, lb
-        lb.open(endpoint)
-        return qid
+        queue, which is kept in `vqs` by its id and in the queue table by
+        the message's flow."""
+        q = self._connector(endpoint, msg)
+        self.vqs[q.id] = q
+        self.queue_table[msg.flow] = q.id
+        return q
 
-    def _default_connect(self, endpoint: Endpoint, msg: Message) -> int:
+    def _default_connect(self, endpoint: Endpoint, msg: Message) -> VirtQueue:
         """The in-process transport connector: a VirtQueue bound to a fresh
-        ServiceStub, registered in `vqs` and `stubs`."""
+        ServiceStub, which is kept in `stubs`."""
         stub = ServiceStub(tenant=f"svc:{endpoint.id}")
         q = VirtQueue(tenant=stub.tenant)
         q.bind(stub)
-        self.vqs[q.id] = q
         self.stubs[q.id] = stub
-        return q.id
+        return q
 
     def _vq_egress(self, msg: Message) -> bool:
-        """Deliver a message the router bound to a queue in `vqs`.  Never
+        """Deliver a message to the queue the router bound it to.  Never
         blocks: returns False when a full TX ring lost the message, which
         the fast path counts as `msg_dropped.ring_full`.  Egress is the
-        activity `expire_idle` measures a flow's idle time from: it moves
-        the flow's record to the end of `conns`."""
-        flow = msg.flow
-        rec = self.conns.get(flow)
-        if rec is not None:
-            rec.last_active = self.clock()
-            self.conns.move_to_end(flow)
+        activity `expire_idle` measures a flow's idle time from: it stamps
+        the message's record and moves it to the end of `conns`."""
+        msg.conn.last_active = self.clock()
+        self.conns.move_to_end(msg.flow)
         try:
-            self.vqs[msg.queue].tx_deliver(msg.payload)
+            msg.queue.tx_deliver(msg.payload)
         except RingFull:
             return False
         return True
 
     def close_flow(self, key: FlowKey):
-        """The one path that releases a flow: its record and the LB count
-        the record holds, queue binding, queue (closed), stub and TOE
-        state."""
-        rec = self.conns.pop(key, None)
-        if rec is not None and rec.endpoint is not None:
-            rec.lb.close(rec.endpoint)
-        qid = self.queue_table.lookup(key)
-        self.queue_table.remove(key)
-        q = self.vqs.pop(qid, None)
-        if q is not None:
-            q.close()
-        self.stubs.pop(qid, None)
-        self.fast_path.toe.close(key)
+        """The one path that releases a flow: its record, with its TOE
+        state, and what the record holds once connected -- the LB count,
+        the queue (closed), its stub and its queue table entry."""
+        conn = self.conns.pop(key, None)
+        if conn is None or conn.queue is None:
+            return
+        conn.lb.close(conn.endpoint)
+        q = conn.queue
+        q.close()
+        del self.vqs[q.id], self.queue_table[key]
+        self.stubs.pop(q.id, None)
 
     # -- slow path ---------------------------------------------------------
-    def handle_slow_path(self, unit: TrafficUnit) -> bool:
+    def handle_slow_path(self, unit: TrafficUnit) -> Optional[Conn]:
         """First packet of a flow, taken inside `FastPath.ingress`: to a
-        published listener, make the flow's record and open its TOE state,
-        which classifies its later frames, and return True, so the fast
-        path goes on to reassemble the frame; to any other, return False,
-        and the fast path drops it as `no_listener`.
+        published listener, build the flow's record, which classifies its
+        later frames, and return it, so the fast path goes on to reassemble
+        the frame; to any other, return None, and the fast path drops it as
+        `no_listener`.
 
         The TOE state opens at seq 0.  A flow that resumes after expiry, its
         first segment now at seq > 0, cannot be told from a first pair that
@@ -427,10 +406,8 @@ class MeshRuntime:
         """
         key = unit.meta.flow
         if (key.dip, key.dport) not in self.listener_table.current.entries:
-            return False
-        self._record(key)
-        self.fast_path.toe.open(key)
-        return True
+            return None
+        return self.open_flow(key)
 
     def expire_idle(self, now: int = None):
         """Close every flow idle for longer than IDLE_TIMEOUT_NS: the

@@ -5,16 +5,19 @@ standing in for DMA, and logical tenant isolation.  The TX path raises a
 single readiness event per delivered message and never touches a host
 doorbell; the RX path releases its ring slot only after the proxy fetch.
 Rings never block: a write to a full ring raises RingFull, and a read of
-an empty one returns None.  A ring is a `deque`, and each transfer checks
-state, stub and capacity in its own body: one Python call per transfer.
+an empty one returns None.  A ring is a `deque`, built with no Python
+`__init__` of its own, and its capacity is its queue's; each transfer
+checks state, stub and capacity in its own body: one Python call per
+transfer.  A stub's memory-block handles are named tuples, so a new queue
+and stub, which each new flow gets, cost a few constructions in all.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 DEFAULT_RING_CAPACITY = 256
 MAX_DESCRIPTOR_BYTES = 64 * 1024
@@ -50,22 +53,18 @@ _UNBOUND, _BOUND, _CLOSED = VqState.UNBOUND, VqState.BOUND, VqState.CLOSED
 
 
 class _Ring(deque):
-    """Bounded descriptor ring, oldest descriptor first: the queue appends
-    only below `capacity` and pops from the left."""
+    """Descriptor ring, oldest descriptor first: its queue appends only
+    below the queue's `capacity` and pops from the left.  It is a `deque`
+    with no Python `__init__` of its own."""
 
-    __slots__ = ("capacity",)
-
-    def __init__(self, capacity: int):
-        super().__init__()
-        self.capacity = capacity
+    __slots__ = ()
 
     @property
     def occupied(self) -> int:
         return len(self)
 
 
-@dataclass(frozen=True)
-class MemoryBlockAddr:
+class MemoryBlockAddr(NamedTuple):
     """Opaque handle for a socket-memory block, labelled with the tenant
     that owns it.  The handle checks nothing itself: access is checked at
     the queue, where `bind` refuses a stub of another tenant and every
@@ -100,8 +99,9 @@ class VirtQueue:
     def __init__(self, tenant: str, capacity: int = DEFAULT_RING_CAPACITY):
         self.id = next(_queue_ids)
         self.tenant = tenant
-        self.rx_ring = _Ring(capacity)  # service -> proxy
-        self.tx_ring = _Ring(capacity)  # proxy -> service
+        self.capacity = capacity  # of each ring
+        self.rx_ring = _Ring()  # service -> proxy
+        self.tx_ring = _Ring()  # proxy -> service
         self.bound_mem = None  # {"rx_addr": .., "tx_addr": ..}
         self.state = _UNBOUND
         self._stub = None
@@ -151,7 +151,7 @@ class VirtQueue:
         if len(data) > MAX_DESCRIPTOR_BYTES:
             raise ValueError(f"descriptor exceeds {MAX_DESCRIPTOR_BYTES} bytes")
         ring = self.tx_ring
-        if len(ring) >= ring.capacity:
+        if len(ring) >= self.capacity:
             raise RingFull(self.id)
         ring.append(data)
         self._stub.events += 1
@@ -176,7 +176,7 @@ class VirtQueue:
         if self.state is not _BOUND or stub is not self._stub:
             raise self._refusal(stub)
         ring = self.rx_ring
-        if len(ring) >= ring.capacity:
+        if len(ring) >= self.capacity:
             raise RingFull(self.id)
         ring.append(data)
         self.dma_copies += 1

@@ -34,6 +34,14 @@ def make_message(payload, flow=None):
     return Message(flow or make_flow(), payload)
 
 
+def flow_message(rt, payload, flow=None):
+    """A message of `flow` that carries the flow's record in runtime `rt`,
+    built by `open_flow`, as for an accepted live client, if it has none."""
+    flow = flow or make_flow()
+    conn = rt.conns.get(flow) or rt.open_flow(flow)
+    return Message(flow, payload, None, conn)
+
+
 class MessageReader:
     """A blocking client's reader: `read()` pulls from `recv(n)`, a
     blocking socket's recv, until `l7.HttpReader` has cut a message, and
@@ -64,6 +72,18 @@ class MessageReader:
 @pytest.fixture
 def example_config_path():
     return EXAMPLE_CONFIG
+
+
+# a request whose two Host lines name a denied host and an allowed one
+DUPLICATE_HOST = b"GET /svc/a HTTP/1.1\r\nHost: internal\r\nHost: x\r\n\r\n"
+
+
+def host_denied_config_text(**kw):
+    """`config_text`, with a rule denying requests to Host `internal` after
+    the one denying /admin."""
+    return config_text(**kw).replace(
+        "    path_prefix: /admin\n",
+        "    path_prefix: /admin\n  - decision: DENY\n    host: internal\n")
 
 
 def config_text(endpoint_ports=(9001, 9002), policy="ROUND_ROBIN",

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import pytest
 
 from flatproxy.core import (
+    Conn,
     FlowKey,
     Message,
     Proto,
@@ -19,11 +20,11 @@ from flatproxy.core import (
 )
 from flatproxy.l7 import (
     Cluster,
+    HttpReader,
     LbPolicy,
     LbState,
     MatchKind,
     PathMatcher,
-    QueueTable,
     RouteRule,
     route,
 )
@@ -42,7 +43,7 @@ from flatproxy.sim import (
 )
 from flatproxy.slow_path import MeshRuntime, load_config
 from flatproxy.vq import RingFull, ServiceStub, TenantMismatch, VirtQueue
-from conftest import config_text, make_flow, make_request
+from conftest import config_text, flow_message, make_flow, make_request
 
 MODELS = builtin_cost_models()
 
@@ -226,7 +227,7 @@ def test_criterion_06_routing_oracle(announce):
         while checked < 10_000:
             listeners, routes, clusters, all_rules = _random_route_env(rng)
             counter = itertools.count(1)
-            queues = QueueTable()
+            conns = {}  # flow -> its record
             lb = {ref_: LbState() for ref_ in clusters}
             snaps = {"listeners": listeners, "routes": routes,
                      "clusters": clusters}
@@ -244,11 +245,12 @@ def test_criterion_06_routing_oracle(announce):
                 )
                 path = rng.choice([b"/a", b"/a/b", b"/a/bc", b"/x", b"/zzz",
                                    b"/admin/x"])
-                msg = Message(flow, make_request(path))
+                msg = Message(flow, make_request(path), None,
+                              conns.setdefault(flow, Conn(HttpReader())))
                 from flatproxy.l7 import http_parse
 
                 http_parse(msg, {}, {})
-                got = route(queues, lb, lambda ep, m, state: next(counter),
+                got = route(lb, lambda ep, m: next(counter),
                             msg, defaultdict(int), snaps)
                 verdict, reason, qid, eid, lb_called = ref.route(flow, path)
                 assert msg.verdict.value == verdict, (flow, path)
@@ -277,8 +279,8 @@ def test_criterion_07_chain_monolith_and_workers(announce):
                                      for _ in range(rng.randrange(32)))))
         flows = [make_flow(sport=30000 + i % 64) for i in range(1000)]
 
-        def msg(i):
-            return Message(flows[i], payloads[i])
+        def msg(i, rt):
+            return flow_message(rt, payloads[i], flows[i])
 
         # chain vs sequential application on twin runtimes
         rt_a = MeshRuntime(config=load_config(config_text()))
@@ -286,7 +288,7 @@ def test_criterion_07_chain_monolith_and_workers(announce):
         order = rt_b.chain.order
         reached = set()
         for i in range(1000):
-            ua, ub = msg(i), msg(i)
+            ua, ub = msg(i, rt_a), msg(i, rt_b)
             rt_a.chain.execute(ua, rt_a.fast_path.ctx)
             for pid in order:
                 if ub.verdict is not Verdict.CONTINUE:
@@ -314,7 +316,7 @@ def test_criterion_07_chain_monolith_and_workers(announce):
             for i in range(1000):
                 shards[hash(flows[i]) % n].append(i)
             rt = MeshRuntime(config=load_config(config_text()))
-            results = [(i, rt.fast_path.message(msg(i)))
+            results = [(i, rt.fast_path.message(msg(i, rt)))
                        for turn in itertools.zip_longest(*shards)
                        for i in turn if i is not None]
             multiset = sorted(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flatproxy.core import (
+    Conn,
     FlowKey,
     Message,
     Metadata,
@@ -151,25 +152,25 @@ def test_queue_binding_stable():
     """The router binds a message to one queue: routing it again to the
     same queue is fine, and to another one is refused."""
     from flatproxy.l7 import (
-        MatchKind, PathMatcher, QueueTable, RouteRule, http_parse, route)
+        HttpReader, MatchKind, PathMatcher, RouteRule, http_parse, route)
 
     flow = make_flow()
     lkey = (flow.dip, flow.dport)
     listeners = {lkey: "web"}
     routes = {lkey: (
         RouteRule(lkey, (PathMatcher(MatchKind.PREFIX, b"/"),), "c"),)}
-    queues = QueueTable()
-    queues.bind(flow, 7)
-    msg = Message(flow, b"GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+    conn = Conn(HttpReader())
+    conn.queue = 7  # the flow's record, connected
+    msg = Message(flow, b"GET / HTTP/1.1\r\nHost: x\r\n\r\n", None, conn)
     http_parse(msg, {}, {})
     snaps = {"listeners": listeners, "routes": routes, "clusters": {}}
     ctx = {}
-    route(queues, {}, None, msg, ctx, snaps)
-    route(queues, {}, None, msg, ctx, snaps)
+    route({}, None, msg, ctx, snaps)
+    route({}, None, msg, ctx, snaps)
     assert msg.queue == 7
     msg.queue = 8
     with pytest.raises(ValueError):
-        route(queues, {}, None, msg, ctx, snaps)
+        route({}, None, msg, ctx, snaps)
 
 
 def test_endpoint_weight_validation():

@@ -1,6 +1,7 @@
+import gc
 import random
 import sys
-from collections import Counter, defaultdict
+from collections import Counter, OrderedDict, defaultdict
 from unittest import mock
 
 import pytest
@@ -8,18 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from flatproxy import fast_path, l7
 from flatproxy.core import (
+    Conn,
     Message,
     Metadata,
     TrafficUnit,
     UnitKind,
     Verdict,
 )
-from flatproxy.fast_path import OutOfWindow, ToeEngine
+from flatproxy.fast_path import FastPath, OutOfWindow, ToeEngine
 from flatproxy.l7 import Decision, FilterRule, frame_http, http_parse
 from flatproxy.match_action import MatchTable, Ppm, compile_chain
 from flatproxy.slow_path import IDLE_TIMEOUT_NS, MeshRuntime, load_config
 from flatproxy.vq import DEFAULT_RING_CAPACITY
-from conftest import config_text, make_flow, make_message, make_request
+from conftest import (config_text, flow_message, make_flow, make_message,
+                      make_request)
 
 
 def seg(payload, seq, flow=None, conn_id=1):
@@ -42,11 +45,16 @@ def frame(payload, flow=None, conn_id=1, seq=0):
 
 # -- TOE reassembly ----------------------------------------------------------
 
+def new_conn():
+    """A flow's record as the slow path builds it: the TOE's state."""
+    return Conn(l7.HttpReader())
+
+
 def test_toe_in_order_single_message():
     toe = ToeEngine()
-    toe.open(make_flow())
+    conn = new_conn()
     raw = make_request(body=b"hi")
-    msgs = toe.deliver(seg(raw, 0))
+    msgs = toe.deliver(seg(raw, 0), conn)
     assert len(msgs) == 1
     assert msgs[0].payload == raw
     assert type(msgs[0]) is Message
@@ -58,29 +66,29 @@ def test_toe_hands_on_one_message_object_per_message():
     bytes object, neither copied nor joined."""
     flow = make_flow(sport=40500)
     toe = ToeEngine()
-    toe.open(flow)
+    conn = new_conn()
     raw = make_request(body=b"hi")
-    (msg,) = toe.deliver(seg(raw, 0, flow=flow))
+    (msg,) = toe.deliver(seg(raw, 0, flow=flow), conn)
     assert msg.payload is raw
     assert msg.flow is flow
     assert msg.head == frame_http(raw)
     assert msg.verdict is Verdict.CONTINUE and msg.queue is None
     assert msg.method is None  # not parsed yet
     pipelined = make_request(b"/svc/b") + make_request(b"/svc/c")
-    msgs = toe.deliver(seg(pipelined, len(raw), flow=flow))
+    msgs = toe.deliver(seg(pipelined, len(raw), flow=flow), conn)
     assert [m.payload for m in msgs] == [make_request(b"/svc/b"),
                                          make_request(b"/svc/c")]
-    assert all(m.flow is flow for m in msgs)
+    assert all(m.flow is flow and m.conn is conn for m in [msg, *msgs])
     assert msgs[0] is not msgs[1]
 
 
 def test_toe_split_across_segments():
     toe = ToeEngine()
-    toe.open(make_flow())
+    conn = new_conn()
     raw = make_request(body=b"0123456789")
     a, b = raw[:10], raw[10:]
-    assert toe.deliver(seg(a, 0)) == ()
-    msgs = toe.deliver(seg(b, 10))
+    assert toe.deliver(seg(a, 0), conn) == ()
+    msgs = toe.deliver(seg(b, 10), conn)
     assert len(msgs) == 1
     assert msgs[0].payload == raw
 
@@ -89,10 +97,10 @@ def test_toe_reorder_then_release():
     toe = ToeEngine()
     raw = make_request(body=b"abcdef")
     a, b, c = raw[:5], raw[5:12], raw[12:]
-    toe.open(make_flow())
-    assert toe.deliver(seg(b, 5)) == ()
-    assert toe.deliver(seg(c, 12)) == ()
-    msgs = toe.deliver(seg(a, 0))
+    conn = new_conn()
+    assert toe.deliver(seg(b, 5), conn) == ()
+    assert toe.deliver(seg(c, 12), conn) == ()
+    msgs = toe.deliver(seg(a, 0), conn)
     assert len(msgs) == 1
     assert msgs[0].payload == raw
 
@@ -102,14 +110,15 @@ def test_toe_duplicate_counted_once():
     were delivered or wait in the reorder buffer; the fast path counts it
     once, as a drop by that reason."""
     toe = ToeEngine()
-    toe.open(make_flow())
+    conn = new_conn()
     raw = make_request()
-    msgs = toe.deliver(seg(raw, 0))
+    msgs = toe.deliver(seg(raw, 0), conn)
     assert len(msgs) == 1
-    assert toe.deliver(seg(raw, 2 * len(raw))) == ()  # held for reordering
+    # held for reordering
+    assert toe.deliver(seg(raw, 2 * len(raw)), conn) == ()
     for seq in (0, 2 * len(raw)):  # delivered, and held
         with pytest.raises(OutOfWindow) as exc:
-            toe.deliver(seg(raw, seq))
+            toe.deliver(seg(raw, seq), conn)
         assert exc.value.args == ("duplicate",)
 
     rt = MeshRuntime(config=load_config(config_text()))
@@ -123,31 +132,35 @@ def test_toe_duplicate_counted_once():
 
 def test_toe_two_messages_one_segment():
     toe = ToeEngine()
-    toe.open(make_flow())
+    conn = new_conn()
     r1 = make_request(b"/a")
     r2 = make_request(b"/b", body=b"zz")
-    msgs = toe.deliver(seg(r1 + r2, 0))
+    msgs = toe.deliver(seg(r1 + r2, 0), conn)
     assert [m.payload for m in msgs] == [r1, r2]
 
 
 def test_toe_deliver_needs_an_opened_flow():
-    """TOE state has one opener, `open`, which the slow path calls with the
-    flow's L4 entry: a segment of a flow never opened finds no state, and
-    delivering it opens none."""
-    toe = ToeEngine()
-    with pytest.raises(KeyError):
-        toe.deliver(seg(make_request(), 0))
-    assert toe.connections == {}
+    """A flow's record has one builder, the slow path's handoff, and the
+    TOE reassembles into the record it is given: a segment of a flow with
+    no record goes to the handoff, and one it builds none for is dropped
+    before the TOE, so no state is opened."""
+    handed = []
+    fp = FastPath(l7_chain=None, slow_path_handoff=handed.append,
+                  vq_egress=None)
+    unit = seg(make_request(), 0)
+    assert fp.ingress(unit) == "dropped"
+    assert handed == [unit] and unit.meta.verdict_reason == "no_listener"
+    assert fp.toe.connections == {}
 
 
 def test_toe_reorder_overflow_raises(monkeypatch):
     monkeypatch.setattr(fast_path, "REORDER_BUFFER_SEGMENTS", 4)
     toe = ToeEngine()
-    toe.open(make_flow())
+    conn = new_conn()
     for i in range(4):
-        toe.deliver(seg(b"x", 10 + i))
+        toe.deliver(seg(b"x", 10 + i), conn)
     with pytest.raises(OutOfWindow):
-        toe.deliver(seg(b"x", 100))
+        toe.deliver(seg(b"x", 100), conn)
 
 
 def _post49():
@@ -162,15 +175,14 @@ def test_toe_overlapping_segment_delivers_its_new_bytes():
     `next_seq`; one that ends at or before `next_seq` is a duplicate."""
     raw = _post49()
     toe = ToeEngine()
-    flow = make_flow()
-    toe.open(flow)
-    assert toe.deliver(seg(raw[:20], 0)) == ()
+    conn = new_conn()
+    assert toe.deliver(seg(raw[:20], 0), conn) == ()
     for seq, end in ((0, 20), (10, 20), (5, 15)):
         with pytest.raises(OutOfWindow, match="duplicate"):
-            toe.deliver(seg(raw[seq:end], seq))
-    msgs = toe.deliver(seg(raw[10:], 10))
+            toe.deliver(seg(raw[seq:end], seq), conn)
+    msgs = toe.deliver(seg(raw[10:], 10), conn)
     assert [m.payload for m in msgs] == [raw]
-    assert toe.connections[flow].next_seq == 49
+    assert conn.next_seq == 49
 
 
 def test_toe_drops_held_segments_the_stream_has_passed():
@@ -180,22 +192,19 @@ def test_toe_drops_held_segments_the_stream_has_passed():
     stream."""
     raw = _post49()
     toe = ToeEngine()
-    flow = make_flow()
-    toe.open(flow)
-    assert toe.deliver(seg(raw[30:], 30)) == ()
-    assert toe.deliver(seg(raw[25:], 25)) == ()
-    msgs = toe.deliver(seg(raw[:25], 0))
+    conn = new_conn()
+    assert toe.deliver(seg(raw[30:], 30), conn) == ()
+    assert toe.deliver(seg(raw[25:], 25), conn) == ()
+    msgs = toe.deliver(seg(raw[:25], 0), conn)
     assert [m.payload for m in msgs] == [raw]
-    conn = toe.connections[flow]
     assert conn.reorder == {} and conn.next_seq == 49
     # held behind a segment that overlaps them: trimmed, or dropped whole
-    toe.open(flow2 := make_flow(sport=40999))
+    flow2, conn2 = make_flow(sport=40999), new_conn()
     for seq, end in ((30, 40), (35, 49), (20, 28)):
-        assert toe.deliver(seg(raw[seq:end], seq, flow=flow2)) == ()
-    msgs = toe.deliver(seg(raw[:32], 0, flow=flow2))
+        assert toe.deliver(seg(raw[seq:end], seq, flow=flow2), conn2) == ()
+    msgs = toe.deliver(seg(raw[:32], 0, flow=flow2), conn2)
     assert [m.payload for m in msgs] == [raw]
-    conn = toe.connections[flow2]
-    assert conn.reorder == {} and conn.next_seq == 49
+    assert conn2.reorder == {} and conn2.next_seq == 49
 
 
 def test_toe_longer_segment_replaces_a_held_one_at_its_seq():
@@ -204,15 +213,14 @@ def test_toe_longer_segment_replaces_a_held_one_at_its_seq():
     past the shorter one are not lost."""
     raw = _post49()
     toe = ToeEngine()
-    flow = make_flow()
-    toe.open(flow)
-    assert toe.deliver(seg(raw[30:35], 30)) == ()
+    conn = new_conn()
+    assert toe.deliver(seg(raw[30:35], 30), conn) == ()
     with pytest.raises(OutOfWindow, match="duplicate"):
-        toe.deliver(seg(raw[30:33], 30))
-    assert toe.deliver(seg(raw[30:], 30)) == ()
-    msgs = toe.deliver(seg(raw[:30], 0))
+        toe.deliver(seg(raw[30:33], 30), conn)
+    assert toe.deliver(seg(raw[30:], 30), conn) == ()
+    msgs = toe.deliver(seg(raw[:30], 0), conn)
     assert [m.payload for m in msgs] == [raw]
-    assert toe.connections[flow].reorder == {}
+    assert conn.reorder == {}
 
 
 @st.composite
@@ -257,7 +265,7 @@ def test_toe_any_segmentation_delivers_each_message_once(case):
     while (data := q.stub_fetch(stub)) is not None:
         got.append(data)
     assert got == raws
-    conn = rt.fast_path.toe.connections[flow]
+    conn = rt.conns[flow]
     assert conn.reorder == {} and conn.next_seq == sum(map(len, raws))
     c = rt.fast_path.counters()
     assert c["ingress"] == c.get("egress", 0) + c.get("buffered", 0) + c.get(
@@ -277,10 +285,10 @@ def test_toe_randomized_permutations_reassemble_exactly():
             prev = c
         rng.shuffle(pieces)
         toe = ToeEngine()
-        toe.open(make_flow())
+        conn = new_conn()
         out = []
         for off, chunk in pieces:
-            out.extend(toe.deliver(seg(chunk, off)))
+            out.extend(toe.deliver(seg(chunk, off), conn))
         assert len(out) == 1
         assert out[0].payload == raw
 
@@ -290,10 +298,10 @@ def test_toe_bad_content_length_keeps_stream_framed():
     request on the stream is still framed whole, and the parser drops the
     bad one."""
     toe = ToeEngine()
-    toe.open(make_flow())
+    conn = new_conn()
     bad = b"POST /svc/a HTTP/1.1\r\nHost: x\r\nContent-Length: -3\r\n\r\n"
     good = make_request(b"/svc/b", body=b"zz")
-    msgs = toe.deliver(seg(bad + good, 0))
+    msgs = toe.deliver(seg(bad + good, 0), conn)
     assert [m.payload for m in msgs] == [bad, good]
     http_parse(msgs[0], {}, {})
     assert msgs[0].verdict is Verdict.DROP
@@ -510,7 +518,7 @@ def _refused(rt, reason):
                                          "http_deparser"])
     elif reason == "ring_full":
         for i in range(DEFAULT_RING_CAPACITY):
-            rt.fast_path.message(make_message(make_request(), flow))
+            rt.fast_path.message(flow_message(rt, make_request(), flow))
     return flow
 
 
@@ -536,7 +544,7 @@ def test_every_refusal_is_one_drop_counted_with_its_status(runtime, reason):
     raw, status = REFUSALS[reason]
     flow = _refused(runtime, reason)
     before = runtime.fast_path.counters()
-    unit = runtime.fast_path.message(make_message(raw, flow))
+    unit = runtime.fast_path.message(flow_message(runtime, raw, flow))
     c = runtime.fast_path.counters()
     assert fast_path.http_status(reason) == status
     if reason != "ring_full":  # a full ring loses a message it delivered
@@ -607,11 +615,12 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
                              "filter", "router", "http_deparser"])
     flow = make_flow(sport=48000)
     ctx = defaultdict(int)
-    first = chain.execute(make_message(make_request(b"/svc/a"), flow=flow), ctx)
+    first = chain.execute(
+        flow_message(runtime, make_request(b"/svc/a"), flow), ctx)
     assert first.verdict is Verdict.DELIVER
     assert first.verdict_reason == "deparsed"
     second = chain.execute(
-        make_message(make_request(b"/svc/a"), flow=flow), ctx)
+        flow_message(runtime, make_request(b"/svc/a"), flow), ctx)
     assert second.verdict is Verdict.DROP
     assert second.verdict_reason == (
         "filter" if republish == "deny_all_filters" else "no_route")
@@ -626,12 +635,12 @@ def test_distribute_is_seen_by_the_next_message(runtime):
     """The chain takes its snapshot again once a table publishes: a deny
     rule a reload adds drops the very next message."""
     flow = make_flow(sport=48010)
-    first = runtime.fast_path.message(make_message(make_request(b"/svc/b"),
-                                                  flow=flow))
+    first = runtime.fast_path.message(
+        flow_message(runtime, make_request(b"/svc/b"), flow))
     assert first.verdict is Verdict.DELIVER
     runtime.distribute(load_config(config_text().replace("/admin", "/svc/b")))
     second = runtime.fast_path.message(
-        make_message(make_request(b"/svc/b"), flow=flow))
+        flow_message(runtime, make_request(b"/svc/b"), flow))
     assert second.verdict is Verdict.DROP
     assert second.verdict_reason == "filter"
 
@@ -649,12 +658,12 @@ def test_unchanged_reload_keeps_the_snapshot(runtime):
     tables = {t.name: t for t in (
         runtime.listener_table, runtime.filter_table, runtime.route_table,
         runtime.cluster_table)}
-    chain.execute(make_message(make_request(b"/svc/a"), flow=flow), ctx)
+    chain.execute(flow_message(runtime, make_request(b"/svc/a"), flow), ctx)
     epochs = runtime.stats_snapshot()["table_epochs"]
     versions = {n: t.current for n, t in tables.items()}
     assert {n: v.epoch for n, v in versions.items()} == epochs
     assert runtime.distribute(load_config(config_text())) == epochs
-    chain.execute(make_message(make_request(b"/svc/a"), flow=flow),
+    chain.execute(flow_message(runtime, make_request(b"/svc/a"), flow),
                   ctx)
     assert seen[1] is seen[0]
     # the snapshot holds each table's entries of the versions at `epochs`
@@ -663,7 +672,7 @@ def test_unchanged_reload_keeps_the_snapshot(runtime):
     after = runtime.distribute(
         load_config(config_text().replace("/admin", "/svc/b")))
     assert after == dict(epochs, filters=epochs["filters"] + 1)
-    chain.execute(make_message(make_request(b"/svc/a"), flow=flow),
+    chain.execute(flow_message(runtime, make_request(b"/svc/a"), flow),
                   ctx)
     assert seen[2] is not seen[1]
     assert {n: t.epoch for n, t in tables.items()} == after
@@ -724,7 +733,7 @@ def test_compiled_chain_equals_each_ppm_applied_in_turn(nodes, raw):
     for compiled in (True, False):
         rt = MeshRuntime(config=load_config(config_text()))
         registry = dict(rt.registry, **hand_built_ppms())
-        unit = make_message(raw, flow=make_flow(sport=48030))
+        unit = flow_message(rt, raw, make_flow(sport=48030))
         ctx = defaultdict(int)
         if compiled:
             compile_chain(nodes, registry).execute(unit, ctx)
@@ -768,7 +777,7 @@ def test_standard_chain_is_one_flat_step_list(runtime):
     assert (parse, filter_, deparse) == (
         l7.http_parse, l7.filter_apply, l7.http_deparse)
     assert route.func is l7.route and not route.keywords
-    assert route.args == (runtime.queue_table, runtime.lb, runtime._connect)
+    assert route.args == (runtime.lb, runtime._connect)
 
 
 def test_hot_path_bypasses_ppm_apply(runtime, monkeypatch):
@@ -786,7 +795,7 @@ def test_hot_path_bypasses_ppm_apply(runtime, monkeypatch):
     assert runtime.fast_path.ingress(
         frame(second, flow=flow, seq=len(first))) == "l7"
     third = make_request(b"/svc/c", extra_headers=(b"X-Req: 3",))
-    unit = runtime.fast_path.message(make_message(third, flow=flow))
+    unit = runtime.fast_path.message(flow_message(runtime, third, flow))
     assert unit.verdict is Verdict.DELIVER
     assert unit.verdict_reason == "deparsed"
     qid = runtime.queue_table.lookup(flow)
@@ -795,6 +804,23 @@ def test_hot_path_bypasses_ppm_apply(runtime, monkeypatch):
 
 
 KEEPALIVE_CALL_BUDGET = 16
+
+
+def profiled(calls, fn, *args):
+    """`fn(*args)`, with each Python-level call it makes counted in `calls`
+    by qualified name, as a `sys.setprofile` "call" event.  The collector
+    is off meanwhile: a collection's callback is no call of `fn`'s."""
+    def count(frame_, event, arg):
+        if event == "call":
+            calls[frame_.f_code.co_qualname] += 1
+
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        return fn(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
 
 
 def test_keepalive_get_call_budget(runtime):
@@ -808,24 +834,87 @@ def test_keepalive_get_call_budget(runtime):
     ingress = runtime.fast_path.ingress
     qid = None
     calls = Counter()
-
-    def count(frame_, event, arg):
-        if event == "call":
-            calls[frame_.f_code.co_qualname] += 1
-
     n = 50
     for i in range(n + 3):
         unit = frame(raw, flow=flow, seq=i * len(raw))
         if i >= 3:  # once the flow is open and its queue bound
-            sys.setprofile(count)
-        try:
+            assert profiled(calls, ingress, unit) == "l7"
+        else:
             assert ingress(unit) == "l7"
-        finally:
-            sys.setprofile(None)
         qid = runtime.queue_table.lookup(flow)
         assert runtime.vqs[qid].stub_fetch(runtime.stubs[qid]) == raw
     assert sum(calls.values()) <= KEEPALIVE_CALL_BUDGET * n, {
         name: c / n for name, c in calls.most_common()}
+
+
+FIRST_PACKET_CALL_BUDGET = 28
+
+
+def test_first_packet_call_budget(runtime):
+    """A first packet -- the slow path's handoff, the flow's record, load
+    balancing and a new bound queue -- makes at most
+    FIRST_PACKET_CALL_BUDGET Python-level calls through
+    `FastPath.ingress`, its VQ egress included, counted as the keep-alive
+    budget counts them: connection setup is a few object constructions,
+    and no call only wires them together."""
+    raw = make_request(b"/svc/b")
+    ingress = runtime.fast_path.ingress
+    calls = Counter()
+    # the chain takes its table snapshot on the first message it runs
+    assert ingress(frame(raw, flow=make_flow(sport=48660))) == "l7"
+    n = 50
+    for i in range(n):
+        flow = make_flow(sport=48661 + i)
+        assert profiled(calls, ingress, frame(raw, flow=flow)) == "l7"
+        qid = runtime.queue_table.lookup(flow)
+        assert runtime.vqs[qid].stub_fetch(runtime.stubs[qid]) == raw
+    assert calls["MeshRuntime.handle_slow_path"] == n
+    assert sum(calls.values()) <= FIRST_PACKET_CALL_BUDGET * n, {
+        name: c / n for name, c in calls.most_common()}
+
+
+def test_in_order_frame_looks_its_flow_up_once(monkeypatch):
+    """An in-order frame of an open flow looks its flow up in the record
+    map once, in `ingress`: the TOE, its messages and the router use the
+    record it found, and egress moves that record to the end of the
+    activity order."""
+    used = Counter()
+
+    class CountingDict(OrderedDict):
+        def get(self, key, default=None):
+            used["get"] += 1
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            used["getitem"] += 1
+            return super().__getitem__(key)
+
+        def __contains__(self, key):
+            used["contains"] += 1
+            return super().__contains__(key)
+
+        def pop(self, key, *default):
+            used["pop"] += 1
+            return super().pop(key, *default)
+
+        def move_to_end(self, key, last=True):
+            used["move_to_end"] += 1
+            return super().move_to_end(key, last)
+
+    monkeypatch.setattr(fast_path, "OrderedDict", CountingDict)
+    rt = MeshRuntime(config=load_config(config_text()))
+    assert type(rt.conns) is CountingDict
+    assert rt.fast_path.toe.connections is rt.conns
+    flow = make_flow(sport=48720)
+    raw = make_request(b"/svc/a")
+    assert rt.fast_path.ingress(frame(raw, flow=flow)) == "l7"  # first packet
+    used.clear()
+    n = 10
+    for i in range(1, n + 1):
+        assert rt.fast_path.ingress(
+            frame(raw, flow=flow, seq=i * len(raw))) == "l7"
+    assert used == {"get": n, "move_to_end": n}
+    rt.shutdown()
 
 
 # -- classification ----------------------------------------------------------
@@ -966,15 +1055,15 @@ def test_toe_frames_each_message_once(monkeypatch):
                              body=bytes([i]) * (32 * 1024)) for i in range(n)]
 
     toe = ToeEngine()
-    toe.open(make_flow())
+    conn = new_conn()
     sent, out, seq = posts(3), [], 0
     for raw in sent:
         for off, chunk in segments_of(raw, seq):
-            out.extend(toe.deliver(seg(chunk, off)))
+            out.extend(toe.deliver(seg(chunk, off), conn))
         seq += len(raw)
     assert [m.payload for m in out] == sent
     assert len(framed) == len(splits) == 3
-    assert toe.connections[make_flow()].reader.need is None
+    assert conn.reader.need is None
 
     framed.clear()
     splits.clear()
@@ -1000,8 +1089,9 @@ def test_toe_frames_each_message_once(monkeypatch):
     pipelined = make_flow(sport=47102)
     sent[pipelined] = [make_request(b"/svc/p/%d" % i, body=b"x" * i)
                        for i in range(4)]
+    conn = rt.open_flow(pipelined)
     for data, head in l7.HttpReader().take(b"".join(sent[pipelined])):
-        unit = fp.message(Message(pipelined, data, head))
+        unit = fp.message(Message(pipelined, data, head, conn))
         assert unit.verdict is Verdict.DELIVER
     assert len(framed) == len(splits) == 11
     # a parsed unit keeps no head, so it holds no header fields twice
@@ -1070,9 +1160,9 @@ def test_toe_and_reader_cut_any_split_alike(bodies, bad_at, split, data):
 
     with mock.patch.object(l7, "frame_http", counting_frame):
         toe = ToeEngine()
-        toe.open(make_flow())
+        conn = new_conn()
         by_toe = [(m.payload, m.head) for off, chunk in segments
-                  for m in toe.deliver(seg(chunk, off))]
+                  for m in toe.deliver(seg(chunk, off), conn)]
         toe_framed = len(framed)
         framed.clear()
         reader = l7.HttpReader()
@@ -1084,7 +1174,7 @@ def test_toe_and_reader_cut_any_split_alike(bodies, bad_at, split, data):
         b is _BAD_HEAD for b in blocks]
     assert all(head[0] == len(m) for m, head in by_toe if head is not None)
     assert toe_framed == len(framed) == len(blocks)
-    assert toe.connections[make_flow()].reader.held == 0
+    assert conn.reader.held == 0
 
 
 @pytest.mark.parametrize("with_head", [False, True])
@@ -1131,11 +1221,11 @@ def test_toe_reordered_and_duplicate_segments_reassemble_exactly():
         rng.shuffle(window)
         arrived += window
     toe = ToeEngine()
-    toe.open(make_flow())
+    conn = new_conn()
     out, duplicates = [], 0
     for off, chunk in arrived:
         try:
-            out.extend(toe.deliver(seg(chunk, off)))
+            out.extend(toe.deliver(seg(chunk, off), conn))
         except OutOfWindow as exc:
             assert exc.args == ("duplicate",)
             duplicates += 1

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from flatproxy import l7
 
-from flatproxy.core import Endpoint, Message, Verdict, ip4_to_int
+from flatproxy.core import Conn, Endpoint, Message, Verdict, ip4_to_int
 from flatproxy.l7 import (
     Cluster,
     Decision,
@@ -19,7 +19,6 @@ from flatproxy.l7 import (
     MatchKind,
     NoHealthyEndpoint,
     PathMatcher,
-    QueueTable,
     RouteRule,
     filter_apply,
     frame_http,
@@ -198,7 +197,8 @@ def test_parse_rejects_incomplete_body():
 # The two-pass reading the one-pass `frame_http` replaced, kept as the
 # reference it must agree with: the framer split every header line to find
 # the Content-Length, and the parser walked the split lines again for the
-# Host and the header-line check.
+# Host and the header-line check, which refuses a second Host line too
+# (RFC 9112 section 3.2).
 
 def _two_pass_split(block):
     lines = block.split(b"\r\n")
@@ -246,13 +246,14 @@ def _two_pass_parse(data, head):
     parts = start.split(b" ")
     if len(parts) != 3 or not parts[0] or not parts[2].startswith(b"HTTP/"):
         raise MalformedHttp("bad request line")
-    host = b""
+    host = None
     for name, colon, value in fields:
-        if not colon or not name:
+        is_host = name.strip().lower() == b"host"
+        if not colon or not name or (is_host and host is not None):
             raise MalformedHttp(f"bad header line {name + colon + value!r}")
-        if name.strip().lower() == b"host":
+        if is_host:
             host = value.strip()
-    return (parts[0], parts[1], host, body_at)
+    return (parts[0], parts[1], host or b"", body_at)
 
 
 def _read(frame, parse, data):
@@ -329,6 +330,20 @@ def test_one_pass_head_reads_as_the_two_pass_head(start, good, bad, off_by,
         _read(_two_pass_frame, _two_pass_parse, message)
 
 
+def test_second_host_line_refuses_a_request_but_not_a_response():
+    """One pass finds a second Host line and gives it as the head's bad
+    line, so the parser refuses the request; a response framed by the
+    same pass, which no parser reads, is cut whole."""
+    request = b"GET /a HTTP/1.1\r\nHost: internal\r\nhost :x\r\n\r\n"
+    head = frame_http(request)
+    assert head[0] == len(request) and head[3:] == (b"x", b"host :x")
+    with pytest.raises(MalformedHttp, match="bad header line"):
+        parse_request(request, head)
+    response = (b"HTTP/1.1 200 OK\r\nHost: a\r\nHost: b\r\n"
+                b"Content-Length: 2\r\n\r\nok")
+    assert HttpReader().take(response) == ((response, frame_http(response)),)
+
+
 def test_parse_malformed_goes_to_slow_path_not_exception():
     """Malformed input is a verdict, not an exception: the slow path takes
     first packets only, so the parser drops it as `malformed_http`."""
@@ -355,7 +370,9 @@ _token = st.binary(min_size=1, max_size=12).filter(
     path=st.binary(min_size=1, max_size=20).filter(
         lambda b: not any(c in b for c in b"\r\n ")
     ),
-    headers=st.lists(st.tuples(_token, _token), max_size=5),
+    # a request has one Host line, its first
+    headers=st.lists(st.tuples(_token, _token).filter(
+        lambda h: h[0].lower() != b"host"), max_size=5),
     body=st.binary(max_size=64),
 )
 def test_parse_deparse_roundtrip_property(path, headers, body):
@@ -509,7 +526,7 @@ def make_route_env(n_endpoints=2, policy=LbPolicy.ROUND_ROBIN, healthy=True):
             cluster="backend",
         ),
     )}
-    return (listeners, routes, QueueTable(), {"backend": cluster},
+    return (listeners, routes, {}, {"backend": cluster},
             {"backend": LbState()})
 
 
@@ -517,11 +534,14 @@ _queue_ids = itertools.count(1)
 
 
 def routed(path=b"/svc/a", flow=None, env=None, connector=None):
-    listeners, routes, queues, clusters, lb = env
-    msg = parsed_message(make_request(path), flow=flow or make_flow())
-    connector = connector or (lambda ep, m, state: next(_queue_ids))
+    """Route a request of `flow`, carrying the flow's record in `env`."""
+    listeners, routes, conns, clusters, lb = env
+    flow = flow or make_flow()
+    msg = parsed_message(make_request(path), flow=flow)
+    msg.conn = conns.setdefault(flow, Conn(HttpReader()))
+    connector = connector or (lambda ep, m: next(_queue_ids))
     snaps = {"listeners": listeners, "routes": routes, "clusters": clusters}
-    return route(queues, lb, connector, msg, defaultdict(int), snaps), msg
+    return route(lb, connector, msg, defaultdict(int), snaps), msg
 
 
 def test_route_happy_path_binds_queue():
@@ -576,7 +596,7 @@ def test_route_connect_failure_to_slow_path():
 
     env = make_route_env()
 
-    def bad_connector(endpoint, msg, state):
+    def bad_connector(endpoint, msg):
         raise ConnectFailure("refused")
 
     _, msg = routed(env=env, connector=bad_connector)
@@ -603,13 +623,22 @@ def test_route_hundred_flows_round_robin_balance():
     assert counts == {"ep-0": 25, "ep-1": 25, "ep-2": 25, "ep-3": 25}
 
 
-def test_queue_table_rebind_conflict():
-    qt = QueueTable()
-    key = make_flow()
-    qt.bind(key, 1)
-    qt.bind(key, 1)  # same id fine
-    with pytest.raises(ValueError):
-        qt.bind(key, 2)
-    qt.remove(key)
-    qt.bind(key, 2)
-    assert qt.lookup(key) == 2
+def test_route_pins_the_flow_record_to_one_queue():
+    """A flow connects once: the router pins its record to the queue the
+    connector returned, with the endpoint and a count on it in the
+    cluster's state, and binds each later message of the flow to that
+    queue with no second connect."""
+    env = make_route_env()
+    made = []
+
+    def connector(endpoint, msg):
+        made.append(next(_queue_ids))
+        return made[-1]
+
+    e1, m1 = routed(env=env, connector=connector)
+    e2, m2 = routed(path=b"/svc/other", env=env, connector=connector)
+    conn = m1.conn
+    assert m2.conn is conn and e2 is None and len(made) == 1
+    assert conn.queue == m1.queue == m2.queue == made[0]
+    assert conn.endpoint is e1 and conn.lb is env[4]["backend"]
+    assert conn.lb.conns == {e1.address: 1}

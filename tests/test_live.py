@@ -11,7 +11,8 @@ from flatproxy.l7 import HttpReader, frame_http, parse_request
 from flatproxy.live import EchoStub, LiveProxy
 from flatproxy.slow_path import load_config
 from flatproxy.vq import MAX_DESCRIPTOR_BYTES
-from conftest import MessageReader, config_text, make_request
+from conftest import (DUPLICATE_HOST, MessageReader, config_text,
+                      host_denied_config_text, make_request)
 
 
 def bad_length_request(value):
@@ -207,8 +208,11 @@ def test_live_client_close_releases_upstream(proxy):
         assert MessageReader(s.recv).read().startswith(b"HTTP/1.1 200")
         (lq,) = proxy.runtime.vqs.values()
         assert proxy.runtime.stats_snapshot()["connections"] == {"open": 1}
-        # live flows arrive framed: accepting one opens no TOE state
-        assert proxy.runtime.fast_path.toe.connections == {}
+        # live flows arrive framed: the TOE never reassembles one, and
+        # the flow's one record holds its upstream as its queue
+        (conn,) = proxy.runtime.conns.values()
+        assert conn.next_seq == 0 and conn.reorder == {}
+        assert conn.queue is lq
     deadline = time.monotonic() + 5
     while proxy.runtime.vqs and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -218,6 +222,50 @@ def test_live_client_close_releases_upstream(proxy):
     # the flow's record and its endpoint's LB count go with it
     assert proxy.runtime.conns == {}
     assert [s.conns for s in proxy.runtime.lb.values()] == [{}]
+
+
+def test_live_client_is_counted_open_from_accept(proxy):
+    """Each accepted client holds its flow's record: one that has sent
+    nothing, and one whose only request was denied, each count as open;
+    once they close, the count is 0 and their records are gone."""
+    quiet = socket.create_connection(("127.0.0.1", proxy.port), timeout=5)
+    try:
+        _wait(lambda: len(proxy.runtime.conns) == 1)
+        assert proxy.runtime.stats_snapshot()["connections"] == {"open": 1}
+        with socket.create_connection(("127.0.0.1", proxy.port),
+                                      timeout=5) as s:
+            s.sendall(make_request(b"/admin/x"))
+            assert MessageReader(s.recv).read().startswith(b"HTTP/1.1 403")
+            assert proxy.runtime.stats_snapshot()["connections"] == {
+                "open": 2}
+    finally:
+        quiet.close()
+    _wait(lambda: not proxy.runtime.conns)
+    assert proxy.runtime.stats_snapshot()["connections"] == {"open": 0}
+    assert proxy.runtime.vqs == {} and len(proxy.runtime.queue_table) == 0
+
+
+def test_live_duplicate_host_gets_400():
+    """Over loopback, a request with two Host lines gets a 400 whichever
+    Host a deny rule names; one Host line of either value is judged by the
+    filter."""
+    stub = EchoStub("stub-0").start()
+    proxy = LiveProxy(load_config(host_denied_config_text(
+        endpoint_ports=(stub.port,), dip="127.0.0.1")), listen_port=0).start()
+    try:
+        with socket.create_connection(("127.0.0.1", proxy.port),
+                                      timeout=5) as s:
+            reader = MessageReader(s.recv)
+            s.sendall(DUPLICATE_HOST)
+            assert reader.read().startswith(b"HTTP/1.1 400")
+            s.sendall(make_request(host=b"internal"))
+            assert reader.read().startswith(b"HTTP/1.1 403")
+            s.sendall(make_request(host=b"x"))
+            assert reader.read().startswith(b"HTTP/1.1 200")
+        assert stub.hits == 1
+    finally:
+        proxy.stop()
+        stub.stop()
 
 
 def test_live_upstream_socket_has_nodelay(proxy):

@@ -32,7 +32,8 @@ inproc.MeshRuntime = Runtime
 tracer = Tracer()
 install(tracer)
 rounds = {}
-SPANS = ("slow_path.handle", "fast_path.ingress", "fast_path.toe_deliver",
+SPANS = ("slow_path.handle", "slow_path.connect", "l7.load_balance",
+         "fast_path.ingress", "fast_path.toe_deliver",
          "match_action.chain_execute", "l7.http_parse", "l7.filter_apply",
          "l7.route", "l7.http_deparse")
 for name in ("small_keepalive", "bulk_segmented"):
@@ -106,8 +107,12 @@ def test_perfbench_drives_the_program():
     out = run_script(SCRIPT)
     for name, r in out["rounds"].items():
         assert r["correct"] and r["failed"] == 0 and r["delivered"] > 0, name
-    # the first-packet handler keeps the name the tracer patches
-    assert out["rounds"]["small_keepalive"]["slow_path.handle"] > 0
+    # each step of connection setup keeps the name the tracer patches, so
+    # the per-layer setup metrics see every flow's: one call per flow
+    for name, flows in (("small_keepalive", 64), ("bulk_segmented", 8)):
+        r = out["rounds"][name]
+        assert [r[n] for n in ("slow_path.handle", "slow_path.connect",
+                               "l7.load_balance")] == [flows] * 3, (name, r)
     # the traced TOE span sees every frame a listener took, in-order or
     # not, so the per-layer `toe` metric covers them all
     for name, r in out["rounds"].items():

@@ -27,7 +27,8 @@ from flatproxy.slow_path import (
 )
 from flatproxy.match_action import MatchActionError
 from flatproxy.vq import VqState
-from conftest import config_text, make_flow, make_message, make_request
+from conftest import (DUPLICATE_HOST, config_text, host_denied_config_text,
+                      make_flow, make_message, make_request)
 
 
 # -- config parsing ----------------------------------------------------------
@@ -384,7 +385,7 @@ def test_slow_path_frame_for_unconfigured_listener_dropped(runtime):
     nothing; the fast path drops the frame as `no_listener`, where it
     counts a refused segment."""
     flow = make_flow(dport=7777)
-    assert runtime.handle_slow_path(make_frame(b"x", flow)) is False
+    assert runtime.handle_slow_path(make_frame(b"x", flow)) is None
     assert flow not in runtime.conns
     assert flow not in runtime.fast_path.toe.connections
     assert runtime.fast_path.counters() == {}
@@ -431,6 +432,25 @@ def test_hostile_header_line_counts_only_its_reason(runtime, line):
     assert runtime.fast_path.counters() == {
         "msg_submitted": 1, "msg_dropped": 1, "msg_dropped.malformed_http": 1,
         "status.400": 1}
+
+
+def test_duplicate_host_is_refused_as_malformed():
+    """A request with a second Host line (RFC 9112 section 3.2) is a 400,
+    `malformed_http`, before the filter reads its Host: `Host: internal`
+    then `Host: x` does not pass a deny rule on `host: internal` by its
+    last line, and reaches no service.  One Host line of either value is
+    judged by the filter."""
+    rt = MeshRuntime(config=load_config(host_denied_config_text()))
+    assert rt.fast_path.ingress(
+        make_frame(DUPLICATE_HOST, make_flow(sport=44040))) == "l7"
+    assert_refused(rt, "malformed_http", 400)
+    assert rt.vqs == {}
+    for sport, host in ((44041, b"internal"), (44042, b"x")):
+        rt.fast_path.ingress(
+            make_frame(make_request(host=host), make_flow(sport=sport)))
+    c = rt.fast_path.counters()
+    assert c["msg_dropped.filter"] == c["msg_egress"] == 1
+    rt.shutdown()
 
 
 def test_filtered_and_unrouted_requests_are_counted_with_their_status(runtime):
@@ -612,13 +632,13 @@ def assert_released(rt, *states):
 
 def test_each_new_flow_makes_one_record(monkeypatch):
     made = []
-    real = slow_path.ConnRecord
+    real = slow_path.Conn
 
     def counting(*args, **kwargs):
         made.append(real(*args, **kwargs))
         return made[-1]
 
-    monkeypatch.setattr(slow_path, "ConnRecord", counting)
+    monkeypatch.setattr(slow_path, "Conn", counting)
     rt, _ = clocked_runtime()
     for i in range(100):
         rt.fast_path.ingress(
