@@ -89,12 +89,14 @@ def frame_http(data: bytes) -> Optional[tuple]:
     block of the message at the start of `data` is in, its head `(length,
     body_at, start_line, host, bad_line)` -- header block plus
     Content-Length body, where the body starts, the start line, the Host
-    (b'' if none) and the first line a request may not have (None if none):
-    one with no colon or no name, or a second Host line (RFC 9112 section
-    3.2) -- else None.  The message is whole once `len(data)` reaches that
-    length.  Raises MalformedHttp, with `end` set, for a message over
-    MAX_DESCRIPTOR_BYTES (or no header terminator within that many), a bad,
-    over-long or conflicting Content-Length, or any Transfer-Encoding."""
+    (None if none) and the first line a request may not have (None if
+    none): one with no colon or no name, whitespace around its name (RFC
+    9112 sections 5.1 and 5.2: before the colon, or an obs-fold), or a
+    second Host line (section 3.2) -- else None.  The message is whole once
+    `len(data)` reaches that length.  Raises MalformedHttp, with `end` set,
+    for a message over MAX_DESCRIPTOR_BYTES (or no header terminator within
+    that many), a bad, over-long or conflicting Content-Length, or any
+    Transfer-Encoding."""
     head_end = data.find(_CRLF + _CRLF)
     if head_end < 0:
         if len(data) < MAX_DESCRIPTOR_BYTES:
@@ -107,9 +109,11 @@ def frame_http(data: bytes) -> Optional[tuple]:
     length = host = bad_line = None
     for line in lines[1:]:
         name, colon, value = line.partition(b":")
-        if (not colon or not name) and bad_line is None:
+        # bytes.strip returns the same object when there is nothing to strip
+        key = name.strip()
+        if (not colon or not name or key is not name) and bad_line is None:
             bad_line = line
-        name = name.strip().lower()
+        name = key.lower()
         if name == b"host":
             if host is not None and bad_line is None:
                 bad_line = line
@@ -134,7 +138,7 @@ def frame_http(data: bytes) -> Optional[tuple]:
     length = end + (length or 0)
     if length > MAX_DESCRIPTOR_BYTES:
         raise MalformedHttp(f"message exceeds {MAX_DESCRIPTOR_BYTES} bytes", end)
-    return length, end, lines[0], host or b"", bad_line
+    return length, end, lines[0], host, bad_line
 
 
 class HttpReader:
@@ -224,9 +228,10 @@ class HttpReader:
 def parse_request(data: bytes, head: Optional[tuple] = None) -> tuple:
     """The request `data` holds, exactly, as `(method, url_path, host,
     body_at)`, built from `head`, its `frame_http` head (framed here when
-    None), with no second pass over its header lines.  Raises MalformedHttp
-    for a message cut short or followed by more bytes, a bad request line
-    or a bad header line."""
+    None), with no second pass over its header lines; `host` is b'' when
+    an HTTP/1.0 request has none.  Raises MalformedHttp for a message cut
+    short or followed by more bytes, a bad request line, a bad header line
+    or an HTTP/1.1 request with no Host (RFC 9112 section 3.2)."""
     if head is None:
         head = frame_http(data)
     if head is None or head[0] > len(data):
@@ -239,7 +244,9 @@ def parse_request(data: bytes, head: Optional[tuple] = None) -> tuple:
         raise MalformedHttp("bad request line")
     if bad_line is not None:
         raise MalformedHttp(f"bad header line {bad_line!r}")
-    return parts[0], parts[1], host, body_at
+    if host is None and parts[2] == b"HTTP/1.1":
+        raise MalformedHttp("no host")
+    return parts[0], parts[1], host or b"", body_at
 
 
 def http_deparse(msg: Message, ctx: dict, snaps: dict):

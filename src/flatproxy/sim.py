@@ -10,8 +10,12 @@ where the throughput gap comes from.
 
 The event engine reads arrivals from their sequence, already in time
 order, and keeps only in-flight completions (and a closed loop's later
-arrivals) on its heap.  At equal times an arrival from the sequence goes
-first; heap events at equal times go in insertion order.
+arrivals) on its heap, all but the last one scheduled, which it holds
+aside: taking the next event is then one `heappushpop`, which returns the
+held one with no sift when it is the earliest.  At equal times an arrival
+from the sequence goes first; other events at equal times go in the order
+they were scheduled.  An arrival that finds the first station full loses,
+in one step, every later arrival up to that station's next event.
 """
 
 from __future__ import annotations
@@ -355,9 +359,10 @@ def run_sim(mode: Mode, cost: CostModel, wl: Workload,
     Deterministic for a fixed (seed, workload, topology): events are taken
     in nondecreasing time.  The open loop's arrivals, and the closed loop's
     first `concurrency`, are read from their sequence, already in time
-    order; the heap holds only in-flight completions and the closed loop's
-    later arrivals.  At equal times an arrival from the sequence goes
-    first, and heap events go in insertion order.
+    order; in-flight completions and the closed loop's later arrivals are
+    scheduled events, the last one held aside and the rest on a heap.  At
+    equal times an arrival from the sequence goes first, and scheduled
+    events go in the order they were scheduled.
     """
     rng = random.Random(wl.seed)
     stations = []
@@ -388,72 +393,108 @@ def run_sim(mode: Mode, cost: CostModel, wl: Workload,
     busy = [0.0] * len(stations)
     service = [st.service_ns for st in stations]
     sigma = [st.jitter_sigma for st in stations]
+    jitter = any(s > 0 for s in sigma)
     # a mean-1 lognormal multiplier, so jitter does not shift totals
     half_var = [s ** 2 / 2 for s in sigma]
     depth = [st.depth for st in stations]
     host = [st.host for st in stations]
     last = len(stations) - 1
-    gauss, exp = rng.gauss, math.exp
+    gauss, exp, inf = rng.gauss, math.exp, math.inf
     heappush, heappop = heapq.heappush, heapq.heappop
+    heappushpop = heapq.heappushpop
     latencies = metrics.latencies
     loss = 0
     last_delivery = 0.0
 
-    heap = []  # (time_ns, seq, station, arrival_ns); station -1: an arrival
+    # events: (time_ns, seq, station, arrival_ns), station -1 an arrival;
+    # the last one scheduled is held in `pending`, the others on the heap
+    heap = []
+    pending = None
     seq = 0
     i = 0
-    next_arrival = 0.0 if n else math.inf
+    next_arrival = 0.0 if n else inf
     while True:
         # strictly earlier only: at a tie the arrival goes first
-        if heap and heap[0][0] < next_arrival:
+        if pending is not None and pending[0] < next_arrival:
+            # `pending`, or an earlier event from the heap: one sift at most
+            now, _s, k, arrival = heappushpop(heap, pending)
+            pending = None
+        elif heap and heap[0][0] < next_arrival:
             now, _s, k, arrival = heappop(heap)
-            if k < 0:
-                k = 0
-            else:
-                # station k finished `arrival`: it takes its next waiting
-                # request, and `arrival` moves on to station k + 1
-                q = queues[k]
-                if q:
-                    svc = service[k]
-                    if sigma[k] > 0:
-                        svc *= exp(gauss(0.0, sigma[k]) - half_var[k])
-                    busy[k] += svc
-                    if host[k]:
-                        cpu += svc
-                    heappush(heap, (now + svc, seq, k, q.popleft()))
-                    seq += 1
-                else:
-                    free[k] += 1
-                if k == last:
-                    latencies.append(now - arrival)
-                    last_delivery = now
-                    if rearrive and now < horizon_ns:
-                        heappush(heap, (now, seq, -1, now))
-                        seq += 1
-                    continue
-                k += 1
         elif i < n:
             now = arrival = next_arrival
             i += 1
-            next_arrival = i * interval if i < n else math.inf
-            k = 0
+            next_arrival = i * interval if i < n else inf
+            k = -1
         else:
             break
+        if k < 0:
+            k = 0
+        else:
+            # station k finished `arrival`: it takes its next waiting
+            # request, and `arrival` moves on to station k + 1
+            q = queues[k]
+            if q:
+                svc = service[k]
+                if jitter and sigma[k] > 0:
+                    svc *= exp(gauss(0.0, sigma[k]) - half_var[k])
+                busy[k] += svc
+                if host[k]:
+                    cpu += svc
+                if pending is not None:
+                    heappush(heap, pending)
+                pending = (now + svc, seq, k, q.popleft())
+                seq += 1
+            else:
+                free[k] += 1
+            if k == last:
+                latencies.append(now - arrival)
+                last_delivery = now
+                if rearrive and now < horizon_ns:
+                    if pending is not None:
+                        heappush(heap, pending)
+                    pending = (now, seq, -1, now)
+                    seq += 1
+                continue
+            k += 1
         # `arrival` enters station k
-        if free[k] > 0:
+        if free[k]:
             free[k] -= 1
             svc = service[k]
-            if sigma[k] > 0:
+            if jitter and sigma[k] > 0:
                 svc *= exp(gauss(0.0, sigma[k]) - half_var[k])
             busy[k] += svc
             if host[k]:
                 cpu += svc
-            heappush(heap, (now + svc, seq, k, arrival))
+            if pending is not None:
+                heappush(heap, pending)
+            pending = (now + svc, seq, k, arrival)
             seq += 1
         elif len(queues[k]) < depth[k]:
             queues[k].append(arrival)
         else:
             loss += 1
+            if not k and heap and i + 1 < n:
+                # nothing frees station 0 before the next scheduled event,
+                # and arrivals go first at a tie: each one until then is
+                # lost too
+                top = heap[0][0]
+                if pending is not None and pending[0] < top:
+                    top = pending[0]
+                if (i + 1) * interval <= top:
+                    # j, the last of them: estimated, then confirmed with
+                    # the products `i * interval` that time the arrivals
+                    if (n - 1) * interval <= top:
+                        j = n - 1
+                    else:
+                        j = max(int(top / interval), i + 1)
+                        while j * interval > top:
+                            j -= 1
+                        while (j + 1) * interval <= top:
+                            j += 1
+                    loss += j + 1 - i
+                    i = j + 1
+                    next_arrival = i * interval if i < n else inf
 
     metrics.delivered = len(latencies)
     metrics.loss = loss
@@ -563,62 +604,3 @@ def e2e_latency_reduction(seed: int = 0, rate_frac: float = 0.95,
     envoy = run_sim(Mode.ENVOY, envoy_cost, wl, topo)
     fp = run_sim(Mode.FLATPROXY, fp_cost, wl, topo)
     return 1.0 - fp.mean_ns / envoy.mean_ns
-
-
-# ---------------------------------------------------------------------------
-# Functional run: the real chain under simulated time
-
-def run_functional(runtime, wl: Workload) -> Metrics:
-    """Push seeded requests through the real fast path and time them with
-    the offloaded cost model.  Outcomes are read as fast-path counter
-    deltas: `msg_egress` counts the messages delivered, and `msg_dropped`
-    those lost, a full TX ring's (`msg_dropped.ring_full`) among them."""
-    from .core import FlowKey, Metadata, Proto, TrafficUnit, UnitKind
-
-    rng = random.Random(wl.seed)
-    listeners = runtime.config.listeners if runtime.config else []
-    if not listeners:
-        raise ValueError("run_functional needs a distributed config")
-    listener = listeners[0]
-
-    models = builtin_cost_models()
-    cost = models[(Mode.FLATPROXY, "l7")]
-    n_requests = max(1, int(wl.duration_s * wl.rate_qps))
-
-    client_base = 0x0A000064  # 10.0.0.100
-    flows = [
-        FlowKey(
-            sip=client_base + i,
-            sport=40000 + (i % 20000),
-            dip=listener.dip,
-            dport=listener.dport,
-            proto=Proto.TCP,
-        )
-        for i in range(wl.n_connections)
-    ]
-
-    metrics = Metrics(duration_s=wl.duration_s, request_size=wl.request_size)
-    before = runtime.fast_path.counters()
-    offsets = [0] * len(flows)  # per-connection byte sequence cursor
-    for i in range(n_requests):
-        conn_idx = i % len(flows)
-        flow = flows[conn_idx]
-        body = bytes([rng.randrange(32, 127)]) * max(0, wl.request_size - 64)
-        payload = (
-            b"GET /svc/a HTTP/1.1\r\nHost: a\r\nContent-Length: "
-            + str(len(body)).encode() + b"\r\n\r\n" + body
-        )
-        unit = TrafficUnit(
-            kind=UnitKind.FRAME,
-            meta=Metadata(flow=flow, conn_id=conn_idx),
-            payload=payload,
-            seq=offsets[conn_idx],
-        )
-        offsets[conn_idx] += len(payload)
-        runtime.fast_path.ingress(unit)
-    delta = {k: v - before.get(k, 0)
-             for k, v in runtime.fast_path.counters().items()}
-    for _ in range(delta.get("msg_egress", 0)):
-        metrics.record(float(cost.total_ns))
-    metrics.loss = delta.get("msg_dropped", 0)
-    return metrics

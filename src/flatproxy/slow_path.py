@@ -379,15 +379,18 @@ class MeshRuntime:
     def close_flow(self, key: FlowKey):
         """The one path that releases a flow: its record, with its TOE
         state, and what the record holds once connected -- the LB count,
-        the queue (closed), its stub and its queue table entry."""
-        conn = self.conns.pop(key, None)
-        if conn is None or conn.queue is None:
+        the queue (closed), its stub and its queue table entry.  The record
+        goes last, so a flow missing from `conns` holds nothing."""
+        conn = self.conns.get(key)
+        if conn is None:
             return
-        conn.lb.close(conn.endpoint)
         q = conn.queue
-        q.close()
-        del self.vqs[q.id], self.queue_table[key]
-        self.stubs.pop(q.id, None)
+        if q is not None:
+            conn.lb.close(conn.endpoint)
+            q.close()
+            del self.vqs[q.id], self.queue_table[key]
+            self.stubs.pop(q.id, None)
+        del self.conns[key]
 
     # -- slow path ---------------------------------------------------------
     def handle_slow_path(self, unit: TrafficUnit) -> Optional[Conn]:

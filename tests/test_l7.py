@@ -198,7 +198,8 @@ def test_parse_rejects_incomplete_body():
 # reference it must agree with: the framer split every header line to find
 # the Content-Length, and the parser walked the split lines again for the
 # Host and the header-line check, which refuses a second Host line too
-# (RFC 9112 section 3.2).
+# (RFC 9112 section 3.2), whitespace around a field name (sections 5.1 and
+# 5.2) and an HTTP/1.1 request with no Host.
 
 def _two_pass_split(block):
     lines = block.split(b"\r\n")
@@ -249,10 +250,13 @@ def _two_pass_parse(data, head):
     host = None
     for name, colon, value in fields:
         is_host = name.strip().lower() == b"host"
-        if not colon or not name or (is_host and host is not None):
+        if (not colon or not name or name.strip() != name
+                or (is_host and host is not None)):
             raise MalformedHttp(f"bad header line {name + colon + value!r}")
         if is_host:
             host = value.strip()
+    if host is None and parts[2] == b"HTTP/1.1":
+        raise MalformedHttp("no host")
     return (parts[0], parts[1], host or b"", body_at)
 
 
@@ -302,6 +306,34 @@ _START_LINES = st.sampled_from([b"GET /svc/a HTTP/1.1"] * 5
                                   b"GET  / HTTP/1.1", b"GET / FTP/1", b""])
 
 
+@pytest.mark.parametrize("line", [b"Content-Length : 5", b"Content-Length\t: 5",
+                                  b" Content-Length: 5", b"\tContent-Length: 5"])
+def test_whitespace_around_a_field_name_refuses_the_request(line):
+    """Whitespace before the colon, or before the name as in an obs-fold
+    (RFC 9112 sections 5.1 and 5.2), makes the line the head's bad line, so
+    the parser refuses the request; the line still frames the message, and
+    a response, which no parser reads, is cut whole by it."""
+    request = b"POST /svc/a HTTP/1.1\r\nHost: h\r\n" + line + b"\r\n\r\nhello"
+    head = frame_http(request)
+    assert head[0] == len(request) and head[4] == line
+    with pytest.raises(MalformedHttp, match="bad header line"):
+        parse_request(request, head)
+    response = b"HTTP/1.1 200 OK\r\n" + line + b"\r\n\r\nhello"
+    assert HttpReader().take(response) == ((response, frame_http(response)),)
+
+
+def test_http11_request_with_no_host_is_refused():
+    """An HTTP/1.1 request must have a Host (RFC 9112 section 3.2), though
+    it may be empty; an HTTP/1.0 one need not."""
+    with pytest.raises(MalformedHttp, match="no host"):
+        parse_request(b"GET /svc/a HTTP/1.1\r\nX-Other: Host: a\r\n\r\n")
+    assert parse_request(b"GET / HTTP/1.1\r\nHost:\r\n\r\n")[2] == b""
+    assert parse_request(b"GET / HTTP/1.0\r\n\r\n")[2] == b""
+    msg = Message(make_flow(), b"GET / HTTP/1.1\r\n\r\n")
+    http_parse(msg, {}, {})
+    assert msg.verdict_reason == "malformed_http:no host"
+
+
 @settings(max_examples=400, deadline=None)
 @given(start=_START_LINES,
        good=st.lists(_GOOD_LINES, max_size=5),
@@ -313,7 +345,8 @@ _START_LINES = st.sampled_from([b"GET /svc/a HTTP/1.1"] * 5
 def test_one_pass_head_reads_as_the_two_pass_head(start, good, bad, off_by,
                                                   data):
     """Random header blocks -- good and bad start lines, Host in any case
-    and spacing and repeated, lines with no colon or no name, good, signed,
+    and spacing (whitespace around a name makes a bad line), repeated and
+    missing, lines with no colon or no name, good, signed,
     repeated and conflicting Content-Lengths, with and without
     Transfer-Encoding, and bodies of the length they say, a byte short or a
     byte over -- are framed and parsed by the one pass exactly as by the
@@ -364,6 +397,8 @@ def test_deparse_roundtrip_exact():
 _token = st.binary(min_size=1, max_size=12).filter(
     lambda b: not any(c in b for c in b"\r\n: ")
 )
+# a field name has no whitespace around it (RFC 9112 section 5.1)
+_name = _token.filter(lambda b: b.strip() == b)
 
 
 @given(
@@ -371,7 +406,7 @@ _token = st.binary(min_size=1, max_size=12).filter(
         lambda b: not any(c in b for c in b"\r\n ")
     ),
     # a request has one Host line, its first
-    headers=st.lists(st.tuples(_token, _token).filter(
+    headers=st.lists(st.tuples(_name, _token).filter(
         lambda h: h[0].lower() != b"host"), max_size=5),
     body=st.binary(max_size=64),
 )

@@ -149,6 +149,28 @@ def test_live_error_reply_echoes_none_of_the_request(proxy):
     assert b"script" not in reply
 
 
+def test_live_refused_header_forms_get_400_and_keep_serving(proxy):
+    """Whitespace around a field name (RFC 9112 sections 5.1 and 5.2) and an
+    HTTP/1.1 request with no Host (section 3.2) get a 400.  The request is
+    still framed by its Content-Length, so its body is not read as the
+    start of the next request, which is served."""
+    refused = [
+        b"POST /svc/a HTTP/1.1\r\nHost: x\r\nContent-Length : 5\r\n\r\nhello",
+        b"POST /svc/a HTTP/1.1\r\nHost: x\r\n Content-Length: 5\r\n\r\nhello",
+        b"POST /svc/a HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+    ]
+    for raw in refused:
+        with socket.create_connection(("127.0.0.1", proxy.port),
+                                      timeout=5) as s:
+            reader = MessageReader(s.recv)
+            s.sendall(raw)
+            assert reader.read().startswith(b"HTTP/1.1 400")
+            s.sendall(make_request(b"/svc/a"))
+            assert reader.read().startswith(b"HTTP/1.1 200")
+    c = proxy.runtime.stats_snapshot()["fast_path"]
+    assert c["msg_dropped.malformed_http"] == c["status.400"] == len(refused)
+
+
 def test_live_parser_reject_gets_400_and_keeps_serving(proxy):
     with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as s:
         reader = MessageReader(s.recv)

@@ -1,7 +1,6 @@
 import math
 import statistics
 import sys
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,40 +267,3 @@ def test_different_seeds_differ_under_jitter():
 def test_e2e_latency_reduction_band():
     r = e2e_latency_reduction(seed=0)
     assert 0.85 <= r <= 0.95
-
-
-# -- functional run ----------------------------------------------------------
-
-def test_run_functional_delivers_requests():
-    from flatproxy.slow_path import MeshRuntime, load_config
-    from flatproxy.sim import run_functional
-    from conftest import config_text
-
-    rt = MeshRuntime(config=load_config(config_text()))
-    wl = Workload(pattern="open", rate_qps=100, duration_s=0.2, n_connections=4)
-    metrics = run_functional(rt, wl)
-    assert metrics.delivered == 20
-    assert metrics.loss == 0
-    assert metrics.mean_ns == pytest.approx(17_600, abs=1)
-    rt.shutdown()
-
-
-def test_run_functional_full_ring_counts_loss_instead_of_blocking():
-    """Nothing drains the stub side, so one flow's TX ring fills after
-    DEFAULT_RING_CAPACITY (256) messages; the rest are counted as lost."""
-    from flatproxy.slow_path import MeshRuntime, load_config
-    from flatproxy.sim import run_functional
-    from conftest import config_text
-
-    rt = MeshRuntime(config=load_config(config_text()))
-    wl = Workload(pattern="open", rate_qps=300, duration_s=1.0, n_connections=1)
-    out = {}
-    t = threading.Thread(target=lambda: out.update(m=run_functional(rt, wl)),
-                         daemon=True)
-    t.start()
-    t.join(timeout=60)
-    assert not t.is_alive()
-    assert out["m"].delivered == 256
-    assert out["m"].loss == 44
-    assert rt.fast_path.counters()["msg_dropped.ring_full"] == 44
-    rt.shutdown()

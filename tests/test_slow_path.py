@@ -663,6 +663,30 @@ def test_flows_that_never_connect_are_released_on_expiry():
     rt.shutdown()
 
 
+def test_close_flow_drops_the_record_last():
+    """A live flow is closed on the loop thread while another thread may
+    read `conns` (a stats reader, a test waiting for the close), and the
+    queue's close can release the interpreter lock: the record leaves
+    `conns` after everything it holds, so a flow missing from `conns`
+    holds nothing."""
+    rt, _now = clocked_runtime()
+    flow = make_flow(sport=48990)
+    rt.fast_path.ingress(make_frame(make_request(b"/svc/a"), flow))
+    q = rt.conns[flow].queue
+    seen = []
+    real_close = q.close
+
+    def close():
+        seen.append(flow in rt.conns)
+        real_close()
+
+    q.close = close
+    rt.close_flow(flow)
+    assert seen == [True]
+    assert_released(rt)
+    rt.shutdown()
+
+
 def test_least_conn_counts_drop_when_flows_close():
     """A and C (on backend-0) expire while B (backend-1) stays active, so
     the next flow D goes to backend-0: the counts are of open flows."""
