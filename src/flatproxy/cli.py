@@ -193,9 +193,12 @@ def cmd_sim(args) -> int:
         return EXIT_RUNTIME
 
     for mode in args.modes:
-        mrows = [r for r in rows if r["mode"] == mode.value]
-        mean = sum(r["mean_ns"] for r in mrows) / len(mrows)
-        print(f"{mode.value}: mean latency {mean:.0f} ns over {len(mrows)} points")
+        means = [r["mean_ns"] for r in rows if r["mode"] == mode.value]
+        # a point that completed no request has no latency to average
+        done = [m for m in means if m]
+        mean = f"{sum(done) / len(done):.0f} ns" if done else "none"
+        print(f"{mode.value}: mean latency {mean} over {len(done)} points, "
+              f"{len(means) - len(done)} completed none")
     if Mode.ENVOY in args.modes and Mode.FLATPROXY in args.modes:
         topo = Topology(n_cores=args.cores[0])
         conns = args.connections[0]

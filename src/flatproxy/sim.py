@@ -27,9 +27,11 @@ import math
 import operator
 import random
 import statistics
+import types
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class Mode(Enum):
@@ -45,15 +47,13 @@ class StageKind(Enum):
     L7_POOL = "l7_pool"    # offloaded L7 worker pool
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     name: str
     service_ns: int
     kind: StageKind
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(NamedTuple):
     mode: Mode
     layer: str  # "l4" | "l7"
     stages: tuple
@@ -103,7 +103,7 @@ def builtin_cost_models() -> dict:
 
     envoy = models[(Mode.ENVOY, "l4")]
     models[(Mode.SOCKMAP, "l4")] = CostModel(Mode.SOCKMAP, "l4", tuple(
-        replace(s, service_ns=_pct(s.service_ns, 10)) if s.name == "loopback" else s
+        s._replace(service_ns=_pct(s.service_ns, 10)) if s.name == "loopback" else s
         for s in envoy.stages
     ))
 
@@ -141,7 +141,7 @@ def builtin_cost_models() -> dict:
 
     envoy7 = models[(Mode.ENVOY, "l7")]
     models[(Mode.SOCKMAP, "l7")] = CostModel(Mode.SOCKMAP, "l7", tuple(
-        replace(s, service_ns=_pct(s.service_ns, 10)) if s.name == "loopback" else s
+        s._replace(service_ns=_pct(s.service_ns, 10)) if s.name == "loopback" else s
         for s in envoy7.stages
     ))
 
@@ -152,6 +152,11 @@ def builtin_cost_models() -> dict:
     ) + tuple(s for s in envoy7.stages[2:]))
 
     return models
+
+
+# the built-in models, built once; `builtin_cost_models()` builds a new dict
+# for a caller that changes it
+BUILTIN_MODELS = types.MappingProxyType(builtin_cost_models())
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +204,6 @@ class Metrics:
     # `latencies` in order, sorted again only once more have been recorded;
     # not a field, so neither equality nor repr sees it
     _sorted = ()
-
-    def record(self, latency_ns: float):
-        self.delivered += 1
-        self.latencies.append(latency_ns)
 
     @property
     def histogram(self) -> dict:
@@ -295,8 +296,7 @@ def _sqrt_of_ratio(num: int, den: int) -> float:
 # ---------------------------------------------------------------------------
 # Event engine
 
-@dataclass(frozen=True)
-class _Station:
+class _Station(NamedTuple):
     name: str
     servers: int
     service_ns: float
@@ -346,10 +346,12 @@ def capacity_rps(mode: Mode, cost: CostModel, topo: Topology,
                  connections: int = 1) -> float:
     """Analytic saturation rate: pipeline stages each pass one unit per
     service time; host stages share the cores serially."""
-    rates = []
-    for st in build_stations(mode, cost, topo, connections):
-        rates.append(st.servers / (st.service_ns * 1e-9))
-    return min(rates) if rates else float("inf")
+    return _capacity(build_stations(mode, cost, topo, connections))
+
+
+def _capacity(stations) -> float:
+    return min((st.servers / (st.service_ns * 1e-9) for st in stations),
+               default=math.inf)
 
 
 def run_sim(mode: Mode, cost: CostModel, wl: Workload,
@@ -364,16 +366,12 @@ def run_sim(mode: Mode, cost: CostModel, wl: Workload,
     equal times an arrival from the sequence goes first, and scheduled
     events go in the order they were scheduled.
     """
-    rng = random.Random(wl.seed)
-    stations = []
-    for _hop in range(topo.hops):
-        stations.extend(build_stations(mode, cost, topo, wl.n_connections))
+    # every hop's stations are alike
+    hop = build_stations(mode, cost, topo, wl.n_connections)
+    stations = hop * topo.hops
 
     metrics = Metrics(duration_s=wl.duration_s, request_size=wl.request_size)
-    metrics.unstable = (
-        wl.pattern == "open"
-        and wl.rate_qps > capacity_rps(mode, cost, topo, wl.n_connections)
-    )
+    metrics.unstable = wl.pattern == "open" and wl.rate_qps > _capacity(hop)
 
     cpu = 0.0
     if mode is Mode.FLATPROXY:
@@ -394,12 +392,14 @@ def run_sim(mode: Mode, cost: CostModel, wl: Workload,
     service = [st.service_ns for st in stations]
     sigma = [st.jitter_sigma for st in stations]
     jitter = any(s > 0 for s in sigma)
+    # without jitter nothing draws, so no generator is seeded
+    gauss = random.Random(wl.seed).gauss if jitter else None
     # a mean-1 lognormal multiplier, so jitter does not shift totals
     half_var = [s ** 2 / 2 for s in sigma]
     depth = [st.depth for st in stations]
     host = [st.host for st in stations]
     last = len(stations) - 1
-    gauss, exp, inf = rng.gauss, math.exp, math.inf
+    exp, inf = math.exp, math.inf
     heappush, heappop = heapq.heappush, heapq.heappop
     heappushpop = heapq.heappushpop
     latencies = metrics.latencies
@@ -534,21 +534,21 @@ def compare_modes(
     n_workers: int = 8,
     models: dict = None,
 ) -> list:
-    """Run every mode over the sweep grid; returns CSV-ready row dicts."""
-    models = models or builtin_cost_models()
+    """Run every mode over the sweep grid; returns CSV-ready row dicts.
+    `models` defaults to BUILTIN_MODELS."""
+    if models is None:
+        models = BUILTIN_MODELS
     rows = []
     for rate in rates:
         for conn in connections:
+            wl = Workload(
+                pattern="open", rate_qps=rate, n_connections=conn,
+                request_size=request_size, duration_s=duration_s, seed=seed,
+            )
             for k in cores:
+                topo = Topology(n_cores=k, n_workers=n_workers)
                 for mode in modes:
-                    cost = models[(mode, layer)]
-                    topo = Topology(n_cores=k, n_workers=n_workers)
-                    wl = Workload(
-                        pattern="open", rate_qps=rate, n_connections=conn,
-                        request_size=request_size, duration_s=duration_s,
-                        seed=seed,
-                    )
-                    m = run_sim(mode, cost, wl, topo)
+                    m = run_sim(mode, models[(mode, layer)], wl, topo)
                     rows.append({
                         "mode": mode.value,
                         "rate_qps": rate,
@@ -579,11 +579,9 @@ def saturation_rps(mode: Mode, layer: str, topo: Topology,
                    connections: int = 1, duration_s: float = 0.05,
                    request_size: int = 1024, seed: int = 0) -> float:
     """Measured delivered rate under 2x-overload open-loop offered load."""
-    models = builtin_cost_models()
-    cost = models[(mode, layer)]
-    cap = max(
-        capacity_rps(m, models[(m, layer)], topo, connections) for m in Mode
-    )
+    cost = BUILTIN_MODELS[(mode, layer)]
+    cap = max(capacity_rps(m, BUILTIN_MODELS[(m, layer)], topo, connections)
+              for m in Mode)
     wl = Workload(pattern="open", rate_qps=2.0 * cap, n_connections=connections,
                   request_size=request_size, duration_s=duration_s, seed=seed)
     return run_sim(mode, cost, wl, topo).responses_per_s
@@ -593,11 +591,10 @@ def e2e_latency_reduction(seed: int = 0, rate_frac: float = 0.95,
                           duration_s: float = 0.4) -> float:
     """Mean-latency reduction of the offloaded mode vs the sidecar over a
     two-hop L7 path with host jitter, near the sidecar's saturation."""
-    models = builtin_cost_models()
     topo = Topology(n_cores=2, n_workers=8, hops=2,
                     host_jitter_sigma=0.6, hw_jitter_sigma=0.15)
-    envoy_cost = models[(Mode.ENVOY, "l7")]
-    fp_cost = models[(Mode.FLATPROXY, "l7")]
+    envoy_cost = BUILTIN_MODELS[(Mode.ENVOY, "l7")]
+    fp_cost = BUILTIN_MODELS[(Mode.FLATPROXY, "l7")]
     cap = capacity_rps(Mode.ENVOY, envoy_cost, topo)
     wl = Workload(pattern="open", rate_qps=rate_frac * cap,
                   duration_s=duration_s, seed=seed)

@@ -1,3 +1,5 @@
+import gc
+import sys
 from collections import deque
 from pathlib import Path
 
@@ -114,3 +116,20 @@ clusters:
     endpoints:
 {eps}
 """
+
+
+def profiled(calls, fn, *args):
+    """`fn(*args)`, with each Python-level call it makes counted in `calls`
+    by qualified name, as a `sys.setprofile` "call" event.  The collector
+    is off meanwhile: a collection's callback is no call of `fn`'s."""
+    def count(frame_, event, arg):
+        if event == "call":
+            calls[frame_.f_code.co_qualname] += 1
+
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        return fn(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()

@@ -145,6 +145,20 @@ def test_sim_with_no_completed_request_prints_no_ratio(capsys):
     assert "latency reduction" not in out
 
 
+def test_sim_mean_leaves_out_points_that_completed_nothing(capsys):
+    """At 1 request/s, 10 ms of simulated time has no arrival: that point
+    has no latency, so each mode's mean is the 20,000/s point's alone, and
+    the point is counted apart."""
+    code, out, _ = run_cli(["sim", "--layer", "l7", "--rate", "1,20000",
+                            "--duration", "0.01", "--cores", "2"], capsys)
+    assert code == 0
+    assert ("envoy: mean latency 62500 ns over 1 points, 1 completed none"
+            in out.splitlines())
+    code, out, _ = run_cli(["sim", "--modes", "toe", "--duration", "0.01"],
+                           capsys)
+    assert "toe: mean latency none over 0 points, 1 completed none" in out
+
+
 def test_sim_rejects_bad_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sim", "--modes", "warp"])

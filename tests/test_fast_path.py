@@ -1,6 +1,4 @@
-import gc
 import random
-import sys
 from collections import Counter, OrderedDict, defaultdict
 from unittest import mock
 
@@ -22,7 +20,7 @@ from flatproxy.match_action import MatchTable, Ppm, compile_chain
 from flatproxy.slow_path import IDLE_TIMEOUT_NS, MeshRuntime, load_config
 from flatproxy.vq import DEFAULT_RING_CAPACITY
 from conftest import (config_text, flow_message, make_flow, make_message,
-                      make_request)
+                      make_request, profiled)
 
 
 def seg(payload, seq, flow=None, conn_id=1):
@@ -804,23 +802,6 @@ def test_hot_path_bypasses_ppm_apply(runtime, monkeypatch):
 
 
 KEEPALIVE_CALL_BUDGET = 16
-
-
-def profiled(calls, fn, *args):
-    """`fn(*args)`, with each Python-level call it makes counted in `calls`
-    by qualified name, as a `sys.setprofile` "call" event.  The collector
-    is off meanwhile: a collection's callback is no call of `fn`'s."""
-    def count(frame_, event, arg):
-        if event == "call":
-            calls[frame_.f_code.co_qualname] += 1
-
-    gc.disable()
-    sys.setprofile(count)
-    try:
-        return fn(*args)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
 
 
 def test_keepalive_get_call_budget(runtime):

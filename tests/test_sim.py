@@ -1,11 +1,13 @@
 import math
 import statistics
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatproxy.sim import (
+    BUILTIN_MODELS,
     CSV_COLUMNS,
     Metrics,
     Mode,
@@ -21,6 +23,7 @@ from flatproxy.sim import (
     run_sim,
     saturation_rps,
 )
+from conftest import profiled
 
 
 MODELS = builtin_cost_models()
@@ -134,33 +137,30 @@ def test_jitter_is_pstdev_exactly(latencies):
     """`jitter_ns` is `statistics.pstdev` bit for bit, both being the
     correctly rounded root of the exact variance: zeros, repeated and
     all-equal values, two latencies, magnitudes from 1 to 1e9."""
-    m = Metrics()
-    for ns in latencies:
-        m.record(ns)
+    m = Metrics(latencies=list(latencies), delivered=len(latencies))
     assert m.jitter_ns == statistics.pstdev(latencies)
 
 
 def test_percentile_sorts_once_and_follows_records():
-    m = Metrics()
-    for ns in (5.0, 1.0, 3.0):
-        m.record(ns)
+    """Percentiles sort the latencies once, and again after one more is
+    added."""
+    m = Metrics(latencies=[5.0, 1.0, 3.0], delivered=3)
     assert (m.p50_ns, m.p99_ns) == (3.0, 5.0)
     sorted_once = m._sorted
     assert m.percentile(10) == 1.0 and m._sorted is sorted_once
-    m.record(0.5)
+    m.latencies.append(0.5)
     assert m.percentile(10) == 0.5 and m.p99_ns == 5.0
 
 
 def test_histogram_matches_per_record_buckets():
     """`histogram` is computed when read; it gives the buckets, and their
-    order of first appearance, that counting at each `record` gave."""
+    order of first appearance, that counting each latency in turn gives."""
     below = [math.nextafter(2.0 ** k, 0.0) for k in (1, 2, 10, 40)]
     latencies = [0.0, 0.25, math.nextafter(1.0, 0.0), 1.0, 1.5, 2.0, 4.0,
                  1023.5, 1024.0, 2.0 ** 40, 22_000, 17_600.0, 0.5, 2.0, *below]
     per_record = {}
-    m = Metrics()
+    m = Metrics(latencies=list(latencies), delivered=len(latencies))
     for ns in latencies:
-        m.record(ns)
         bucket = max(0, int(math.log2(ns))) if ns >= 1 else 0
         per_record[bucket] = per_record.get(bucket, 0) + 1
     assert list(m.histogram.items()) == list(per_record.items())
@@ -237,6 +237,47 @@ def test_compare_modes_grid_shape():
                          cores=(1,), duration_s=0.01)
     assert len(rows) == 2 * 2 * len(Mode)
     assert set(rows[0]) == set(CSV_COLUMNS)
+
+
+def test_compare_modes_with_empty_models_raises():
+    """An empty mapping lacks every (mode, layer), as any mapping without
+    one does: only no mapping at all means the built-in models."""
+    with pytest.raises(KeyError):
+        compare_modes(models={}, duration_s=0.01)
+
+
+def test_builtin_models_are_one_read_only_mapping():
+    """BUILTIN_MODELS is what `builtin_cost_models()` builds and takes no
+    change; changing a dict that `builtin_cost_models()` returned leaves
+    it as it was."""
+    assert BUILTIN_MODELS == builtin_cost_models()
+    with pytest.raises(TypeError):
+        BUILTIN_MODELS[(Mode.ENVOY, "l4")] = MODELS[(Mode.TOE, "l4")]
+    models = builtin_cost_models()
+    models[(Mode.ENVOY, "l4")] = models[(Mode.TOE, "l4")]
+    del models[(Mode.TOE, "l7")]
+    assert BUILTIN_MODELS == MODELS != models
+
+
+def test_run_builds_its_stations_once():
+    """A run builds one hop's stations once, for its events and its
+    `unstable` flag alike, and seeds a generator only when some station
+    has jitter to draw; a sweep and the saturation rate build no models."""
+    cost = MODELS[(Mode.FLATPROXY, "l7")]
+    wl = Workload(pattern="open", rate_qps=1000.0, duration_s=0.01)
+    for topo, seeded in ((Topology(hops=2), 0),
+                         (Topology(hops=2, hw_jitter_sigma=0.1), 1)):
+        calls = Counter()
+        profiled(calls, run_sim, Mode.FLATPROXY, cost, wl, topo)
+        assert (calls["build_stations"], calls["capacity_rps"],
+                calls["Random.__init__"]) == (1, 0, seeded)
+    calls = Counter()
+    profiled(calls, lambda: compare_modes(layer="l7", rates=(1000.0,),
+                                          duration_s=0.01))
+    profiled(calls, saturation_rps, Mode.TOE, "l4", Topology(), 1, 0.001)
+    assert calls["builtin_cost_models"] == 0
+    # one per run, and saturation_rps's capacity of each mode
+    assert calls["build_stations"] == len(Mode) + 1 + len(Mode)
 
 
 def test_rows_to_csv_layout():
