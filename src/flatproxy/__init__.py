@@ -10,7 +10,7 @@ from .core import (
     UnitKind,
     Verdict,
 )
-from .match_action import MatchTable, Ppm, compile_chain
+from .match_action import MatchTable, Ppm
 from .slow_path import MeshConfig, MeshRuntime, load_config
 from .sim import Mode, Workload, builtin_cost_models, compare_modes, run_sim
 

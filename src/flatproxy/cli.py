@@ -179,6 +179,16 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _latency_summary(means: list) -> str:
+    """A mode's mean latency over its sweep points' `mean_ns`, as `sim`
+    and `report` both print it: a point that completed no request has no
+    latency to average, so it is counted apart."""
+    done = [m for m in means if m]
+    mean = f"{sum(done) / len(done):.0f} ns" if done else "none"
+    return (f"mean latency {mean} over {len(done)} points, "
+            f"{len(means) - len(done)} completed none")
+
+
 def cmd_sim(args) -> int:
     rows = compare_modes(
         layer=args.layer,
@@ -194,11 +204,7 @@ def cmd_sim(args) -> int:
 
     for mode in args.modes:
         means = [r["mean_ns"] for r in rows if r["mode"] == mode.value]
-        # a point that completed no request has no latency to average
-        done = [m for m in means if m]
-        mean = f"{sum(done) / len(done):.0f} ns" if done else "none"
-        print(f"{mode.value}: mean latency {mean} over {len(done)} points, "
-              f"{len(means) - len(done)} completed none")
+        print(f"{mode.value}: {_latency_summary(means)}")
     if Mode.ENVOY in args.modes and Mode.FLATPROXY in args.modes:
         topo = Topology(n_cores=args.cores[0])
         conns = args.connections[0]
@@ -310,12 +316,10 @@ def cmd_report(args) -> int:
         for row in rows:
             by_mode.setdefault(row["mode"], []).append(row)
         for mode, mrows in by_mode.items():
-            mean = sum(float(r["mean_ns"]) for r in mrows) / len(mrows)
+            means = [float(r["mean_ns"]) for r in mrows]
             rps = max(float(r["responses_per_s"]) for r in mrows)
-            lines.append(
-                f"{mode}: {len(mrows)} points, mean latency {mean:.0f} ns, "
-                f"peak {rps:.0f} rsp/s"
-            )
+            lines.append(f"{mode}: {_latency_summary(means)}, "
+                         f"peak {rps:.0f} rsp/s")
     except (KeyError, TypeError, ValueError) as exc:
         what = f"no {exc} column" if isinstance(exc, KeyError) else exc
         print(f"not a sweep csv: {args.csv_in}: {what}", file=sys.stderr)

@@ -54,8 +54,8 @@ _DROP, _DELIVER = Verdict.DROP, Verdict.DELIVER
 # ---------------------------------------------------------------------------
 # The standard HTTP routing chain
 
-# the standard PPM ids, in the default chain's order: a config's chain is
-# checked against these before any table exists
+# the one L7 chain every runtime runs, fixed when it is built; a config's
+# chain section may only spell it
 STANDARD_CHAIN = ("toe", "http_parser", "filter", "router", "http_deparser")
 
 
@@ -73,10 +73,9 @@ def standard_registry(
     `l7` function, looked up in this module's globals as the registry is
     built; the router's binds the live `lb` map (cluster ref -> LbState)
     and `connector`.  The parser drops a malformed message as
-    `malformed_http` and the deparser one no router bound to a queue as
-    `no_queue`.  `toe` has no step, so each framed message passes it at no
-    cost: reassembly lives in ToeEngine, which `FastPath.ingress` drives
-    because one segment may yield zero or many messages."""
+    `malformed_http`.  `toe` has no step, so each framed message passes it
+    at no cost: reassembly lives in ToeEngine, which `FastPath.ingress`
+    drives because one segment may yield zero or many messages."""
     return {
         "toe": Ppm("toe"),
         "http_parser": Ppm("http_parser", steps=[http_parse]),
@@ -168,7 +167,7 @@ class ToeEngine:
 _STATUS_BY_REASON = {"filter": 403, "no_listener": 404, "no_route": 404,
                      "malformed_http": 400, "no_healthy_endpoint": 503,
                      "ring_full": 503, "connect_failure": 502,
-                     "unknown_cluster": 502, "no_queue": 502}
+                     "unknown_cluster": 502}
 
 
 def http_status(reason: str) -> int:

@@ -250,14 +250,10 @@ def parse_request(data: bytes, head: Optional[tuple] = None) -> tuple:
 
 
 def http_deparse(msg: Message, ctx: dict, snaps: dict):
-    """The deparser's step: a message the router bound to a queue is
-    delivered as its bytes exactly as they arrived, `msg.payload`
-    untouched; one no router bound is dropped as `no_queue`.  It reads no
-    table."""
-    if msg.queue is None:
-        msg.set_verdict(_DROP, "no_queue")
-    else:
-        msg.set_verdict(_DELIVER, "deparsed")
+    """The deparser's step, last in the chain: the message, which the
+    router ahead of it bound to a queue, is delivered as its bytes exactly
+    as they arrived, `msg.payload` untouched.  It reads no table."""
+    msg.set_verdict(_DELIVER, "deparsed")
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +275,7 @@ class FilterRule:
     sip: Optional[int] = None
 
     def matches(self, msg: Message) -> bool:
-        if msg.method is None:  # not parsed
-            return False
+        """Whether each field the rule sets equals the parsed request's."""
         if self.method is not None and msg.method != self.method:
             return False
         if self.host is not None and msg.host != self.host:
@@ -446,8 +441,8 @@ def route(
 
     A queue miss pins the record to the queue the connector returns, with
     the endpoint and a count on it in the cluster's state, which
-    `close_flow` gives back.  A message is bound to one queue: routing one
-    already bound to another raises ValueError.
+    `close_flow` gives back.  The chain runs the router once on each
+    message, which it binds to its flow's queue.
     """
     flow = msg.flow
     lkey = (flow.dip, flow.dport)
@@ -488,8 +483,6 @@ def route(
             return None
         conn.queue, conn.endpoint, conn.lb = queue, endpoint, state
         state.open(endpoint)
-    if msg.queue is not None and msg.queue != queue:
-        raise ValueError(f"message of {flow} already bound to queue {msg.queue}")
     msg.queue = queue
     if endpoint is not None:
         ctx["load_balance_calls"] += 1

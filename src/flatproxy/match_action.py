@@ -11,10 +11,12 @@ message, which the step reads and sets, its verdict through the monotone
 `collections.defaultdict(int)` it counts in with `ctx[name] += 1`; and
 `snaps` is the traversal's snapshot, which maps the name of each table the
 chain reads to that table's published entries.  A chain is an ordered
-list of PPM ids, none repeated; its compiled form is the concatenation of
-their steps.  `ExecutableChain.execute` holds the one step loop -- a PPM
-applied on its own runs through it as a one-PPM chain -- and stops after
-any step that leaves a terminal verdict; it records nothing.
+list of PPM ids, and its compiled form is the concatenation of their
+steps.  A runtime runs one chain, `fast_path.STANDARD_CHAIN`, fixed when
+it is built: at run time only its tables change.
+`ExecutableChain.execute` holds the one step loop -- a PPM applied on its
+own runs through it as a one-PPM chain -- and stops after any step that
+leaves a terminal verdict; it records nothing.
 
 A traversal runs on one snapshot of every table its chain reads, a dict
 taken at its start that nothing changes.  A rule table is published
@@ -42,10 +44,6 @@ _published = 0
 
 
 class MatchActionError(Exception):
-    pass
-
-
-class UnknownPpm(MatchActionError):
     pass
 
 
@@ -141,19 +139,3 @@ class ExecutableChain:
                 break
         return msg
 
-
-def check_chain(nodes: list, known) -> None:
-    """Check that every id in `nodes` is in `known` (the ids of the PPMs
-    a chain may name) and that none repeats."""
-    for pid in nodes:
-        if pid not in known:
-            raise UnknownPpm(pid)
-    if len(set(nodes)) != len(nodes):
-        raise MatchActionError(f"chain {list(nodes)} repeats a ppm id")
-
-
-def compile_chain(nodes: list, registry: dict) -> ExecutableChain:
-    """Check `nodes` against the registry's PPMs (`check_chain`); return
-    the executable chain in that order."""
-    check_chain(nodes, registry)
-    return ExecutableChain(nodes, registry)

@@ -2,13 +2,14 @@
 
 Config comes from local YAML files (standing in for a cloud control
 center), parsed by libyaml's C parser where PyYAML has it, and gets
-validated into a MeshConfig of frozen values -- its chain against the
-standard PPM ids, `fast_path.STANDARD_CHAIN` -- and is distributed
-layer-wise: the connection controller ("connection") owns the listener
-table, and the message controller ("message") the L7 rule tables.  Each
-table is built with its owner's name and refuses a write that names
-another writer or none.  A rule table is published whole, and a reload
-keeps the version of every table whose entries it leaves equal.
+validated into a MeshConfig of frozen values -- a chain section, if
+there is one, must spell the one L7 chain, `fast_path.STANDARD_CHAIN` --
+and is distributed layer-wise: the connection controller ("connection")
+owns the listener table, and the message controller ("message") the L7
+rule tables.  Each table is built with its owner's name and refuses a
+write that names another writer or none.  A rule table is published
+whole, and a reload keeps the version of every table whose entries it
+leaves equal.
 Balancing state is not config: `MeshRuntime.lb` holds each cluster's
 `LbState`, kept across every reload, changed or not, and dropped with the
 cluster ref; a flow still open keeps its state through its record.
@@ -44,6 +45,7 @@ from .core import (
     FlowKey,
     Message,
     TrafficUnit,
+    int_to_ip4,
     ip4_to_int,
 )
 from .fast_path import STANDARD_CHAIN, FastPath, standard_registry
@@ -59,12 +61,7 @@ from .l7 import (
     QueueTable,
     RouteRule,
 )
-from .match_action import (
-    MatchActionError,
-    MatchTable,
-    check_chain,
-    compile_chain,
-)
+from .match_action import ExecutableChain, MatchTable
 from .vq import RingFull, ServiceStub, VirtQueue
 
 IDLE_TIMEOUT_NS = 60 * 1_000_000_000
@@ -118,7 +115,6 @@ class MeshConfig:
     filters: list
     routes: list
     clusters: list  # list[Cluster]
-    chain: list  # PPM ids, in traversal order
     cost_profile: Optional[str] = None
 
 
@@ -161,39 +157,54 @@ def load_config(source) -> MeshConfig:
     section = "listeners"
     try:
         listeners = [_parse_listener(d) for d in doc.get("listeners", [])]
+        _unique((l.name for l in listeners), "listener name")
+        _unique((f"{int_to_ip4(l.dip)}:{l.dport}" for l in listeners),
+                "listener address")
         section = "filters"
         filters = [_parse_filter(d) for d in doc.get("filters", [])]
         section = "clusters"
         clusters = [_parse_cluster(d) for d in doc.get("clusters", [])]
+        _unique((c.ref for c in clusters), "cluster ref")
         by_name = {l.name: l for l in listeners}
         cluster_refs = {c.ref for c in clusters}
         section = "routes"
         routes = [_parse_route(d, by_name, cluster_refs)
                   for d in doc.get("routes", [])]
         section = "chain"
-        chain_doc = doc.get("chain") or {"nodes": list(STANDARD_CHAIN)}
-        _reject_unknown(chain_doc, _CHAIN_FIELDS, "chain")
-        chain = list(chain_doc.get("nodes", []))
-        check_chain(chain, STANDARD_CHAIN)
-        # the filter, router and deparser read the request the parser made,
-        # and the deparser, last, delivers or drops every message
-        parsed_at = chain.index("http_parser") if "http_parser" in chain else None
-        if {"filter", "router", "http_deparser"} & set(chain[:parsed_at]):
-            raise InvalidChain(f"chain {chain} reads a request before http_parser")
-        if chain[-1:] != ["http_deparser"]:
-            raise InvalidChain(f"chain {chain} does not end with http_deparser")
-    except MatchActionError as exc:
-        raise InvalidChain(str(exc)) from exc
+        chain = doc.get("chain", {"nodes": list(STANDARD_CHAIN)})
+        _reject_unknown(chain, _CHAIN_FIELDS, "chain")
+        nodes = chain.get("nodes")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"bad {section}: {exc!r}", field_name=section) from exc
+    # the pipeline is fixed, as the paper's and P4's are: a config changes
+    # table entries, never the chain
+    if nodes != list(STANDARD_CHAIN):
+        raise InvalidChain(f"chain {nodes!r} is not the standard chain "
+                           f"{list(STANDARD_CHAIN)}")
     return MeshConfig(
         listeners=listeners,
         filters=filters,
         routes=routes,
         clusters=clusters,
-        chain=chain,
         cost_profile=doc.get("cost_profile"),
     )
+
+
+def _unique(keys, what: str):
+    """Refuse a key that `keys` holds twice: the last would silently win."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ValueError(f"{what} {key!r} given twice")
+        seen.add(key)
+
+
+def _name(value) -> str:
+    """A listener name or cluster ref, where it is defined and where a
+    route names it: a YAML string, so both sides read it the same way."""
+    if type(value) is not str:
+        raise ValueError(f"not a string: {value!r}")
+    return value
 
 
 def _port(value) -> int:
@@ -206,7 +217,7 @@ def _port(value) -> int:
 def _parse_listener(d) -> ListenerDef:
     _reject_unknown(d, _LISTENER_FIELDS, "listener")
     return ListenerDef(
-        name=str(d["name"]), dip=ip4_to_int(d["dip"]), dport=_port(d["dport"])
+        name=_name(d["name"]), dip=ip4_to_int(d["dip"]), dport=_port(d["dport"])
     )
 
 
@@ -224,11 +235,11 @@ def _parse_filter(d) -> FilterRule:
 
 def _parse_route(d, by_name: dict, cluster_refs: set) -> RouteRule:
     _reject_unknown(d, _ROUTE_FIELDS, "route")
-    lname = d.get("listener")
+    lname = _name(d["listener"])
     if lname not in by_name:
         raise ParseError(f"route references unknown listener {lname!r}",
                          field_name="listener")
-    cref = d.get("cluster")
+    cref = _name(d["cluster"])
     if cref not in cluster_refs:
         raise DanglingClusterRef(cref)
     matchers = []
@@ -245,7 +256,7 @@ def _parse_route(d, by_name: dict, cluster_refs: set) -> RouteRule:
 
 def _parse_cluster(d) -> Cluster:
     _reject_unknown(d, _CLUSTER_FIELDS, "cluster")
-    ref = str(d["ref"])
+    ref = _name(d["ref"])
     endpoints = []
     for i, e in enumerate(d.get("endpoints", [])):
         _reject_unknown(e, _ENDPOINT_FIELDS, "endpoint")
@@ -296,7 +307,7 @@ class MeshRuntime:
         self.vqs: dict[int, object] = {}  # vq id -> VirtQueue or LiveQueue
         self.stubs: dict[int, object] = {}
 
-        self.chain = self.compile(config.chain if config else STANDARD_CHAIN)
+        self.chain = ExecutableChain(STANDARD_CHAIN, self.registry)
         self.fast_path = FastPath(
             l7_chain=self.chain,
             slow_path_handoff=self.handle_slow_path,
@@ -307,10 +318,6 @@ class MeshRuntime:
         self.conns: OrderedDict[FlowKey, Conn] = self.fast_path.toe.connections
         if config is not None:
             self.distribute(config)
-
-    # -- assembly ----------------------------------------------------------
-    def compile(self, nodes: list):
-        return compile_chain(nodes, self.registry)
 
     # -- rule distribution -------------------------------------------------
     def distribute(self, config: MeshConfig) -> dict:

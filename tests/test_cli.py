@@ -14,6 +14,7 @@ import pytest
 import flatproxy
 from flatproxy.cli import main
 from flatproxy.sim import CSV_COLUMNS
+from flatproxy.slow_path import InvalidChain, load_config
 from conftest import config_text
 
 
@@ -57,6 +58,7 @@ MALFORMED_ENTRIES = [  # (the section named, the document)
     ("filters", config_text().replace("decision: DENY", "decision: 3")),
     ("listeners", "listeners: 5\n"),
     ("chain", config_text() + "chain: 5\n"),
+    ("chain", config_text() + "chain: []\n"),  # once taken as no section
     # an address or port that was read loosely (10.0.0.2_0 as 10.0.0.20,
     # true as 1, 9001.9 as 9001) or that is not a YAML int
     ("listeners", config_text(dip="10.0.0.2_0")),
@@ -100,6 +102,39 @@ def test_listener_port_out_of_range_exits_2(tmp_path, capsys, command, dport):
     code, _, err = run_cli([command, "--config", str(bad)], capsys)
     assert code == 2
     assert "invalid config" in err and "bad listeners" in err
+
+
+# each chain the loader once accepted besides the standard one
+NON_STANDARD_CHAINS = {
+    "no_router": "[http_parser, filter, http_deparser]",
+    "router_before_filter": "[toe, http_parser, router, filter, http_deparser]",
+    "no_filter": "[http_parser, router, http_deparser]",
+    "no_toe": "[http_parser, filter, router, http_deparser]",
+}
+
+
+@pytest.mark.parametrize("nodes", NON_STANDARD_CHAINS.values(),
+                         ids=NON_STANDARD_CHAINS.keys())
+def test_only_the_standard_chain_is_accepted(tmp_path, capsys, nodes):
+    """The L7 chain is fixed: a chain section that spells any other chain
+    is `InvalidChain`, and `validate` exits 2."""
+    doc = config_text() + f"chain:\n  nodes: {nodes}\n"
+    with pytest.raises(InvalidChain):
+        load_config(doc)
+    bad = tmp_path / "chain.yaml"
+    bad.write_text(doc)
+    code, _, err = run_cli(["validate", "--config", str(bad)], capsys)
+    assert code == 2
+    assert "invalid config" in err and "not the standard chain" in err
+
+
+@pytest.mark.parametrize("path", ["configs/http_routing.yaml",
+                                  "perfbench/mesh.yaml"])
+def test_shipped_configs_validate(capsys, path):
+    """Both shipped configs spell the standard chain, and validate."""
+    code, out, _ = run_cli(["validate", "--config", path], capsys)
+    assert code == 0
+    assert out == "config ok\n"
 
 
 def test_validate_missing_file(capsys):
@@ -224,6 +259,23 @@ def test_report_summarizes(tmp_path, capsys):
     assert code == 0
     for mode in ("envoy", "sockmap", "toe", "flatproxy"):
         assert mode in out
+
+
+def test_report_mean_leaves_out_points_that_completed_nothing(tmp_path,
+                                                              capsys):
+    """`report` averages a mode's latency as `sim` does, over the points
+    that completed a request: the 1 request/s point completed none."""
+    sweep = tmp_path / "sweep.csv"
+    code, sim_out, _ = run_cli([
+        "sim", "--layer", "l7", "--rate", "1,20000", "--duration", "0.01",
+        "--cores", "2", "--out", str(sweep)], capsys)
+    assert code == 0
+    summary = "envoy: mean latency 62500 ns over 1 points, 1 completed none"
+    assert summary in sim_out.splitlines()
+    code, out, _ = run_cli(["report", str(sweep)], capsys)
+    assert code == 0
+    assert [line for line in out.splitlines()
+            if line.startswith(summary + ", peak ")]
 
 
 def test_report_missing_file(capsys):

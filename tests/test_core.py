@@ -149,8 +149,8 @@ def test_message_is_one_slotted_object():
 
 
 def test_queue_binding_stable():
-    """The router binds a message to one queue: routing it again to the
-    same queue is fine, and to another one is refused."""
+    """The router binds a message to its connected flow's queue, with no
+    load balancing, and routing it again keeps that queue."""
     from flatproxy.l7 import (
         HttpReader, MatchKind, PathMatcher, RouteRule, http_parse, route)
 
@@ -168,9 +168,6 @@ def test_queue_binding_stable():
     route({}, None, msg, ctx, snaps)
     route({}, None, msg, ctx, snaps)
     assert msg.queue == 7
-    msg.queue = 8
-    with pytest.raises(ValueError):
-        route({}, None, msg, ctx, snaps)
 
 
 def test_endpoint_weight_validation():

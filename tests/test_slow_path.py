@@ -43,8 +43,8 @@ def test_load_example_config(example_config_path):
     assert cfg.routes[0].path_matchers[0].kind is MatchKind.EXACT
     assert cfg.clusters[0].policy is LbPolicy.ROUND_ROBIN
     assert len(cfg.clusters[0].endpoints) == 2
-    assert cfg.chain == ["toe", "http_parser", "filter", "router",
-                         "http_deparser"]
+    assert MeshRuntime(cfg).chain.order == ["toe", "http_parser", "filter",
+                                            "router", "http_deparser"]
     assert cfg.cost_profile == "flatproxy_l7"
 
 
@@ -84,6 +84,49 @@ def test_route_to_unknown_listener_rejected():
     bad = config_text().replace("listener: web", "listener: ghost")
     with pytest.raises(ParseError):
         load_config(bad)
+
+
+def with_listener(entry):
+    """`config_text` with one more listener, `entry`, ahead of `web`."""
+    return config_text().replace("listeners:\n", f"listeners:\n  - {entry}\n")
+
+
+@pytest.mark.parametrize("section, doc", [
+    ("listeners", with_listener("{name: web, dip: 10.0.0.3, dport: 8080}")),
+    ("listeners", with_listener("{name: api, dip: 10.0.0.2, dport: 8080}")),
+    ("clusters", config_text().replace(
+        "clusters:\n", "clusters:\n  - {ref: backend, endpoints: []}\n")),
+], ids=["listener_name", "listener_address", "cluster_ref"])
+def test_name_defined_twice_rejected(section, doc):
+    """A listener name or (dip, dport), or a cluster ref, given twice is
+    refused, naming its section: the last one once silently won."""
+    with pytest.raises(ParseError) as exc:
+        load_config(doc)
+    assert exc.value.field_name == section
+    assert "twice" in str(exc.value)
+
+
+def spelled(name="web", listener="web", ref="backend", cluster="backend"):
+    """`config_text` with its listener's name, the route's listener, its
+    cluster's ref and the route's cluster written as the YAML given."""
+    return (config_text().replace("name: web", f"name: {name}")
+            .replace("listener: web", f"listener: {listener}")
+            .replace("ref: backend", f"ref: {ref}")
+            .replace("cluster: backend", f"cluster: {cluster}"))
+
+
+@pytest.mark.parametrize("spelling", [
+    dict(name="1", listener="'1'"), dict(name="'1'", listener="1"),
+    dict(ref="1", cluster="'1'"), dict(ref="'1'", cluster="1"),
+], ids=["name_int", "listener_int", "ref_int", "cluster_int"])
+def test_names_and_refs_are_strings_on_both_sides(spelling):
+    """A listener name or cluster ref, and a route's name for it, are
+    YAML strings: `1` is refused on either side, so no side is read with
+    `str()` and the other not."""
+    assert load_config(spelled(name="'1'", listener="'1'", ref="'1'",
+                               cluster="'1'")).routes
+    with pytest.raises(ParseError, match="not a string"):
+        load_config(spelled(**spelling))
 
 
 def test_route_without_matchers_rejected():
@@ -134,7 +177,8 @@ def test_chain_edges_field_rejected():
 def test_chain_that_reads_a_request_before_the_parser_rejected(nodes):
     """The filter, router and deparser read the request the parser made:
     a chain that runs one of them without `http_parser` ahead of it would
-    fail on every message, so it is refused."""
+    fail on every message.  It is refused, as every chain but the standard
+    one is."""
     with pytest.raises(InvalidChain):
         load_config(config_text() + f"chain:\n  nodes: {nodes}\n")
 
@@ -142,8 +186,9 @@ def test_chain_that_reads_a_request_before_the_parser_rejected(nodes):
 @pytest.mark.parametrize("nodes", ["[toe, http_parser, filter, router]",
                                    "[toe, http_parser, http_deparser, filter]"])
 def test_chain_that_does_not_end_with_the_deparser_rejected(nodes):
-    """The deparser, last, delivers or drops every message, so a message
-    never leaves the chain without a verdict and its reason."""
+    """The deparser, last, delivers every message the chain did not drop,
+    so a message never leaves the chain without a verdict and its reason.
+    The error names the standard chain, which ends with it."""
     with pytest.raises(InvalidChain, match="http_deparser"):
         load_config(config_text() + f"chain:\n  nodes: {nodes}\n")
 
@@ -209,8 +254,8 @@ def test_chain_checked_against_standard_layers(nodes):
     with pytest.raises(InvalidChain):
         load_config(config_text() + f"chain:\n  nodes: {nodes}\n")
     every = "[toe, http_parser, filter, router, http_deparser]"
-    assert load_config(config_text() + f"chain:\n  nodes: {every}\n").chain == [
-        "toe", "http_parser", "filter", "router", "http_deparser"]
+    assert load_config(config_text() + f"chain:\n  nodes: {every}\n") == (
+        load_config(config_text()))
 
 
 def test_config_error_is_common_base():
@@ -220,17 +265,18 @@ def test_config_error_is_common_base():
 
 
 def test_missing_chain_defaults():
-    cfg = load_config(config_text())
-    assert cfg.chain == ["toe", "http_parser", "filter", "router",
-                         "http_deparser"]
+    rt = MeshRuntime(load_config(config_text()))
+    assert rt.chain.order == ["toe", "http_parser", "filter", "router",
+                              "http_deparser"]
+    rt.shutdown()
 
 
 def test_standard_chain_names_every_registered_ppm():
-    """One tuple is both the ids a chain may name and the default chain."""
+    """One tuple is both the ids of the registered PPMs and the chain."""
     rt = MeshRuntime()
     assert set(rt.registry) == set(STANDARD_CHAIN)
+    assert rt.chain.order == list(STANDARD_CHAIN)
     rt.shutdown()
-    assert load_config(config_text()).chain == list(STANDARD_CHAIN)
 
 
 # -- table ownership ---------------------------------------------------------
