@@ -95,6 +95,8 @@ def _mode_list(text: str):
             out.append(Mode(name))
         except ValueError:
             raise argparse.ArgumentTypeError(f"unknown mode {name!r}")
+    if not out:
+        raise argparse.ArgumentTypeError("needs one or more values")
     return out
 
 

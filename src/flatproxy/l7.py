@@ -67,6 +67,10 @@ class ConnectFailure(Exception):
 
 _CRLF = b"\r\n"
 _LENGTH_DIGITS = len(str(MAX_DESCRIPTOR_BYTES))
+# a field name is a token (RFC 9110 section 5.6.2) when it is all ASCII
+# letters once this table has made a letter of each other token character,
+# leaving every other byte as it is
+_TOKEN_AS_ALPHA = bytes.maketrans(b"!#$%&'*+-.^_`|~0123456789", b"a" * 25)
 
 
 def http_parse(msg: Message, ctx: dict, snaps: dict):
@@ -90,13 +94,13 @@ def frame_http(data: bytes) -> Optional[tuple]:
     body_at, start_line, host, bad_line)` -- header block plus
     Content-Length body, where the body starts, the start line, the Host
     (None if none) and the first line a request may not have (None if
-    none): one with no colon or no name, whitespace around its name (RFC
-    9112 sections 5.1 and 5.2: before the colon, or an obs-fold), or a
-    second Host line (section 3.2) -- else None.  The message is whole once
-    `len(data)` reaches that length.  Raises MalformedHttp, with `end` set,
-    for a message over MAX_DESCRIPTOR_BYTES (or no header terminator within
-    that many), a bad, over-long or conflicting Content-Length, or any
-    Transfer-Encoding."""
+    none): one with no colon, a name that is no token (RFC 9110 section
+    5.6.2), such as an empty one or one with whitespace before the colon or
+    an obs-fold (RFC 9112 sections 5.1 and 5.2), or a second Host line (3.2)
+    -- else None.  The message is whole once `len(data)` reaches that
+    length.  Raises MalformedHttp, with `end` set, for a message over
+    MAX_DESCRIPTOR_BYTES (or no header terminator within that many), a bad,
+    over-long or conflicting Content-Length, or any Transfer-Encoding."""
     head_end = data.find(_CRLF + _CRLF)
     if head_end < 0:
         if len(data) < MAX_DESCRIPTOR_BYTES:
@@ -109,11 +113,11 @@ def frame_http(data: bytes) -> Optional[tuple]:
     length = host = bad_line = None
     for line in lines[1:]:
         name, colon, value = line.partition(b":")
-        # bytes.strip returns the same object when there is nothing to strip
-        key = name.strip()
-        if (not colon or not name or key is not name) and bad_line is None:
+        # most names are letters and digits alone: one cheap test for them
+        if bad_line is None and not (colon and (
+                name.isalnum() or name.translate(_TOKEN_AS_ALPHA).isalpha())):
             bad_line = line
-        name = key.lower()
+        name = name.strip().lower()
         if name == b"host":
             if host is not None and bad_line is None:
                 bad_line = line
@@ -266,7 +270,8 @@ class Decision(Enum):
 
 @dataclass(frozen=True)
 class FilterRule:
-    """First-match-wins predicate over request metadata."""
+    """First-match-wins predicate over request metadata.  `host` is a
+    lowercase host name, with no port."""
 
     decision: Decision
     method: Optional[bytes] = None
@@ -278,7 +283,7 @@ class FilterRule:
         """Whether each field the rule sets equals the parsed request's."""
         if self.method is not None and msg.method != self.method:
             return False
-        if self.host is not None and msg.host != self.host:
+        if self.host is not None and host_name(msg.host) != self.host:
             return False
         if self.path_prefix is not None and not msg.url_path.startswith(
             self.path_prefix
@@ -287,6 +292,14 @@ class FilterRule:
         if self.sip is not None and msg.flow.sip != self.sip:
             return False
         return True
+
+
+def host_name(host: bytes) -> bytes:
+    """A Host value lowercased (RFC 9110 section 7.2) and without a trailing
+    `:port` of digits or none (RFC 3986 section 3.2.3); in a bracketed IPv6
+    literal a `]` follows the last colon, so it keeps its colons."""
+    name, colon, port = host.rpartition(b":")
+    return (name if colon and (port.isdigit() or not port) else host).lower()
 
 
 # Enum members read per message, bound once: a member read is an

@@ -8,14 +8,15 @@ host stages onto k shared cores; the offloaded mode pipelines its
 hardware stages and runs L7 work on a parallel worker pool, which is
 where the throughput gap comes from.
 
-The event engine reads arrivals from their sequence, already in time
-order, and keeps only in-flight completions (and a closed loop's later
-arrivals) on its heap, all but the last one scheduled, which it holds
-aside: taking the next event is then one `heappushpop`, which returns the
-held one with no sift when it is the earliest.  At equal times an arrival
-from the sequence goes first; other events at equal times go in the order
-they were scheduled.  An arrival that finds the first station full loses,
-in one step, every later arrival up to that station's next event.
+Load is open-loop: requests arrive at a fixed rate, whatever the proxy
+delivers.  The event engine reads arrivals from their sequence, already in
+time order, and keeps only in-flight completions on its heap, all but the
+last one scheduled, which it holds aside: taking the next event is then
+one `heappushpop`, which returns the held one with no sift when it is the
+earliest.  At equal times an arrival goes first; completions at equal
+times go in the order they were scheduled.  An arrival that finds the
+first station full loses, in one step, every later arrival up to that
+station's next event.
 """
 
 from __future__ import annotations
@@ -162,13 +163,15 @@ BUILTIN_MODELS = types.MappingProxyType(builtin_cost_models())
 # ---------------------------------------------------------------------------
 # Workload and topology
 
+REQUEST_BYTES = 1024  # every request's size, for `throughput_bps`
+CONN_PENALTY = 0.015  # host slowdown per connection beyond 16
+SLOW_PATH_CONN_NS = 15_000  # host work per new connection (offload mode)
+
+
 @dataclass(frozen=True)
 class Workload:
-    pattern: str = "open"  # "open" (fixed qps) | "closed" (fixed concurrency)
     rate_qps: float = 1.0
-    concurrency: int = 1
     n_connections: int = 1
-    request_size: int = 1024
     duration_s: float = 0.1
     seed: int = 0
 
@@ -180,8 +183,6 @@ class Topology:
     queue_depth: int = 1024
     host_jitter_sigma: float = 0.0
     hw_jitter_sigma: float = 0.0
-    conn_penalty: float = 0.015   # host slowdown per connection beyond 16
-    slow_path_conn_ns: int = 15_000  # host work per new connection (offload mode)
     hops: int = 1
 
 
@@ -192,18 +193,20 @@ def host_conn_factor(connections: int, penalty: float) -> float:
 
 @dataclass
 class Metrics:
-    delivered: int = 0
     loss: int = 0
     latencies: list = field(default_factory=list)
     stage_busy_ns: dict = field(default_factory=dict)
     cpu_cost_ns: float = 0.0
     duration_s: float = 0.0
-    request_size: int = 0
     unstable: bool = False
     last_delivery_ns: float = 0.0
     # `latencies` in order, sorted again only once more have been recorded;
     # not a field, so neither equality nor repr sees it
     _sorted = ()
+
+    @property
+    def delivered(self) -> int:
+        return len(self.latencies)
 
     @property
     def histogram(self) -> dict:
@@ -251,7 +254,7 @@ class Metrics:
 
     @property
     def throughput_bps(self) -> float:
-        return self.responses_per_s * self.request_size
+        return self.responses_per_s * REQUEST_BYTES
 
 
 def _pstdev(xs: list) -> float:
@@ -305,11 +308,10 @@ class _Station(NamedTuple):
     host: bool
 
 
-def build_stations(mode: Mode, cost: CostModel, topo: Topology,
-                   connections: int) -> list:
-    """One hop's worth of stations for a mode."""
+def build_stations(cost: CostModel, topo: Topology, connections: int) -> list:
+    """One hop's worth of stations for a mode's cost model."""
     stations = []
-    factor = host_conn_factor(connections, topo.conn_penalty)
+    factor = host_conn_factor(connections, CONN_PENALTY)
     host_sum = cost.host_ns()
     host_emitted = False
     pool_sum = cost.pool_ns()
@@ -346,7 +348,7 @@ def capacity_rps(mode: Mode, cost: CostModel, topo: Topology,
                  connections: int = 1) -> float:
     """Analytic saturation rate: pipeline stages each pass one unit per
     service time; host stages share the cores serially."""
-    return _capacity(build_stations(mode, cost, topo, connections))
+    return _capacity(build_stations(cost, topo, connections))
 
 
 def _capacity(stations) -> float:
@@ -356,35 +358,26 @@ def _capacity(stations) -> float:
 
 def run_sim(mode: Mode, cost: CostModel, wl: Workload,
             topo: Topology = Topology()) -> Metrics:
-    """Drive one workload through one mode's stage sequence.
+    """Drive one open-loop workload through one mode's stage sequence.
 
     Deterministic for a fixed (seed, workload, topology): events are taken
-    in nondecreasing time.  The open loop's arrivals, and the closed loop's
-    first `concurrency`, are read from their sequence, already in time
-    order; in-flight completions and the closed loop's later arrivals are
-    scheduled events, the last one held aside and the rest on a heap.  At
-    equal times an arrival from the sequence goes first, and scheduled
-    events go in the order they were scheduled.
+    in nondecreasing time.  Arrivals come every 1 / `rate_qps` from time 0
+    until `duration_s` and are read from their sequence, already in time
+    order; in-flight completions are scheduled events, the last one held
+    aside and the rest on a heap.  At equal times an arrival goes first,
+    and completions go in the order they were scheduled.
     """
     # every hop's stations are alike
-    hop = build_stations(mode, cost, topo, wl.n_connections)
+    hop = build_stations(cost, topo, wl.n_connections)
     stations = hop * topo.hops
-
-    metrics = Metrics(duration_s=wl.duration_s, request_size=wl.request_size)
-    metrics.unstable = wl.pattern == "open" and wl.rate_qps > _capacity(hop)
 
     cpu = 0.0
     if mode is Mode.FLATPROXY:
         # only slow-path connection setup touches the host
-        cpu += topo.slow_path_conn_ns * wl.n_connections
+        cpu += SLOW_PATH_CONN_NS * wl.n_connections
 
-    horizon_ns = wl.duration_s * 1e9
-    if wl.pattern == "open":
-        interval = 1e9 / wl.rate_qps
-        n = int(horizon_ns / interval)
-    else:
-        interval, n = 0.0, wl.concurrency
-    rearrive = wl.pattern == "closed"
+    interval = 1e9 / wl.rate_qps
+    n = int(wl.duration_s * 1e9 / interval)
 
     free = [st.servers for st in stations]
     queues = [deque() for _ in stations]
@@ -402,12 +395,12 @@ def run_sim(mode: Mode, cost: CostModel, wl: Workload,
     exp, inf = math.exp, math.inf
     heappush, heappop = heapq.heappush, heapq.heappop
     heappushpop = heapq.heappushpop
-    latencies = metrics.latencies
+    latencies = []
     loss = 0
     last_delivery = 0.0
 
-    # events: (time_ns, seq, station, arrival_ns), station -1 an arrival;
-    # the last one scheduled is held in `pending`, the others on the heap
+    # completions: (time_ns, seq, station, arrival_ns); the last one
+    # scheduled is held in `pending`, the others on the heap
     heap = []
     pending = None
     seq = 0
@@ -425,7 +418,7 @@ def run_sim(mode: Mode, cost: CostModel, wl: Workload,
             now = arrival = next_arrival
             i += 1
             next_arrival = i * interval if i < n else inf
-            k = -1
+            k = -1  # from the sequence: it enters station 0
         else:
             break
         if k < 0:
@@ -450,11 +443,6 @@ def run_sim(mode: Mode, cost: CostModel, wl: Workload,
             if k == last:
                 latencies.append(now - arrival)
                 last_delivery = now
-                if rearrive and now < horizon_ns:
-                    if pending is not None:
-                        heappush(heap, pending)
-                    pending = (now, seq, -1, now)
-                    seq += 1
                 continue
             k += 1
         # `arrival` enters station k
@@ -496,15 +484,13 @@ def run_sim(mode: Mode, cost: CostModel, wl: Workload,
                     i = j + 1
                     next_arrival = i * interval if i < n else inf
 
-    metrics.delivered = len(latencies)
-    metrics.loss = loss
-    metrics.cpu_cost_ns = cpu
-    metrics.last_delivery_ns = last_delivery
+    stage_busy_ns = {}
     for st, busy_ns in zip(stations, busy):
-        metrics.stage_busy_ns[st.name] = (
-            metrics.stage_busy_ns.get(st.name, 0.0) + busy_ns
-        )
-    return metrics
+        stage_busy_ns[st.name] = stage_busy_ns.get(st.name, 0.0) + busy_ns
+    return Metrics(loss=loss, latencies=latencies, stage_busy_ns=stage_busy_ns,
+                   cpu_cost_ns=cpu, duration_s=wl.duration_s,
+                   unstable=wl.rate_qps > _capacity(hop),
+                   last_delivery_ns=last_delivery)
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +514,8 @@ def compare_modes(
     connections=(1,),
     cores=(2,),
     modes=tuple(Mode),
-    request_size: int = 1024,
     duration_s: float = 0.05,
     seed: int = 0,
-    n_workers: int = 8,
     models: dict = None,
 ) -> list:
     """Run every mode over the sweep grid; returns CSV-ready row dicts.
@@ -541,12 +525,10 @@ def compare_modes(
     rows = []
     for rate in rates:
         for conn in connections:
-            wl = Workload(
-                pattern="open", rate_qps=rate, n_connections=conn,
-                request_size=request_size, duration_s=duration_s, seed=seed,
-            )
+            wl = Workload(rate_qps=rate, n_connections=conn,
+                          duration_s=duration_s, seed=seed)
             for k in cores:
-                topo = Topology(n_cores=k, n_workers=n_workers)
+                topo = Topology(n_cores=k)
                 for mode in modes:
                     m = run_sim(mode, models[(mode, layer)], wl, topo)
                     rows.append({
@@ -576,28 +558,25 @@ def rows_to_csv(rows) -> str:
 
 
 def saturation_rps(mode: Mode, layer: str, topo: Topology,
-                   connections: int = 1, duration_s: float = 0.05,
-                   request_size: int = 1024, seed: int = 0) -> float:
+                   connections: int = 1, duration_s: float = 0.05) -> float:
     """Measured delivered rate under 2x-overload open-loop offered load."""
     cost = BUILTIN_MODELS[(mode, layer)]
     cap = max(capacity_rps(m, BUILTIN_MODELS[(m, layer)], topo, connections)
               for m in Mode)
-    wl = Workload(pattern="open", rate_qps=2.0 * cap, n_connections=connections,
-                  request_size=request_size, duration_s=duration_s, seed=seed)
+    wl = Workload(rate_qps=2.0 * cap, n_connections=connections,
+                  duration_s=duration_s)
     return run_sim(mode, cost, wl, topo).responses_per_s
 
 
-def e2e_latency_reduction(seed: int = 0, rate_frac: float = 0.95,
-                          duration_s: float = 0.4) -> float:
+def e2e_latency_reduction(seed: int = 0) -> float:
     """Mean-latency reduction of the offloaded mode vs the sidecar over a
-    two-hop L7 path with host jitter, near the sidecar's saturation."""
+    two-hop L7 path with host jitter, at 95% of the sidecar's saturation."""
     topo = Topology(n_cores=2, n_workers=8, hops=2,
                     host_jitter_sigma=0.6, hw_jitter_sigma=0.15)
     envoy_cost = BUILTIN_MODELS[(Mode.ENVOY, "l7")]
     fp_cost = BUILTIN_MODELS[(Mode.FLATPROXY, "l7")]
     cap = capacity_rps(Mode.ENVOY, envoy_cost, topo)
-    wl = Workload(pattern="open", rate_qps=rate_frac * cap,
-                  duration_s=duration_s, seed=seed)
+    wl = Workload(rate_qps=0.95 * cap, duration_s=0.4, seed=seed)
     envoy = run_sim(Mode.ENVOY, envoy_cost, wl, topo)
     fp = run_sim(Mode.FLATPROXY, fp_cost, wl, topo)
     return 1.0 - fp.mean_ns / envoy.mean_ns

@@ -60,6 +60,7 @@ from .l7 import (
     PathMatcher,
     QueueTable,
     RouteRule,
+    host_name,
 )
 from .match_action import ExecutableChain, MatchTable
 from .vq import RingFull, ServiceStub, VirtQueue
@@ -224,10 +225,13 @@ def _parse_listener(d) -> ListenerDef:
 def _parse_filter(d) -> FilterRule:
     _reject_unknown(d, _FILTER_FIELDS, "filter")
     enc = lambda v: str(v).encode() if v is not None else None
+    host = enc(d.get("host"))
+    if host is not None and host_name(host) != host.lower():
+        raise ValueError(f"a filter's host takes no port: {host!r}")
     return FilterRule(
         decision=Decision[d["decision"].upper()],
         method=enc(d.get("method")),
-        host=enc(d.get("host")),
+        host=host and host.lower(),
         path_prefix=enc(d.get("path_prefix")),
         sip=ip4_to_int(d["sip"]) if d.get("sip") is not None else None,
     )

@@ -77,7 +77,7 @@ def test_criterion_01_unloaded_latency(announce):
     }
     with announce(1, "unloaded single-request latencies exact to 1 ns", 1.0):
         for (mode, layer), total in expected.items():
-            wl = Workload(pattern="open", rate_qps=10.0, duration_s=0.1)
+            wl = Workload(rate_qps=10.0, duration_s=0.1)
             m = run_sim(mode, MODELS[(mode, layer)], wl, Topology())
             assert m.delivered >= 1
             assert abs(m.mean_ns - total) <= 1, (mode, layer, m.mean_ns)
@@ -124,7 +124,7 @@ def test_criterion_04_cpu_cost(announce):
                      "delivered bandwidth", 30.0):
         topo = Topology(n_cores=1)
         rate = 0.5 * capacity_rps(Mode.ENVOY, MODELS[(Mode.ENVOY, "l4")], topo)
-        wl = Workload(pattern="open", rate_qps=rate, duration_s=0.1)
+        wl = Workload(rate_qps=rate, duration_s=0.1)
         envoy = run_sim(Mode.ENVOY, MODELS[(Mode.ENVOY, "l4")], wl, topo)
         fp = run_sim(Mode.FLATPROXY, MODELS[(Mode.FLATPROXY, "l4")], wl, topo)
         assert envoy.delivered == fp.delivered  # equal delivered bandwidth

@@ -68,6 +68,9 @@ MALFORMED_ENTRIES = [  # (the section named, the document)
     ("listeners", config_text(dport="true")),
     ("listeners", config_text(dport="'8080'")),
     ("filters", config_text().replace("path_prefix: /admin", "sip: 1.1.1.1_1")),
+    # a rule's host is compared with the request's Host without its port
+    ("filters", config_text().replace("path_prefix: /admin",
+                                      "host: internal:8080")),
     ("clusters", config_text(endpoint_host="127.0.0.1_0")),
     ("clusters", config_text(endpoint_host="false")),
     ("clusters", config_text(endpoint_ports=("9001.9",))),
@@ -217,6 +220,7 @@ def test_sim_rejects_nonpositive_rate(capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--rate", ""), ("--connections", ""), ("--cores", ""), ("--cores", "0"),
     ("--connections", "0"), ("--duration", "0"), ("--duration", "-1"),
+    ("--rate", ","), ("--modes", ","), ("--modes", ""),
 ])
 def test_sim_rejects_empty_or_nonpositive_inputs(capsys, flag, value):
     """Each of these once crashed the simulator or made it print figures

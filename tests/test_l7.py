@@ -1,4 +1,6 @@
 import itertools
+import re
+import string
 from collections import defaultdict
 from unittest import mock
 
@@ -29,7 +31,8 @@ from flatproxy.l7 import (
     route,
 )
 from flatproxy.vq import MAX_DESCRIPTOR_BYTES
-from conftest import make_flow, make_request
+from flatproxy.slow_path import load_config
+from conftest import host_denied_config_text, make_flow, make_request
 
 
 def make_endpoint(i, weight=1, healthy=True):
@@ -198,8 +201,16 @@ def test_parse_rejects_incomplete_body():
 # reference it must agree with: the framer split every header line to find
 # the Content-Length, and the parser walked the split lines again for the
 # Host and the header-line check, which refuses a second Host line too
-# (RFC 9112 section 3.2), whitespace around a field name (sections 5.1 and
-# 5.2) and an HTTP/1.1 request with no Host.
+# (RFC 9112 section 3.2), a field name that is not a token (RFC 9110
+# section 5.6.2), whitespace around it among them (RFC 9112 sections 5.1
+# and 5.2), and an HTTP/1.1 request with no Host.
+
+TCHARS = "!#$%&'*+-.^_`|~" + string.digits + string.ascii_letters
+
+
+def _is_token(name):
+    return re.fullmatch(rb"[-!#$%&'*+.^_`|~0-9A-Za-z]+", name) is not None
+
 
 def _two_pass_split(block):
     lines = block.split(b"\r\n")
@@ -250,8 +261,7 @@ def _two_pass_parse(data, head):
     host = None
     for name, colon, value in fields:
         is_host = name.strip().lower() == b"host"
-        if (not colon or not name or name.strip() != name
-                or (is_host and host is not None)):
+        if not colon or not _is_token(name) or (is_host and host is not None):
             raise MalformedHttp(f"bad header line {name + colon + value!r}")
         if is_host:
             host = value.strip()
@@ -295,6 +305,8 @@ _GOOD_LINES = st.one_of(
 )
 _NAMELESS_LINES = st.sampled_from([b"NoColon", b" ", b": empty-name", b"::",
                                    b"Host"])
+_NON_TOKEN_LINES = st.sampled_from([b"Content Length: 5", b"X(y): 1",
+                                    b"X\x00y: 1", b"Host\x7f: a", b"\xe9t\xe9: 1"])
 _UNFRAMEABLE_LINES = st.sampled_from([
     b"Content-Length", b"Content-Length: +3", b"Content-Length: -3",
     b"Content-Length: 1_0", b"Content-Length:", b"Content-Length: 3 3",
@@ -322,6 +334,34 @@ def test_whitespace_around_a_field_name_refuses_the_request(line):
     assert HttpReader().take(response) == ((response, frame_http(response)),)
 
 
+@pytest.mark.parametrize("line", [b"Content Length: 5", b"X(y): 1",
+                                  b"X\x00y: 1"])
+def test_field_name_that_is_no_token_refuses_the_request(line):
+    """A field name with a byte that is no token character (RFC 9110
+    section 5.6.2) makes its line the head's bad line: the parser refuses
+    the request as `malformed_http`, and a response, which no parser
+    reads, is cut whole."""
+    request = b"GET /svc/a HTTP/1.1\r\nHost: h\r\n" + line + b"\r\n\r\n"
+    head = frame_http(request)
+    assert head[0] == len(request) and head[4] == line
+    msg = parsed_message(request)
+    assert msg.verdict is Verdict.DROP
+    assert msg.verdict_reason.startswith("malformed_http:bad header line")
+    response = (b"HTTP/1.1 200 OK\r\n" + line
+                + b"\r\nContent-Length: 2\r\n\r\nok")
+    assert HttpReader().take(response) == ((response, frame_http(response)),)
+
+
+def test_every_token_character_is_accepted_in_a_field_name():
+    """A name of every token character, and each one alone, is a good
+    header line."""
+    for name in (TCHARS, *TCHARS):
+        request = (b"GET / HTTP/1.1\r\nHost: h\r\n" + name.encode()
+                   + b": v\r\n\r\n")
+        assert frame_http(request)[4] is None, name
+        assert parsed_message(request).verdict is Verdict.CONTINUE, name
+
+
 def test_http11_request_with_no_host_is_refused():
     """An HTTP/1.1 request must have a Host (RFC 9112 section 3.2), though
     it may be empty; an HTTP/1.0 one need not."""
@@ -338,7 +378,7 @@ def test_http11_request_with_no_host_is_refused():
 @given(start=_START_LINES,
        good=st.lists(_GOOD_LINES, max_size=5),
        bad=st.sampled_from([0, 0, 0, 1, 2]).flatmap(lambda n: st.lists(
-           st.one_of(_NAMELESS_LINES, _UNFRAMEABLE_LINES),
+           st.one_of(_NAMELESS_LINES, _NON_TOKEN_LINES, _UNFRAMEABLE_LINES),
            min_size=n, max_size=n)),
        off_by=st.sampled_from([0, 0, 0, -1, 1]),
        data=st.data())
@@ -346,7 +386,8 @@ def test_one_pass_head_reads_as_the_two_pass_head(start, good, bad, off_by,
                                                   data):
     """Random header blocks -- good and bad start lines, Host in any case
     and spacing (whitespace around a name makes a bad line), repeated and
-    missing, lines with no colon or no name, good, signed,
+    missing, lines with no colon, no name or a name that is no token, good,
+    signed,
     repeated and conflicting Content-Lengths, with and without
     Transfer-Encoding, and bodies of the length they say, a byte short or a
     byte over -- are framed and parsed by the one pass exactly as by the
@@ -397,8 +438,8 @@ def test_deparse_roundtrip_exact():
 _token = st.binary(min_size=1, max_size=12).filter(
     lambda b: not any(c in b for c in b"\r\n: ")
 )
-# a field name has no whitespace around it (RFC 9112 section 5.1)
-_name = _token.filter(lambda b: b.strip() == b)
+# a field name is a token (RFC 9110 section 5.6.2)
+_name = st.text(alphabet=TCHARS, min_size=1, max_size=12).map(str.encode)
 
 
 @given(
@@ -448,6 +489,38 @@ def test_filter_predicates_are_conjunctive():
     assert not rule.matches(msg)
     rule = FilterRule(decision=Decision.DENY, method=b"POST", host=b"h")
     assert rule.matches(msg)
+
+
+@pytest.mark.parametrize("host", [b"internal", b"INTERNAL", b"Internal",
+                                  b"internal:8080", b"INTERNAL:80", b"internal:"])
+def test_filter_host_ignores_case_and_port(host):
+    """A rule's host matches the request's Host in any case and with any
+    port (RFC 9110 section 7.2, RFC 3986 section 3.2): the loader
+    lowercases the rule's host, the filter the request's."""
+    msg = parsed_message(make_request(host=host))
+    assert FilterRule(decision=Decision.DENY, host=b"internal").matches(msg)
+    for text in (host_denied_config_text(),
+                 host_denied_config_text().replace("host: internal",
+                                                   "host: INTERNAL")):
+        rules = load_config(text).filters
+        assert rules[-1].host == b"internal"
+        assert filtered(parsed_message(make_request(host=host)),
+                        rules) is Verdict.DROP
+
+
+@pytest.mark.parametrize("host", [b"internal.example", b"xinternal",
+                                  b"internal:80x", b"internal:8080:1", b""])
+def test_filter_host_names_only_that_host(host):
+    msg = parsed_message(make_request(host=host))
+    assert not FilterRule(decision=Decision.DENY, host=b"internal").matches(msg)
+
+
+def test_filter_host_keeps_an_ipv6_literal_whole():
+    """The colons inside a bracketed IPv6 literal are not a port's."""
+    rule = FilterRule(decision=Decision.DENY, host=b"[::1]")
+    for host in (b"[::1]", b"[::1]:8080"):
+        assert rule.matches(parsed_message(make_request(host=host)))
+    assert not rule.matches(parsed_message(make_request(host=b"[::2]")))
 
 
 def test_filter_sip_predicate():

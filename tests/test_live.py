@@ -290,6 +290,27 @@ def test_live_duplicate_host_gets_400():
         stub.stop()
 
 
+def test_live_host_rule_denies_the_host_in_any_case_and_port():
+    """Over loopback, a `host: internal` deny rule refuses `Host: INTERNAL`
+    and `Host: internal:8080` with a 403, as it does `Host: internal`."""
+    stub = EchoStub("stub-0").start()
+    proxy = LiveProxy(load_config(host_denied_config_text(
+        endpoint_ports=(stub.port,), dip="127.0.0.1")), listen_port=0).start()
+    try:
+        with socket.create_connection(("127.0.0.1", proxy.port),
+                                      timeout=5) as s:
+            reader = MessageReader(s.recv)
+            for host in (b"INTERNAL", b"internal:8080", b"Internal:80"):
+                s.sendall(make_request(host=host))
+                assert reader.read().startswith(b"HTTP/1.1 403"), host
+            s.sendall(make_request(host=b"x:8080"))
+            assert reader.read().startswith(b"HTTP/1.1 200")
+        assert stub.hits == 1
+    finally:
+        proxy.stop()
+        stub.stop()
+
+
 def test_live_upstream_socket_has_nodelay(proxy):
     with socket.create_connection(("127.0.0.1", proxy.port), timeout=5) as s:
         s.sendall(make_request(b"/svc/a", body=b"hi"))

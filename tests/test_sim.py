@@ -11,6 +11,7 @@ from flatproxy.sim import (
     CSV_COLUMNS,
     Metrics,
     Mode,
+    SLOW_PATH_CONN_NS,
     StageKind,
     Topology,
     Workload,
@@ -30,7 +31,7 @@ MODELS = builtin_cost_models()
 
 
 def single_request(mode, layer, topo=Topology(), seed=0):
-    wl = Workload(pattern="open", rate_qps=10.0, duration_s=0.1, seed=seed)
+    wl = Workload(rate_qps=10.0, duration_s=0.1, seed=seed)
     return run_sim(mode, MODELS[(mode, layer)], wl, topo)
 
 
@@ -108,7 +109,7 @@ def test_unloaded_latency_equals_total(key):
 
 def test_jitter_sigma_preserves_mean():
     topo = Topology(host_jitter_sigma=0.5)
-    wl = Workload(pattern="open", rate_qps=100.0, duration_s=1.0, seed=1)
+    wl = Workload(rate_qps=100.0, duration_s=1.0, seed=1)
     m = run_sim(Mode.ENVOY, MODELS[(Mode.ENVOY, "l4")], wl, topo)
     # mean-one multiplier: mean latency within a few percent of the base
     assert m.mean_ns == pytest.approx(22_000, rel=0.10)
@@ -137,14 +138,14 @@ def test_jitter_is_pstdev_exactly(latencies):
     """`jitter_ns` is `statistics.pstdev` bit for bit, both being the
     correctly rounded root of the exact variance: zeros, repeated and
     all-equal values, two latencies, magnitudes from 1 to 1e9."""
-    m = Metrics(latencies=list(latencies), delivered=len(latencies))
+    m = Metrics(latencies=list(latencies))
     assert m.jitter_ns == statistics.pstdev(latencies)
 
 
 def test_percentile_sorts_once_and_follows_records():
     """Percentiles sort the latencies once, and again after one more is
     added."""
-    m = Metrics(latencies=[5.0, 1.0, 3.0], delivered=3)
+    m = Metrics(latencies=[5.0, 1.0, 3.0])
     assert (m.p50_ns, m.p99_ns) == (3.0, 5.0)
     sorted_once = m._sorted
     assert m.percentile(10) == 1.0 and m._sorted is sorted_once
@@ -159,7 +160,7 @@ def test_histogram_matches_per_record_buckets():
     latencies = [0.0, 0.25, math.nextafter(1.0, 0.0), 1.0, 1.5, 2.0, 4.0,
                  1023.5, 1024.0, 2.0 ** 40, 22_000, 17_600.0, 0.5, 2.0, *below]
     per_record = {}
-    m = Metrics(latencies=list(latencies), delivered=len(latencies))
+    m = Metrics(latencies=list(latencies))
     for ns in latencies:
         bucket = max(0, int(math.log2(ns))) if ns >= 1 else 0
         per_record[bucket] = per_record.get(bucket, 0) + 1
@@ -206,26 +207,18 @@ def test_measured_saturation_matches_analytic():
 def test_overload_marks_unstable():
     topo = Topology(n_cores=1)
     cap = capacity_rps(Mode.ENVOY, MODELS[(Mode.ENVOY, "l4")], topo)
-    wl = Workload(pattern="open", rate_qps=2 * cap, duration_s=0.01)
+    wl = Workload(rate_qps=2 * cap, duration_s=0.01)
     m = run_sim(Mode.ENVOY, MODELS[(Mode.ENVOY, "l4")], wl, topo)
     assert m.unstable
-    wl2 = Workload(pattern="open", rate_qps=0.5 * cap, duration_s=0.01)
+    wl2 = Workload(rate_qps=0.5 * cap, duration_s=0.01)
     assert not run_sim(Mode.ENVOY, MODELS[(Mode.ENVOY, "l4")], wl2, topo).unstable
 
 
-def test_closed_loop_matches_capacity():
-    topo = Topology(n_cores=1)
-    wl = Workload(pattern="closed", concurrency=8, duration_s=0.02)
-    m = run_sim(Mode.ENVOY, MODELS[(Mode.ENVOY, "l4")], wl, topo)
-    analytic = capacity_rps(Mode.ENVOY, MODELS[(Mode.ENVOY, "l4")], topo)
-    assert m.responses_per_s == pytest.approx(analytic, rel=0.05)
-
-
 def test_cpu_cost_only_host_stages():
-    wl = Workload(pattern="open", rate_qps=100, duration_s=0.1)
+    wl = Workload(rate_qps=100, duration_s=0.1)
     fp = run_sim(Mode.FLATPROXY, MODELS[(Mode.FLATPROXY, "l4")], wl)
     # offload mode charges the host only for slow-path connection setup
-    assert fp.cpu_cost_ns == Topology().slow_path_conn_ns * wl.n_connections
+    assert fp.cpu_cost_ns == SLOW_PATH_CONN_NS * wl.n_connections
     envoy = run_sim(Mode.ENVOY, MODELS[(Mode.ENVOY, "l4")], wl)
     assert envoy.cpu_cost_ns == pytest.approx(envoy.delivered * 22_000, rel=0.01)
 
@@ -264,7 +257,7 @@ def test_run_builds_its_stations_once():
     `unstable` flag alike, and seeds a generator only when some station
     has jitter to draw; a sweep and the saturation rate build no models."""
     cost = MODELS[(Mode.FLATPROXY, "l7")]
-    wl = Workload(pattern="open", rate_qps=1000.0, duration_s=0.01)
+    wl = Workload(rate_qps=1000.0, duration_s=0.01)
     for topo, seeded in ((Topology(hops=2), 0),
                          (Topology(hops=2, hw_jitter_sigma=0.1), 1)):
         calls = Counter()
@@ -298,8 +291,8 @@ def test_seeded_runs_byte_identical():
 
 def test_different_seeds_differ_under_jitter():
     topo = Topology(host_jitter_sigma=0.4)
-    wl1 = Workload(pattern="open", rate_qps=1000, duration_s=0.05, seed=1)
-    wl2 = Workload(pattern="open", rate_qps=1000, duration_s=0.05, seed=2)
+    wl1 = Workload(rate_qps=1000, duration_s=0.05, seed=1)
+    wl2 = Workload(rate_qps=1000, duration_s=0.05, seed=2)
     m1 = run_sim(Mode.ENVOY, MODELS[(Mode.ENVOY, "l4")], wl1, topo)
     m2 = run_sim(Mode.ENVOY, MODELS[(Mode.ENVOY, "l4")], wl2, topo)
     assert m1.latencies != m2.latencies

@@ -19,6 +19,7 @@ from flatproxy.sim import (
     CostModel,
     Metrics,
     Mode,
+    SLOW_PATH_CONN_NS,
     Stage,
     StageKind,
     Topology,
@@ -33,25 +34,18 @@ def reference_run_sim(mode, cost, wl, topo=Topology()):
     rng = random.Random(wl.seed)
     stations = []
     for _hop in range(topo.hops):
-        stations.extend(build_stations(mode, cost, topo, wl.n_connections))
+        stations.extend(build_stations(cost, topo, wl.n_connections))
 
-    metrics = Metrics(duration_s=wl.duration_s, request_size=wl.request_size)
-    metrics.unstable = (
-        wl.pattern == "open"
-        and wl.rate_qps > capacity_rps(mode, cost, topo, wl.n_connections)
-    )
+    metrics = Metrics(duration_s=wl.duration_s)
+    metrics.unstable = wl.rate_qps > capacity_rps(mode, cost, topo,
+                                                  wl.n_connections)
 
     cpu = 0.0
     if mode is Mode.FLATPROXY:
-        cpu += topo.slow_path_conn_ns * wl.n_connections
+        cpu += SLOW_PATH_CONN_NS * wl.n_connections
 
-    horizon_ns = wl.duration_s * 1e9
-    if wl.pattern == "open":
-        interval = 1e9 / wl.rate_qps
-        n = int(horizon_ns / interval)
-    else:
-        interval, n = 0.0, wl.concurrency
-    rearrive = wl.pattern == "closed"
+    interval = 1e9 / wl.rate_qps
+    n = int(wl.duration_s * 1e9 / interval)
 
     free = [st.servers for st in stations]
     queues = [deque() for _ in stations]
@@ -68,36 +62,30 @@ def reference_run_sim(mode, cost, wl, topo=Topology()):
     loss = 0
     last_delivery = 0.0
 
-    heap = []  # (time_ns, seq, station, arrival_ns); station -1: an arrival
+    heap = []  # completions: (time_ns, seq, station, arrival_ns)
     seq = 0
     i = 0
     next_arrival = 0.0 if n else math.inf
     while True:
         if heap and heap[0][0] < next_arrival:
             now, _s, k, arrival = heappop(heap)
-            if k < 0:
-                k = 0
+            q = queues[k]
+            if q:
+                svc = service[k]
+                if sigma[k] > 0:
+                    svc *= exp(gauss(0.0, sigma[k]) - half_var[k])
+                busy[k] += svc
+                if host[k]:
+                    cpu += svc
+                heappush(heap, (now + svc, seq, k, q.popleft()))
+                seq += 1
             else:
-                q = queues[k]
-                if q:
-                    svc = service[k]
-                    if sigma[k] > 0:
-                        svc *= exp(gauss(0.0, sigma[k]) - half_var[k])
-                    busy[k] += svc
-                    if host[k]:
-                        cpu += svc
-                    heappush(heap, (now + svc, seq, k, q.popleft()))
-                    seq += 1
-                else:
-                    free[k] += 1
-                if k == last:
-                    latencies.append(now - arrival)
-                    last_delivery = now
-                    if rearrive and now < horizon_ns:
-                        heappush(heap, (now, seq, -1, now))
-                        seq += 1
-                    continue
-                k += 1
+                free[k] += 1
+            if k == last:
+                latencies.append(now - arrival)
+                last_delivery = now
+                continue
+            k += 1
         elif i < n:
             now = arrival = next_arrival
             i += 1
@@ -120,7 +108,6 @@ def reference_run_sim(mode, cost, wl, topo=Topology()):
         else:
             loss += 1
 
-    metrics.delivered = len(latencies)
     metrics.loss = loss
     metrics.cpu_cost_ns = cpu
     metrics.last_delivery_ns = last_delivery
@@ -160,39 +147,27 @@ def scenarios(draw):
     )
     mode = draw(st.sampled_from((Mode.ENVOY, Mode.FLATPROXY)))
     seed = draw(st.integers(0, 2**16))
-    if draw(st.booleans()):
-        d = draw(st.sampled_from(INTERVALS_NS))
-        wl = Workload(pattern="open", rate_qps=1e9 / d,
-                      duration_s=draw(st.integers(0, 120)) * d / 1e9, seed=seed)
-    else:
-        wl = Workload(pattern="closed", concurrency=draw(st.integers(1, 8)),
-                      duration_s=draw(st.integers(0, 4000)) / 1e9, seed=seed)
+    d = draw(st.sampled_from(INTERVALS_NS))
+    wl = Workload(rate_qps=1e9 / d,
+                  duration_s=draw(st.integers(0, 120)) * d / 1e9, seed=seed)
     return mode, cost, wl, topo
 
 
-# Two cases where events tie with events scheduled after them, at another
+# A case where events tie with events scheduled after them, at another
 # station, so that only their seq numbers keep them in order: random
-# generation finds them in a few thousand examples, not in every run
-TIED_CLOSED_LOOP = (
-    Mode.ENVOY,
-    CostModel(Mode.ENVOY, "l7", (Stage("s0", 50, StageKind.HOST),
-                                 Stage("s1", 50, StageKind.L7_POOL))),
-    Workload(pattern="closed", concurrency=5, duration_s=0.0),
-    Topology(n_cores=3, n_workers=2, queue_depth=2),
-)
+# generation finds it in a few thousand examples, not in every run
 TIED_OPEN_LOOP = (
     Mode.ENVOY,
     CostModel(Mode.ENVOY, "l7", (Stage("s0", 25, StageKind.PIPELINE),
                                  Stage("s1", 50, StageKind.HOST),
                                  Stage("s2", 100, StageKind.HOST))),
-    Workload(pattern="open", rate_qps=8e6, duration_s=875e-9),
+    Workload(rate_qps=8e6, duration_s=875e-9),
     Topology(n_cores=1, queue_depth=1),
 )
 
 
 @settings(max_examples=1500, deadline=None)
 @given(scenarios())
-@example(TIED_CLOSED_LOOP)
 @example(TIED_OPEN_LOOP)
 def test_run_sim_matches_reference_loop(scenario):
     mode, cost, wl, topo = scenario
@@ -213,7 +188,7 @@ def test_full_first_station_loses_every_arrival_until_it_frees():
     cost = CostModel(Mode.ENVOY, "l4",
                      (Stage("s", 1_000, StageKind.PIPELINE),))
     topo = Topology(queue_depth=0)
-    wl = Workload(pattern="open", rate_qps=1e7, duration_s=1e-5)
+    wl = Workload(rate_qps=1e7, duration_s=1e-5)
     got = run_sim(Mode.ENVOY, cost, wl, topo)
     assert got == reference_run_sim(Mode.ENVOY, cost, wl, topo)
     assert got.latencies == [1_000.0] * 10

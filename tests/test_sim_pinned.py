@@ -74,9 +74,6 @@ def _cases():
             cases[f"depth8.{mode.value}.{layer}"] = (mode, cost, Workload(
                 rate_qps=over, duration_s=0.005, seed=2),
                 Topology(n_cores=2, n_workers=8, queue_depth=8))
-            cases[f"closed.{mode.value}.{layer}"] = (mode, cost, Workload(
-                pattern="closed", concurrency=8, duration_s=0.005, seed=3),
-                Topology(n_cores=1))
         cases[f"conns64.envoy.{layer}"] = (Mode.ENVOY, MODELS[(Mode.ENVOY, layer)],
                                            Workload(rate_qps=under, n_connections=64,
                                                     duration_s=0.005), GRID_TOPO)
@@ -88,8 +85,6 @@ def _cases():
                 rate_qps=0.95 * envoy_cap, duration_s=0.02, seed=seed), JITTER_TOPO)
         cases[f"hops2_jitter_over.{mode.value}"] = (mode, cost, Workload(
             rate_qps=2.0 * envoy_cap, duration_s=0.01, seed=5), JITTER_TOPO)
-        cases[f"closed_jitter.{mode.value}"] = (mode, cost, Workload(
-            pattern="closed", concurrency=4, duration_s=0.005, seed=6), JITTER_TOPO)
     for depth in (0, 1, 1024):
         tie = Workload(rate_qps=TIE_RATE, duration_s=0.001)
         cases[f"tie.one_stage.depth{depth}"] = (
