@@ -25,13 +25,14 @@ import csv
 import heapq
 import io
 import math
-import operator
 import random
 import statistics
 import types
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
+from operator import mul, ne, sub
 from typing import NamedTuple
 
 
@@ -186,9 +187,9 @@ class Topology:
     hops: int = 1
 
 
-def host_conn_factor(connections: int, penalty: float) -> float:
+def host_conn_factor(connections: int) -> float:
     """Host-side connection-management contention; hardware is immune."""
-    return 1.0 + penalty * max(0, connections - 16)
+    return 1.0 + CONN_PENALTY * max(0, connections - 16)
 
 
 @dataclass
@@ -200,8 +201,8 @@ class Metrics:
     duration_s: float = 0.0
     unstable: bool = False
     last_delivery_ns: float = 0.0
-    # `latencies` in order, sorted again only once more have been recorded;
-    # not a field, so neither equality nor repr sees it
+    # `latencies` in order, for percentiles and `jitter_ns`; sorted again
+    # only once more are recorded; not a field, so equality and repr skip it
     _sorted = ()
 
     @property
@@ -222,12 +223,16 @@ class Metrics:
     def mean_ns(self) -> float:
         return statistics.fmean(self.latencies) if self.latencies else 0.0
 
-    def percentile(self, p: float) -> float:
-        if not self.latencies:
-            return 0.0
+    def _in_order(self) -> list:
         data = self._sorted
         if len(data) != len(self.latencies):
             data = self._sorted = sorted(self.latencies)
+        return data
+
+    def percentile(self, p: float) -> float:
+        if not self.latencies:
+            return 0.0
+        data = self._in_order()
         idx = min(len(data) - 1, int(math.ceil(p / 100 * len(data))) - 1)
         return data[max(0, idx)]
 
@@ -242,8 +247,9 @@ class Metrics:
     @property
     def jitter_ns(self) -> float:
         """The latencies' population standard deviation, correctly
-        rounded: `statistics.pstdev`'s bit for bit from Python 3.11 on."""
-        return _pstdev(self.latencies) if len(self.latencies) > 1 else 0.0
+        rounded: `statistics.pstdev`'s bit for bit from Python 3.11 on; from
+        the sort that `percentile` reads."""
+        return _pstdev(self._in_order()) if len(self.latencies) > 1 else 0.0
 
     @property
     def responses_per_s(self) -> float:
@@ -257,23 +263,30 @@ class Metrics:
         return self.responses_per_s * REQUEST_BYTES
 
 
-def _pstdev(xs: list) -> float:
-    """`statistics.pstdev` of finite floats, without its per-element
+def _pstdev(s: list) -> float:
+    """`statistics.pstdev` of sorted finite floats, without its per-element
     fractions.  A float is a whole multiple of the last place of any float
     no larger in magnitude, so scaling by 2**k, k from the smallest
     nonzero |x|, makes every x an exact int; the population variance is
     then (n*sum(x*x) - sum(x)**2) / (n*n * 4**k) exactly, and its square
     root is rounded once, as pstdev rounds it from Python 3.11 on (before
-    that, pstdev rounds the variance first, so its last bit may differ)."""
-    lo = min(xs)
+    that, pstdev rounds the variance first, so its last bit may differ).
+    Under load most latencies are equal, so each run of equal values is
+    scaled once and weighted by its length (Chan, Golub & LeVeque, 1983)."""
+    n = len(s)
+    starts = [0, *compress(range(1, n), map(ne, s, s[1:]))]
+    values = list(map(s.__getitem__, starts))
+    counts = map(sub, [*starts[1:], n], starts)
+    lo = values[0]
     if lo <= 0:
-        lo = min((abs(x) for x in xs if x), default=0)
+        lo = min((abs(x) for x in values if x), default=0)
         if not lo:
             return 0.0
     k = 53 - math.frexp(lo)[1]
-    ints = list(map(int, map(math.ldexp(1.0, k).__mul__, xs)))
-    n, sx = len(ints), sum(ints)
-    num = n * sum(map(operator.mul, ints, ints)) - sx * sx
+    ints = list(map(math.trunc, map(math.ldexp(1.0, k).__mul__, values)))
+    weighted = list(map(mul, ints, counts))
+    sx = sum(weighted)
+    num = n * sum(map(mul, weighted, ints)) - sx * sx
     den = n * n
     if k >= 0:
         den <<= 2 * k
@@ -311,7 +324,7 @@ class _Station(NamedTuple):
 def build_stations(cost: CostModel, topo: Topology, connections: int) -> list:
     """One hop's worth of stations for a mode's cost model."""
     stations = []
-    factor = host_conn_factor(connections, CONN_PENALTY)
+    factor = host_conn_factor(connections)
     host_sum = cost.host_ns()
     host_emitted = False
     pool_sum = cost.pool_ns()
@@ -347,7 +360,9 @@ def build_stations(cost: CostModel, topo: Topology, connections: int) -> list:
 def capacity_rps(mode: Mode, cost: CostModel, topo: Topology,
                  connections: int = 1) -> float:
     """Analytic saturation rate: pipeline stages each pass one unit per
-    service time; host stages share the cores serially."""
+    service time; host stages share the cores serially.  `mode` is not
+    read: the stations depend on `cost` alone, and `perfbench/inproc.py`
+    passes `mode` positionally."""
     return _capacity(build_stations(cost, topo, connections))
 
 
@@ -462,11 +477,11 @@ def run_sim(mode: Mode, cost: CostModel, wl: Workload,
             queues[k].append(arrival)
         else:
             loss += 1
-            if not k and heap and i + 1 < n:
+            if not k and i + 1 < n:
                 # nothing frees station 0 before the next scheduled event,
-                # and arrivals go first at a tie: each one until then is
-                # lost too
-                top = heap[0][0]
+                # held or on the heap, and arrivals go first at a tie: each
+                # one until then is lost too
+                top = heap[0][0] if heap else inf
                 if pending is not None and pending[0] < top:
                     top = pending[0]
                 if (i + 1) * interval <= top:

@@ -133,11 +133,18 @@ _LATENCY = st.one_of(
               st.integers(min_value=2, max_value=40)).map(
         lambda t: [t[0][i % len(t[0])] for i in range(t[1])]),
     st.tuples(_LATENCY, _LATENCY).map(list),
+    # long runs of equal values, zeros among them, so that there are far
+    # more latencies than distinct values, as under load
+    st.tuples(st.lists(st.tuples(_LATENCY, st.integers(1, 300)),
+                       min_size=1, max_size=6),
+              st.integers(min_value=0, max_value=300)).map(
+        lambda t: [x for x, c in t[0] for _ in range(c)] + [0.0] * t[1]),
 ))
 def test_jitter_is_pstdev_exactly(latencies):
     """`jitter_ns` is `statistics.pstdev` bit for bit, both being the
     correctly rounded root of the exact variance: zeros, repeated and
-    all-equal values, two latencies, magnitudes from 1 to 1e9."""
+    all-equal values, long runs of one value, two latencies, magnitudes
+    from 1 to 1e9."""
     m = Metrics(latencies=list(latencies))
     assert m.jitter_ns == statistics.pstdev(latencies)
 
@@ -151,6 +158,19 @@ def test_percentile_sorts_once_and_follows_records():
     assert m.percentile(10) == 1.0 and m._sorted is sorted_once
     m.latencies.append(0.5)
     assert m.percentile(10) == 0.5 and m.p99_ns == 5.0
+
+
+def test_jitter_reads_the_percentile_sort_and_follows_records():
+    """`jitter_ns` after a percentile reuses its sort, and sorts again
+    once one more latency is added."""
+    m = Metrics(latencies=[5.0, 3.0, 1.0, 3.0])
+    assert m.p50_ns == 3.0
+    sorted_once = m._sorted
+    assert m.jitter_ns == pytest.approx(math.sqrt(2.0))
+    assert m._sorted is sorted_once
+    m.latencies.append(13.0)
+    assert m.jitter_ns == pytest.approx(statistics.pstdev(m.latencies))
+    assert m._sorted == [1.0, 3.0, 3.0, 5.0, 13.0]
 
 
 def test_histogram_matches_per_record_buckets():
@@ -176,10 +196,10 @@ def test_histogram_matches_per_record_buckets():
 # -- capacity and contention -------------------------------------------------
 
 def test_host_conn_factor_shape():
-    assert host_conn_factor(1, 0.015) == 1.0
-    assert host_conn_factor(16, 0.015) == 1.0
-    assert host_conn_factor(17, 0.015) == pytest.approx(1.015)
-    assert host_conn_factor(64, 0.015) == pytest.approx(1.72)
+    assert host_conn_factor(1) == 1.0
+    assert host_conn_factor(16) == 1.0
+    assert host_conn_factor(17) == pytest.approx(1.015)
+    assert host_conn_factor(64) == pytest.approx(1.72)
 
 
 def test_capacity_analytic_values():

@@ -11,8 +11,11 @@ make completions tie with arrivals and with each other, so the tie rules
 import heapq
 import math
 import random
+import statistics
+import sys
 from collections import deque
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flatproxy.sim import (
@@ -193,3 +196,29 @@ def test_full_first_station_loses_every_arrival_until_it_frees():
     assert got == reference_run_sim(Mode.ENVOY, cost, wl, topo)
     assert got.latencies == [1_000.0] * 10
     assert got.loss == 90
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_held_event_alone_bounds_the_loss_skip(depth):
+    """With one server busy and nothing else in flight, the only scheduled
+    event is the held one, and the loss skip, bounded by it alone, loses
+    the arrivals that the reference loop loses one at a time."""
+    cost = CostModel(Mode.ENVOY, "l4",
+                     (Stage("s", 1_000, StageKind.PIPELINE),))
+    topo = Topology(queue_depth=depth)
+    wl = Workload(rate_qps=1e8, duration_s=1e-3)
+    got = run_sim(Mode.ENVOY, cost, wl, topo)
+    assert got == reference_run_sim(Mode.ENVOY, cost, wl, topo)
+    assert got.loss > 0.98 * 100_000
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="pstdev rounds correctly from Python 3.11 on")
+@settings(max_examples=300, deadline=None)
+@given(scenarios())
+def test_jitter_is_pstdev_of_simulated_latencies(scenario):
+    """On simulated latencies, ties and runs of equal values among them,
+    `jitter_ns` is `statistics.pstdev` bit for bit."""
+    m = run_sim(*scenario)
+    want = statistics.pstdev(m.latencies) if m.delivered > 1 else 0.0
+    assert m.jitter_ns == want
