@@ -16,7 +16,8 @@ one `heappushpop`, which returns the held one with no sift when it is the
 earliest.  At equal times an arrival goes first; completions at equal
 times go in the order they were scheduled.  An arrival that finds the
 first station full loses, in one step, every later arrival up to that
-station's next event.
+station's next event.  Without jitter, the stations past the last one
+that can queue add a fixed delay, and a request passes them in one step.
 """
 
 from __future__ import annotations
@@ -272,7 +273,8 @@ def _pstdev(s: list) -> float:
     root is rounded once, as pstdev rounds it from Python 3.11 on (before
     that, pstdev rounds the variance first, so its last bit may differ).
     Under load most latencies are equal, so each run of equal values is
-    scaled once and weighted by its length (Chan, Golub & LeVeque, 1983)."""
+    scaled once and weighted by its length (Chan, Golub & LeVeque, 1983).
+    Where 2**k leaves the float range, `statistics.pstdev` gives it."""
     n = len(s)
     starts = [0, *compress(range(1, n), map(ne, s, s[1:]))]
     values = list(map(s.__getitem__, starts))
@@ -283,6 +285,9 @@ def _pstdev(s: list) -> float:
         if not lo:
             return 0.0
     k = 53 - math.frexp(lo)[1]
+    if k > 1023 or math.frexp(max(-values[0], values[-1]))[1] + k > 1024:
+        # 2**k, or the largest value times it, is no float
+        return statistics.pstdev(s)
     ints = list(map(math.trunc, map(math.ldexp(1.0, k).__mul__, values)))
     weighted = list(map(mul, ints, counts))
     sx = sum(weighted)
@@ -381,6 +386,24 @@ def run_sim(mode: Mode, cost: CostModel, wl: Workload,
     order; in-flight completions are scheduled events, the last one held
     aside and the rest on a heap.  At equal times an arrival goes first,
     and completions go in the order they were scheduled.
+
+    Without jitter, a request that reaches `tail`, the first station from
+    which none can ever queue, is delivered at once, scheduling nothing
+    there (Lindley, 1952).  Arrivals reach station 0 `interval` apart; a
+    one-server station's departures leave max(gap, service) apart, a
+    multi-server one's gap apart, and losses only thin them; so a station
+    never queues if servers * gap > service + margin (at a tie, at depth
+    0, it can lose).  `margin` is n * len(stations) + 4 ulps of a bound on
+    every event time: each is a max-plus sum within n * len(stations) + 1
+    half ulps of its exact value.  Outputs stay bit-identical: (1) a tail
+    station never queues, so its `free` and queue go unread; (2) a
+    constant delay keeps FIFO order, so latencies come in the same order
+    with the same sums; (3) all host stations have one service time, as
+    hops are alike, so the order of the `cpu` additions cannot change
+    them; (4) no event left out frees station 0, so the loss skip's `top`
+    stays a bound, and with `tail == 0` station 0 never loses.  Folding an
+    earlier station would move its successor's entry ahead of completions
+    scheduled in between: at a tie, that can change a loss.
     """
     # every hop's stations are alike
     hop = build_stations(cost, topo, wl.n_connections)
@@ -406,6 +429,15 @@ def run_sim(mode: Mode, cost: CostModel, wl: Workload,
     half_var = [s ** 2 / 2 for s in sigma]
     depth = [st.depth for st in stations]
     host = [st.host for st in stations]
+    tail = len(stations)
+    if not jitter:
+        margin = math.ulp(2 * n * (interval + sum(service))) * (n * tail + 4)
+        gap, tail = interval, 0
+        for k, st in enumerate(stations):
+            if st.servers * gap <= st.service_ns + margin:
+                tail = k + 1  # station k may queue
+            gap = max(gap, st.service_ns) if st.servers == 1 else gap
+    through = [(k, service[k], host[k]) for k in range(tail, len(stations))]
     last = len(stations) - 1
     exp, inf = math.exp, math.inf
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -460,6 +492,16 @@ def run_sim(mode: Mode, cost: CostModel, wl: Workload,
                 last_delivery = now
                 continue
             k += 1
+        if k >= tail:
+            # through the tail at once, with the additions its events make
+            for k, svc, on_host in through:
+                busy[k] += svc
+                if on_host:
+                    cpu += svc
+                now += svc
+            latencies.append(now - arrival)
+            last_delivery = now
+            continue
         # `arrival` enters station k
         if free[k]:
             free[k] -= 1

@@ -149,6 +149,16 @@ def test_jitter_is_pstdev_exactly(latencies):
     assert m.jitter_ns == statistics.pstdev(latencies)
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="pstdev rounds correctly from Python 3.11 on")
+@pytest.mark.parametrize("latencies", [[1e-300, 1e9], [5e-324, 1.0],
+                                       [1e308, -1e308, 0.0]])
+def test_jitter_is_pstdev_at_the_ends_of_the_float_range(latencies):
+    """Values whose scaling to ints would leave the float range, a
+    subnormal among them, and values near the largest float."""
+    assert Metrics(latencies=latencies).jitter_ns == statistics.pstdev(latencies)
+
+
 def test_percentile_sorts_once_and_follows_records():
     """Percentiles sort the latencies once, and again after one more is
     added."""

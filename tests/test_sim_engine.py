@@ -1,9 +1,9 @@
 """`run_sim` against the event loop it replaced, on generated topologies.
 
 `reference_run_sim` is the loop as it was before `run_sim` held its
-last-scheduled event out of the heap and lost a full first station's
-arrivals in one step: every arrival and event is handled one at a time,
-through the heap.  Integer service times and integer-ns arrival intervals
+last-scheduled event out of the heap, lost a full first station's arrivals
+in one step and passed the stations that cannot queue in one step: every
+arrival and event is handled one at a time, through the heap.  Integer service times and integer-ns arrival intervals
 make completions tie with arrivals and with each other, so the tie rules
 (an arrival first, then heap events in insertion order) are exercised.
 """
@@ -13,12 +13,15 @@ import math
 import random
 import statistics
 import sys
+import types
 from collections import deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from flatproxy import sim
 from flatproxy.sim import (
+    BUILTIN_MODELS,
     CostModel,
     Metrics,
     Mode,
@@ -123,7 +126,10 @@ def reference_run_sim(mode, cost, wl, topo=Topology()):
 
 # Intervals that divide 1 s exactly: 1e9 / (1e9 / d) is d again, so the
 # arrivals fall on whole nanoseconds, as the service times' completions do.
-INTERVALS_NS = (1, 2, 4, 5, 8, 10, 16, 20, 25, 40, 50, 100, 125, 200, 250, 500)
+# From 1,000 ns on, a jitter-free path is often too fast to queue anywhere,
+# so `run_sim` delivers through all of it in one step.
+INTERVALS_NS = (1, 2, 4, 5, 8, 10, 16, 20, 25, 40, 50, 100, 125, 200, 250, 500,
+                1_000, 2_000, 5_000)
 
 # service times on a coarse grid too, so that completions at different
 # stations often fall at the same time
@@ -151,7 +157,9 @@ def scenarios(draw):
     mode = draw(st.sampled_from((Mode.ENVOY, Mode.FLATPROXY)))
     seed = draw(st.integers(0, 2**16))
     d = draw(st.sampled_from(INTERVALS_NS))
+    # 17 and 40 connections make the host's service time a non-integer
     wl = Workload(rate_qps=1e9 / d,
+                  n_connections=draw(st.sampled_from((1, 17, 40))),
                   duration_s=draw(st.integers(0, 120)) * d / 1e9, seed=seed)
     return mode, cost, wl, topo
 
@@ -169,9 +177,39 @@ TIED_OPEN_LOOP = (
 )
 
 
+def tie_at_station_0(above):
+    """One 100 ns pipeline stage, or 99 ns when `above`, arrivals every
+    100 ns, depth 0: at the tie the arrival goes first and is lost."""
+    cost = CostModel(Mode.ENVOY, "l4",
+                     (Stage("s", 100 - above, StageKind.PIPELINE),))
+    return (Mode.ENVOY, cost, Workload(rate_qps=1e7, duration_s=5e-6),
+            Topology(queue_depth=0))
+
+
+def tie_behind_host(service, kind, servers, above):
+    """A stage behind 250 ns on three host cores, arrivals every 100 ns,
+    depth 0: `servers` * 100 ns equals its service time, or exceeds it by
+    1 ns when `above`.  At the tie, a request's host completion was
+    scheduled before the completion it ties with, so it goes first, finds
+    the stage busy and is lost: the stage must not be folded."""
+    cost = CostModel(Mode.ENVOY, "l7", (Stage("s0", 250, StageKind.HOST),
+                                        Stage("s1", service - above, kind)))
+    topo = Topology(n_cores=3, n_workers=servers, queue_depth=0)
+    return Mode.ENVOY, cost, Workload(rate_qps=1e7, duration_s=5e-6), topo
+
+
 @settings(max_examples=1500, deadline=None)
 @given(scenarios())
 @example(TIED_OPEN_LOOP)
+# servers * gap == service at depth 0, at station 0 and at a later
+# one-server and multi-server station, where the reference loses and a fold
+# would not; then 1 ns above it, where no station from there on can queue
+@example(tie_at_station_0(above=0))
+@example(tie_at_station_0(above=1))
+@example(tie_behind_host(100, StageKind.PIPELINE, 1, above=0))
+@example(tie_behind_host(100, StageKind.PIPELINE, 1, above=1))
+@example(tie_behind_host(200, StageKind.L7_POOL, 2, above=0))
+@example(tie_behind_host(200, StageKind.L7_POOL, 2, above=1))
 def test_run_sim_matches_reference_loop(scenario):
     mode, cost, wl, topo = scenario
     got = run_sim(mode, cost, wl, topo)
@@ -210,6 +248,38 @@ def test_held_event_alone_bounds_the_loss_skip(depth):
     got = run_sim(Mode.ENVOY, cost, wl, topo)
     assert got == reference_run_sim(Mode.ENVOY, cost, wl, topo)
     assert got.loss > 0.98 * 100_000
+
+
+@pytest.mark.parametrize("load, stations_scheduled", [("under", set()),
+                                                       ("over", {0})])
+def test_tail_that_never_queues_schedules_nothing(monkeypatch, load,
+                                                  stations_scheduled):
+    """At the mode sweep's L7 points, 70% of the lowest capacity and twice
+    the highest, on 2 cores and 8 workers: under load no flatproxy station
+    can queue, so the run schedules no completion; over load OVS, station
+    0, queues and none after it can, so only station 0's are scheduled."""
+    scheduled = []
+
+    def push(heap, event):
+        scheduled.append(event[2])
+        heapq.heappush(heap, event)
+
+    def pushpop(heap, event):
+        scheduled.append(event[2])
+        return heapq.heappushpop(heap, event)
+
+    topo = Topology(n_cores=2, n_workers=8)
+    caps = [capacity_rps(m, BUILTIN_MODELS[(m, "l7")], topo) for m in Mode]
+    rate = 0.7 * min(caps) if load == "under" else 2.0 * max(caps)
+    case = (Mode.FLATPROXY, BUILTIN_MODELS[(Mode.FLATPROXY, "l7")],
+            Workload(rate_qps=rate, duration_s=0.01), topo)
+    monkeypatch.setattr(sim, "heapq", types.SimpleNamespace(
+        heappush=push, heappop=heapq.heappop, heappushpop=pushpop))
+    got = run_sim(*case)
+    assert set(scheduled) == stations_scheduled
+    assert len(scheduled) == (0 if load == "under" else got.delivered)
+    monkeypatch.undo()
+    assert got == reference_run_sim(*case)
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
