@@ -33,9 +33,11 @@ EXIT_CONFIG = 2
 
 
 def _setup_logging():
-    level = os.environ.get("FLATPROXY_LOG", "error").upper()
+    # a name in `logging` that is not a level, such as BASIC_FORMAT, is ERROR
+    level = getattr(logging, os.environ.get("FLATPROXY_LOG", "error").upper(),
+                    None)
     logging.basicConfig(
-        level=getattr(logging, level, logging.ERROR),
+        level=level if type(level) is int else logging.ERROR,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
 
@@ -235,6 +237,9 @@ def cmd_live(args) -> int:
     config = _read_config(args.config, _to_stderr)
     if config is None:
         return EXIT_CONFIG
+    if not config.listeners:
+        print("live mode needs at least one listener", file=sys.stderr)
+        return EXIT_CONFIG
     host, port = args.listen
     stubs = []
     try:
@@ -308,6 +313,9 @@ def cmd_report(args) -> int:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
         print(f"cannot read {args.csv_in}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except (UnicodeDecodeError, csv.Error) as exc:
+        print(f"not a sweep csv: {args.csv_in}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     if not rows:
         print("empty csv", file=sys.stderr)

@@ -16,7 +16,6 @@ plain `(ip, port)` pair: a 32-bit address and a 16-bit port.
 from __future__ import annotations
 
 import ipaddress
-import itertools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple, Optional
@@ -178,24 +177,3 @@ class Endpoint:
     def selectable(self) -> bool:
         return self.healthy and self.weight > 0
 
-
-class BufferPool:
-    """Payload buffer store; `put` returns the handle to `get` it by."""
-
-    def __init__(self):
-        self._buffers = {}
-        self._next = itertools.count(1)
-
-    def put(self, data: bytes) -> int:
-        ref = next(self._next)
-        self._buffers[ref] = data
-        return ref
-
-    def get(self, ref: int) -> bytes:
-        return self._buffers[ref]
-
-    def release(self, ref: int):
-        self._buffers.pop(ref, None)
-
-    def __len__(self):
-        return len(self._buffers)

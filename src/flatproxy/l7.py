@@ -3,8 +3,8 @@ and load balancing.
 
 `http_parse`, `filter_apply`, `route` and `http_deparse` are the steps of
 the standard L7 PPMs, which the chain runs directly: each takes the step
-signature `(msg, ctx, snaps)` -- `route` once its queue table, balancing
-states and connector are bound ahead of them -- reads any table it needs
+signature `(msg, ctx, snaps)` -- `route` once its balancing states and
+connector are bound ahead of them -- reads any table it needs
 from the traversal's snapshot `snaps`, table name to published entries
 (the filter reads "filters", the router "listeners", "routes" and
 "clusters"), and sets the message's verdict through its monotone

@@ -25,7 +25,7 @@ router's balancing state lives outside the tables), so no traversal ever
 sees a half-applied update; a publish of the entries it already holds
 keeps its version.  Every publish that makes a new version moves one
 module-wide count, and a chain takes its snapshot again only when that
-count has moved.  A table checks every write against its one owner.
+count has moved.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ _CONTINUE = Verdict.CONTINUE
 _published = 0
 
 
-class MatchActionError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class TableEpoch:
     """One published version of a table: its epoch and its entries, which
@@ -58,31 +54,25 @@ class TableEpoch:
 
 class MatchTable:
     """An exact-match rule table: its current version, published whole and
-    copy-on-write, and its single owner.
+    copy-on-write.
 
     A reader takes `self.current` once and keeps using that snapshot;
     Python attribute assignment is atomic, so readers are wait-free with
-    respect to writes.  A write that names any writer but the owner is
-    refused.
+    respect to writes.
     """
 
-    def __init__(self, name: str, owner: str):
+    def __init__(self, name: str):
         self.name = name
         self.current = TableEpoch(epoch=0, entries={})
-        self.owner = owner
 
     @property
     def epoch(self) -> int:
         return self.current.epoch
 
-    def publish(self, entries: dict, writer: str) -> int:
+    def publish(self, entries: dict) -> int:
         """Publish a copy of `entries` as a new version, unless they equal
         the current ones; returns the epoch now current."""
         global _published
-        if writer != self.owner:
-            raise MatchActionError(
-                f"table {self.name} owned by {self.owner}, write from {writer}"
-            )
         if entries != self.current.entries:
             self.current = TableEpoch(epoch=self.current.epoch + 1,
                                       entries=dict(entries))

@@ -4,12 +4,10 @@ Config comes from local YAML files (standing in for a cloud control
 center), parsed by libyaml's C parser where PyYAML has it, and gets
 validated into a MeshConfig of frozen values -- a chain section, if
 there is one, must spell the one L7 chain, `fast_path.STANDARD_CHAIN` --
-and is distributed layer-wise: the connection controller ("connection")
-owns the listener table, and the message controller ("message") the L7
-rule tables.  Each table is built with its owner's name and refuses a
-write that names another writer or none.  A rule table is published
-whole, and a reload keeps the version of every table whose entries it
-leaves equal.
+and is distributed by `MeshRuntime.distribute`, which alone fills the
+listener table and the L7 filter, route and cluster tables.  A rule table
+is published whole, and a reload keeps the version of every table whose
+entries it leaves equal.
 Balancing state is not config: `MeshRuntime.lb` holds each cluster's
 `LbState`, kept across every reload, changed or not, and dropped with the
 cluster ref; a flow still open keeps its state through its record.
@@ -39,7 +37,6 @@ from typing import Optional
 import yaml
 
 from .core import (
-    BufferPool,
     Conn,
     Endpoint,
     FlowKey,
@@ -288,16 +285,16 @@ class MeshRuntime:
         connector=None,
         clock=None,
     ):
-        # nothing on the message path uses it: the benchmark reads its
-        # length as the core.buffers_held gauge
-        self.buffer_pool = BufferPool()
+        # holds nothing: only perfbench's core.buffers_held gauge reads its
+        # length, as FastPath.results() stays for its results_held gauge
+        self.buffer_pool = ()
         self.queue_table = QueueTable()
         self.clock = clock or time.monotonic_ns
 
-        self.listener_table = MatchTable("listeners", owner="connection")
-        self.filter_table = MatchTable("filters", owner="message")
-        self.route_table = MatchTable("routes", owner="message")
-        self.cluster_table = MatchTable("clusters", owner="message")
+        self.listener_table = MatchTable("listeners")
+        self.filter_table = MatchTable("filters")
+        self.route_table = MatchTable("routes")
+        self.cluster_table = MatchTable("clusters")
         # cluster ref -> LbState; the router reads this very dict
         self.lb: dict[str, LbState] = {}
 
@@ -325,10 +322,10 @@ class MeshRuntime:
 
     # -- rule distribution -------------------------------------------------
     def distribute(self, config: MeshConfig) -> dict:
-        """Publish each rule table whole from `config`, by its owning
-        controller; returns the epoch each table is at.  A table whose
-        entries did not change keeps its epoch.  Each cluster ref keeps its
-        `LbState`; the states of refs `config` lacks are dropped."""
+        """Publish each rule table whole from `config`; returns the epoch
+        each table is at.  A table whose entries did not change keeps its
+        epoch.  Each cluster ref keeps its `LbState`; the states of refs
+        `config` lacks are dropped."""
         self.config = config
         refs = {c.ref for c in config.clusters}
         for ref in self.lb.keys() - refs:
@@ -339,13 +336,12 @@ class MeshRuntime:
         for r in config.routes:
             routes[r.listener] = routes.get(r.listener, ()) + (r,)
         published = (
-            ("connection", self.listener_table,
-             {l.key: l.name for l in config.listeners}),
-            ("message", self.filter_table, {"rules": tuple(config.filters)}),
-            ("message", self.route_table, routes),
-            ("message", self.cluster_table, {c.ref: c for c in config.clusters}),
+            (self.listener_table, {l.key: l.name for l in config.listeners}),
+            (self.filter_table, {"rules": tuple(config.filters)}),
+            (self.route_table, routes),
+            (self.cluster_table, {c.ref: c for c in config.clusters}),
         )
-        return {t.name: t.publish(entries, writer=w) for w, t, entries in published}
+        return {t.name: t.publish(entries) for t, entries in published}
 
     # -- connection management --------------------------------------------
     def open_flow(self, key: FlowKey) -> Conn:

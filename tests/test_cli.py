@@ -299,6 +299,23 @@ def test_report_rejects_a_csv_that_is_not_a_sweep(tmp_path, capsys):
     assert err.count("\n") == 1 and "fast" in err
 
 
+def test_report_rejects_a_file_it_cannot_decode_or_split(tmp_path, capsys):
+    """A sweep saved as UTF-16, and a field longer than the csv module's
+    limit, are not sweep csvs: one line and exit 1, not a traceback."""
+    sweep = tmp_path / "sweep.csv"
+    run_cli(["sim", "--rate", "100", "--duration", "0.01",
+             "--out", str(sweep)], capsys)
+    sweep.write_bytes(sweep.read_text().encode("utf-16"))
+    long_field = tmp_path / "long.csv"
+    long_field.write_text("mode,mean_ns,responses_per_s\n"
+                          + "x" * (csv.field_size_limit() + 1) + ",1,1\n")
+    for path in (sweep, long_field):
+        code, out, err = run_cli(["report", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"not a sweep csv: {path}: ")
+
+
 def test_report_out_unwritable(tmp_path, capsys):
     sweep = tmp_path / "sweep.csv"
     run_cli(["sim", "--rate", "100", "--duration", "0.01",
@@ -391,6 +408,29 @@ def test_live_unwritable_pid_file_exits_1_and_stops_the_proxy(
     assert "listening on" not in out
     assert installed == [signal.SIGHUP]
     assert not [t for t in threading.enumerate() if t.name == "flatproxy-live"]
+
+
+def test_live_with_no_listeners_exits_2_and_starts_nothing(tmp_path, capsys):
+    """A config with no listener is valid, but live mode has nothing to
+    serve: it says so and exits 2, before it starts a stub or binds."""
+    stub_port = _free_port()
+    cfg = tmp_path / "none.yaml"
+    cfg.write_text(f"""
+listeners: []
+clusters:
+  - ref: backend
+    endpoints:
+      - address: 127.0.0.1
+        port: {stub_port}
+""")
+    assert run_cli(["validate", "--config", str(cfg)], capsys)[0] == 0
+    code, out, err = run_cli(["live", "--config", str(cfg),
+                              "--spawn-stubs", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "live mode needs at least one listener\n"
+    gc.collect()
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", stub_port))
 
 
 # -- reload ------------------------------------------------------------------
@@ -520,3 +560,21 @@ def _free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
+
+
+# -- logging -----------------------------------------------------------------
+
+@pytest.mark.parametrize("value", ["basic_format", "raiseExceptions", "debug"])
+def test_flatproxy_log_names_a_level_or_falls_back_to_error(tmp_path, value):
+    """FLATPROXY_LOG names a `logging` level; any other name in `logging`,
+    such as BASIC_FORMAT, a format string, is ERROR, and the command runs."""
+    cfg = tmp_path / "mesh.yaml"
+    cfg.write_text(config_text())
+    done = subprocess.run(
+        [sys.executable, "-m", "flatproxy.cli", "validate", "--config",
+         str(cfg)],
+        capture_output=True, text=True,
+        env={**_child_env(), "FLATPROXY_LOG": value}, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "config ok\n"

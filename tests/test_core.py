@@ -11,7 +11,6 @@ from flatproxy.core import (
     Metadata,
     Proto,
     Verdict,
-    BufferPool,
     int_to_ip4,
     ip4_to_int,
 )
@@ -187,11 +186,3 @@ def test_ip_roundtrip():
                 False, -1, 2**32, 10.5, None, b"\x0a\x00\x00\x02"):
         with pytest.raises(ValueError):
             ip4_to_int(bad)
-
-
-def test_buffer_pool():
-    pool = BufferPool()
-    ref = pool.put(b"hello")
-    assert pool.get(ref) == b"hello"
-    pool.release(ref)
-    assert len(pool) == 0

@@ -506,7 +506,7 @@ def _refused(rt, reason):
     if reason == "no_healthy_endpoint":
         rt.distribute(load_config(config_text(unhealthy=(9001, 9002))))
     elif reason == "unknown_cluster":
-        rt.cluster_table.publish({}, writer="message")
+        rt.cluster_table.publish({})
     elif reason == "connect_failure":
         def refuse(endpoint, msg):
             raise l7.ConnectFailure("refused")
@@ -600,9 +600,9 @@ def test_traversal_keeps_snapshot_from_its_start(runtime, republish):
     def publish(unit, ctx, snaps):
         if republish == "deny_all_filters":
             rules = (FilterRule(decision=Decision.DENY),)
-            runtime.filter_table.publish({"rules": rules}, writer="message")
+            runtime.filter_table.publish({"rules": rules})
         else:
-            runtime.route_table.publish({}, writer="message")
+            runtime.route_table.publish({})
 
     runtime.registry["publisher"] = Ppm("publisher", steps=[publish])
     chain = ExecutableChain(["toe", "http_parser", "publisher", "filter",
@@ -681,8 +681,8 @@ def hand_built_ppms():
     """PPMs as a test would build them: a parser and a match on the path,
     and a match on a rule table keyed by method, read through the
     traversal's snapshot."""
-    methods = MatchTable("methods", owner="test")
-    methods.publish({b"DELETE": "deny"}, writer="test")
+    methods = MatchTable("methods")
+    methods.publish({b"DELETE": "deny"})
 
     def parse(unit, ctx, snaps):
         ctx["tag.parsed"] += 1
@@ -892,7 +892,7 @@ def test_unchanged_reload_keeps_the_classification(runtime, reload):
     if reload == "equal_entries":
         for table in (runtime.listener_table, runtime.filter_table,
                       runtime.route_table, runtime.cluster_table):
-            table.publish(dict(table.current.entries), table.owner)
+            table.publish(dict(table.current.entries))
     elif reload == "same_config":
         runtime.distribute(runtime.config)
     else:

@@ -6,18 +6,14 @@ import pytest
 from flatproxy.core import Message, Verdict
 from flatproxy.match_action import (
     ExecutableChain,
-    MatchActionError,
     MatchTable,
     Ppm,
     TableEpoch,
 )
 from conftest import make_flow
 
-WRITER = "owner"
-
-
 def table(name="t"):
-    return MatchTable(name, owner=WRITER)
+    return MatchTable(name)
 
 
 def inc_counter(name):
@@ -59,7 +55,7 @@ def test_publish_bumps_epoch_atomically():
     t = table()
     assert t.epoch == 0
     snap0 = t.current
-    e1 = t.publish({"a": 1, "b": 2}, WRITER)
+    e1 = t.publish({"a": 1, "b": 2})
     assert e1 == 1
     assert t.current.entries["a"] == 1
     # the old snapshot still answers with old state
@@ -70,8 +66,8 @@ def test_publish_bumps_epoch_atomically():
 def test_publish_remove_and_delta():
     """A publish replaces the entries whole: a key it leaves out is gone."""
     t = table()
-    t.publish({"a": 1, "b": 2}, WRITER)
-    assert t.publish({"b": 2, "c": 3}, WRITER) == 2
+    t.publish({"a": 1, "b": 2})
+    assert t.publish({"b": 2, "c": 3}) == 2
     assert "a" not in t.current.entries
     assert t.current.entries["b"] == 2
     assert t.current.entries["c"] == 3
@@ -82,29 +78,21 @@ def test_publish_remove_absent_key_is_noop():
     published is a copy of the caller's dict."""
     t = table()
     entries = {"a": 1}
-    assert t.publish(entries, WRITER) == 1
+    assert t.publish(entries) == 1
     snap = t.current
     assert snap.entries == entries and snap.entries is not entries
     entries["b"] = 2
     assert "b" not in t.current.entries
-    assert t.publish({"a": 1}, WRITER) == 1
+    assert t.publish({"a": 1}) == 1
     assert t.current is snap
-    assert t.publish(entries, WRITER) == 2
-    assert t.publish({}, WRITER) == 3
+    assert t.publish(entries) == 2
+    assert t.publish({}) == 3
     assert t.current.entries == {}
-
-
-def test_publish_owner_enforced():
-    t = MatchTable("t", owner="alice")
-    t.publish({"x": 1}, writer="alice")
-    with pytest.raises(MatchActionError):
-        t.publish({"y": 2}, writer="bob")
-    assert "y" not in t.current.entries
 
 
 def test_snapshot_is_immutable_type():
     t = table()
-    t.publish({"x": 1}, WRITER)
+    t.publish({"x": 1})
     snap = t.current
     assert isinstance(snap, TableEpoch)
     with pytest.raises(Exception):
@@ -115,10 +103,10 @@ def test_lookup_consistency_under_republish():
     """A traversal that took a snapshot never sees a mixed state, no
     matter how many publishes land mid-traversal."""
     t = table()
-    t.publish({"a": "v1", "b": "v1"}, WRITER)
+    t.publish({"a": "v1", "b": "v1"})
     snap = t.current
     for i in range(100):
-        t.publish({"a": f"v{i+2}", "b": f"v{i+2}"}, WRITER)
+        t.publish({"a": f"v{i+2}", "b": f"v{i+2}"})
         # the held snapshot keeps answering from one coherent version
         assert snap.entries["a"] == "v1"
         assert snap.entries["b"] == "v1"
@@ -132,7 +120,7 @@ def test_ppm_runs_matched_program():
     """A step matches against the traversal's snapshot of its table and
     acts on the entry it finds."""
     t = table()
-    t.publish({7: "hit"}, WRITER)
+    t.publish({7: "hit"})
 
     def match(unit, ctx, snaps):
         if snaps[t.name].get(unit.queue) == "hit":

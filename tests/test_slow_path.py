@@ -25,7 +25,6 @@ from flatproxy.slow_path import (
     ParseError,
     load_config,
 )
-from flatproxy.match_action import MatchActionError
 from flatproxy.vq import VqState
 from conftest import (DUPLICATE_HOST, config_text, host_denied_config_text,
                       make_flow, make_message, make_request)
@@ -279,27 +278,6 @@ def test_standard_chain_names_every_registered_ppm():
     rt.shutdown()
 
 
-# -- table ownership ---------------------------------------------------------
-
-def test_runtime_table_ownership_layout():
-    rt = MeshRuntime(config=None)
-    assert rt.listener_table.owner == "connection"
-    for t in (rt.filter_table, rt.route_table, rt.cluster_table):
-        assert t.owner == "message"
-    with pytest.raises(MatchActionError):
-        rt.cluster_table.publish({}, writer="connection")
-    rt.shutdown()
-
-
-def test_owned_table_refuses_a_write_that_names_no_writer():
-    rt = MeshRuntime(config=load_config(config_text()))
-    epoch = rt.cluster_table.epoch
-    with pytest.raises(MatchActionError):
-        rt.cluster_table.publish({}, None)
-    assert rt.cluster_table.epoch == epoch
-    rt.shutdown()
-
-
 # -- distribution ------------------------------------------------------------
 
 def test_distribute_returns_epochs_and_installs_rules():
@@ -421,7 +399,7 @@ def test_connect_failure_answered_502():
 
 
 def test_unknown_cluster_answered_502(runtime):
-    runtime.cluster_table.publish({}, writer="message")
+    runtime.cluster_table.publish({})
     runtime.fast_path.ingress(make_frame(make_request(b"/svc/a"), make_flow(sport=42200)))
     assert_refused(runtime, "unknown_cluster", 502)
 
